@@ -19,10 +19,12 @@ Design notes
   inverter propagation (``Omega.I``) is an explicit, cost-driven rewriting
   step in the endurance-management flow, so ``<x y z>`` and ``<~x ~y ~z>``
   may coexist as distinct nodes.
-* The structure is append-only; rewriting builds new graphs (see
-  :mod:`repro.mig.rewrite`), which keeps invariants trivial and avoids
-  dangling-pointer style bugs at the price of copying — a good trade for a
-  research-grade Python implementation.
+* The structure is append-only; rewriting never edits a graph in place
+  (see :mod:`repro.mig.rewrite`), which keeps invariants trivial and
+  avoids dangling-pointer style bugs.  A pass that changes something
+  builds a new graph, reusing the unchanged prefix; a pass that changes
+  nothing returns its input, so a graph may be shared between pass
+  results and must not be mutated once rewriting has seen it.
 * Derived traversal state (liveness, fanout counts, levels, the flat
   ``(node, fanin, fanin, fanin)`` gate list used by simulation and
   compilation) is memoized per graph and invalidated on any mutation, so

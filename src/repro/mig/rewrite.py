@@ -1,17 +1,25 @@
 """Rebuild-style rewriting engine for MIGs.
 
-Every rewriting *pass* reconstructs the live part of a graph into a fresh,
-structurally hashed MIG, applying one local axiom at each node while the
-translation map is built bottom-up.  The approach (popular in modern logic
-synthesis libraries) trades a copy per pass for trivially maintained
-invariants: the input graph is never mutated, dead nodes vanish
-automatically, and node-creation identities (``Omega.M``) apply everywhere
-for free.
+Every rewriting *pass* applies one local axiom at each node of a graph's
+live part while a translation map is built bottom-up into a fresh,
+structurally hashed MIG.  The input graph is never mutated, dead nodes
+vanish, and node-creation identities (``Omega.M``) apply everywhere for
+free.
+
+Most pass calls change nothing: after a cycle or two of a script the
+axioms stop firing.  So :func:`rebuild` does not copy a *canonical*
+input (structurally hashed, primary inputs first, no dead gates), which
+is a fixed point of a plain rebuild.  It first replays the pass's
+transform against a read-only view of the input.  When no node fires it
+returns the input itself, memoized traversals included; otherwise the
+new graph starts as a copy of the unchanged prefix and the rebuild
+resumes at the first node that fired.  A pass result may therefore *be*
+its input, so callers must not mutate pass results.
 
 The rewriting *scripts* of the reproduced paper (Algorithm 1, the PLiM
 compiler script of [Soeken et al., DAC'16], and Algorithm 2, the
 endurance-aware script) are sequences of these passes; they live in
-:mod:`repro.core.rewriting`.
+:mod:`repro.opt.scripts`.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import algebra
 from .graph import Mig
-from .signal import complement
+from .signal import complement, sorted_fanins
 
 
 class RebuildContext:
@@ -36,7 +44,7 @@ class RebuildContext:
     level traversal of the source graph would dominate its cost — the
     optimiser's search strategies apply thousands of candidate passes
     per run, so only the passes that actually price fanouts
-    (``Omega.D``, ``Psi.C``) pay for them.
+    (``Omega.D``, ``Psi.C``) pay for them, once a pattern has matched.
     """
 
     __slots__ = ("old", "xlat", "_refs")
@@ -72,8 +80,63 @@ class RebuildContext:
         return self.xlat[node] ^ (old_signal & 1)
 
 
-#: A transform maps (new_mig, ctx, old_node, translated_children) -> signal.
-Transform = Callable[[Mig, RebuildContext, int, Sequence[int]], int]
+#: A transform maps (new_mig, ctx, old_node, translated_children) to the
+#: node's new signal, or to ``None`` to keep the node: :func:`rebuild`
+#: then adds ``<children>`` itself.
+Transform = Callable[[Mig, RebuildContext, int, Sequence[int]], Optional[int]]
+
+
+class _Diverged(Exception):
+    """A transform built a node while :func:`rebuild` was probing."""
+
+
+class _PrefixView:
+    """The graph a rebuild of a canonical input holds before node ``limit``.
+
+    Until a transform fires, that graph is exactly nodes ``0..limit-1``
+    of the input, so transforms can read the input's fanins directly,
+    and a structural-hash hit counts only below ``limit``.  Building a
+    node means the transform fired.
+    """
+
+    __slots__ = ("_fanins", "_strash", "limit")
+
+    def __init__(self, mig: Mig) -> None:
+        self._fanins = mig._fanins
+        self._strash = mig._strash
+        self.limit = 0
+
+    def maj_would_allocate(self, a: int, b: int, c: int) -> bool:
+        if a == b or a == c or b == c or a ^ b == 1 or a ^ c == 1 or b ^ c == 1:
+            return False
+        node = self._strash.get(sorted_fanins(a, b, c))
+        return node is None or node >= self.limit
+
+    def add_maj(self, a: int, b: int, c: int) -> int:
+        raise _Diverged
+
+
+def _is_canonical(mig: Mig) -> bool:
+    """Whether a plain rebuild of *mig* reproduces it node for node:
+    structural hashing on, PIs are nodes ``1..n``, and no dead gates."""
+    pis = mig._pis
+    return (
+        mig.use_strash
+        and (not pis or pis[-1] == len(pis))
+        and len(mig._live_gates()) == mig.num_gates
+    )
+
+
+def _prefix(mig: Mig, size: int) -> Mig:
+    """A new graph holding nodes ``0..size-1`` of canonical *mig*."""
+    new = Mig(mig.name)
+    new._fanins = mig._fanins[:size]
+    new._pi_index = mig._pi_index[:size]
+    new._pis = list(mig._pis)
+    new._pi_names = list(mig._pi_names)
+    first = len(mig._pis) + 1
+    new._strash = dict(zip(new._fanins[first:], range(first, size)))
+    return new
 
 
 def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
@@ -81,36 +144,62 @@ def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
 
     With ``transform=None`` this is a cleanup + ``Omega.M`` +
     structural-hashing pass (the paper's plain ``Omega.M`` step).
+
+    Returns *mig* itself when the result would equal it (see the module
+    docstring); callers must not mutate the result.
     """
-    new = Mig(mig.name)
     ctx = RebuildContext(mig)
     xlat = ctx.xlat
-    xlat.extend([-1] * mig.num_nodes)
-    xlat[0] = 0
-    for idx, node in enumerate(mig.pis()):
-        xlat[node] = new.add_pi(mig.pi_name(idx))
+    canonical = _is_canonical(mig)
+    if canonical:
+        if transform is None:
+            return mig
+        # Probe: while nothing fires, node k of the rebuild is node k of
+        # the input, so xlat grows as the identity.
+        first = mig.num_pis + 1
+        xlat.extend(range(0, first << 1, 2))
+        view = _PrefixView(mig)
+        fanins = mig._fanins
+        keep = xlat.append
+        for node in range(first, mig.num_nodes):
+            view.limit = node
+            try:
+                if transform(view, ctx, node, fanins[node]) is not None:
+                    break
+            except _Diverged:
+                break
+            keep(node << 1)
+        else:
+            return mig
+        new = _prefix(mig, node)
+        xlat.extend([-1] * (mig.num_nodes - node))
+        gates = mig.flat_gates()[node - first:]
+    else:
+        new = Mig(mig.name)
+        xlat.extend([-1] * mig.num_nodes)
+        xlat[0] = 0
+        for idx, node in enumerate(mig.pis()):
+            xlat[node] = new.add_pi(mig.pi_name(idx))
+        gates = mig.flat_gates()
     add_maj = new.add_maj
     # flat_gates carries complement attributes as XOR masks (0 / -1);
     # `& 1` recovers the signal-level complement bit.
     if transform is None:
-        for node, na, xa, nb, xb, nc, xc in mig.flat_gates():
+        for node, na, xa, nb, xb, nc, xc in gates:
             xlat[node] = add_maj(
                 xlat[na] ^ (xa & 1), xlat[nb] ^ (xb & 1), xlat[nc] ^ (xc & 1)
             )
     else:
-        for node, na, xa, nb, xb, nc, xc in mig.flat_gates():
-            xlat[node] = transform(
-                new,
-                ctx,
-                node,
-                (
-                    xlat[na] ^ (xa & 1),
-                    xlat[nb] ^ (xb & 1),
-                    xlat[nc] ^ (xc & 1),
-                ),
+        for node, na, xa, nb, xb, nc, xc in gates:
+            children = (
+                xlat[na] ^ (xa & 1), xlat[nb] ^ (xb & 1), xlat[nc] ^ (xc & 1)
             )
+            result = transform(new, ctx, node, children)
+            xlat[node] = add_maj(*children) if result is None else result
     for idx, s in enumerate(mig.pos()):
         new.add_po(xlat[s >> 1] ^ (s & 1), mig.po_name(idx))
+    if canonical and new._fanins == mig._fanins and new._pos == mig._pos:
+        return mig  # a transform fired without changing anything
     return new
 
 
@@ -123,29 +212,31 @@ def majority_pass(mig: Mig) -> Mig:
     return rebuild(mig)
 
 
+def _residual_fanout(ctx: RebuildContext, node: int, children):
+    """``fanout_of`` callback of the fanout-priced axioms at *node*.
+
+    A child signal's residual fanout is the source fanout of the old
+    fanin it translates (the last such fanin when two translate alike);
+    any other signal is priced as shared (2).  Looked up only when an
+    axiom's pattern matched.
+    """
+
+    def fanout_of(sig: int) -> int:
+        for i in (2, 1, 0):
+            if children[i] == sig:
+                return ctx.refs[ctx.old._fanins[node][i] >> 1]
+        return 2
+
+    return fanout_of
+
+
 def distributivity_rl_pass(mig: Mig) -> Mig:
     """``Omega.D(R->L)``: factor shared operand pairs out of fanin nodes."""
 
-    def transform(new: Mig, ctx: RebuildContext, node: int, children) -> int:
-        # children[i] is exactly the translation of the i-th old fanin,
-        # so the residual-fanout map needs no further signal decoding.
-        refs = ctx.refs
-        old_children = ctx.old._fanins[node]
-        residual = {
-            children[0]: refs[old_children[0] >> 1],
-            children[1]: refs[old_children[1] >> 1],
-            children[2]: refs[old_children[2] >> 1],
-        }
-
-        def fanout_of(sig: int) -> int:
-            return residual.get(sig, 2)
-
-        result = algebra.try_distributivity_rl(
-            new, children[0], children[1], children[2], fanout_of=fanout_of
+    def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        return algebra.try_distributivity_rl(
+            new, *children, fanout_of=_residual_fanout(ctx, node, children)
         )
-        if result is not None:
-            return result
-        return new.add_maj(*children)
 
     return rebuild(mig, transform)
 
@@ -153,11 +244,8 @@ def distributivity_rl_pass(mig: Mig) -> Mig:
 def associativity_pass(mig: Mig) -> Mig:
     """``Omega.A``: swap through shared operands when sharing is exposed."""
 
-    def transform(new: Mig, ctx: RebuildContext, node: int, children) -> int:
-        result = algebra.try_associativity(new, *children)
-        if result is not None:
-            return result
-        return new.add_maj(*children)
+    def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        return algebra.try_associativity(new, *children)
 
     return rebuild(mig, transform)
 
@@ -165,20 +253,10 @@ def associativity_pass(mig: Mig) -> Mig:
 def complementary_associativity_pass(mig: Mig) -> Mig:
     """``Psi.C``: replace an inner complement of an outer operand."""
 
-    def transform(new: Mig, ctx: RebuildContext, node: int, children) -> int:
-        refs = ctx.refs
-        old_children = ctx.old._fanins[node]
-        residual = {
-            children[0]: refs[old_children[0] >> 1],
-            children[1]: refs[old_children[1] >> 1],
-            children[2]: refs[old_children[2] >> 1],
-        }
-        result = algebra.try_complementary_associativity(
-            new, *children, fanout_of=lambda sig: residual.get(sig, 2)
+    def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        return algebra.try_complementary_associativity(
+            new, *children, fanout_of=_residual_fanout(ctx, node, children)
         )
-        if result is not None:
-            return result
-        return new.add_maj(*children)
 
     return rebuild(mig, transform)
 
@@ -187,13 +265,8 @@ def inverter_propagation_pass(mig: Mig, *, handle_two: bool) -> Mig:
     """``Omega.I(R->L)``: normalise nodes with 2 (optional) or 3
     complemented fanins toward the RM3-ideal single-complement form."""
 
-    def transform(new: Mig, ctx: RebuildContext, node: int, children) -> int:
-        result = algebra.propagate_inverters(
-            new, *children, handle_two=handle_two
-        )
-        if result is not None:
-            return result
-        return new.add_maj(*children)
+    def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        return algebra.propagate_inverters(new, *children, handle_two=handle_two)
 
     return rebuild(mig, transform)
 
@@ -329,15 +402,13 @@ def polarity_pass(
                 toggle(node)
         if not changed:
             break
-    if not any(flipped.values()):
-        return rebuild(mig)
 
-    def transform(new: Mig, ctx: RebuildContext, node: int, children) -> int:
+    def transform(new: Mig, ctx: RebuildContext, node: int, children):
         if flipped.get(node):
             return complement(
                 new.add_maj(*(complement(s) for s in children))
             )
-        return new.add_maj(*children)
+        return None
 
     return rebuild(mig, transform)
 

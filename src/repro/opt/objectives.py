@@ -73,7 +73,18 @@ class Objective:
     arch_sensitive: bool = False
 
     def score(self, mig: Mig, arch: Architecture) -> int:
-        return self.fn(mig, arch)
+        """``fn(mig, arch)``, memoized in the graph's derived state.
+
+        Search strategies score every candidate result, and a pass that
+        changes nothing returns the very graph they scored last round;
+        any mutation of *mig* clears the memo.
+        """
+        key = ("score", self, arch.key() if self.arch_sensitive else None)
+        derived = mig._derived
+        cached = derived.get(key)
+        if cached is None:
+            cached = derived[key] = self.fn(mig, arch)
+        return cached
 
 
 def estimated_write_cost(mig: Mig, arch: Architecture) -> int:

@@ -56,7 +56,8 @@ class RewritePass:
     preserves_equivalence: bool = True
 
     def apply(self, mig: Mig) -> Mig:
-        """Run the pass (never mutates *mig*; returns a rebuilt graph)."""
+        """Run the pass.  Never mutates *mig*, and returns *mig* itself
+        when nothing fired, so callers must not mutate the result."""
         return self.fn(mig)
 
 

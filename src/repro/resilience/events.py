@@ -11,16 +11,22 @@ they serialise into ``run_manifest.json`` untouched.  Worker processes
 accumulate their own log and ship a snapshot back to the parent with
 their results; :func:`capture` scopes collection around one unit of work
 (one experiment compile, one job) so events land in the right manifest.
+The process log keeps only the newest :data:`MAX_EVENTS` events, so a
+long-running service stays bounded; capture sinks still see every event.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
+
+#: Events the process log holds; older ones drop off the front.
+MAX_EVENTS = 10_000
 
 _LOCK = threading.Lock()
-_LOG: List[Dict] = []
+_LOG: Deque[Dict] = deque(maxlen=MAX_EVENTS)
 #: Active capture sinks; every recorded event is appended to each.
 _SINKS: List[List[Dict]] = []
 
@@ -29,7 +35,8 @@ def record(kind: str, *, job: Optional[str] = None, **detail) -> Dict:
     """Record one resilience event; returns the event dict.
 
     *kind* is a short verb phrase (``"retry"``, ``"degradation"``,
-    ``"pool_respawn"``, ``"timeout"``, ``"fault_injected"``); *job*
+    ``"pool_respawn"``, ``"timeout"``, ``"timeout_unarmed"``,
+    ``"fault_injected"``); *job*
     names the benchmark/source the event pertains to, when known.
     """
     event: Dict = {"kind": kind, "time": time.time()}
@@ -46,7 +53,8 @@ def record(kind: str, *, job: Optional[str] = None, **detail) -> Dict:
 def snapshot(
     *, kind: Optional[str] = None, job: Optional[str] = None
 ) -> List[Dict]:
-    """A copy of the process log, optionally filtered by kind/job."""
+    """A copy of the process log (the newest :data:`MAX_EVENTS` events,
+    oldest first), optionally filtered by kind/job."""
     with _LOCK:
         events = list(_LOG)
     if kind is not None:

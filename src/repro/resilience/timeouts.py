@@ -15,11 +15,12 @@ This module gives every pipeline stage a wall-clock budget:
   the stages are deterministic, so a blown budget would blow again).
 
 Enforcement is best-effort by construction: ``SIGALRM`` exists only on
-Unix and only fires on the main thread, so :func:`time_limit` degrades
-to a no-op elsewhere — worker *processes* run jobs on their main thread,
-which is exactly where hangs need interrupting, and the parallel
-supervisor additionally enforces the ``job`` budget from the parent side
-(which needs no signals at all).
+Unix and only fires on the main thread, so elsewhere :func:`time_limit`
+records a ``timeout_unarmed`` resilience event and runs the block
+unbounded — worker *processes* run jobs on their main thread, which is
+exactly where hangs need interrupting, and the parallel supervisor
+additionally enforces the ``job`` budget from the parent side (which
+needs no signals at all).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import StageTimeoutError
+from .events import record
 
 #: Environment variable holding the ambient timeout spec.
 TIMEOUT_ENV_VAR = "REPRO_TIMEOUT"
@@ -157,12 +159,17 @@ def time_limit(
     """Bound the block to *seconds* of wall-clock time.
 
     On expiry a :class:`~repro.resilience.errors.StageTimeoutError` is
-    raised *inside* the block.  ``None``/non-positive budgets and
-    alarm-incapable contexts (non-main thread, non-Unix) are no-op
-    scopes.  Nested limits cooperate: the outer timer is suspended and
-    re-armed with its remaining budget when the inner scope exits.
+    raised *inside* the block.  ``None``/non-positive budgets are no-op
+    scopes; a budget that cannot be armed here (non-main thread,
+    non-Unix) records a ``timeout_unarmed`` event and runs the block
+    unbounded.  Nested limits cooperate: the outer timer is suspended
+    and re-armed with its remaining budget when the inner scope exits.
     """
-    if not seconds or seconds <= 0 or not alarm_capable():
+    if not seconds or seconds <= 0:
+        yield
+        return
+    if not alarm_capable():
+        record("timeout_unarmed", stage=stage, job=job or None, seconds=seconds)
         yield
         return
 

@@ -303,6 +303,24 @@ class TestTimeouts:
             assert excinfo.value.stage == "compile"
             _time.sleep(0.05)  # outer budget re-armed, not expired
 
+    def test_time_limit_off_the_main_thread_records_an_event(self):
+        import threading
+
+        ran = []
+
+        def body():
+            with time_limit(5.0, stage="compile", job="adder"):
+                ran.append(True)
+
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join()
+        assert ran == [True]
+        (event,) = events.snapshot(kind="timeout_unarmed")
+        assert (event["stage"], event["job"], event["seconds"]) == (
+            "compile", "adder", 5.0,
+        )
+
 
 class TestFaultSpec:
     def test_parse_directives(self):
@@ -402,6 +420,15 @@ class TestEvents:
         assert [
             e["kind"] for e in events.snapshot(job="dec")
         ] == ["kernel_degraded"]
+
+    def test_log_keeps_the_newest_events_and_sinks_see_all(self):
+        extra = 5
+        with events.capture() as log:
+            for i in range(events.MAX_EVENTS + extra):
+                events.record("retry", attempt=i)
+        assert len(log) == events.MAX_EVENTS + extra
+        kept = [e["attempt"] for e in events.snapshot()]
+        assert kept == list(range(extra, events.MAX_EVENTS + extra))
 
 
 class TestManifest:

@@ -1,8 +1,12 @@
 """Tests for the rewrite engine and the two rewriting scripts."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mig import algebra, rewrite as rewrite_module
+from repro.mig.graph import Mig
 from repro.opt import (
     ALGORITHM1_STEPS,
     ALGORITHM2_STEPS,
@@ -10,10 +14,11 @@ from repro.opt import (
     rewrite_dac16,
     rewrite_endurance_aware,
 )
-from repro.mig.rewrite import apply_script, rebuild
+from repro.mig.rewrite import PASSES, RebuildContext, apply_script, rebuild
 from repro.mig.simulate import equivalent
 from repro.synth.arithmetic import build_adder
 from repro.synth.control import build_dec
+from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 from .conftest import make_random_mig
 
 
@@ -124,3 +129,137 @@ class TestRebuildContext:
         from repro.mig.simulate import equivalent
 
         assert equivalent(mig, out)
+
+
+# ----------------------------------------------------------------------
+# Pass parity: every pass against a plain rebuild loop
+# ----------------------------------------------------------------------
+
+def reference_rebuild(mig, transform=None):
+    """The plain rebuild: copy every live gate into a fresh graph."""
+    new = Mig(mig.name)
+    ctx = RebuildContext(mig)
+    xlat = ctx.xlat
+    xlat.extend([-1] * mig.num_nodes)
+    xlat[0] = 0
+    for idx, node in enumerate(mig.pis()):
+        xlat[node] = new.add_pi(mig.pi_name(idx))
+    for node in mig.live_gates():
+        children = tuple(xlat[s >> 1] ^ (s & 1) for s in mig.fanins(node))
+        result = None if transform is None else transform(new, ctx, node, children)
+        xlat[node] = new.add_maj(*children) if result is None else result
+    for idx, s in enumerate(mig.pos()):
+        new.add_po(xlat[s >> 1] ^ (s & 1), mig.po_name(idx))
+    return new
+
+
+def reference_pass(name, mig):
+    """``PASSES[name]`` with its transform run by :func:`reference_rebuild`."""
+    with mock.patch.object(rewrite_module, "rebuild", reference_rebuild):
+        return PASSES[name](mig)
+
+
+def assert_pass_parity(mig):
+    """Every pass matches the reference and returns *mig* exactly when
+    the reference result equals it."""
+    fingerprint = mig.content_fingerprint()
+    for name, fn in PASSES.items():
+        expected = reference_pass(name, mig).content_fingerprint()
+        out = fn(mig)
+        assert out.content_fingerprint() == expected, name
+        assert (out is mig) == (expected == fingerprint), name
+    assert mig.content_fingerprint() == fingerprint  # input untouched
+
+
+def canonical(mig):
+    """*mig* after Omega.M passes until no dead gate remains."""
+    mig = PASSES["M"](mig)
+    while mig.num_live_gates() != mig.num_gates:
+        mig = PASSES["M"](mig)
+    return mig
+
+
+class TestPassParity:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_registry_benchmarks_after_one_cycle(self, name):
+        source = build_benchmark(name, "tiny")
+        assert_pass_parity(source)
+        for steps in (ALGORITHM1_STEPS, ALGORITHM2_STEPS):
+            assert_pass_parity(apply_script(source, steps))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=60),
+    )
+    def test_random_canonical_graphs(self, seed, gates):
+        mig = canonical(make_random_mig(5, gates, seed=seed, complement_prob=0.4))
+        assert PASSES["M"](mig) is mig
+        assert_pass_parity(mig)
+
+    @staticmethod
+    def _associativity_graph(probe_after):
+        """``<x u <y u z>>`` plus the node ``<y u x>`` Omega.A probes for,
+        built after the outer node when *probe_after* (both live)."""
+        mig = Mig("assoc")
+        x, u, y, z = mig.add_pis(4)
+        inner = mig.add_maj(y, u, z)
+        if probe_after:
+            outer = mig.add_maj(x, u, inner)
+            probe = mig.add_maj(y, u, x)
+        else:
+            probe = mig.add_maj(y, u, x)
+            outer = mig.add_maj(x, u, inner)
+        mig.add_po(outer)
+        mig.add_po(probe)
+        return mig
+
+    def test_strash_hit_beyond_the_prefix_does_not_fire(self):
+        mig = self._associativity_graph(probe_after=True)
+        calls = []
+
+        def transform(new, ctx, node, children):
+            calls.append(node)
+            return algebra.try_associativity(new, *children)
+
+        assert rebuild(mig, transform) is mig
+        assert calls == list(mig.gates())  # no node re-run after a divergence
+        assert_pass_parity(mig)
+
+    def test_strash_hit_inside_the_prefix_fires(self):
+        mig = self._associativity_graph(probe_after=False)
+        out = PASSES["A"](mig)
+        assert out is not mig
+        assert equivalent(mig, out)
+        assert_pass_parity(mig)
+
+    def _non_canonical(self):
+        interleaved = Mig("interleaved")
+        a, b = interleaved.add_pis(2)
+        gate = interleaved.add_maj(a, b ^ 1, 0)
+        c = interleaved.add_pi("late")
+        interleaved.add_po(interleaved.add_maj(gate, c, a))
+
+        dead = Mig("dead")
+        a, b, c = dead.add_pis(3)
+        dead.add_maj(a, b, c ^ 1)
+        dead.add_po(dead.add_maj(a, b ^ 1, c))
+
+        unhashed = canonical(make_random_mig(5, 30, seed=11))
+        elaborated = Mig(unhashed.name, use_strash=False)
+        for idx in range(unhashed.num_pis):
+            elaborated.add_pi(unhashed.pi_name(idx))
+        for node in unhashed.gates():
+            elaborated.add_maj(*unhashed.fanins(node))
+        for idx, s in enumerate(unhashed.pos()):
+            elaborated.add_po(s, unhashed.po_name(idx))
+        return interleaved, dead, elaborated
+
+    def test_non_canonical_inputs_take_the_full_rebuild(self):
+        for mig in self._non_canonical():
+            for name, fn in PASSES.items():
+                out = fn(mig)
+                assert out is not mig, (mig.name, name)
+                assert out.content_fingerprint() == (
+                    reference_pass(name, mig).content_fingerprint()
+                ), (mig.name, name)
