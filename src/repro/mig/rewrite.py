@@ -294,7 +294,7 @@ def rm3_gate_cost(
     """Estimated RM3 instructions to realise one majority gate.
 
     A static replay of the compiler's role pricing
-    (:meth:`repro.plim.compiler.PlimCompiler._translate`): one RM3 plus
+    (:meth:`repro.plim.compiler._Compilation._translate`): one RM3 plus
     repair bills.  *fanin_bits* is a sequence of ``(node, complement)``
     pairs; *refs* the graph's fanout counts; *is_gate* the gate
     predicate.  Constant fanins follow the machine semantics exactly —

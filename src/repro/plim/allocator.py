@@ -102,46 +102,41 @@ class RramAllocator:
         a device one write below the cap would overshoot.  Devices with
         insufficient headroom stay in the pool for smaller requests.
         """
-        def fits(addr: int) -> bool:
-            return (
-                self.w_max is None
-                or self.writes[addr] + headroom <= self.w_max
-            )
-
+        w_max = self.w_max
+        writes = self.writes
+        free_set = self._free_set
         if self.strategy == "min_write":
+            heap = self._free_heap
             skipped = []
             found = None
-            while self._free_heap:
-                wr, addr = heapq.heappop(self._free_heap)
-                if addr not in self._free_set or wr != self.writes[addr]:
+            while heap:
+                wr, addr = heapq.heappop(heap)
+                if addr not in free_set or wr != writes[addr]:
                     continue  # stale entry from an earlier free period
-                if not fits(addr):
+                if w_max is not None and wr + headroom > w_max:
                     skipped.append((wr, addr))
                     continue
-                self._free_set.discard(addr)
                 found = addr
                 break
             for entry in skipped:
-                heapq.heappush(self._free_heap, entry)
-            if found is not None:
-                return found
+                heapq.heappush(heap, entry)
         else:
-            skipped_addrs = []
+            stack = self._free_stack
+            skipped = []
             found = None
-            while self._free_stack:
-                addr = self._free_stack.pop()
-                if addr not in self._free_set:
+            while stack:
+                addr = stack.pop()
+                if addr not in free_set:
                     continue
-                if not fits(addr):
-                    skipped_addrs.append(addr)
+                if w_max is not None and writes[addr] + headroom > w_max:
+                    skipped.append(addr)
                     continue
-                self._free_set.discard(addr)
                 found = addr
                 break
-            for addr in reversed(skipped_addrs):
-                self._free_stack.append(addr)
-            if found is not None:
-                return found
+            stack.extend(reversed(skipped))
+        if found is not None:
+            free_set.discard(found)
+            return found
         return self.new_cell()
 
     def release(self, addr: int) -> None:

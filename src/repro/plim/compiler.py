@@ -34,27 +34,29 @@ machine*: the compiler consumes a :class:`repro.arch.Architecture`
 (cost model, array geometry, endurance semantics) and emits a program
 for that machine.  The default architecture is the paper's unbounded
 wear-tracked crossbar, which reproduces the historic behaviour exactly.
+
+A fanin's role costs depend on the fanin alone, not on the assignment,
+so node translation classifies each fanin once into a small int tuple
+(Q cost, Z kind, the destination's write count, P cost, node, complement
+bit) and prices the six assignments of the module-level ``_ROLES`` table
+from those tuples.  Assignments rank by ``(extra instructions, extra
+devices, Z kind, Z writes, qi, zi)``: cheapest repair first, then an
+in-place overwrite before a constant or copied destination, then — under
+the minimum write count strategy — the less-worn destination.  The fanin
+positions ``(qi, zi)`` close the rank, so no two assignments tie and the
+choice is the first cheapest one in the DAC'16 enumeration order,
+however the ranks are computed.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from ..mig.graph import Mig
 from ..mig.signal import is_complemented, node_of
 from .isa import OP_CONST0, OP_CONST1, Program, const_operand
-
-
-@dataclass(frozen=True)
-class _Fanin:
-    """One fanin of the node under translation, classified for costing."""
-
-    is_const: bool
-    value: int  # constant value (is_const) — else unused
-    node: int  # MIG node id (var) — else unused
-    complemented: bool
 
 
 # Role kinds used by the assignment enumeration.
@@ -65,6 +67,15 @@ _Z_CONST = 1  # initialise a requested device with the constant (+1)
 _Z_COPY = 2  # copy/copy-invert into a requested device (+2, +1 device)
 _P_FREE = 0  # constant or plain stored value
 _P_INVERT = 1  # helper inversion required (+2 instructions, +1 device)
+
+#: The six (Q, Z, P) role assignments of a gate's three fanins, in the
+#: enumeration order of the DAC'16 translator.
+_ROLES = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _topological_key(node: int) -> Tuple[int, ...]:
+    """Selection key of plain topological order (no strategy)."""
+    return (node,)
 
 
 class PlimCompiler:
@@ -148,6 +159,17 @@ class _Compilation:
         self.alloc = allocator
         self.cost = cost
         self.allow_pi_overwrite = allow_pi_overwrite
+        self.min_write = allocator.strategy == "min_write"
+        # The cost table as repair bills per role: Q and P bills scale
+        # with the fanin's cost, Z bills are indexed by its kind.
+        self._bills = (
+            cost.q_invert_instructions,
+            cost.q_invert_cells,
+            (0, cost.z_const_instructions, cost.z_copy_instructions),
+            (0, cost.z_request_cells, cost.z_request_cells),
+            cost.p_invert_instructions,
+            cost.p_invert_cells,
+        )
 
         view = mig.fanout_view()
         self.view = view
@@ -181,11 +203,6 @@ class _Compilation:
                 count += 1
         return count
 
-    def _key(self, node: int) -> Tuple[int, ...]:
-        if self.selection is None:
-            return (node,)
-        return self.selection.key(self, node)
-
     # -- emission helpers -------------------------------------------------
 
     def _emit(self, p: int, q: int, z: int) -> None:
@@ -204,8 +221,10 @@ class _Compilation:
     ) -> int:
         """Copy (or copy-invert) a stored value into a requested device.
 
-        Returns the new device; costs exactly two instructions — the
-        repair cost the paper charges per fanout/complement violation.
+        Serves copied destinations and the helper inversions of ``Q``
+        and ``P``.  Returns the new device; costs exactly two
+        instructions — the repair cost the paper charges per
+        fanout/complement violation.
         ``extra_headroom`` reserves cap room for writes the caller will
         add afterwards (the final RM3 of a copy destination).
         """
@@ -229,35 +248,47 @@ class _Compilation:
             self.cell_of[node] = cell
             pi_cells.append(cell)
 
+        selection = self.selection
+        if selection is None:
+            key = _topological_key
+        else:
+            key = partial(selection.key, self)
+        # Live gates are exactly the nodes with a fanin record, and every
+        # fanin of a live gate is live.
+        fanin_nodes = self._fanin_nodes
         pending = [0] * mig.num_nodes
         heap: List[Tuple[Tuple[int, ...], int]] = []
         gates = mig.live_gates()
         for node in gates:
-            pending[node] = sum(
-                1 for child in self._fanin_nodes[node] if mig.is_gate(child)
-            )
-            if pending[node] == 0:
-                heapq.heappush(heap, (self._key(node), node))
+            count = 0
+            for child in fanin_nodes[node]:
+                if fanin_nodes[child] is not None:
+                    count += 1
+            pending[node] = count
+            if count == 0:
+                heapq.heappush(heap, (key(node), node))
 
         parents = self.view.fanouts  # immutable Tuple[Tuple[int, ...], ...]
-        dynamic = self.selection is not None and self.selection.dynamic
+        computed = self.computed
+        translate = self._translate
+        dynamic = selection is not None and selection.dynamic
         scheduled = 0
         while heap:
-            key, node = heapq.heappop(heap)
-            if self.computed[node]:
+            queued, node = heapq.heappop(heap)
+            if computed[node]:
                 continue
             if dynamic:
-                fresh = self._key(node)
-                if fresh != key:
+                fresh = key(node)
+                if fresh != queued:
                     heapq.heappush(heap, (fresh, node))
                     continue
-            self._translate(node)
-            self.computed[node] = True
+            translate(node)
+            computed[node] = True
             scheduled += 1
             for parent in parents[node]:
                 pending[parent] -= 1
                 if pending[parent] == 0:
-                    heapq.heappush(heap, (self._key(parent), parent))
+                    heapq.heappush(heap, (key(parent), parent))
         if scheduled != len(gates):
             raise RuntimeError(
                 f"scheduled {scheduled} of {len(gates)} gates — "
@@ -278,144 +309,110 @@ class _Compilation:
 
     # -- node translation ---------------------------------------------------
 
-    def _classify(self, signal: int) -> _Fanin:
-        node = node_of(signal)
-        if node == 0:
-            return _Fanin(
-                is_const=True,
-                value=1 if is_complemented(signal) else 0,
-                node=0,
-                complemented=False,
-            )
-        return _Fanin(
-            is_const=False,
-            value=0,
-            node=node,
-            complemented=is_complemented(signal),
-        )
-
-    def _q_cost(self, f: _Fanin) -> int:
-        if f.is_const or f.complemented:
-            return _Q_FREE
-        return _Q_INVERT
-
-    def _z_kind(self, f: _Fanin) -> int:
-        if f.is_const:
-            return _Z_CONST
-        if (
-            not f.complemented
-            and self.refs[f.node] == 1
-            and self.cell_of[f.node] is not None
-            and self.alloc.writable(self.cell_of[f.node])
-            and (self.allow_pi_overwrite or not self.mig.is_pi(f.node))
-        ):
-            return _Z_DIRECT
-        return _Z_COPY
-
-    def _p_cost(self, f: _Fanin) -> int:
-        if f.is_const or not f.complemented:
-            return _P_FREE
-        return _P_INVERT
-
     def _translate(self, node: int) -> None:
-        fanins = [self._classify(s) for s in self.mig.fanins(node)]
+        refs = self.refs
+        cell_of = self.cell_of
+        alloc = self.alloc
+        q_instr, q_cells, z_instr, z_cells, p_instr, p_cells = self._bills
 
-        # Enumerate the six (Q, Z, P) role assignments; keep the cheapest.
-        best = None
-        for qi in range(3):
-            rest = [i for i in range(3) if i != qi]
-            for zi, pi in (rest, reversed(rest)):
-                q, z, p = fanins[qi], fanins[zi], fanins[pi]
-                q_cost = self._q_cost(q)
-                z_kind = self._z_kind(z)
-                p_cost = self._p_cost(p)
-                # Overheads come from the target machine's cost table
-                # (defaults: Q invert 2, Z const 1 / copy 2, P invert 2).
-                cost = self.cost
-                extra = (
-                    cost.q_invert_instructions * q_cost
-                    + (
-                        cost.z_const_instructions
-                        if z_kind == _Z_CONST
-                        else cost.z_copy_instructions
-                        if z_kind == _Z_COPY
-                        else 0
+        # Classify each fanin once: (q_cost, z_kind, z_writes, p_cost,
+        # node, bit).  A constant has node 0 and its value as the bit.
+        fanins = []
+        for signal in self.mig.fanins(node):
+            child = signal >> 1
+            bit = signal & 1
+            if child == 0:
+                fanins.append((_Q_FREE, _Z_CONST, 0, _P_FREE, 0, bit))
+            elif bit:
+                fanins.append((_Q_FREE, _Z_COPY, 0, _P_INVERT, child, 1))
+            else:
+                cell = cell_of[child]
+                if (
+                    refs[child] == 1
+                    and cell is not None
+                    and alloc.writable(cell)
+                    and (self.allow_pi_overwrite or not self.mig.is_pi(child))
+                ):
+                    z_writes = alloc.writes[cell] if self.min_write else 0
+                    fanins.append(
+                        (_Q_INVERT, _Z_DIRECT, z_writes, _P_FREE, child, 0)
                     )
-                    + cost.p_invert_instructions * p_cost
-                )
-                extra_cells = (
-                    cost.q_invert_cells * q_cost
-                    + cost.p_invert_cells * p_cost
-                    + (0 if z_kind == _Z_DIRECT else cost.z_request_cells)
-                )
-                if z_kind == _Z_DIRECT and self.alloc.strategy == "min_write":
-                    z_writes = self.alloc.writes[self.cell_of[z.node]]
                 else:
-                    z_writes = 0
-                rank = (extra, extra_cells, z_kind, z_writes, qi, zi)
-                if best is None or rank < best[0]:
-                    best = (rank, qi, zi, pi, z_kind)
-        assert best is not None
-        _, qi, zi, pi, z_kind = best
-        q, z, p = fanins[qi], fanins[zi], fanins[pi]
+                    fanins.append((_Q_INVERT, _Z_COPY, 0, _P_FREE, child, 0))
+
+        # Rank the six (Q, Z, P) role assignments; keep the cheapest.
+        best = None
+        for qi, zi, pi in _ROLES:
+            q_cost = fanins[qi][0]
+            _, z_kind, z_writes, _, _, _ = fanins[zi]
+            p_cost = fanins[pi][3]
+            rank = (
+                q_instr * q_cost + z_instr[z_kind] + p_instr * p_cost,
+                q_cells * q_cost + z_cells[z_kind] + p_cells * p_cost,
+                z_kind,
+                z_writes,
+                qi,
+                zi,
+            )
+            if best is None or rank < best:
+                best = rank
+                roles = (qi, zi, pi)
+        qi, zi, pi = roles
+        z_kind = best[2]
+        z_node, z_bit = fanins[zi][4:]
+        q_node, q_bit = fanins[qi][4:]
+        p_node, p_bit = fanins[pi][4:]
 
         temps: List[int] = []
 
         # Destination Z holds the contribution of its fanin.
         overwritten: Optional[int] = None
         if z_kind == _Z_DIRECT:
-            z_addr = self.cell_of[z.node]
-            overwritten = z.node
+            z_addr = cell_of[z_node]
+            overwritten = z_node
         elif z_kind == _Z_CONST:
-            z_addr = self.alloc.request(headroom=2)  # init + final RM3
-            self._emit_const(z_addr, z.value)
+            z_addr = alloc.request(headroom=2)  # init + final RM3
+            self._emit_const(z_addr, z_bit)
         else:  # _Z_COPY
-            src = self.cell_of[z.node]
             z_addr = self._emit_materialize(
-                src, inverted=z.complemented, extra_headroom=1
+                cell_of[z_node], inverted=z_bit, extra_headroom=1
             )
 
         # Second operand Q: RM3 applies ~Q, so Q must hold the *inverse*
         # of the fanin's contribution.
-        if q.is_const:
-            q_op = const_operand(1 - q.value)
-        elif q.complemented:
-            q_op = self.cell_of[q.node]  # stored value, contribution is ~v
+        if q_node == 0:
+            q_op = const_operand(1 - q_bit)
+        elif q_bit:
+            q_op = cell_of[q_node]  # stored value, contribution is ~v
         else:
-            temp = self.alloc.request(headroom=2)
-            self._emit_const(temp, 1)
-            self._emit(OP_CONST0, self.cell_of[q.node], temp)
-            temps.append(temp)
-            q_op = temp
+            q_op = self._emit_materialize(cell_of[q_node], inverted=True)
+            temps.append(q_op)
 
         # First operand P holds the contribution directly.
-        if p.is_const:
-            p_op = const_operand(p.value)
-        elif not p.complemented:
-            p_op = self.cell_of[p.node]
+        if p_node == 0:
+            p_op = const_operand(p_bit)
+        elif not p_bit:
+            p_op = cell_of[p_node]
         else:
-            temp = self.alloc.request(headroom=2)
-            self._emit_const(temp, 1)
-            self._emit(OP_CONST0, self.cell_of[p.node], temp)
-            temps.append(temp)
-            p_op = temp
+            p_op = self._emit_materialize(cell_of[p_node], inverted=True)
+            temps.append(p_op)
 
         self._emit(p_op, q_op, z_addr)
 
         # Consume fanin references; free devices at their last use.
-        for f in fanins:
-            if f.is_const:
+        for _, _, _, _, child, _ in fanins:
+            if child == 0:
                 continue
-            self.refs[f.node] -= 1
-            if self.refs[f.node] == 0:
-                cell = self.cell_of[f.node]
-                self.cell_of[f.node] = None
-                if f.node != overwritten and cell is not None:
-                    self._release(f.node, cell)
+            refs[child] -= 1
+            if refs[child] == 0:
+                cell = cell_of[child]
+                cell_of[child] = None
+                if child != overwritten and cell is not None:
+                    self._release(child, cell)
         for temp in temps:
-            self.alloc.release(temp)
+            alloc.release(temp)
 
-        self.cell_of[node] = z_addr
+        cell_of[node] = z_addr
 
     def _release(self, node: int, cell: int) -> None:
         """Return a dead value's device to the pool.

@@ -1,8 +1,10 @@
 """Tests for the RRAM allocator policies (min/max write strategies)."""
 
+import random
+
 import pytest
 
-from repro.plim.allocator import MIN_WRITE_CAP, RramAllocator
+from repro.plim.allocator import MIN_WRITE_CAP, STRATEGIES, RramAllocator
 
 
 class TestBasics:
@@ -180,3 +182,33 @@ class TestWmaxRetirementBoundaries:
                 mig, full_management(100), arch=arch
             )
             assert result.program.num_cells >= uncapped.program.num_cells
+
+
+class TestUncappedRequests:
+    """Without a cap every pooled device fits: an absent cap and one no
+    device can reach must hand out the same devices in the same order."""
+
+    @staticmethod
+    def _replay(strategy, w_max, seed):
+        rng = random.Random(seed)
+        alloc = RramAllocator(strategy, w_max)
+        held, trace = [], []
+        for _ in range(400):
+            if held and rng.random() < 0.45:
+                alloc.release(held.pop(rng.randrange(len(held))))
+                continue
+            addr = alloc.request(headroom=rng.choice((1, 2, 3)))
+            for _ in range(rng.randrange(4)):
+                alloc.record_write(addr)
+            if rng.random() < 0.2:  # may wear a pooled device: stale entries
+                alloc.record_write(rng.randrange(alloc.num_cells))
+            held.append(addr)
+            trace.append(addr)
+        return trace, alloc.writes
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_no_cap_matches_unreachable_cap(self, strategy, seed):
+        uncapped = self._replay(strategy, None, seed)
+        assert uncapped == self._replay(strategy, 10**9, seed)
+        assert len(set(uncapped[0])) < len(uncapped[0])  # the pool is reused

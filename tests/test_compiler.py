@@ -6,13 +6,24 @@ each complement/fanout violation adds exactly two instructions and one
 device.
 """
 
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.tables import TABLE1_CONFIGS, TABLE3_CAPS
+from repro.arch import get_architecture
+from repro.core.manager import PRESETS, full_management
 from repro.core.selection import make_selection
 from repro.mig.graph import Mig
-from repro.mig.signal import CONST0, CONST1, complement
-from repro.plim.compiler import PlimCompiler
+from repro.mig.signal import CONST0, CONST1, complement, is_complemented, node_of
+from repro.opt import rewrite
+from repro.plim.compiler import PlimCompiler, _Compilation
+from repro.plim.isa import OP_CONST0, const_operand
 from repro.plim.verify import cross_check_truth_tables, verify_program
+from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 from .conftest import make_random_mig
 
 
@@ -228,3 +239,221 @@ class TestEndToEnd:
     def test_scheduler_covers_all_gates(self, tiny_adder):
         program = compile_mig(tiny_adder)
         verify_program(program, tiny_adder)
+
+
+# -- translation parity ----------------------------------------------------
+#
+# A test-local copy of the original node translator, which classified each
+# fanin into a ``_Fanin`` object and priced every (Q, Z, P) role assignment
+# through per-role method calls.  The compiler's per-fanin int
+# classification must emit the identical program, instruction for
+# instruction.
+
+
+@dataclass(frozen=True)
+class _Fanin:
+    is_const: bool
+    value: int
+    node: int
+    complemented: bool
+
+
+_Q_FREE, _Q_INVERT = 0, 1
+_Z_DIRECT, _Z_CONST, _Z_COPY = 0, 1, 2
+_P_FREE, _P_INVERT = 0, 1
+
+
+class _ReferenceCompilation(_Compilation):
+    def _classify(self, signal: int) -> _Fanin:
+        node = node_of(signal)
+        if node == 0:
+            return _Fanin(True, 1 if is_complemented(signal) else 0, 0, False)
+        return _Fanin(False, 0, node, is_complemented(signal))
+
+    def _q_cost(self, f: _Fanin) -> int:
+        return _Q_FREE if f.is_const or f.complemented else _Q_INVERT
+
+    def _z_kind(self, f: _Fanin) -> int:
+        if f.is_const:
+            return _Z_CONST
+        if (
+            not f.complemented
+            and self.refs[f.node] == 1
+            and self.cell_of[f.node] is not None
+            and self.alloc.writable(self.cell_of[f.node])
+            and (self.allow_pi_overwrite or not self.mig.is_pi(f.node))
+        ):
+            return _Z_DIRECT
+        return _Z_COPY
+
+    def _p_cost(self, f: _Fanin) -> int:
+        return _P_FREE if f.is_const or not f.complemented else _P_INVERT
+
+    def _translate(self, node: int) -> None:
+        fanins = [self._classify(s) for s in self.mig.fanins(node)]
+        cost = self.cost
+        best = None
+        for qi in range(3):
+            rest = [i for i in range(3) if i != qi]
+            for zi, pi in (rest, reversed(rest)):
+                q, z, p = fanins[qi], fanins[zi], fanins[pi]
+                q_cost = self._q_cost(q)
+                z_kind = self._z_kind(z)
+                p_cost = self._p_cost(p)
+                extra = (
+                    cost.q_invert_instructions * q_cost
+                    + (
+                        cost.z_const_instructions
+                        if z_kind == _Z_CONST
+                        else cost.z_copy_instructions
+                        if z_kind == _Z_COPY
+                        else 0
+                    )
+                    + cost.p_invert_instructions * p_cost
+                )
+                extra_cells = (
+                    cost.q_invert_cells * q_cost
+                    + cost.p_invert_cells * p_cost
+                    + (0 if z_kind == _Z_DIRECT else cost.z_request_cells)
+                )
+                if z_kind == _Z_DIRECT and self.alloc.strategy == "min_write":
+                    z_writes = self.alloc.writes[self.cell_of[z.node]]
+                else:
+                    z_writes = 0
+                rank = (extra, extra_cells, z_kind, z_writes, qi, zi)
+                if best is None or rank < best[0]:
+                    best = (rank, qi, zi, pi, z_kind)
+        _, qi, zi, pi, z_kind = best
+        q, z, p = fanins[qi], fanins[zi], fanins[pi]
+
+        temps: List[int] = []
+        overwritten: Optional[int] = None
+        if z_kind == _Z_DIRECT:
+            z_addr = self.cell_of[z.node]
+            overwritten = z.node
+        elif z_kind == _Z_CONST:
+            z_addr = self.alloc.request(headroom=2)
+            self._emit_const(z_addr, z.value)
+        else:
+            z_addr = self._emit_materialize(
+                self.cell_of[z.node], inverted=z.complemented, extra_headroom=1
+            )
+
+        if q.is_const:
+            q_op = const_operand(1 - q.value)
+        elif q.complemented:
+            q_op = self.cell_of[q.node]
+        else:
+            temp = self.alloc.request(headroom=2)
+            self._emit_const(temp, 1)
+            self._emit(OP_CONST0, self.cell_of[q.node], temp)
+            temps.append(temp)
+            q_op = temp
+
+        if p.is_const:
+            p_op = const_operand(p.value)
+        elif not p.complemented:
+            p_op = self.cell_of[p.node]
+        else:
+            temp = self.alloc.request(headroom=2)
+            self._emit_const(temp, 1)
+            self._emit(OP_CONST0, self.cell_of[p.node], temp)
+            temps.append(temp)
+            p_op = temp
+
+        self._emit(p_op, q_op, z_addr)
+
+        for f in fanins:
+            if f.is_const:
+                continue
+            self.refs[f.node] -= 1
+            if self.refs[f.node] == 0:
+                cell = self.cell_of[f.node]
+                self.cell_of[f.node] = None
+                if f.node != overwritten and cell is not None:
+                    self._release(f.node, cell)
+        for temp in temps:
+            self.alloc.release(temp)
+        self.cell_of[node] = z_addr
+
+
+def _compilation(cls, mig, compiler, arch):
+    """The compilation *compiler* would run on *arch* (cf. its compile)."""
+    return cls(
+        mig,
+        selection=compiler.selection,
+        allocator=arch.make_allocator(compiler.allocation, compiler.w_max),
+        allow_pi_overwrite=compiler.allow_pi_overwrite,
+        fanout_aggregate=compiler.fanout_aggregate,
+        cost=arch.cost,
+    )
+
+
+def assert_translate_parity(mig, arch_name, **options):
+    """Same program as the reference translator, and the allocator's
+    compile-time write tally equals the program's static write counts."""
+    arch = get_architecture(arch_name)
+    compiler = PlimCompiler(arch=arch, **options)
+    program = compiler.compile(mig)
+    reference = _compilation(_ReferenceCompilation, mig, compiler, arch).run()
+    assert program == reference
+
+    run = _compilation(_Compilation, mig, compiler, arch)
+    assert run.run() == program
+    tally = run.alloc.writes
+    counts = program.write_counts()
+    assert counts[: len(tally)] == tally
+    assert not any(counts[len(tally):])  # unused cells of the last word line
+
+
+TABLE_CONFIGS = [PRESETS[name] for name in TABLE1_CONFIGS] + [
+    full_management(cap) for cap in TABLE3_CAPS
+]
+
+
+@lru_cache(maxsize=None)
+def _rewritten(name: str, script: str, effort: int) -> Mig:
+    return rewrite(build_benchmark(name, "tiny"), script, effort=effort)
+
+
+class TestTranslateParity:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_registry_benchmarks_every_table_config(self, name):
+        for config in TABLE_CONFIGS:
+            mig = _rewritten(name, config.rewriting, config.effort)
+            for arch_name in ("endurance", "blocked", "dac16"):
+                if not get_architecture(arch_name).supports_config(config):
+                    continue
+                assert_translate_parity(
+                    mig,
+                    arch_name,
+                    selection=None
+                    if config.selection == "topo"
+                    else make_selection(config.selection),
+                    allocation=config.allocation.strategy,
+                    w_max=config.allocation.w_max,
+                    allow_pi_overwrite=config.allow_pi_overwrite,
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=60),
+        use_strash=st.booleans(),
+        arch_name=st.sampled_from(["endurance", "blocked"]),
+    )
+    def test_random_graphs(self, seed, gates, use_strash, arch_name):
+        mig = make_random_mig(
+            5, gates, seed=seed, complement_prob=0.4, use_strash=use_strash
+        )
+        for options in (
+            dict(allow_pi_overwrite=False),
+            dict(allocation="min_write", w_max=3),
+            dict(
+                selection=make_selection("endurance"),
+                allocation="min_write",
+                w_max=4,
+                allow_pi_overwrite=False,
+            ),
+        ):
+            assert_translate_parity(mig, arch_name, **options)
