@@ -169,9 +169,6 @@ def pytest_sessionfinish(session):
     if not BENCH_REPORT["suite_seconds"] and "sim_backend" not in BENCH_REPORT:
         return
     disk = SESSION.disk
-    # Remote-tier counters (shared cache server, see repro.cachesvc):
-    # present only when the session reads through a RemoteCache.
-    tier_counters = getattr(disk, "tier_counters", None)
     report = {
         "preset": PRESET,
         "parallel": PARALLEL,
@@ -181,7 +178,7 @@ def pytest_sessionfinish(session):
             "memory_misses": SESSION_CACHE.misses,
             "disk": (
                 {
-                    "root": str(getattr(disk, "root", None)),
+                    "root": str(disk.root),
                     "hits": disk.hits,
                     "misses": disk.misses,
                     "lock_skips": disk.lock_skips,
@@ -189,7 +186,9 @@ def pytest_sessionfinish(session):
                 if disk is not None
                 else None
             ),
-            "tiers": tier_counters() if tier_counters is not None else None,
+            # Remote-tier counters (shared cache server, see
+            # repro.cachesvc): all zero for a local disk root.
+            "tiers": disk.tier_counters() if disk is not None else None,
             # Aggregated over every run_matrix(parallel=N) worker
             # process of the session: the parent's counters alone
             # under-report what a fanned-out suite actually hit.

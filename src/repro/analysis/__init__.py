@@ -14,7 +14,6 @@ from .tables import (
     average_row,
     evaluate_benchmark,
     evaluate_mig,
-    evaluate_suite,
     headline_metrics,
 )
 from .report import (
@@ -38,7 +37,6 @@ __all__ = [
     "average_row",
     "evaluate_benchmark",
     "evaluate_mig",
-    "evaluate_suite",
     "fig1_chain",
     "fig1_mig",
     "fig2_ladder",

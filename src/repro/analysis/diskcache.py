@@ -6,8 +6,8 @@ invocation, a CI job) rebuilds and recompiles the same (benchmark,
 configuration) pairs.  This module adds the cross-session layer: a
 directory of pickled stage artefacts keyed by
 
-* the *benchmark key* — registry name + width preset (hand-built MIGs
-  have no stable cross-process identity and are never persisted),
+* the *source identity* — registry name + width preset, or another
+  :class:`~repro.source.Source`'s content fingerprint,
 * the *semantic configuration key* (:func:`~repro.analysis.runner.config_key`),
 * and a *code-version fingerprint* — a SHA-256 over every ``repro``
   source file, so any change to the package invalidates the whole shard
@@ -42,7 +42,8 @@ import pathlib
 import pickle
 import tempfile
 import time
-from typing import Iterable, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..resilience import faults, manifest as run_manifest
 
@@ -51,6 +52,15 @@ DEFAULT_ROOT = ".repro_cache"
 
 #: Environment variable overriding/enabling the cache root.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
+
+#: Counters of a shared cache server's tiers (see
+#: :meth:`repro.cachesvc.RemoteCache.tier_counters`); always zero here.
+TIER_COUNTER_KEYS = (
+    "remote_memory_hits",
+    "remote_disk_hits",
+    "remote_waits",
+    "remote_fallbacks",
+)
 
 #: File magic; bump when the entry format changes.
 _MAGIC = b"RPCH1\n"
@@ -190,6 +200,9 @@ class DiskCache:
     deterministic), so last-writer-wins is harmless.
     """
 
+    #: Shared cache server address; a local root has none.
+    url: Optional[str] = None
+
     def __init__(
         self,
         root: "str | os.PathLike[str]" = DEFAULT_ROOT,
@@ -203,6 +216,19 @@ class DiskCache:
         #: Writes skipped because another process held the entry's lock
         #: (it was persisting the identical payload).
         self.lock_skips = 0
+
+    # -- remote-tier surface (no-ops on a local root) ---------------------
+
+    @contextmanager
+    def flight(self, key: Tuple):
+        """Single-flight window around one compute: yields ``None``
+        (compute and store).  The per-entry lockfile already keeps
+        racing local writers from duplicating a store."""
+        yield None
+
+    def tier_counters(self) -> Dict[str, int]:
+        """Remote-tier counters: all zero for a local root."""
+        return dict.fromkeys(TIER_COUNTER_KEYS, 0)
 
     # -- keying ----------------------------------------------------------
 

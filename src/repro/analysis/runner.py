@@ -5,17 +5,22 @@ the same (benchmark, configuration) pairs.  This module makes those
 compilations *shared work*:
 
 * :class:`ExperimentCache` memoizes the three expensive stages
-  independently — benchmark construction, MIG rewriting, and compilation
+  independently — circuit construction, MIG rewriting, and compilation
   — keyed by the *semantics* of an :class:`EnduranceConfig` (rewriting
   script, selection strategy, allocation policy, write cap, effort), not
   its display name.  Two configs that differ only in ``name`` (e.g.
   ``with_cap`` relabels) hit the same cache line; every configuration
   sharing a rewriting script reuses one rewriting run.
-* :func:`run_matrix` evaluates a benchmarks x configurations matrix,
-  either serially through a shared cache or fanned out over worker
-  processes with ``concurrent.futures`` — results are assembled in
-  matrix order, so the parallel path is bit-for-bit identical to the
-  serial one.
+* :func:`run_matrix` evaluates a sources x configurations matrix.  Every
+  matrix entry — a registry name, a netlist path, a graph — resolves to
+  a :class:`~repro.source.Source` and travels as one through the cache,
+  the worker processes, and the disk keys (registry benchmarks keep
+  their classic ``(name, preset)`` identity).  Entries run serially
+  through one cache, or :func:`dispatch_jobs` fans the ones the cache is
+  missing out over supervised worker processes and adopts the results
+  back; the matrix is then assembled in order from the warm cache, so
+  the parallel path is bit-for-bit identical to the serial one.
+  ``repro serve``'s isolated mode dispatches through the same function.
 
 The table/report layer (:mod:`repro.analysis.tables`,
 :mod:`repro.analysis.report`) and the benchmark harness conftest are thin
@@ -30,7 +35,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -67,9 +72,9 @@ from ..resilience import (
 )
 from ..resilience import events as res_events
 from ..resilience import faults as res_faults
-from ..source import Source, SourceLike, resolve_source
+from ..source import RegistrySource, Source, SourceLike, resolve_source
 from ..synth.registry import BENCHMARK_ORDER, build_benchmark
-from .diskcache import DiskCache
+from .diskcache import TIER_COUNTER_KEYS, DiskCache
 
 #: An architecture request: a registry name, an explicit
 #: :class:`~repro.arch.Architecture`, or ``None`` for the ambient
@@ -182,25 +187,34 @@ class ExperimentCache:
     back the cache tests.  The cache is lock-protected, so one instance
     may be shared by threads; worker *processes* get their own instance.
 
+    Every circuit enters through one source path: a
+    :class:`~repro.source.Source` (registry benchmarks are
+    :class:`~repro.source.RegistrySource`\\ s) is built or fetched under
+    its persistent :meth:`~repro.source.Source.identity` — the classic
+    ``(name, preset)`` pair for registry benchmarks, the content
+    fingerprint for every other kind — and the built graph is mapped
+    back to that identity, so its rewrite and compile artefacts persist
+    under it too.  :meth:`benchmark_mig` and :meth:`cached_mig` are the
+    by-name spellings of :meth:`source_mig` and
+    :meth:`cached_source_mig`.
+
     With a :class:`~repro.analysis.diskcache.DiskCache` attached, built
-    graphs and compiled results are *read through* to disk and written
-    back, so a warm rerun of the harness in a fresh process — or in a
-    ``run_matrix(parallel=N)`` worker sharing the same root —
-    deserialises instead of recompiling.  Registry benchmarks persist
-    under their classic ``(name, preset)`` identity; every other
-    :class:`~repro.source.Source` (and any MIG registered through
-    :meth:`register_external`) persists under its stable content
-    fingerprint, so external circuits hit the disk cache exactly like
-    benchmarks do.
+    graphs, rewrites, and compiled results are *read through* to disk
+    and written back, so a warm rerun of the harness in a fresh process
+    — or in a ``run_matrix(parallel=N)`` worker sharing the same root —
+    deserialises instead of recompiling.
     """
 
     def __init__(self, disk: Optional[DiskCache] = None) -> None:
         self._migs: Dict[Tuple, Mig] = {}
         self._rewrites: Dict[Tuple, Mig] = {}
         self._results: Dict[Tuple, Tuple[CompilationResult, int]] = {}
-        # graph key -> (benchmark name, preset): the persistent identity
-        # under which a registry benchmark's results may go to disk.
-        self._bench_keys: Dict[Tuple, Tuple[str, str]] = {}
+        # graph key -> source identity: the persistent key under which
+        # the graph's artefacts may go to disk.
+        self._bench_keys: Dict[Tuple, Tuple] = {}
+        # source identity -> the source's name, which its jobs' events
+        # are recorded under (see _manifest_meta).
+        self._job_names: Dict[Tuple, str] = {}
         self.disk = disk
         self._lock = threading.RLock()
         self.hits = 0
@@ -216,10 +230,7 @@ class ExperimentCache:
             "disk_hits": 0,
             "disk_misses": 0,
             "disk_lock_skips": 0,
-            "remote_memory_hits": 0,
-            "remote_disk_hits": 0,
-            "remote_waits": 0,
-            "remote_fallbacks": 0,
+            **dict.fromkeys(TIER_COUNTER_KEYS, 0),
         }
 
     def counters(self) -> Dict[str, int]:
@@ -229,38 +240,18 @@ class ExperimentCache:
         :class:`~repro.cachesvc.RemoteCache` attached), so counter
         deltas and worker aggregation never branch on the disk kind.
         """
+        disk = self.disk
         counters = {
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk.hits if self.disk is not None else 0,
-            "disk_misses": self.disk.misses if self.disk is not None else 0,
-            "disk_lock_skips": (
-                self.disk.lock_skips if self.disk is not None else 0
-            ),
-            "remote_memory_hits": 0,
-            "remote_disk_hits": 0,
-            "remote_waits": 0,
-            "remote_fallbacks": 0,
+            "disk_hits": disk.hits if disk is not None else 0,
+            "disk_misses": disk.misses if disk is not None else 0,
+            "disk_lock_skips": disk.lock_skips if disk is not None else 0,
+            **dict.fromkeys(TIER_COUNTER_KEYS, 0),
         }
-        tiers = getattr(self.disk, "tier_counters", None)
-        if tiers is not None:
-            counters.update(tiers())
+        if disk is not None:
+            counters.update(disk.tier_counters())
         return counters
-
-    def _flight(self, key: Tuple):
-        """The disk tier's single-flight window for *key*, if it has one.
-
-        A :class:`~repro.cachesvc.RemoteCache` returns a context that
-        leases the key on the server: entering yields a payload another
-        process stored meanwhile (adopt it, skip the compute) or
-        ``None`` (we hold the lease — compute and store inside the
-        window).  A plain :class:`DiskCache` (or no disk at all) gets a
-        no-op window and keeps its per-entry lockfile behaviour.
-        """
-        opener = getattr(self.disk, "flight", None)
-        if opener is None:
-            return nullcontext(None)
-        return opener(key)
 
     def absorb_worker_counters(self, counters: Dict[str, int]) -> None:
         """Fold one worker's :meth:`counters` into
@@ -273,124 +264,85 @@ class ExperimentCache:
 
     # -- stages ----------------------------------------------------------
 
+    def _remember(self, identity: Tuple, mig: Mig, job: str) -> Mig:
+        """Keep *mig* as *identity*'s graph (first stored wins) and map
+        its graph key back to *identity*; *job* is the source's name."""
+        with self._lock:
+            mig = self._migs.setdefault(identity, mig)
+            self._bench_keys[mig_key(mig)] = identity
+            self._job_names.setdefault(identity, job)
+        return mig
+
+    def _peek(self, identity: Tuple, job: str) -> Optional[Mig]:
+        """The graph of *identity* from memory or disk, or ``None``."""
+        with self._lock:
+            mig = self._migs.get(identity)
+        if mig is None and self.disk is not None:
+            mig = self.disk.load(("mig", *identity))
+            if mig is not None:
+                mig = self._remember(identity, mig, job)
+        return mig
+
+    def _build(self, identity: Tuple, job: str, build) -> Mig:
+        """The graph of *identity*, built by *build()* on a full miss.
+
+        A disk miss opens the disk tier's single-flight window
+        (:meth:`DiskCache.flight`): against a shared cache server,
+        exactly one process builds a cold graph while concurrent
+        requesters block and adopt the stored one.
+        """
+        with self._lock:
+            mig = self._migs.get(identity)
+        if mig is not None:
+            return mig
+        key = ("mig", *identity)
+        built = False
+        with ExitStack() as stack:
+            if self.disk is not None:
+                mig = self.disk.load(key)
+                if mig is None:
+                    mig = stack.enter_context(self.disk.flight(key))
+            if mig is None:
+                mig = build()
+                built = True
+            mig = self._remember(identity, mig, job)
+            if built and self.disk is not None:
+                self.disk.store(key, mig)
+        return mig
+
     def cached_mig(self, name: str, preset: str) -> Optional[Mig]:
         """Fetch an already-built registry benchmark, or ``None``.
 
         Reads through to the disk cache (a deserialised benchmark *is*
         available without building), but never builds.
         """
-        with self._lock:
-            mig = self._migs.get((name, preset))
-        if mig is None and self.disk is not None:
-            mig = self.disk.load(("mig", name, preset))
-            if mig is not None:
-                mig = self._remember_mig(name, preset, mig)
-        return mig
+        return self._peek((name, preset), name)
 
-    def _remember_mig(self, name: str, preset: str, mig: Mig) -> Mig:
-        with self._lock:
-            mig = self._migs.setdefault((name, preset), mig)
-            self._bench_keys[mig_key(mig)] = (name, preset)
-        return mig
+    def cached_source_mig(self, source: Source, preset: str) -> Optional[Mig]:
+        """Fetch an already-built source, or ``None`` (never builds)."""
+        return self._peek(tuple(source.identity(preset)), source.name)
 
     def benchmark_mig(self, name: str, preset: str) -> Mig:
-        """Build (or fetch) a registry benchmark.
-
-        A disk miss opens the disk tier's single-flight window (see
-        :meth:`_flight`): against a shared cache server, exactly one
-        process builds a cold benchmark while concurrent requesters
-        block and adopt the stored graph.
-        """
-        key = (name, preset)
-        with self._lock:
-            mig = self._migs.get(key)
-        if mig is not None:
-            return mig
-        built = False
-        with ExitStack() as stack:
-            if self.disk is not None:
-                mig = self.disk.load(("mig", name, preset))
-                if mig is None:
-                    mig = stack.enter_context(
-                        self._flight(("mig", name, preset))
-                    )
-            if mig is None:
-                mig = build_benchmark(name, preset)
-                built = True
-            mig = self._remember_mig(name, preset, mig)
-            if built and self.disk is not None:
-                self.disk.store(("mig", name, preset), mig)
-        return mig
-
-    def _remember_external(self, identity: Tuple, mig: Mig) -> Mig:
-        with self._lock:
-            mig = self._migs.setdefault(identity, mig)
-            self._bench_keys[mig_key(mig)] = identity
-        return mig
-
-    def register_external(
-        self, mig: Mig, identity: Optional[Tuple] = None
-    ) -> Tuple:
-        """Give a user-supplied MIG a persistent cache identity.
-
-        By default the identity is the graph's stable
-        :meth:`~repro.mig.graph.Mig.content_fingerprint`, so rewrite and
-        compile artefacts derived from it read through to — and persist
-        in — the disk cache across processes, exactly like registry
-        benchmarks.  Returns the identity tuple.
-        """
-        ident = (
-            tuple(identity)
-            if identity is not None
-            else ("graph", mig.content_fingerprint())
+        """Build (or fetch) a registry benchmark."""
+        return self._build(
+            (name, preset), name, lambda: build_benchmark(name, preset)
         )
-        self._remember_external(ident, mig)
-        return ident
 
     def source_mig(self, source: Source, preset: str) -> Mig:
         """Build (or fetch) any :class:`~repro.source.Source`.
 
-        Registry sources delegate to :meth:`benchmark_mig` (identical
-        keys, identical artefacts); every other kind reads through to
-        the disk cache under the source's content-addressed identity,
-        so imported netlists and frontend circuits deserialise instead
-        of re-elaborating in warm processes.
+        Registry sources build through this module's
+        :func:`~repro.synth.registry.build_benchmark` (the one entry
+        point that source-layer tracing wraps); every other kind through
+        :meth:`~repro.source.Source.build`.
         """
-        if source.kind == "registry":
+        if isinstance(source, RegistrySource):
             return self.benchmark_mig(source.name, preset)
-        identity = tuple(source.identity(preset))
-        with self._lock:
-            mig = self._migs.get(identity)
-        if mig is not None:
-            return mig
-        built = False
-        with ExitStack() as stack:
-            if self.disk is not None:
-                mig = self.disk.load(("mig", *identity))
-                if mig is None:
-                    mig = stack.enter_context(
-                        self._flight(("mig", *identity))
-                    )
-            if mig is None:
-                mig = source.build(preset)
-                built = True
-            mig = self._remember_external(identity, mig)
-            if built and self.disk is not None:
-                self.disk.store(("mig", *identity), mig)
-        return mig
-
-    def cached_source_mig(self, source: Source, preset: str) -> Optional[Mig]:
-        """Fetch an already-built source, or ``None`` (never builds)."""
-        if source.kind == "registry":
-            return self.cached_mig(source.name, preset)
-        identity = tuple(source.identity(preset))
-        with self._lock:
-            mig = self._migs.get(identity)
-        if mig is None and self.disk is not None:
-            mig = self.disk.load(("mig", *identity))
-            if mig is not None:
-                mig = self._remember_external(identity, mig)
-        return mig
+        return self._build(
+            tuple(source.identity(preset)),
+            source.name,
+            lambda: source.build(preset),
+        )
 
     @staticmethod
     def _rewrite_tail(
@@ -411,8 +363,8 @@ class ExperimentCache:
     ) -> bool:
         """Whether the rewriting result is already available.
 
-        Peeks memory first, then (for registry benchmarks) the disk
-        cache — a satisfying disk entry is adopted into memory so the
+        Peeks memory first, then (for graphs built from a source) the
+        disk cache — a satisfying disk entry is adopted into memory so the
         matching ``rewritten`` call that follows is a pure memory hit.
         Never computes; the flow layer uses this to flag rewrite-stage
         artefacts as cached.
@@ -453,9 +405,9 @@ class ExperimentCache:
         Results are keyed by :meth:`repro.opt.Optimizer.rewrite_key`, so
         script-driven rewrites stay shared across machines while
         architecture-sensitive search results are kept per machine.
-        Registry benchmarks read through to the attached disk cache
-        (except the trivial ``"none"`` script, whose result is just a
-        cleanup copy of the stored benchmark): a cold process deserialises
+        Graphs built from a source read through to the attached disk
+        cache (except the trivial ``"none"`` script, whose result is just
+        a cleanup copy of the stored graph): a cold process deserialises
         the rewritten MIG instead of re-running the rewriting engine.
         """
         graph_id = key or mig_key(mig)
@@ -476,7 +428,7 @@ class ExperimentCache:
                 result = self.disk.load(("rewrite", *bench, tail))
                 if result is None:
                     result = stack.enter_context(
-                        self._flight(("rewrite", *bench, tail))
+                        self.disk.flight(("rewrite", *bench, tail))
                     )
             if result is None:
                 if optimizer is not None:
@@ -505,11 +457,11 @@ class ExperimentCache:
         machine, optimizer, certificate width); ``events`` carries this
         process's resilience log for the job (retries, degradations,
         injected faults), filtered by job name so sibling benchmarks'
-        events stay out of each other's manifests.
+        events stay out of each other's manifests.  Jobs record events
+        under their source's name, which need not be the graph's (a
+        netlist's ``.model`` name differs from its file stem).
         """
-        names = {mig.name}
-        if bench and isinstance(bench[0], str):
-            names.add(bench[0])
+        names = {mig.name, self._job_names.get(bench, mig.name)}
         return {
             "source": [str(part) for part in bench],
             "benchmark": mig.name,
@@ -542,8 +494,8 @@ class ExperimentCache:
         duplicate a compilation, but the first stored result wins and
         verification certificates are never downgraded.
 
-        Registry benchmarks additionally read through to the attached
-        disk cache: a miss here that hits on disk deserialises the
+        Graphs built from a source additionally read through to the
+        attached disk cache: a miss here that hits on disk deserialises the
         stored result (and its certificate) instead of compiling, and
         fresh compilations or certificate upgrades are written back.
         Entries — in memory and on disk — are keyed by the target
@@ -586,7 +538,7 @@ class ExperimentCache:
                     # so a failed compile releases the lease to the
                     # next waiter.
                     payload = stack.enter_context(
-                        self._flight(("result", *bench, semantic))
+                        self.disk.flight(("result", *bench, semantic))
                     )
                 if payload is not None:
                     entry = payload
@@ -714,9 +666,9 @@ class ExperimentCache:
         verification certificate at least that wide — an unverified
         entry does not satisfy a verifying request.
 
-        Registry-benchmark entries read through to the disk cache; a
-        satisfying disk entry is adopted into memory so the matching
-        ``compile`` call that follows is a pure hit.
+        Entries of graphs built from a source read through to the disk
+        cache; a satisfying disk entry is adopted into memory so the
+        matching ``compile`` call that follows is a pure hit.
         """
         graph_id = (
             mig_or_key if isinstance(mig_or_key, tuple) else mig_key(mig_or_key)
@@ -748,8 +700,8 @@ class ExperimentCache:
 
     def adopt(
         self,
-        name: "str | Tuple",
-        preset: str,
+        identity: Tuple,
+        job: str,
         mig: Mig,
         configs: Sequence[EnduranceConfig],
         evaluation: "BenchmarkEvaluation",
@@ -760,17 +712,14 @@ class ExperimentCache:
         """Merge results computed elsewhere (a worker process) into this
         cache.
 
-        Existing result objects are kept (first stored wins), but their
-        verification certificates are upgraded: compilation is
-        deterministic, so a worker verifying its recompilation certifies
-        the identical stored program too.  *arch* and *optimizer* must
-        name the machine and optimizer the worker targeted — adopted
-        entries land under their keys.  *name* is a registry benchmark
-        name (classic ``(name, preset)`` identity) or a full identity
-        tuple for external sources, in which case *preset* is ignored.
+        *identity* is the source's persistent identity and *job* its
+        name (see :meth:`source_mig`).  Existing result objects are kept
+        (first stored wins), but their verification certificates are
+        upgraded: compilation is deterministic, so a worker verifying
+        its recompilation certifies the identical stored program too.
+        *arch* and *optimizer* must name the machine and optimizer the
+        worker targeted — adopted entries land under their keys.
         """
-        identity = name if isinstance(name, tuple) else (name, preset)
-        graph_id = mig_key(mig)
         arch = resolve_architecture(arch)
         spec = (
             optimizer.spec
@@ -778,8 +727,7 @@ class ExperimentCache:
             else resolve_optimizer(optimizer)
         )
         with self._lock:
-            self._migs.setdefault(identity, mig)
-            self._bench_keys[graph_id] = identity
+            graph_id = mig_key(self._remember(identity, mig, job))
             for cfg in configs:
                 key = (graph_id, experiment_key(cfg, arch, spec))
                 stored = self._results.get(key)
@@ -949,11 +897,6 @@ def _importable_in_workers():
                     os.environ["PYTHONPATH"] = _ENV_SAVED
 
 
-def _job_name(entry: "str | Source") -> str:
-    """Display/event name of a matrix job entry."""
-    return entry if isinstance(entry, str) else entry.name
-
-
 def _run_benchmark_job(
     args,
 ) -> Tuple[Mig, BenchmarkEvaluation, Dict[str, int], List[Dict]]:
@@ -968,19 +911,18 @@ def _run_benchmark_job(
     cache's hit/miss counters (so ``BENCH_suite.json`` can report the
     fan-out's cache behaviour, not just the parent's), and the job's
     resilience event log (so the parent can report recoveries it never
-    saw).  The job entry is a registry benchmark name or a picklable
-    :class:`~repro.source.Source` (external circuits fan out too,
-    persisting under their content fingerprints).
+    saw).  The job's circuit is a picklable :class:`~repro.source.Source`
+    and the job is named after it.
 
     The job runs under the session's ``job`` wall-clock budget —
     ``SIGALRM`` works here because pool workers execute jobs on their
     main thread — and passes the worker-entry fault-injection site
     first, so an injected crash kills the process before any work.
     """
-    entry, preset, configs, verify, verify_patterns, spec = args
+    source, preset, configs, verify, verify_patterns, spec = args
     from ..flow.session import Session  # deferred: flow imports runner
 
-    job = _job_name(entry)
+    job = source.name
     session = Session.from_spec(spec)
     with res_events.capture() as log:
         with time_limit(
@@ -988,10 +930,7 @@ def _run_benchmark_job(
         ):
             res_faults.worker_entry(job)
             with session.activated():
-                if isinstance(entry, str):
-                    mig = session.cache.benchmark_mig(entry, preset)
-                else:
-                    mig = session.cache.source_mig(entry, preset)
+                mig = session.cache.source_mig(source, preset)
                 evaluation = evaluate_mig_cached(
                     mig,
                     configs,
@@ -1006,10 +945,10 @@ def _run_benchmark_job(
 
 def _worker_spec(
     session,
-    cache: Optional[ExperimentCache],
+    cache: ExperimentCache,
     preset: str,
-    arch: Optional[str] = None,
-    opt: Optional[str] = None,
+    arch: str,
+    opt: str,
 ):
     """The :class:`repro.flow.SessionSpec` worker processes rebuild from.
 
@@ -1027,17 +966,12 @@ def _worker_spec(
     from ..flow.session import SessionSpec  # deferred: flow imports runner
 
     if session is not None:
-        spec = session.spec()
-        if arch is not None and spec.arch != arch:
-            spec = dataclasses.replace(spec, arch=arch)
-        if opt is not None and spec.opt != opt:
-            spec = dataclasses.replace(spec, opt=opt)
-        return spec
-    disk = cache.disk if cache is not None else None
-    disk_root = getattr(disk, "root", None)
+        return dataclasses.replace(session.spec(), arch=arch, opt=opt)
+    disk = cache.disk
+    root = disk.root if disk is not None else None
     return SessionSpec(
-        cache_dir=str(disk_root) if disk_root is not None else None,
-        cache_url=getattr(disk, "url", None),
+        cache_dir=str(root) if root is not None else None,
+        cache_url=disk.url if disk is not None else None,
         preset=preset,
         arch=arch,
         opt=opt,
@@ -1080,7 +1014,7 @@ def _supervised_pool_map(
     results: List[Optional[Tuple]] = [None] * len(work)
     attempts = [0] * len(work)
     parent_events: List[List[Dict]] = [[] for _ in work]
-    job_names = [_job_name(item[0]) for item in work]
+    job_names = [item[0].name for item in work]
     unfinished = set(range(len(work)))
     pool: Optional[ProcessPoolExecutor] = None
     futures: Dict = {}
@@ -1199,6 +1133,63 @@ def _supervised_pool_map(
     return list(results), parent_events
 
 
+def dispatch_jobs(
+    cache: ExperimentCache,
+    jobs: Sequence[Tuple[Source, Sequence[EnduranceConfig]]],
+    *,
+    preset: str,
+    verify: bool,
+    verify_patterns: int,
+    parallel: int,
+    arch: Architecture,
+    optimizer: Optimizer,
+    session=None,
+    policy: RetryPolicy = DEFAULT_POLICY,
+    job_timeout: Optional[float] = None,
+) -> Tuple[List[BenchmarkEvaluation], List[List[Dict]]]:
+    """Evaluate *jobs* in supervised worker processes and adopt the
+    results into *cache*.
+
+    The one process dispatch of ``run_matrix(parallel=N)`` and of
+    ``repro serve``'s isolated mode.  Each job is a source plus the
+    configurations to compile it under; workers rebuild a session from
+    *session*'s spec (else from *cache*'s disk) pinned to *arch* and
+    *optimizer*, run under :func:`_supervised_pool_map`, and their
+    graphs, results, and cache counters are merged into *cache*.
+    Returns each job's evaluation and its parent-side recovery events
+    (crashes, respawns, retries), in *jobs* order.
+    """
+    spec = _worker_spec(
+        session, cache, preset, arch.name, optimizer.spec.label()
+    )
+    work = [
+        (source, preset, list(configs), verify, verify_patterns, spec)
+        for source, configs in jobs
+    ]
+    with _importable_in_workers():
+        payloads, recoveries = _supervised_pool_map(
+            work, parallel, policy=policy, job_timeout=job_timeout
+        )
+    certified = verify_patterns if verify else 0
+    for (source, configs), payload, recovery in zip(
+        jobs, payloads, recoveries
+    ):
+        mig, evaluation, counters, _worker_log = payload
+        identity = tuple(source.identity(preset))
+        cache.adopt(
+            identity, source.name, mig, configs, evaluation,
+            verified_patterns=certified, arch=arch, optimizer=optimizer,
+        )
+        cache.absorb_worker_counters(counters)
+        # Worker-side events are already in the manifests the worker
+        # wrote; crashes/respawns/retries are only observable in the
+        # parent and are appended here.
+        cache.annotate_manifests(
+            identity, configs, recovery, arch=arch, optimizer=optimizer
+        )
+    return [payload[1] for payload in payloads], recoveries
+
+
 def run_matrix(
     benchmarks: "Optional[Iterable[SourceLike]]" = None,
     configs: Optional[Sequence[ConfigLike]] = None,
@@ -1251,12 +1242,13 @@ def run_matrix(
         processes; each worker reconstructs a :class:`repro.flow.Session`
         from the dispatching session's spec, and results are assembled in
         matrix order, so the output is identical to the serial run
-        (asserted by the runner tests).  A shared *cache* cooperates with
-        the pool: already-compiled (benchmark, config) pairs are served
-        from it, only the missing remainder is dispatched, and worker
-        results are adopted back into the cache.  When the shared cache
-        has a disk cache attached, workers read through and write back to
-        the same on-disk root.
+        (asserted by the runner tests).  The *cache* (a throwaway one
+        when neither it nor *session* is given) cooperates with the
+        pool: already-compiled (benchmark, config) pairs are served from
+        it, only the missing remainder is dispatched, and worker results
+        are adopted back into the cache.  When the cache has a disk
+        cache attached, workers read through and write back to the same
+        on-disk root.
     session:
         The :class:`repro.flow.Session` driving this matrix, if any —
         supplies the spec (backend + cache root) workers are rebuilt
@@ -1274,19 +1266,13 @@ def run_matrix(
         session's ``job`` timeout budget is enforced per job in both
         the serial and parallel paths.
     """
-    raw = list(benchmarks) if benchmarks is not None else list(BENCHMARK_ORDER)
-    # Normalize every entry: registry benchmarks stay bare name strings
-    # (the classic job shape, byte-identical cache keys), everything
-    # else becomes a picklable Source.
-    entries: List["str | Source"] = []
-    for item in raw:
-        source = item if isinstance(item, Source) else resolve_source(item)
-        entries.append(
-            source.name if source.kind == "registry" else source
-        )
+    sources = [
+        resolve_source(item)
+        for item in (benchmarks if benchmarks is not None else BENCHMARK_ORDER)
+    ]
     jobs = resolve_configs(configs, caps, effort)
-    if session is not None and cache is None:
-        cache = session.cache
+    if cache is None:
+        cache = session.cache if session is not None else ExperimentCache()
     # An explicit arch/opt argument beats the session's, mirroring
     # Flow.arch()/Flow.optimize(); with neither, the ambient selection
     # applies.
@@ -1316,32 +1302,14 @@ def run_matrix(
     # retried job must not re-fire a spent count=1 crash).
     res_faults.active_plan()
 
-    if parallel is not None and parallel > 1 and len(entries) > 1:
-        spec = _worker_spec(
-            session, cache, preset, machine.name, opt_spec.label()
-        )
-        if cache is None:
-            work = [
-                (entry, preset, jobs, verify, verify_patterns, spec)
-                for entry in entries
-            ]
-            with _importable_in_workers():
-                payloads, _ = _supervised_pool_map(
-                    work, parallel, policy=policy, job_timeout=job_timeout
-                )
-            return [payload[1] for payload in payloads]
-        # Cooperative mode: dispatch only the pairs the cache is missing
-        # (an entry without a wide-enough verification certificate counts
-        # as missing when this run verifies).  Workers share the cache's
-        # disk root, if any, so they persist what they compile.
+    if parallel is not None and parallel > 1 and len(sources) > 1:
+        # Dispatch only the pairs the cache is missing (an entry without
+        # a wide-enough verification certificate counts as missing when
+        # this run verifies).
         needed = verify_patterns if verify else 0
         work = []
-        for entry in entries:
-            mig = (
-                cache.cached_mig(entry, preset)
-                if isinstance(entry, str)
-                else cache.cached_source_mig(entry, preset)
-            )
+        for source in sources:
+            mig = cache.cached_source_mig(source, preset)
             missing = (
                 jobs
                 if mig is None
@@ -1355,52 +1323,21 @@ def run_matrix(
                 ]
             )
             if missing:
-                work.append(
-                    (entry, preset, missing, verify, verify_patterns, spec)
-                )
+                work.append((source, missing))
         if work:
-            with _importable_in_workers():
-                payloads, recoveries = _supervised_pool_map(
-                    work, parallel, policy=policy, job_timeout=job_timeout
-                )
-            for job, payload, recovery in zip(work, payloads, recoveries):
-                mig, evaluation, counters, _worker_log = payload
-                entry = job[0]
-                identity = (
-                    (entry, preset)
-                    if isinstance(entry, str)
-                    else tuple(entry.identity(preset))
-                )
-                cache.adopt(
-                    identity,
-                    preset,
-                    mig,
-                    job[2],
-                    evaluation,
-                    verified_patterns=verify_patterns if verify else 0,
-                    arch=machine,
-                    optimizer=optimizer,
-                )
-                cache.absorb_worker_counters(counters)
-                # Worker-side events are already in the manifests the
-                # worker wrote; crashes/respawns/retries are only
-                # observable in the parent and are appended here.
-                cache.annotate_manifests(
-                    identity, job[2], recovery,
-                    arch=machine, optimizer=optimizer,
-                )
+            dispatch_jobs(
+                cache, work, preset=preset, verify=verify,
+                verify_patterns=verify_patterns, parallel=parallel,
+                arch=machine, optimizer=optimizer, session=session,
+                policy=policy, job_timeout=job_timeout,
+            )
         # Fall through: assemble every evaluation from the now-warm cache
         # (pure hits), which also keeps matrix order.
 
-    cache = cache if cache is not None else ExperimentCache()
     evaluations = []
-    for entry in entries:
-        job_name = _job_name(entry)
-        mig = (
-            cache.benchmark_mig(entry, preset)
-            if isinstance(entry, str)
-            else cache.source_mig(entry, preset)
-        )
+    for source in sources:
+        job_name = source.name
+        mig = cache.source_mig(source, preset)
 
         def attempt(mig=mig, job_name=job_name):
             # Serial jobs run under the same job budget and injection

@@ -5,15 +5,12 @@ The heavy lifting — building, rewriting, compiling, verifying — lives in
 API, which memoizes each stage per session so every (benchmark,
 configuration) pair compiles exactly once no matter how many tables ask
 for it.  This module keeps the table vocabulary (column orders, write
-caps) and the per-table aggregate views; :func:`evaluate_suite` survives
-only as a deprecated shim over
-:meth:`repro.flow.Session.evaluate_suite`.
+caps) and the per-table aggregate views.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.stats import average_improvement
 from ..mig.graph import Mig
@@ -38,7 +35,6 @@ __all__ = [
     "average_row",
     "evaluate_benchmark",
     "evaluate_mig",
-    "evaluate_suite",
     "headline_metrics",
 ]
 
@@ -99,43 +95,6 @@ def evaluate_benchmark(
     return evaluate_mig(
         cache.benchmark_mig(name, preset), cache=cache, session=session,
         **kwargs,
-    )
-
-
-def evaluate_suite(
-    preset: str = "default",
-    names: Optional[Iterable[str]] = None,
-    *,
-    configs: Optional[Sequence[str]] = None,
-    caps: Optional[Sequence[int]] = None,
-    effort: int = 5,
-    verify: bool = True,
-    verify_patterns: int = 64,
-    parallel: Optional[int] = None,
-    cache: Optional[ExperimentCache] = None,
-) -> List[BenchmarkEvaluation]:
-    """Deprecated shim; use :meth:`repro.flow.Session.evaluate_suite`.
-
-    Builds a throwaway session around the legacy arguments (adopting
-    *cache* when given) and delegates — results are byte-identical to
-    the pre-flow path, which the parity tests assert.
-    """
-    warnings.warn(
-        "evaluate_suite() is deprecated; construct a repro.flow.Session "
-        "and call session.evaluate_suite() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..flow import Session  # deferred: flow imports this module's siblings
-
-    session = Session(preset=preset, parallel=parallel, cache=cache)
-    return session.evaluate_suite(
-        names,
-        configs=configs if configs is not None else TABLE1_CONFIGS,
-        caps=caps,
-        effort=effort,
-        verify=verify,
-        verify_patterns=verify_patterns,
     )
 
 

@@ -65,6 +65,7 @@ from ..analysis.diskcache import (
     blob_digest,
     verify_blob,
 )
+from .._http import BadContentLength, read_body
 from ..resilience.manifest import load_manifest, manifest_path
 
 #: Default warm-tier byte budget (256 MiB holds every artefact of a
@@ -448,10 +449,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", "0")
         self.end_headers()
 
-    def _read_raw(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
     # -- dispatch ------------------------------------------------------
 
     def _param(self, query, name: str, default: str = "") -> str:
@@ -528,7 +525,7 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path != "/entry":
                 self._send_json(404, {"error": f"no route {url.path!r}"})
                 return
-            raw = self._read_raw()
+            raw = read_body(self)
             newline = raw.find(b"\n")
             if newline < 0:
                 self._send_json(
@@ -557,6 +554,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(400, {"error": error})
             else:
                 self._send_json(200, {"stored": stored})
+        except BadContentLength as error:
+            self._send_json(400, {"error": str(error)})
         except (BrokenPipeError, ConnectionResetError):
             pass
         except Exception as error:  # noqa: BLE001 — server boundary
@@ -574,8 +573,9 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path != "/lease/release":
                 self._send_json(404, {"error": f"no route {url.path!r}"})
                 return
+            raw = read_body(self)
             try:
-                payload = json.loads(self._read_raw().decode("utf-8") or "{}")
+                payload = json.loads(raw.decode("utf-8") or "{}")
             except (ValueError, UnicodeDecodeError):
                 self._send_json(400, {"error": "request body is not JSON"})
                 return
@@ -592,6 +592,8 @@ class _Handler(BaseHTTPRequestHandler):
                 token,
             )
             self._send_json(200, {"released": released})
+        except BadContentLength as error:
+            self._send_json(400, {"error": str(error)})
         except (BrokenPipeError, ConnectionResetError):
             pass
         except Exception as error:  # noqa: BLE001 — server boundary

@@ -4,9 +4,8 @@ Four techniques, applied jointly:
 
 1. minimum write count strategy (:mod:`repro.core.policies`),
 2. maximum write count strategy (:mod:`repro.core.policies`),
-3. endurance-aware MIG rewriting, Algorithm 2 (now part of the
-   cost-guided optimizer layer, :mod:`repro.opt`;
-   :mod:`repro.core.rewriting` is a deprecated shim),
+3. endurance-aware MIG rewriting, Algorithm 2 (part of the
+   cost-guided optimizer layer, :mod:`repro.opt`),
 4. endurance-aware node selection, Algorithm 3
    (:mod:`repro.core.selection`),
 
@@ -18,7 +17,6 @@ from .manager import (
     CompilationResult,
     EnduranceConfig,
     PRESETS,
-    compile_with_management,
     full_management,
 )
 from .policies import (
@@ -27,8 +25,7 @@ from .policies import (
     NAIVE_ALLOCATION,
     capped_allocation,
 )
-# Historic re-exports; the real home is the optimizer layer now (the
-# repro.core.rewriting shim warns on call, these do not).
+# Re-exported from their home in the optimizer layer.
 from ..opt.scripts import (
     ALGORITHM1_STEPS,
     ALGORITHM2_STEPS,
@@ -74,7 +71,6 @@ __all__ = [
     "WriteTrafficStats",
     "average_improvement",
     "capped_allocation",
-    "compile_with_management",
     "full_management",
     "gini_coefficient",
     "improvement_percent",

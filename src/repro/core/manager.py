@@ -7,7 +7,7 @@ Ties the pieces together exactly the way the paper's evaluation does: a
 2. node-selection strategy (topological / DAC'16 / Algorithm 3),
 3. device-allocation policy (naive / min-write, optional write cap),
 
-and :func:`compile_with_management` runs rewriting, compilation, and
+and :func:`compile_pipeline` runs rewriting, compilation, and
 statistics in one call.  The named presets in :data:`PRESETS` are the five
 incremental columns of Table I plus the capped full-management
 configurations of Table III.
@@ -15,7 +15,6 @@ configurations of Table III.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
@@ -188,22 +187,3 @@ def compile_pipeline(
         mig_gates_after=rewritten.num_live_gates(),
     )
 
-
-def compile_with_management(
-    mig: Mig, config: EnduranceConfig, *, rewritten: Optional[Mig] = None
-) -> CompilationResult:
-    """Deprecated entry point; use :class:`repro.flow.Flow` instead.
-
-    Kept as a thin shim over :func:`compile_pipeline` so existing code
-    and notebooks keep working — it produces byte-identical results (the
-    flow parity tests assert this), but new code should route through
-    ``Flow.for_config(config, session=...)`` to get stage caching,
-    backend selection, and observer hooks.
-    """
-    warnings.warn(
-        "compile_with_management() is deprecated; route compilations "
-        "through repro.flow (Flow.for_config(config, session=session))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_pipeline(mig, config, rewritten=rewritten)

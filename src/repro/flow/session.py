@@ -208,17 +208,15 @@ class Session:
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.cache_url = str(cache_url) if cache_url else None
         if cache is not None:
-            # Adopt an existing cache (legacy shims, shared harnesses);
+            # Adopt an existing cache (legacy callers, shared harnesses);
             # its disk root — possibly none — wins over the cache_dir
             # argument, so the session never claims persistence the
             # adopted cache doesn't have.
             self.cache = cache
-            self.cache_dir = (
-                str(getattr(cache.disk, "root", None) or "") or None
-                if cache.disk is not None
-                else None
-            )
-            self.cache_url = getattr(cache.disk, "url", None)
+            disk = cache.disk
+            root = disk.root if disk is not None else None
+            self.cache_dir = str(root) if root is not None else None
+            self.cache_url = disk.url if disk is not None else None
         elif self.cache_url is not None:
             # Shared cache server: the RemoteCache slots in where the
             # DiskCache went, falling back to direct disk access at
@@ -420,13 +418,13 @@ class Session:
         return cls(
             backend=spec.backend,
             cache_dir=spec.cache_dir,
-            cache_url=getattr(spec, "cache_url", None),
+            cache_url=spec.cache_url,
             preset=spec.preset,
-            sim_threads=getattr(spec, "sim_threads", None),
-            arch=getattr(spec, "arch", None),
-            opt=getattr(spec, "opt", None),
-            source=getattr(spec, "source", None),
-            timeouts=getattr(spec, "timeouts", None),
+            sim_threads=spec.sim_threads,
+            arch=spec.arch,
+            opt=spec.opt,
+            source=spec.source,
+            timeouts=spec.timeouts,
         )
 
     # -- backend -------------------------------------------------------

@@ -22,8 +22,7 @@ environment > default** precedence (``--opt`` / ``$REPRO_OPT`` /
 ``script``), and an :class:`Optimizer` binds a spec to a target
 :class:`~repro.arch.Architecture` for execution and cache keying.
 
-The historic script entry points live on in :mod:`repro.opt.scripts`;
-:mod:`repro.core.rewriting` is a deprecated shim over them.
+The historic script entry points live on in :mod:`repro.opt.scripts`.
 """
 
 from .engine import (

@@ -34,6 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from .._http import BadContentLength, read_body
 from ..resilience import RetryPolicy
 from .queue import JobQueue
 from . import routes
@@ -55,11 +56,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _read_body(self) -> Optional[object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return None
-        raw = self.rfile.read(length)
-        return json.loads(raw.decode("utf-8"))
+        raw = read_body(self)
+        return json.loads(raw.decode("utf-8")) if raw else None
 
     def _respond(self, response: routes.Response) -> None:
         if response.stream is not None:
@@ -95,6 +93,9 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         try:
             payload = self._read_body()
+        except BadContentLength as error:
+            self._respond(routes._error(400, str(error)))
+            return
         except (ValueError, UnicodeDecodeError):
             self._respond(routes._error(400, "request body is not JSON"))
             return

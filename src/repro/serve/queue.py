@@ -4,7 +4,8 @@ Two execution modes per job, chosen when the server starts:
 
 * **isolated** (``workers`` processes, the default under ``repro
   serve``) — each cold job ships to a worker process through the same
-  supervised pool as ``run_matrix(parallel=N)``: picklable
+  dispatch as ``run_matrix(parallel=N)``
+  (:func:`~repro.analysis.runner.dispatch_jobs`): picklable
   :class:`~repro.flow.SessionSpec`, crash respawn, per-job deadline
   from the session's ``job`` timeout budget, deterministic retry.  The
   worker's results are adopted into the shared warm cache, then the
@@ -28,14 +29,9 @@ import threading
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
-from ..analysis.runner import (
-    _importable_in_workers,
-    _supervised_pool_map,
-    _worker_spec,
-    experiment_key,
-    result_label,
-)
+from ..analysis.runner import dispatch_jobs, experiment_key, result_label
 from ..mig.io import dumps_program
+from ..opt import Optimizer
 from ..resilience import DEFAULT_POLICY, RetryPolicy, call_with_retry
 from .jobstore import Job, JobStore
 from .schemas import JobSpec, summarize_compilation
@@ -186,56 +182,24 @@ class JobQueue:
         then adopt the results into the warm session cache."""
         spec = job.spec
         session = self.session
-        store = self.store
-        entry = (
-            spec.source.name
-            if spec.source.kind == "registry"
-            else spec.source
-        )
-        worker_spec = _worker_spec(
-            session, session.cache, spec.preset,
-            spec.arch.name, spec.opt.label(),
-        )
-        work = [(
-            entry,
-            spec.preset,
-            [spec.config],
-            spec.verify > 0,
-            spec.verify,
-            worker_spec,
-        )]
-        store.append_event(
+        self.store.append_event(
             job.id, {"kind": "dispatch", "mode": "process"}
         )
-        with _importable_in_workers():
-            payloads, recoveries = _supervised_pool_map(
-                work,
-                1,
-                policy=self.retry,
-                job_timeout=session.timeouts.limit("job"),
-            )
-        mig, evaluation, counters, _worker_log = payloads[0]
-        cache = session.cache
-        identity = spec.identity()
-        cache.adopt(
-            identity,
-            spec.preset,
-            mig,
-            [spec.config],
-            evaluation,
-            verified_patterns=spec.verify,
+        (evaluation,), (recovery,) = dispatch_jobs(
+            session.cache,
+            [(spec.source, [spec.config])],
+            preset=spec.preset,
+            verify=spec.verify > 0,
+            verify_patterns=spec.verify,
+            parallel=1,
             arch=spec.arch,
-            optimizer=spec.opt,
+            optimizer=Optimizer(spec.opt, spec.arch),
+            session=session,
+            policy=self.retry,
+            job_timeout=session.timeouts.limit("job"),
         )
-        cache.absorb_worker_counters(counters)
-        # Worker-side events are already in the manifests the worker
-        # wrote; crashes/respawns/retries are only observable here.
-        cache.annotate_manifests(
-            identity, [spec.config], recoveries[0],
-            arch=spec.arch, optimizer=spec.opt,
-        )
-        for event in recoveries[0]:
-            store.append_event(job.id, {"kind": "recovery", **event})
+        for event in recovery:
+            self.store.append_event(job.id, {"kind": "recovery", **event})
         return evaluation.results[result_label(spec.config)]
 
     def _assemble(self, job: Job):

@@ -52,8 +52,7 @@ class Source(ABC):
     """One circuit origin with a stable, cache-addressable identity."""
 
     #: Discriminator string (``registry`` / ``file`` / ``frontend`` /
-    #: ``graph``) — the cache layer special-cases ``registry`` to keep
-    #: its legacy key layout.
+    #: ``graph``); the default :meth:`identity` leads with it.
     kind: str = "abstract"
 
     #: Display name (benchmark name, file stem, function name, ...).

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 
 import pytest
 
@@ -55,6 +56,22 @@ def make_random_mig(
             sig = complement(sig)
         mig.add_po(sig, f"y{i}")
     return mig
+
+
+def raw_status(server, method: str, path: str, content_length: str) -> int:
+    """Status of one raw HTTP/1.0 request carrying *content_length*
+    verbatim and no body; a server that waits for the body instead of
+    answering fails on the socket timeout."""
+    request = (
+        f"{method} {path} HTTP/1.0\r\nHost: localhost\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection(server.server_address[:2], timeout=3) as sock:
+        sock.sendall(request.encode("ascii"))
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return int(response.split(b" ", 2)[1])
 
 
 @pytest.fixture

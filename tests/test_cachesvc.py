@@ -36,6 +36,8 @@ from repro.cachesvc import (
 from repro.flow import Session
 from repro.resilience import events, faults
 
+from .conftest import raw_status
+
 
 @pytest.fixture(autouse=True)
 def _clean_environment(monkeypatch):
@@ -248,6 +250,22 @@ class TestServerRoutes:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(server.url + "/nope")
             assert info.value.code == 404
+
+    @pytest.mark.parametrize(
+        "method, path, length",
+        [
+            ("PUT", "/entry", "-1"),
+            ("POST", "/lease/release", "-1"),
+            ("PUT", "/entry", "abc"),
+        ],
+    )
+    def test_bad_content_length_400(self, tmp_path, method, path, length):
+        """A negative length used to block the handler until the client
+        hung up; a non-numeric one answered 500."""
+        with running_server(tmp_path) as server:
+            assert raw_status(server, method, path, length) == 400
+            with urllib.request.urlopen(server.url + "/healthz") as response:
+                assert response.status == 200
 
 
 # ---------------------------------------------------------------------------

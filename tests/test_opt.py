@@ -344,19 +344,6 @@ class TestScriptParity:
                 rewrite(mig, script, effort=DEFAULT_EFFORT),
             )
 
-    def test_core_rewriting_shim_warns_and_agrees(self, small_random_mig):
-        from repro.core import rewriting as legacy
-
-        with pytest.deprecated_call():
-            shimmed = legacy.rewrite(small_random_mig, "endurance")
-        assert self._identical(
-            shimmed, rewrite(small_random_mig, "endurance")
-        )
-        with pytest.deprecated_call():
-            legacy.rewrite_dac16(small_random_mig, effort=1)
-        with pytest.deprecated_call():
-            legacy.rewrite_endurance_aware(small_random_mig, effort=1)
-
     def test_flow_default_optimizer_is_script_parity(self, tmp_path):
         """An unconfigured Flow compiles exactly like the pre-optimizer
         harness: its rewrite stage equals the legacy script result."""

@@ -45,7 +45,6 @@ ROOT_API = [
     "available_sources",
     "available_strategies",
     "build_benchmark",
-    "compile_with_management",
     "create_cache_server",
     "create_server",
     "equivalent",

@@ -41,6 +41,7 @@ from repro.resilience import faults
 from repro.resilience.manifest import append_manifest_events, build_manifest
 
 SUBSET = ["adder", "dec", "ctrl"]
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -605,6 +606,24 @@ class TestSupervisedRunner:
                 retry=RetryPolicy(attempts=2, base=0.0, jitter=0.0),
             )
         assert excinfo.value.attempts == 2
+
+    def test_renamed_netlist_manifest_keeps_job_events(
+        self, tmp_path, monkeypatch
+    ):
+        """Jobs record events under their source's name (the file stem),
+        which differs from the graph name when a netlist's ``.model``
+        name does; the manifest must still carry the job's events."""
+        netlist = tmp_path / "fa_copy.blif"
+        netlist.write_bytes((FIXTURES / "fulladder.blif").read_bytes())
+        _arm(monkeypatch, tmp_path, "job_fail:job=fa_copy:count=1")
+        root = tmp_path / "cache"
+        Session(cache_dir=root).run_matrix([str(netlist)], ["naive"])
+        ((_, manifest),) = iter_manifests(root)
+        assert manifest["benchmark"] == "fulladder"
+        assert [e["kind"] for e in manifest["events"]] == [
+            "fault_injected", "retry",
+        ]
+        assert {e["job"] for e in manifest["events"]} == {"fa_copy"}
 
     def test_worker_crash_respawns_pool_and_completes(
         self, tmp_path, monkeypatch

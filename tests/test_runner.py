@@ -6,6 +6,7 @@ from repro.analysis.runner import (
     BenchmarkEvaluation,
     ExperimentCache,
     config_key,
+    experiment_key,
     mig_key,
     resolve_configs,
     result_label,
@@ -308,3 +309,79 @@ class TestWorkerCounterAggregation:
         run_matrix(["adder"], ["naive"], preset="tiny", cache=cache)
         assert cache.worker_counters["workers"] == 0
         assert all(v == 0 for v in cache.worker_counters.values())
+
+
+class TestRegistryDiskKeys:
+    """Registry benchmarks persist under their classic ``(name, preset)``
+    keys on every path: the serial matrix, the worker fan-out, and the
+    flow layer.  Each stored key lands at ``sha256(repr(key))``, so the
+    entry files under the root are exactly the keys ``DiskCache.store``
+    received, whichever process stored them."""
+
+    CONFIGS = ["naive", "ea-full"]
+
+    @staticmethod
+    def _expected(names):
+        from repro.arch import resolve_architecture
+        from repro.opt import resolve_optimizer
+
+        semantic = {
+            cfg: experiment_key(
+                PRESETS[cfg], resolve_architecture(None), resolve_optimizer(None)
+            )
+            for cfg in TestRegistryDiskKeys.CONFIGS
+        }
+        keys = set()
+        for name in names:
+            keys.add(("mig", name, "tiny"))
+            # 'naive' rewrites with the 'none' script, which never persists
+            keys.add(("rewrite", name, "tiny", ("script", "endurance", 5)))
+            keys.update(
+                ("result", name, "tiny", semantic[cfg]) for cfg in semantic
+            )
+        return keys
+
+    @staticmethod
+    def _assert_stored(root, keys):
+        from repro.analysis.diskcache import DiskCache
+
+        disk = DiskCache(root)
+        stored = {path.name for path in disk.root.rglob("*.pkl")}
+        assert stored == {disk.entry_path(key).name for key in keys}
+
+    def test_serial_matrix(self, tmp_path, monkeypatch):
+        from repro.analysis.diskcache import DiskCache
+
+        received = []
+        store = DiskCache.store
+
+        def recording(self, key, *args, **kwargs):
+            received.append(key)
+            return store(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(DiskCache, "store", recording)
+        cache = ExperimentCache(disk=DiskCache(tmp_path))
+        run_matrix(["adder"], self.CONFIGS, preset="tiny", cache=cache)
+        assert len(received) == len(set(received))
+        assert set(received) == self._expected(["adder"])
+        self._assert_stored(tmp_path, received)
+
+    @pytest.mark.slow
+    def test_parallel_matrix_with_shared_cache(self, tmp_path):
+        from repro.analysis.diskcache import DiskCache
+
+        cache = ExperimentCache(disk=DiskCache(tmp_path))
+        run_matrix(
+            ["adder", "dec"], self.CONFIGS, preset="tiny", cache=cache,
+            parallel=2,
+        )
+        assert cache.worker_counters["workers"] == 2
+        self._assert_stored(tmp_path, self._expected(["adder", "dec"]))
+
+    def test_flow_for_job(self, tmp_path):
+        from repro.flow import Flow, Session
+
+        session = Session(cache_dir=tmp_path, preset="tiny")
+        for cfg in self.CONFIGS:
+            Flow.for_job("adder", cfg, preset="tiny", session=session).run()
+        self._assert_stored(tmp_path, self._expected(["adder"]))

@@ -28,6 +28,8 @@ from repro.serve import (
 from repro.serve.jobstore import JobStore
 from repro.serve import routes
 
+from .conftest import raw_status
+
 
 FRONTEND_TEXT = """
 @mig_function(width=3)
@@ -675,6 +677,15 @@ class TestServeHTTP:
                 "frontend": {"text": FRONTEND_TEXT},
             })
             assert status == 400
+
+    def test_bad_content_length_400(self, tmp_path):
+        """A negative length used to block the handler until the client
+        hung up."""
+        with running_server(tmp_path) as server:
+            assert raw_status(server, "POST", "/jobs", "-1") == 400
+            assert raw_status(server, "POST", "/jobs", "abc") == 400
+            status, _, _ = api(server, "GET", "/healthz")
+            assert status == 200
 
     def test_shutdown_endpoint(self, tmp_path):
         session = tiny_session(tmp_path)
