@@ -21,11 +21,17 @@ already-translated fanin signals of one node during a rebuild pass
 (:mod:`repro.mig.rewrite`) and either returns an improved signal or ``None``
 when the pattern does not apply / does not pay off.  Logical correctness of
 every rule is property-tested exhaustively in the test suite.
+
+A pass calls its matcher at every node, and most nodes match nothing, so
+the structural matchers (``Omega.D``, ``Omega.A``, ``Psi.C``) read the
+fanin table directly and reject a node with a few membership tests
+before they build any candidate.  The rules are first-match: only the
+rejects are shortcuts, the enumeration order behind them is semantics.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from .graph import Mig
 from .signal import complement
@@ -43,21 +49,9 @@ def _variable_complements(fanins) -> int:
     return sum(1 for s in fanins if s > 1 and s & 1)
 
 
-def _gate_fanins(mig: Mig, signal: int) -> Optional[Tuple[int, int, int]]:
-    """Fanins of the gate referenced by a *non-complemented* signal.
-
-    Complemented gate signals are not matched structurally: pushing the
-    complement through first is exactly the job of ``Omega.I``, which the
-    rewriting scripts schedule explicitly.
-
-    This is the hottest probe of the rewriting engine (every candidate
-    pass application of the optimiser calls it per node), so the signal
-    decoding is inlined and the fanin table is read directly: the stored
-    entry is ``None`` for exactly the non-gates (constant and PIs).
-    """
-    if signal & 1:
-        return None
-    return mig._fanins[signal >> 1]
+#: The two other operand positions for each inner position, in
+#: ascending order (the ``outer_rest`` order of the associativity rules).
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -79,16 +73,26 @@ def try_distributivity_rl(
     rebuilt nodes already exist (structural-hash hit).  *fanout_of* maps a
     new-graph signal to its residual fanout estimate; when ``None`` the
     rule only fires on guaranteed hash hits.
+
+    Reject: fewer than two plain gate operands, or no pair of them
+    sharing two fanins.
     """
+    # Matching reads the fanin table directly: the stored entry is
+    # ``None`` for exactly the non-gates, and complemented operands are
+    # not matched structurally (pushing the complement through first is
+    # the job of Omega.I, which the scripts schedule explicitly).
+    fanins = mig._fanins
+    fa = None if a & 1 else fanins[a >> 1]
+    fb = None if b & 1 else fanins[b >> 1]
+    fc = None if c & 1 else fanins[c >> 1]
+    # Reject: the pattern needs two plain gate operands.
+    if (fa is None) + (fb is None) + (fc is None) > 1:
+        return None
     # Position-permutation order matches permutations((a, b, c)) exactly
     # (results are order-sensitive); gate fanins are probed once per
     # operand instead of once per pair.
     operands = (a, b, c)
-    fans = (
-        _gate_fanins(mig, a),
-        _gate_fanins(mig, b),
-        _gate_fanins(mig, c),
-    )
+    fans = (fa, fb, fc)
     for i, j, k in _PERMUTATIONS:
         first, second, z = operands[i], operands[j], operands[k]
         if first > second:
@@ -97,12 +101,14 @@ def try_distributivity_rl(
         fi2 = fans[j]
         if fi1 is None or fi2 is None:
             continue
+        p, q, r = fi1
+        # Reject: the two gates must share two operands.
+        if (p in fi2) + (q in fi2) + (r in fi2) < 2:
+            continue
         # Stored fanin triples are sorted and duplicate-free, so the
         # membership scan yields the shared signals already ascending
         # (what sorted(set & set)[:2] produced before).
         shared = [s for s in fi1 if s in fi2]
-        if len(shared) < 2:
-            continue
         x, y = shared[0], shared[1]
         rest1 = [s for s in fi1 if s not in (x, y)]
         rest2 = [s for s in fi2 if s not in (x, y)]
@@ -133,14 +139,24 @@ def try_associativity(mig: Mig, a: int, b: int, c: int) -> Optional[int]:
     each non-shared inner operand.  The variant is kept only when the new
     inner node does not allocate (it simplifies through ``Omega.M`` or
     hash-hits), so the rewrite is monotonically non-increasing in size.
+
+    Reject: a plain gate operand holding neither of the other two.
     """
+    fanins = mig._fanins
     operands = (a, b, c)
     for w_pos in range(3):
         w = operands[w_pos]
-        inner = _gate_fanins(mig, w)
+        if w & 1:
+            continue  # complemented gates are Omega.I's job
+        inner = fanins[w >> 1]
         if inner is None:
             continue
-        outer_rest = [operands[i] for i in range(3) if i != w_pos]
+        i, j = _OTHERS[w_pos]
+        p, q = operands[i], operands[j]
+        # Reject: the inner gate must hold one of the other operands.
+        if p not in inner and q not in inner:
+            continue
+        outer_rest = [p, q]
         for u in outer_rest:
             if u not in inner:
                 continue
@@ -176,14 +192,26 @@ def try_complementary_associativity(
     the rule — and the reason the endurance-aware script of the reproduced
     paper drops it: removing a *single* complemented edge destroys the
     RM3-ideal form.)
+
+    Reject: a plain gate operand holding the complement of neither
+    non-constant other operand.
     """
+    fanins = mig._fanins
     operands = (a, b, c)
     for w_pos in range(3):
         w = operands[w_pos]
-        inner = _gate_fanins(mig, w)
+        if w & 1:
+            continue  # complemented gates are Omega.I's job
+        inner = fanins[w >> 1]
         if inner is None:
             continue
-        outer_rest = [operands[i] for i in range(3) if i != w_pos]
+        i, j = _OTHERS[w_pos]
+        p, q = operands[i], operands[j]
+        # Reject: the inner gate must hold the complement of a
+        # non-constant other operand.
+        if not ((p > 1 and p ^ 1 in inner) or (q > 1 and q ^ 1 in inner)):
+            continue
+        outer_rest = [p, q]
         for u_idx in range(2):
             u = outer_rest[u_idx]
             x = outer_rest[1 - u_idx]

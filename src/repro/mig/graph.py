@@ -589,13 +589,27 @@ class Mig:
         other._strash = dict(self._strash)
         return other
 
+    def _is_canonical(self) -> bool:
+        """Whether a plain rebuild reproduces this graph node for node:
+        structural hashing on, PIs are nodes ``1..n``, and no dead gates."""
+        pis = self._pis
+        return (
+            self.use_strash
+            and (not pis or pis[-1] == len(pis))
+            and len(self._live_gates()) == self.num_gates
+        )
+
     def cleanup(self) -> "Mig":
         """Return a copy containing only nodes reachable from the outputs.
 
         PIs are preserved (with names and order) even when dead.  The
         structural-hashing mode is inherited, so cleaning an elaborated
-        (redundant) graph does not silently optimise it.
+        (redundant) graph does not silently optimise it.  A canonical
+        graph (see :meth:`_is_canonical`) has nothing to clean, so its
+        copy is a :meth:`clone`.
         """
+        if self._is_canonical():
+            return self.clone()
         live = self.live_mask()
         other = Mig(self.name, use_strash=self.use_strash)
         xlat = [0] * len(self._fanins)  # old node -> new signal of same polarity

@@ -16,6 +16,16 @@ new graph starts as a copy of the unchanged prefix and the rebuild
 resumes at the first node that fired.  A pass result may therefore *be*
 its input, so callers must not mutate pass results.
 
+A script cycles its passes, and a pass often meets a graph it already
+returned unchanged (another pass of the cycle changed something, but not
+this graph object).  So each :data:`PASSES` entry records a no-op in the
+graph's ``_derived`` memo and answers the next call on that same object
+at once.  Mutation clears the memo and pickling drops it, and pass
+results are never mutated, so it cannot answer for a changed graph.  The
+memo sits inside the registry entries, so :func:`apply_script`, the
+optimiser's candidates and anything that wraps a registry entry all see
+every call.
+
 The rewriting *scripts* of the reproduced paper (Algorithm 1, the PLiM
 compiler script of [Soeken et al., DAC'16], and Algorithm 2, the
 endurance-aware script) are sequences of these passes; they live in
@@ -24,6 +34,7 @@ endurance-aware script) are sequences of these passes; they live in
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import algebra
@@ -116,17 +127,6 @@ class _PrefixView:
         raise _Diverged
 
 
-def _is_canonical(mig: Mig) -> bool:
-    """Whether a plain rebuild of *mig* reproduces it node for node:
-    structural hashing on, PIs are nodes ``1..n``, and no dead gates."""
-    pis = mig._pis
-    return (
-        mig.use_strash
-        and (not pis or pis[-1] == len(pis))
-        and len(mig._live_gates()) == mig.num_gates
-    )
-
-
 def _prefix(mig: Mig, size: int) -> Mig:
     """A new graph holding nodes ``0..size-1`` of canonical *mig*."""
     new = Mig(mig.name)
@@ -150,7 +150,7 @@ def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
     """
     ctx = RebuildContext(mig)
     xlat = ctx.xlat
-    canonical = _is_canonical(mig)
+    canonical = mig._is_canonical()
     if canonical:
         if transform is None:
             return mig
@@ -413,18 +413,43 @@ def polarity_pass(
     return rebuild(mig, transform)
 
 
+def _memoized(name: str, fn: Callable[[Mig], Mig]) -> Callable[[Mig], Mig]:
+    """*fn* answering at once for a graph it already returned unchanged.
+
+    The no-op is recorded in the graph's ``_derived`` memo, which every
+    mutation clears and pickling drops, so it never answers for a
+    changed graph.
+    """
+    key = ("noop", name)
+
+    @functools.wraps(fn)
+    def run(mig: Mig) -> Mig:
+        if key in mig._derived:
+            return mig
+        result = fn(mig)
+        if result is mig:
+            mig._derived[key] = True
+        return result
+
+    return run
+
+
 #: Registry used by scripts, the CLI, and the ablation benchmarks.
 #: ``P`` (polarity re-phasing) is not part of the paper's scripts; the
 #: cost-guided strategies of :mod:`repro.opt` use it as an extra
-#: candidate.
+#: candidate.  Every entry carries the no-op memo (see the module
+#: docstring).
 PASSES: Dict[str, Callable[[Mig], Mig]] = {
-    "M": majority_pass,
-    "D_rl": distributivity_rl_pass,
-    "A": associativity_pass,
-    "Psi_C": complementary_associativity_pass,
-    "I_rl_1_3": inverter_pairs_pass,
-    "I_rl": inverter_triples_pass,
-    "P": polarity_pass,
+    name: _memoized(name, fn)
+    for name, fn in (
+        ("M", majority_pass),
+        ("D_rl", distributivity_rl_pass),
+        ("A", associativity_pass),
+        ("Psi_C", complementary_associativity_pass),
+        ("I_rl_1_3", inverter_pairs_pass),
+        ("I_rl", inverter_triples_pass),
+        ("P", polarity_pass),
+    )
 }
 
 

@@ -30,10 +30,12 @@ class FanoutView:
     """
 
     def __init__(self, mig: Mig) -> None:
-        self.mig = mig
+        # The node count, not the graph: the view is memoized on the
+        # graph, and a back-reference would make every graph a cycle.
+        self.num_nodes = mig.num_nodes
         self.live = mig.live_mask()
         self.levels = mig.levels()
-        n = mig.num_nodes
+        n = self.num_nodes
         fanouts: List[List[int]] = [[] for _ in range(n)]
         ref_counts: List[int] = [0] * n
         for node, na, _, nb, _, nc, _ in mig.flat_gates():
@@ -99,7 +101,7 @@ class FanoutView:
         """Live nodes with exactly one use (ideal RM3 destinations)."""
         return [
             node
-            for node in range(1, self.mig.num_nodes)
+            for node in range(1, self.num_nodes)
             if self.live[node] and self.ref_counts[node] == 1
         ]
 
@@ -110,7 +112,7 @@ class FanoutView:
         paper: values produced early but consumed late pin their devices.
         """
         spread: Dict[int, int] = {}
-        for node in range(1, self.mig.num_nodes):
+        for node in range(1, self.num_nodes):
             if not self.live[node] or not self.fanouts[node]:
                 continue
             d = self.fanout_level_index(node) - self.levels[node]

@@ -107,19 +107,19 @@ class RramAllocator:
         free_set = self._free_set
         if self.strategy == "min_write":
             heap = self._free_heap
-            skipped = []
             found = None
             while heap:
                 wr, addr = heapq.heappop(heap)
                 if addr not in free_set or wr != writes[addr]:
                     continue  # stale entry from an earlier free period
                 if w_max is not None and wr + headroom > w_max:
-                    skipped.append((wr, addr))
-                    continue
+                    # A pooled device's writes never change, so valid
+                    # entries pop in (writes, addr) order: every later
+                    # one lacks the headroom too.
+                    heapq.heappush(heap, (wr, addr))
+                    break
                 found = addr
                 break
-            for entry in skipped:
-                heapq.heappush(heap, entry)
         else:
             stack = self._free_stack
             skipped = []

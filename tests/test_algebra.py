@@ -11,6 +11,7 @@ Every axiom used by the rewriting scripts is checked two ways:
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mig import algebra
@@ -188,3 +189,170 @@ class TestTransformUnits:
         assert algebra.propagate_inverters(
             mig, complement(a), b, 1, handle_two=True
         ) is None
+
+
+# ----------------------------------------------------------------------
+# Matcher parity: the rejecting matchers against the original search
+# ----------------------------------------------------------------------
+
+def _old_gate_fanins(mig, signal):
+    if signal & 1:
+        return None
+    return mig._fanins[signal >> 1]
+
+
+def _old_distributivity_rl(mig, a, b, c, *, fanout_of=None):
+    operands = (a, b, c)
+    fans = tuple(_old_gate_fanins(mig, s) for s in operands)
+    for i, j, k in algebra._PERMUTATIONS:
+        first, second, z = operands[i], operands[j], operands[k]
+        if first > second:
+            continue
+        fi1 = fans[i]
+        fi2 = fans[j]
+        if fi1 is None or fi2 is None:
+            continue
+        shared = [s for s in fi1 if s in fi2]
+        if len(shared) < 2:
+            continue
+        x, y = shared[0], shared[1]
+        rest1 = [s for s in fi1 if s not in (x, y)]
+        rest2 = [s for s in fi2 if s not in (x, y)]
+        if len(rest1) != 1 or len(rest2) != 1:
+            continue
+        u, v = rest1[0], rest2[0]
+        inner_free = not mig.maj_would_allocate(u, v, z)
+        dies1 = fanout_of is not None and fanout_of(first) <= 1
+        dies2 = fanout_of is not None and fanout_of(second) <= 1
+        if (dies1 and dies2) or inner_free:
+            inner = mig.add_maj(u, v, z)
+            return mig.add_maj(x, y, inner)
+    return None
+
+
+def _old_associativity(mig, a, b, c):
+    operands = (a, b, c)
+    for w_pos in range(3):
+        inner = _old_gate_fanins(mig, operands[w_pos])
+        if inner is None:
+            continue
+        outer_rest = [operands[i] for i in range(3) if i != w_pos]
+        for u in outer_rest:
+            if u not in inner:
+                continue
+            x = outer_rest[0] if outer_rest[1] == u else outer_rest[1]
+            inner_rest = [s for s in inner if s != u]
+            if len(inner_rest) != 2:
+                continue
+            for swap_idx in range(2):
+                z = inner_rest[swap_idx]
+                y = inner_rest[1 - swap_idx]
+                if not mig.maj_would_allocate(y, u, x):
+                    new_inner = mig.add_maj(y, u, x)
+                    return mig.add_maj(z, u, new_inner)
+    return None
+
+
+def _old_complementary_associativity(mig, a, b, c, *, fanout_of=None):
+    operands = (a, b, c)
+    for w_pos in range(3):
+        w = operands[w_pos]
+        inner = _old_gate_fanins(mig, w)
+        if inner is None:
+            continue
+        outer_rest = [operands[i] for i in range(3) if i != w_pos]
+        for u_idx in range(2):
+            u = outer_rest[u_idx]
+            x = outer_rest[1 - u_idx]
+            if u <= 1:
+                continue
+            nu = u ^ 1
+            if nu not in inner:
+                continue
+            new_inner_ops = tuple(x if s == nu else s for s in inner)
+            hash_hit = not mig.maj_would_allocate(*new_inner_ops)
+            removes_complement = algebra._variable_complements(
+                new_inner_ops
+            ) < algebra._variable_complements(inner)
+            inner_dies = fanout_of is not None and fanout_of(w) <= 1
+            if hash_hit or (removes_complement and inner_dies):
+                new_inner = mig.add_maj(*new_inner_ops)
+                return mig.add_maj(x, u, new_inner)
+    return None
+
+
+#: (name, original matcher, current matcher, takes fanout_of)
+_MATCHERS = (
+    ("D_rl", _old_distributivity_rl, algebra.try_distributivity_rl, True),
+    ("A", _old_associativity, algebra.try_associativity, False),
+    (
+        "Psi_C",
+        _old_complementary_associativity,
+        algebra.try_complementary_associativity,
+        True,
+    ),
+)
+
+
+def _canonical_random_mig(num_pis, num_gates, seed):
+    mig = make_random_mig(num_pis, num_gates, seed=seed, complement_prob=0.4)
+    mig = PASSES["M"](mig)
+    while mig.num_live_gates() != mig.num_gates:
+        mig = PASSES["M"](mig)
+    return mig
+
+
+def _compare_matchers(mig, triples, fanout):
+    """Run both matcher generations on *triples*; returns fires per rule.
+
+    *fanout* is the constant ``fanout_of`` answer, or ``None`` for no
+    callback.  Each pair of graphs starts as a clone of *mig* and is
+    re-cloned after a fire, so every triple meets the same graph.
+    """
+    fanout_of = None if fanout is None else (lambda signal: fanout)
+    fired = {name: 0 for name, *_ in _MATCHERS}
+    old_mig, new_mig = mig.clone(), mig.clone()
+    for triple in triples:
+        for name, old, new, priced in _MATCHERS:
+            kwargs = {"fanout_of": fanout_of} if priced else {}
+            expected = old(old_mig, *triple, **kwargs)
+            assert new(new_mig, *triple, **kwargs) == expected, (name, triple)
+            assert new_mig._fanins == old_mig._fanins, (name, triple)
+            assert new_mig._strash == old_mig._strash, (name, triple)
+            if expected is not None:
+                fired[name] += 1
+                old_mig, new_mig = mig.clone(), mig.clone()
+    return fired
+
+
+class TestMatcherParity:
+    """The rejects change nothing: same signal, same graph afterwards."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        num_pis=st.integers(min_value=2, max_value=5),
+        gates=st.integers(min_value=1, max_value=40),
+        fanout=st.sampled_from([1, 2, None]),
+        data=st.data(),
+    )
+    def test_random_operand_triples(self, seed, num_pis, gates, fanout, data):
+        mig = _canonical_random_mig(num_pis, gates, seed)
+        # Every signal: constants, PIs and gates, either polarity.
+        signal = st.integers(min_value=0, max_value=2 * mig.num_nodes - 1)
+        triples = data.draw(
+            st.lists(st.tuples(signal, signal, signal), max_size=60)
+        )
+        _compare_matchers(mig, triples, fanout)
+
+    @pytest.mark.parametrize("fanout", [1, 2, None])
+    def test_every_triple_of_small_graphs(self, fanout):
+        fired = {name: 0 for name, *_ in _MATCHERS}
+        for seed in range(4):
+            mig = _canonical_random_mig(3, 16, seed)
+            signals = range(2 * mig.num_nodes)
+            for name, count in _compare_matchers(
+                mig, product(signals, repeat=3), fanout
+            ).items():
+                fired[name] += count
+        assert all(fired.values()), fired  # every rule fired somewhere

@@ -1,5 +1,6 @@
 """Tests for the RRAM allocator policies (min/max write strategies)."""
 
+import heapq
 import random
 
 import pytest
@@ -212,3 +213,65 @@ class TestUncappedRequests:
         uncapped = self._replay(strategy, None, seed)
         assert uncapped == self._replay(strategy, 10**9, seed)
         assert len(set(uncapped[0])) < len(uncapped[0])  # the pool is reused
+
+
+class _ScanningAllocator(RramAllocator):
+    """The min-write request before the early stop: a capped miss pops
+    and re-pushes the whole pool."""
+
+    def request(self, headroom: int = 1) -> int:
+        if self.strategy != "min_write":
+            return super().request(headroom)
+        w_max = self.w_max
+        writes = self.writes
+        free_set = self._free_set
+        heap = self._free_heap
+        skipped = []
+        found = None
+        while heap:
+            wr, addr = heapq.heappop(heap)
+            if addr not in free_set or wr != writes[addr]:
+                continue
+            if w_max is not None and wr + headroom > w_max:
+                skipped.append((wr, addr))
+                continue
+            found = addr
+            break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        if found is not None:
+            free_set.discard(found)
+            return found
+        return self.new_cell()
+
+
+class TestCappedMinWriteEarlyStop:
+    """The min-write search stops at the first worn device and hands out
+    exactly what the full scan did."""
+
+    @staticmethod
+    def _replay(cls, w_max, seed):
+        rng = random.Random(seed)
+        alloc = cls("min_write", w_max)
+        held, trace = [], []
+        for _ in range(500):
+            if held and rng.random() < 0.45:
+                alloc.release(held.pop(rng.randrange(len(held))))
+                trace.append(("release", sorted(alloc.retired)))
+                continue
+            addr = alloc.request(headroom=rng.choice((1, 2, 3)))
+            for _ in range(rng.randrange(3)):
+                if alloc.writable(addr):
+                    alloc.record_write(addr)
+            if rng.random() < 0.2:  # may wear a pooled device: stale entries
+                alloc.record_write(rng.randrange(alloc.num_cells))
+            held.append(addr)
+            trace.append(("request", addr))
+        return trace, alloc.writes, sorted(alloc._free_set)
+
+    @pytest.mark.parametrize("w_max", [MIN_WRITE_CAP, 4, 6])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_full_scan(self, w_max, seed):
+        expected = self._replay(_ScanningAllocator, w_max, seed)
+        assert self._replay(RramAllocator, w_max, seed) == expected
+        assert expected[1].count(w_max) > 1  # the cap was reached

@@ -154,9 +154,13 @@ def reference_rebuild(mig, transform=None):
 
 
 def reference_pass(name, mig):
-    """``PASSES[name]`` with its transform run by :func:`reference_rebuild`."""
+    """``PASSES[name]`` with its transform run by :func:`reference_rebuild`.
+
+    Runs on a clone: *mig* may carry the pass's no-op memo, which would
+    answer without running the reference.
+    """
     with mock.patch.object(rewrite_module, "rebuild", reference_rebuild):
-        return PASSES[name](mig)
+        return PASSES[name](mig.clone())
 
 
 def assert_pass_parity(mig):
@@ -177,6 +181,30 @@ def canonical(mig):
     while mig.num_live_gates() != mig.num_gates:
         mig = PASSES["M"](mig)
     return mig
+
+
+def non_canonical_graphs():
+    """An interleaved-PI, a dead-gate and an unhashed graph."""
+    interleaved = Mig("interleaved")
+    a, b = interleaved.add_pis(2)
+    gate = interleaved.add_maj(a, b ^ 1, 0)
+    c = interleaved.add_pi("late")
+    interleaved.add_po(interleaved.add_maj(gate, c, a))
+
+    dead = Mig("dead")
+    a, b, c = dead.add_pis(3)
+    dead.add_maj(a, b, c ^ 1)
+    dead.add_po(dead.add_maj(a, b ^ 1, c))
+
+    unhashed = canonical(make_random_mig(5, 30, seed=11))
+    elaborated = Mig(unhashed.name, use_strash=False)
+    for idx in range(unhashed.num_pis):
+        elaborated.add_pi(unhashed.pi_name(idx))
+    for node in unhashed.gates():
+        elaborated.add_maj(*unhashed.fanins(node))
+    for idx, s in enumerate(unhashed.pos()):
+        elaborated.add_po(s, unhashed.po_name(idx))
+    return interleaved, dead, elaborated
 
 
 class TestPassParity:
@@ -233,33 +261,148 @@ class TestPassParity:
         assert equivalent(mig, out)
         assert_pass_parity(mig)
 
-    def _non_canonical(self):
-        interleaved = Mig("interleaved")
-        a, b = interleaved.add_pis(2)
-        gate = interleaved.add_maj(a, b ^ 1, 0)
-        c = interleaved.add_pi("late")
-        interleaved.add_po(interleaved.add_maj(gate, c, a))
-
-        dead = Mig("dead")
-        a, b, c = dead.add_pis(3)
-        dead.add_maj(a, b, c ^ 1)
-        dead.add_po(dead.add_maj(a, b ^ 1, c))
-
-        unhashed = canonical(make_random_mig(5, 30, seed=11))
-        elaborated = Mig(unhashed.name, use_strash=False)
-        for idx in range(unhashed.num_pis):
-            elaborated.add_pi(unhashed.pi_name(idx))
-        for node in unhashed.gates():
-            elaborated.add_maj(*unhashed.fanins(node))
-        for idx, s in enumerate(unhashed.pos()):
-            elaborated.add_po(s, unhashed.po_name(idx))
-        return interleaved, dead, elaborated
-
     def test_non_canonical_inputs_take_the_full_rebuild(self):
-        for mig in self._non_canonical():
+        for mig in non_canonical_graphs():
             for name, fn in PASSES.items():
                 out = fn(mig)
                 assert out is not mig, (mig.name, name)
                 assert out.content_fingerprint() == (
                     reference_pass(name, mig).content_fingerprint()
                 ), (mig.name, name)
+
+
+# ----------------------------------------------------------------------
+# The per-graph no-op memo of the PASSES entries
+# ----------------------------------------------------------------------
+
+def fixed_point(name, mig):
+    """*mig* after ``PASSES[name]`` until the pass returns its input,
+    as a fresh clone (no memo)."""
+    for _ in range(20):
+        out = PASSES[name](mig)
+        if out is mig:
+            return mig.clone()
+        mig = out
+    raise AssertionError(f"{name} did not converge")
+
+
+class TestNoopMemo:
+    @staticmethod
+    def _graph():
+        return canonical(make_random_mig(5, 40, seed=3))
+
+    @pytest.mark.parametrize("name", list(PASSES))
+    def test_second_call_skips_the_transform(self, name):
+        mig = fixed_point(name, self._graph())
+        with mock.patch.object(
+            rewrite_module, "rebuild", wraps=rewrite_module.rebuild
+        ) as spy:
+            assert PASSES[name](mig) is mig
+            assert spy.call_count == 1
+            assert PASSES[name](mig) is mig
+            assert spy.call_count == 1
+        assert mig._derived[("noop", name)] is True
+
+    def test_memo_is_per_pass(self):
+        mig = fixed_point("D_rl", self._graph())
+        assert PASSES["D_rl"](mig) is mig
+        with mock.patch.object(
+            rewrite_module, "rebuild", wraps=rewrite_module.rebuild
+        ) as spy:
+            PASSES["M"](mig)
+        assert spy.call_count == 1
+
+    def test_a_changing_pass_leaves_no_memo(self):
+        mig = self._graph()
+        out = PASSES["A"](mig)
+        assert out is not mig
+        assert ("noop", "A") not in mig._derived
+        assert ("noop", "A") not in out._derived
+
+    @pytest.mark.parametrize("mutation", ["add_maj", "add_po"])
+    def test_mutation_clears_the_memo(self, mutation):
+        mig = fixed_point("D_rl", self._graph())
+        assert PASSES["D_rl"](mig) is mig
+        top = mig.num_nodes - 1
+        if mutation == "add_maj":
+            before = mig.num_nodes
+            mig.add_maj(top << 1, 2, 4)  # nothing can hold the last node yet
+            assert mig.num_nodes == before + 1
+        else:
+            mig.add_po(top << 1 ^ 1)
+        assert ("noop", "D_rl") not in mig._derived
+        with mock.patch.object(
+            rewrite_module, "rebuild", wraps=rewrite_module.rebuild
+        ) as spy:
+            out = PASSES["D_rl"](mig)
+        assert spy.call_count == 1
+        assert out.content_fingerprint() == (
+            reference_pass("D_rl", mig).content_fingerprint()
+        )
+
+    def test_pickled_copy_comes_back_without_the_memo(self):
+        import pickle
+
+        mig = fixed_point("D_rl", self._graph())
+        assert PASSES["D_rl"](mig) is mig
+        back = pickle.loads(pickle.dumps(mig))
+        assert ("noop", "D_rl") not in back._derived
+        with mock.patch.object(
+            rewrite_module, "rebuild", wraps=rewrite_module.rebuild
+        ) as spy:
+            assert PASSES["D_rl"](back) is back
+        assert spy.call_count == 1
+
+
+# ----------------------------------------------------------------------
+# Mig.cleanup: a canonical graph is cloned, not rebuilt
+# ----------------------------------------------------------------------
+
+def node_by_node_cleanup(mig):
+    """:meth:`Mig.cleanup` forced down its node-by-node path."""
+    with mock.patch.object(Mig, "_is_canonical", lambda self: False):
+        return mig.cleanup()
+
+
+def assert_same_graph(got, expected):
+    for attr in (
+        "name", "use_strash", "_fanins", "_pi_index", "_pis", "_pi_names",
+        "_pos", "_po_names", "_strash",
+    ):
+        assert getattr(got, attr) == getattr(expected, attr), attr
+
+
+class TestCanonicalCleanup:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_tiny_benchmarks_after_each_script(self, name):
+        source = build_benchmark(name, "tiny")
+        for steps in (ALGORITHM1_STEPS, ALGORITHM2_STEPS):
+            graph = source
+            for _ in range(5):
+                for step in steps:
+                    graph = PASSES[step](graph)
+            assert graph._is_canonical()
+            out = graph.cleanup()
+            assert out is not graph
+            assert_same_graph(out, node_by_node_cleanup(graph))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=0, max_value=60),
+    )
+    def test_random_canonical_graphs(self, seed, gates):
+        mig = canonical(make_random_mig(5, gates, seed=seed))
+        assert mig._is_canonical()
+        assert_same_graph(mig.cleanup(), node_by_node_cleanup(mig))
+
+    def test_non_canonical_inputs_still_rebuild(self):
+        interleaved, dead, elaborated = non_canonical_graphs()
+        with mock.patch.object(
+            Mig, "clone", side_effect=AssertionError("cloned")
+        ):
+            for mig in (interleaved, dead, elaborated):
+                assert not mig._is_canonical()
+                mig.cleanup()
+            assert interleaved.cleanup().pis() == [1, 2, 3]
+            assert dead.cleanup().num_gates == dead.num_gates - 1

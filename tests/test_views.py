@@ -91,3 +91,21 @@ class TestFanoutView:
         assert view.ref_counts[node_of(dead)] == 0
         # a and b are used by the live gate only
         assert view.ref_counts[node_of(a)] == 1
+
+
+class TestGraphLifetime:
+    def test_graph_with_a_view_is_freed_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        mig, _ = build_fig2_like()
+        mig.fanout_view()
+        ref = weakref.ref(mig)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del mig
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
