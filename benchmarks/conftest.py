@@ -147,9 +147,9 @@ def pytest_sessionfinish(session):
     """Emit the benchmark JSON artefacts for whatever actually ran.
 
     ``BENCH_suite.json`` carries the suite/stage story;
-    ``BENCH_kernel.json`` carries the simulation-kernel matrix
-    (per-backend × thread-count timings from ``test_simbackend.py``)
-    plus the same stage timings, so the kernel perf trajectory is
+    ``BENCH_kernel.json`` carries the simulation-kernel comparison
+    (bigint vs numpy timings from ``test_simbackend.py``) plus the
+    same stage timings, so the kernel perf trajectory is
     recorded even when only the kernel lane ran.
     """
     if "kernel" in BENCH_REPORT:
@@ -166,7 +166,7 @@ def pytest_sessionfinish(session):
                 indent=2,
             ),
         )
-    if not BENCH_REPORT["suite_seconds"] and "sim_backend" not in BENCH_REPORT:
+    if not BENCH_REPORT["suite_seconds"] and "kernel" not in BENCH_REPORT:
         return
     disk = SESSION.disk
     report = {

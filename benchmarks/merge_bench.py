@@ -15,7 +15,7 @@ artefact:
   server (``cache.tiers``, see :mod:`repro.cachesvc`);
 * scalar fields (preset, backend, parallel) must agree across shards —
   a mismatch aborts loudly rather than averaging apples and oranges;
-* every other top-level key (e.g. the ``sim_backend`` micro-benchmark
+* every other top-level key (e.g. the ``kernel`` micro-benchmark
   block) is taken from whichever shard produced it.
 
 Usage::

@@ -1,23 +1,14 @@
-"""Simulation-backend micro-benchmarks at 2^18 patterns.
+"""Simulation-backend micro-benchmark at 2^18 patterns.
 
 Runs the exhaustive hot paths of the harness — full truth tables and an
 exhaustive equivalence check — on the ``multiplier`` benchmark sized to
-18 primary inputs (262 144 patterns), under every simulation kernel,
-asserting bit-identical results and recording the measured wall-clock
-and speedups into ``BENCH_suite.json`` / ``BENCH_kernel.json`` (see
+18 primary inputs (262 144 patterns) under the bigint reference kernel
+and the numpy kernel, asserting bit-identical results and recording the
+measured wall-clock and speedups into ``BENCH_kernel.json`` (see
 ``conftest.BENCH_REPORT``).
 
-Two lanes:
-
-* ``test_numpy_backend_speedup_at_2e18_patterns`` — the historic
-  bigint-vs-numpy comparison with its conservative speedup floor.
-* ``test_kernel_matrix_at_2e18_patterns`` — the backend × thread-count
-  matrix over the per-gate and level-batched numpy kernels, feeding
-  ``BENCH_kernel.json``; the ≥2x threaded-batch-vs-numpy assertion only
-  arms on runners with at least 4 cores (threading cannot win on fewer).
-
-The speedup floors asserted here are deliberately conservative (shared
-CI runners jitter); the JSON artefacts carry the exact numbers so the
+The speedup floor asserted here is deliberately conservative (shared CI
+runners jitter); the JSON artefact carries the exact numbers so the
 trajectory is tracked per run.
 """
 
@@ -38,7 +29,7 @@ from .conftest import BENCH_REPORT
 MULT_WIDTH = 9
 
 #: Conservative floor for the numpy speedup assertions; the measured
-#: values land in BENCH_suite.json.
+#: values land in BENCH_kernel.json.
 MIN_SPEEDUP = 1.5
 
 
@@ -58,89 +49,35 @@ def test_numpy_backend_speedup_at_2e18_patterns():
     mig = build_multiplier(MULT_WIDTH)
     assert mig.num_pis == 2 * MULT_WIDTH
     other = mig.clone()
+    tables = {}
+    seconds = {}
     try:
-        bigint = kernel.set_backend("bigint")
-        tables_big = truth_tables(mig)
-        tt_big = _best_of(lambda: truth_tables(mig))
-        eq_big = _best_of(lambda: equivalent(mig, other))
-
-        numpy_k = kernel.set_backend("numpy")
-        tables_np = truth_tables(mig)
-        tt_np = _best_of(lambda: truth_tables(mig))
-        eq_np = _best_of(lambda: equivalent(mig, other))
+        for name in ("bigint", "numpy"):
+            assert kernel.set_backend(name).name == name
+            tables[name] = truth_tables(mig)
+            assert equivalent(mig, other), name
+            seconds[name] = {
+                "truth_tables_seconds": _best_of(lambda: truth_tables(mig)),
+                "equivalence_seconds": _best_of(
+                    lambda: equivalent(mig, other)
+                ),
+            }
     finally:
         kernel.set_backend(None)
 
-    assert tables_np == tables_big  # bit-identical across backends
-    assert bigint.name == "bigint" and numpy_k.name == "numpy"
+    assert tables["numpy"] == tables["bigint"]  # bit-identical across backends
 
-    BENCH_REPORT["sim_backend"] = {
-        "benchmark": f"multiplier(width={MULT_WIDTH})",
-        "patterns": 1 << mig.num_pis,
-        "gates": mig.num_live_gates(),
-        "truth_tables_seconds": {"bigint": tt_big, "numpy": tt_np},
-        "truth_tables_speedup": tt_big / tt_np,
-        "equivalence_seconds": {"bigint": eq_big, "numpy": eq_np},
-        "equivalence_speedup": eq_big / eq_np,
-    }
-    assert tt_big / tt_np >= MIN_SPEEDUP
-    assert eq_big / eq_np >= MIN_SPEEDUP
-
-
-#: Threaded batch-vs-numpy floor; only asserted on >= 4 cores.
-MIN_BATCH_SPEEDUP = 2.0
-
-
-@pytest.mark.skipif(
-    not kernel.numpy_available(), reason="numpy backend not installed"
-)
-def test_kernel_matrix_at_2e18_patterns():
-    """Backend x thread-count matrix feeding ``BENCH_kernel.json``."""
-    mig = build_multiplier(MULT_WIDTH)
-    other = mig.clone()
-    cores = os.cpu_count() or 1
-    thread_counts = sorted({1, min(2, cores), min(4, cores)})
-
-    reference = truth_tables(mig, kernel=kernel._BIGINT)
-    matrix = {}
-    try:
-        for name in ("numpy", "numpy-batch"):
-            kernel.set_backend(name)
-            for threads in thread_counts if name == "numpy-batch" else [1]:
-                with kernel.sim_threads_scope(threads):
-                    tables = truth_tables(mig)
-                    assert tables == reference, (name, threads)
-                    assert equivalent(mig, other), (name, threads)
-                    matrix[f"{name}@{threads}"] = {
-                        "backend": name,
-                        "threads": threads,
-                        "truth_tables_seconds": _best_of(
-                            lambda: truth_tables(mig)
-                        ),
-                        "equivalence_seconds": _best_of(
-                            lambda: equivalent(mig, other)
-                        ),
-                    }
-    finally:
-        kernel.set_backend(None)
-
-    baseline = matrix["numpy@1"]["truth_tables_seconds"]
-    for entry in matrix.values():
-        entry["truth_tables_speedup_vs_numpy"] = (
-            baseline / entry["truth_tables_seconds"]
-        )
-    best_batch = min(
-        entry["truth_tables_seconds"]
-        for key, entry in matrix.items()
-        if entry["backend"] == "numpy-batch"
-    )
+    big, np_ = seconds["bigint"], seconds["numpy"]
+    tt_speedup = big["truth_tables_seconds"] / np_["truth_tables_seconds"]
+    eq_speedup = big["equivalence_seconds"] / np_["equivalence_seconds"]
     BENCH_REPORT["kernel"] = {
         "benchmark": f"multiplier(width={MULT_WIDTH})",
         "patterns": 1 << mig.num_pis,
         "gates": mig.num_live_gates(),
-        "cpu_count": cores,
-        "matrix": matrix,
-        "batch_best_speedup_vs_numpy": baseline / best_batch,
+        "cpu_count": os.cpu_count() or 1,
+        "seconds": seconds,
+        "truth_tables_speedup": tt_speedup,
+        "equivalence_speedup": eq_speedup,
     }
-    if cores >= 4:
-        assert baseline / best_batch >= MIN_BATCH_SPEEDUP
+    assert tt_speedup >= MIN_SPEEDUP
+    assert eq_speedup >= MIN_SPEEDUP

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Simulation kernels: selection, threading, and the parity guarantee.
+"""Simulation kernels: selection and the parity guarantee.
 
-Bit-parallel MIG simulation runs on one of three interchangeable
-kernels (``repro.mig.kernel``): **bigint** — Python integers as
-simulation words, always available, the reference engine; **numpy** —
-per-gate ``uint64`` lane rows; and **numpy-batch** — the level-batched
-multi-core engine, which gathers each MIG level's operand rows into
-contiguous 2-D arrays (a handful of large ufunc calls per level
-instead of per-gate dispatch) and fans pattern chunks over a thread
-pool.  All three are bit-identical on every routed operation, so this
-script sweeps the same truth tables across the whole inventory and
-diffs them, then shows the two knobs — backend and worker threads — at
-every layer they surface: kernel scopes, ``Session`` arguments, and
-the ``--backend``/``--sim-threads`` flags whose precedence mirrors
-``$REPRO_SIM_BACKEND``/``$REPRO_SIM_THREADS``.
+Bit-parallel MIG simulation runs on one of two interchangeable kernels
+(``repro.mig.kernel``): **bigint** — Python integers as simulation
+words, always available, the reference engine; and **numpy** — the
+level-batched ``uint64`` lane engine, which gathers each MIG level's
+operand rows into contiguous 2-D arrays (a handful of large ufunc calls
+per level instead of per-gate dispatch) on the calling thread.  Both
+are bit-identical on every routed operation, so this script sweeps the
+same truth tables across the inventory and diffs them, then shows the
+backend knob at every layer it surfaces: kernel scopes, ``Session``
+arguments, and the ``--backend`` flag whose precedence mirrors
+``$REPRO_SIM_BACKEND``.
 
 Run:  python examples/kernels.py
 """
@@ -52,10 +50,7 @@ def main() -> None:
     for name in kernel.available_backends():
         marker = "  <- auto" if name == auto.name else ""
         print(f"  {name}{marker}")
-    print(
-        f"worker threads resolve to {kernel.resolve_sim_threads()}  "
-        "(explicit > $REPRO_SIM_THREADS > min(4, cpu_count))\n"
-    )
+    print()
 
     # -- 1. the parity guarantee: same tables from every kernel --------
     print("Exhaustive truth tables under each kernel:")
@@ -70,39 +65,23 @@ def main() -> None:
                 "bit-identical" if tables == reference else "MISMATCH"
             )
         print(f"  {name:<12} {seconds * 1e3:8.2f} ms   {verdict}")
+    if not kernel.numpy_available():
+        print("numpy not importable: only the bigint kernel is loaded")
     print()
 
-    # -- 2. the worker pool: pattern chunks fanned over threads --------
-    if kernel.numpy_available():
-        print("numpy-batch across worker-pool sizes (same bits out):")
-        with kernel.backend_scope("numpy-batch"):
-            for threads in sorted({1, 2, kernel.DEFAULT_SIM_THREADS}):
-                with kernel.sim_threads_scope(threads):
-                    tables, seconds = _timed_tables(mig)
-                assert tables == reference
-                print(f"  {threads} thread(s)  {seconds * 1e3:8.2f} ms")
-        print()
-    else:
-        print("numpy not importable: only the bigint kernel is loaded\n")
-
-    # -- 3. the same knobs through a Session ---------------------------
+    # -- 2. the same knob through a Session ----------------------------
     # Flow runs and matrix evaluations enter activated() on their own;
     # entering it by hand scopes hand-driven kernel APIs the same way.
     # On the command line the equivalent wiring is
-    #   python -m repro table1 --backend numpy-batch --sim-threads 2
-    session = Session(preset=PRESET, backend="auto", sim_threads=1)
+    #   python -m repro table1 --backend numpy
+    session = Session(preset=PRESET, backend="auto")
     with session.activated() as active:
-        print(
-            f"Session(backend='auto', sim_threads=1) activates "
-            f"{active.name!r} with {kernel.resolve_sim_threads()} thread(s)"
-        )
+        print(f"Session(backend='auto') activates {active.name!r}")
         assert equivalent(mig, mig.clone())
     print("exhaustive equivalence vs a clone inside the session: OK\n")
 
-    print("Also honoured by every kernel: $REPRO_SIM_CHUNK_BITS pins the")
-    print("log2 chunk width (clamped to [7, 20]); and a kernel failure at")
-    print("runtime demotes the affected job one step down the")
-    print("numpy-batch -> numpy -> bigint chain with identical results.")
+    print("A numpy kernel failure at runtime demotes the rest of the")
+    print("affected job to the bigint kernel, with identical results.")
 
 
 if __name__ == "__main__":

@@ -32,10 +32,9 @@ benchmark name or a netlist path (``.mig``/``.blif``/``.aag``/
 keyed by content fingerprint.
 
 Every subcommand routes through one :class:`repro.flow.Session` built
-from its arguments: ``--backend`` selects the simulation kernel and
-``--sim-threads`` (or ``$REPRO_SIM_THREADS``; flag wins) sizes its
-worker-thread pool,
-``--arch`` (or ``$REPRO_ARCH``; flag wins) targets a machine model,
+from its arguments: ``--backend`` (or ``$REPRO_SIM_BACKEND``; flag
+wins) selects the simulation kernel, ``--arch`` (or ``$REPRO_ARCH``;
+flag wins) targets a machine model,
 ``--opt`` (or ``$REPRO_OPT``; flag wins) selects the rewriting
 optimizer, ``--cache-dir`` (or ``$REPRO_CACHE_DIR``; flag wins)
 persists artefacts across invocations, ``--parallel`` fans benchmarks

@@ -825,10 +825,9 @@ def evaluate_mig_cached(
     )
     labels: Dict[str, Tuple] = {}
     # One degradation scope per job: a numpy-kernel failure demotes the
-    # rest of *this* benchmark's compilations one step down the
-    # (bit-identical) numpy-batch -> numpy -> bigint chain and is
-    # recorded in its manifests; the next benchmark tries the full
-    # engine again.
+    # rest of *this* benchmark's compilations to the (bit-identical)
+    # bigint engine and is recorded in its manifests; the next
+    # benchmark tries the numpy engine again.
     with degradation_scope(mig.name):
         for cfg in configs:
             label = result_label(cfg)

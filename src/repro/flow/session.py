@@ -1,12 +1,11 @@
 """The :class:`Session`: one object owning every cross-cutting concern.
 
 The harness resolves the same knobs over and over — which
-simulation-kernel backend to use (``$REPRO_SIM_BACKEND``) and how many
-simulation worker threads it may spin up (``$REPRO_SIM_THREADS`` /
-``--sim-threads``), whether and
-where to persist experiment artefacts (``$REPRO_CACHE_DIR`` /
-``--cache-dir``), whether to route them through a shared cache server
-(``$REPRO_CACHE_URL`` / ``--cache-url``, see :mod:`repro.cachesvc`),
+simulation-kernel backend to use (``$REPRO_SIM_BACKEND`` /
+``--backend``), whether and where to persist experiment artefacts
+(``$REPRO_CACHE_DIR`` / ``--cache-dir``), whether to route them
+through a shared cache server (``$REPRO_CACHE_URL`` /
+``--cache-url``, see :mod:`repro.cachesvc`),
 which PLiM machine model to target (``$REPRO_ARCH`` /
 ``--arch``, see :mod:`repro.arch`), which rewriting optimizer to run
 (``$REPRO_OPT`` / ``--opt``, see :mod:`repro.opt`), which circuit
@@ -60,12 +59,10 @@ from ..opt import (
 )
 from ..mig.kernel import (
     BACKEND_ENV_VAR,
+    BACKENDS,
     backend_scope,
     get_kernel,
     resolve_backend,
-    resolve_sim_threads,
-    sim_threads_from_env,
-    sim_threads_scope,
 )
 from ..resilience import Timeouts, resolve_timeouts
 from ..source import (
@@ -88,7 +85,7 @@ from ..analysis.runner import (
 PRESET_CHOICES: List[str] = ["tiny", "default", "paper"]
 
 #: Simulation backends selectable per session (see repro.mig.kernel).
-BACKEND_CHOICES: List[str] = ["auto", "bigint", "numpy", "numpy-batch"]
+BACKEND_CHOICES: List[str] = list(BACKENDS)
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,6 @@ class SessionSpec:
     #: span the whole pool.  ``None`` means direct disk access.
     cache_url: Optional[str] = None
     preset: str = "default"
-    #: Simulation worker-thread count; ``None`` defers to the worker's
-    #: ambient ``$REPRO_SIM_THREADS``/default resolution.
-    sim_threads: Optional[int] = None
     arch: Optional[str] = None
     opt: Optional[str] = None
     #: Default circuit source as a resolvable string (registry name or
@@ -148,7 +142,6 @@ class Session:
         self,
         *,
         backend: Optional[str] = None,
-        sim_threads: Optional[int] = None,
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_url: Optional[str] = None,
         parallel: Optional[int] = None,
@@ -162,12 +155,6 @@ class Session:
         if backend is not None:
             resolve_backend(backend)  # fail fast on unknown/unavailable
         self.backend = backend
-        # Simulation worker threads: explicit > $REPRO_SIM_THREADS >
-        # kernel default; validated now so a bad count fails at
-        # construction, like the backend.
-        if sim_threads is not None:
-            sim_threads = resolve_sim_threads(sim_threads)
-        self.sim_threads = sim_threads
         self.parallel = parallel
         self.preset = preset
         # Per-stage wall-clock budgets: explicit > $REPRO_TIMEOUT > none
@@ -244,7 +231,6 @@ class Session:
         backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
         return cls(
             backend=backend,
-            sim_threads=sim_threads_from_env(),
             cache_dir=resolve_cache_dir(),
             cache_url=resolve_cache_url(),
             parallel=parallel,
@@ -264,7 +250,6 @@ class Session:
         """
         return cls(
             backend=getattr(args, "backend", None),
-            sim_threads=getattr(args, "sim_threads", None),
             cache_dir=resolve_cache_dir(getattr(args, "cache_dir", None)),
             cache_url=resolve_cache_url(getattr(args, "cache_url", None)),
             parallel=getattr(args, "parallel", None),
@@ -309,17 +294,6 @@ class Session:
                 help=(
                     "simulation-kernel backend (default: $REPRO_SIM_BACKEND "
                     "if set, else auto-detection)"
-                ),
-            )
-            parser.add_argument(
-                "--sim-threads",
-                type=int,
-                default=None,
-                metavar="N",
-                help=(
-                    "simulation worker threads for the numpy-batch kernel "
-                    "(default: $REPRO_SIM_THREADS if set, else "
-                    "min(4, cpu count))"
                 ),
             )
         if arch:
@@ -406,7 +380,6 @@ class Session:
             cache_dir=self.cache_dir,
             cache_url=self.cache_url,
             preset=self.preset,
-            sim_threads=self.sim_threads,
             arch=self.arch,
             opt=self.opt,
             source=self._source_spec,
@@ -420,7 +393,6 @@ class Session:
             cache_dir=spec.cache_dir,
             cache_url=spec.cache_url,
             preset=spec.preset,
-            sim_threads=spec.sim_threads,
             arch=spec.arch,
             opt=spec.opt,
             source=spec.source,
@@ -485,16 +457,15 @@ class Session:
     def activated(self):
         """Context manager installing this session's simulation overrides.
 
-        Enters the backend scope and the simulation-thread scope
-        together; ``None`` knobs are no-op scopes (ambient selection
-        applies), and the previous overrides are restored on exit, so
-        sessions nest.  Flow runs and matrix evaluations enter this
-        scope themselves — call it directly only when driving
-        kernel-level APIs by hand.  Yields the active kernel.
+        Enters the backend scope; a ``None`` backend is a no-op scope
+        (ambient selection applies), and the previous override is
+        restored on exit, so sessions nest.  Flow runs and matrix
+        evaluations enter this scope themselves — call it directly only
+        when driving kernel-level APIs by hand.  Yields the active
+        kernel.
         """
         with backend_scope(self.backend) as kernel:
-            with sim_threads_scope(self.sim_threads):
-                yield kernel
+            yield kernel
 
     # -- observers -------------------------------------------------------
 
@@ -625,7 +596,6 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Session(backend={self.backend!r}, "
-            f"sim_threads={self.sim_threads!r}, "
             f"cache_dir={self.cache_dir!r}, "
             f"parallel={self.parallel!r}, preset={self.preset!r}, "
             f"arch={self.arch!r}, opt={self.opt!r}, source={self.source!r})"

@@ -9,12 +9,11 @@ rewriting passes.
 
 The gate-evaluation engine is pluggable (:mod:`repro.mig.kernel`): the
 pure-Python bigint kernel is always available, and the optional numpy
-kernels evaluate the same flat gate records (complement attributes
-pre-folded into XOR masks) as whole-array ``uint64`` operations — per
-gate (``numpy``) or a whole MIG level at a time across a worker-thread
-pool (``numpy-batch``).  Every function here speaks Python-int words
-regardless of the active kernel, and all kernels are bit-identical
-(asserted by the parity tests).
+kernel evaluates the same flat gate records (complement attributes
+pre-folded into XOR masks) as whole-array ``uint64`` operations, one MIG
+level at a time.  Every function here speaks Python-int words regardless
+of the active kernel, and both kernels are bit-identical (asserted by
+the parity tests).
 
 Exhaustive runs past the kernel's chunk width are evaluated in
 fixed-width chunks: the cost of a chunked sweep grows linearly with the
@@ -35,12 +34,6 @@ from .kernel import get_kernel
 
 #: Refuse exhaustive truth tables beyond this many inputs (2^20 patterns).
 MAX_EXHAUSTIVE_PIS = 20
-
-#: log2 of the widest single simulation word used by exhaustive sweeps
-#: under the *bigint* kernel; kept as the module-level default for
-#: callers that pin chunking explicitly.  The active kernel may prefer
-#: wider chunks (see :func:`exhaustive_chunks`).
-CHUNK_BITS = 13
 
 
 def input_word(var: int, num_patterns: int, base: int = 0) -> int:

@@ -27,10 +27,10 @@ Grammar
                           remote-cache request (the client must degrade
                           to direct disk access)
 ``kernel_fail``           numpy-kernel dispatch: raise inside ``simulate`` —
-                          must demote the job one step down the
-                          numpy-batch → numpy → bigint chain (each
-                          engine's dispatch checks the hook, so
-                          ``count=2`` walks the whole chain)
+                          must demote the rest of the job to the bigint
+                          reference engine (one fire per job: a demoted
+                          job skips the hook, so ``count=2`` demotes a
+                          second job)
 ========================  =====================================================
 
 Keys: ``job=NAME`` restricts a directive to one benchmark/source;

@@ -7,11 +7,9 @@ No framework, no dependencies — :class:`ReproServer` is a
 ``Content-Length``; NDJSON event streams written incrementally and
 terminated by connection close).
 
-Concurrent jobs simulating the same warm graph no longer serialize in
-the kernel: the simulation kernels bind executable buffers per thread
-(see :mod:`repro.mig.kernel`), so each handler thread sweeps
-lock-free and the level-batched backend can additionally fan pattern
-chunks over its own worker pool.
+Concurrent jobs simulating the same warm graph do not serialize in the
+kernel: the numpy kernel binds executable buffers per thread (see
+:mod:`repro.mig.kernel`), so each handler thread sweeps lock-free.
 
 ::
 

@@ -81,33 +81,6 @@ class TestSessionEnvPrecedence:
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert Session.from_args(argparse.Namespace()).cache_dir is None
 
-    def test_from_env_reads_sim_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_THREADS", "3")
-        assert Session.from_env().sim_threads == 3
-        monkeypatch.delenv("REPRO_SIM_THREADS")
-        assert Session.from_env().sim_threads is None
-
-    def test_sim_threads_flag_beats_env(self, monkeypatch):
-        import argparse
-
-        from repro.mig.kernel import resolve_sim_threads
-
-        monkeypatch.setenv("REPRO_SIM_THREADS", "3")
-        args = argparse.Namespace(sim_threads=2)
-        session = Session.from_args(args)
-        assert session.sim_threads == 2
-        with session.activated():
-            assert resolve_sim_threads() == 2
-        # flag absent: the env value applies ambiently at resolve time
-        ambient = Session.from_args(argparse.Namespace())
-        assert ambient.sim_threads is None
-        with ambient.activated():
-            assert resolve_sim_threads() == 3
-
-    def test_invalid_sim_threads_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="thread count"):
-            Session(sim_threads=0)
-
     def test_spec_round_trip_pickles(self, tmp_path):
         session = Session(
             backend="bigint", cache_dir=tmp_path, parallel=4, preset="tiny"
@@ -121,12 +94,6 @@ class TestSessionEnvPrecedence:
         assert rebuilt.preset == "tiny"
         assert str(rebuilt.disk.root) == str(tmp_path)
         assert rebuilt.parallel is None  # workers never fan out again
-
-    def test_sim_threads_ship_across_the_spec_boundary(self):
-        session = Session(sim_threads=3, preset="tiny")
-        spec = pickle.loads(pickle.dumps(session.spec()))
-        assert spec.sim_threads == 3
-        assert Session.from_spec(spec).sim_threads == 3
 
     def test_activated_scope_restores_override(self):
         assert set_backend(None).name  # clear any leftover override

@@ -9,6 +9,7 @@ from repro.mig.graph import Mig
 from repro.mig.signal import complement
 from repro.mig.simulate import (
     equivalent,
+    exhaustive_words,
     find_counterexample,
     randomized_rounds,
     simulate,
@@ -41,7 +42,7 @@ class TestSelection:
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "bigint")
         assert kernel.get_kernel().name == "bigint"
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
-        assert kernel.get_kernel().name in ("bigint", "numpy-batch")
+        assert kernel.get_kernel().name in ("bigint", "numpy")
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
@@ -57,31 +58,56 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown simulation backend"):
             kernel.get_kernel()
 
+    @pytest.mark.parametrize("name", ["numpy-batch", "batch", "python"])
+    def test_retired_backend_names_rejected(self, monkeypatch, name):
+        choices = "choose one of: auto, bigint, numpy"
+        with pytest.raises(ValueError, match=choices):
+            kernel.set_backend(name)
+        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, name)
+        with pytest.raises(ValueError, match=choices):
+            kernel.get_kernel()
+
+    @pytest.mark.parametrize("name", ["numpy-batch", "batch", "python"])
+    def test_retired_backend_flag_exits_2(self, capsys, name):
+        from repro.analysis.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table1", "--backend", name])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(choice in err for choice in kernel.BACKENDS)
+
+    def test_backend_vocabulary_is_shared(self):
+        from repro.flow import BACKEND_CHOICES
+
+        assert kernel.BACKENDS == ("auto", "bigint", "numpy")
+        assert BACKEND_CHOICES == list(kernel.BACKENDS)
+        assert set(kernel.available_backends()) <= set(kernel.BACKENDS)
+
     def test_numpy_request_fails_loudly_when_absent(self, monkeypatch):
         monkeypatch.setattr(kernel, "_NUMPY", None)
-        monkeypatch.setattr(kernel, "_NUMPY_BATCH", None)
         with pytest.raises(ImportError, match="numpy"):
             kernel._resolve("numpy")
-        with pytest.raises(ImportError, match="numpy"):
-            kernel._resolve("numpy-batch")
         # auto degrades silently to bigint instead
         assert kernel._resolve("auto").name == "bigint"
         assert kernel.available_backends() == ["bigint"]
 
     @needs_numpy
-    def test_auto_prefers_numpy_batch(self):
-        assert kernel._resolve("auto").name == "numpy-batch"
+    def test_auto_prefers_numpy(self):
+        assert kernel._resolve("auto") is kernel._NUMPY
 
     @needs_numpy
     def test_all_backends_listed(self):
-        assert kernel.available_backends() == [
-            "bigint", "numpy", "numpy-batch",
-        ]
+        assert kernel.available_backends() == ["bigint", "numpy"]
+
+    def test_simulation_runs_on_the_calling_thread(self):
+        assert kernel.resolve_sim_threads() == 1
 
 
 @needs_numpy
 class TestBackendParity:
-    """The two kernels must be bit-identical on every routed operation."""
+    """The numpy kernel must be bit-identical to the bigint reference."""
 
     def test_truth_tables_parity_random_migs(self):
         for seed in range(10):
@@ -89,6 +115,22 @@ class TestBackendParity:
             assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
                 mig, kernel=kernel._BIGINT
             ), f"seed {seed}"
+
+    def test_registry_benchmark_sweep(self):
+        # Every registry benchmark narrow enough for exhaustive sweeps.
+        from repro.mig.simulate import MAX_EXHAUSTIVE_PIS
+        from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
+
+        swept = 0
+        for name in BENCHMARK_ORDER:
+            mig = build_benchmark(name, preset="tiny")
+            if mig.num_pis > MAX_EXHAUSTIVE_PIS:
+                continue
+            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
+                mig, kernel=kernel._BIGINT
+            ), name
+            swept += 1
+        assert swept >= 10  # the tiny preset keeps most benchmarks narrow
 
     def test_truth_tables_parity_is_chunking_invariant(self):
         mig = make_random_mig(10, 120, seed=3)
@@ -121,16 +163,51 @@ class TestBackendParity:
                 mig, words, mask, kernel=kernel._NUMPY
             ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
 
+    def test_two_input_gates_match_reference(self):
+        # Gates with a constant fanin run as AND/OR groups, some with a
+        # complemented operand; odd widths exercise the tail lane.
+        mig = Mig()
+        x = [mig.add_pi(f"x{i}") for i in range(8)]
+        ands = [mig.add_and(x[i], complement(x[i + 1])) for i in range(7)]
+        ors = [mig.add_or(ands[i], ands[i + 1]) for i in range(6)]
+        majs = [mig.add_maj(ors[i], complement(ors[i + 1]), x[i]) for i in range(5)]
+        for sig in ands[:2] + ors[:2] + majs:
+            mig.add_po(sig)
+        mig.add_po(complement(mig.add_and(complement(majs[0]), majs[1])))
+        groups = kernel._batch_plan(mig).groups
+        joins = {grp.join for grp in groups}
+        assert {None, kernel._np.bitwise_and, kernel._np.bitwise_or} <= joins
+        assert any(grp.nflip for grp in groups)
+        assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
+            mig, kernel=kernel._BIGINT
+        )
+        rng = random.Random(7)
+        for width in (65, 100, 129, 1000):
+            mask = (1 << width) - 1
+            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
+            assert simulate(
+                mig, words, mask, kernel=kernel._NUMPY
+            ) == simulate(mig, words, mask, kernel=kernel._BIGINT), width
+
+    def test_exhaustive_window_agreement(self):
+        # The natively synthesised stimulus must match the generic
+        # exhaustive words at every window base.
+        mig = make_random_mig(10, 200, seed=19)
+        mask = (1 << 256) - 1
+        for base in (0, 256, 768):
+            words = exhaustive_words(mig.num_pis, 256, base)
+            assert kernel._NUMPY.exhaustive_window(
+                mig, base, 256
+            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
+
     def test_equivalent_verdicts_match(self):
-        kernel.set_backend("numpy")
         m1 = make_random_mig(9, 70, seed=21)
-        assert equivalent(m1, m1.clone())
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        assert not equivalent(m1, flipped)
-        kernel.set_backend("bigint")
-        assert equivalent(m1, m1.clone())
-        assert not equivalent(m1, flipped)
+        for name in ("bigint", "numpy"):
+            kernel.set_backend(name)
+            assert equivalent(m1, m1.clone()), name
+            assert not equivalent(m1, flipped), name
 
     def test_equivalent_after_interleaved_simulate(self):
         # The exhaustive stimulus fast path caches filled PI rows; a
@@ -153,8 +230,9 @@ class TestBackendParity:
         assert truth_tables(mig) == [0b11101000, 0b01100110]
 
     def test_equivalent_is_thread_safe_on_shared_graphs(self):
-        # The kernel's window buffers are per-graph shared state; the
-        # equivalence fast path must hold both plan locks for the sweep.
+        # Concurrent equivalence checks on one pair of warm graphs (the
+        # ``repro serve`` pattern) each sweep their own per-thread
+        # executables.
         import threading
 
         kernel.set_backend("numpy")
@@ -178,7 +256,7 @@ class TestBackendParity:
     def test_equivalent_same_object_both_sides(self):
         kernel.set_backend("numpy")
         mig = make_random_mig(8, 60, seed=33)
-        assert equivalent(mig, mig)  # single plan lock, no deadlock
+        assert equivalent(mig, mig)  # one executable serves both sides
 
     def test_counterexample_parity(self):
         m1 = Mig()
@@ -193,328 +271,16 @@ class TestBackendParity:
             assert cex is not None
             assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
 
-
-class TestSimThreads:
-    """Thread-count resolution: flag > scope > override > env > default."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_threads(self):
-        yield
-        kernel.set_sim_threads(None)
-
-    def test_default_is_bounded_by_cpu_count(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv(kernel.THREADS_ENV_VAR, raising=False)
-        assert kernel.resolve_sim_threads() == min(4, os.cpu_count() or 1)
-
-    def test_env_sets_count(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        assert kernel.resolve_sim_threads() == 3
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        kernel.set_sim_threads(2)
-        assert kernel.resolve_sim_threads() == 2
-
-    def test_scope_beats_override(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        kernel.set_sim_threads(2)
-        with kernel.sim_threads_scope(5):
-            assert kernel.resolve_sim_threads() == 5
-            with kernel.sim_threads_scope(7):  # scopes nest
-                assert kernel.resolve_sim_threads() == 7
-            assert kernel.resolve_sim_threads() == 5
-        assert kernel.resolve_sim_threads() == 2
-
-    def test_explicit_value_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        with kernel.sim_threads_scope(5):
-            assert kernel.resolve_sim_threads(9) == 9
-
-    def test_none_scope_is_noop(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "6")
-        with kernel.sim_threads_scope(None):
-            assert kernel.resolve_sim_threads() == 6
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "x"])
-    def test_invalid_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match="thread count"):
-            kernel.resolve_sim_threads()
-
-    @pytest.mark.parametrize("bad", [0, -3, "many"])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError, match="thread count"):
-            kernel.set_sim_threads(bad)
-
-
-class TestChunkSizing:
-    def test_env_override_wins_on_every_kernel(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "14")
-        mig = make_random_mig(6, 30, seed=1)
-        kernels = [kernel._BIGINT]
-        if kernel.numpy_available():
-            kernels += [kernel._NUMPY, kernel._NUMPY_BATCH]
-        for k in kernels:
-            assert k.chunk_bits_for(mig) == 14, k.name
-
-    def test_env_override_is_clamped(self, monkeypatch):
-        mig = make_random_mig(6, 30, seed=1)
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "40")
-        assert kernel._BIGINT.chunk_bits_for(mig) == 20
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "1")
-        assert kernel._BIGINT.chunk_bits_for(mig) == 7
-
-    def test_malformed_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "wide")
-        with pytest.raises(ValueError, match="REPRO_SIM_CHUNK_BITS"):
-            kernel._BIGINT.chunk_bits_for(make_random_mig(4, 10, seed=1))
-
-    def test_budget_shrinks_with_node_count(self):
-        # Small graphs get the widest window; huge ones shrink toward
-        # the bigint floor so the value matrix stays bounded.
-        assert kernel._budget_chunk_bits(100) == 18
-        huge = (kernel._NUMPY_MEM_BUDGET >> (18 - 6 + 3)) + 1
-        assert kernel._budget_chunk_bits(huge) == 17
-        assert kernel._budget_chunk_bits(1 << 30) == 13
-
-    @needs_numpy
-    def test_batch_widens_window_with_threads(self):
-        mig = make_random_mig(6, 30, seed=1)
-        with kernel.sim_threads_scope(1):
-            solo = kernel._NUMPY_BATCH.chunk_bits_for(mig)
-        with kernel.sim_threads_scope(4):
-            pooled = kernel._NUMPY_BATCH.chunk_bits_for(mig)
-        assert pooled == min(18, solo + 2)
-
-
-class TestCacheBudgetDetection:
-    def test_parse_cache_size_suffixes(self):
-        assert kernel._parse_cache_size("32K") == 32 << 10
-        assert kernel._parse_cache_size("8M\n") == 8 << 20
-        assert kernel._parse_cache_size("1G") == 1 << 30
-        assert kernel._parse_cache_size("12288K") == 12288 << 10
-        assert kernel._parse_cache_size("512") == 512
-
-    def test_parse_cache_size_garbage(self):
-        assert kernel._parse_cache_size("") is None
-        assert kernel._parse_cache_size("weird") is None
-        assert kernel._parse_cache_size("-4K") is None
-        assert kernel._parse_cache_size("0") is None
-
-    def test_detect_llc_prefers_largest_level2plus(self, tmp_path):
-        # A synthetic sysfs hierarchy: L1d 32K, L1i 32K, L2 1M, L3 8M.
-        for index, (level, kind, size) in enumerate([
-            (1, "Data", "32K"),
-            (1, "Instruction", "32K"),
-            (2, "Unified", "1M"),
-            (3, "Unified", "8M"),
-        ]):
-            entry = tmp_path / f"index{index}"
-            entry.mkdir()
-            (entry / "level").write_text(f"{level}\n")
-            (entry / "type").write_text(f"{kind}\n")
-            (entry / "size").write_text(f"{size}\n")
-        assert kernel._detect_llc_bytes(str(tmp_path)) == 8 << 20
-
-    def test_detect_llc_skips_malformed_entries(self, tmp_path):
-        entry = tmp_path / "index0"
-        entry.mkdir()
-        (entry / "level").write_text("not-a-number\n")
-        assert kernel._detect_llc_bytes(str(tmp_path)) is None
-
-    def test_detect_llc_missing_sysfs(self, tmp_path):
-        assert kernel._detect_llc_bytes(str(tmp_path / "absent")) is None
-
-    def test_budget_clamped_and_memoized(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 1 << 40
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MAX
-        # Memoized: a changed detector result is not re-read.
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 1 << 10
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MAX
-
-    def test_budget_falls_back_to_static_default(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: None
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_MEM_BUDGET
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-
-    def test_tiny_detected_cache_clamps_up(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 64 << 10
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MIN
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-
-
-@needs_numpy
-class TestBatchParity:
-    """numpy-batch must be bit-identical to both other kernels."""
-
-    def test_truth_tables_parity_random_migs(self):
-        for seed in range(10):
-            mig = make_random_mig(4 + seed, 20 + 15 * seed, seed=seed)
-            reference = truth_tables(mig, kernel=kernel._BIGINT)
-            assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == reference
-            assert truth_tables(mig, kernel=kernel._NUMPY) == reference
-
-    def test_truth_tables_parity_threaded(self):
-        with kernel.sim_threads_scope(4):
-            for seed in (2, 5):
-                mig = make_random_mig(13, 300, seed=seed)
-                assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
-                ) == truth_tables(mig, kernel=kernel._BIGINT), f"seed {seed}"
-
-    def test_registry_benchmark_sweep(self):
-        # Every registry benchmark narrow enough for exhaustive sweeps,
-        # on one thread and on a pool.
-        from repro.mig.simulate import MAX_EXHAUSTIVE_PIS
-        from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
-
-        swept = 0
-        for name in BENCHMARK_ORDER:
-            mig = build_benchmark(name, preset="tiny")
-            if mig.num_pis > MAX_EXHAUSTIVE_PIS:
-                continue
-            reference = truth_tables(mig, kernel=kernel._BIGINT)
-            with kernel.sim_threads_scope(1):
-                assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
-                ) == reference, name
-            with kernel.sim_threads_scope(3):
-                assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
-                ) == reference, name
-            swept += 1
-        assert swept >= 10  # the tiny preset keeps most benchmarks narrow
-
-    def test_truth_tables_parity_is_chunking_invariant(self):
-        mig = make_random_mig(10, 120, seed=3)
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-        for chunk_bits in (4, 7, 8, 9, 13):
-            assert (
-                truth_tables(
-                    mig, chunk_bits=chunk_bits, kernel=kernel._NUMPY_BATCH
-                )
-                == reference
-            ), f"chunk_bits {chunk_bits}"
-
-    @pytest.mark.parametrize("width", [65, 100, 128, 129, 1000, 1024])
-    def test_simulate_parity_at_odd_widths(self, width):
-        mig = make_random_mig(7, 60, seed=11)
-        rng = random.Random(width)
-        mask = (1 << width) - 1
-        words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-        assert simulate(
-            mig, words, mask, kernel=kernel._NUMPY_BATCH
-        ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
-
-    def test_threaded_simulate_splits_lanes(self):
-        # Wide enough that the lane-split threaded path actually runs.
-        mig = make_random_mig(9, 150, seed=17)
-        width = 64 * 64 * 2  # 128 lanes = 2 x _MIN_THREAD_LANES x 2
-        rng = random.Random(99)
-        mask = (1 << width) - 1
-        words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-        reference = simulate(mig, words, mask, kernel=kernel._BIGINT)
-        with kernel.sim_threads_scope(4):
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY_BATCH
-            ) == reference
-
-    def test_narrow_windows_fall_back_to_bigint_results(self):
-        mig = make_random_mig(4, 20, seed=5)
-        for width in (1, 7, 64):
-            rng = random.Random(width)
-            mask = (1 << width) - 1
-            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY_BATCH
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
-
-    def test_exhaustive_window_agreement(self):
-        mig = make_random_mig(10, 200, seed=19)
-        for base in (0, 256, 768):
-            expected = kernel._NUMPY.exhaustive_window(mig, base, 256)
-            assert kernel._NUMPY_BATCH.exhaustive_window(
-                mig, base, 256
-            ) == expected
-
-    def test_equivalent_verdicts_match(self):
-        m1 = make_random_mig(9, 70, seed=21)
-        flipped = m1.clone()
-        flipped._pos[0] = complement(flipped._pos[0])
-        for name in ("bigint", "numpy", "numpy-batch"):
-            kernel.set_backend(name)
-            assert equivalent(m1, m1.clone()), name
-            assert not equivalent(m1, flipped), name
-
-    def test_equivalent_threaded_stripes(self):
-        m1 = make_random_mig(12, 250, seed=27)
-        flipped = m1.clone()
-        flipped._pos[0] = complement(flipped._pos[0])
-        kernel.set_backend("numpy-batch")
-        with kernel.sim_threads_scope(4):
-            assert equivalent(m1, m1.clone())
-            assert not equivalent(m1, flipped)
-
-    def test_equivalent_same_object_both_sides(self):
-        kernel.set_backend("numpy-batch")
-        mig = make_random_mig(8, 60, seed=33)
-        assert equivalent(mig, mig)
-
-    def test_equivalent_after_interleaved_simulate(self):
-        kernel.set_backend("numpy-batch")
-        mig = make_random_mig(8, 60, seed=23)
-        reference = truth_tables(mig)
-        rng = random.Random(0)
-        mask = (1 << 256) - 1
-        simulate(mig, [rng.getrandbits(256) for _ in range(8)], mask)
-        assert truth_tables(mig) == reference
-
-    def test_plan_invalidated_on_mutation(self):
-        kernel.set_backend("numpy-batch")
-        mig = Mig()
-        a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
-        mig.add_po(mig.add_maj(a, b, c), "f")
-        assert truth_tables(mig) == [0b11101000]
-        mig.add_po(mig.add_xor(a, b), "x")
-        assert truth_tables(mig) == [0b11101000, 0b01100110]
-
-    def test_counterexample_parity(self):
-        # All three kernels draw identical randomized rounds, so they
-        # find the same counterexample, not just some counterexample.
-        m1 = make_random_mig(9, 100, seed=41)
-        m2 = m1.clone()
-        m2._pos[-1] = complement(m2._pos[-1])
-        found = {}
-        for name in ("bigint", "numpy", "numpy-batch"):
-            kernel.set_backend(name)
-            found[name] = find_counterexample(m1, m2, seed=7)
-        assert found["bigint"] is not None
-        assert found["numpy"] == found["numpy-batch"]
-
     def test_per_thread_executables_are_isolated(self):
         import threading
 
-        kernel.set_backend("numpy-batch")
         mig = make_random_mig(10, 150, seed=43)
         reference = truth_tables(mig, kernel=kernel._BIGINT)
         failures = []
 
         def worker():
             for _ in range(15):
-                if truth_tables(mig) != reference:
+                if truth_tables(mig, kernel=kernel._NUMPY) != reference:
                     failures.append("parity broke under concurrency")
                     return
 
@@ -527,8 +293,8 @@ class TestBatchParity:
 
     def test_executable_lru_rebinds_interleaved_widths(self):
         # Interleaved widths on one warm plan must reuse cached
-        # executables instead of rebuilding per call (the old
-        # single-width cache thrashed here).
+        # executables instead of rebuilding per call (a single-width
+        # cache would thrash here).
         plan = kernel._batch_plan(make_random_mig(8, 60, seed=45))
         a = plan.executable(4, 256)
         b = plan.executable(8, 512)
@@ -550,80 +316,83 @@ class TestBatchParity:
             num_pis=st.integers(min_value=3, max_value=10),
             num_gates=st.integers(min_value=5, max_value=120),
             seed=st.integers(min_value=0, max_value=1 << 16),
-            threads=st.sampled_from([1, 3]),
         )
-        def test_property_randomized_parity(
-            self, num_pis, num_gates, seed, threads
-        ):
+        def test_property_randomized_parity(self, num_pis, num_gates, seed):
             mig = make_random_mig(num_pis, num_gates, seed=seed)
-            with kernel.sim_threads_scope(threads):
-                assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
-                ) == truth_tables(mig, kernel=kernel._BIGINT)
+            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
+                mig, kernel=kernel._BIGINT
+            )
     except ImportError:  # pragma: no cover - hypothesis is optional
         pass
 
 
+class TestChunkSizing:
+    def test_budget_shrinks_with_node_count(self):
+        # Small graphs get the widest window; huge ones shrink toward
+        # the bigint floor so the value matrix stays bounded.
+        assert kernel._budget_chunk_bits(100) == 18
+        huge = (kernel._NUMPY_MEM_BUDGET >> (18 - 6 + 3)) + 1
+        assert kernel._budget_chunk_bits(huge) == 17
+        assert kernel._budget_chunk_bits(1 << 30) == 13
+
+    def test_kernel_chunk_widths(self):
+        mig = make_random_mig(6, 30, seed=1)
+        assert kernel._BIGINT.chunk_bits_for(mig) == 13
+        if kernel.numpy_available():
+            assert kernel._NUMPY.chunk_bits_for(mig) == (
+                kernel._budget_chunk_bits(mig.num_nodes)
+            )
+
+
 @needs_numpy
 class TestDegradationChain:
-    """Runtime failures walk numpy-batch -> numpy -> bigint, sticky per
-    scope, with one kernel_degraded event per demotion."""
+    """Runtime failures demote numpy -> bigint, sticky per scope, with
+    one kernel_degraded event per demotion."""
 
     def _mig(self):
         return make_random_mig(8, 60, seed=51)
 
-    def test_batch_failure_demotes_to_numpy(self, monkeypatch):
+    def test_numpy_failure_demotes_to_bigint(self, monkeypatch):
         from repro.resilience import events
 
         mig = self._mig()
         reference = truth_tables(mig, kernel=kernel._BIGINT)
-        monkeypatch.setattr(
-            kernel._NUMPY_BATCH,
-            "_batch_window",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        monkeypatch.setattr(
-            kernel._NUMPY_BATCH,
-            "_batch_simulate",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        with events.capture() as log:
-            with kernel.degradation_scope("job-a") as frame:
-                assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == (
-                    reference
-                )
-                assert frame["demoted"] == {"numpy-batch"}
-        (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
-        assert event["backend"] == "numpy-batch"
-        assert event["fallback"] == "numpy"
-        assert event["job"] == "job-a"
 
-    def test_full_chain_reaches_bigint(self, monkeypatch):
-        from repro.resilience import events
-
-        mig = self._mig()
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
         def boom(*a, **k):
             raise RuntimeError("boom")
 
-        # Break the batch engine's own paths AND the per-gate plan the
-        # numpy engine compiles inside its guard, so both demote.
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_window", boom)
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_simulate", boom)
-        monkeypatch.setattr(kernel, "_numpy_plan", boom)
+        # Every numpy path (simulate, windows, equivalence) compiles or
+        # fetches the plan inside its guard.
+        monkeypatch.setattr(kernel, "_batch_plan", boom)
+        kernel.set_backend("numpy")
         with events.capture() as log:
-            with kernel.degradation_scope("job-b") as frame:
-                assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == (
-                    reference
-                )
-                assert frame["demoted"] == {"numpy-batch", "numpy"}
-        chain = [
-            (e["backend"], e["fallback"])
-            for e in log
-            if e["kind"] == "kernel_degraded"
+            with kernel.degradation_scope("job-a") as frame:
+                assert truth_tables(mig) == reference
+                assert equivalent(mig, mig.clone())
+                assert frame["demoted"] == {"numpy"}
+        (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
+        assert event["backend"] == "numpy"
+        assert event["fallback"] == "bigint"
+        assert event["job"] == "job-a"
+
+    def test_equivalence_failure_falls_back_per_call(self, monkeypatch):
+        # Outside a scope each failing call falls back on its own.
+        from repro.resilience import events
+
+        mig = self._mig()
+        flipped = mig.clone()
+        flipped._pos[0] = complement(flipped._pos[0])
+        monkeypatch.setattr(
+            kernel, "_windows_equal",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        kernel.set_backend("numpy")
+        with events.capture() as log:
+            assert equivalent(mig, mig.clone())
+            assert not equivalent(mig, flipped)
+        assert [e["backend"] for e in log if e["kind"] == "kernel_degraded"] == [
+            "numpy", "numpy",
         ]
-        assert ("numpy-batch", "numpy") in chain
-        assert ("numpy", "bigint") in chain
 
     def test_demotion_is_sticky_within_scope_only(self, monkeypatch):
         mig = self._mig()
@@ -633,14 +402,14 @@ class TestDegradationChain:
             calls["n"] += 1
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_simulate", boom)
+        monkeypatch.setattr(kernel._NUMPY, "_numpy_simulate", boom)
         mask = (1 << 256) - 1
         words = [0] * mig.num_pis
         with kernel.degradation_scope("job-c"):
-            kernel._NUMPY_BATCH.simulate(mig, words, mask)
-            kernel._NUMPY_BATCH.simulate(mig, words, mask)
+            kernel._NUMPY.simulate(mig, words, mask)
+            kernel._NUMPY.simulate(mig, words, mask)
             assert calls["n"] == 1  # second call skipped the dead engine
-        kernel._NUMPY_BATCH.simulate(mig, words, mask)
+        kernel._NUMPY.simulate(mig, words, mask)
         assert calls["n"] == 2  # fresh scope retries the full engine
 
 

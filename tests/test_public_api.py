@@ -373,6 +373,4 @@ class TestFlowNamespace:
 
     def test_choice_lists_stable(self):
         assert repro.flow.PRESET_CHOICES == ["tiny", "default", "paper"]
-        assert repro.flow.BACKEND_CHOICES == [
-            "auto", "bigint", "numpy", "numpy-batch",
-        ]
+        assert repro.flow.BACKEND_CHOICES == ["auto", "bigint", "numpy"]
