@@ -105,6 +105,34 @@ class TestSelection:
         assert kernel.resolve_sim_threads() == 1
 
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    given = None
+
+
+def _randomized_parity_test():
+    """A fresh hypothesis parity test for one class.
+
+    Hypothesis rejects one test function run under two ``self`` types,
+    so each parity class gets its own.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_pis=st.integers(min_value=3, max_value=10),
+        num_gates=st.integers(min_value=5, max_value=120),
+        seed=st.integers(min_value=0, max_value=1 << 16),
+    )
+    def test_property_randomized_parity(self, num_pis, num_gates, seed):
+        mig = make_random_mig(num_pis, num_gates, seed=seed)
+        assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
+            mig, kernel=kernel._BIGINT
+        )
+
+    return test_property_randomized_parity
+
+
 @needs_numpy
 class TestBackendParity:
     """The numpy kernel must be bit-identical to the bigint reference."""
@@ -308,22 +336,28 @@ class TestBackendParity:
             plan.executable(lanes, lanes * 64)
         assert plan.executable(2, 128) is not first  # evicted
 
-    try:
-        from hypothesis import given, settings, strategies as st
+    if given is not None:
+        test_property_randomized_parity = _randomized_parity_test()
 
-        @settings(max_examples=25, deadline=None)
-        @given(
-            num_pis=st.integers(min_value=3, max_value=10),
-            num_gates=st.integers(min_value=5, max_value=120),
-            seed=st.integers(min_value=0, max_value=1 << 16),
+
+@needs_numpy
+class TestBatchParity(TestBackendParity):
+    """The same checks with every exhaustive sweep in 4-lane windows.
+
+    At its default chunk width the level-batched engine covers most test
+    graphs in one window.  At 256 patterns per window, the window bases,
+    the native stimulus refill and the per-window equivalence exit run
+    many times per graph.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _narrow_windows(self, monkeypatch):
+        monkeypatch.setattr(
+            kernel.NumpyKernel, "chunk_bits_for", lambda self, mig: 8
         )
-        def test_property_randomized_parity(self, num_pis, num_gates, seed):
-            mig = make_random_mig(num_pis, num_gates, seed=seed)
-            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-                mig, kernel=kernel._BIGINT
-            )
-    except ImportError:  # pragma: no cover - hypothesis is optional
-        pass
+
+    if given is not None:
+        test_property_randomized_parity = _randomized_parity_test()
 
 
 class TestChunkSizing:
