@@ -36,28 +36,38 @@ Protocol (all loopback-trusted, mirroring :mod:`repro.serve`):
                                           contains check, ``flight=1``
                                           (+ ``wait=S``, ``pid=N``) to
                                           join the single-flight
+``GET /manifest?key=&shard=``             the entry's provenance
+                                          sidecar or 404
 ``PUT /entry``                            JSON envelope line + ``\\n`` +
                                           raw blob; verified, stored,
-                                          waiters released
+                                          waiters released (``POST`` is
+                                          an alias)
 ``POST /lease/release``                   abort a lease without storing
                                           (compute failed; waiters race
                                           for a fresh lease)
 ========================================  =============================
+
+``shard`` is the client's code-fingerprint shard, ``fingerprint[:16]``:
+exactly 16 lowercase hex characters, defaulting to the server's own.
+Input is checked before it touches the root, and answered 400: any
+other shard form (it names a directory under the root), a missing
+``key``, a PUT envelope or release body that is not a JSON object with
+a non-empty string ``key`` (and ``token``, for release), and a
+malformed or non-finite ``wait``.  A body larger than
+:data:`repro._http.MAX_BODY_BYTES` is answered 413 before it is read.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
+import re
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from ..analysis.diskcache import (
     DEFAULT_ROOT,
@@ -65,7 +75,7 @@ from ..analysis.diskcache import (
     blob_digest,
     verify_blob,
 )
-from .._http import BadContentLength, read_body
+from .._http import Query, Response, Server, error, param, query_float
 from ..resilience.manifest import load_manifest, manifest_path
 
 #: Default warm-tier byte budget (256 MiB holds every artefact of a
@@ -83,6 +93,10 @@ MAX_WAIT_SECONDS = 3600.0
 
 #: Default TCP port (repro.serve's 8321 neighbourhood).
 DEFAULT_PORT = 8344
+
+#: The only shard form clients send: their code ``fingerprint[:16]``.
+_SHARD = re.compile(r"[0-9a-f]{16}")
+_BAD_SHARD = "bad 'shard': expected 16 lowercase hex characters"
 
 
 class MemoryTier:
@@ -183,10 +197,10 @@ COUNTER_KEYS = (
 )
 
 
-class CacheServer(ThreadingHTTPServer):
+class CacheServer(Server):
     """HTTP threads over one warm tier, one disk root, one lease table."""
 
-    daemon_threads = True
+    service = "repro.cachesvc"
 
     def __init__(
         self,
@@ -200,48 +214,18 @@ class CacheServer(ThreadingHTTPServer):
         self.disk = DiskCache(root)
         self.memory = MemoryTier(memory_bytes)
         self.lease_timeout = float(lease_timeout)
-        self.verbose = bool(verbose)
-        self.started_at = time.time()
         #: Lease table and counters share one condition: a put or a
         #: release notifies every blocked flight GET.
         self._cond = threading.Condition()
         self._leases: Dict[Tuple[str, str], Lease] = {}
         self.counters: Dict[str, int] = {key: 0 for key in COUNTER_KEYS}
-        self._serving = False
-        super().__init__(address, _Handler)
+        super().__init__(address, verbose=verbose)
 
-    # -- plumbing ------------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self._serving = False
-
-    def request_shutdown(self) -> None:
-        """Stop serving, from a handler thread (see ReproServer)."""
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-    def close(self) -> None:
-        """Release waiters, stop the serve loop, free the socket.
-
-        Idempotent.  Without the ``shutdown()`` a ``serve_forever``
-        thread would spin on the closed listening socket forever;
-        ``shutdown()`` unguarded would deadlock when nothing is serving
-        (it waits on an event only ``serve_forever`` sets).
-        """
+    def _stop(self) -> None:
+        """Release every blocked flight GET."""
         with self._cond:
             self._leases.clear()
             self._cond.notify_all()
-        if self._serving:
-            self.shutdown()
-        self.server_close()
 
     def _count(self, key: str, value: int = 1) -> None:
         with self._cond:
@@ -268,7 +252,7 @@ class CacheServer(ThreadingHTTPServer):
         The flight path loops: probe both tiers, then try to take the
         key's lease; a held lease means *someone is compiling* — block
         on the condition until the holder's put (or death) and probe
-        again.  Handler threads are cheap (ThreadingHTTPServer), so a
+        again.  Handler threads are cheap (one per request), so a
         blocked waiter costs one idle thread, not a polling storm.
         """
         tag = (shard, key_repr)
@@ -409,198 +393,124 @@ class CacheServer(ThreadingHTTPServer):
             **counters,
         }
 
+    # -- HTTP ----------------------------------------------------------
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin translation layer between HTTP and the server methods."""
+    def route(
+        self, method: str, path: str, query: Query, body: bytes
+    ) -> Response:
+        if method == "GET":
+            if path == "/healthz":
+                return Response(200, {"service": self.service, "status": "ok"})
+            if path == "/stats":
+                return Response(200, self.stats_payload())
+            if path == "/entry":
+                return self._get_entry(query)
+            if path == "/manifest":
+                return self._get_manifest(query)
+        elif path == "/entry":
+            return self._put_entry(body)  # POST is a PUT alias (curl-friendly)
+        elif method == "POST" and path == "/lease/release":
+            return self._release(body)
+        return error(404, f"no route {path!r}")
 
-    server: "CacheServer"
-    protocol_version = "HTTP/1.0"
+    def _shard(self, raw) -> Optional[str]:
+        """The client's shard (default: ours), or ``None`` unless it is
+        ``fingerprint[:16]``-shaped — it becomes a directory under the
+        root, so ``../x`` or an absolute path must never get through."""
+        shard = raw or self.disk.fingerprint[:16]
+        if isinstance(shard, str) and _SHARD.fullmatch(shard):
+            return shard
+        return None
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            sys.stderr.write(
-                "repro.cachesvc %s - %s\n"
-                % (self.address_string(), format % args)
-            )
-
-    # -- responses -----------------------------------------------------
-
-    def _send_json(self, status: int, payload: dict, **headers) -> None:
-        body = json.dumps(payload, indent=2, default=str).encode() + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in headers.items():
-            self.send_header(key.replace("_", "-"), value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_blob(self, blob: bytes, **headers) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        for key, value in headers.items():
-            self.send_header(key.replace("_", "-"), value)
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def _send_empty(self, status: int) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    # -- dispatch ------------------------------------------------------
-
-    def _param(self, query, name: str, default: str = "") -> str:
-        values = query.get(name)
-        return values[0] if values else default
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        url = urlsplit(self.path)
-        query = parse_qs(url.query)
-        try:
-            if url.path == "/healthz":
-                self._send_json(
-                    200, {"service": "repro.cachesvc", "status": "ok"}
-                )
-            elif url.path == "/stats":
-                self._send_json(200, self.server.stats_payload())
-            elif url.path == "/entry":
-                self._get_entry(query)
-            elif url.path == "/manifest":
-                key = self._param(query, "key")
-                shard = self._param(
-                    query, "shard", self.server.disk.fingerprint[:16]
-                )
-                manifest = self.server.manifest_payload(key, shard)
-                if manifest is None:
-                    self._send_json(404, {"error": "no manifest"})
-                else:
-                    self._send_json(200, manifest)
-            else:
-                self._send_json(404, {"error": f"no route {url.path!r}"})
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to clean up
-        except Exception as error:  # noqa: BLE001 — server boundary
-            self._send_json(
-                500,
-                {"error": f"internal error: {type(error).__name__}: {error}"},
-            )
-
-    def _get_entry(self, query) -> None:
-        key = self._param(query, "key")
+    def _get_entry(self, query: Query) -> Response:
+        key = param(query, "key")
         if not key:
-            self._send_json(400, {"error": "missing 'key' parameter"})
-            return
-        shard = self._param(query, "shard", self.server.disk.fingerprint[:16])
-        if self._param(query, "probe"):
-            tag = (shard, key)
-            present = self.server.memory.contains(tag) or (
-                self.server.disk.load_blob(key, shard) is not None
+            return error(400, "missing 'key' parameter")
+        shard = self._shard(param(query, "shard"))
+        if shard is None:
+            return error(400, _BAD_SHARD)
+        if param(query, "probe"):
+            present = self.memory.contains((shard, key)) or (
+                self.disk.load_blob(key, shard) is not None
             )
-            self._send_empty(204 if present else 404)
-            return
-        flight = bool(self._param(query, "flight"))
-        try:
-            wait = float(self._param(query, "wait", "0") or 0)
-        except ValueError:
-            wait = 0.0
-        pid_raw = self._param(query, "pid")
-        pid = int(pid_raw) if pid_raw.isdigit() else None
-        kind, data, tier = self.server.fetch(
-            key, shard, flight=flight, wait=wait, pid=pid
+            return Response(
+                204 if present else 404, body=b"", content_type=None
+            )
+        wait = query_float(query, "wait", 0.0)
+        if wait is None:
+            return error(400, "bad 'wait' query parameter")
+        pid_raw = param(query, "pid")
+        pid = int(pid_raw) if pid_raw.isdecimal() else None
+        kind, data, tier = self.fetch(
+            key, shard, flight=bool(param(query, "flight")), wait=wait, pid=pid
         )
         if kind == "hit":
-            self._send_blob(data, X_Repro_Tier=tier)
-        elif kind == "lease":
-            self._send_json(404, {"lease": data.decode()})
-        elif kind == "timeout":
-            self._send_json(404, {"timeout": True})
-        else:
-            self._send_json(404, {"error": "miss"})
+            return Response(
+                200,
+                body=data,
+                content_type="application/octet-stream",
+                headers={"X-Repro-Tier": tier},
+            )
+        if kind == "lease":
+            return Response(404, {"lease": data.decode()})
+        if kind == "timeout":
+            return Response(404, {"timeout": True})
+        return error(404, "miss")
 
-    def do_PUT(self) -> None:  # noqa: N802 — http.server API
-        url = urlsplit(self.path)
-        try:
-            if url.path != "/entry":
-                self._send_json(404, {"error": f"no route {url.path!r}"})
-                return
-            raw = read_body(self)
-            newline = raw.find(b"\n")
-            if newline < 0:
-                self._send_json(
-                    400, {"error": "expected envelope line + blob"}
-                )
-                return
-            try:
-                envelope = json.loads(raw[:newline].decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._send_json(400, {"error": "envelope is not JSON"})
-                return
-            key = envelope.get("key")
-            if not key:
-                self._send_json(400, {"error": "envelope missing 'key'"})
-                return
-            stored, error = self.server.put(
-                key,
-                envelope.get("shard") or self.server.disk.fingerprint[:16],
-                raw[newline + 1:],
-                sha256=envelope.get("sha256"),
-                manifest=envelope.get("manifest"),
-                lease=envelope.get("lease"),
-                mode=envelope.get("mode") or "store",
-            )
-            if error is not None:
-                self._send_json(400, {"error": error})
-            else:
-                self._send_json(200, {"stored": stored})
-        except BadContentLength as error:
-            self._send_json(400, {"error": str(error)})
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as error:  # noqa: BLE001 — server boundary
-            self._send_json(
-                500,
-                {"error": f"internal error: {type(error).__name__}: {error}"},
-            )
+    def _get_manifest(self, query: Query) -> Response:
+        shard = self._shard(param(query, "shard"))
+        if shard is None:
+            return error(400, _BAD_SHARD)
+        manifest = self.manifest_payload(param(query, "key"), shard)
+        if manifest is None:
+            return error(404, "no manifest")
+        return Response(200, manifest)
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        url = urlsplit(self.path)
+    def _put_entry(self, body: bytes) -> Response:
+        newline = body.find(b"\n")
+        if newline < 0:
+            return error(400, "expected envelope line + blob")
         try:
-            if url.path == "/entry":
-                self.do_PUT()  # POST /entry is a PUT alias (curl-friendly)
-                return
-            if url.path != "/lease/release":
-                self._send_json(404, {"error": f"no route {url.path!r}"})
-                return
-            raw = read_body(self)
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except (ValueError, UnicodeDecodeError):
-                self._send_json(400, {"error": "request body is not JSON"})
-                return
-            key = payload.get("key")
-            token = payload.get("token")
-            if not key or not token:
-                self._send_json(
-                    400, {"error": "expected {'key', 'shard', 'token'}"}
-                )
-                return
-            released = self.server.release(
-                key,
-                payload.get("shard") or self.server.disk.fingerprint[:16],
-                token,
-            )
-            self._send_json(200, {"released": released})
-        except BadContentLength as error:
-            self._send_json(400, {"error": str(error)})
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as error:  # noqa: BLE001 — server boundary
-            self._send_json(
-                500,
-                {"error": f"internal error: {type(error).__name__}: {error}"},
-            )
+            envelope = json.loads(body[:newline].decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            return error(400, "envelope is not JSON")
+        if not _has_text(envelope, "key"):
+            return error(400, "envelope is not an object with a 'key'")
+        shard = self._shard(envelope.get("shard"))
+        if shard is None:
+            return error(400, _BAD_SHARD)
+        stored, problem = self.put(
+            envelope["key"],
+            shard,
+            body[newline + 1:],
+            sha256=envelope.get("sha256"),
+            manifest=envelope.get("manifest"),
+            lease=envelope.get("lease"),
+            mode=envelope.get("mode") or "store",
+        )
+        if problem is not None:
+            return error(400, problem)
+        return Response(200, {"stored": stored})
+
+    def _release(self, body: bytes) -> Response:
+        try:
+            payload = json.loads(body.decode("utf-8") or "{}")
+        except (ValueError, UnicodeDecodeError):
+            return error(400, "request body is not JSON")
+        if not _has_text(payload, "key", "token"):
+            return error(400, "expected {'key', 'shard', 'token'}")
+        shard = self._shard(payload.get("shard"))
+        if shard is None:
+            return error(400, _BAD_SHARD)
+        released = self.release(payload["key"], shard, payload["token"])
+        return Response(200, {"released": released})
+
+
+def _has_text(payload, *names: str) -> bool:
+    """*payload* is a JSON object whose *names* are non-empty strings."""
+    return isinstance(payload, dict) and all(
+        isinstance(payload.get(name), str) and payload[name] for name in names
+    )
 
 
 def create_cache_server(

@@ -20,10 +20,11 @@ inline on executor threads.  Start it from the CLI (``repro serve``)
 or embed it with :func:`create_server`.
 """
 
+from .._http import Response
 from .app import ReproServer, create_server
 from .jobstore import Job, JobStore
 from .queue import JobQueue
-from .routes import Response, handle, job_payload, stats_payload
+from .routes import handle, job_payload, stats_payload
 from .schemas import JobSpec, SchemaError, parse_job, summarize_compilation
 
 __all__ = [

@@ -1,9 +1,9 @@
-"""HTTP front of :mod:`repro.serve`: stdlib ThreadingHTTPServer glue.
+"""HTTP front of :mod:`repro.serve`: one :class:`repro._http.Server`.
 
-No framework, no dependencies — :class:`ReproServer` is a
-``ThreadingHTTPServer`` whose handler parses the request, hands it to
-:func:`repro.serve.routes.handle`, and writes the returned
-:class:`~repro.serve.routes.Response` back out (JSON bodies with
+No framework, no dependencies — :class:`ReproServer` decodes the JSON
+request body, hands the request to :func:`repro.serve.routes.handle`,
+and the shared :mod:`repro._http` handler writes the returned
+:class:`~repro._http.Response` back out (JSON bodies with
 ``Content-Length``; NDJSON event streams written incrementally and
 terminated by connection close).
 
@@ -25,96 +25,15 @@ kernel: the numpy kernel binds executable buffers per thread (see
 from __future__ import annotations
 
 import json
-import sys
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
 
-from .._http import BadContentLength, read_body
+from .._http import Query, Response, Server, error
 from ..resilience import RetryPolicy
 from .queue import JobQueue
 from . import routes
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin translation layer between HTTP and the route table."""
-
-    server: "ReproServer"
-    protocol_version = "HTTP/1.0"  # streams end by connection close
-
-    # -- plumbing ------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            sys.stderr.write(
-                "repro.serve %s - %s\n" % (self.address_string(),
-                                           format % args)
-            )
-
-    def _read_body(self) -> Optional[object]:
-        raw = read_body(self)
-        return json.loads(raw.decode("utf-8")) if raw else None
-
-    def _respond(self, response: routes.Response) -> None:
-        if response.stream is not None:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            for key, value in response.headers.items():
-                self.send_header(key, value)
-            self.end_headers()
-            try:
-                for chunk in response.stream:
-                    self.wfile.write(chunk)
-                    self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away mid-stream; nothing to clean up
-            return
-        if response.text is not None:
-            body = response.text.encode("utf-8")
-        else:
-            body = json.dumps(
-                response.payload, indent=2, default=str
-            ).encode("utf-8") + b"\n"
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in response.headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    # -- dispatch ------------------------------------------------------
-
-    def _dispatch(self, method: str) -> None:
-        url = urlsplit(self.path)
-        try:
-            payload = self._read_body()
-        except BadContentLength as error:
-            self._respond(routes._error(400, str(error)))
-            return
-        except (ValueError, UnicodeDecodeError):
-            self._respond(routes._error(400, "request body is not JSON"))
-            return
-        try:
-            response = routes.handle(
-                self.server, method, url.path, parse_qs(url.query), payload
-            )
-        except Exception as error:  # noqa: BLE001 — server boundary
-            response = routes._error(
-                500, f"internal error: {type(error).__name__}: {error}"
-            )
-        self._respond(response)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        self._dispatch("POST")
-
-
-class ReproServer(ThreadingHTTPServer):
+class ReproServer(Server):
     """The compilation service: HTTP threads over one shared Session.
 
     Handler threads only read the store and enqueue jobs; all
@@ -122,7 +41,7 @@ class ReproServer(ThreadingHTTPServer):
     never blocks polling clients.
     """
 
-    daemon_threads = True
+    service = "repro.serve"
 
     def __init__(
         self,
@@ -144,33 +63,25 @@ class ReproServer(ThreadingHTTPServer):
         )
         self.allow_frontend = bool(allow_frontend)
         self.allow_shutdown = bool(allow_shutdown)
-        self.verbose = bool(verbose)
-        self.started_at = time.time()
-        super().__init__(address, _Handler)
+        super().__init__(address, verbose=verbose)
         self.queue.start()
 
     @property
     def store(self):
         return self.queue.store
 
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
+    def route(
+        self, method: str, path: str, query: Query, body: bytes
+    ) -> Response:
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else None
+        except (ValueError, UnicodeDecodeError):
+            return error(400, "request body is not JSON")
+        return routes.handle(self, method, path, query, payload)
 
-    def request_shutdown(self) -> None:
-        """Stop accepting requests, from a handler thread.
-
-        ``shutdown()`` deadlocks when called from the serving thread,
-        so the stop runs on a helper thread after the response flushes.
-        """
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-    def close(self) -> None:
-        """Full teardown: stop executors, release waiters, free the
-        socket.  Idempotent."""
+    def _stop(self) -> None:
+        """Stop executors and release event waiters."""
         self.queue.stop()
-        self.server_close()
 
 
 def create_server(

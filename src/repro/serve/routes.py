@@ -2,8 +2,9 @@
 
 Pure functions over the server facade (queue, store, session, policy
 flags) — no socket code here, so every route is unit-testable without
-binding a port.  The HTTP glue in :mod:`repro.serve.app` translates the
-returned :class:`Response` into status line, headers, and body.
+binding a port.  The shared handler in :mod:`repro._http` translates
+the returned :class:`~repro._http.Response` into status line, headers,
+and body.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
+from .._http import Response, error, query_float, query_int
 from ..resilience.manifest import (
     load_manifest,
     manifest_path,
@@ -37,22 +38,6 @@ ENDPOINTS = (
     "GET /jobs/<id>/manifest",
     "POST /shutdown",
 )
-
-
-@dataclass
-class Response:
-    """What one route produced, transport-agnostic."""
-
-    status: int
-    payload: Optional[object] = None
-    stream: Optional[Iterator[bytes]] = None
-    text: Optional[str] = None
-    content_type: str = "application/json"
-    headers: Dict[str, str] = field(default_factory=dict)
-
-
-def _error(status: int, message: str) -> Response:
-    return Response(status, payload={"error": message})
 
 
 def job_payload(job: Job, *, brief: bool = False) -> Dict[str, object]:
@@ -99,30 +84,6 @@ def stats_payload(server) -> Dict[str, object]:
     }
 
 
-def _query_float(
-    query: Dict[str, List[str]], key: str, default: float
-) -> Optional[float]:
-    raw = query.get(key, [None])[0]
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def _query_int(
-    query: Dict[str, List[str]], key: str, default: int
-) -> Optional[int]:
-    raw = query.get(key, [None])[0]
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
 def _event_stream(server, job_id: str, since: int, timeout: float):
     """NDJSON generator: replay events from *since*, then long-poll
     until the job is terminal or the window closes."""
@@ -153,7 +114,7 @@ def handle(
 
     if not parts:
         if method != "GET":
-            return _error(405, "method not allowed")
+            return error(405, "method not allowed")
         return Response(200, payload={
             "service": "repro.serve",
             "endpoints": list(ENDPOINTS),
@@ -161,19 +122,19 @@ def handle(
 
     if parts[0] == "healthz" and len(parts) == 1:
         if method != "GET":
-            return _error(405, "method not allowed")
+            return error(405, "method not allowed")
         return Response(200, payload={"status": "ok"})
 
     if parts[0] == "stats" and len(parts) == 1:
         if method != "GET":
-            return _error(405, "method not allowed")
+            return error(405, "method not allowed")
         return Response(200, payload=stats_payload(server))
 
     if parts[0] == "shutdown" and len(parts) == 1:
         if method != "POST":
-            return _error(405, "method not allowed")
+            return error(405, "method not allowed")
         if not server.allow_shutdown:
-            return _error(
+            return error(
                 403,
                 "shutdown over HTTP is disabled "
                 "(start the server with --allow-shutdown)",
@@ -182,7 +143,7 @@ def handle(
         return Response(200, payload={"status": "shutting down"})
 
     if parts[0] != "jobs":
-        return _error(404, f"no such endpoint: /{parts[0]}")
+        return error(404, f"no such endpoint: /{parts[0]}")
 
     # -- /jobs ---------------------------------------------------------
 
@@ -194,8 +155,8 @@ def handle(
                     server.session,
                     allow_frontend=server.allow_frontend,
                 )
-            except SchemaError as error:
-                return _error(400, str(error))
+            except SchemaError as exc:
+                return error(400, str(exc))
             job = server.queue.submit(spec)
             body = {
                 "id": job.id,
@@ -211,7 +172,7 @@ def handle(
                     for job in server.store.jobs()
                 ],
             })
-        return _error(405, "method not allowed")
+        return error(405, "method not allowed")
 
     # -- /jobs/<id>[/...] ----------------------------------------------
 
@@ -219,24 +180,24 @@ def handle(
     try:
         job = server.store.get(job_id)
     except KeyError:
-        return _error(404, f"no such job: {job_id}")
+        return error(404, f"no such job: {job_id}")
 
     if len(parts) == 2:
         if method != "GET":
-            return _error(405, "method not allowed")
+            return error(405, "method not allowed")
         return Response(200, payload=job_payload(job))
 
     if len(parts) != 3 or method != "GET":
-        return _error(
+        return error(
             405 if len(parts) == 3 else 404, "no such job endpoint"
         )
     leaf = parts[2]
 
     if leaf == "events":
-        since = _query_int(query, "since", 0)
-        timeout = _query_float(query, "timeout", DEFAULT_EVENT_TIMEOUT)
+        since = query_int(query, "since", 0)
+        timeout = query_float(query, "timeout", DEFAULT_EVENT_TIMEOUT)
         if since is None or since < 0 or timeout is None or timeout < 0:
-            return _error(400, "bad 'since' or 'timeout' query parameter")
+            return error(400, "bad 'since' or 'timeout' query parameter")
         timeout = min(timeout, MAX_EVENT_TIMEOUT)
         return Response(
             200,
@@ -246,7 +207,7 @@ def handle(
 
     if leaf == "artifact":
         if job.status != "done":
-            return _error(
+            return error(
                 409, f"job {job_id} is {job.status}, artifact unavailable"
             )
         digest = hashlib.sha256(job.artifact.encode("utf-8")).hexdigest()
@@ -259,11 +220,11 @@ def handle(
 
     if leaf == "manifest":
         if job.status != "done":
-            return _error(
+            return error(
                 409, f"job {job_id} is {job.status}, manifest unavailable"
             )
         if job.manifest_entry is None:
-            return _error(
+            return error(
                 404,
                 "no manifest: the server runs without a persistent "
                 "cache (--cache-dir)",
@@ -271,11 +232,11 @@ def handle(
         sidecar = manifest_path(job.manifest_entry)
         manifest = load_manifest(sidecar)
         if manifest is None:
-            return _error(404, f"manifest sidecar missing: {sidecar}")
+            return error(404, f"manifest sidecar missing: {sidecar}")
         return Response(200, payload={
             "path": str(sidecar),
             "manifest": manifest,
             "problems": verify_manifest(sidecar, manifest),
         })
 
-    return _error(404, f"no such job endpoint: {leaf}")
+    return error(404, f"no such job endpoint: {leaf}")

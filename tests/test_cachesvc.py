@@ -14,11 +14,13 @@ import multiprocessing
 import os
 import threading
 import time
+import urllib.parse
 import urllib.request
 from contextlib import contextmanager
 
 import pytest
 
+from repro._http import MAX_BODY_BYTES
 from repro.analysis.cli import main as cli_main
 from repro.analysis.diskcache import (
     DiskCache,
@@ -74,6 +76,19 @@ def running_server(tmp_path, **kwargs):
     finally:
         server.close()
         thread.join(timeout=5)
+
+
+def _status(server, method, path, body=None):
+    """Status of one request to *server* (HTTP errors included)."""
+    request = urllib.request.Request(
+        server.url + path, data=body, method=method
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code
 
 
 KEY = ("result", "adder", "tiny", "ea-full")
@@ -252,20 +267,76 @@ class TestServerRoutes:
             assert info.value.code == 404
 
     @pytest.mark.parametrize(
-        "method, path, length",
+        "method, path, length, status",
         [
-            ("PUT", "/entry", "-1"),
-            ("POST", "/lease/release", "-1"),
-            ("PUT", "/entry", "abc"),
+            pytest.param("PUT", "/entry", "-1", 400, id="PUT-/entry--1"),
+            pytest.param(
+                "POST", "/lease/release", "-1", 400,
+                id="POST-/lease/release--1",
+            ),
+            pytest.param("PUT", "/entry", "abc", 400, id="PUT-/entry-abc"),
+            pytest.param(
+                "PUT", "/entry", str(MAX_BODY_BYTES + 1), 413,
+                id="PUT-/entry-oversize",
+            ),
         ],
     )
-    def test_bad_content_length_400(self, tmp_path, method, path, length):
+    def test_bad_content_length_400(
+        self, tmp_path, method, path, length, status
+    ):
         """A negative length used to block the handler until the client
-        hung up; a non-numeric one answered 500."""
+        hung up; a non-numeric one answered 500; an oversize one is
+        refused before any byte is read."""
         with running_server(tmp_path) as server:
-            assert raw_status(server, method, path, length) == 400
+            assert raw_status(server, method, path, length) == status
             with urllib.request.urlopen(server.url + "/healthz") as response:
                 assert response.status == 200
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("PUT", "/entry", b"[]\nblob"),
+            ("POST", "/lease/release", b"[]"),
+            ("POST", "/lease/release", b'{"key": "k", "token": 5}'),
+        ],
+        ids=["entry-array", "release-array", "release-int-token"],
+    )
+    def test_non_object_json_400(self, tmp_path, method, path, body):
+        """A JSON array used to answer 500 (``AttributeError`` on
+        ``.get``)."""
+        with running_server(tmp_path) as server:
+            assert _status(server, method, path, body) == 400
+            with urllib.request.urlopen(server.url + "/healthz") as response:
+                assert response.status == 200
+
+    def test_shard_outside_root_400(self, tmp_path):
+        """The client-named shard is a directory under the root; one that
+        climbs out of it, or is absolute, used to be stored there."""
+        blob = encode_entry(repr(KEY), PAYLOAD)
+        with running_server(tmp_path) as server:
+            for shard in ("../outside", str(tmp_path / "absolute")):
+                envelope = json.dumps({
+                    "key": repr(KEY),
+                    "shard": shard,
+                    "sha256": blob_digest(blob),
+                }).encode()
+                assert _status(
+                    server, "PUT", "/entry", envelope + b"\n" + blob
+                ) == 400
+                query = f"?key=k&shard={urllib.parse.quote(shard)}"
+                assert _status(server, "GET", "/entry" + query) == 400
+                assert _status(server, "GET", "/manifest" + query) == 400
+                release = {"key": "k", "shard": shard, "token": "t"}
+                assert _status(
+                    server, "POST", "/lease/release",
+                    json.dumps(release).encode(),
+                ) == 400
+            root = server.disk.root
+        strays = [
+            path for path in tmp_path.rglob("*.pkl")
+            if root not in path.parents
+        ]
+        assert strays == []
 
 
 # ---------------------------------------------------------------------------

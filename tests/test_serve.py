@@ -19,6 +19,7 @@ import pytest
 from repro.flow import Flow, Session
 from repro.mig.io import dumps_aiger, dumps_program
 from repro.mig.graph import Mig
+from repro._http import MAX_BODY_BYTES
 from repro.serve import (
     JobQueue,
     SchemaError,
@@ -409,7 +410,8 @@ class TestRoutesDirect:
             parse_job({"source": "adder"}, facade.session)
         )
         for query in ({"since": ["-1"]}, {"since": ["x"]},
-                      {"timeout": ["-2"]}, {"timeout": ["x"]}):
+                      {"timeout": ["-2"]}, {"timeout": ["x"]},
+                      {"timeout": ["nan"]}):
             assert routes.handle(
                 facade, "GET", f"/jobs/{job.id}/events", query, None
             ).status == 400
@@ -678,12 +680,19 @@ class TestServeHTTP:
             })
             assert status == 400
 
-    def test_bad_content_length_400(self, tmp_path):
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            pytest.param("-1", 400, id="-1"),
+            pytest.param("abc", 400, id="abc"),
+            pytest.param(str(MAX_BODY_BYTES + 1), 413, id="oversize"),
+        ],
+    )
+    def test_bad_content_length_400(self, tmp_path, length, status):
         """A negative length used to block the handler until the client
-        hung up."""
+        hung up; an oversize one is refused before any byte is read."""
         with running_server(tmp_path) as server:
-            assert raw_status(server, "POST", "/jobs", "-1") == 400
-            assert raw_status(server, "POST", "/jobs", "abc") == 400
+            assert raw_status(server, "POST", "/jobs", length) == status
             status, _, _ = api(server, "GET", "/healthz")
             assert status == 200
 
