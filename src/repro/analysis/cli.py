@@ -32,13 +32,12 @@ benchmark name or a netlist path (``.mig``/``.blif``/``.aag``/
 keyed by content fingerprint.
 
 Every subcommand routes through one :class:`repro.flow.Session` built
-from its arguments: ``--backend`` (or ``$REPRO_SIM_BACKEND``; flag
-wins) selects the simulation kernel, ``--arch`` (or ``$REPRO_ARCH``;
-flag wins) targets a machine model,
-``--opt`` (or ``$REPRO_OPT``; flag wins) selects the rewriting
-optimizer, ``--cache-dir`` (or ``$REPRO_CACHE_DIR``; flag wins)
-persists artefacts across invocations, ``--parallel`` fans benchmarks
-out over worker processes, and ``--preset`` picks the benchmark widths.
+from its arguments.  The knob flags (``--backend``, ``--arch``,
+``--opt``, ``--source``, ``--timeout``, ``--cache-dir``,
+``--cache-url``, ``--retries``) come from one table,
+:data:`repro.flow.options.KNOBS`: each beats its ``$REPRO_*`` variable
+and is validated at startup.  ``--parallel`` fans benchmarks out over
+worker processes and ``--preset`` picks the benchmark widths.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from ..opt import (
 from ..cachesvc import DEFAULT_PORT as CACHESVC_DEFAULT_PORT
 from ..cachesvc import resolve_cache_url
 from ..flow import Flow, Session, resolve_cache_dir
+from ..flow.options import KNOBS
 from ..resilience import iter_manifests, verify_manifest
 from ..source import available_sources, get_source, resolve_source
 from ..synth.registry import BENCHMARKS, BENCHMARK_ORDER
@@ -339,6 +339,12 @@ def cmd_optsweep(args) -> int:
         )
     )
     return 0
+
+
+def _add_cache_root(parser, help: str = "cache root") -> None:
+    """The maintenance commands' ``--cache-dir`` (see
+    :func:`_cache_for_maintenance`)."""
+    KNOBS["cache_dir"].add_to(parser, help=help, fallback=DEFAULT_ROOT)
 
 
 def _cache_for_maintenance(args) -> DiskCache:
@@ -729,19 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect/clear the on-disk experiment cache")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     pc = cache_sub.add_parser("stats", help="entry/byte counts per code version")
-    pc.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)")
-    pc.add_argument("--cache-url", default=None, metavar="URL",
-                    help=(
-                        "also aggregate tier counters from a shared cache "
-                        "server (default: $REPRO_CACHE_URL if set)"
-                    ))
+    _add_cache_root(pc)
+    KNOBS["cache_url"].add_to(
+        pc,
+        help="also aggregate tier counters from a shared cache server",
+        fallback="none",
+    )
     pc.add_argument("--json", action="store_true",
                     help="machine-readable output (the /stats disk payload)")
     pc.set_defaults(func=cmd_cache_stats)
     pc = cache_sub.add_parser("clear", help="delete cached artefacts")
-    pc.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)")
+    _add_cache_root(pc)
     pc.add_argument("--all", action="store_true",
                     help="clear every code-version shard, not just the current one")
     pc.set_defaults(func=cmd_cache_clear)
@@ -760,9 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--port", type=int, default=CACHESVC_DEFAULT_PORT,
                     help=f"TCP port (0 = ephemeral; default: "
                          f"{CACHESVC_DEFAULT_PORT})")
-    pv.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="disk-cache root to serve (default: "
-                         "$REPRO_CACHE_DIR or .repro_cache)")
+    _add_cache_root(pv, help="disk-cache root to serve")
     pv.add_argument("--memory-mb", type=int, default=256, metavar="MB",
                     help="warm in-memory tier budget (default: 256 MiB)")
     pv.add_argument("--lease-timeout", type=float, default=600.0,
@@ -773,8 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log every request to stderr")
     pv.set_defaults(func=cmd_cachesvc_serve)
     pv = svc_sub.add_parser("stats", help="query a running server's /stats")
-    pv.add_argument("--url", default=None, metavar="URL",
-                    help="server URL (default: $REPRO_CACHE_URL)")
+    KNOBS["cache_url"].add_to(
+        pv, flag="--url", help="server URL", fallback="none"
+    )
     pv.add_argument("--json", action="store_true",
                     help="machine-readable output (the raw /stats payload)")
     pv.set_defaults(func=cmd_cachesvc_stats)
@@ -791,10 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
          "re-derive every checkable claim (digests, addressing, shard)"),
     ]:
         pm = manifest_sub.add_parser(name, help=doc)
-        pm.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)",
-        )
+        _add_cache_root(pm)
         pm.add_argument(
             "--all", action="store_true",
             help="include every code-version shard, not just the current one",
@@ -829,10 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes (faster startup, no crash isolation)"
         ),
     )
-    p.add_argument(
-        "--retries", default=None, metavar="N",
-        help="retry attempt budget per job (default: $REPRO_RETRIES or 3)",
-    )
+    KNOBS["retries"].add_to(p)
     p.add_argument(
         "--allow-frontend", action="store_true",
         help=(

@@ -45,6 +45,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, Optional, Tuple
 
+from .._env import env_value
 from ..resilience import faults, manifest as run_manifest
 
 #: Default cache directory (relative to the working directory).
@@ -587,19 +588,9 @@ def resolve_cache_dir(
     *,
     default: Optional[str] = None,
 ) -> Optional[str]:
-    """Uniform cache-root resolution: explicit > ``$REPRO_CACHE_DIR`` > *default*.
-
-    Every entry point — CLI flags, :class:`repro.flow.Session`
-    construction, the maintenance subcommands — resolves its persistence
-    root through this single function, so the precedence can never drift
-    between them.
-    """
-    if explicit:
-        return str(explicit)
-    env = os.environ.get(CACHE_ENV_VAR, "").strip()
-    if env:
-        return env
-    return default
+    """Cache-root resolution: explicit > ``$REPRO_CACHE_DIR`` > *default*
+    (the maintenance commands pass :data:`DEFAULT_ROOT`)."""
+    return str(explicit) if explicit else env_value(CACHE_ENV_VAR) or default
 
 
 def disk_cache_from_env() -> Optional[DiskCache]:

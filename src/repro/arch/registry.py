@@ -44,9 +44,9 @@ be registered (e.g. at module import) in the workers too.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Union
 
+from .._env import env_value
 from .model import Architecture, EnduranceModel, Geometry
 
 #: Environment variable selecting the architecture (overridden by an
@@ -97,27 +97,20 @@ def resolve_architecture(
 ) -> Architecture:
     """Uniform architecture resolution: explicit > ``$REPRO_ARCH`` > default.
 
-    Mirrors :func:`repro.analysis.diskcache.resolve_cache_dir` so the
-    precedence can never drift between the session knobs.  *arch* may be
-    a registry name or an already-built :class:`Architecture` (returned
-    as-is, registered or not).
+    *arch* may be a registry name or an already-built
+    :class:`Architecture` (returned as-is, registered or not).
     """
-    if arch is not None:
-        if isinstance(arch, Architecture):
-            return arch
-        return get_architecture(arch)
-    env = os.environ.get(ARCH_ENV_VAR, "").strip()
-    if env:
-        return get_architecture(env)
-    return get_architecture(DEFAULT_ARCHITECTURE)
+    if isinstance(arch, Architecture):
+        return arch
+    if arch is None:
+        arch = env_value(ARCH_ENV_VAR) or DEFAULT_ARCHITECTURE
+    return get_architecture(arch)
 
 
 def arch_from_env() -> Optional[str]:
     """The ``$REPRO_ARCH`` selection, if any (validated)."""
-    env = os.environ.get(ARCH_ENV_VAR, "").strip()
-    if not env:
-        return None
-    return get_architecture(env).name
+    env = env_value(ARCH_ENV_VAR)
+    return get_architecture(env).name if env else None
 
 
 # -- built-in machines ---------------------------------------------------

@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlencode
 
+from .._env import env_value
 from ..analysis.diskcache import (
     DEFAULT_ROOT,
     DiskCache,
@@ -55,15 +56,8 @@ def resolve_cache_url(
     *,
     default: Optional[str] = None,
 ) -> Optional[str]:
-    """Uniform cache-server resolution: explicit > ``$REPRO_CACHE_URL`` >
-    *default* — the same precedence contract as
-    :func:`~repro.analysis.diskcache.resolve_cache_dir`."""
-    if explicit:
-        return str(explicit)
-    env = os.environ.get(CACHE_URL_ENV_VAR, "").strip()
-    if env:
-        return env
-    return default
+    """Cache-server resolution: explicit > ``$REPRO_CACHE_URL`` > *default*."""
+    return str(explicit) if explicit else env_value(CACHE_URL_ENV_VAR) or default
 
 
 class RemoteCache:

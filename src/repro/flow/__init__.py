@@ -18,13 +18,8 @@ sweeps, the benchmark conftest, the examples — routes through this
 layer.
 """
 
-from .session import (
-    BACKEND_CHOICES,
-    PRESET_CHOICES,
-    Session,
-    SessionSpec,
-    resolve_cache_dir,
-)
+from ..analysis.diskcache import resolve_cache_dir
+from .session import BACKEND_CHOICES, PRESET_CHOICES, Session, SessionSpec
 from .pipeline import (
     STAGES,
     Flow,

@@ -1,40 +1,33 @@
 """The :class:`Session`: one object owning every cross-cutting concern.
 
-The harness resolves the same knobs over and over — which
-simulation-kernel backend to use (``$REPRO_SIM_BACKEND`` /
-``--backend``), whether and where to persist experiment artefacts
-(``$REPRO_CACHE_DIR`` / ``--cache-dir``), whether to route them
-through a shared cache server (``$REPRO_CACHE_URL`` /
-``--cache-url``, see :mod:`repro.cachesvc`),
-which PLiM machine model to target (``$REPRO_ARCH`` /
-``--arch``, see :mod:`repro.arch`), which rewriting optimizer to run
-(``$REPRO_OPT`` / ``--opt``, see :mod:`repro.opt`), which circuit
-source to evaluate by default (``$REPRO_SOURCE`` / ``--source``, see
-:mod:`repro.source`), how many worker
-processes to fan out over, and which benchmark width preset to build.  Before this module
-each entry point
-(CLI subcommands, table runners, benchmark conftest, examples) re-derived
-them independently; a :class:`Session` resolves them once and everything
-downstream — :class:`repro.flow.Flow` pipelines, matrix evaluations,
-report generation — routes through it.
+A run is provisioned by a handful of knobs: the simulation-kernel
+backend, the target PLiM machine model (:mod:`repro.arch`), the
+rewriting optimizer (:mod:`repro.opt`), the default circuit source
+(:mod:`repro.source`), per-stage wall-clock budgets, the persistent
+cache directory and the shared cache server (:mod:`repro.cachesvc`) —
+plus the worker-process count and the benchmark width preset.  A
+:class:`Session` resolves them once and everything downstream —
+:class:`repro.flow.Flow` pipelines, matrix evaluations, report
+generation — routes through it.
+
+The knobs are declared once, in :data:`repro.flow.options.KNOBS`: flag,
+environment variable, validation and help text per row.
 
 Construction
 ------------
-* ``Session(backend=..., cache_dir=..., parallel=..., preset=...)`` —
-  explicit; ``None`` fields mean "no override" (ambient backend
-  selection, no persistence, serial, default widths).
-* :meth:`Session.from_env` — reads ``$REPRO_SIM_BACKEND`` and
-  ``$REPRO_CACHE_DIR``.
-* :meth:`Session.from_args` — from an ``argparse`` namespace, applying
-  the uniform precedence **flag > environment > none** for the cache
-  directory.  :meth:`Session.add_arguments` installs the matching
-  options on a parser, so every CLI subcommand shares one definition.
+* ``Session(backend=..., cache_dir=..., arch=..., ...)`` — explicit
+  values are validated now; ``None`` means "no override": the ambient
+  ``$REPRO_*`` selection applies at use time (serial, default widths).
+* :meth:`Session.from_args` — from an ``argparse`` namespace: every
+  knob resolves **flag > environment > none** and is validated at
+  construction, so a bad ``$REPRO_ARCH`` fails at startup.
+  :meth:`Session.add_arguments` installs the matching flags.
+* :meth:`Session.from_env` — the same resolution with no flags.
 
 Sessions are picklable *by spec*: :meth:`Session.spec` captures the
 resolved knobs in a :class:`SessionSpec`, and worker processes rebuild
 an equivalent session with :meth:`Session.from_spec` — this is how
-``run_matrix`` ships backend + cache-root selection across the process
-boundary.
+``run_matrix`` ships the knob selections across the process boundary.
 """
 
 from __future__ import annotations
@@ -43,36 +36,15 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, List, Optional, Sequence
 
-from ..arch import (
-    Architecture,
-    arch_from_env,
-    available_architectures,
-    resolve_architecture,
-)
-from ..opt import (
-    DEFAULT_EFFORT,
-    OptimizerSpec,
-    opt_from_env,
-    resolve_optimizer,
-)
-from ..mig.kernel import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    backend_scope,
-    get_kernel,
-    resolve_backend,
-)
+from ..arch import Architecture, resolve_architecture
+from ..opt import DEFAULT_EFFORT, OptimizerSpec, resolve_optimizer
+from ..mig.kernel import BACKENDS, backend_scope, get_kernel, resolve_backend
 from ..resilience import Timeouts, resolve_timeouts
-from ..source import (
-    Source,
-    SourceLike,
-    resolve_source,
-    source_from_env,
-)
-from ..analysis.diskcache import DiskCache, resolve_cache_dir
-from ..cachesvc.client import resolve_cache_url
+from ..source import Source, SourceLike, resolve_source, source_from_env
+from ..analysis.diskcache import DiskCache
 from ..analysis.runner import (
     BenchmarkEvaluation,
     ConfigLike,
@@ -80,6 +52,7 @@ from ..analysis.runner import (
     TABLE1_PRESETS,
     run_matrix as _run_matrix,
 )
+from .options import SESSION_KNOBS
 
 #: Benchmark width presets understood by the synthesis registry.
 PRESET_CHOICES: List[str] = ["tiny", "default", "paper"]
@@ -94,34 +67,23 @@ class SessionSpec:
 
     Worker processes cannot inherit live caches or kernel overrides, so
     :func:`repro.analysis.runner.run_matrix` ships this spec instead and
-    each worker rebuilds an equivalent :class:`Session` from it.
-    ``parallel`` is deliberately absent from what workers adopt — a
-    worker never fans out again.  ``arch`` is a registry name (custom
-    architectures must be registered in the worker too, e.g. at module
-    import); ``None`` defers to the worker's ambient
-    ``$REPRO_ARCH``/default resolution, which matches the parent's.
-    ``opt`` is a canonical optimizer spec string (see
-    :meth:`repro.opt.OptimizerSpec.label`) with the same ``None``
-    semantics against ``$REPRO_OPT``.
+    each worker rebuilds an equivalent :class:`Session` from it.  One
+    field per session knob of :data:`~repro.flow.options.KNOBS`, holding
+    its canonical string; ``None`` defers to the worker's ambient
+    ``$REPRO_*`` selection, which matches the parent's.  ``parallel`` is
+    deliberately absent — a worker never fans out again.  Custom
+    architectures must be registered in the worker too (e.g. at module
+    import), and non-string sources (bare graphs, frontend functions)
+    ship as ``None``.
     """
 
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
-    #: Shared cache-server URL (see :mod:`repro.cachesvc`); workers
-    #: talk to the same server as the parent, so single-flight leases
-    #: span the whole pool.  ``None`` means direct disk access.
     cache_url: Optional[str] = None
     preset: str = "default"
     arch: Optional[str] = None
     opt: Optional[str] = None
-    #: Default circuit source as a resolvable string (registry name or
-    #: netlist path); ``None`` defers to the worker's ambient
-    #: ``$REPRO_SOURCE``.  Non-string sources (bare graphs, frontend
-    #: functions) are not spec-representable and ship as ``None``.
     source: Optional[str] = None
-    #: Per-stage wall-clock budgets as a canonical spec string (see
-    #: :meth:`repro.resilience.Timeouts.spec`); ``None`` defers to the
-    #: worker's ambient ``$REPRO_TIMEOUT``.
     timeouts: Optional[str] = None
 
 
@@ -169,11 +131,11 @@ class Session:
         # paths) can be resolved again in a worker process.  Registry
         # sources round-trip by name either way.
         if isinstance(source, str):
-            self._source_spec: Optional[str] = source
+            source_spec: Optional[str] = source
         elif self._source is not None and self._source.kind == "registry":
-            self._source_spec = self._source.name
+            source_spec = self._source.name
         else:
-            self._source_spec = None
+            source_spec = None
         self.source = (
             self._source.name if self._source is not None else None
         )
@@ -215,6 +177,17 @@ class Session:
         else:
             disk = DiskCache(self.cache_dir) if self.cache_dir else None
             self.cache = ExperimentCache(disk=disk)
+        # The canonical string of every session knob (the KNOBS rows):
+        # what spec() ships to worker processes.
+        self._spec = dict(
+            backend=self.backend,
+            arch=self.arch,
+            source=source_spec,
+            opt=self.opt,
+            timeouts=self.timeouts.spec(),
+            cache_dir=self.cache_dir,
+            cache_url=self.cache_url,
+        )
         self._observers: list = []
 
     # -- construction ------------------------------------------------
@@ -226,38 +199,26 @@ class Session:
         preset: Optional[str] = None,
         parallel: Optional[int] = None,
     ) -> "Session":
-        """Session configured from ``$REPRO_SIM_BACKEND`` /
-        ``$REPRO_CACHE_DIR`` / ``$REPRO_ARCH`` / ``$REPRO_OPT``."""
-        backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
-        return cls(
-            backend=backend,
-            cache_dir=resolve_cache_dir(),
-            cache_url=resolve_cache_url(),
-            parallel=parallel,
-            preset=preset or "default",
-            arch=arch_from_env(),
-            opt=opt_from_env(),
-            source=source_from_env(),
-        )
+        """Session configured from the environment: every session knob
+        of :data:`~repro.flow.options.KNOBS` resolves ``$VAR`` > none."""
+        return cls.from_args(SimpleNamespace(parallel=parallel), preset=preset)
 
     @classmethod
     def from_args(cls, args, *, preset: Optional[str] = None) -> "Session":
         """Session from an ``argparse`` namespace (see :meth:`add_arguments`).
 
-        Missing attributes fall back exactly like absent flags: the
-        cache directory resolves flag > environment > none, the backend
-        defaults to ambient selection, parallelism to serial.
+        Every knob resolves flag > environment > none and is validated
+        now, so a bad ``$REPRO_ARCH`` fails at startup rather than in
+        the first job.  Missing attributes count as absent flags;
+        parallelism defaults to serial, the preset to ``default``.
         """
         return cls(
-            backend=getattr(args, "backend", None),
-            cache_dir=resolve_cache_dir(getattr(args, "cache_dir", None)),
-            cache_url=resolve_cache_url(getattr(args, "cache_url", None)),
             parallel=getattr(args, "parallel", None),
             preset=getattr(args, "preset", None) or preset or "default",
-            arch=getattr(args, "arch", None),
-            opt=getattr(args, "opt", None),
-            source=getattr(args, "source", None),
-            timeouts=getattr(args, "timeout", None),
+            **{
+                knob.name: knob.resolve(getattr(args, knob.dest, None))
+                for knob in SESSION_KNOBS
+            },
         )
 
     @staticmethod
@@ -279,6 +240,10 @@ class Session:
         switches let scenario commands opt out of options that cannot
         affect them.
         """
+        switches = dict(
+            cache=cache, backend=backend, arch=arch, opt=opt, source=source,
+            timeout=timeout,
+        )
         if preset:
             parser.add_argument(
                 "--preset",
@@ -286,61 +251,9 @@ class Session:
                 choices=PRESET_CHOICES,
                 help="benchmark width preset (paper = the paper's sizes)",
             )
-        if backend:
-            parser.add_argument(
-                "--backend",
-                default=None,
-                choices=BACKEND_CHOICES,
-                help=(
-                    "simulation-kernel backend (default: $REPRO_SIM_BACKEND "
-                    "if set, else auto-detection)"
-                ),
-            )
-        if arch:
-            parser.add_argument(
-                "--arch",
-                default=None,
-                choices=available_architectures(),
-                help=(
-                    "target PLiM machine model (default: $REPRO_ARCH if "
-                    "set, else the paper's 'endurance' machine)"
-                ),
-            )
-        if source:
-            parser.add_argument(
-                "--source",
-                default=None,
-                metavar="NAME_OR_PATH",
-                help=(
-                    "circuit source: a registry benchmark name or a "
-                    "netlist path (.mig/.blif/.aag) (default: "
-                    "$REPRO_SOURCE if set; see 'repro source list')"
-                ),
-            )
-        if opt:
-            parser.add_argument(
-                "--opt",
-                default=None,
-                metavar="SPEC",
-                help=(
-                    "rewriting optimizer spec, STRATEGY[:OBJECTIVE][@DEPTH] "
-                    "— e.g. 'script', 'greedy', 'budget:write_cost@3' "
-                    "(default: $REPRO_OPT if set, else the paper's fixed "
-                    "scripts; see 'repro opt list')"
-                ),
-            )
-        if timeout:
-            parser.add_argument(
-                "--timeout",
-                default=None,
-                metavar="SPEC",
-                help=(
-                    "per-stage wall-clock budget in seconds, "
-                    "[STAGE=]SECONDS[,...] — e.g. '30' or "
-                    "'compile=120,verify=30,job=600' (default: "
-                    "$REPRO_TIMEOUT if set, else unlimited)"
-                ),
-            )
+        for knob in SESSION_KNOBS:
+            if switches[knob.switch]:
+                knob.add_to(parser)
         if parallel:
             parser.add_argument(
                 "--parallel",
@@ -349,54 +262,19 @@ class Session:
                 metavar="N",
                 help="fan benchmarks out over N worker processes",
             )
-        if cache:
-            parser.add_argument(
-                "--cache-dir",
-                default=None,
-                metavar="DIR",
-                help=(
-                    "persist built/compiled artefacts under DIR across runs "
-                    "(default: $REPRO_CACHE_DIR if set, else no persistence)"
-                ),
-            )
-            parser.add_argument(
-                "--cache-url",
-                default=None,
-                metavar="URL",
-                help=(
-                    "route artefacts through a shared cache server "
-                    "(see 'repro cachesvc serve'; default: "
-                    "$REPRO_CACHE_URL if set, else direct disk access)"
-                ),
-            )
         return parser
 
     # -- spec (process boundary) ---------------------------------------
 
     def spec(self) -> SessionSpec:
         """Picklable spec a worker process rebuilds this session from."""
-        return SessionSpec(
-            backend=self.backend,
-            cache_dir=self.cache_dir,
-            cache_url=self.cache_url,
-            preset=self.preset,
-            arch=self.arch,
-            opt=self.opt,
-            source=self._source_spec,
-            timeouts=self.timeouts.spec(),
-        )
+        return SessionSpec(preset=self.preset, **self._spec)
 
     @classmethod
     def from_spec(cls, spec: SessionSpec) -> "Session":
         return cls(
-            backend=spec.backend,
-            cache_dir=spec.cache_dir,
-            cache_url=spec.cache_url,
             preset=spec.preset,
-            arch=spec.arch,
-            opt=spec.opt,
-            source=spec.source,
-            timeouts=spec.timeouts,
+            **{knob.name: getattr(spec, knob.name) for knob in SESSION_KNOBS},
         )
 
     # -- backend -------------------------------------------------------
@@ -594,9 +472,7 @@ class Session:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        knobs = "".join(f", {name}={value!r}" for name, value in self._spec.items())
         return (
-            f"Session(backend={self.backend!r}, "
-            f"cache_dir={self.cache_dir!r}, "
-            f"parallel={self.parallel!r}, preset={self.preset!r}, "
-            f"arch={self.arch!r}, opt={self.opt!r}, source={self.source!r})"
+            f"Session(parallel={self.parallel!r}, preset={self.preset!r}{knobs})"
         )

@@ -48,13 +48,13 @@ the job, so a faulting engine is not re-tried call by call.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
+from .._env import env_value
 from ..resilience import events as _res_events
 from ..resilience import faults as _res_faults
 from ..resilience.errors import StageTimeoutError
@@ -812,4 +812,4 @@ def get_kernel():
         return stack[-1]
     if _OVERRIDE is not None:
         return _OVERRIDE
-    return _resolve(os.environ.get(BACKEND_ENV_VAR, "auto") or "auto")
+    return _resolve(env_value(BACKEND_ENV_VAR) or "auto")

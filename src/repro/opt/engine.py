@@ -40,10 +40,10 @@ Strategies are registered like architectures and objectives
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from .._env import env_value
 from ..arch import Architecture
 from ..mig.graph import Mig
 from .objectives import DEFAULT_OBJECTIVE, Objective, get_objective
@@ -303,25 +303,16 @@ OptLike = Union[str, OptimizerSpec, None]
 
 
 def resolve_optimizer(opt: OptLike = None) -> OptimizerSpec:
-    """Uniform optimizer resolution: explicit > ``$REPRO_OPT`` > default.
-
-    Mirrors :func:`repro.arch.resolve_architecture` so the precedence
-    can never drift between the session knobs.
-    """
-    if opt is not None:
-        return OptimizerSpec.parse(opt)
-    env = os.environ.get(OPT_ENV_VAR, "").strip()
-    if env:
-        return OptimizerSpec.parse(env)
-    return OptimizerSpec()
+    """Uniform optimizer resolution: explicit > ``$REPRO_OPT`` > default."""
+    if opt is None:
+        opt = env_value(OPT_ENV_VAR)
+    return OptimizerSpec.parse(opt) if opt is not None else OptimizerSpec()
 
 
 def opt_from_env() -> Optional[str]:
     """The ``$REPRO_OPT`` selection, if any (validated, canonical)."""
-    env = os.environ.get(OPT_ENV_VAR, "").strip()
-    if not env:
-        return None
-    return OptimizerSpec.parse(env).label()
+    env = env_value(OPT_ENV_VAR)
+    return OptimizerSpec.parse(env).label() if env else None
 
 
 class Optimizer:

@@ -18,11 +18,11 @@ constraints shape it:
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
+from .._env import env_value
 from .errors import RetriesExhaustedError, classify_transient
 
 
@@ -64,20 +64,17 @@ RETRY_ENV_VAR = "REPRO_RETRIES"
 def resolve_retry(
     attempts: Union[int, str, None] = None,
 ) -> RetryPolicy:
-    """Resolve the retry budget: flag > ``$REPRO_RETRIES`` > default.
+    """Resolve the retry budget: flag > ``$REPRO_RETRIES`` >
+    :data:`DEFAULT_POLICY`.
 
-    Same precedence contract as every other session knob (backend,
-    cache dir, timeouts): an explicit *attempts* wins, else the
-    environment variable, else :data:`DEFAULT_POLICY`.  The value is
-    the attempt budget; backoff shape stays the default's.  Malformed
-    or non-positive values raise :class:`ValueError` (fail fast, like
-    ``Timeouts.parse``).
+    The value is the attempt budget; backoff shape stays the default's.
+    Malformed or non-positive values raise :class:`ValueError` (fail
+    fast, like ``Timeouts.parse``).
     """
     if attempts is None:
-        raw = os.environ.get(RETRY_ENV_VAR, "").strip()
-        if not raw:
+        attempts = env_value(RETRY_ENV_VAR)
+        if attempts is None:
             return DEFAULT_POLICY
-        attempts = raw
     try:
         count = int(attempts)
     except (TypeError, ValueError):

@@ -7,8 +7,7 @@ This module gives every pipeline stage a wall-clock budget:
   overrides, from a spec string like ``"30"`` (every stage) or
   ``"compile=120,verify=30,job=600"``.
 * :func:`resolve_timeouts` — the uniform **flag > environment >
-  default** precedence against ``$REPRO_TIMEOUT``, mirroring
-  ``resolve_cache_dir`` / ``resolve_architecture``.
+  default** precedence against ``$REPRO_TIMEOUT``.
 * :func:`time_limit` — the enforcement context: ``SIGALRM``-based, so a
   stage stuck in a C extension or a tight loop is still interrupted.
   Raises :class:`~repro.resilience.errors.StageTimeoutError` (permanent:
@@ -25,7 +24,6 @@ needs no signals at all).
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -33,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .._env import env_value
 from .errors import StageTimeoutError
 from .events import record
 
@@ -131,17 +130,16 @@ class Timeouts:
 
 def timeouts_from_env() -> Optional[str]:
     """The ambient ``$REPRO_TIMEOUT`` spec string, if set."""
-    value = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
-    return value or None
+    return env_value(TIMEOUT_ENV_VAR)
 
 
 def resolve_timeouts(
     explicit: "str | float | Timeouts | None" = None,
 ) -> Timeouts:
     """Uniform budget resolution: explicit > ``$REPRO_TIMEOUT`` > none."""
-    if explicit is not None:
-        return Timeouts.parse(explicit)
-    return Timeouts.parse(timeouts_from_env())
+    return Timeouts.parse(
+        explicit if explicit is not None else timeouts_from_env()
+    )
 
 
 def alarm_capable() -> bool:

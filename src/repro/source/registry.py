@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Union
 
+from .._env import env_value
 from ..mig.graph import Mig
 from ..mig.io import NETLIST_READERS
 from ..synth.frontend import FrontendFunction
@@ -105,13 +106,12 @@ def resolve_source(source: SourceLike = None) -> Source:
     ``$REPRO_SOURCE`` raises.
     """
     if source is None:
-        env = os.environ.get(SOURCE_ENV_VAR, "").strip()
-        if not env:
+        source = env_value(SOURCE_ENV_VAR)
+        if source is None:
             raise ValueError(
                 "no source selected; declare one explicitly or set "
                 f"${SOURCE_ENV_VAR}"
             )
-        source = env
     if isinstance(source, Source):
         return source
     if isinstance(source, Mig):
@@ -136,10 +136,9 @@ def resolve_source(source: SourceLike = None) -> Source:
 
 def source_from_env() -> Optional[str]:
     """The ``$REPRO_SOURCE`` selection, if any (validated)."""
-    env = os.environ.get(SOURCE_ENV_VAR, "").strip()
-    if not env:
-        return None
-    resolve_source(env)
+    env = env_value(SOURCE_ENV_VAR)
+    if env is not None:
+        resolve_source(env)
     return env
 
 

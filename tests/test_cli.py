@@ -470,3 +470,180 @@ class TestInterruptHandling:
         captured = capsys.readouterr()
         assert "interrupted" in captured.err
         assert "Traceback" not in captured.err
+
+
+#: Every subcommand's options at the point the option table
+#: (repro.flow.options.KNOBS) started generating them: option strings
+#: (or positional dest) -> (default, choices, metavar).  The generated
+#: parser must add and drop nothing.
+CLI_SURFACE = {
+    '': {},
+    'arch': {},
+    'arch list': {},
+    'archsweep': {'--archs': (None, ['dac16', 'endurance', 'blocked'], 'ARCH'),
+                  '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+                  '--cache-dir': (None, None, 'DIR'),
+                  '--cache-url': (None, None, 'URL'),
+                  '--configs': (['naive', 'ea-full'], None, 'CONFIG'),
+                  '--no-verify': (False, None, None),
+                  '--opt': (None, None, 'SPEC'),
+                  '--preset': ('default', ['tiny', 'default', 'paper'], None),
+                  '--timeout': (None, None, 'SPEC'),
+                  'name': (None, None, 'NAME_OR_PATH')},
+    'bench': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+              '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+              '--cache-dir': (None, None, 'DIR'),
+              '--cache-url': (None, None, 'URL'),
+              '--opt': (None, None, 'SPEC'),
+              '--preset': ('default', ['tiny', 'default', 'paper'], None),
+              '--source': (None, None, 'NAME_OR_PATH'),
+              '--timeout': (None, None, 'SPEC'),
+              '--wmax': (None, None, None),
+              'name': (None, None, 'NAME_OR_PATH')},
+    'cache': {},
+    'cache clear': {'--all': (False, None, None), '--cache-dir': (None, None, 'DIR')},
+    'cache stats': {'--cache-dir': (None, None, 'DIR'),
+                    '--cache-url': (None, None, 'URL'),
+                    '--json': (False, None, None)},
+    'cachesvc': {},
+    'cachesvc serve': {'--cache-dir': (None, None, 'DIR'),
+                       '--host': ('127.0.0.1', None, None),
+                       '--lease-timeout': (600.0, None, 'S'),
+                       '--memory-mb': (256, None, 'MB'),
+                       '--port': (8344, None, None),
+                       '-v/--verbose': (False, None, None)},
+    'cachesvc stats': {'--json': (False, None, None), '--url': (None, None, 'URL')},
+    'fig1': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+             '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+             '--opt': (None, None, 'SPEC'),
+             '--timeout': (None, None, 'SPEC')},
+    'fig2': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+             '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+             '--opt': (None, None, 'SPEC'),
+             '--timeout': (None, None, 'SPEC')},
+    'headline': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+                 '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+                 '--benchmarks': (None, None, 'NAME_OR_PATH'),
+                 '--cache-dir': (None, None, 'DIR'),
+                 '--cache-url': (None, None, 'URL'),
+                 '--effort': (5, None, None),
+                 '--no-verify': (False, None, None),
+                 '--opt': (None, None, 'SPEC'),
+                 '--parallel': (None, None, 'N'),
+                 '--preset': ('default', ['tiny', 'default', 'paper'], None),
+                 '--timeout': (None, None, 'SPEC')},
+    'list': {},
+    'manifest': {},
+    'manifest show': {'--all': (False, None, None),
+                      '--cache-dir': (None, None, 'DIR'),
+                      '-v/--verbose': (False, None, None)},
+    'manifest verify': {'--all': (False, None, None),
+                        '--cache-dir': (None, None, 'DIR'),
+                        '--json': (False, None, None)},
+    'opt': {},
+    'opt list': {},
+    'optsweep': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+                 '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+                 '--cache-dir': (None, None, 'DIR'),
+                 '--cache-url': (None, None, 'URL'),
+                 '--configs': (['ea-full'], None, 'CONFIG'),
+                 '--no-verify': (False, None, None),
+                 '--opts': (['script', 'greedy', 'budget'], None, 'SPEC'),
+                 '--preset': ('default', ['tiny', 'default', 'paper'], None),
+                 '--timeout': (None, None, 'SPEC'),
+                 'name': (None, None, 'NAME_OR_PATH')},
+    'report': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+               '--benchmarks': (None, None, 'NAME_OR_PATH'),
+               '--cache-dir': (None, None, 'DIR'),
+               '--cache-url': (None, None, 'URL'),
+               '--effort': (5, None, None),
+               '--no-verify': (False, None, None),
+               '--opt': (None, None, 'SPEC'),
+               '--parallel': (None, None, 'N'),
+               '--preset': ('default', ['tiny', 'default', 'paper'], None),
+               '--timeout': (None, None, 'SPEC')},
+    'serve': {'--allow-frontend': (False, None, None),
+              '--allow-shutdown': (False, None, None),
+              '--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+              '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+              '--cache-dir': (None, None, 'DIR'),
+              '--cache-url': (None, None, 'URL'),
+              '--host': ('127.0.0.1', None, None),
+              '--no-isolate': (False, None, None),
+              '--opt': (None, None, 'SPEC'),
+              '--port': (8321, None, None),
+              '--preset': ('default', ['tiny', 'default', 'paper'], None),
+              '--retries': (None, None, 'N'),
+              '--timeout': (None, None, 'SPEC'),
+              '--workers': (2, None, 'N'),
+              '-v/--verbose': (False, None, None)},
+    'source': {},
+    'source list': {},
+    'sourcesweep': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+                    '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+                    '--cache-dir': (None, None, 'DIR'),
+                    '--cache-url': (None, None, 'URL'),
+                    '--configs': (['naive', 'ea-full'], None, 'CONFIG'),
+                    '--no-verify': (False, None, None),
+                    '--opt': (None, None, 'SPEC'),
+                    '--preset': ('default', ['tiny', 'default', 'paper'], None),
+                    '--timeout': (None, None, 'SPEC'),
+                    'sources': (None, None, 'NAME_OR_PATH')},
+    'table1': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+               '--benchmarks': (None, None, 'NAME_OR_PATH'),
+               '--cache-dir': (None, None, 'DIR'),
+               '--cache-url': (None, None, 'URL'),
+               '--effort': (5, None, None),
+               '--no-verify': (False, None, None),
+               '--opt': (None, None, 'SPEC'),
+               '--parallel': (None, None, 'N'),
+               '--preset': ('default', ['tiny', 'default', 'paper'], None),
+               '--timeout': (None, None, 'SPEC')},
+    'table2': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+               '--benchmarks': (None, None, 'NAME_OR_PATH'),
+               '--cache-dir': (None, None, 'DIR'),
+               '--cache-url': (None, None, 'URL'),
+               '--effort': (5, None, None),
+               '--no-verify': (False, None, None),
+               '--opt': (None, None, 'SPEC'),
+               '--parallel': (None, None, 'N'),
+               '--preset': ('default', ['tiny', 'default', 'paper'], None),
+               '--timeout': (None, None, 'SPEC')},
+    'table3': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
+               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
+               '--benchmarks': (None, None, 'NAME_OR_PATH'),
+               '--cache-dir': (None, None, 'DIR'),
+               '--cache-url': (None, None, 'URL'),
+               '--effort': (5, None, None),
+               '--no-verify': (False, None, None),
+               '--opt': (None, None, 'SPEC'),
+               '--parallel': (None, None, 'N'),
+               '--preset': ('default', ['tiny', 'default', 'paper'], None),
+               '--timeout': (None, None, 'SPEC')},
+}
+
+
+def _surface(parser, prefix=()):
+    """``{subcommand path: {option: (default, choices, metavar)}}``."""
+    import argparse
+
+    surface = {}
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(_surface(sub, prefix + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            key = "/".join(action.option_strings) or action.dest
+            choices = list(action.choices) if action.choices is not None else None
+            options[key] = (action.default, choices, action.metavar)
+    surface[" ".join(prefix)] = options
+    return surface
+
+
+class TestCliSurface:
+    def test_matches_snapshot(self):
+        assert _surface(build_parser()) == CLI_SURFACE

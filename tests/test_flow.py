@@ -62,6 +62,14 @@ class TestSessionEnvPrecedence:
         session = Session.from_env()
         assert session.cache_dir is None and session.backend is None
 
+    def test_whitespace_backend_env_agrees_everywhere(self, monkeypatch):
+        """The session and the ambient kernel read $REPRO_SIM_BACKEND
+        through one reader: surrounding whitespace is not the value."""
+        monkeypatch.setenv("REPRO_SIM_BACKEND", " bigint ")
+        assert Session.from_env().backend == "bigint"
+        assert Session().kernel.name == "bigint"
+        assert get_kernel().name == "bigint"
+
     def test_from_args_flag_beats_env(self, tmp_path, monkeypatch):
         import argparse
 
