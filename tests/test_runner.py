@@ -1,7 +1,11 @@
 """Tests for the cached experiment runner (repro.analysis.runner)."""
 
+import collections
+from contextlib import contextmanager
+
 import pytest
 
+from repro.analysis.diskcache import DiskCache
 from repro.analysis.runner import (
     BenchmarkEvaluation,
     ExperimentCache,
@@ -13,6 +17,7 @@ from repro.analysis.runner import (
     run_matrix,
 )
 from repro.core.manager import PRESETS, full_management
+from repro.source import resolve_source
 from repro.synth.arithmetic import build_adder
 
 SUBSET = ["adder", "dec", "ctrl"]
@@ -385,3 +390,337 @@ class TestRegistryDiskKeys:
         for cfg in self.CONFIGS:
             Flow.for_job("adder", cfg, preset="tiny", session=session).run()
         self._assert_stored(tmp_path, self._expected(["adder"]))
+
+
+
+class RecordingDisk(DiskCache):
+    """A local disk tier that logs every ``load``/``flight``/``store``
+    as ``(call, key kind)``.  Its ``flight`` window yields
+    ``flown[kind]`` when set — the way a cache-server waiter adopts the
+    payload another process stored — and ``None`` (compute and store)
+    otherwise."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = []
+        self.flown = {}
+        self.replaces = []
+
+    def load(self, key):
+        self.calls.append(("load", key[0]))
+        return super().load(key)
+
+    @contextmanager
+    def flight(self, key):
+        self.calls.append(("flight", key[0]))
+        yield self.flown.pop(key[0], None)
+
+    def store(self, key, payload, *, replace=None, manifest=None):
+        self.calls.append(("store", key[0]))
+        if replace is not None:
+            self.replaces.append(replace)
+        super().store(key, payload, replace=replace, manifest=manifest)
+
+
+COLD_RESULT = [
+    ("load", "result"), ("flight", "result"),
+    ("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite"),
+    ("store", "result"),
+]
+
+
+class TestTierContract:
+    """Every stage of ExperimentCache walks the same tiers: memory, then
+    disk (``load``), then the disk tier's single-flight window
+    (``flight``), then the compute, then the write-back (``store``).
+
+    Each case primes one state — a memory hit, a disk hit, a payload
+    adopted from the flight window, a cold key, or a key that never
+    reaches the registry or the disk (a hand-built graph, the ``"none"``
+    script) — runs one stage, and pins the tier calls it makes, the
+    computes it runs, the counters it moves, and the certificate it
+    leaves in memory.  The compile-stage states start from an
+    unverified entry."""
+
+    CONFIG = PRESETS["ea-full"]
+    PATTERNS = 16
+
+    # (stage, state) -> (tier calls, computes, counter deltas,
+    # certificate of the compiled pair in memory or None)
+    EXPECTED = {
+        ("source", "memory"): ([], {}, {}, None),
+        ("source", "disk"): ([("load", "mig")], {}, {"disk_hits": 1}, None),
+        ("source", "flight"): (
+            [("load", "mig"), ("flight", "mig")], {}, {"disk_misses": 1},
+            None,
+        ),
+        ("source", "cold"): (
+            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+            {"build": 1}, {"disk_misses": 1}, None,
+        ),
+        # A hand-built graph persists under its content fingerprint and
+        # is built by its source, never by the registry.
+        ("source", "local"): (
+            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+            {}, {"disk_misses": 1}, None,
+        ),
+        ("rewrite", "memory"): ([], {}, {}, None),
+        ("rewrite", "disk"): (
+            [("load", "rewrite")], {}, {"disk_hits": 1}, None,
+        ),
+        ("rewrite", "flight"): (
+            [("load", "rewrite"), ("flight", "rewrite")], {},
+            {"disk_misses": 1}, None,
+        ),
+        ("rewrite", "cold"): (
+            [("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite")],
+            {"rewrite": 1}, {"disk_misses": 1}, None,
+        ),
+        # The "none" script's result is a cleanup copy: memory only.
+        ("rewrite", "local"): ([], {"rewrite": 1}, {}, None),
+        ("compile", "memory"): ([], {}, {"hits": 1}, 0),
+        ("compile", "disk"): (
+            [("load", "result")], {}, {"misses": 1, "disk_hits": 1}, 0,
+        ),
+        # An adopted payload keeps its certificate.
+        ("compile", "flight"): (
+            [("load", "result"), ("flight", "result")], {},
+            {"misses": 1, "disk_misses": 1}, 16,
+        ),
+        ("compile", "cold"): (
+            COLD_RESULT, {"rewrite": 1, "compile": 1},
+            {"misses": 1, "disk_misses": 2}, 0,
+        ),
+        # A hand-built graph has no persistent identity: memory only.
+        ("compile", "local"): (
+            [], {"rewrite": 1, "compile": 1}, {"misses": 1}, 0,
+        ),
+        ("compile-verified", "memory"): (
+            [("store", "result")], {"verify": 1}, {"hits": 1}, 16,
+        ),
+        ("compile-verified", "disk"): (
+            [("load", "result"), ("store", "result")], {"verify": 1},
+            {"misses": 1, "disk_hits": 1}, 16,
+        ),
+        ("compile-verified", "flight"): (
+            [("load", "result"), ("flight", "result")], {},
+            {"misses": 1, "disk_misses": 1}, 16,
+        ),
+        ("compile-verified", "cold"): (
+            COLD_RESULT, {"rewrite": 1, "compile": 1, "verify": 1},
+            {"misses": 1, "disk_misses": 2}, 16,
+        ),
+        ("compile-verified", "local"): (
+            [], {"rewrite": 1, "compile": 1, "verify": 1}, {"misses": 1}, 16,
+        ),
+        # verify counts no hit for an already-compiled pair ...
+        ("verify", "memory"): ([("store", "result")], {"verify": 1}, {}, 16),
+        # ... and runs compile(verify=True) for any other.
+        ("verify", "disk"): (
+            [("load", "result"), ("store", "result")], {"verify": 1},
+            {"misses": 1, "disk_hits": 1}, 16,
+        ),
+        ("verify", "flight"): (
+            [("load", "result"), ("flight", "result"), ("store", "result")],
+            {"verify": 1}, {"misses": 1, "disk_misses": 1}, 16,
+        ),
+        ("verify", "cold"): (
+            COLD_RESULT, {"rewrite": 1, "compile": 1, "verify": 1},
+            {"misses": 1, "disk_misses": 2}, 16,
+        ),
+        ("verify", "local"): (
+            [], {"rewrite": 1, "compile": 1, "verify": 1}, {"misses": 1}, 16,
+        ),
+    }
+
+    # (stage, state) -> (probe answer, probe tier calls, counter deltas,
+    # tier calls of the stage call that follows the probe).  Probes never
+    # compute; a satisfying disk entry is adopted into memory, so the
+    # stage that follows is a pure memory hit.
+    PROBES = {
+        ("source", "memory"): (True, [], {}, []),
+        ("source", "disk"): (True, [("load", "mig")], {"disk_hits": 1}, []),
+        ("source", "cold"): (
+            False, [("load", "mig")], {"disk_misses": 1},
+            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+        ),
+        ("rewrite", "memory"): (True, [], {}, []),
+        ("rewrite", "disk"): (
+            True, [("load", "rewrite")], {"disk_hits": 1}, [],
+        ),
+        ("rewrite", "cold"): (
+            False, [("load", "rewrite")], {"disk_misses": 1},
+            [("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite")],
+        ),
+        ("rewrite", "local"): (False, [], {}, []),
+        ("compile", "memory"): (True, [], {}, []),
+        ("compile", "disk"): (
+            True, [("load", "result")], {"disk_hits": 1}, [],
+        ),
+        ("compile", "cold"): (
+            False, [("load", "result")], {"disk_misses": 1}, COLD_RESULT,
+        ),
+        ("compile", "local"): (False, [], {}, []),
+        # A certificate narrower than requested does not satisfy a
+        # verifying probe: memory answers without reading disk, and a
+        # narrow disk entry is not adopted.
+        ("verify", "memory"): (False, [], {}, [("store", "result")]),
+        ("verify", "disk"): (
+            False, [("load", "result")], {"disk_hits": 1},
+            [("load", "result"), ("store", "result")],
+        ),
+        ("verify", "cold"): (
+            False, [("load", "result")], {"disk_misses": 1}, COLD_RESULT,
+        ),
+        ("verify", "local"): (False, [], {}, []),
+    }
+
+    @pytest.fixture
+    def computes(self, monkeypatch):
+        """Count the runner's compute entry points, which it looks up
+        at call time: registry builds, rewriting, compilation and
+        co-simulation."""
+        import repro.analysis.runner as runner
+        from repro.opt import Optimizer
+
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr, name in (
+            ("build_benchmark", "build"),
+            ("rewrite", "rewrite"),
+            ("compile_pipeline", "compile"),
+            ("verify_program", "verify"),
+        ):
+            monkeypatch.setattr(
+                runner, attr, counting(name, getattr(runner, attr))
+            )
+        monkeypatch.setattr(
+            Optimizer, "run", counting("rewrite", Optimizer.run)
+        )
+        return counts
+
+    def _stage(self, cache, stage, state):
+        """(graph, stage call, probe call, priming call) of *stage*."""
+        cfg = self.CONFIG
+        hand = build_adder(width=3)
+        if stage == "source":
+            if state == "local":
+                source = resolve_source(hand)
+                run = lambda: cache.source_mig(source, "tiny")
+                probe = lambda: cache.cached_source_mig(source, "tiny")
+            else:
+                run = lambda: cache.benchmark_mig("adder", "tiny")
+                probe = lambda: cache.cached_mig("adder", "tiny")
+            return None, run, probe, run
+        graph = (
+            hand
+            if state == "local" and stage != "rewrite"
+            else cache.benchmark_mig("adder", "tiny")
+        )
+        gid = mig_key(graph)
+        if stage == "rewrite":
+            script = "none" if state == "local" else cfg.rewriting
+            run = lambda: cache.rewritten(graph, script, cfg.effort, key=gid)
+            probe = lambda: cache.has_rewritten(gid, script, cfg.effort)
+            return graph, run, probe, run
+        patterns = self.PATTERNS
+        run = {
+            "compile": lambda: cache.compile(graph, cfg, key=gid),
+            "compile-verified": lambda: cache.compile(
+                graph, cfg, key=gid, verify=True, verify_patterns=patterns
+            ),
+            "verify": lambda: cache.verify(
+                graph, cfg, key=gid, patterns=patterns
+            ),
+        }[stage]
+        needed = 0 if stage == "compile" else patterns
+        probe = lambda: cache.has(gid, cfg, verified_patterns=needed)
+        return graph, run, probe, lambda: cache.compile(graph, cfg, key=gid)
+
+    def _flown(self, stage, graph):
+        """(key kind, payload) another process stores for *stage*."""
+        donor = ExperimentCache()
+        if stage == "source":
+            return "mig", donor.benchmark_mig("adder", "tiny")
+        if stage == "rewrite":
+            return "rewrite", donor.benchmark_mig("adder", "tiny")
+        certificate = 0 if stage == "verify" else self.PATTERNS
+        return "result", (donor.compile(graph, self.CONFIG), certificate)
+
+    def _prime(self, tmp_path, stage, state):
+        """A cache on a fresh recording disk, in *state* for *stage*."""
+        root = tmp_path / "root"
+        if state == "disk":
+            warm = ExperimentCache(disk=DiskCache(root))
+            self._stage(warm, stage, state)[3]()
+        disk = RecordingDisk(root)
+        cache = ExperimentCache(disk=disk)
+        graph, run, probe, prime = self._stage(cache, stage, state)
+        if state == "memory":
+            prime()
+        elif state == "flight":
+            kind, payload = self._flown(stage, graph)
+            disk.flown[kind] = payload
+        disk.calls.clear()
+        disk.replaces.clear()
+        return cache, disk, graph, run, probe
+
+    @staticmethod
+    def _moved(before, after):
+        return {k: v - before[k] for k, v in after.items() if v != before[k]}
+
+    def _certificate(self, cache, graph):
+        from repro.arch import resolve_architecture
+        from repro.opt import resolve_optimizer
+
+        semantic = experiment_key(
+            self.CONFIG, resolve_architecture(None), resolve_optimizer(None)
+        )
+        return cache._results[mig_key(graph), semantic][1]
+
+    @pytest.mark.parametrize("stage,state", sorted(EXPECTED))
+    def test_stage(self, stage, state, tmp_path, computes):
+        cache, disk, graph, run, _probe = self._prime(tmp_path, stage, state)
+        flown = list(disk.flown.values())
+        computes.clear()
+        before = cache.counters()
+        value = run()
+        calls, work, moved, certificate = self.EXPECTED[stage, state]
+        assert disk.calls == calls
+        assert dict(computes) == work
+        assert self._moved(before, cache.counters()) == moved
+        for payload in flown:
+            # the stage returns the payload it adopted
+            adopted = payload if stage in ("source", "rewrite") else payload[0]
+            assert value is adopted
+        if certificate is not None:
+            assert self._certificate(cache, graph) == certificate
+        if ("store", "result") in calls:
+            # the certificate write-back never downgrades a wider one
+            (written,) = disk.replaces
+            assert written((None, certificate - 1))
+            assert not written((None, certificate))
+            assert not written((None, certificate + 1))
+        else:
+            assert disk.replaces == []
+
+    @pytest.mark.parametrize("stage,state", sorted(PROBES))
+    def test_probe(self, stage, state, tmp_path, computes):
+        cache, disk, _graph, run, probe = self._prime(tmp_path, stage, state)
+        computes.clear()
+        before = cache.counters()
+        answer, calls, moved, then = self.PROBES[stage, state]
+        found = probe()
+        assert (found is not None and found is not False) is answer
+        assert disk.calls == calls
+        assert self._moved(before, cache.counters()) == moved
+        assert not computes
+        disk.calls.clear()
+        run()
+        assert disk.calls == then
