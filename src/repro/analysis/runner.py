@@ -7,10 +7,11 @@ compilations *shared work*:
 * :class:`ExperimentCache` memoizes the three expensive stages
   independently — circuit construction, MIG rewriting, and compilation
   — keyed by the *semantics* of an :class:`EnduranceConfig` (rewriting
-  script, selection strategy, allocation policy, write cap, effort), not
-  its display name.  Two configs that differ only in ``name`` (e.g.
-  ``with_cap`` relabels) hit the same cache line; every configuration
-  sharing a rewriting script reuses one rewriting run.
+  script, selection strategy, allocation policy, write cap, effort), the
+  target machine and the rewriting optimizer, not display names.  Two
+  configs that differ only in ``name`` (e.g. ``with_cap`` relabels) hit
+  the same cache line; every configuration sharing a rewriting script
+  reuses one rewriting run.
 * :func:`run_matrix` evaluates a sources x configurations matrix.  Every
   matrix entry — a registry name, a netlist path, a graph — resolves to
   a :class:`~repro.source.Source` and travels as one through the cache,
@@ -21,6 +22,30 @@ compilations *shared work*:
   back; the matrix is then assembled in order from the warm cache, so
   the parallel path is bit-for-bit identical to the serial one.
   ``repro serve``'s isolated mode dispatches through the same function.
+
+**The tier path.**  Every stage reads through the same tiers: memory,
+then the attached disk cache (a local
+:class:`~repro.analysis.diskcache.DiskCache` or a
+:class:`~repro.cachesvc.RemoteCache`), then the disk tier's
+single-flight window, and only then the compute.  Against a shared
+cache server exactly one process computes a cold key while concurrent
+requesters block in the window and adopt its payload.  Whatever a tier
+returns is adopted into memory, where the first stored entry wins, and
+a computed entry is written back to disk before the window closes.  The
+probes (``cached_source_mig``, ``has_rewritten``, ``has``) walk memory
+and disk only and never compute; a satisfying disk entry is adopted, so
+the stage call that follows is a pure memory hit.  Graphs persist under
+their source's identity and their rewrites and results under that
+identity too; hand-built graphs and the ``"none"`` script's rewrite (a
+cleanup copy) stay in memory.
+
+**Certificates.**  A compiled result carries a verification
+certificate: the number of patterns it was co-simulated against.  A
+request for a wider certificate co-simulates the stored program once
+and writes the widened certificate back.  Certificates never narrow, in
+memory or on disk, whatever the writer interleaving: the disk
+write-back replaces an entry only under a narrower certificate, decided
+inside the entry's writer lock.
 
 The table/report layer (:mod:`repro.analysis.tables`,
 :mod:`repro.analysis.report`) and the benchmark harness conftest are thin
@@ -35,7 +60,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -53,7 +78,6 @@ from ..opt import (
     OptLike,
     Optimizer,
     OptimizerSpec,
-    resolve_optimizer,
     rewrite,
 )
 from ..mig.graph import Mig
@@ -179,41 +203,73 @@ class BenchmarkEvaluation:
         )
 
 
+def _graph_id(mig_or_key) -> Tuple:
+    """The graph key of a :class:`Mig` or an already-computed key."""
+    return mig_or_key if isinstance(mig_or_key, tuple) else mig_key(mig_or_key)
+
+
+def resolve_target(
+    arch: ArchLike = None,
+    opt: "OptLike | Optimizer" = None,
+    session=None,
+) -> Tuple[Architecture, Optimizer]:
+    """The machine and bound optimizer one compilation targets.
+
+    Each resolves explicit > *session*'s > ambient (``$REPRO_ARCH`` /
+    ``$REPRO_OPT``, else the defaults).  An explicit
+    :class:`~repro.opt.Optimizer` is used as bound.
+    """
+    if session is not None:
+        arch = session.architecture if arch is None else arch
+        opt = session.optimizer if opt is None else opt
+    machine = resolve_architecture(arch)
+    if isinstance(opt, Optimizer):
+        return machine, opt
+    return machine, Optimizer(opt, machine)
+
+
+class _Memo(dict):
+    """One in-memory tier of :class:`ExperimentCache`: the first stored
+    entry wins."""
+
+    def adopt(self, key, entry):
+        return self.setdefault(key, entry)
+
+
+class _CertifiedMemo(_Memo):
+    """Compiled ``(result, certificate)`` entries: the first stored
+    result wins and its certificate never narrows."""
+
+    def adopt(self, key, entry):
+        stored = self.get(key)
+        if stored is not None:
+            entry = (stored[0], max(entry[1], stored[1]))
+        self[key] = entry
+        return entry
+
+
 class ExperimentCache:
     """Session-scoped memo of built, rewritten, and compiled artefacts.
 
-    All stages are keyed semantically (see :func:`config_key` /
-    :func:`mig_key`); hit/miss counters cover the compilation stage and
-    back the cache tests.  The cache is lock-protected, so one instance
-    may be shared by threads; worker *processes* get their own instance.
-
-    Every circuit enters through one source path: a
-    :class:`~repro.source.Source` (registry benchmarks are
-    :class:`~repro.source.RegistrySource`\\ s) is built or fetched under
-    its persistent :meth:`~repro.source.Source.identity` — the classic
-    ``(name, preset)`` pair for registry benchmarks, the content
-    fingerprint for every other kind — and the built graph is mapped
-    back to that identity, so its rewrite and compile artefacts persist
-    under it too.  :meth:`benchmark_mig` and :meth:`cached_mig` are the
-    by-name spellings of :meth:`source_mig` and
-    :meth:`cached_source_mig`.
-
-    With a :class:`~repro.analysis.diskcache.DiskCache` attached, built
-    graphs, rewrites, and compiled results are *read through* to disk
-    and written back, so a warm rerun of the harness in a fresh process
-    — or in a ``run_matrix(parallel=N)`` worker sharing the same root —
-    deserialises instead of recompiling.
+    Each stage reads through memory, the attached *disk* and its
+    single-flight window, as the module docstring describes; results
+    keep the certificate rule stated there.  :attr:`hits` and
+    :attr:`misses` count the compile stage's memory lookups.  The cache
+    is lock-protected, so one instance may be shared by threads; worker
+    *processes* get their own instance.
     """
 
     def __init__(self, disk: Optional[DiskCache] = None) -> None:
-        self._migs: Dict[Tuple, Mig] = {}
-        self._rewrites: Dict[Tuple, Mig] = {}
-        self._results: Dict[Tuple, Tuple[CompilationResult, int]] = {}
+        # source identity -> graph; (graph key, rewrite key) -> graph;
+        # (graph key, experiment key) -> (result, certificate)
+        self._migs = _Memo()
+        self._rewrites = _Memo()
+        self._results = _CertifiedMemo()
         # graph key -> source identity: the persistent key under which
         # the graph's artefacts may go to disk.
         self._bench_keys: Dict[Tuple, Tuple] = {}
         # source identity -> the source's name, which its jobs' events
-        # are recorded under (see _manifest_meta).
+        # are recorded under (see _certify).
         self._job_names: Dict[Tuple, str] = {}
         self.disk = disk
         self._lock = threading.RLock()
@@ -224,13 +280,7 @@ class ExperimentCache:
         #: in-memory cache and disk handle, so the parent's counters
         #: alone under-report what the fan-out actually did).
         self.worker_counters: Dict[str, int] = {
-            "workers": 0,
-            "hits": 0,
-            "misses": 0,
-            "disk_hits": 0,
-            "disk_misses": 0,
-            "disk_lock_skips": 0,
-            **dict.fromkeys(TIER_COUNTER_KEYS, 0),
+            "workers": 0, **dict.fromkeys(self.counters(), 0)
         }
 
     def counters(self) -> Dict[str, int]:
@@ -262,69 +312,93 @@ class ExperimentCache:
                 if key in self.worker_counters:
                     self.worker_counters[key] += value
 
-    # -- stages ----------------------------------------------------------
+    # -- the tier path ---------------------------------------------------
+
+    def _keep(self, table, mem_key, entry):
+        """Adopt *entry* into *table*; returns the entry that won."""
+        with self._lock:
+            return table.adopt(mem_key, entry)
+
+    def _disk_key(self, kind, graph_id, tail) -> Optional[Tuple]:
+        """The persistent key of *graph_id*'s *kind* artefact, or
+        ``None`` without a disk tier or a source identity for the
+        graph."""
+        if self.disk is None:
+            return None
+        with self._lock:
+            identity = self._bench_keys.get(graph_id)
+        return None if identity is None else (kind, *identity, tail)
+
+    def _lookup(self, table, mem_key, disk_key, accept=None):
+        """*mem_key*'s entry from memory, else from disk, else ``None``.
+
+        Never computes.  A disk entry is adopted into memory unless
+        *accept* refuses it (a refused entry is still returned).
+        """
+        with self._lock:
+            entry = table.get(mem_key)
+        if entry is None and disk_key is not None:
+            entry = self.disk.load(disk_key)
+            if entry is not None and (accept is None or accept(entry)):
+                entry = self._keep(table, mem_key, entry)
+        return entry
+
+    def _through(self, table, mem_key, disk_key, make, store=None):
+        """*mem_key*'s entry read through every tier; *make()* computes
+        it on a full miss.
+
+        The computed entry is adopted into memory and written back by
+        ``store(disk_key, entry)`` (a plain disk store by default) while
+        the single-flight window is still open, so a failed compute
+        hands the lease to the next waiter.
+        """
+        entry = self._lookup(table, mem_key, disk_key)
+        if entry is not None:
+            return entry
+        flight = (
+            nullcontext() if disk_key is None else self.disk.flight(disk_key)
+        )
+        with flight as entry:
+            if entry is not None:
+                return self._keep(table, mem_key, entry)
+            entry = self._keep(table, mem_key, make())
+            if disk_key is not None:
+                (store or self.disk.store)(disk_key, entry)
+        return entry
+
+    # -- source ----------------------------------------------------------
 
     def _remember(self, identity: Tuple, mig: Mig, job: str) -> Mig:
         """Keep *mig* as *identity*'s graph (first stored wins) and map
         its graph key back to *identity*; *job* is the source's name."""
         with self._lock:
-            mig = self._migs.setdefault(identity, mig)
+            mig = self._migs.adopt(identity, mig)
             self._bench_keys[mig_key(mig)] = identity
             self._job_names.setdefault(identity, job)
         return mig
 
-    def _peek(self, identity: Tuple, job: str) -> Optional[Mig]:
-        """The graph of *identity* from memory or disk, or ``None``."""
-        with self._lock:
-            mig = self._migs.get(identity)
-        if mig is None and self.disk is not None:
-            mig = self.disk.load(("mig", *identity))
-            if mig is not None:
-                mig = self._remember(identity, mig, job)
-        return mig
-
-    def _build(self, identity: Tuple, job: str, build) -> Mig:
-        """The graph of *identity*, built by *build()* on a full miss.
-
-        A disk miss opens the disk tier's single-flight window
-        (:meth:`DiskCache.flight`): against a shared cache server,
-        exactly one process builds a cold graph while concurrent
-        requesters block and adopt the stored one.
-        """
-        with self._lock:
-            mig = self._migs.get(identity)
-        if mig is not None:
-            return mig
-        key = ("mig", *identity)
-        built = False
-        with ExitStack() as stack:
-            if self.disk is not None:
-                mig = self.disk.load(key)
-                if mig is None:
-                    mig = stack.enter_context(self.disk.flight(key))
-            if mig is None:
-                mig = build()
-                built = True
-            mig = self._remember(identity, mig, job)
-            if built and self.disk is not None:
-                self.disk.store(key, mig)
-        return mig
+    def _graph(self, identity: Tuple, job: str, build=None) -> Optional[Mig]:
+        """The graph of *identity*, built by *build()* on a full miss;
+        without *build* a probe that returns ``None`` instead."""
+        disk_key = ("mig", *identity) if self.disk is not None else None
+        if build is None:
+            mig = self._lookup(self._migs, identity, disk_key)
+        else:
+            mig = self._through(self._migs, identity, disk_key, build)
+        return None if mig is None else self._remember(identity, mig, job)
 
     def cached_mig(self, name: str, preset: str) -> Optional[Mig]:
-        """Fetch an already-built registry benchmark, or ``None``.
-
-        Reads through to the disk cache (a deserialised benchmark *is*
-        available without building), but never builds.
-        """
-        return self._peek((name, preset), name)
+        """Fetch an already-built registry benchmark, or ``None``
+        (never builds)."""
+        return self._graph((name, preset), name)
 
     def cached_source_mig(self, source: Source, preset: str) -> Optional[Mig]:
         """Fetch an already-built source, or ``None`` (never builds)."""
-        return self._peek(tuple(source.identity(preset)), source.name)
+        return self._graph(tuple(source.identity(preset)), source.name)
 
     def benchmark_mig(self, name: str, preset: str) -> Mig:
         """Build (or fetch) a registry benchmark."""
-        return self._build(
+        return self._graph(
             (name, preset), name, lambda: build_benchmark(name, preset)
         )
 
@@ -338,21 +412,35 @@ class ExperimentCache:
         """
         if isinstance(source, RegistrySource):
             return self.benchmark_mig(source.name, preset)
-        return self._build(
+        return self._graph(
             tuple(source.identity(preset)),
             source.name,
             lambda: source.build(preset),
         )
 
-    @staticmethod
-    def _rewrite_tail(
-        script: str, effort: int, optimizer: Optional[Optimizer]
-    ) -> Tuple:
-        """Cache-key tail identifying one rewriting result (shared by
-        the memory and disk keys)."""
-        if optimizer is None:
-            return ("script", script, effort)
-        return optimizer.rewrite_key(script, effort)
+    # -- rewrite ---------------------------------------------------------
+
+    def _rewrite_keys(
+        self,
+        graph_id: Tuple,
+        script: str,
+        effort: int,
+        optimizer: Optional[Optimizer],
+    ) -> Tuple[Tuple, Optional[Tuple]]:
+        """(memory key, disk key) of one rewriting result.  Results are
+        keyed by :meth:`repro.opt.Optimizer.rewrite_key`, so script
+        rewrites are shared across machines and architecture-sensitive
+        search results are kept per machine."""
+        tail = (
+            ("script", script, effort)
+            if optimizer is None
+            else optimizer.rewrite_key(script, effort)
+        )
+        disk_key = (
+            None if script == "none"
+            else self._disk_key("rewrite", graph_id, tail)
+        )
+        return (graph_id, tail), disk_key
 
     def has_rewritten(
         self,
@@ -361,35 +449,12 @@ class ExperimentCache:
         effort: int,
         optimizer: Optional[Optimizer] = None,
     ) -> bool:
-        """Whether the rewriting result is already available.
-
-        Peeks memory first, then (for graphs built from a source) the
-        disk cache — a satisfying disk entry is adopted into memory so the
-        matching ``rewritten`` call that follows is a pure memory hit.
-        Never computes; the flow layer uses this to flag rewrite-stage
-        artefacts as cached.
-        """
-        graph_id = (
-            mig_or_key if isinstance(mig_or_key, tuple) else mig_key(mig_or_key)
+        """Whether the rewriting result is already available (never
+        computes)."""
+        keys = self._rewrite_keys(
+            _graph_id(mig_or_key), script, effort, optimizer
         )
-        tail = self._rewrite_tail(script, effort, optimizer)
-        cache_key = (graph_id, tail)
-        with self._lock:
-            if cache_key in self._rewrites:
-                return True
-            bench = (
-                self._bench_keys.get(graph_id)
-                if self.disk is not None and script != "none"
-                else None
-            )
-        if bench is None:
-            return False
-        payload = self.disk.load(("rewrite", *bench, tail))
-        if payload is None:
-            return False
-        with self._lock:
-            self._rewrites.setdefault(cache_key, payload)
-        return True
+        return self._lookup(self._rewrites, *keys) is not None
 
     def rewritten(
         self,
@@ -400,80 +465,126 @@ class ExperimentCache:
         optimizer: Optional[Optimizer] = None,
     ) -> Mig:
         """Rewriting result shared by every config running *script*
-        through *optimizer* (default: the legacy fixed pipelines).
+        through *optimizer* (default: the fixed script pipelines)."""
 
-        Results are keyed by :meth:`repro.opt.Optimizer.rewrite_key`, so
-        script-driven rewrites stay shared across machines while
-        architecture-sensitive search results are kept per machine.
-        Graphs built from a source read through to the attached disk
-        cache (except the trivial ``"none"`` script, whose result is just
-        a cleanup copy of the stored graph): a cold process deserialises
-        the rewritten MIG instead of re-running the rewriting engine.
-        """
-        graph_id = key or mig_key(mig)
-        tail = self._rewrite_tail(script, effort, optimizer)
-        cache_key = (graph_id, tail)
-        with self._lock:
-            result = self._rewrites.get(cache_key)
-            bench = (
-                self._bench_keys.get(graph_id)
-                if self.disk is not None and script != "none"
-                else None
-            )
-        if result is not None:
-            return result
-        computed = False
-        with ExitStack() as stack:
-            if bench is not None:
-                result = self.disk.load(("rewrite", *bench, tail))
-                if result is None:
-                    result = stack.enter_context(
-                        self.disk.flight(("rewrite", *bench, tail))
-                    )
-            if result is None:
-                if optimizer is not None:
-                    result = optimizer.run(mig, script, effort=effort)
-                else:
-                    result = rewrite(mig, script, effort=effort)
-                computed = True
-            with self._lock:
-                result = self._rewrites.setdefault(cache_key, result)
-            if computed and bench is not None:
-                self.disk.store(("rewrite", *bench, tail), result)
-        return result
+        def make() -> Mig:
+            if optimizer is not None:
+                return optimizer.run(mig, script, effort=effort)
+            return rewrite(mig, script, effort=effort)
 
-    def _manifest_meta(
+        keys = self._rewrite_keys(
+            key or mig_key(mig), script, effort, optimizer
+        )
+        return self._through(self._rewrites, *keys, make)
+
+    # -- compile and verify ----------------------------------------------
+
+    def _result_keys(
         self,
-        bench: Tuple,
+        graph_id: Tuple,
+        config: EnduranceConfig,
+        arch: Architecture,
+        optimizer: Optimizer,
+    ) -> Tuple[Tuple, Optional[Tuple]]:
+        """(memory key, disk key) of one compiled result."""
+        semantic = experiment_key(config, arch, optimizer.spec)
+        disk_key = self._disk_key("result", graph_id, semantic)
+        return (graph_id, semantic), disk_key
+
+    def _certify(
+        self,
+        disk_key: Tuple,
+        entry: Tuple[CompilationResult, int],
         mig: Mig,
         config: EnduranceConfig,
         arch: Architecture,
         optimizer: Optimizer,
-        verified: int,
-    ) -> Dict:
-        """The ``run_manifest.json`` fields for one persisted result.
+    ) -> None:
+        """Write compiled *entry* back to disk with its manifest.
 
-        Identity fields name what produced the artefact (source, config,
-        machine, optimizer, certificate width); ``events`` carries this
-        process's resilience log for the job (retries, degradations,
-        injected faults), filtered by job name so sibling benchmarks'
-        events stay out of each other's manifests.  Jobs record events
-        under their source's name, which need not be the graph's (a
-        netlist's ``.model`` name differs from its file stem).
+        The replace predicate runs inside the entry's writer lock:
+        another process may have persisted a wider certificate since
+        our read, and a certificate never narrows (the stored result is
+        identical either way — compilation is deterministic).
+
+        The ``run_manifest.json`` fields name what produced the
+        artefact (source, config, machine, optimizer, certificate
+        width); ``events`` carries this process's resilience log for
+        the job (retries, degradations, injected faults), filtered by
+        job name so sibling benchmarks' events stay out of each other's
+        manifests.  Jobs record events under their source's name, which
+        need not be the graph's (a netlist's ``.model`` name differs
+        from its file stem).
         """
-        names = {mig.name, self._job_names.get(bench, mig.name)}
-        return {
-            "source": [str(part) for part in bench],
-            "benchmark": mig.name,
-            "config": config.name,
-            "config_key": repr(config_key(config)),
-            "arch": arch.name,
-            "opt": optimizer.spec.label(),
-            "verified_patterns": verified,
-            "events": [
-                e for e in res_events.snapshot() if e.get("job") in names
-            ],
-        }
+        identity = disk_key[1:-1]
+        certified = entry[1]
+        names = {mig.name, self._job_names.get(identity, mig.name)}
+        self.disk.store(
+            disk_key,
+            entry,
+            replace=lambda current: current[1] < certified,
+            manifest={
+                "source": [str(part) for part in identity],
+                "benchmark": mig.name,
+                "config": config.name,
+                "config_key": repr(config_key(config)),
+                "arch": arch.name,
+                "opt": optimizer.spec.label(),
+                "verified_patterns": certified,
+                "events": [
+                    e for e in res_events.snapshot() if e.get("job") in names
+                ],
+            },
+        )
+
+    def _compile(
+        self,
+        mig: Mig,
+        config: EnduranceConfig,
+        key: Optional[Tuple],
+        patterns: int,
+        arch: ArchLike,
+        optimizer: "OptLike | Optimizer",
+        count_hit: bool,
+    ) -> CompilationResult:
+        """The compiled result of *mig* under *config*, certified for at
+        least *patterns* (0: no verification); see :meth:`compile`."""
+        graph_id = key or mig_key(mig)
+        arch, optimizer = resolve_target(arch, optimizer)
+        mem_key, disk_key = self._result_keys(
+            graph_id, config, arch, optimizer
+        )
+
+        def certify(disk_key, entry) -> None:
+            self._certify(disk_key, entry, mig, config, arch, optimizer)
+
+        def make() -> Tuple[CompilationResult, int]:
+            rewritten = self.rewritten(
+                mig, config.rewriting, config.effort, key=graph_id,
+                optimizer=optimizer,
+            )
+            result = compile_pipeline(
+                mig, config, rewritten=rewritten, arch=arch
+            )
+            if patterns:
+                verify_program(result.program, mig, patterns=patterns)
+            return result, patterns
+
+        with self._lock:
+            if mem_key not in self._results:
+                self.misses += 1
+            elif count_hit:
+                self.hits += 1
+        result, verified = self._through(
+            self._results, mem_key, disk_key, make, certify
+        )
+        if patterns > verified:
+            verify_program(result.program, mig, patterns=patterns)
+            entry = self._keep(self._results, mem_key, (result, patterns))
+            if disk_key is not None:
+                certify(disk_key, entry)
+            result = entry[0]
+        return result
 
     def compile(
         self,
@@ -486,105 +597,18 @@ class ExperimentCache:
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> CompilationResult:
-        """Compile *mig* under *config* for *arch*, memoized on semantic keys.
+        """Compile *mig* under *config* for *arch* through *optimizer*.
 
-        With ``verify=True`` the compiled program is co-simulated against
-        the MIG once per cache entry; re-requests at the same or lower
-        pattern count reuse the stored certificate.  Racing threads may
-        duplicate a compilation, but the first stored result wins and
-        verification certificates are never downgraded.
-
-        Graphs built from a source additionally read through to the
-        attached disk cache: a miss here that hits on disk deserialises the
-        stored result (and its certificate) instead of compiling, and
-        fresh compilations or certificate upgrades are written back.
-        Entries — in memory and on disk — are keyed by the target
-        architecture and rewriting optimizer (:func:`experiment_key`),
-        so one cache serves every machine model and optimizer spec
-        without cross-talk.
+        With ``verify=True`` the result carries a certificate of at
+        least *verify_patterns*.  Entries are keyed by the target
+        machine and optimizer (:func:`experiment_key`), so one cache
+        serves every machine model and optimizer spec without
+        cross-talk.  Counts a memory hit or miss.
         """
-        graph_id = key or mig_key(mig)
-        arch = resolve_architecture(arch)
-        optimizer = (
-            optimizer
-            if isinstance(optimizer, Optimizer)
-            else Optimizer(optimizer, arch)
+        return self._compile(
+            mig, config, key, verify_patterns if verify else 0, arch,
+            optimizer, count_hit=True,
         )
-        semantic = experiment_key(config, arch, optimizer.spec)
-        cache_key = (graph_id, semantic)
-        with self._lock:
-            entry = self._results.get(cache_key)
-            if entry is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-            bench = (
-                self._bench_keys.get(graph_id)
-                if self.disk is not None
-                else None
-            )
-        persisted = -1  # certificate already on disk; -1 = absent
-        computed = False
-        with ExitStack() as stack:
-            if entry is None and bench is not None:
-                payload = self.disk.load(("result", *bench, semantic))
-                if payload is None:
-                    # Cold key: open the disk tier's single-flight
-                    # window.  Against a shared cache server, exactly
-                    # one process compiles this pair while concurrent
-                    # requesters block inside enter_context and adopt
-                    # the stored (result, certificate) payload; the
-                    # window stays open through the write-back below,
-                    # so a failed compile releases the lease to the
-                    # next waiter.
-                    payload = stack.enter_context(
-                        self.disk.flight(("result", *bench, semantic))
-                    )
-                if payload is not None:
-                    entry = payload
-                    persisted = payload[1]
-            if entry is not None:
-                result, verified = entry
-            else:
-                prewritten = self.rewritten(
-                    mig, config.rewriting, config.effort, key=graph_id,
-                    optimizer=optimizer,
-                )
-                result = compile_pipeline(
-                    mig, config, rewritten=prewritten, arch=arch
-                )
-                verified = 0
-                computed = True
-            upgraded = False
-            if verify and verify_patterns > verified:
-                verify_program(result.program, mig, patterns=verify_patterns)
-                verified = verify_patterns
-                upgraded = True
-            with self._lock:
-                stored = self._results.get(cache_key)
-                if stored is not None:
-                    result = stored[0]
-                    verified = max(verified, stored[1])
-                self._results[cache_key] = (result, verified)
-            if bench is not None and (
-                computed or upgraded or 0 <= persisted < verified
-            ):
-                # The replace predicate runs inside the entry's writer
-                # lock: another process may have persisted a wider
-                # verification certificate since our probe, and
-                # certificates must never be downgraded (the stored
-                # result is identical either way — compilation is
-                # deterministic).
-                certified = verified
-                self.disk.store(
-                    ("result", *bench, semantic),
-                    (result, verified),
-                    replace=lambda current: current[1] < certified,
-                    manifest=self._manifest_meta(
-                        bench, mig, config, arch, optimizer, verified
-                    ),
-                )
-        return result
 
     def verify(
         self,
@@ -598,58 +622,13 @@ class ExperimentCache:
     ) -> CompilationResult:
         """Ensure the stored result carries a certificate >= *patterns*.
 
-        The flow layer's verify stage: where :meth:`compile` always
-        counts a hit or miss and re-persists on any upgrade path, this
-        only co-simulates when the stored certificate is too narrow,
-        touches no hit/miss counters for the already-compiled result,
-        and leaves the disk alone when the persisted certificate is
-        already wide enough.  Falls back to the full :meth:`compile`
-        path when the pair has not been compiled in this session.
+        The flow layer's verify stage: :meth:`compile` with
+        verification, except that a pair already compiled in this
+        session counts no hit.
         """
-        graph_id = key or mig_key(mig)
-        arch = resolve_architecture(arch)
-        optimizer = (
-            optimizer
-            if isinstance(optimizer, Optimizer)
-            else Optimizer(optimizer, arch)
+        return self._compile(
+            mig, config, key, patterns, arch, optimizer, count_hit=False
         )
-        semantic = experiment_key(config, arch, optimizer.spec)
-        cache_key = (graph_id, semantic)
-        with self._lock:
-            entry = self._results.get(cache_key)
-        if entry is None:
-            # Not in memory (possibly on disk): the compile path handles
-            # read-through, counters, and verification in one go.
-            return self.compile(
-                mig, config, key=graph_id, verify=True,
-                verify_patterns=patterns, arch=arch, optimizer=optimizer,
-            )
-        result, verified = entry
-        if patterns <= verified:
-            return result
-        verify_program(result.program, mig, patterns=patterns)
-        with self._lock:
-            stored = self._results.get(cache_key)
-            if stored is not None:
-                result = stored[0]
-                patterns = max(patterns, stored[1])
-            self._results[cache_key] = (result, patterns)
-            bench = (
-                self._bench_keys.get(graph_id)
-                if self.disk is not None
-                else None
-            )
-        if bench is not None:
-            certified = patterns
-            self.disk.store(
-                ("result", *bench, semantic),
-                (result, patterns),
-                replace=lambda current: current[1] < certified,
-                manifest=self._manifest_meta(
-                    bench, mig, config, arch, optimizer, patterns
-                ),
-            )
-        return result
 
     def has(
         self,
@@ -660,43 +639,23 @@ class ExperimentCache:
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> bool:
-        """Whether a stored result satisfies this pair's requirements.
+        """Whether a stored result satisfies this pair's requirements
+        (never computes).
 
         With a nonzero *verified_patterns* the entry must also carry a
-        verification certificate at least that wide — an unverified
-        entry does not satisfy a verifying request.
-
-        Entries of graphs built from a source read through to the disk
-        cache; a satisfying disk entry is adopted into memory so the
-        matching ``compile`` call that follows is a pure hit.
+        certificate at least that wide; a narrower disk entry is not
+        adopted.
         """
-        graph_id = (
-            mig_or_key if isinstance(mig_or_key, tuple) else mig_key(mig_or_key)
+        arch, optimizer = resolve_target(arch, optimizer)
+        keys = self._result_keys(
+            _graph_id(mig_or_key), config, arch, optimizer
         )
-        machine = resolve_architecture(arch)
-        spec = (
-            optimizer.spec
-            if isinstance(optimizer, Optimizer)
-            else resolve_optimizer(optimizer)
-        )
-        semantic = experiment_key(config, machine, spec)
-        with self._lock:
-            entry = self._results.get((graph_id, semantic))
-            if entry is not None:
-                return entry[1] >= verified_patterns
-            bench = (
-                self._bench_keys.get(graph_id)
-                if self.disk is not None
-                else None
-            )
-        if bench is None:
-            return False
-        payload = self.disk.load(("result", *bench, semantic))
-        if payload is None or payload[1] < verified_patterns:
-            return False
-        with self._lock:
-            self._results.setdefault((graph_id, semantic), payload)
-        return True
+
+        def satisfies(entry) -> bool:
+            return entry[1] >= verified_patterns
+
+        entry = self._lookup(self._results, *keys, accept=satisfies)
+        return entry is not None and satisfies(entry)
 
     def adopt(
         self,
@@ -720,24 +679,14 @@ class ExperimentCache:
         *arch* and *optimizer* must name the machine and optimizer the
         worker targeted — adopted entries land under their keys.
         """
-        arch = resolve_architecture(arch)
-        spec = (
-            optimizer.spec
-            if isinstance(optimizer, Optimizer)
-            else resolve_optimizer(optimizer)
-        )
+        arch, optimizer = resolve_target(arch, optimizer)
         with self._lock:
             graph_id = mig_key(self._remember(identity, mig, job))
             for cfg in configs:
-                key = (graph_id, experiment_key(cfg, arch, spec))
-                stored = self._results.get(key)
-                if stored is None:
-                    self._results[key] = (
-                        evaluation.results[result_label(cfg)],
-                        verified_patterns,
-                    )
-                elif verified_patterns > stored[1]:
-                    self._results[key] = (stored[0], verified_patterns)
+                self._results.adopt(
+                    (graph_id, experiment_key(cfg, arch, optimizer.spec)),
+                    (evaluation.results[result_label(cfg)], verified_patterns),
+                )
 
     def annotate_manifests(
         self,
@@ -762,14 +711,9 @@ class ExperimentCache:
             return
         from ..resilience.manifest import append_manifest_events
 
-        machine = resolve_architecture(arch)
-        spec = (
-            optimizer.spec
-            if isinstance(optimizer, Optimizer)
-            else resolve_optimizer(optimizer)
-        )
+        arch, optimizer = resolve_target(arch, optimizer)
         for cfg in configs:
-            semantic = experiment_key(cfg, machine, spec)
+            semantic = experiment_key(cfg, arch, optimizer.spec)
             entry = self.disk.entry_path(("result", *identity, semantic))
             append_manifest_events(entry, list(events))
 
@@ -815,8 +759,7 @@ def evaluate_mig_cached(
 ) -> BenchmarkEvaluation:
     """Compile *mig* under every configuration through a cache."""
     cache = cache if cache is not None else ExperimentCache()
-    arch = resolve_architecture(arch)
-    optimizer = opt if isinstance(opt, Optimizer) else Optimizer(opt, arch)
+    arch, optimizer = resolve_target(arch, opt)
     evaluation = BenchmarkEvaluation(
         name=mig.name,
         num_pis=mig.num_pis,
@@ -1272,24 +1215,7 @@ def run_matrix(
     jobs = resolve_configs(configs, caps, effort)
     if cache is None:
         cache = session.cache if session is not None else ExperimentCache()
-    # An explicit arch/opt argument beats the session's, mirroring
-    # Flow.arch()/Flow.optimize(); with neither, the ambient selection
-    # applies.
-    machine = (
-        resolve_architecture(arch)
-        if arch is not None
-        else session.architecture
-        if session is not None
-        else resolve_architecture(None)
-    )
-    opt_spec = (
-        resolve_optimizer(opt)
-        if opt is not None
-        else session.optimizer
-        if session is not None
-        else resolve_optimizer(None)
-    )
-    optimizer = Optimizer(opt_spec, machine)
+    machine, optimizer = resolve_target(arch, opt, session)
     policy = retry if retry is not None else DEFAULT_POLICY
     timeouts = (
         session.timeouts if session is not None else resolve_timeouts(None)

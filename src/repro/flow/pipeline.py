@@ -36,20 +36,15 @@ import time
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..arch import Architecture, DEFAULT_ARCHITECTURE, resolve_architecture
+from ..arch import Architecture, DEFAULT_ARCHITECTURE
 from ..core.manager import CompilationResult, EnduranceConfig, PRESETS
 from ..core.stats import WriteTrafficStats
-from ..opt import (
-    DEFAULT_EFFORT,
-    Optimizer,
-    OptimizerSpec,
-    resolve_optimizer,
-)
+from ..opt import DEFAULT_EFFORT, OptimizerSpec
 from ..mig.graph import Mig
 from ..plim.isa import Program
 from ..resilience import time_limit
 from ..source import MigSource, Source, SourceLike, resolve_source
-from ..analysis.runner import mig_key
+from ..analysis.runner import mig_key, resolve_target
 from .session import Session
 
 #: Stage names in pipeline order.
@@ -306,17 +301,10 @@ class Flow:
         preset = self._source_preset or self.session.preset
         config = self._effective_config()
         cache = self.session.cache
-        machine = (
-            resolve_architecture(self._arch)
-            if self._arch is not None
-            else self.session.architecture
+        machine, optimizer = resolve_target(
+            self._arch, self._opt, self.session
         )
-        opt_spec = (
-            resolve_optimizer(self._opt)
-            if self._opt is not None
-            else self.session.optimizer
-        )
-        optimizer = Optimizer(opt_spec, machine)
+        opt_spec = optimizer.spec
         label = f"{source.label(preset)}/{config.name}"
         if machine.name != DEFAULT_ARCHITECTURE:
             label += f"#{machine.name}"

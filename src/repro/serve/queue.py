@@ -36,11 +36,6 @@ from ..resilience import DEFAULT_POLICY, RetryPolicy, call_with_retry
 from .jobstore import Job, JobStore
 from .schemas import JobSpec, summarize_compilation
 
-#: Keys of the per-job cache-counter delta attached to finished jobs.
-COUNTER_KEYS = ("hits", "misses", "disk_hits", "disk_misses",
-                "disk_lock_skips", "remote_memory_hits",
-                "remote_disk_hits", "remote_waits", "remote_fallbacks")
-
 
 class JobQueue:
     """Dispatches submitted jobs onto executor threads."""
@@ -145,7 +140,7 @@ class JobQueue:
         else:
             compilation = self._assemble(job)
         after = self.session.cache.counters()
-        delta = {key: after[key] - before[key] for key in COUNTER_KEYS}
+        delta = {key: value - before[key] for key, value in after.items()}
 
         store.finish(
             job_id,

@@ -315,6 +315,12 @@ class TestWorkerCounterAggregation:
         assert cache.worker_counters["workers"] == 0
         assert all(v == 0 for v in cache.worker_counters.values())
 
+    def test_worker_counters_share_the_counters_schema(self, tmp_path):
+        for cache in (ExperimentCache(), ExperimentCache(DiskCache(tmp_path))):
+            assert set(cache.worker_counters) == {
+                "workers", *cache.counters()
+            }
+
 
 class TestRegistryDiskKeys:
     """Registry benchmarks persist under their classic ``(name, preset)``

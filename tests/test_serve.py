@@ -463,6 +463,12 @@ class TestJobQueue:
             follower = queue.store.get(follower.id)
             assert primary.status == "done", primary.error
             assert follower.status == "done", follower.error
+            # the per-job delta covers every cache counter
+            assert set(primary.counters) == {
+                "hits", "misses", "disk_hits", "disk_misses",
+                "disk_lock_skips", "remote_memory_hits", "remote_disk_hits",
+                "remote_waits", "remote_fallbacks",
+            }
             assert primary.counters["misses"] > 0
             assert follower.counters["misses"] == 0
             assert follower.counters["disk_misses"] == 0
