@@ -14,16 +14,16 @@ directory of pickled stage artefacts keyed by
   rather than serving artefacts a different compiler produced.
 
 Entries are written atomically (temp file + ``os.replace``) and loaded
-through an integrity check (magic, payload digest, key match); torn,
-truncated, or otherwise corrupt files are treated as misses, never as
-data.  Multiple processes — e.g. ``run_matrix(parallel=N)`` workers —
-may share one cache root concurrently: each entry write is guarded by
-an exclusive per-key lockfile, so exactly one writer serialises and
-persists a given artefact while racing writers (whose payload would be
-identical — stage computation is deterministic) skip the redundant
-write-through instead of piling up temp files and renames on the same
-path.  Locks carry their holder's PID: a lock whose writer has died is
-broken immediately, anything else after a staleness timeout.
+through an integrity check (magic, payload digest, certificate field,
+key match); torn, truncated, or otherwise corrupt files are treated as
+misses, never as data.  Every write — a local store, a cache server's
+put, a client's fallback root — goes through :meth:`DiskCache.store_blob`
+under an exclusive per-key lockfile, so processes may share one root
+concurrently, and inside that lock a blob whose verification
+certificate is narrower than the stored one is refused: certificates
+never narrow, whatever the writer interleaving.  Locks carry their
+holder's PID: a lock whose writer has died is broken immediately,
+anything else after a staleness timeout.
 
 Layout::
 
@@ -64,7 +64,8 @@ TIER_COUNTER_KEYS = (
 )
 
 #: File magic; bump when the entry format changes.
-_MAGIC = b"RPCH1\n"
+_MAGIC = b"RPCH2\n"
+_DIGEST_END = len(_MAGIC) + 64
 
 #: Age (seconds) after which another writer's lockfile is presumed dead
 #: (crashed worker) and broken.  Serialising one entry takes well under
@@ -85,30 +86,48 @@ _TOMB_COUNTER = itertools.count()
 _FINGERPRINT: Optional[str] = None
 
 
-def encode_entry(key_repr: str, payload) -> bytes:
+def encode_entry(key_repr: str, payload, certificate: int = 0) -> bytes:
     """Serialise one cache entry into its on-disk/wire blob form.
 
-    ``MAGIC + sha256hex(body) + body`` with ``body = pickle((key_repr,
-    payload))`` — the format :class:`DiskCache` persists and
-    :mod:`repro.cachesvc` ships over HTTP, so an artefact fetched from a
-    cache server is byte-identical to one read off a shared root.
+    ``MAGIC + sha256hex(body) + body`` with ``body = b"<certificate>\\n"
+    + pickle((key_repr, payload))`` — the format :class:`DiskCache`
+    persists and :mod:`repro.cachesvc` ships over HTTP, so an artefact
+    fetched from a cache server is byte-identical to one read off a
+    shared root.  *certificate* (a compiled result's verification
+    width; 0 for every other entry) sits inside the digested region, so
+    a writer can compare widths without unpickling.
     """
-    body = pickle.dumps((key_repr, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    body = b"%d\n" % certificate + pickle.dumps(
+        (key_repr, payload), protocol=pickle.HIGHEST_PROTOCOL
+    )
     return _MAGIC + hashlib.sha256(body).hexdigest().encode() + body
 
 
-def verify_blob(blob: bytes) -> bool:
-    """Structural integrity of a blob: magic plus payload digest.
+def _header(blob: bytes) -> Optional[Tuple[int, int]]:
+    """``(certificate, pickle offset)`` of an intact blob, else ``None``."""
+    if not blob.startswith(_MAGIC):
+        return None
+    digest = hashlib.sha256(memoryview(blob)[_DIGEST_END:]).hexdigest()
+    if digest.encode() != blob[len(_MAGIC):_DIGEST_END]:
+        return None
+    end = blob.find(b"\n", _DIGEST_END, _DIGEST_END + 21)
+    field = blob[_DIGEST_END:end]
+    if end < 0 or not field.isdigit():
+        return None
+    return int(field), end + 1
 
-    Deliberately does **not** unpickle — this is the check a cache
+
+def blob_certificate(blob: Optional[bytes]) -> Optional[int]:
+    """The certificate of an intact blob; ``None`` for anything else.
+
+    Checks magic, payload digest and the certificate field, and
+    deliberately does **not** unpickle — this is the check a cache
     *server* runs on opaque artefacts it never executes (admitting a
     tampered pickle to the warm tier would hand it to every client).
+    A ``None`` blob (nothing stored) is ``None`` too.
     """
-    if not blob.startswith(_MAGIC):
-        return False
-    digest_end = len(_MAGIC) + 64
-    digest = blob[len(_MAGIC):digest_end]
-    return hashlib.sha256(blob[digest_end:]).hexdigest().encode() == digest
+    header = None if blob is None else _header(blob)
+    return None if header is None else header[0]
 
 
 def blob_digest(blob: bytes) -> str:
@@ -119,14 +138,15 @@ def blob_digest(blob: bytes) -> str:
 def decode_entry(blob: bytes, key_repr: str):
     """Decode a blob back into its payload, or ``None``.
 
-    Anything wrong — bad magic, digest mismatch, unpicklable body, or a
-    key mismatch (hash collision, format drift) — is a miss; corruption
-    is never surfaced as data.
+    Anything wrong — bad magic, digest mismatch, unparsable certificate,
+    unpicklable body, or a key mismatch (hash collision, format drift) —
+    is a miss; corruption is never surfaced as data.
     """
-    if not verify_blob(blob):
+    header = _header(blob)
+    if header is None:
         return None
     try:
-        stored_key, payload = pickle.loads(blob[len(_MAGIC) + 64:])
+        stored_key, payload = pickle.loads(blob[header[1]:])
     except Exception:
         # A well-digested but unloadable body can only mean format
         # drift (e.g. a renamed class in a stale shard): miss.
@@ -196,9 +216,7 @@ class DiskCache:
     """One cache root; stores and retrieves pickled stage artefacts.
 
     Thread-compatible in the same way the rest of the runner is: loads
-    are pure reads, stores are atomic renames, and racing writers of the
-    same key produce identical content (stage computation is
-    deterministic), so last-writer-wins is harmless.
+    are pure reads and every store is a locked, atomic rename.
     """
 
     #: Shared cache server address; a local root has none.
@@ -214,8 +232,8 @@ class DiskCache:
         self.fingerprint = fingerprint or code_fingerprint()
         self.hits = 0
         self.misses = 0
-        #: Writes skipped because another process held the entry's lock
-        #: (it was persisting the identical payload).
+        #: Writes skipped because another writer held the entry's lock
+        #: past :data:`LOCK_WAIT_SECONDS`.
         self.lock_skips = 0
 
     # -- remote-tier surface (no-ops on a local root) ---------------------
@@ -233,17 +251,30 @@ class DiskCache:
 
     # -- keying ----------------------------------------------------------
 
-    def _path(self, key: Tuple) -> pathlib.Path:
-        name = hashlib.sha256(repr(key).encode()).hexdigest()
-        return self.root / self.fingerprint[:16] / f"{name}.pkl"
+    def blob_path(self, key_repr: str, shard: Optional[str] = None) -> pathlib.Path:
+        """Entry path of an *opaque* key/shard pair (default shard: ours).
+
+        A server stores artefacts on behalf of clients whose code
+        fingerprint may differ from its own, so the client names the
+        shard explicitly and the server never re-derives keys.
+        """
+        name = hashlib.sha256(key_repr.encode()).hexdigest()
+        return self.root / (shard or self.fingerprint[:16]) / f"{name}.pkl"
 
     def entry_path(self, key: Tuple) -> pathlib.Path:
         """The content-addressed path *key* persists under (whether or
         not an entry exists there yet) — how the parallel supervisor
         locates a retried job's manifests to annotate."""
-        return self._path(key)
+        return self.blob_path(repr(key))
 
-    # -- read/write ------------------------------------------------------
+    # -- read ------------------------------------------------------------
+
+    @staticmethod
+    def _read(path: pathlib.Path) -> Optional[bytes]:
+        try:
+            return path.read_bytes()
+        except OSError:
+            return None
 
     def load(self, key: Tuple):
         """Return the stored payload for *key*, or ``None``.
@@ -252,24 +283,31 @@ class DiskCache:
         unpicklable, or keyed differently (a hash collision or format
         drift) — is a miss; corruption is never surfaced as data.
         """
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        # Chaos hook: an injected corruption must surface as a miss.
-        blob = faults.corrupt_blob(blob, _key_job(key))
-        payload = self._decode(blob, key)
+        payload = None
+        blob = self._read(self.entry_path(key))
+        if blob is not None:
+            # Chaos hook: an injected corruption must surface as a miss.
+            blob = faults.corrupt_blob(blob, _key_job(key))
+            payload = decode_entry(blob, repr(key))
         if payload is None:
             self.misses += 1
             return None
         self.hits += 1
         return payload
 
-    @staticmethod
-    def _decode(blob: bytes, key: Tuple):
-        return decode_entry(blob, repr(key))
+    def load_blob(
+        self, key_repr: str, shard: Optional[str] = None
+    ) -> Optional[bytes]:
+        """Read one entry's raw blob (integrity-checked, never decoded).
+
+        Returns ``None`` for missing or structurally corrupt entries —
+        the same "corruption is a miss" contract as :meth:`load`, minus
+        the unpickle (servers treat artefacts as opaque bytes).
+        """
+        blob = self._read(self.blob_path(key_repr, shard))
+        return None if blob_certificate(blob) is None else blob
+
+    # -- write -----------------------------------------------------------
 
     def _acquire_lock(self, path: pathlib.Path) -> Optional[pathlib.Path]:
         """Take the per-entry writer lock, or ``None`` on timeout.
@@ -344,50 +382,62 @@ class DiskCache:
             pass
 
     def store(
-        self, key: Tuple, payload, *, replace=None, manifest=None
+        self, key: Tuple, payload, *, certificate: int = 0, manifest=None
     ) -> None:
-        """Persist *payload* under *key* (atomic, best-effort,
-        single-writer).
+        """Persist *payload* under *key* with its *certificate* through
+        :meth:`store_blob` (best-effort).  A cache must never take the
+        experiment down: an unpicklable payload is simply not
+        persisted."""
+        try:
+            faults.store_io_fault(_key_job(key))  # chaos hook
+            blob = encode_entry(repr(key), payload, certificate)
+        except Exception:
+            return
+        self.store_blob(repr(key), blob, manifest=manifest)
+
+    def store_blob(
+        self,
+        key_repr: str,
+        blob: bytes,
+        shard: Optional[str] = None,
+        manifest: Optional[dict] = None,
+    ) -> bool:
+        """Persist a raw blob under an opaque key — the one write path
+        of every tier (local stores, cache-server puts, a client's
+        fallback root).  Returns ``True`` when the bytes landed.
 
         The entry's lockfile is acquired first (waiting briefly for a
         sibling writer to finish); an unobtainable lock skips the write
-        (counted in :attr:`lock_skips`).  With a *replace* predicate
-        the decision to overwrite an existing entry happens *inside*
-        the lock: the current payload (if any decodes) is passed to
-        ``replace`` and the write proceeds only on ``True`` — this is
-        how verification certificates upgrade atomically and never
-        downgrade, regardless of writer interleaving.  A cache must
-        never take the experiment down: filesystem and serialisation
-        errors are swallowed and the entry is simply not persisted.
+        (counted in :attr:`lock_skips`).  Inside the lock the blob is
+        refused when its certificate is narrower than the stored one,
+        so certificates never narrow whatever the writer interleaving.
+        A blob failing :func:`blob_certificate` is refused outright — a
+        cache server must not launder corrupt artefacts onto a shared
+        root — and filesystem errors are swallowed.
 
         With a *manifest* dict the entry gets a ``run_manifest.json``
         sidecar (see :mod:`repro.resilience.manifest`), written inside
         the same lock so it always describes the bytes on disk; a
-        skipped write (replace declined) still folds the manifest's
-        event log into the existing sidecar, so recovery history is
-        never lost to a lost store race.
+        refused write still folds the manifest's event log into the
+        existing sidecar, so recovery history is never lost.
         """
-        path = self._path(key)
+        certificate = blob_certificate(blob)
+        if certificate is None:
+            return False
+        path = self.blob_path(key_repr, shard)
         lock = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             lock = self._acquire_lock(path)
             if lock is None:
                 self.lock_skips += 1
-                return
-            faults.store_io_fault(_key_job(key))  # chaos hook
-            if replace is not None:
-                try:
-                    current = self._decode(path.read_bytes(), key)
-                except OSError:
-                    current = None
-                if current is not None and not replace(current):
-                    if manifest is not None:
-                        run_manifest.append_manifest_events(
-                            path, manifest.get("events", [])
-                        )
-                    return
-            blob = encode_entry(repr(key), payload)
+                return False
+            meta = dict(manifest or {})
+            events = meta.pop("events", [])
+            stored = blob_certificate(self._read(path))
+            if stored is not None and stored > certificate:
+                run_manifest.append_manifest_events(path, events)
+                return False
             # The temp suffix is deliberately not ".pkl": a writer killed
             # mid-write (terminated worker, SIGKILL) orphans the temp
             # file, and an orphan must never be countable or comparable
@@ -406,104 +456,6 @@ class DiskCache:
                     pass
                 raise
             if manifest is not None:
-                meta = dict(manifest)
-                events = meta.pop("events", [])
-                run_manifest.write_manifest(
-                    path,
-                    run_manifest.build_manifest(
-                        path,
-                        key_repr=repr(key),
-                        blob=blob,
-                        meta=meta,
-                        events=events,
-                    ),
-                )
-        except Exception:
-            # Unpicklable payloads and filesystem failures degrade to
-            # "not persisted", never to a crashed experiment.
-            pass
-        finally:
-            # The lock is released on *every* exit path — including a
-            # KeyboardInterrupt arriving mid-write — so an interrupted
-            # run never wedges sibling writers for STALE_LOCK_SECONDS.
-            if lock is not None:
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
-
-    # -- blob layer (cache service) --------------------------------------
-
-    def blob_path(self, key_repr: str, shard: Optional[str] = None) -> pathlib.Path:
-        """Entry path for an *opaque* key/shard pair.
-
-        The cache-service half of :meth:`entry_path`: a server stores
-        artefacts on behalf of clients whose code fingerprint may differ
-        from its own, so the client names the shard explicitly and the
-        server never re-derives keys.
-        """
-        name = hashlib.sha256(key_repr.encode()).hexdigest()
-        return self.root / (shard or self.fingerprint[:16]) / f"{name}.pkl"
-
-    def load_blob(
-        self, key_repr: str, shard: Optional[str] = None
-    ) -> Optional[bytes]:
-        """Read one entry's raw blob (integrity-checked, never decoded).
-
-        Returns ``None`` for missing or structurally corrupt entries —
-        the same "corruption is a miss" contract as :meth:`load`, minus
-        the unpickle (servers treat artefacts as opaque bytes).
-        """
-        try:
-            blob = self.blob_path(key_repr, shard).read_bytes()
-        except OSError:
-            return None
-        if not verify_blob(blob):
-            return None
-        return blob
-
-    def store_blob(
-        self,
-        key_repr: str,
-        blob: bytes,
-        shard: Optional[str] = None,
-        manifest: Optional[dict] = None,
-    ) -> bool:
-        """Persist a raw blob under an opaque key (atomic, single-writer).
-
-        The server-side write path: same lockfile discipline and atomic
-        rename as :meth:`store`, but the payload is never unpickled and
-        the write is refused outright for a blob that fails
-        :func:`verify_blob` — a cache server must not launder corrupt
-        artefacts onto a shared root.  Returns ``True`` when the bytes
-        landed.
-        """
-        if not verify_blob(blob):
-            return False
-        path = self.blob_path(key_repr, shard)
-        lock = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            lock = self._acquire_lock(path)
-            if lock is None:
-                self.lock_skips += 1
-                return False
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            if manifest is not None:
-                meta = dict(manifest)
-                events = meta.pop("events", [])
                 run_manifest.write_manifest(
                     path,
                     run_manifest.build_manifest(
@@ -518,6 +470,9 @@ class DiskCache:
         except Exception:
             return False
         finally:
+            # The lock is released on *every* exit path — including a
+            # KeyboardInterrupt arriving mid-write — so an interrupted
+            # run never wedges sibling writers for STALE_LOCK_SECONDS.
             if lock is not None:
                 try:
                     os.unlink(lock)

@@ -43,9 +43,12 @@ cleanup copy) stay in memory.
 certificate: the number of patterns it was co-simulated against.  A
 request for a wider certificate co-simulates the stored program once
 and writes the widened certificate back.  Certificates never narrow, in
-memory or on disk, whatever the writer interleaving: the disk
-write-back replaces an entry only under a narrower certificate, decided
-inside the entry's writer lock.
+memory or on disk, whatever the writer interleaving: the write-back
+carries the certificate in the entry header, and every disk tier — a
+local root, a cache server, a client's fallback root — writes through
+:meth:`~repro.analysis.diskcache.DiskCache.store_blob`, which refuses a
+narrower certificate than the stored one inside the entry's writer
+lock.
 
 The table/report layer (:mod:`repro.analysis.tables`,
 :mod:`repro.analysis.report`) and the benchmark harness conftest are thin
@@ -500,12 +503,9 @@ class ExperimentCache:
         arch: Architecture,
         optimizer: Optimizer,
     ) -> None:
-        """Write compiled *entry* back to disk with its manifest.
-
-        The replace predicate runs inside the entry's writer lock:
-        another process may have persisted a wider certificate since
-        our read, and a certificate never narrows (the stored result is
-        identical either way — compilation is deterministic).
+        """Write compiled *entry* back to disk with its certificate
+        (``entry[1]``) and manifest; the disk tier refuses it when it
+        already holds a wider certificate.
 
         The ``run_manifest.json`` fields name what produced the
         artefact (source, config, machine, optimizer, certificate
@@ -517,12 +517,11 @@ class ExperimentCache:
         from its file stem).
         """
         identity = disk_key[1:-1]
-        certified = entry[1]
         names = {mig.name, self._job_names.get(identity, mig.name)}
         self.disk.store(
             disk_key,
             entry,
-            replace=lambda current: current[1] < certified,
+            certificate=entry[1],
             manifest={
                 "source": [str(part) for part in identity],
                 "benchmark": mig.name,
@@ -530,7 +529,7 @@ class ExperimentCache:
                 "config_key": repr(config_key(config)),
                 "arch": arch.name,
                 "opt": optimizer.spec.label(),
-                "verified_patterns": certified,
+                "verified_patterns": entry[1],
                 "events": [
                     e for e in res_events.snapshot() if e.get("job") in names
                 ],

@@ -227,83 +227,42 @@ class RemoteCache:
         self._misses += 1
         return None
 
-    def store(self, key: Tuple, payload, *, replace=None, manifest=None) -> None:
-        """Persist *payload* under *key* through the server (best-effort).
-
-        The *replace* predicate is evaluated client-side against the
-        server's current entry — a benign race (the server's writes are
-        last-writer-wins under its own entry lock, and racing writers
-        of the same key produce identical artefacts; certificate
-        upgrades re-put deliberately with ``mode="upgrade"``).
-        """
-        key_repr = repr(key)
-        job = _key_job(key)
-        if self._down():
-            if self._fallback is not None:
-                self._fallback.store(
-                    key, payload, replace=replace, manifest=manifest
-                )
-            return
-        try:
-            mode = "store"
-            if replace is not None:
-                status, data, _headers = self._request(
-                    "GET",
-                    "/entry",
-                    query={"key": key_repr, "shard": self.shard},
-                    job=job,
-                )
-                if status == 200:
-                    current = decode_entry(data, key_repr)
-                    if current is not None and not replace(current):
-                        return
-                    mode = "upgrade"
-            blob = encode_entry(key_repr, payload)
-            envelope = {
-                "key": key_repr,
-                "shard": self.shard,
-                "sha256": blob_digest(blob),
-                "mode": mode,
-                "lease": self._lease_tokens.get(key_repr),
-                "manifest": manifest,
-            }
-            body = (
-                json.dumps(envelope, default=str).encode("utf-8")
-                + b"\n"
-                + blob
-            )
-            self._request("PUT", "/entry", body=body, job=job)
-        except OSError as error:
-            self._mark_down(error, job)
-            if self._fallback is not None:
-                self._fallback.store(
-                    key, payload, replace=replace, manifest=manifest
-                )
-        except Exception:
-            # Unpicklable payloads and envelope failures degrade to
-            # "not persisted", mirroring DiskCache.store.
-            pass
-
-    def contains(self, key: Tuple) -> bool:
-        """Whether the server (or the fallback root) holds *key*."""
+    def store(
+        self, key: Tuple, payload, *, certificate: int = 0, manifest=None
+    ) -> None:
+        """Persist *payload* under *key* through the server: one PUT
+        (best-effort).  The server's disk write refuses a narrower
+        *certificate* than it holds (see
+        :meth:`~repro.analysis.diskcache.DiskCache.store_blob`)."""
         key_repr = repr(key)
         job = _key_job(key)
         if not self._down():
             try:
-                status, _data, _headers = self._request(
-                    "GET",
-                    "/entry",
-                    query={
-                        "key": key_repr, "shard": self.shard, "probe": "1",
-                    },
-                    job=job,
+                blob = encode_entry(key_repr, payload, certificate)
+                envelope = {
+                    "key": key_repr,
+                    "shard": self.shard,
+                    "sha256": blob_digest(blob),
+                    "lease": self._lease_tokens.get(key_repr),
+                    "manifest": manifest,
+                }
+                body = (
+                    json.dumps(envelope, default=str).encode("utf-8")
+                    + b"\n"
+                    + blob
                 )
-                return status == 204
+                self._request("PUT", "/entry", body=body, job=job)
+                return
             except OSError as error:
                 self._mark_down(error, job)
+            except Exception:
+                # Unpicklable payloads and envelope failures degrade to
+                # "not persisted", mirroring DiskCache.store.
+                return
         if self._fallback is not None:
-            return self._fallback.load_blob(key_repr) is not None
-        return False
+            self._fallback.store(
+                key, payload, certificate=certificate, manifest=manifest
+            )
 
     # -- single-flight -------------------------------------------------
 

@@ -18,7 +18,13 @@ dance could never provide:
   and handed to a waiter — zero duplicate compiles, no wedged keys;
 * **put verification**: every stored artefact's SHA-256 is re-derived
   before it is admitted to either tier, so a tampered or torn upload
-  can never be laundered to other tenants.
+  can never be laundered to other tenants;
+* **certificates never narrow**: an artefact's verification
+  certificate rides in its header, and the one disk write path
+  (:meth:`~repro.analysis.diskcache.DiskCache.store_blob`) refuses a
+  put narrower than the stored entry inside the entry lock, so no
+  interleaving of clients can narrow it; the warm tier admits only
+  landed bytes and never replaces a blob with a narrower one.
 
 The wire format *is* the disk format (see
 :func:`repro.analysis.diskcache.encode_entry`): the server treats
@@ -32,16 +38,16 @@ Protocol (all loopback-trusted, mirroring :mod:`repro.serve`):
 ``GET /healthz``                          liveness probe
 ``GET /stats``                            tier/lease/verify counters
 ``GET /entry?key=&shard=``                artefact blob or 404; add
-                                          ``probe=1`` for a bodyless
-                                          contains check, ``flight=1``
-                                          (+ ``wait=S``, ``pid=N``) to
-                                          join the single-flight
+                                          ``flight=1`` (+ ``wait=S``,
+                                          ``pid=N``) to join the
+                                          single-flight
 ``GET /manifest?key=&shard=``             the entry's provenance
                                           sidecar or 404
 ``PUT /entry``                            JSON envelope line + ``\\n`` +
-                                          raw blob; verified, stored,
-                                          waiters released (``POST`` is
-                                          an alias)
+                                          raw blob; verified, stored
+                                          unless narrower, waiters
+                                          released (``POST`` is an
+                                          alias)
 ``POST /lease/release``                   abort a lease without storing
                                           (compute failed; waiters race
                                           for a fresh lease)
@@ -72,8 +78,8 @@ from typing import Dict, Optional, Tuple
 from ..analysis.diskcache import (
     DEFAULT_ROOT,
     DiskCache,
+    blob_certificate,
     blob_digest,
-    verify_blob,
 )
 from .._http import Query, Response, Server, error, param, query_float
 from ..resilience.manifest import load_manifest, manifest_path
@@ -99,6 +105,11 @@ _SHARD = re.compile(r"[0-9a-f]{16}")
 _BAD_SHARD = "bad 'shard': expected 16 lowercase hex characters"
 
 
+def _width(blob: bytes) -> int:
+    """A held blob's certificate (0 for a blob that is no entry)."""
+    return blob_certificate(blob) or 0
+
+
 class MemoryTier:
     """Byte-budgeted LRU of verified artefact blobs (thread-safe)."""
 
@@ -121,22 +132,28 @@ class MemoryTier:
             self.hits += 1
             return blob
 
-    def contains(self, tag: Tuple[str, str]) -> bool:
+    def peek(self, tag: Tuple[str, str]) -> Optional[bytes]:
+        """The held blob, without touching recency or the counters."""
         with self._lock:
-            return tag in self._entries
+            return self._entries.get(tag)
 
     def put(self, tag: Tuple[str, str], blob: bytes) -> bool:
         """Admit *blob*, evicting least-recently-used entries to budget.
 
         An artefact larger than the whole budget is refused (it would
-        evict everything and then be evicted itself by the next put).
+        evict everything and then be evicted itself by the next put),
+        and so is one whose certificate is narrower than the held blob's
+        (a disk read racing a certificate upgrade).
         """
         size = len(blob)
         if size > self.budget:
             return False
         with self._lock:
-            old = self._entries.pop(tag, None)
+            old = self._entries.get(tag)
             if old is not None:
+                if _width(old) > _width(blob):
+                    return False
+                del self._entries[tag]
                 self._bytes -= len(old)
             self._entries[tag] = blob
             self._bytes += size
@@ -310,37 +327,39 @@ class CacheServer(Server):
         sha256: Optional[str] = None,
         manifest: Optional[dict] = None,
         lease: Optional[str] = None,
-        mode: str = "store",
     ) -> Tuple[bool, Optional[str]]:
         """Verify, persist, and admit one artefact; release its waiters.
 
         Returns ``(stored, error)``.  The artefact must carry the
-        client's SHA-256 *and* decode structurally
-        (:func:`~repro.analysis.diskcache.verify_blob`); anything else
-        is refused before touching either tier.  ``mode="upgrade"``
-        marks a deliberate overwrite (a verification-certificate
-        upgrade) so it never counts as a duplicate compile.
+        client's SHA-256 *and* pass
+        :func:`~repro.analysis.diskcache.blob_certificate`; anything
+        else is refused before touching either tier.  The disk write
+        refuses a certificate narrower than the stored one (``stored``
+        is then ``False``) and only landed bytes enter the warm tier.
         """
         if sha256 is not None and blob_digest(blob) != sha256:
             self._count("verify_rejects")
             return False, "artefact sha256 mismatch"
-        if not verify_blob(blob):
+        certificate = blob_certificate(blob)
+        if certificate is None:
             self._count("verify_rejects")
             return False, "artefact failed structural verification"
         tag = (shard, key_repr)
-        existed = self.memory.contains(tag) or self.disk.blob_path(
-            key_repr, shard
-        ).is_file()
+        held = blob_certificate(
+            self.memory.peek(tag) or self.disk.load_blob(key_repr, shard)
+        )
         stored = self.disk.store_blob(key_repr, blob, shard, manifest=manifest)
-        self.memory.put(tag, blob)
+        if stored:
+            self.memory.put(tag, blob)
         with self._cond:
             self.counters["puts"] += 1
             holder = self._leases.pop(tag, None)
-            held = holder is not None and lease == holder.token
-            if existed and mode == "store" and not held:
+            leased = holder is not None and lease == holder.token
+            if held is not None and certificate <= held and not leased:
                 # The artefact was already available (or being served)
                 # and a leaseless writer recomputed it anyway — the
                 # duplicate-compile count the hammer tests assert on.
+                # Raising the stored certificate is no duplicate.
                 self.counters["duplicate_puts"] += 1
             self._cond.notify_all()
         return stored, None
@@ -429,13 +448,6 @@ class CacheServer(Server):
         shard = self._shard(param(query, "shard"))
         if shard is None:
             return error(400, _BAD_SHARD)
-        if param(query, "probe"):
-            present = self.memory.contains((shard, key)) or (
-                self.disk.load_blob(key, shard) is not None
-            )
-            return Response(
-                204 if present else 404, body=b"", content_type=None
-            )
         wait = query_float(query, "wait", 0.0)
         if wait is None:
             return error(400, "bad 'wait' query parameter")
@@ -486,7 +498,6 @@ class CacheServer(Server):
             sha256=envelope.get("sha256"),
             manifest=envelope.get("manifest"),
             lease=envelope.get("lease"),
-            mode=envelope.get("mode") or "store",
         )
         if problem is not None:
             return error(400, problem)

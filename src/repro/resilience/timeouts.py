@@ -175,10 +175,13 @@ def time_limit(
         raise StageTimeoutError(stage, seconds, job)
 
     previous_handler = signal.getsignal(signal.SIGALRM)
+    prev_remaining, _ = signal.getitimer(signal.ITIMER_REAL)
     start = time.monotonic()
-    prev_remaining, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
-    signal.signal(signal.SIGALRM, _expire)
     try:
+        # Handler first: a budget that expires the moment it is armed
+        # must raise, not meet SIGALRM's default action (process exit).
+        signal.signal(signal.SIGALRM, _expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

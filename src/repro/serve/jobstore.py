@@ -13,6 +13,12 @@ record it as their ``coalesced_with`` primary; the queue makes them
 wait for the primary and then assemble from the warm cache instead of
 compiling again.  The in-flight index entry is released when its owner
 reaches a terminal state.
+
+Memory stays bounded: at most :data:`MAX_TERMINAL_JOBS` finished jobs
+are kept, the oldest evicted first.  In-flight jobs are never evicted;
+an evicted id is unknown to :meth:`JobStore.get` (``/jobs/<id>``
+answers 404) and counts as terminal to waiters, and the ``/stats``
+tallies still count every job ever submitted.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,6 +34,9 @@ from .schemas import JobSpec
 
 #: Job lifecycle states, in order.
 STATUSES: Tuple[str, ...] = ("queued", "running", "done", "failed")
+
+#: Finished jobs kept for lookup; older ones are evicted.
+MAX_TERMINAL_JOBS = 1000
 
 
 @dataclass
@@ -68,8 +78,9 @@ class JobStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}  # submission order
+        self._finished: deque = deque()  # terminal ids, oldest first
+        self._evicted: Counter = Counter()  # tallies of evicted jobs
         self._inflight: Dict[Tuple, str] = {}
         self._ids = itertools.count(1)
         self._closed = False
@@ -90,7 +101,6 @@ class JobStore:
             if primary is None:
                 self._inflight[spec.signature] = job_id
             self._jobs[job_id] = job
-            self._order.append(job_id)
             event = {"kind": "job", "status": "queued"}
             if primary is not None:
                 event["coalesced_with"] = primary
@@ -107,20 +117,17 @@ class JobStore:
     def jobs(self) -> List[Job]:
         """Submission-ordered snapshot."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def counts(self) -> Dict[str, int]:
-        """Job tallies for ``/stats``."""
+        """Job tallies for ``/stats``, evicted jobs included."""
         with self._lock:
-            tally = {status: 0 for status in STATUSES}
-            coalesced = 0
+            tally = Counter(self._evicted)
             for job in self._jobs.values():
-                tally[job.status] += 1
-                if job.coalesced_with is not None:
-                    coalesced += 1
-            tally["total"] = len(self._jobs)
-            tally["coalesced"] = coalesced
-            return tally
+                tally.update(_tallies(job))
+            return {
+                key: tally[key] for key in (*STATUSES, "total", "coalesced")
+            }
 
     # -- transitions ---------------------------------------------------
 
@@ -149,7 +156,7 @@ class JobStore:
             job.artifact = artifact
             job.manifest_entry = manifest_entry
             job.counters = counters
-            self._release_inflight(job)
+            self._retire(job)
             self._append(job, {"kind": "job", "status": "done"})
             self._cond.notify_all()
 
@@ -159,7 +166,7 @@ class JobStore:
             job.status = "failed"
             job.finished_at = time.time()
             job.error = error
-            self._release_inflight(job)
+            self._retire(job)
             self._append(job, {"kind": "job", "status": "failed",
                                "error": error})
             self._cond.notify_all()
@@ -175,9 +182,15 @@ class JobStore:
         event["seq"] = len(job.events)
         job.events.append(event)
 
-    def _release_inflight(self, job: Job) -> None:
+    def _retire(self, job: Job) -> None:
+        """Release *job*'s in-flight signature and evict the oldest
+        finished jobs beyond :data:`MAX_TERMINAL_JOBS`."""
         if self._inflight.get(job.spec.signature) == job.id:
             del self._inflight[job.spec.signature]
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_TERMINAL_JOBS:
+            evicted = self._jobs.pop(self._finished.popleft())
+            self._evicted.update(_tallies(evicted))
 
     # -- waiting -------------------------------------------------------
 
@@ -188,14 +201,15 @@ class JobStore:
         *timeout* elapses.  Returns ``(new events, terminal)``."""
         deadline = time.monotonic() + max(0.0, timeout)
         with self._cond:
-            job = self._jobs[job_id]
-            while True:
+            job = self._jobs.get(job_id)
+            while job is not None:
                 if len(job.events) > start or job.terminal or self._closed:
                     return [dict(e) for e in job.events[start:]], job.terminal
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return [], job.terminal
                 self._cond.wait(remaining)
+            return [], True  # evicted: it was terminal
 
     def wait_terminal(
         self, job_id: str, timeout: Optional[float] = None
@@ -206,7 +220,9 @@ class JobStore:
             time.monotonic() + timeout if timeout is not None else None
         )
         with self._cond:
-            job = self._jobs[job_id]
+            job = self._jobs.get(job_id)
+            if job is None:
+                return True  # evicted: it was terminal
             while not job.terminal and not self._closed:
                 remaining = None
                 if deadline is not None:
@@ -221,3 +237,9 @@ class JobStore:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+
+
+def _tallies(job: Job) -> Counter:
+    """What *job* adds to :meth:`JobStore.counts`."""
+    coalesced = int(job.coalesced_with is not None)
+    return Counter({job.status: 1, "total": 1, "coalesced": coalesced})

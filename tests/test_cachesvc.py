@@ -24,9 +24,9 @@ from repro._http import MAX_BODY_BYTES
 from repro.analysis.cli import main as cli_main
 from repro.analysis.diskcache import (
     DiskCache,
+    blob_certificate,
     blob_digest,
     encode_entry,
-    verify_blob,
 )
 from repro.cachesvc import (
     CACHE_URL_ENV_VAR,
@@ -105,7 +105,7 @@ class TestMemoryTier:
         assert tier.get(("s", "k")) is None
         assert tier.put(("s", "k"), b"x" * 10)
         assert tier.get(("s", "k")) == b"x" * 10
-        assert tier.contains(("s", "k"))
+        assert tier.peek(("s", "k")) is not None
         stats = tier.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] == 10
@@ -117,9 +117,9 @@ class TestMemoryTier:
         tier.put(("s", "b"), b"b" * 40)
         tier.get(("s", "a"))  # refresh a: b is now least recent
         tier.put(("s", "c"), b"c" * 40)
-        assert tier.contains(("s", "a"))
-        assert not tier.contains(("s", "b"))
-        assert tier.contains(("s", "c"))
+        assert tier.peek(("s", "a")) is not None
+        assert tier.peek(("s", "b")) is None
+        assert tier.peek(("s", "c")) is not None
         assert tier.stats()["evictions"] == 1
         assert tier.stats()["bytes"] <= 100
 
@@ -127,7 +127,7 @@ class TestMemoryTier:
         tier = MemoryTier(100)
         tier.put(("s", "a"), b"a" * 40)
         assert not tier.put(("s", "big"), b"x" * 200)
-        assert tier.contains(("s", "a"))  # nothing was evicted for it
+        assert tier.peek(("s", "a")) is not None  # nothing evicted for it
 
     def test_replacement_updates_byte_accounting(self):
         tier = MemoryTier(100)
@@ -181,9 +181,7 @@ class TestServerRoutes:
         with running_server(tmp_path) as server:
             client = RemoteCache(server.url)
             assert client.load(KEY) is None
-            assert not client.contains(KEY)
             client.store(KEY, PAYLOAD)
-            assert client.contains(KEY)
             assert client.load(KEY) == PAYLOAD
             # First load after put comes from the warm tier.
             assert client.tier_counters()["remote_memory_hits"] == 1
@@ -215,7 +213,7 @@ class TestServerRoutes:
         with running_server(tmp_path) as server:
             blob = encode_entry(repr(KEY), PAYLOAD)
             tampered = blob[:-4] + b"\xff\xff\xff\xff"
-            assert not verify_blob(tampered)
+            assert blob_certificate(tampered) is None
             envelope = json.dumps({
                 "key": repr(KEY),
                 "shard": "0" * 16,
@@ -340,6 +338,119 @@ class TestServerRoutes:
 
 
 # ---------------------------------------------------------------------------
+# certificates never narrow
+
+
+def _result(certificate):
+    """A compiled-result-shaped ``(result, certificate)`` entry."""
+    return {"program": b"\x00" * 16}, certificate
+
+
+class TestCertificatesNeverNarrow:
+    """A certificate-256 entry keeps 256 after a later certificate-128
+    write on every path into a root, and a wider write lands."""
+
+    def test_through_a_second_client(self, tmp_path):
+        with running_server(tmp_path) as server:
+            wide, narrow = RemoteCache(server.url), RemoteCache(server.url)
+            wide.store(KEY, _result(0))
+            wide.store(KEY, _result(256), certificate=256)  # upgrade
+            assert narrow.load(KEY) == _result(256)
+            narrow.store(KEY, _result(128), certificate=128)
+            assert RemoteCache(server.url).load(KEY) == _result(256)
+            assert DiskCache(server.disk.root).load(KEY) == _result(256)
+            # only the narrower leaseless write counts as a duplicate
+            assert server.counters["duplicate_puts"] == 1
+
+    def test_through_server_put(self, tmp_path):
+        with running_server(tmp_path) as server:
+            shard = server.disk.fingerprint[:16]
+
+            def put(certificate):
+                blob = encode_entry(
+                    repr(KEY), _result(certificate), certificate
+                )
+                return server.put(repr(KEY), shard, blob)
+
+            def served():
+                kind, blob, _tier = server.fetch(repr(KEY), shard)
+                assert kind == "hit"
+                return blob_certificate(blob)
+
+            assert put(256) == (True, None)
+            assert put(128) == (False, None)
+            assert served() == 256
+            server.memory = MemoryTier()  # the disk holds 256 as well
+            assert served() == 256
+            assert put(512) == (True, None)
+            assert served() == 512
+
+    def test_on_the_fallback_root(self, tmp_path):
+        client = RemoteCache("http://127.0.0.1:9", root=tmp_path / "fb")
+        client.store(KEY, _result(256), certificate=256)
+        client.store(KEY, _result(128), certificate=128)
+        assert client.load(KEY) == _result(256)
+        client.store(KEY, _result(512), certificate=512)
+        assert client.load(KEY) == _result(512)
+
+    def test_racing_clients_keep_the_widest(self, tmp_path):
+        import random
+        import sys
+
+        widths = [16 * i for i in range(24)]
+        random.Random(7).shuffle(widths)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_server(tmp_path) as server:
+
+                def writer(chunk):
+                    client = RemoteCache(server.url)
+                    for width in chunk:
+                        client.store(KEY, _result(width), certificate=width)
+
+                threads = [
+                    threading.Thread(target=writer, args=(widths[i::6],))
+                    for i in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                shard = server.disk.fingerprint[:16]
+                held = server.memory.peek((shard, repr(KEY)))
+                assert blob_certificate(held) == max(widths)
+                assert DiskCache(server.disk.root).load(KEY) == _result(
+                    max(widths)
+                )
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_warm_tier_never_narrows(self):
+        tier = MemoryTier()
+        wide = encode_entry(repr(KEY), "wide", 256)
+        assert tier.put(("s", "k"), wide)
+        assert not tier.put(("s", "k"), encode_entry(repr(KEY), "n", 128))
+        assert tier.peek(("s", "k")) == wide
+
+    def test_store_is_one_put(self, tmp_path, monkeypatch):
+        with running_server(tmp_path) as server:
+            client = RemoteCache(server.url)
+            client.store(KEY, _result(0))
+            methods = []
+            request = client._request
+
+            def recording(method, path, **kwargs):
+                methods.append(method)
+                return request(method, path, **kwargs)
+
+            monkeypatch.setattr(client, "_request", recording)
+            client.store(KEY, _result(64), certificate=64)
+            assert methods == ["PUT"]
+
+
+# ---------------------------------------------------------------------------
 # single-flight (threads)
 
 
@@ -459,7 +570,6 @@ class TestClientDegradation:
         assert client.load(KEY) is None
         client.store(KEY, PAYLOAD)
         assert client.load(KEY) == PAYLOAD
-        assert client.contains(KEY)
         assert client.tier_counters()["remote_fallbacks"] >= 1
         assert events.snapshot(kind="cache_fallback")
 

@@ -55,7 +55,7 @@ class TestSingleWriterLock:
     def test_lock_removed_after_store(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.store(("k",), "v")
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         assert path.is_file()
         assert not path.with_suffix(".lock").exists()
 
@@ -64,7 +64,7 @@ class TestSingleWriterLock:
 
         monkeypatch.setattr(module, "LOCK_WAIT_SECONDS", 0.05)
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.touch()  # a live sibling writer owns this entry
@@ -83,7 +83,7 @@ class TestSingleWriterLock:
         import threading
 
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.touch()
@@ -96,28 +96,38 @@ class TestSingleWriterLock:
         assert cache.lock_skips == 0
         assert cache.load(("k",)) == "v"
 
-    def test_replace_predicate_guards_overwrites(self, tmp_path):
-        """With replace=, the overwrite decision sees the current entry
-        inside the lock: upgrades land, downgrades are refused."""
+    def test_certificate_guards_overwrites(self, tmp_path):
+        """The overwrite decision compares the stored certificate inside
+        the lock: upgrades land, downgrades are refused."""
         cache = DiskCache(tmp_path)
-        cache.store(("k",), ("result", 0))
+        cache.store(("k",), ("result", 64), certificate=64)
         # a downgrade (narrower certificate) is refused...
-        cache.store(
-            ("k",), ("result", -1), replace=lambda cur: cur[1] < -1
-        )
-        assert cache.load(("k",)) == ("result", 0)
-        # ...an upgrade goes through...
-        cache.store(("k",), ("result", 64), replace=lambda cur: cur[1] < 64)
+        cache.store(("k",), ("result", 8), certificate=8)
         assert cache.load(("k",)) == ("result", 64)
+        # ...an upgrade goes through...
+        cache.store(("k",), ("result", 256), certificate=256)
+        assert cache.load(("k",)) == ("result", 256)
         # ...and an absent entry is always written.
-        cache.store(("j",), ("result", 8), replace=lambda cur: False)
+        cache.store(("j",), ("result", 8), certificate=8)
         assert cache.load(("j",)) == ("result", 8)
+
+    def test_refused_write_folds_its_manifest_events(self, tmp_path):
+        from repro.resilience.manifest import load_manifest
+
+        cache = DiskCache(tmp_path)
+        first = {"kind": "retry", "job": "k", "attempt": 1}
+        late = {"kind": "kernel_degraded", "job": "k"}
+        cache.store(("k",), 1, certificate=64, manifest={"events": [first]})
+        cache.store(("k",), 1, certificate=8, manifest={"events": [late]})
+        manifest = load_manifest(cache.entry_path(("k",)))
+        assert manifest["events"] == [first, late]
+        assert cache.load(("k",)) == 1
 
     def test_unpicklable_payload_degrades_to_not_persisted(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.store(("k",), lambda: None)  # lambdas cannot pickle
         assert cache.load(("k",)) is None  # miss, not a crash...
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         assert not path.with_suffix(".lock").exists()  # ...lock released
         cache.store(("k",), "v")  # and the key is immediately writable
         assert cache.load(("k",)) == "v"
@@ -126,7 +136,7 @@ class TestSingleWriterLock:
         from repro.analysis.diskcache import STALE_LOCK_SECONDS
 
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.touch()
@@ -149,7 +159,7 @@ class TestSingleWriterLock:
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()  # reaped: the PID is guaranteed dead
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.write_text(str(proc.pid))
@@ -164,7 +174,7 @@ class TestSingleWriterLock:
 
         monkeypatch.setattr(module, "LOCK_WAIT_SECONDS", 0.05)
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.write_text(str(os.getpid()))  # this very process: alive
@@ -174,7 +184,7 @@ class TestSingleWriterLock:
 
     def test_stale_break_leaves_no_tombstone(self, tmp_path):
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.touch()
@@ -188,7 +198,7 @@ class TestSingleWriterLock:
         swallowed without touching anything — in particular not a fresh
         lock a third writer acquired at the same path in between."""
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         lock = path.with_suffix(".lock")
         lock.touch()
@@ -212,7 +222,7 @@ class TestSingleWriterLock:
 
     def test_lockfiles_do_not_count_as_entries(self, tmp_path):
         cache = DiskCache(tmp_path)
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         path.with_suffix(".lock").touch()
         assert cache.stats()["entries"] == 0
@@ -223,7 +233,7 @@ class TestSingleWriterLock:
 class TestCorruptionRejection:
     def _entry_path(self, cache, key):
         cache.store(key, "payload")
-        path = cache._path(key)
+        path = cache.entry_path(key)
         assert path.is_file()
         return path
 
@@ -252,7 +262,9 @@ class TestCorruptionRejection:
         # renamed file) must not be served for the colliding key.
         cache = DiskCache(tmp_path)
         cache.store(("original",), "data")
-        os.replace(cache._path(("original",)), cache._path(("other",)))
+        os.replace(
+            cache.entry_path(("original",)), cache.entry_path(("other",))
+        )
         assert cache.load(("other",)) is None
 
     def test_unpicklable_body_is_a_miss(self, tmp_path):
@@ -261,16 +273,36 @@ class TestCorruptionRejection:
         from repro.analysis import diskcache
 
         cache = DiskCache(tmp_path)
-        body = b"\x80\x05not really a pickle"
+        body = b"0\n\x80\x05not really a pickle"
         blob = (
             diskcache._MAGIC
             + hashlib.sha256(body).hexdigest().encode()
             + body
         )
-        path = cache._path(("k",))
+        path = cache.entry_path(("k",))
         path.parent.mkdir(parents=True)
         path.write_bytes(blob)
         assert cache.load(("k",)) is None
+
+    def test_unparsable_certificate_is_a_miss(self, tmp_path):
+        import hashlib
+
+        from repro.analysis import diskcache
+
+        cache = DiskCache(tmp_path)
+        blob = diskcache.encode_entry(repr(("k",)), "data", 7)
+        body = b"x7" + blob[diskcache._DIGEST_END + 1:]
+        blob = (
+            diskcache._MAGIC
+            + hashlib.sha256(body).hexdigest().encode()
+            + body
+        )
+        assert diskcache.blob_certificate(blob) is None
+        path = cache.entry_path(("k",))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.load(("k",)) is None
+        assert cache.load_blob(repr(("k",))) is None
 
     def test_store_failure_is_swallowed(self, tmp_path):
         target = tmp_path / "not-a-dir"
@@ -386,7 +418,7 @@ class TestExperimentCacheReadThrough:
         mig = cold.benchmark_mig("ctrl", "tiny")
         reference = cold.compile(mig, PRESETS["naive"])
         key = ("result", "ctrl", "tiny", config_key(PRESETS["naive"]))
-        path = disk._path(key)
+        path = disk.entry_path(key)
         path.write_bytes(b"corrupt")
 
         warm = ExperimentCache(disk=DiskCache(tmp_path))

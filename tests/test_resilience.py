@@ -304,6 +304,33 @@ class TestTimeouts:
             assert excinfo.value.stage == "compile"
             _time.sleep(0.05)  # outer budget re-armed, not expired
 
+    def test_time_limit_expiring_at_once_raises(self):
+        """A budget that runs out the moment it is armed raises
+        StageTimeoutError instead of killing the process with SIGALRM's
+        default action; run in a subprocess so a kill cannot take the
+        test session down."""
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.resilience import StageTimeoutError, time_limit\n"
+            "for _ in range(20):\n"
+            "    try:\n"
+            "        with time_limit(1e-6, stage='compile'):\n"
+            "            while True:\n"
+            "                pass\n"
+            "    except StageTimeoutError:\n"
+            "        pass\n"
+            "print('raised')\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "raised\n"), done.stderr
+
     def test_time_limit_off_the_main_thread_records_an_event(self):
         import threading
 

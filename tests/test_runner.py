@@ -410,7 +410,7 @@ class RecordingDisk(DiskCache):
         super().__init__(root)
         self.calls = []
         self.flown = {}
-        self.replaces = []
+        self.certificates = []
 
     def load(self, key):
         self.calls.append(("load", key[0]))
@@ -421,11 +421,12 @@ class RecordingDisk(DiskCache):
         self.calls.append(("flight", key[0]))
         yield self.flown.pop(key[0], None)
 
-    def store(self, key, payload, *, replace=None, manifest=None):
+    def store(self, key, payload, *, certificate=0, manifest=None):
         self.calls.append(("store", key[0]))
-        if replace is not None:
-            self.replaces.append(replace)
-        super().store(key, payload, replace=replace, manifest=manifest)
+        self.certificates.append((key, certificate))
+        super().store(
+            key, payload, certificate=certificate, manifest=manifest
+        )
 
 
 COLD_RESULT = [
@@ -674,7 +675,7 @@ class TestTierContract:
             kind, payload = self._flown(stage, graph)
             disk.flown[kind] = payload
         disk.calls.clear()
-        disk.replaces.clear()
+        disk.certificates.clear()
         return cache, disk, graph, run, probe
 
     @staticmethod
@@ -707,14 +708,27 @@ class TestTierContract:
             assert value is adopted
         if certificate is not None:
             assert self._certificate(cache, graph) == certificate
+        results = []
+        for key, written in disk.certificates:
+            if key[0] == "result":
+                results.append((key, written))
+            else:
+                assert written == 0  # only a result carries a certificate
         if ("store", "result") in calls:
-            # the certificate write-back never downgrades a wider one
-            (written,) = disk.replaces
-            assert written((None, certificate - 1))
-            assert not written((None, certificate))
-            assert not written((None, certificate + 1))
+            # the write-back carries the entry's certificate ...
+            ((key, written),) = results
+            assert written == certificate
+            entry = disk.load(key)
+            assert entry[1] == certificate
+            # ... an upgrade lands on the real root ...
+            wider = (entry[0], certificate + 1)
+            disk.store(key, wider, certificate=certificate + 1)
+            assert disk.load(key)[1] == certificate + 1
+            # ... and the same write-back never downgrades a wider one
+            disk.store(key, entry, certificate=certificate)
+            assert disk.load(key)[1] == certificate + 1
         else:
-            assert disk.replaces == []
+            assert results == []
 
     @pytest.mark.parametrize("stage,state", sorted(PROBES))
     def test_probe(self, stage, state, tmp_path, computes):

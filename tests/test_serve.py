@@ -307,6 +307,28 @@ class TestJobStore:
         events, terminal = store.wait_events(job.id, 1, timeout=0.01)
         assert events == [] and not terminal
 
+    def test_oldest_finished_jobs_are_evicted(self, monkeypatch):
+        from repro.serve import jobstore
+
+        monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", 1)
+        store = JobStore()
+        primary = store.submit(self.spec())
+        follower = store.submit(self.spec())
+        assert follower.coalesced_with == primary.id
+        store.finish(primary.id, result={}, artifact="", manifest_entry=None)
+        other = store.submit(self.spec(config="naive"))
+        store.fail(other.id, "boom")
+        # the primary was evicted; the in-flight follower never is
+        assert [job.id for job in store.jobs()] == [follower.id, other.id]
+        with pytest.raises(KeyError):
+            store.get(primary.id)
+        assert store.wait_terminal(primary.id, timeout=0)
+        assert store.wait_events(primary.id, 0, timeout=0) == ([], True)
+        assert store.counts() == {
+            "queued": 1, "running": 0, "done": 1, "failed": 1,
+            "total": 3, "coalesced": 1,
+        }
+
     def test_close_releases_waiters(self):
         store = JobStore()
         job = store.submit(self.spec())
@@ -544,6 +566,24 @@ class TestServeHTTP:
             assert status == 200
             assert stats["jobs"]["done"] == 1
             assert stats["disk"]["entries"] > 0
+
+    def test_finished_jobs_are_bounded(self, tmp_path, monkeypatch):
+        from repro.serve import jobstore
+
+        monkeypatch.setattr(jobstore, "MAX_TERMINAL_JOBS", 2)
+        with running_server(tmp_path) as server:
+            ids = []
+            for _ in range(5):
+                _, body, _ = api(server, "POST", "/jobs", {"source": "dec"})
+                ids.append(body["id"])
+                wait_done(server, ids[-1])
+            assert [job.id for job in server.store.jobs()] == ids[-2:]
+            for leaf in ("", "/events", "/artifact", "/manifest"):
+                status, _, _ = api(server, "GET", f"/jobs/{ids[0]}{leaf}")
+                assert status == 404
+            assert api(server, "GET", f"/jobs/{ids[-1]}")[0] == 200
+            _, stats, _ = api(server, "GET", "/stats")
+            assert stats["jobs"]["total"] == stats["jobs"]["done"] == 5
 
     def test_event_stream_is_ndjson(self, tmp_path):
         with running_server(tmp_path) as server:
