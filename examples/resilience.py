@@ -11,7 +11,7 @@ the harness survive exactly that class of failure — and proves it, by
 2. a worker process calling ``os._exit`` mid-job, which breaks the
    whole process pool — the supervisor respawns it and resubmits only
    the unfinished jobs;
-3. a wall-clock stage timeout interrupting a wedged computation;
+3. a wall-clock stage budget stopping a compile at its next checkpoint;
 4. the ``run_manifest.json`` provenance sidecars written next to every
    persisted experiment artefact, carrying the recovery history and
    re-verifiable artefact digests.
@@ -25,15 +25,13 @@ Run:  python examples/resilience.py
 
 import os
 import tempfile
-import time
 
-from repro import Session
+from repro import Flow, Session
 from repro.resilience import (
     RetryPolicy,
     StageTimeoutError,
     events,
     iter_manifests,
-    time_limit,
     verify_manifest,
 )
 
@@ -96,14 +94,13 @@ def main() -> None:
             print(f"   retried {event['job']!r}: {event['error']}")
     print(f"   all {len(evaluations)} benchmarks completed\n")
 
-    # -- 3. a wall-clock budget on a wedged stage --------------------
-    print("3. Stage timeout: a wedged loop is interrupted")
+    # -- 3. a wall-clock budget on one pipeline stage ----------------
+    print("3. Stage timeout: a compile that outruns its budget stops")
     print('   (Session(timeouts="compile=120,job=600") / --timeout /'
           " $REPRO_TIMEOUT)\n")
+    budgeted = Session(preset=PRESET, timeouts="compile=1e-6")
     try:
-        with time_limit(0.2, stage="compile", job="example"):
-            while True:  # a compile stuck in a pathological case
-                time.sleep(0.01)
+        Flow.for_job("adder", "ea-full", session=budgeted).run()
     except StageTimeoutError as error:
         print(f"   interrupted: {error}")
     print("   (timeouts are permanent failures: a deterministic stage"

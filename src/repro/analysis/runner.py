@@ -855,10 +855,9 @@ def _run_benchmark_job(
     saw).  The job's circuit is a picklable :class:`~repro.source.Source`
     and the job is named after it.
 
-    The job runs under the session's ``job`` wall-clock budget —
-    ``SIGALRM`` works here because pool workers execute jobs on their
-    main thread — and passes the worker-entry fault-injection site
-    first, so an injected crash kills the process before any work.
+    The job runs under the session's ``job`` wall-clock budget and
+    passes the worker-entry fault-injection site first, so an injected
+    crash kills the process before any work.
     """
     source, preset, configs, verify, verify_patterns, spec = args
     from ..flow.session import Session  # deferred: flow imports runner
@@ -942,8 +941,8 @@ def _supervised_pool_map(
       whose worker exceeds it from the parent's clock is abandoned: the
       (possibly wedged) pool is killed and a permanent
       :class:`~repro.resilience.StageTimeoutError` raised.  This backs
-      up the worker's own ``SIGALRM`` enforcement, which a hard-wedged C
-      loop in a dying process might never run.
+      up the worker's own cooperative deadline, which a worker wedged
+      between checkpoints never reaches.
     * **Interrupt** — on ``KeyboardInterrupt`` (or any other error) the
       pool is terminated and its pending futures cancelled before the
       exception propagates, so Ctrl-C never leaks worker processes.

@@ -46,6 +46,7 @@ from ..analysis.diskcache import (
 )
 from ..resilience import events as res_events
 from ..resilience import faults as res_faults
+from ..resilience.timeouts import checkpoint
 
 #: Environment variable selecting a shared cache server.
 CACHE_URL_ENV_VAR = "REPRO_CACHE_URL"
@@ -276,13 +277,14 @@ class RemoteCache:
         unreachable / the wait timed out) and must compute + store.
         Leaving the window releases an unresolved lease, so a failed
         compute hands the key to the next waiter instead of wedging it
-        until the TTL.
+        until the TTL.  The wait never outlasts the active stage budget.
         """
         key_repr = repr(key)
         job = _key_job(key)
         if self._down():
             yield None
             return
+        wait = checkpoint(self.flight_wait)
         token: Optional[str] = None
         resolved = None
         try:
@@ -293,10 +295,10 @@ class RemoteCache:
                     "key": key_repr,
                     "shard": self.shard,
                     "flight": "1",
-                    "wait": str(self.flight_wait),
+                    "wait": str(wait),
                     "pid": str(os.getpid()),
                 },
-                timeout=self.flight_wait + 30.0,
+                timeout=wait + 30.0,
                 job=job,
             )
             if status == 200:

@@ -321,10 +321,8 @@ class Flow:
             self._emit_start(event)
             start = time.perf_counter()
             cached = bool(cached_probe())
-            # Enforce the session's per-stage wall-clock budget
-            # (Session(timeouts=...) / --timeout / $REPRO_TIMEOUT); a
-            # blown budget raises StageTimeoutError instead of wedging
-            # the flow.
+            # The session's budget for this stage binds on any thread; a
+            # blown one raises StageTimeoutError instead of wedging the flow.
             with time_limit(
                 timeouts.limit(name), stage=name, job=benchmark or ""
             ):

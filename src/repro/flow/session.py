@@ -184,7 +184,8 @@ class Session:
             arch=self.arch,
             source=source_spec,
             opt=self.opt,
-            timeouts=self.timeouts.spec(),
+            # "0": an explicit unlimited beats a worker's $REPRO_TIMEOUT
+            timeouts=self.timeouts.spec() or (None if timeouts is None else "0"),
             cache_dir=self.cache_dir,
             cache_url=self.cache_url,
         )

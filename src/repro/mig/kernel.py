@@ -57,7 +57,6 @@ from typing import List, Optional, Sequence, Tuple
 from .._env import env_value
 from ..resilience import events as _res_events
 from ..resilience import faults as _res_faults
-from ..resilience.errors import StageTimeoutError
 from .graph import Mig
 
 #: Environment variable naming the simulation backend.
@@ -620,8 +619,6 @@ class NumpyKernel:
         try:
             _res_faults.kernel_fault(_degrade_job())  # chaos hook
             return run()
-        except StageTimeoutError:
-            raise  # a blown stage budget is not an engine failure
         except Exception as error:
             # Both engines are bit-identical, so recomputing on the
             # reference kernel preserves the artefact exactly.

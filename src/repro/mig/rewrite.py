@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..resilience.timeouts import checkpoint
 from . import algebra
 from .graph import Mig
 from .signal import complement, sorted_fanins
@@ -148,6 +149,7 @@ def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
     Returns *mig* itself when the result would equal it (see the module
     docstring); callers must not mutate the result.
     """
+    checkpoint()  # every pass starts here: the rewrite stage's deadline
     ctx = RebuildContext(mig)
     xlat = ctx.xlat
     canonical = mig._is_canonical()

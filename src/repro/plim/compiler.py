@@ -56,6 +56,7 @@ from typing import List, Optional, Tuple
 
 from ..mig.graph import Mig
 from ..mig.signal import is_complemented, node_of
+from ..resilience.timeouts import checkpoint
 from .isa import OP_CONST0, OP_CONST1, Program, const_operand
 
 
@@ -71,6 +72,9 @@ _P_INVERT = 1  # helper inversion required (+2 instructions, +1 device)
 #: The six (Q, Z, P) role assignments of a gate's three fanins, in the
 #: enumeration order of the DAC'16 translator.
 _ROLES = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+#: Scheduled gates between two deadline checkpoints of a compile.
+CHECKPOINT_GATES = 256
 
 
 def _topological_key(node: int) -> Tuple[int, ...]:
@@ -282,6 +286,8 @@ class _Compilation:
                 if fresh != queued:
                     heapq.heappush(heap, (fresh, node))
                     continue
+            if not scheduled % CHECKPOINT_GATES:
+                checkpoint()
             translate(node)
             computed[node] = True
             scheduled += 1

@@ -19,6 +19,7 @@ from ..mig.simulate import (
     simulate,
     truth_tables,
 )
+from ..resilience.timeouts import checkpoint
 from .controller import PlimController
 from .isa import Program
 from .memory import RramArray
@@ -65,6 +66,7 @@ def verify_program(
         ]
 
     for words in batches:
+        checkpoint()
         expected = simulate(mig, words, mask=mask)
         array = RramArray(program.num_cells)
         got = PlimController(array).run(program, words, mask=mask)

@@ -34,10 +34,10 @@ _SINKS: List[List[Dict]] = []
 def record(kind: str, *, job: Optional[str] = None, **detail) -> Dict:
     """Record one resilience event; returns the event dict.
 
-    *kind* is a short verb phrase (``"retry"``, ``"degradation"``,
-    ``"pool_respawn"``, ``"timeout"``, ``"timeout_unarmed"``,
-    ``"fault_injected"``); *job*
-    names the benchmark/source the event pertains to, when known.
+    *kind* is a short verb phrase (``"retry"``, ``"pool_respawn"``,
+    ``"job_timeout"``, ``"kernel_degraded"``, ``"cache_fallback"``,
+    ``"fault_injected"``); *job* names the benchmark/source the event
+    pertains to, when known.
     """
     event: Dict = {"kind": kind, "time": time.time()}
     if job is not None:

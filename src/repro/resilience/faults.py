@@ -16,7 +16,7 @@ Grammar
 ``worker_crash``          worker entry: ``os._exit(13)`` — kills the process,
                           breaking the pool (no Python cleanup runs)
 ``worker_hang``           worker entry: sleep ``seconds`` (default 3600) —
-                          exercises stage/job timeouts
+                          exercises the supervisor's ``job`` deadline
 ``job_fail``              worker entry: raise a transient (default) or
                           permanent fault, per ``mode=`` — exercises the
                           retry taxonomy without killing anything

@@ -8,32 +8,27 @@ This module gives every pipeline stage a wall-clock budget:
   ``"compile=120,verify=30,job=600"``.
 * :func:`resolve_timeouts` — the uniform **flag > environment >
   default** precedence against ``$REPRO_TIMEOUT``.
-* :func:`time_limit` — the enforcement context: ``SIGALRM``-based, so a
-  stage stuck in a C extension or a tight loop is still interrupted.
-  Raises :class:`~repro.resilience.errors.StageTimeoutError` (permanent:
-  the stages are deterministic, so a blown budget would blow again).
+* :func:`time_limit` — the enforcement scope: one cooperative deadline
+  that binds on any thread.  Rewrite passes, compiled gate batches and
+  verification pattern batches call :func:`checkpoint`, which raises
+  :class:`~repro.resilience.errors.StageTimeoutError` (permanent: the
+  stages are deterministic, so a blown budget would blow again).
 
-Enforcement is best-effort by construction: ``SIGALRM`` exists only on
-Unix and only fires on the main thread, so elsewhere :func:`time_limit`
-records a ``timeout_unarmed`` resilience event and runs the block
-unbounded — worker *processes* run jobs on their main thread, which is
-exactly where hangs need interrupting, and the parallel supervisor
-additionally enforces the ``job`` budget from the parent side (which
-needs no signals at all).
+A worker process wedged between checkpoints needs preemption: the
+parallel supervisor enforces the ``job`` budget from the parent side.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
+import math
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .._env import env_value
 from .errors import StageTimeoutError
-from .events import record
 
 #: Environment variable holding the ambient timeout spec.
 TIMEOUT_ENV_VAR = "REPRO_TIMEOUT"
@@ -63,15 +58,13 @@ class Timeouts:
 
         Grammar: ``SPEC := ENTRY ("," ENTRY)*``, ``ENTRY :=
         [STAGE "="] SECONDS`` — a bare number sets the per-stage
-        default, named entries override one budget.  Numbers are
-        seconds; zero or negative means "unlimited" for that entry.
+        default, named entries override one budget.  Seconds are
+        finite; zero or negative means "unlimited" for that entry.
         """
         if spec is None:
             return cls()
         if isinstance(spec, Timeouts):
             return spec
-        if isinstance(spec, (int, float)):
-            return cls(default=float(spec) if spec > 0 else None)
         default: Optional[float] = None
         stages = {}
         for entry in str(spec).split(","):
@@ -82,10 +75,12 @@ class Timeouts:
             try:
                 seconds = float(value if eq else name)
             except ValueError:
+                seconds = math.nan
+            if not math.isfinite(seconds):
                 raise ValueError(
                     f"bad timeout entry {entry!r}: expected "
                     "[STAGE=]SECONDS (e.g. '30' or 'compile=120')"
-                ) from None
+                )
             if eq:
                 key = name.strip()
                 if key not in STAGE_KEYS:
@@ -142,12 +137,22 @@ def resolve_timeouts(
     )
 
 
-def alarm_capable() -> bool:
-    """Whether :func:`time_limit` can actually arm a timer here:
-    ``SIGALRM`` exists and we are on the process's main thread."""
-    return hasattr(signal, "SIGALRM") and (
-        threading.current_thread() is threading.main_thread()
-    )
+#: The active deadline ``(expires, stage, seconds, job)``: the earliest
+#: expiring enclosing budget, or ``None``.  Context-local, so per thread.
+_DEADLINE: ContextVar = ContextVar("repro_deadline", default=None)
+
+
+def checkpoint(cap: float = math.inf) -> float:
+    """Raise :class:`~repro.resilience.errors.StageTimeoutError` once the
+    active deadline has passed; else the seconds left, at most *cap*.
+    Outside any budget this is one context-variable read."""
+    deadline = _DEADLINE.get()
+    if deadline is None:
+        return cap
+    left = deadline[0] - time.monotonic()
+    if left <= 0:
+        raise StageTimeoutError(*deadline[1:])
+    return min(cap, left)
 
 
 @contextmanager
@@ -156,38 +161,19 @@ def time_limit(
 ):
     """Bound the block to *seconds* of wall-clock time.
 
-    On expiry a :class:`~repro.resilience.errors.StageTimeoutError` is
-    raised *inside* the block.  ``None``/non-positive budgets are no-op
-    scopes; a budget that cannot be armed here (non-main thread,
-    non-Unix) records a ``timeout_unarmed`` event and runs the block
-    unbounded.  Nested limits cooperate: the outer timer is suspended
-    and re-armed with its remaining budget when the inner scope exits.
+    Once spent, the block's next :func:`checkpoint` raises
+    :class:`~repro.resilience.errors.StageTimeoutError`, and so does a
+    late exit (a block without checkpoints still fails).
+    ``None``/non-positive budgets are no-op scopes.  Nested limits
+    cooperate: the earlier expiry binds, and the error names its budget.
     """
     if not seconds or seconds <= 0:
         yield
         return
-    if not alarm_capable():
-        record("timeout_unarmed", stage=stage, job=job or None, seconds=seconds)
-        yield
-        return
-
-    def _expire(signum, frame):
-        raise StageTimeoutError(stage, seconds, job)
-
-    previous_handler = signal.getsignal(signal.SIGALRM)
-    prev_remaining, _ = signal.getitimer(signal.ITIMER_REAL)
-    start = time.monotonic()
+    deadline = (time.monotonic() + seconds, stage, seconds, job)
+    token = _DEADLINE.set(min(deadline, _DEADLINE.get() or deadline))
     try:
-        # Handler first: a budget that expires the moment it is armed
-        # must raise, not meet SIGALRM's default action (process exit).
-        signal.signal(signal.SIGALRM, _expire)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
+        checkpoint()
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous_handler)
-        if prev_remaining:
-            elapsed = time.monotonic() - start
-            signal.setitimer(
-                signal.ITIMER_REAL, max(1e-3, prev_remaining - elapsed)
-            )
+        _DEADLINE.reset(token)

@@ -11,9 +11,9 @@ Two execution modes per job, chosen when the server starts:
   worker's results are adopted into the shared warm cache, then the
   job's summary/artefact assemble from it.
 * **inline** — the job runs a :class:`~repro.flow.Flow` directly on an
-  executor thread under :func:`~repro.resilience.call_with_retry`.
-  Cheap and test-friendly; stage deadlines are best-effort here because
-  ``SIGALRM`` enforcement only works on a main thread.
+  executor thread under :func:`~repro.resilience.call_with_retry`, each
+  attempt within the session's ``job`` budget and its stages within
+  theirs.
 
 Either way, repeat and duplicate submissions are near-free: identical
 in-flight jobs coalesce in the :class:`~repro.serve.jobstore.JobStore`
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from ..analysis.runner import dispatch_jobs, experiment_key, result_label
 from ..mig.io import dumps_program
 from ..opt import Optimizer
-from ..resilience import DEFAULT_POLICY, RetryPolicy, call_with_retry
+from ..resilience import DEFAULT_POLICY, RetryPolicy, call_with_retry, time_limit
 from .jobstore import Job, JobStore
 from .schemas import JobSpec, summarize_compilation
 
@@ -235,8 +235,14 @@ class JobQueue:
                 {"kind": "retry", "attempt": attempt, "error": repr(error)},
             )
 
+        budget = self.session.timeouts.limit("job")
+
+        def attempt():  # under the job budget, like an isolated worker
+            with time_limit(budget, stage="job", job=spec.source.name):
+                return flow.run()
+
         result = call_with_retry(
-            flow.run,
+            attempt,
             policy=self.retry,
             key=(job.id,),
             job=job.id,

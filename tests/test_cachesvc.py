@@ -36,7 +36,7 @@ from repro.cachesvc import (
     resolve_cache_url,
 )
 from repro.flow import Session
-from repro.resilience import events, faults
+from repro.resilience import StageTimeoutError, events, faults, time_limit
 
 from .conftest import raw_status
 
@@ -527,6 +527,22 @@ class TestSingleFlight:
                 repr(KEY), "0" * 16, flight=True, wait=0.3
             )
             assert kind == "timeout"
+            assert server.counters["flight_timeouts"] == 1
+
+    def test_flight_wait_ends_with_the_stage_budget(self, tmp_path):
+        """A waiter's long poll is capped at its remaining budget, not
+        the client's ``flight_wait``."""
+        with running_server(tmp_path) as server:
+            holder = RemoteCache(server.url)
+            waiter = RemoteCache(server.url, flight_wait=600.0)
+            with holder.flight(KEY) as resolved:
+                assert resolved is None  # the holder keeps the lease
+                start = time.monotonic()
+                with pytest.raises(StageTimeoutError):
+                    with time_limit(0.3, stage="compile", job="adder"):
+                        with waiter.flight(KEY) as waited:
+                            assert waited is None
+                assert time.monotonic() - start < 5.0
             assert server.counters["flight_timeouts"] == 1
 
     def test_lease_break_on_dead_pid(self, tmp_path):

@@ -12,7 +12,7 @@ from repro.core.manager import (
     full_management,
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
-from repro.mig.kernel import get_kernel, set_backend
+from repro.mig.kernel import get_kernel, resolve_backend, set_backend
 
 SUBSET = ["adder", "dec"]
 
@@ -136,7 +136,8 @@ class TestSessionEnvPrecedence:
         for t in threads:
             t.join()
         assert observed["a"] == "bigint"
-        assert observed["b"] == get_kernel().name  # auto = ambient kernel
+        # an explicit "auto" autodetects; it ignores $REPRO_SIM_BACKEND
+        assert observed["b"] == resolve_backend("auto").name
         assert get_kernel() is ambient  # nothing leaked
 
 

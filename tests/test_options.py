@@ -101,9 +101,21 @@ def test_serve_rejects_bad_env_at_startup(var, monkeypatch):
         Session.from_args(args)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "compile=nan"])
+def test_non_finite_timeout_env_fails_at_startup(value, monkeypatch):
+    monkeypatch.setenv("REPRO_TIMEOUT", value)
+    args = build_parser().parse_args(["bench"])
+    with pytest.raises(ValueError, match="bad timeout entry"):
+        Session.from_args(args)
+
+
 def test_timeout_flag_zero_beats_env(monkeypatch):
-    """An explicitly unlimited budget is still a flag value."""
+    """An explicitly unlimited budget is still a flag value, and it
+    reaches worker processes."""
     monkeypatch.setenv("REPRO_TIMEOUT", "30")
     args = build_parser().parse_args(["bench", "--timeout", "0"])
-    assert Session.from_args(args).timeouts.limit("compile") is None
+    session = Session.from_args(args)
+    assert session.timeouts.limit("compile") is None
+    rebuilt = Session.from_spec(session.spec())
+    assert rebuilt.timeouts.limit("compile") is None
 

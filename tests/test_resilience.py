@@ -39,6 +39,7 @@ from repro.resilience import (
 )
 from repro.resilience import faults
 from repro.resilience.manifest import append_manifest_events, build_manifest
+from repro.resilience.timeouts import checkpoint
 
 SUBSET = ["adder", "dec", "ctrl"]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -249,6 +250,10 @@ class TestTimeouts:
             Timeouts.parse("compile=soon")
         with pytest.raises(ValueError):
             Timeouts.parse("teleport=30")
+        # non-finite seconds are malformed, not unlimited
+        for spec in ("nan", "inf", "1e400", "compile=nan", float("inf")):
+            with pytest.raises(ValueError, match="bad timeout entry"):
+                Timeouts.parse(spec)
 
     def test_zero_means_unlimited(self):
         assert not Timeouts.parse("0")
@@ -283,7 +288,8 @@ class TestTimeouts:
             with time_limit(0.1, stage="compile", job="adder"):
                 deadline = _time.monotonic() + 5.0
                 while _time.monotonic() < deadline:
-                    pass
+                    checkpoint()
+        assert _time.monotonic() < deadline  # stopped by the checkpoint
         assert excinfo.value.stage == "compile"
         assert excinfo.value.job == "adder"
         assert not excinfo.value.transient
@@ -305,49 +311,168 @@ class TestTimeouts:
             _time.sleep(0.05)  # outer budget re-armed, not expired
 
     def test_time_limit_expiring_at_once_raises(self):
-        """A budget that runs out the moment it is armed raises
-        StageTimeoutError instead of killing the process with SIGALRM's
-        default action; run in a subprocess so a kill cannot take the
-        test session down."""
-        import subprocess
-        import sys
+        """A budget that runs out the moment it is set raises at the
+        block's first checkpoint."""
+        reached = []
+        for _ in range(20):
+            with pytest.raises(StageTimeoutError):
+                with time_limit(1e-9, stage="compile"):
+                    checkpoint()
+                    reached.append(True)
+        assert reached == []
 
-        script = (
-            "from repro.resilience import StageTimeoutError, time_limit\n"
-            "for _ in range(20):\n"
-            "    try:\n"
-            "        with time_limit(1e-6, stage='compile'):\n"
-            "            while True:\n"
-            "                pass\n"
-            "    except StageTimeoutError:\n"
-            "        pass\n"
-            "print('raised')\n"
+    def test_time_limit_fires_off_the_main_thread(self):
+        def body():
+            with time_limit(0.05, stage="compile", job="adder"):
+                while True:
+                    checkpoint()
+
+        error = _raised_on_a_thread(body)
+        assert isinstance(error, StageTimeoutError)
+        assert (error.stage, error.job, error.seconds) == (
+            "compile", "adder", 0.05,
         )
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True,
-            text=True, timeout=60,
-        )
-        assert (done.returncode, done.stdout) == (0, "raised\n"), done.stderr
 
-    def test_time_limit_off_the_main_thread_records_an_event(self):
-        import threading
+    def test_outer_budget_expiring_first_names_itself(self):
+        import time as _time
 
-        ran = []
+        with pytest.raises(StageTimeoutError) as excinfo:
+            with time_limit(0.02, stage="job", job="adder"):
+                with time_limit(5.0, stage="compile", job="adder"):
+                    _time.sleep(0.05)
+                    checkpoint()
+        assert excinfo.value.stage == "job"
+
+    def test_deadline_is_thread_local(self):
+        """A budget on one thread never binds another."""
+        with pytest.raises(StageTimeoutError):
+            with time_limit(1e-9, stage="compile"):
+                assert _raised_on_a_thread(checkpoint) is None
+
+
+def _raised_on_a_thread(body):
+    """Run *body* on a fresh (non-main) thread; return what it raised."""
+    import threading
+
+    raised = []
+
+    def run():
+        try:
+            body()
+        except BaseException as error:  # noqa: BLE001 — handed back
+            raised.append(error)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return raised[0] if raised else None
+
+
+class TestStageCheckpoints:
+    """Each stage's loop stops at its next checkpoint once the budget is
+    spent — on a non-main thread, and long before the loop would end."""
+
+    BUDGET = 0.05
+
+    def _expire(self):
+        import time as _time
+
+        _time.sleep(self.BUDGET * 2)
+
+    def test_rewrite_stops_at_the_next_pass(self):
+        from repro.mig.rewrite import rebuild
+        from repro.synth.registry import build_benchmark
+
+        mig = build_benchmark("adder", "tiny")
+        passes = []
+        slept = []
+
+        def transform(new, ctx, node, children):
+            if passes[-1] == 3 and not slept:
+                slept.append(node)
+                self._expire()  # the budget runs out inside pass 3
 
         def body():
-            with time_limit(5.0, stage="compile", job="adder"):
-                ran.append(True)
+            with time_limit(self.BUDGET, stage="rewrite", job="adder"):
+                for n in range(1000):
+                    passes.append(n)
+                    rebuild(mig, transform)
 
-        worker = threading.Thread(target=body)
-        worker.start()
-        worker.join()
-        assert ran == [True]
-        (event,) = events.snapshot(kind="timeout_unarmed")
-        assert (event["stage"], event["job"], event["seconds"]) == (
-            "compile", "adder", 5.0,
+        error = _raised_on_a_thread(body)
+        assert isinstance(error, StageTimeoutError)
+        assert error.stage == "rewrite"
+        # pass 3 finishes; pass 4 raises at its entry
+        assert passes == [0, 1, 2, 3, 4]
+
+    def test_compile_stops_within_one_gate_batch(self, monkeypatch):
+        from repro.plim.compiler import (
+            CHECKPOINT_GATES,
+            PlimCompiler,
+            _Compilation,
         )
+        from repro.synth.registry import build_benchmark
+
+        mig = build_benchmark("log2", "tiny")
+        assert mig.num_live_gates() > 10 + 2 * CHECKPOINT_GATES
+        translated = []
+        original = _Compilation._translate
+
+        def translate(state, node):
+            translated.append(node)
+            if len(translated) == 10:
+                self._expire()
+            original(state, node)
+
+        monkeypatch.setattr(_Compilation, "_translate", translate)
+
+        def body():
+            with time_limit(self.BUDGET, stage="compile", job="log2"):
+                PlimCompiler().compile(mig)
+
+        error = _raised_on_a_thread(body)
+        assert isinstance(error, StageTimeoutError)
+        assert error.stage == "compile"
+        assert 10 < len(translated) <= 10 + CHECKPOINT_GATES
+
+    def test_verify_stops_at_the_next_pattern_batch(self, monkeypatch):
+        from repro.mig.kernel import get_kernel
+        from repro.plim import verify
+        from repro.plim.compiler import PlimCompiler
+        from repro.synth.registry import build_benchmark
+
+        mig = build_benchmark("multiplier", "tiny")
+        program = PlimCompiler().compile(mig)
+        batches = []
+        original = verify.simulate
+
+        def simulate(*args, **kwargs):
+            batches.append(True)
+            self._expire()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "simulate", simulate)
+
+        def body():
+            with time_limit(self.BUDGET, stage="verify", job="multiplier"):
+                verify.verify_program(
+                    program, mig, patterns=4 * get_kernel().random_width
+                )
+
+        error = _raised_on_a_thread(body)
+        assert isinstance(error, StageTimeoutError)
+        assert error.stage == "verify"
+        assert len(batches) == 1
+
+    def test_flow_stage_budget_binds_off_the_main_thread(self):
+        from repro.flow import Flow
+
+        session = Session(preset="tiny", timeouts="compile=1e-6")
+        error = _raised_on_a_thread(
+            Flow.for_job("adder", "ea-full", session=session).run
+        )
+        assert isinstance(error, StageTimeoutError)
+        assert (error.stage, error.job) == ("compile", "adder")
 
 
 class TestFaultSpec:

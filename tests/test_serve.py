@@ -521,6 +521,26 @@ class TestJobQueue:
             queue.stop()
 
 
+    @pytest.mark.parametrize("stage", ["compile", "job"])
+    def test_inline_job_honours_its_budget(self, tmp_path, stage):
+        """An inline job's flow runs on an executor thread; its stage
+        and job budgets still bind there."""
+        session = tiny_session(tmp_path, timeouts=f"{stage}=1e-6")
+        queue = JobQueue(session, workers=1, isolate=False)
+        queue.start()
+        try:
+            job = queue.submit(parse_job({"source": "adder"}, session))
+            assert queue.store.wait_terminal(job.id, 60)
+            job = queue.store.get(job.id)
+            assert job.status == "failed"
+            assert job.error.startswith(
+                f"StageTimeoutError: stage {stage!r} exceeded"
+            ), job.error
+            assert not any(e["kind"] == "retry" for e in job.events)
+        finally:
+            queue.stop()
+
+
 class TestServeHTTP:
     """Real HTTP round-trips against an ephemeral-port server."""
 
