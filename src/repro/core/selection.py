@@ -18,6 +18,12 @@ A strategy computes an orderable key per candidate.  Keys that depend on
 the live reference counts (the "releasing" component) are *dynamic*: they
 can change while a node waits in the candidate set, so the compiler
 revalidates them lazily on pop.
+
+Keys read only the :class:`CompilerStateView` slice, never the device
+allocator, so the compiler memoizes each graph's order per strategy
+object (:func:`repro.plim.compiler.schedule`).  :func:`make_selection`
+returns one shared instance per registry name, so every configuration
+naming a strategy shares its orders.
 """
 
 from __future__ import annotations
@@ -37,7 +43,15 @@ class CompilerStateView(Protocol):
 
 
 class SelectionStrategy:
-    """Base class: topological order, static keys."""
+    """Base class: topological order, static keys.
+
+    ``key`` may read only the :class:`CompilerStateView` it is given:
+    the compiler schedules a graph once per strategy object and reuses
+    that order for every allocation policy and machine.  Registry
+    instances are shared (see :func:`make_selection`), so a strategy
+    holds no per-compile state; a parameterised strategy is a separate
+    instance per parameter set.
+    """
 
     #: Whether keys depend on mutable compiler state (lazy revalidation).
     dynamic = False
@@ -123,10 +137,13 @@ SELECTIONS = {
 }
 
 
+_SHARED = {name: cls() for name, cls in SELECTIONS.items()}
+
+
 def make_selection(name: str) -> SelectionStrategy:
-    """Instantiate a selection strategy by registry name."""
+    """The shared selection strategy instance of a registry name."""
     try:
-        return SELECTIONS[name]()
+        return _SHARED[name]
     except KeyError:
         raise ValueError(
             f"unknown selection strategy {name!r}; expected one of "

@@ -296,7 +296,7 @@ def rm3_gate_cost(
     """Estimated RM3 instructions to realise one majority gate.
 
     A static replay of the compiler's role pricing
-    (:meth:`repro.plim.compiler._Compilation._translate`): one RM3 plus
+    (:func:`repro.plim.compiler._role_table`): one RM3 plus
     repair bills.  *fanin_bits* is a sequence of ``(node, complement)``
     pairs; *refs* the graph's fanout counts; *is_gate* the gate
     predicate.  Constant fanins follow the machine semantics exactly —

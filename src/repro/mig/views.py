@@ -57,6 +57,10 @@ class FanoutView:
             (self.levels[node_of(s)] for s in mig.pos()), default=0
         )
         self._level_indices: Dict[str, List[int]] = {}
+        #: Compiler gate orders, memoized by
+        #: :func:`repro.plim.compiler.schedule` per (selection strategy,
+        #: fanout aggregate).
+        self.schedules: Dict[Tuple[object, str], Tuple[int, ...]] = {}
 
     def fanout_level_index(self, node: int, aggregate: str = "max") -> int:
         """Level of the consumer that finally releases *node*'s device.

@@ -11,6 +11,27 @@ of the reproduced paper threaded through:
 * the selection order is pluggable (:mod:`repro.core.selection` provides
   the DAC'16 and the endurance-aware Algorithm 3 strategies).
 
+Two steps
+---------
+A compilation first *schedules* the graph, then *translates* it gate by
+gate in that order.
+
+* :func:`schedule` runs the selection heap: computable gates ranked by
+  the strategy's key, with dynamic keys revalidated lazily on pop.  The
+  keys see only the :class:`~repro.core.selection.CompilerStateView`
+  slice — ``refs``, ``fanout_level_index`` and ``releasing_count`` —
+  over reference counts the scheduler decrements itself.  A schedule
+  never depends on the allocator, so it is a pure function of (graph,
+  strategy, fanout aggregate): it is memoized on the graph's
+  :class:`~repro.mig.views.FanoutView`, and every allocation policy,
+  write cap and machine compiled from one graph with one strategy shares
+  it.
+* :meth:`_Compilation.run` translates the gates in that order, consulting
+  the allocator for every destination and helper device.
+
+Both loops check the stage deadline every :data:`CHECKPOINT_GATES`
+gates.
+
 Cost model (Section III of the paper)
 -------------------------------------
 A majority node ``<a b c>`` costs a single RM3 when one fanin can serve as
@@ -26,32 +47,34 @@ costs **two extra instructions and one extra RRAM**:
   (write 0/1 + RM3); a constant fanin reduces this to a single
   initialisation write.
 
-The translator enumerates all role assignments of the three fanins and
-picks the cheapest, so those rules emerge from a small cost table rather
-than a case cascade.  The cost table — and the device-allocation
-machinery behind the destination decisions — belong to the *target
-machine*: the compiler consumes a :class:`repro.arch.Architecture`
-(cost model, array geometry, endurance semantics) and emits a program
-for that machine.  The default architecture is the paper's unbounded
-wear-tracked crossbar, which reproduces the historic behaviour exactly.
+The translator picks the cheapest of the six role assignments of the
+three fanins, so those rules emerge from a small cost table rather than
+a case cascade.  The cost table — and the device-allocation machinery
+behind the destination decisions — belong to the *target machine*: the
+compiler consumes a :class:`repro.arch.Architecture` (cost model, array
+geometry, endurance semantics) and emits a program for that machine.
+The default architecture is the paper's unbounded wear-tracked
+crossbar, which reproduces the historic behaviour exactly.
 
-A fanin's role costs depend on the fanin alone, not on the assignment,
-so node translation classifies each fanin once into a small int tuple
-(Q cost, Z kind, the destination's write count, P cost, node, complement
-bit) and prices the six assignments of the module-level ``_ROLES`` table
-from those tuples.  Assignments rank by ``(extra instructions, extra
-devices, Z kind, Z writes, qi, zi)``: cheapest repair first, then an
-in-place overwrite before a constant or copied destination, then — under
-the minimum write count strategy — the less-worn destination.  The fanin
-positions ``(qi, zi)`` close the rank, so no two assignments tie and the
-choice is the first cheapest one in the DAC'16 enumeration order,
-however the ranks are computed.
+A fanin's role costs depend only on its *class*: a constant, a
+complemented edge, a plain edge whose device may be overwritten in place
+(direct ``Z``), or any other plain edge (copied ``Z``).  So the cheapest
+assignments of each of the 64 class triples are tabulated once per cost
+model (:func:`_role_table`), ranked by ``(extra instructions, extra
+devices, Z kind)``: cheapest repair first, then an in-place overwrite
+before a constant or copied destination.  Node translation classifies
+its three fanins and reads the table.  Only when several tied
+assignments overwrite a direct ``Z`` under the minimum write count
+strategy does it compare the destinations' write counts, breaking ties
+by ``(writes, qi, zi)``.  So the choice is the first cheapest assignment
+in the DAC'16 enumeration order.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import partial
+from functools import lru_cache, partial
+from itertools import product
 from typing import List, Optional, Tuple
 
 from ..mig.graph import Mig
@@ -69,17 +92,172 @@ _Z_COPY = 2  # copy/copy-invert into a requested device (+2, +1 device)
 _P_FREE = 0  # constant or plain stored value
 _P_INVERT = 1  # helper inversion required (+2 instructions, +1 device)
 
+# Fanin classes of node translation.
+_CONST = 0  # constant edge of either polarity
+_COMPLEMENTED = 1  # complemented edge to a stored value
+_DIRECT = 2  # plain edge whose device may be overwritten in place
+_COPY = 3  # any other plain edge
+
+#: ``(Q cost, Z kind, P cost)`` of a fanin per class.
+_CLASS_ROLES = (
+    (_Q_FREE, _Z_CONST, _P_FREE),
+    (_Q_FREE, _Z_COPY, _P_INVERT),
+    (_Q_INVERT, _Z_DIRECT, _P_FREE),
+    (_Q_INVERT, _Z_COPY, _P_FREE),
+)
+
 #: The six (Q, Z, P) role assignments of a gate's three fanins, in the
 #: enumeration order of the DAC'16 translator.
 _ROLES = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
-#: Scheduled gates between two deadline checkpoints of a compile.
+#: Gates between two deadline checkpoints of scheduling and translation.
 CHECKPOINT_GATES = 256
+
+
+@lru_cache(maxsize=None)
+def _role_table(cost) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...]:
+    """The cheapest role assignments per fanin-class triple under *cost*.
+
+    Entry ``16 * c0 + 4 * c1 + c2`` for fanin classes ``c0, c1, c2`` is
+    ``(z_kind, candidates)``: the destination kind the cheapest
+    assignments share, and those of them that the minimum write count
+    strategy must still compare, in enumeration order.
+    """
+    z_instructions = (0, cost.z_const_instructions, cost.z_copy_instructions)
+    z_cells = (0, cost.z_request_cells, cost.z_request_cells)
+    table = []
+    for classes in product(_CLASS_ROLES, repeat=3):
+        ranked = []
+        for qi, zi, pi in _ROLES:
+            q_cost = classes[qi][0]
+            z_kind = classes[zi][1]
+            p_cost = classes[pi][2]
+            rank = (
+                cost.q_invert_instructions * q_cost
+                + z_instructions[z_kind]
+                + cost.p_invert_instructions * p_cost,
+                cost.q_invert_cells * q_cost
+                + z_cells[z_kind]
+                + cost.p_invert_cells * p_cost,
+                z_kind,
+            )
+            ranked.append((rank, (qi, zi, pi)))
+        best = min(rank for rank, _ in ranked)
+        # Of the tied assignments, only a direct Z's write count can
+        # still decide: keep the first assignment per destination then,
+        # else the first one.
+        candidates = {}
+        for rank, roles in ranked:
+            if rank == best and (best[2] == _Z_DIRECT or not candidates):
+                candidates.setdefault(roles[1], roles)
+        table.append((best[2], tuple(candidates.values())))
+    return tuple(table)
 
 
 def _topological_key(node: int) -> Tuple[int, ...]:
     """Selection key of plain topological order (no strategy)."""
     return (node,)
+
+
+def schedule(
+    mig: Mig, selection=None, fanout_aggregate: str = "max"
+) -> Tuple[int, ...]:
+    """The order in which the compiler translates *mig*'s live gates.
+
+    *selection* is a strategy object (see :mod:`repro.core.selection`)
+    or ``None`` for plain topological order; *fanout_aggregate* picks the
+    fanout level index its keys read.  The order is memoized on the
+    graph's fanout view, keyed by the strategy object itself and the
+    aggregate, so it is rebuilt after any mutation of the graph.  A run
+    cut short by the stage deadline stores nothing.
+    """
+    view = mig.fanout_view()
+    memo_key = (selection, fanout_aggregate)
+    order = view.schedules.get(memo_key)
+    if order is None:
+        order = _Scheduler(mig, view, fanout_aggregate).run(selection)
+        view.schedules[memo_key] = order
+    return order
+
+
+class _Scheduler:
+    """One selection run; also the ``state`` view for selection keys."""
+
+    def __init__(self, mig: Mig, view, fanout_aggregate: str) -> None:
+        self.mig = mig
+        self.view = view
+        self.refs: List[int] = list(view.ref_counts)
+        self.fanout_level_index: List[int] = view.fanout_level_indices(
+            fanout_aggregate
+        )
+        # Per-gate fanin node-id triples, for the hot selection keys.
+        self._fanin_nodes: List[Optional[Tuple[int, int, int]]] = [
+            None
+        ] * mig.num_nodes
+        for node, na, _, nb, _, nc, _ in mig.flat_gates():
+            self._fanin_nodes[node] = (na, nb, nc)
+
+    def releasing_count(self, node: int) -> int:
+        """Devices freed by computing *node*: children at their last use."""
+        refs = self.refs
+        fanins = self._fanin_nodes[node]
+        if fanins is None:
+            # Not a live gate: dead gates still answer (the flat records
+            # only cover live ones); non-gates raise as they always did.
+            fanins = tuple(s >> 1 for s in self.mig.fanins(node))
+        count = 0
+        for child in fanins:
+            if child != 0 and refs[child] == 1:
+                count += 1
+        return count
+
+    def run(self, selection) -> Tuple[int, ...]:
+        if selection is None:
+            key = _topological_key
+        else:
+            key = partial(selection.key, self)
+        # Live gates are exactly the nodes with a fanin record, and every
+        # fanin of a live gate is live.
+        fanin_nodes = self._fanin_nodes
+        pending = [0] * self.mig.num_nodes
+        heap: List[Tuple[Tuple[int, ...], int]] = []
+        gates = self.mig.live_gates()
+        for node in gates:
+            count = 0
+            for child in fanin_nodes[node]:
+                if fanin_nodes[child] is not None:
+                    count += 1
+            pending[node] = count
+            if count == 0:
+                heapq.heappush(heap, (key(node), node))
+
+        parents = self.view.fanouts  # immutable Tuple[Tuple[int, ...], ...]
+        refs = self.refs
+        dynamic = selection is not None and selection.dynamic
+        order: List[int] = []
+        while heap:
+            queued, node = heapq.heappop(heap)
+            if dynamic:
+                fresh = key(node)
+                if fresh != queued:
+                    heapq.heappush(heap, (fresh, node))
+                    continue
+            if not len(order) % CHECKPOINT_GATES:
+                checkpoint()
+            order.append(node)
+            for child in fanin_nodes[node]:
+                if child:
+                    refs[child] -= 1
+            for parent in parents[node]:
+                pending[parent] -= 1
+                if pending[parent] == 0:
+                    heapq.heappush(heap, (key(parent), parent))
+        if len(order) != len(gates):
+            raise RuntimeError(
+                f"scheduled {len(order)} of {len(gates)} gates — "
+                "candidate bookkeeping is inconsistent"
+            )
+        return tuple(order)
 
 
 class PlimCompiler:
@@ -147,7 +325,7 @@ class PlimCompiler:
 
 
 class _Compilation:
-    """State of one compilation; also the ``state`` view for selection."""
+    """State of one translation: devices, allocator and emitted code."""
 
     def __init__(
         self,
@@ -160,52 +338,14 @@ class _Compilation:
     ) -> None:
         self.mig = mig
         self.selection = selection
+        self.fanout_aggregate = fanout_aggregate
         self.alloc = allocator
-        self.cost = cost
         self.allow_pi_overwrite = allow_pi_overwrite
         self.min_write = allocator.strategy == "min_write"
-        # The cost table as repair bills per role: Q and P bills scale
-        # with the fanin's cost, Z bills are indexed by its kind.
-        self._bills = (
-            cost.q_invert_instructions,
-            cost.q_invert_cells,
-            (0, cost.z_const_instructions, cost.z_copy_instructions),
-            (0, cost.z_request_cells, cost.z_request_cells),
-            cost.p_invert_instructions,
-            cost.p_invert_cells,
-        )
-
-        view = mig.fanout_view()
-        self.view = view
-        self.refs: List[int] = list(view.ref_counts)
-        self.fanout_level_index: List[int] = view.fanout_level_indices(
-            fanout_aggregate
-        )
-
-        n = mig.num_nodes
-        self.cell_of: List[Optional[int]] = [None] * n
-        self.computed = [False] * n
+        self._roles = _role_table(cost)
+        self.refs: List[int] = list(mig.fanout_view().ref_counts)
+        self.cell_of: List[Optional[int]] = [None] * mig.num_nodes
         self.instructions: List[Tuple[int, int, int]] = []
-        # Per-gate fanin node-id triples, for the hot selection keys.
-        self._fanin_nodes: List[Optional[Tuple[int, int, int]]] = [None] * n
-        for node, na, _, nb, _, nc, _ in mig.flat_gates():
-            self._fanin_nodes[node] = (na, nb, nc)
-
-    # -- selection support ----------------------------------------------
-
-    def releasing_count(self, node: int) -> int:
-        """Devices freed by computing *node*: children at their last use."""
-        refs = self.refs
-        fanins = self._fanin_nodes[node]
-        if fanins is None:
-            # Not a live gate: dead gates still answer (the flat records
-            # only cover live ones); non-gates raise as they always did.
-            fanins = tuple(s >> 1 for s in self.mig.fanins(node))
-        count = 0
-        for child in fanins:
-            if child != 0 and refs[child] == 1:
-                count += 1
-        return count
 
     # -- emission helpers -------------------------------------------------
 
@@ -245,6 +385,7 @@ class _Compilation:
 
     def run(self) -> Program:
         mig = self.mig
+        order = schedule(mig, self.selection, self.fanout_aggregate)
 
         pi_cells = []
         for node in mig.pis():
@@ -252,54 +393,11 @@ class _Compilation:
             self.cell_of[node] = cell
             pi_cells.append(cell)
 
-        selection = self.selection
-        if selection is None:
-            key = _topological_key
-        else:
-            key = partial(selection.key, self)
-        # Live gates are exactly the nodes with a fanin record, and every
-        # fanin of a live gate is live.
-        fanin_nodes = self._fanin_nodes
-        pending = [0] * mig.num_nodes
-        heap: List[Tuple[Tuple[int, ...], int]] = []
-        gates = mig.live_gates()
-        for node in gates:
-            count = 0
-            for child in fanin_nodes[node]:
-                if fanin_nodes[child] is not None:
-                    count += 1
-            pending[node] = count
-            if count == 0:
-                heapq.heappush(heap, (key(node), node))
-
-        parents = self.view.fanouts  # immutable Tuple[Tuple[int, ...], ...]
-        computed = self.computed
         translate = self._translate
-        dynamic = selection is not None and selection.dynamic
-        scheduled = 0
-        while heap:
-            queued, node = heapq.heappop(heap)
-            if computed[node]:
-                continue
-            if dynamic:
-                fresh = key(node)
-                if fresh != queued:
-                    heapq.heappush(heap, (fresh, node))
-                    continue
-            if not scheduled % CHECKPOINT_GATES:
+        for index, node in enumerate(order):
+            if not index % CHECKPOINT_GATES:
                 checkpoint()
             translate(node)
-            computed[node] = True
-            scheduled += 1
-            for parent in parents[node]:
-                pending[parent] -= 1
-                if pending[parent] == 0:
-                    heapq.heappush(heap, (key(parent), parent))
-        if scheduled != len(gates):
-            raise RuntimeError(
-                f"scheduled {scheduled} of {len(gates)} gates — "
-                "candidate bookkeeping is inconsistent"
-            )
 
         po_cells = self._materialize_outputs()
 
@@ -319,18 +417,16 @@ class _Compilation:
         refs = self.refs
         cell_of = self.cell_of
         alloc = self.alloc
-        q_instr, q_cells, z_instr, z_cells, p_instr, p_cells = self._bills
+        signals = self.mig.fanins(node)
 
-        # Classify each fanin once: (q_cost, z_kind, z_writes, p_cost,
-        # node, bit).  A constant has node 0 and its value as the bit.
-        fanins = []
-        for signal in self.mig.fanins(node):
+        # Classify each fanin; the class triple indexes the role table.
+        index = 0
+        for signal in signals:
             child = signal >> 1
-            bit = signal & 1
             if child == 0:
-                fanins.append((_Q_FREE, _Z_CONST, 0, _P_FREE, 0, bit))
-            elif bit:
-                fanins.append((_Q_FREE, _Z_COPY, 0, _P_INVERT, child, 1))
+                kind = _CONST
+            elif signal & 1:
+                kind = _COMPLEMENTED
             else:
                 cell = cell_of[child]
                 if (
@@ -339,35 +435,24 @@ class _Compilation:
                     and alloc.writable(cell)
                     and (self.allow_pi_overwrite or not self.mig.is_pi(child))
                 ):
-                    z_writes = alloc.writes[cell] if self.min_write else 0
-                    fanins.append(
-                        (_Q_INVERT, _Z_DIRECT, z_writes, _P_FREE, child, 0)
-                    )
+                    kind = _DIRECT
                 else:
-                    fanins.append((_Q_INVERT, _Z_COPY, 0, _P_FREE, child, 0))
-
-        # Rank the six (Q, Z, P) role assignments; keep the cheapest.
-        best = None
-        for qi, zi, pi in _ROLES:
-            q_cost = fanins[qi][0]
-            _, z_kind, z_writes, _, _, _ = fanins[zi]
-            p_cost = fanins[pi][3]
-            rank = (
-                q_instr * q_cost + z_instr[z_kind] + p_instr * p_cost,
-                q_cells * q_cost + z_cells[z_kind] + p_cells * p_cost,
-                z_kind,
-                z_writes,
-                qi,
-                zi,
+                    kind = _COPY
+            index = index << 2 | kind
+        z_kind, candidates = self._roles[index]
+        if len(candidates) > 1 and self.min_write:
+            # The less-worn direct destination; min keeps the first of
+            # equal write counts, so ties stay in enumeration order.
+            writes = alloc.writes
+            qi, zi, pi = min(
+                candidates,
+                key=lambda roles: writes[cell_of[signals[roles[1]] >> 1]],
             )
-            if best is None or rank < best:
-                best = rank
-                roles = (qi, zi, pi)
-        qi, zi, pi = roles
-        z_kind = best[2]
-        z_node, z_bit = fanins[zi][4:]
-        q_node, q_bit = fanins[qi][4:]
-        p_node, p_bit = fanins[pi][4:]
+        else:
+            qi, zi, pi = candidates[0]
+        z_node, z_bit = signals[zi] >> 1, signals[zi] & 1
+        q_node, q_bit = signals[qi] >> 1, signals[qi] & 1
+        p_node, p_bit = signals[pi] >> 1, signals[pi] & 1
 
         temps: List[int] = []
 
@@ -406,7 +491,8 @@ class _Compilation:
         self._emit(p_op, q_op, z_addr)
 
         # Consume fanin references; free devices at their last use.
-        for _, _, _, _, child, _ in fanins:
+        for signal in signals:
+            child = signal >> 1
             if child == 0:
                 continue
             refs[child] -= 1

@@ -6,6 +6,12 @@ each complement/fanout violation adds exactly two instructions and one
 device.
 """
 
+import heapq
+import pickle
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
@@ -15,14 +21,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.tables import TABLE1_CONFIGS, TABLE3_CAPS
 from repro.arch import get_architecture
-from repro.core.manager import PRESETS, full_management
-from repro.core.selection import make_selection
+from repro.core.manager import PRESETS, compile_pipeline, full_management
+from repro.core.selection import SelectionStrategy, make_selection
 from repro.mig.graph import Mig
 from repro.mig.signal import CONST0, CONST1, complement, is_complemented, node_of
 from repro.opt import rewrite
-from repro.plim.compiler import PlimCompiler, _Compilation
-from repro.plim.isa import OP_CONST0, const_operand
+from repro.plim.compiler import (
+    CHECKPOINT_GATES,
+    PlimCompiler,
+    _Compilation,
+    schedule,
+)
+from repro.plim.isa import OP_CONST0, Program, const_operand
 from repro.plim.verify import cross_check_truth_tables, verify_program
+from repro.resilience import StageTimeoutError
+from repro.resilience.timeouts import time_limit
 from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 from .conftest import make_random_mig
 
@@ -243,11 +256,13 @@ class TestEndToEnd:
 
 # -- translation parity ----------------------------------------------------
 #
-# A test-local copy of the original node translator, which classified each
-# fanin into a ``_Fanin`` object and priced every (Q, Z, P) role assignment
-# through per-role method calls.  The compiler's per-fanin int
-# classification must emit the identical program, instruction for
-# instruction.
+# A test-local copy of the original compiler: one loop that interleaves
+# node selection with node translation, so the selection keys read the
+# reference counts its own translator decrements, and a translator that
+# classifies each fanin into a ``_Fanin`` object and prices every
+# (Q, Z, P) role assignment through per-role method calls.  It shares
+# neither the memoized schedule nor the role table with the compiler,
+# which must emit the identical program, instruction for instruction.
 
 
 @dataclass(frozen=True)
@@ -264,6 +279,78 @@ _P_FREE, _P_INVERT = 0, 1
 
 
 class _ReferenceCompilation(_Compilation):
+    def __init__(self, mig, selection, allocator, allow_pi_overwrite,
+                 fanout_aggregate, cost):
+        super().__init__(mig, selection, allocator, allow_pi_overwrite,
+                         fanout_aggregate, cost)
+        self.cost = cost
+        self.view = mig.fanout_view()
+        self.fanout_level_index = [
+            self.view.fanout_level_index(node, fanout_aggregate)
+            for node in range(mig.num_nodes)
+        ]
+
+    def releasing_count(self, node: int) -> int:
+        return sum(
+            1
+            for signal in self.mig.fanins(node)
+            if node_of(signal) != 0 and self.refs[node_of(signal)] == 1
+        )
+
+    def run(self):
+        mig = self.mig
+        pi_cells = []
+        for node in mig.pis():
+            cell = self.alloc.new_cell()
+            self.cell_of[node] = cell
+            pi_cells.append(cell)
+
+        selection = self.selection
+        if selection is None:
+            def key(node):
+                return (node,)
+        else:
+            def key(node):
+                return selection.key(self, node)
+        gates = mig.live_gates()
+        pending = [0] * mig.num_nodes
+        heap = []
+        for node in gates:
+            pending[node] = sum(
+                1 for s in mig.fanins(node) if mig.is_gate(node_of(s))
+            )
+            if pending[node] == 0:
+                heapq.heappush(heap, (key(node), node))
+        computed = [False] * mig.num_nodes
+        dynamic = selection is not None and selection.dynamic
+        while heap:
+            queued, node = heapq.heappop(heap)
+            if computed[node]:
+                continue
+            if dynamic:
+                fresh = key(node)
+                if fresh != queued:
+                    heapq.heappush(heap, (fresh, node))
+                    continue
+            self._translate(node)
+            computed[node] = True
+            for parent in self.view.fanouts[node]:
+                pending[parent] -= 1
+                if pending[parent] == 0:
+                    heapq.heappush(heap, (key(parent), parent))
+        assert all(computed[node] for node in gates)
+
+        po_cells = self._materialize_outputs()
+        program = Program(
+            instructions=self.instructions,
+            num_cells=self.alloc.num_cells,
+            pi_cells=pi_cells,
+            po_cells=po_cells,
+            name=mig.name,
+        )
+        program.validate()
+        return program
+
     def _classify(self, signal: int) -> _Fanin:
         node = node_of(signal)
         if node == 0:
@@ -435,6 +522,21 @@ class TestTranslateParity:
                     allow_pi_overwrite=config.allow_pi_overwrite,
                 )
 
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_ablation_selections_and_first_use_aggregate(self, name):
+        config = PRESETS["ea-full"]
+        mig = _rewritten(name, config.rewriting, config.effort)
+        for selection in ("releasing-only", "level-only", "dac16", "endurance"):
+            for aggregate in ("max", "min"):
+                for arch_name in ("endurance", "blocked"):
+                    assert_translate_parity(
+                        mig,
+                        arch_name,
+                        selection=make_selection(selection),
+                        allocation="min_write",
+                        fanout_aggregate=aggregate,
+                    )
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
@@ -457,3 +559,137 @@ class TestTranslateParity:
             ),
         ):
             assert_translate_parity(mig, arch_name, **options)
+
+
+# -- schedule memo -----------------------------------------------------------
+
+
+def _fresh(mig: Mig) -> Mig:
+    """An unpickled copy: same graph, no memoized derived state."""
+    return pickle.loads(pickle.dumps(mig))
+
+
+class _Signed(SelectionStrategy):
+    """A parameterised strategy: smallest (``sign=1``) or largest
+    (``sign=-1``) computable node id first."""
+
+    def __init__(self, sign: int) -> None:
+        self.sign = sign
+
+    def key(self, state, node):
+        return (self.sign * node,)
+
+
+class _ExpiringSelection(SelectionStrategy):
+    """Releasing-count order that sleeps past its budget on one key."""
+
+    dynamic = True
+
+    def __init__(self, sleep_at: int, seconds: float) -> None:
+        self.calls = 0
+        self.sleep_at = sleep_at
+        self.seconds = seconds
+
+    def key(self, state, node):
+        self.calls += 1
+        if self.calls == self.sleep_at:
+            time.sleep(self.seconds)
+        return (-state.releasing_count(node), node)
+
+
+class TestScheduleMemo:
+    def test_configs_in_sequence_match_fresh_copies(self):
+        mig = _fresh(_rewritten("sin", "endurance", 1))
+        selection = make_selection("endurance")
+        options = [dict(allocation="naive"), dict(allocation="min_write")]
+        options += [dict(allocation="min_write", w_max=cap)
+                    for cap in (10, 20, 50, 100)]
+        for kwargs in options:
+            program = compile_mig(mig, selection=selection, **kwargs)
+            assert program == compile_mig(
+                _fresh(mig), selection=selection, **kwargs
+            )
+        assert list(mig.fanout_view().schedules) == [(selection, "max")]
+
+    def test_configs_naming_one_strategy_share_its_schedule(self):
+        source = build_benchmark("dec", "tiny")
+        mig = _fresh(_rewritten("dec", "endurance", 1))
+        for config in (PRESETS["ea-full"], full_management(10),
+                       full_management(50)):
+            compile_pipeline(source, config, rewritten=mig)
+        assert list(mig.fanout_view().schedules) == [
+            (make_selection("endurance"), "max")
+        ]
+
+    def test_parameterised_instances_never_share(self):
+        mig = _fresh(_rewritten("dec", "endurance", 1))
+        forward, backward, twin = _Signed(1), _Signed(-1), _Signed(1)
+        programs = [
+            compile_mig(mig, selection=strategy)
+            for strategy in (forward, backward, twin)
+        ]
+        assert schedule(mig, forward) != schedule(mig, backward)
+        assert programs[0] != programs[1]
+        for strategy, program in zip((forward, backward, twin), programs):
+            assert program == compile_mig(_fresh(mig), selection=strategy)
+        assert len(mig.fanout_view().schedules) == 3
+
+    def test_add_po_drops_the_memo(self):
+        mig = _fresh(_rewritten("ctrl", "endurance", 1))
+        selection = make_selection("dac16")
+        compile_mig(mig, selection=selection)
+        view = mig.fanout_view()
+        assert view.schedules
+        gate = mig.live_gates()[len(mig.live_gates()) // 2]
+        mig.add_po(complement(gate << 1), "extra")
+        assert mig.fanout_view() is not view
+        assert not mig.fanout_view().schedules
+        program = compile_mig(mig, selection=selection)
+        assert program == compile_mig(_fresh(mig), selection=selection)
+        verify_program(program, mig, patterns=64)
+
+    def test_timeout_while_scheduling_stores_nothing(self):
+        mig = _fresh(build_benchmark("log2", "tiny"))
+        assert mig.num_live_gates() > 2 * CHECKPOINT_GATES
+        selection = _ExpiringSelection(sleep_at=10, seconds=0.1)
+        with pytest.raises(StageTimeoutError):
+            with time_limit(0.05, stage="compile"):
+                compile_mig(mig, selection=selection)
+        assert not mig.fanout_view().schedules
+        program = compile_mig(mig, selection=selection)
+        assert program == compile_mig(
+            _fresh(mig), selection=make_selection("releasing-only")
+        )
+        assert list(mig.fanout_view().schedules) == [(selection, "max")]
+
+    def test_concurrent_compiles_of_one_graph_agree(self):
+        # The path of serve's inline workers: threads share one graph
+        # and so its schedule memo.  More threads than cores and a short
+        # switch interval make the schedulers interleave.
+        selection = make_selection("endurance")
+        workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for name in ("sin", "log2", "cavlc"):
+                mig = _fresh(build_benchmark(name, "tiny"))
+                barrier = threading.Barrier(workers, timeout=30)
+
+                def compile_once(_):
+                    barrier.wait()
+                    return compile_mig(
+                        mig, selection=selection, allocation="min_write"
+                    )
+
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    futures = [
+                        pool.submit(compile_once, n) for n in range(workers)
+                    ]
+                    programs = [f.result(timeout=60) for f in futures]
+                expected = compile_mig(
+                    _fresh(mig), selection=selection, allocation="min_write"
+                )
+                assert all(program == expected for program in programs)
+                assert list(mig.fanout_view().schedules) == [(selection, "max")]
+        finally:
+            sys.setswitchinterval(interval)
