@@ -25,7 +25,9 @@ stage, per-stage flow timings from the session's observer hooks,
 experiment-cache hit rates (memory and disk), the active simulation
 backend, and the backend micro-benchmark numbers recorded by
 ``test_simbackend.py`` — the perf trajectory of the harness is tracked
-from these files.
+from these files.  Every ``BENCH_*.json`` carries a ``provenance``
+block (:func:`provenance`) saying which commit, how many CPUs and which
+Python and numpy versions produced its numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import functools
 import json
 import os
 import pathlib
+import platform
+import subprocess
 import time
 import warnings
 
@@ -135,6 +139,31 @@ def suite_with_caps():
     return result
 
 
+def provenance() -> dict:
+    """The ``provenance`` block of every ``BENCH_*.json``: git commit
+    (``None`` outside a checkout), CPU count, Python version and numpy
+    version (``None`` without numpy)."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=_BENCH_DIR,
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    try:
+        import numpy
+    except ImportError:
+        numpy_version = None
+    else:
+        numpy_version = numpy.__version__
+    return {
+        "commit": commit,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
 def write_artifact(name: str, text: str) -> pathlib.Path:
     """Persist a rendered table under ``benchmarks/output/``."""
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -157,6 +186,7 @@ def pytest_sessionfinish(session):
             "BENCH_kernel.json",
             json.dumps(
                 {
+                    "provenance": provenance(),
                     "preset": PRESET,
                     "backend": SESSION.kernel.name,
                     "kernel": BENCH_REPORT["kernel"],
@@ -170,6 +200,7 @@ def pytest_sessionfinish(session):
         return
     disk = SESSION.disk
     report = {
+        "provenance": provenance(),
         "preset": PRESET,
         "parallel": PARALLEL,
         "backend": SESSION.kernel.name,

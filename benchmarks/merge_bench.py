@@ -15,6 +15,9 @@ artefact:
   server (``cache.tiers``, see :mod:`repro.cachesvc`);
 * scalar fields (preset, backend, parallel) must agree across shards —
   a mismatch aborts loudly rather than averaging apples and oranges;
+* each shard's ``provenance`` block (commit, CPUs, Python and numpy
+  versions) is kept, in shard order, as the ``provenance`` list
+  (``None`` for a shard without one);
 * every other top-level key (e.g. the ``kernel`` micro-benchmark
   block) is taken from whichever shard produced it.
 
@@ -36,6 +39,7 @@ from typing import List
 def merge_reports(reports: List[dict], labels: List[str]) -> dict:
     merged: dict = {
         "shards": labels,
+        "provenance": [report.get("provenance") for report in reports],
         "suite_seconds": {},
         "stages": {},
         "cache": {
@@ -91,7 +95,7 @@ def merge_reports(reports: List[dict], labels: List[str]) -> dict:
             workers[key] = workers.get(key, 0) + value
         for key, value in report.items():
             if key in ("suite_seconds", "stages", "cache", "preset",
-                       "parallel", "backend"):
+                       "parallel", "backend", "provenance"):
                 continue
             merged.setdefault(key, value)
     return merged

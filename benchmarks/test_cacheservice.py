@@ -28,7 +28,7 @@ import pytest
 from repro.cachesvc import RemoteCache, create_cache_server
 from repro.flow import Session
 
-from .conftest import write_artifact
+from .conftest import provenance, write_artifact
 
 #: Small fixed slice of the registry: enough distinct keys to exercise
 #: the tiers, small enough for the nightly lane.
@@ -108,6 +108,7 @@ def test_cache_service_bench(cache_server, tmp_path):
         "BENCH_cache.json",
         json.dumps(
             {
+                "provenance": provenance(),
                 "benchmarks": BENCHMARKS,
                 "configs": CONFIGS,
                 "preset": "tiny",

@@ -22,11 +22,21 @@ already-translated fanin signals of one node during a rebuild pass
 when the pattern does not apply / does not pay off.  Logical correctness of
 every rule is property-tested exhaustively in the test suite.
 
-A pass calls its matcher at every node, and most nodes match nothing, so
-the structural matchers (``Omega.D``, ``Omega.A``, ``Psi.C``) read the
-fanin table directly and reject a node with a few membership tests
-before they build any candidate.  The rules are first-match: only the
-rejects are shortcuts, the enumeration order behind them is semantics.
+Most nodes match nothing, so the structural matchers (``Omega.D``,
+``Omega.A``, ``Psi.C``) read the fanin table directly and reject a node
+with a few membership tests before they build any candidate.  The rules
+are first-match: only the rejects are shortcuts, the enumeration order
+behind them is semantics.
+
+Each pass's matcher also has a *scan*, ``scan(fanins, first)``: the
+matcher's reject stated once over a whole canonical fanin table, listing
+in ascending order the gates that pass it.  A rebuild probing a
+canonical input calls the matcher only at those gates (see
+:func:`repro.mig.rewrite.rebuild`); everywhere else, and once a pass has
+fired, the matcher still runs at every node.  A canonical triple
+``(a, b, c)`` is ascending with at most one constant (``a``), and a
+gate's fanins precede it, so ``a``'s gate holds neither ``b`` nor ``c``:
+the scans leave out the clauses of a reject that cannot hold there.
 """
 
 from __future__ import annotations
@@ -58,6 +68,49 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 # Omega.D  (distributivity, right-to-left)
 # ----------------------------------------------------------------------
 
+def distributivity_rl_candidate(fanins, a: int, b: int, c: int) -> bool:
+    """The reject of :func:`try_distributivity_rl`, negated: two plain gate
+    operands of ``<a b c>`` share two fanins.
+
+    Matching reads the fanin table directly: the stored entry is ``None``
+    for exactly the non-gates, and complemented operands are not matched
+    structurally (pushing the complement through first is the job of
+    Omega.I, which the scripts schedule explicitly).
+    """
+    fa = None if a & 1 else fanins[a >> 1]
+    fb = None if b & 1 else fanins[b >> 1]
+    fc = None if c & 1 else fanins[c >> 1]
+    return bool(
+        fa is not None and (
+            fb is not None and (fa[0] in fb) + (fa[1] in fb) + (fa[2] in fb) > 1
+            or fc is not None and (fa[0] in fc) + (fa[1] in fc) + (fa[2] in fc) > 1
+        ) or (
+            fb is not None and fc is not None
+            and (fb[0] in fc) + (fb[1] in fc) + (fb[2] in fc) > 1
+        )
+    )
+
+
+def distributivity_rl_scan(fanins, first: int):
+    """Gates of a canonical fanin table passing
+    :func:`distributivity_rl_candidate`, ascending (inlined: it runs
+    over every gate a probe would otherwise visit)."""
+    out = []
+    for node, (a, b, c) in enumerate(fanins[first:], first):
+        fa = None if a & 1 else fanins[a >> 1]
+        fb = None if b & 1 else fanins[b >> 1]
+        fc = None if c & 1 else fanins[c >> 1]
+        if fa is not None and (
+            fb is not None and (fa[0] in fb) + (fa[1] in fb) + (fa[2] in fb) > 1
+            or fc is not None and (fa[0] in fc) + (fa[1] in fc) + (fa[2] in fc) > 1
+        ) or (
+            fb is not None and fc is not None
+            and (fb[0] in fc) + (fb[1] in fc) + (fb[2] in fc) > 1
+        ):
+            out.append(node)
+    return out
+
+
 def try_distributivity_rl(
     mig: Mig,
     a: int,
@@ -74,20 +127,15 @@ def try_distributivity_rl(
     new-graph signal to its residual fanout estimate; when ``None`` the
     rule only fires on guaranteed hash hits.
 
-    Reject: fewer than two plain gate operands, or no pair of them
-    sharing two fanins.
+    Reject: no pair of plain gate operands sharing two fanins
+    (:func:`distributivity_rl_candidate`).
     """
-    # Matching reads the fanin table directly: the stored entry is
-    # ``None`` for exactly the non-gates, and complemented operands are
-    # not matched structurally (pushing the complement through first is
-    # the job of Omega.I, which the scripts schedule explicitly).
     fanins = mig._fanins
+    if not distributivity_rl_candidate(fanins, a, b, c):
+        return None
     fa = None if a & 1 else fanins[a >> 1]
     fb = None if b & 1 else fanins[b >> 1]
     fc = None if c & 1 else fanins[c >> 1]
-    # Reject: the pattern needs two plain gate operands.
-    if (fa is None) + (fb is None) + (fc is None) > 1:
-        return None
     # Position-permutation order matches permutations((a, b, c)) exactly
     # (results are order-sensitive); gate fanins are probed once per
     # operand instead of once per pair.
@@ -130,6 +178,22 @@ def try_distributivity_rl(
 # ----------------------------------------------------------------------
 # Omega.A  (associativity)
 # ----------------------------------------------------------------------
+
+def associativity_scan(fanins, first: int):
+    """Gates of a canonical fanin table passing the reject of
+    :func:`try_associativity` (a plain gate operand holding one of the
+    other two operands), ascending."""
+    out = []
+    for node, (a, b, c) in enumerate(fanins[first:], first):
+        fb = None if b & 1 else fanins[b >> 1]
+        fc = None if c & 1 else fanins[c >> 1]
+        if (
+            fb is not None and a in fb
+            or fc is not None and (a in fc or b in fc)
+        ):
+            out.append(node)
+    return out
+
 
 def try_associativity(mig: Mig, a: int, b: int, c: int) -> Optional[int]:
     """Apply ``<x u <y u z>> = <z u <y u x>>`` when the swap simplifies.
@@ -178,6 +242,38 @@ def try_associativity(mig: Mig, a: int, b: int, c: int) -> Optional[int]:
 # Psi.C  (complementary associativity)
 # ----------------------------------------------------------------------
 
+def complementary_associativity_candidate(
+    fanins, a: int, b: int, c: int
+) -> bool:
+    """The reject of :func:`try_complementary_associativity`, negated: a
+    plain gate operand of ``<a b c>`` holds the complement of a
+    non-constant other operand."""
+    fa = None if a & 1 else fanins[a >> 1]
+    fb = None if b & 1 else fanins[b >> 1]
+    fc = None if c & 1 else fanins[c >> 1]
+    return bool(
+        fa is not None and (b > 1 and b ^ 1 in fa or c > 1 and c ^ 1 in fa)
+        or fb is not None and (a > 1 and a ^ 1 in fb or c > 1 and c ^ 1 in fb)
+        or fc is not None and (a > 1 and a ^ 1 in fc or b > 1 and b ^ 1 in fc)
+    )
+
+
+def complementary_associativity_scan(fanins, first: int):
+    """Gates of a canonical fanin table passing
+    :func:`complementary_associativity_candidate`, ascending (inlined:
+    it runs over every gate a probe would otherwise visit)."""
+    out = []
+    for node, (a, b, c) in enumerate(fanins[first:], first):
+        fb = None if b & 1 else fanins[b >> 1]
+        fc = None if c & 1 else fanins[c >> 1]
+        if (
+            fb is not None and a > 1 and a ^ 1 in fb
+            or fc is not None and (a > 1 and a ^ 1 in fc or b ^ 1 in fc)
+        ):
+            out.append(node)
+    return out
+
+
 def try_complementary_associativity(
     mig: Mig, a: int, b: int, c: int, *, fanout_of=None
 ) -> Optional[int]:
@@ -193,10 +289,13 @@ def try_complementary_associativity(
     paper drops it: removing a *single* complemented edge destroys the
     RM3-ideal form.)
 
-    Reject: a plain gate operand holding the complement of neither
-    non-constant other operand.
+    Reject: no plain gate operand holding the complement of a
+    non-constant other operand
+    (:func:`complementary_associativity_candidate`).
     """
     fanins = mig._fanins
+    if not complementary_associativity_candidate(fanins, a, b, c):
+        return None
     operands = (a, b, c)
     for w_pos in range(3):
         w = operands[w_pos]
@@ -206,12 +305,7 @@ def try_complementary_associativity(
         if inner is None:
             continue
         i, j = _OTHERS[w_pos]
-        p, q = operands[i], operands[j]
-        # Reject: the inner gate must hold the complement of a
-        # non-constant other operand.
-        if not ((p > 1 and p ^ 1 in inner) or (q > 1 and q ^ 1 in inner)):
-            continue
-        outer_rest = [p, q]
+        outer_rest = [operands[i], operands[j]]
         for u_idx in range(2):
             u = outer_rest[u_idx]
             x = outer_rest[1 - u_idx]
@@ -238,6 +332,18 @@ def try_complementary_associativity(
 # ----------------------------------------------------------------------
 # Omega.I  (inverter propagation, right-to-left)
 # ----------------------------------------------------------------------
+
+def inverter_scan(fanins, first: int, *, handle_two: bool):
+    """Gates of a canonical fanin table at which
+    :func:`propagate_inverters` fires: three complemented non-constant
+    fanins, or two with *handle_two*; ascending."""
+    need = 2 if handle_two else 3
+    return [
+        node
+        for node, (a, b, c) in enumerate(fanins[first:], first)
+        if (a > 1 and a & 1) + (b & 1) + (c & 1) >= need
+    ]
+
 
 def propagate_inverters(
     mig: Mig, a: int, b: int, c: int, *, handle_two: bool

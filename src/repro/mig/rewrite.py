@@ -9,12 +9,16 @@ free.
 Most pass calls change nothing: after a cycle or two of a script the
 axioms stop firing.  So :func:`rebuild` does not copy a *canonical*
 input (structurally hashed, primary inputs first, no dead gates), which
-is a fixed point of a plain rebuild.  It first replays the pass's
-transform against a read-only view of the input.  When no node fires it
-returns the input itself, memoized traversals included; otherwise the
-new graph starts as a copy of the unchanged prefix and the rebuild
-resumes at the first node that fired.  A pass result may therefore *be*
-its input, so callers must not mutate pass results.
+is a fixed point of a plain rebuild.  It first *probes* the input:
+it replays the pass's transform against a read-only view of the input,
+but only at the candidates of the pass's *scan* — the gates its
+matcher's reject lets through, found in one sweep of the fanin table
+(:mod:`repro.mig.algebra`).  When no candidate fires it returns the
+input itself, memoized traversals included; otherwise the new graph
+starts as a copy of the unchanged prefix and the rebuild resumes at the
+first node that fired, calling the transform at every node from there
+on.  A pass result may therefore *be* its input, so callers must not
+mutate pass results.
 
 A script cycles its passes, and a pass often meets a graph it already
 returned unchanged (another pass of the cycle changed something, but not
@@ -50,13 +54,13 @@ class RebuildContext:
     indexed by node id (``-1`` for not-yet-translated nodes) so the
     per-edge translation in the rebuild inner loop is a plain index.
 
-    ``refs`` and ``levels`` are *lazy*: most passes (``Omega.M``,
-    ``Omega.A``, the inverter propagations, polarity) never consult
-    them, and a rebuild is cheap enough that an unconditional fanout /
-    level traversal of the source graph would dominate its cost — the
-    optimiser's search strategies apply thousands of candidate passes
-    per run, so only the passes that actually price fanouts
-    (``Omega.D``, ``Psi.C``) pay for them, once a pattern has matched.
+    ``refs`` is *lazy*: most passes (``Omega.M``, ``Omega.A``, the
+    inverter propagations, polarity) never consult it, and a rebuild is
+    cheap enough that an unconditional fanout traversal of the source
+    graph would dominate its cost — the optimiser's search strategies
+    apply thousands of candidate passes per run, so only the passes
+    that actually price fanouts (``Omega.D``, ``Psi.C``) pay for it,
+    once a pattern has matched.
     """
 
     __slots__ = ("old", "xlat", "_refs")
@@ -73,11 +77,6 @@ class RebuildContext:
         if self._refs is None:
             self._refs = self.old._fanout_counts()
         return self._refs
-
-    @property
-    def levels(self) -> List[int]:
-        """Per-node levels of the source graph."""
-        return self.old.levels()
 
     def translated(self, old_signal: int) -> int:
         """New-graph signal corresponding to *old_signal*.
@@ -96,6 +95,10 @@ class RebuildContext:
 #: node's new signal, or to ``None`` to keep the node: :func:`rebuild`
 #: then adds ``<children>`` itself.
 Transform = Callable[[Mig, RebuildContext, int, Sequence[int]], Optional[int]]
+
+#: A scan maps a canonical input's fanin table and its first gate id to
+#: the ascending ids of the gates at which a pass's transform may fire.
+Scan = Callable[[List, int], Sequence[int]]
 
 
 class _Diverged(Exception):
@@ -140,11 +143,20 @@ def _prefix(mig: Mig, size: int) -> Mig:
     return new
 
 
-def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
+def rebuild(
+    mig: Mig,
+    transform: Optional[Transform] = None,
+    scan: Optional[Scan] = None,
+) -> Mig:
     """Reconstruct the live part of *mig*, applying *transform* per gate.
 
     With ``transform=None`` this is a cleanup + ``Omega.M`` +
     structural-hashing pass (the paper's plain ``Omega.M`` step).
+
+    *scan* narrows the probe of a canonical input: it must list (a
+    superset of) the gates at which *transform*, called on the
+    read-only view, returns a signal or builds a node.  Without it the
+    probe calls *transform* at every gate.
 
     Returns *mig* itself when the result would equal it (see the module
     docstring); callers must not mutate the result.
@@ -159,18 +171,19 @@ def rebuild(mig: Mig, transform: Optional[Transform] = None) -> Mig:
         # Probe: while nothing fires, node k of the rebuild is node k of
         # the input, so xlat grows as the identity.
         first = mig.num_pis + 1
-        xlat.extend(range(0, first << 1, 2))
         view = _PrefixView(mig)
         fanins = mig._fanins
-        keep = xlat.append
-        for node in range(first, mig.num_nodes):
+        candidates = (
+            range(first, mig.num_nodes) if scan is None else scan(fanins, first)
+        )
+        for node in candidates:
             view.limit = node
+            xlat.extend(range(len(xlat) << 1, node << 1, 2))
             try:
                 if transform(view, ctx, node, fanins[node]) is not None:
                     break
             except _Diverged:
                 break
-            keep(node << 1)
         else:
             return mig
         new = _prefix(mig, node)
@@ -219,8 +232,8 @@ def _residual_fanout(ctx: RebuildContext, node: int, children):
 
     A child signal's residual fanout is the source fanout of the old
     fanin it translates (the last such fanin when two translate alike);
-    any other signal is priced as shared (2).  Looked up only when an
-    axiom's pattern matched.
+    any other signal is priced as shared (2).  Built only past the
+    matcher's reject, looked up only when an axiom's pattern matched.
     """
 
     def fanout_of(sig: int) -> int:
@@ -236,11 +249,13 @@ def distributivity_rl_pass(mig: Mig) -> Mig:
     """``Omega.D(R->L)``: factor shared operand pairs out of fanin nodes."""
 
     def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        if not algebra.distributivity_rl_candidate(new._fanins, *children):
+            return None
         return algebra.try_distributivity_rl(
             new, *children, fanout_of=_residual_fanout(ctx, node, children)
         )
 
-    return rebuild(mig, transform)
+    return rebuild(mig, transform, algebra.distributivity_rl_scan)
 
 
 def associativity_pass(mig: Mig) -> Mig:
@@ -249,18 +264,22 @@ def associativity_pass(mig: Mig) -> Mig:
     def transform(new: Mig, ctx: RebuildContext, node: int, children):
         return algebra.try_associativity(new, *children)
 
-    return rebuild(mig, transform)
+    return rebuild(mig, transform, algebra.associativity_scan)
 
 
 def complementary_associativity_pass(mig: Mig) -> Mig:
     """``Psi.C``: replace an inner complement of an outer operand."""
 
     def transform(new: Mig, ctx: RebuildContext, node: int, children):
+        if not algebra.complementary_associativity_candidate(
+            new._fanins, *children
+        ):
+            return None
         return algebra.try_complementary_associativity(
             new, *children, fanout_of=_residual_fanout(ctx, node, children)
         )
 
-    return rebuild(mig, transform)
+    return rebuild(mig, transform, algebra.complementary_associativity_scan)
 
 
 def inverter_propagation_pass(mig: Mig, *, handle_two: bool) -> Mig:
@@ -270,7 +289,8 @@ def inverter_propagation_pass(mig: Mig, *, handle_two: bool) -> Mig:
     def transform(new: Mig, ctx: RebuildContext, node: int, children):
         return algebra.propagate_inverters(new, *children, handle_two=handle_two)
 
-    return rebuild(mig, transform)
+    scan = functools.partial(algebra.inverter_scan, handle_two=handle_two)
+    return rebuild(mig, transform, scan)
 
 
 def inverter_pairs_pass(mig: Mig) -> Mig:
@@ -412,7 +432,10 @@ def polarity_pass(
             )
         return None
 
-    return rebuild(mig, transform)
+    def scan(fanins, first):
+        return sorted(node for node, bit in flipped.items() if bit)
+
+    return rebuild(mig, transform, scan)
 
 
 def _memoized(name: str, fn: Callable[[Mig], Mig]) -> Callable[[Mig], Mig]:

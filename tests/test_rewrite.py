@@ -1,5 +1,6 @@
 """Tests for the rewrite engine and the two rewriting scripts."""
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -135,8 +136,12 @@ class TestRebuildContext:
 # Pass parity: every pass against a plain rebuild loop
 # ----------------------------------------------------------------------
 
-def reference_rebuild(mig, transform=None):
-    """The plain rebuild: copy every live gate into a fresh graph."""
+def reference_rebuild(mig, transform=None, scan=None):
+    """The plain rebuild: copy every live gate into a fresh graph.
+
+    *scan* is accepted and ignored — every live gate is visited — so the
+    parity tests check the probe's scans against code that has none.
+    """
     new = Mig(mig.name)
     ctx = RebuildContext(mig)
     xlat = ctx.xlat
@@ -269,6 +274,124 @@ class TestPassParity:
                 assert out.content_fingerprint() == (
                     reference_pass(name, mig).content_fingerprint()
                 ), (mig.name, name)
+
+
+# ----------------------------------------------------------------------
+# Scan soundness: the probe skips only gates that cannot fire
+# ----------------------------------------------------------------------
+
+class _RecordingView(rewrite_module._PrefixView):
+    """The probe's read-only view, noting every structural-hash lookup."""
+
+    __slots__ = ("consulted",)
+
+    def __init__(self, mig):
+        super().__init__(mig)
+        self.consulted = False
+
+    def maj_would_allocate(self, a, b, c):
+        self.consulted = True
+        return super().maj_would_allocate(a, b, c)
+
+
+def transform_and_scan(name, mig):
+    """The ``(transform, scan)`` that ``PASSES[name]`` hands to
+    :func:`rebuild` for *mig* (run on a clone: the no-op memo would
+    answer without calling it)."""
+    seen = {}
+
+    def capture(graph, transform=None, scan=None):
+        seen.update(transform=transform, scan=scan)
+        return graph
+
+    with mock.patch.object(rewrite_module, "rebuild", capture):
+        PASSES[name](mig.clone())
+    return seen["transform"], seen["scan"]
+
+
+def assert_scans_sound(mig):
+    """Every gate outside a pass's scan, probed alone on the read-only
+    view, returns ``None`` before its matcher consults the structural
+    hash or builds a node."""
+    assert mig._is_canonical()
+    first = mig.num_pis + 1
+    fanins = mig._fanins
+    for name in PASSES:
+        transform, scan = transform_and_scan(name, mig)
+        if transform is None:
+            assert name == "M"  # a canonical input is its own Omega.M
+            continue
+        assert scan is not None, name
+        candidates = list(scan(fanins, first))
+        assert candidates == sorted(set(candidates)), name
+        assert all(first <= node < mig.num_nodes for node in candidates), name
+        for node in sorted(set(range(first, mig.num_nodes)) - set(candidates)):
+            view = _RecordingView(mig)
+            view.limit = node
+            ctx = RebuildContext(mig)
+            ctx.xlat.extend(range(0, node << 1, 2))
+            try:
+                result = transform(view, ctx, node, fanins[node])
+            except rewrite_module._Diverged:
+                pytest.fail(f"{name} builds at node {node} outside its scan")
+            assert result is None, (name, node)
+            assert not view.consulted, (name, node)
+
+
+class TestScanSoundness:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_registry_benchmarks_and_one_cycle(self, name):
+        source = canonical(build_benchmark(name, "tiny"))
+        assert_scans_sound(source)
+        for steps in (ALGORITHM1_STEPS, ALGORITHM2_STEPS):
+            assert_scans_sound(apply_script(source, steps))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=60),
+    )
+    def test_random_canonical_graphs(self, seed, gates):
+        assert_scans_sound(
+            canonical(make_random_mig(5, gates, seed=seed, complement_prob=0.4))
+        )
+
+    def test_probe_calls_the_transform_only_at_candidates(self):
+        mig = canonical(make_random_mig(5, 40, seed=3))
+        calls = []
+
+        def transform(new, ctx, node, children):
+            calls.append((node, list(ctx.xlat), new.limit))
+            return None
+
+        candidates = list(range(mig.num_pis + 1, mig.num_nodes, 3))
+        assert rebuild(mig, transform, lambda fanins, first: candidates) is mig
+        assert [node for node, _, _ in calls] == candidates
+        for node, xlat, limit in calls:
+            assert limit == node
+            assert xlat == list(range(0, node << 1, 2))
+
+
+# ----------------------------------------------------------------------
+# Default-preset pin: the scripts' outputs at the harness scale
+# ----------------------------------------------------------------------
+
+#: SHA-256 over the content fingerprints of
+#: ``rewrite(build_benchmark(name, "default"), script)`` for every
+#: registry benchmark (registry order) and script ``dac16``, then
+#: ``endurance`` — recorded before the probe scans existed.
+DEFAULT_REWRITE_DIGEST = (
+    "a2f68518c80e21a35987a612ddf463ffdf2f78d838da8429b4941ff2393d4045"
+)
+
+
+def test_default_preset_rewrites_are_pinned():
+    digest = hashlib.sha256()
+    for name in BENCHMARK_ORDER:
+        source = build_benchmark(name, "default")
+        for script in ("dac16", "endurance"):
+            digest.update(rewrite(source, script).content_fingerprint().encode())
+    assert digest.hexdigest() == DEFAULT_REWRITE_DIGEST
 
 
 # ----------------------------------------------------------------------
