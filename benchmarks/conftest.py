@@ -22,7 +22,8 @@ through ``Session.from_env()``.
 Every benchmark session additionally emits a timing artefact,
 ``benchmarks/output/BENCH_suite.json``: suite wall-clock per evaluation
 stage, per-stage flow timings from the session's observer hooks,
-experiment-cache hit rates (memory and disk), the active simulation
+the experiment cache's counters (memory, disk and remote tiers, in the
+schema of ``ExperimentCache.counters``), the active simulation
 backend, and the backend micro-benchmark numbers recorded by
 ``test_simbackend.py`` — the perf trajectory of the harness is tracked
 from these files.  Every ``BENCH_*.json`` carries a ``provenance``
@@ -198,31 +199,18 @@ def pytest_sessionfinish(session):
         )
     if not BENCH_REPORT["suite_seconds"] and "kernel" not in BENCH_REPORT:
         return
-    disk = SESSION.disk
+    root = getattr(SESSION.disk, "root", None)
     report = {
         "provenance": provenance(),
         "preset": PRESET,
         "parallel": PARALLEL,
         "backend": SESSION.kernel.name,
+        # The session cache's own counters (ExperimentCache.counters),
+        # plus its disk root and the counters aggregated over every
+        # run_matrix(parallel=N) worker process of the session.
         "cache": {
-            "memory_hits": SESSION_CACHE.hits,
-            "memory_misses": SESSION_CACHE.misses,
-            "disk": (
-                {
-                    "root": str(disk.root),
-                    "hits": disk.hits,
-                    "misses": disk.misses,
-                    "lock_skips": disk.lock_skips,
-                }
-                if disk is not None
-                else None
-            ),
-            # Remote-tier counters (shared cache server, see
-            # repro.cachesvc): all zero for a local disk root.
-            "tiers": disk.tier_counters() if disk is not None else None,
-            # Aggregated over every run_matrix(parallel=N) worker
-            # process of the session: the parent's counters alone
-            # under-report what a fanned-out suite actually hit.
+            **SESSION_CACHE.counters(),
+            "root": None if root is None else str(root),
             "workers": dict(SESSION_CACHE.worker_counters),
         },
         **BENCH_REPORT,

@@ -10,9 +10,9 @@ artefact:
 * ``suite_seconds`` entries are merged keyed by evaluation name,
   prefixed with the shard label on collision;
 * ``stages`` counters (events / cached / seconds) are summed per stage;
-* cache hit/miss counters are summed (memory and disk), as are the
-  remote-tier counters of shards that read through a shared cache
-  server (``cache.tiers``, see :mod:`repro.cachesvc`);
+* every number under ``cache`` is summed, nested ones (the
+  ``workers`` block) included, whatever counters the shards carry;
+  other values (the ``root``) keep the first shard's;
 * scalar fields (preset, backend, parallel) must agree across shards —
   a mismatch aborts loudly rather than averaging apples and oranges;
 * each shard's ``provenance`` block (commit, CPUs, Python and numpy
@@ -36,19 +36,25 @@ import sys
 from typing import List
 
 
+def _sum_numbers(total: dict, block: dict) -> None:
+    """Add every number of *block* into *total*, recursing into nested
+    dicts; any other value keeps the first one seen."""
+    for key, value in block.items():
+        if isinstance(value, dict):
+            _sum_numbers(total.setdefault(key, {}), value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            total[key] = total.get(key, 0) + value
+        else:
+            total.setdefault(key, value)
+
+
 def merge_reports(reports: List[dict], labels: List[str]) -> dict:
     merged: dict = {
         "shards": labels,
         "provenance": [report.get("provenance") for report in reports],
         "suite_seconds": {},
         "stages": {},
-        "cache": {
-            "memory_hits": 0,
-            "memory_misses": 0,
-            "disk": None,
-            "tiers": None,
-            "workers": {},
-        },
+        "cache": {},
     }
     for label, report in zip(labels, reports):
         for scalar in ("preset", "parallel", "backend"):
@@ -64,35 +70,8 @@ def merge_reports(reports: List[dict], labels: List[str]) -> dict:
                 f"{label}:{name}"
             )
             merged["suite_seconds"][key] = seconds
-        for stage, entry in report.get("stages", {}).items():
-            bucket = merged["stages"].setdefault(
-                stage, {"events": 0, "cached": 0, "seconds": 0.0}
-            )
-            bucket["events"] += entry.get("events", 0)
-            bucket["cached"] += entry.get("cached", 0)
-            bucket["seconds"] += entry.get("seconds", 0.0)
-        cache = report.get("cache", {})
-        merged["cache"]["memory_hits"] += cache.get("memory_hits", 0)
-        merged["cache"]["memory_misses"] += cache.get("memory_misses", 0)
-        disk = cache.get("disk")
-        if disk:
-            bucket = merged["cache"]["disk"] or {
-                "root": disk.get("root"), "hits": 0, "misses": 0,
-                "lock_skips": 0,
-            }
-            bucket["hits"] += disk.get("hits", 0)
-            bucket["misses"] += disk.get("misses", 0)
-            bucket["lock_skips"] += disk.get("lock_skips", 0)
-            merged["cache"]["disk"] = bucket
-        tiers = cache.get("tiers")
-        if tiers:
-            bucket = merged["cache"]["tiers"] or {}
-            for key, value in tiers.items():
-                bucket[key] = bucket.get(key, 0) + value
-            merged["cache"]["tiers"] = bucket
-        for key, value in cache.get("workers", {}).items():
-            workers = merged["cache"]["workers"]
-            workers[key] = workers.get(key, 0) + value
+        _sum_numbers(merged["stages"], report.get("stages", {}))
+        _sum_numbers(merged["cache"], report.get("cache", {}))
         for key, value in report.items():
             if key in ("suite_seconds", "stages", "cache", "preset",
                        "parallel", "backend", "provenance"):

@@ -236,14 +236,14 @@ class DiskCache:
         #: past :data:`LOCK_WAIT_SECONDS`.
         self.lock_skips = 0
 
-    # -- remote-tier surface (no-ops on a local root) ---------------------
+    # -- the surface shared with RemoteCache ----------------------------
 
     @contextmanager
     def flight(self, key: Tuple):
-        """Single-flight window around one compute: yields ``None``
-        (compute and store).  The per-entry lockfile already keeps
-        racing local writers from duplicating a store."""
-        yield None
+        """Single-flight window around one compute, and the stage's one
+        read: yields :meth:`load`'s answer (``None``: compute and store).
+        The per-entry lockfile keeps racing writers from duplicating it."""
+        yield self.load(key)
 
     def tier_counters(self) -> Dict[str, int]:
         """Remote-tier counters: all zero for a local root."""

@@ -23,21 +23,24 @@ compilations *shared work*:
   the parallel path is bit-for-bit identical to the serial one.
   ``repro serve``'s isolated mode dispatches through the same function.
 
-**The tier path.**  Every stage reads through the same tiers: memory,
-then the attached disk cache (a local
+**The tier path.**  Every stage reads memory, then the single-flight
+window of the attached disk cache (a local
 :class:`~repro.analysis.diskcache.DiskCache` or a
-:class:`~repro.cachesvc.RemoteCache`), then the disk tier's
-single-flight window, and only then the compute.  Against a shared
-cache server exactly one process computes a cold key while concurrent
-requesters block in the window and adopt its payload.  Whatever a tier
-returns is adopted into memory, where the first stored entry wins, and
-a computed entry is written back to disk before the window closes.  The
-probes (``cached_source_mig``, ``has_rewritten``, ``has``) walk memory
-and disk only and never compute; a satisfying disk entry is adopted, so
-the stage call that follows is a pure memory hit.  Graphs persist under
-their source's identity and their rewrites and results under that
-identity too; hand-built graphs and the ``"none"`` script's rewrite (a
-cleanup copy) stay in memory.
+:class:`~repro.cachesvc.RemoteCache`), which is its one disk read, and
+only then computes.  Against a shared cache server exactly one process
+computes a cold key while concurrent requesters block in the window and
+adopt its payload.  Whatever a tier returns is adopted into memory,
+where the first stored entry wins, and a computed entry is written back
+to disk before the window closes.  Each thread's computes are counted
+(a ``make()`` after every tier missed, or a certificate widening): a
+stage whose work ran none is cached, and a compile counts a miss
+exactly when it compiled.  The probes (``cached_source_mig``,
+``has_rewritten``, ``has``), for callers that decide before any stage
+runs, walk memory and disk only and never compute; a satisfying disk
+entry is adopted, so the stage call that follows is a pure memory hit.
+Graphs persist under their source's identity and their rewrites and
+results under that identity too; hand-built graphs and the ``"none"``
+script's rewrite (a cleanup copy) stay in memory.
 
 **Certificates.**  A compiled result carries a verification
 certificate: the number of patterns it was co-simulated against.  A
@@ -254,12 +257,11 @@ class _CertifiedMemo(_Memo):
 class ExperimentCache:
     """Session-scoped memo of built, rewritten, and compiled artefacts.
 
-    Each stage reads through memory, the attached *disk* and its
-    single-flight window, as the module docstring describes; results
-    keep the certificate rule stated there.  :attr:`hits` and
-    :attr:`misses` count the compile stage's memory lookups.  The cache
-    is lock-protected, so one instance may be shared by threads; worker
-    *processes* get their own instance.
+    Each stage reads through memory and the single-flight window of the
+    attached *disk*, as the module docstring describes; results keep
+    the certificate rule stated there.  The cache is lock-protected, so
+    one instance may be shared by threads; worker *processes* get their
+    own instance.
     """
 
     def __init__(self, disk: Optional[DiskCache] = None) -> None:
@@ -276,7 +278,10 @@ class ExperimentCache:
         self._job_names: Dict[Tuple, str] = {}
         self.disk = disk
         self._lock = threading.RLock()
+        self._local = threading.local()  # this thread's computes()
+        #: Compile requests served from any tier without compiling.
         self.hits = 0
+        #: Compile and verify requests that compiled.
         self.misses = 0
         #: Aggregated counters of the ``run_matrix(parallel=N)`` worker
         #: processes that fed this cache (each worker has its own
@@ -315,6 +320,11 @@ class ExperimentCache:
                 if key in self.worker_counters:
                     self.worker_counters[key] += value
 
+    def computes(self) -> int:
+        """This thread's computes through the cache so far: each
+        ``make()`` after every tier missed, and each certificate widening."""
+        return getattr(self._local, "computes", 0)
+
     # -- the tier path ---------------------------------------------------
 
     def _keep(self, table, mem_key, entry):
@@ -347,15 +357,15 @@ class ExperimentCache:
         return entry
 
     def _through(self, table, mem_key, disk_key, make, store=None):
-        """*mem_key*'s entry read through every tier; *make()* computes
-        it on a full miss.
+        """*mem_key*'s entry from memory, else from the disk tier's
+        single-flight window (its one read), else computed by *make()*.
 
         The computed entry is adopted into memory and written back by
         ``store(disk_key, entry)`` (a plain disk store by default) while
         the single-flight window is still open, so a failed compute
         hands the lease to the next waiter.
         """
-        entry = self._lookup(table, mem_key, disk_key)
+        entry = self._lookup(table, mem_key, None)
         if entry is not None:
             return entry
         flight = (
@@ -364,6 +374,7 @@ class ExperimentCache:
         with flight as entry:
             if entry is not None:
                 return self._keep(table, mem_key, entry)
+            self._local.computes = self.computes() + 1
             entry = self._keep(table, mem_key, make())
             if disk_key is not None:
                 (store or self.disk.store)(disk_key, entry)
@@ -569,15 +580,17 @@ class ExperimentCache:
                 verify_program(result.program, mig, patterns=patterns)
             return result, patterns
 
-        with self._lock:
-            if mem_key not in self._results:
-                self.misses += 1
-            elif count_hit:
-                self.hits += 1
+        computes = self.computes()
         result, verified = self._through(
             self._results, mem_key, disk_key, make, certify
         )
+        with self._lock:
+            if self.computes() != computes:
+                self.misses += 1
+            elif count_hit:
+                self.hits += 1
         if patterns > verified:
+            self._local.computes = self.computes() + 1
             verify_program(result.program, mig, patterns=patterns)
             entry = self._keep(self._results, mem_key, (result, patterns))
             if disk_key is not None:
@@ -602,7 +615,8 @@ class ExperimentCache:
         least *verify_patterns*.  Entries are keyed by the target
         machine and optimizer (:func:`experiment_key`), so one cache
         serves every machine model and optimizer spec without
-        cross-talk.  Counts a memory hit or miss.
+        cross-talk.  Counts a miss when it compiles and a hit
+        otherwise.
         """
         return self._compile(
             mig, config, key, verify_patterns if verify else 0, arch,
@@ -622,8 +636,8 @@ class ExperimentCache:
         """Ensure the stored result carries a certificate >= *patterns*.
 
         The flow layer's verify stage: :meth:`compile` with
-        verification, except that a pair already compiled in this
-        session counts no hit.
+        verification, except that it counts no hit (the compile stage
+        before it counted the request).
         """
         return self._compile(
             mig, config, key, patterns, arch, optimizer, count_hit=False

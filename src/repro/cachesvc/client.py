@@ -12,9 +12,9 @@ Two things distinguish it from the disk handle it replaces:
 * :meth:`RemoteCache.flight` — the cross-process single-flight window.
   Compute paths open it around a miss: the first process gets a lease
   and compiles, every other process blocks on the server and receives
-  the stored payload instead of recompiling.  On a plain
-  :class:`DiskCache` the same call sites get a no-op window and fall
-  back to the per-entry lockfile dance.
+  the stored payload instead of recompiling.  The window is the
+  stage's one read; on a plain :class:`DiskCache` it is a plain load,
+  and the per-entry lockfile keeps racing writers apart.
 * **degradation**: a connection failure (or an injected ``cache_io``
   fault — the hook fires in every request) marks the server down for
   :attr:`retry_seconds` and degrades to the local fallback root (when
@@ -190,12 +190,13 @@ class RemoteCache:
 
     # -- read/write ----------------------------------------------------
 
-    def load(self, key: Tuple):
-        """Return the stored payload for *key*, or ``None``.
-
-        Server-side corruption, a tampered response, and a key mismatch
-        all decode to ``None`` — the client re-derives the entry digest
-        and key, so a bad server can only ever produce a miss.
+    def _read(self, key: Tuple, query=None, timeout=None):
+        """One read of *key* — the ``GET /entry`` of :meth:`load` and,
+        with the flight *query*, of :meth:`flight`: ``(payload, lease
+        token)``.  A payload counts a hit, anything else a miss; a bad
+        server can only ever produce a miss, because the client
+        re-derives the entry digest and key.  A server that is down
+        degrades to the fallback root, when there is one.
         """
         key_repr = repr(key)
         job = _key_job(key)
@@ -204,29 +205,42 @@ class RemoteCache:
                 status, data, headers = self._request(
                     "GET",
                     "/entry",
-                    query={"key": key_repr, "shard": self.shard},
+                    query={
+                        "key": key_repr, "shard": self.shard, **(query or {})
+                    },
+                    timeout=timeout,
                     job=job,
                 )
             except OSError as error:
                 self._mark_down(error, job)
             else:
-                if status == 200:
-                    payload = decode_entry(data, key_repr)
-                    if payload is None:
-                        self._misses += 1
-                        return None
+                payload = (
+                    decode_entry(data, key_repr) if status == 200 else None
+                )
+                if payload is not None:
                     self._hits += 1
                     if headers.get("X-Repro-Tier") == "memory":
                         self.memory_tier_hits += 1
                     else:
                         self.disk_tier_hits += 1
-                    return payload
+                    if headers.get("X-Repro-Served") == "1":
+                        self.flight_waits += 1
+                    return payload, None
                 self._misses += 1
-                return None
+                try:  # a flight GET's 404 may grant the lease
+                    answer = json.loads(data) if status == 404 else {}
+                    lease = answer.get("lease")
+                except (ValueError, AttributeError):
+                    lease = None
+                return None, lease
         if self._fallback is not None:
-            return self._fallback.load(key)
+            return self._fallback.load(key), None
         self._misses += 1
-        return None
+        return None, None
+
+    def load(self, key: Tuple):
+        """Return the stored payload for *key*, or ``None``."""
+        return self._read(key)[0]
 
     def store(
         self, key: Tuple, payload, *, certificate: int = 0, manifest=None
@@ -234,7 +248,8 @@ class RemoteCache:
         """Persist *payload* under *key* through the server: one PUT
         (best-effort).  The server's disk write refuses a narrower
         *certificate* than it holds (see
-        :meth:`~repro.analysis.diskcache.DiskCache.store_blob`)."""
+        :meth:`~repro.analysis.diskcache.DiskCache.store_blob`); an
+        accepted PUT also ends the open flight window's lease."""
         key_repr = repr(key)
         job = _key_job(key)
         if not self._down():
@@ -252,7 +267,12 @@ class RemoteCache:
                     + b"\n"
                     + blob
                 )
-                self._request("PUT", "/entry", body=body, job=job)
+                status, _data, _headers = self._request(
+                    "PUT", "/entry", body=body, job=job
+                )
+                if status == 200:
+                    # The server's put dropped the lease with it.
+                    self._lease_tokens.pop(key_repr, None)
                 return
             except OSError as error:
                 self._mark_down(error, job)
@@ -269,64 +289,30 @@ class RemoteCache:
 
     @contextmanager
     def flight(self, key: Tuple):
-        """The cross-process single-flight window around one compute.
+        """The cross-process single-flight window around one compute,
+        and the stage's one read of *key*.
 
-        Yields the payload another process stored while we would have
-        been computing (the caller adopts it and skips the work), or
-        ``None`` — meaning *we* hold the lease (or the server is
-        unreachable / the wait timed out) and must compute + store.
-        Leaving the window releases an unresolved lease, so a failed
-        compute hands the key to the next waiter instead of wedging it
-        until the TTL.  The wait never outlasts the active stage budget.
+        Yields the stored payload (the caller adopts it), waiting while
+        another process holds the key's lease, or ``None``: *we* hold
+        the lease (or the wait timed out) and must compute + store.
+        Leaving the window releases a lease that no accepted PUT
+        consumed, so a failed compute hands the key to the next waiter
+        instead of wedging it until the TTL.  The wait never outlasts
+        the active stage budget.
         """
         key_repr = repr(key)
-        job = _key_job(key)
-        if self._down():
-            yield None
-            return
         wait = checkpoint(self.flight_wait)
-        token: Optional[str] = None
-        resolved = None
+        payload, token = self._read(
+            key,
+            {"flight": "1", "wait": str(wait), "pid": str(os.getpid())},
+            timeout=wait + 30.0,
+        )
+        if token is not None:
+            self._lease_tokens[key_repr] = token
         try:
-            status, data, headers = self._request(
-                "GET",
-                "/entry",
-                query={
-                    "key": key_repr,
-                    "shard": self.shard,
-                    "flight": "1",
-                    "wait": str(wait),
-                    "pid": str(os.getpid()),
-                },
-                timeout=wait + 30.0,
-                job=job,
-            )
-            if status == 200:
-                resolved = decode_entry(data, key_repr)
-                if resolved is not None:
-                    self._hits += 1
-                    self.flight_waits += 1
-                    if headers.get("X-Repro-Tier") == "memory":
-                        self.memory_tier_hits += 1
-                    else:
-                        self.disk_tier_hits += 1
-            elif status == 404 and data:
-                try:
-                    answer = json.loads(data.decode("utf-8"))
-                except ValueError:
-                    answer = {}
-                token = answer.get("lease")
-                if token:
-                    self._lease_tokens[key_repr] = token
-        except OSError as error:
-            self._mark_down(error, job)
-            yield None
-            return
-        try:
-            yield resolved
+            yield payload
         finally:
-            if token is not None:
-                self._lease_tokens.pop(key_repr, None)
+            if token is not None and self._lease_tokens.pop(key_repr, None):
                 try:
                     self._request(
                         "POST",
@@ -338,10 +324,10 @@ class RemoteCache:
                                 "token": token,
                             }
                         ).encode("utf-8"),
-                        job=job,
+                        job=_key_job(key),
                     )
                 except OSError as error:
-                    self._mark_down(error, job)
+                    self._mark_down(error, _key_job(key))
 
     # -- DiskCache-compatible surface ----------------------------------
 

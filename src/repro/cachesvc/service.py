@@ -81,7 +81,9 @@ from ..analysis.diskcache import (
     blob_certificate,
     blob_digest,
 )
-from .._http import Query, Response, Server, error, param, query_float
+from .._http import (
+    Query, Response, Server, error, param, query_float, query_int,
+)
 from ..resilience.manifest import load_manifest, manifest_path
 
 #: Default warm-tier byte budget (256 MiB holds every artefact of a
@@ -99,6 +101,10 @@ MAX_WAIT_SECONDS = 3600.0
 
 #: Default TCP port (repro.serve's 8321 neighbourhood).
 DEFAULT_PORT = 8344
+
+#: Largest PID a lease may carry: the holder probe's ``os.kill`` takes a
+#: C ``int``, so any other ``pid`` is treated as absent.
+_MAX_PID = 2**31 - 1
 
 #: The only shard form clients send: their code ``fingerprint[:16]``.
 _SHARD = re.compile(r"[0-9a-f]{16}")
@@ -262,6 +268,7 @@ class CacheServer(Server):
         """Resolve one GET: ``(kind, data, tier)``.
 
         Kinds: ``"hit"`` (data = blob, tier = ``memory``/``disk``),
+        ``"served"`` (a hit after waiting on another holder's lease),
         ``"miss"``, ``"lease"`` (data = the granted token — caller
         compiles), ``"timeout"`` (wait exhausted while another holder
         computes — caller compiles leaseless).
@@ -277,18 +284,17 @@ class CacheServer(Server):
         deadline = time.monotonic() + min(max(wait, 0.0), MAX_WAIT_SECONDS)
         waited = False
         while True:
-            blob = self.memory.get(tag)
+            blob, tier = self.memory.get(tag), "memory"
+            if blob is None:
+                blob, tier = self.disk.load_blob(key_repr, shard), "disk"
+                if blob is not None:
+                    self.memory.put(tag, blob)
+                    self._count("disk_hits")
             if blob is not None:
-                if waited:
-                    self._count("flight_served")
-                return "hit", blob, "memory"
-            blob = self.disk.load_blob(key_repr, shard)
-            if blob is not None:
-                self.memory.put(tag, blob)
-                self._count("disk_hits")
-                if waited:
-                    self._count("flight_served")
-                return "hit", blob, "disk"
+                if not waited:
+                    return "hit", blob, tier
+                self._count("flight_served")
+                return "served", blob, tier
             if not flight:
                 self._count("misses")
                 return "miss", None, None
@@ -451,17 +457,20 @@ class CacheServer(Server):
         wait = query_float(query, "wait", 0.0)
         if wait is None:
             return error(400, "bad 'wait' query parameter")
-        pid_raw = param(query, "pid")
-        pid = int(pid_raw) if pid_raw.isdecimal() else None
+        pid = query_int(query, "pid", 0) or 0
         kind, data, tier = self.fetch(
-            key, shard, flight=bool(param(query, "flight")), wait=wait, pid=pid
+            key, shard, flight=bool(param(query, "flight")), wait=wait,
+            pid=pid if 0 < pid <= _MAX_PID else None,
         )
-        if kind == "hit":
+        if kind in ("hit", "served"):
             return Response(
                 200,
                 body=data,
                 content_type="application/octet-stream",
-                headers={"X-Repro-Tier": tier},
+                headers={
+                    "X-Repro-Tier": tier,
+                    "X-Repro-Served": str(int(kind == "served")),
+                },
             )
         if kind == "lease":
             return Response(404, {"lease": data.decode()})

@@ -74,9 +74,9 @@ class StageArtifact:
 
     stage: str
     value: object
-    #: Whether the artefact was served from the session cache (memory or,
-    #: for registry benchmarks, the attached disk cache) without being
-    #: recomputed.
+    #: Whether the stage ran no compute: its artefact came from the
+    #: session cache (memory, or the attached disk cache) or from another
+    #: process through the cache server.
     cached: bool
     seconds: float
 
@@ -314,19 +314,20 @@ class Flow:
 
         timeouts = self.session.timeouts
 
-        def stage(name: str, benchmark: Optional[str], work, cached_probe):
+        def stage(name: str, benchmark: Optional[str], work):
             event = StageEvent(
                 stage=name, flow=label, benchmark=benchmark, config=config.name
             )
             self._emit_start(event)
             start = time.perf_counter()
-            cached = bool(cached_probe())
+            computes = cache.computes()
             # The session's budget for this stage binds on any thread; a
             # blown one raises StageTimeoutError instead of wedging the flow.
             with time_limit(
                 timeouts.limit(name), stage=name, job=benchmark or ""
             ):
                 value = work()
+            cached = cache.computes() == computes
             seconds = time.perf_counter() - start
             stages[name] = StageArtifact(
                 stage=name, value=value, cached=cached, seconds=seconds
@@ -342,7 +343,6 @@ class Flow:
                 "source",
                 source.name,
                 lambda: cache.source_mig(source, preset),
-                lambda: cache.cached_source_mig(source, preset) is not None,
             )
             bench_name = mig.name
             graph_id = mig_key(mig)
@@ -356,10 +356,6 @@ class Flow:
                     mig, config.rewriting, config.effort, key=graph_id,
                     optimizer=optimizer,
                 ),
-                lambda: cache.has_rewritten(
-                    graph_id, config.rewriting, config.effort,
-                    optimizer=optimizer,
-                ),
             )
 
             # compile: selection + allocation + RM3 emission + stats,
@@ -370,9 +366,6 @@ class Flow:
                 lambda: cache.compile(
                     mig, config, key=graph_id, arch=machine,
                     optimizer=optimizer,
-                ),
-                lambda: cache.has(
-                    graph_id, config, arch=machine, optimizer=optimizer
                 ),
             )
 
@@ -385,10 +378,6 @@ class Flow:
                     bench_name,
                     lambda: cache.verify(
                         mig, config, key=graph_id, patterns=patterns,
-                        arch=machine, optimizer=optimizer,
-                    ),
-                    lambda: cache.has(
-                        graph_id, config, verified_patterns=patterns,
                         arch=machine, optimizer=optimizer,
                     ),
                 )

@@ -336,6 +336,34 @@ class TestServerRoutes:
         ]
         assert strays == []
 
+    @pytest.mark.parametrize(
+        "pid", ["2147483648", "0", "-1", "9" * 5000],
+        ids=["past-c-int", "zero", "negative", "too-many-digits"],
+    )
+    def test_pid_outside_a_c_int_is_no_pid(self, tmp_path, pid):
+        """The holder probe hands the PID to ``os.kill``, which takes a
+        positive C ``int``; any other ``pid`` must not make every later
+        flight GET for the key answer 500 while the lease lives."""
+        with running_server(tmp_path) as server:
+
+            def flight(wait, pid=None):
+                query = {"key": repr(KEY), "flight": "1", "wait": wait}
+                if pid is not None:
+                    query["pid"] = pid
+                url = server.url + "/entry?" + urllib.parse.urlencode(query)
+                try:
+                    urllib.request.urlopen(url, timeout=10).close()
+                except urllib.error.HTTPError as error:
+                    with error:
+                        return error.code, json.loads(error.read())
+                pytest.fail("a cold key answered 200")
+
+            status, answer = flight("0", pid)
+            assert status == 404 and answer["lease"]
+            (lease,) = server._leases.values()
+            assert lease.pid is None  # TTL-only
+            assert flight("0.2") == (404, {"timeout": True})
+
 
 # ---------------------------------------------------------------------------
 # certificates never narrow
@@ -458,6 +486,7 @@ class TestSingleFlight:
     def test_concurrent_identical_jobs_compile_once(self, tmp_path):
         with running_server(tmp_path) as server:
             compiles = []
+            waits = []
 
             def worker(i):
                 client = RemoteCache(server.url)
@@ -472,6 +501,7 @@ class TestSingleFlight:
                             client.store(KEY, PAYLOAD)
                             result = PAYLOAD
                 assert result == PAYLOAD
+                waits.append(client.tier_counters()["remote_waits"])
 
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(6)
@@ -487,6 +517,9 @@ class TestSingleFlight:
             # in-flight; stragglers hit the warm tier with a plain load.
             assert 1 <= stats["single_flight"]["served"] <= 5
             assert stats["single_flight"]["leases"] == 1
+            # A client counts a wait exactly when the server served it
+            # after one.
+            assert sum(waits) == stats["single_flight"]["served"]
 
     def test_failed_holder_releases_to_next_waiter(self, tmp_path):
         with running_server(tmp_path) as server:
@@ -682,6 +715,83 @@ class TestSessionIntegration:
             assert warm_result.num_instructions == result.num_instructions
             remote = warm.cache.disk
             assert remote.tier_counters()["remote_memory_hits"] > 0
+
+
+class TestRequestEconomy:
+    """A cold stage reads each persisted key once: the single-flight
+    window is the read, and an accepted PUT ends its lease, so no
+    release follows."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Log ``(method, path, query)`` of every client request."""
+        requests = []
+        request = RemoteCache._request
+
+        def recording(self, method, path, **kwargs):
+            requests.append((method, path, kwargs.get("query") or {}))
+            return request(self, method, path, **kwargs)
+
+        monkeypatch.setattr(RemoteCache, "_request", recording)
+        return requests
+
+    def test_one_get_per_persisted_key(self, tmp_path, monkeypatch):
+        from repro.flow import Flow
+
+        requests = self._recording(monkeypatch)
+        with running_server(tmp_path) as server:
+
+            def run(session):
+                requests.clear()
+                result = (
+                    Flow.for_config("ea-full", session=session)
+                    .source("adder")
+                    .verify(16)
+                    .run()
+                )
+                gets = sorted(
+                    (query["key"].split("'")[1], query.get("flight"))
+                    for method, _path, query in requests
+                    if method == "GET"
+                )
+                writes = {
+                    (method, path)
+                    for method, path, _query in requests
+                    if method != "GET"
+                }
+                cached = {
+                    name: stage.cached for name, stage in result.stages.items()
+                }
+                return gets, writes, cached
+
+            # one flight GET a persisted key: the window is the read
+            reads = [("mig", "1"), ("result", "1"), ("rewrite", "1")]
+            session = Session(cache_url=server.url, preset="tiny")
+            gets, writes, cached = run(session)
+            assert gets == reads
+            assert writes == {("PUT", "/entry")}  # no lease release
+            assert not any(cached.values()), cached
+            assert server.counters["leases"] == 3
+            # A rerun is served from memory ...
+            gets, writes, cached = run(session)
+            assert gets == [] and all(cached.values()), cached
+            # ... and a fresh session from the server, one read a key.
+            gets, writes, cached = run(
+                Session(cache_url=server.url, preset="tiny")
+            )
+            assert gets == reads
+            assert writes == set()
+            assert all(cached.values()), cached
+
+    def test_window_reads_the_fallback_root(self, tmp_path):
+        root = tmp_path / "fallback"
+        DiskCache(root).store(KEY, PAYLOAD)
+        with running_server(tmp_path) as server:
+            client = RemoteCache(server.url, root=root)
+        with client.flight(KEY) as entry:
+            assert entry == PAYLOAD
+        assert client.tier_counters()["remote_fallbacks"] == 1
+        assert (client.hits, client.misses) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

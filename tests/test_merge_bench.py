@@ -16,7 +16,11 @@ def shard(commit, cpus, seconds):
         "backend": "bigint",
         "suite_seconds": {"plain": seconds},
         "stages": {"rewrite": {"events": 2, "cached": 1, "seconds": seconds}},
-        "cache": {"memory_hits": 3, "memory_misses": 1},
+        "cache": {
+            "hits": 3, "misses": 1, "disk_hits": 2, "remote_waits": 1,
+            "root": f"/cache/{commit}",
+            "workers": {"workers": 2, "hits": 1, "misses": 4},
+        },
     }
 
 
@@ -30,7 +34,11 @@ def test_merge_keeps_each_shards_provenance():
     assert merged["stages"]["rewrite"] == {
         "events": 6, "cached": 3, "seconds": 5.0,
     }
-    assert merged["cache"]["memory_hits"] == 9
+    assert merged["cache"] == {
+        "hits": 9, "misses": 3, "disk_hits": 6, "remote_waits": 3,
+        "root": "/cache/abc123",
+        "workers": {"workers": 6, "hits": 3, "misses": 12},
+    }
 
 
 def test_cli_writes_the_provenance_list(tmp_path):

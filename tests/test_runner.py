@@ -403,8 +403,8 @@ class RecordingDisk(DiskCache):
     """A local disk tier that logs every ``load``/``flight``/``store``
     as ``(call, key kind)``.  Its ``flight`` window yields
     ``flown[kind]`` when set — the way a cache-server waiter adopts the
-    payload another process stored — and ``None`` (compute and store)
-    otherwise."""
+    payload another process stored — and is the real window otherwise,
+    whose one read is a logged ``load``."""
 
     def __init__(self, root):
         super().__init__(root)
@@ -419,7 +419,11 @@ class RecordingDisk(DiskCache):
     @contextmanager
     def flight(self, key):
         self.calls.append(("flight", key[0]))
-        yield self.flown.pop(key[0], None)
+        if key[0] in self.flown:
+            yield self.flown.pop(key[0])
+        else:
+            with super().flight(key) as entry:
+                yield entry
 
     def store(self, key, payload, *, certificate=0, manifest=None):
         self.calls.append(("store", key[0]))
@@ -429,25 +433,31 @@ class RecordingDisk(DiskCache):
         )
 
 
+def _read(kind):
+    """The tier calls of one stage's disk read: the window and its load."""
+    return [("flight", kind), ("load", kind)]
+
+
 COLD_RESULT = [
-    ("load", "result"), ("flight", "result"),
-    ("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite"),
+    *_read("result"), *_read("rewrite"), ("store", "rewrite"),
     ("store", "result"),
 ]
 
 
 class TestTierContract:
     """Every stage of ExperimentCache walks the same tiers: memory, then
-    disk (``load``), then the disk tier's single-flight window
-    (``flight``), then the compute, then the write-back (``store``).
+    the disk tier's single-flight window (``flight``), whose one read is
+    the stage's only ``load``, then the compute, then the write-back
+    (``store``).
 
     Each case primes one state — a memory hit, a disk hit, a payload
     adopted from the flight window, a cold key, or a key that never
     reaches the registry or the disk (a hand-built graph, the ``"none"``
     script) — runs one stage, and pins the tier calls it makes, the
     computes it runs, the counters it moves, and the certificate it
-    leaves in memory.  The compile-stage states start from an
-    unverified entry."""
+    leaves in memory.  A compile counts a miss exactly when it compiled
+    and, unless it is the verify stage, a hit otherwise.  The
+    compile-stage states start from an unverified entry."""
 
     CONFIG = PRESETS["ea-full"]
     PATTERNS = 16
@@ -456,43 +466,36 @@ class TestTierContract:
     # certificate of the compiled pair in memory or None)
     EXPECTED = {
         ("source", "memory"): ([], {}, {}, None),
-        ("source", "disk"): ([("load", "mig")], {}, {"disk_hits": 1}, None),
-        ("source", "flight"): (
-            [("load", "mig"), ("flight", "mig")], {}, {"disk_misses": 1},
-            None,
-        ),
+        ("source", "disk"): (_read("mig"), {}, {"disk_hits": 1}, None),
+        ("source", "flight"): ([("flight", "mig")], {}, {}, None),
         ("source", "cold"): (
-            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+            [*_read("mig"), ("store", "mig")],
             {"build": 1}, {"disk_misses": 1}, None,
         ),
         # A hand-built graph persists under its content fingerprint and
         # is built by its source, never by the registry.
         ("source", "local"): (
-            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+            [*_read("mig"), ("store", "mig")],
             {}, {"disk_misses": 1}, None,
         ),
         ("rewrite", "memory"): ([], {}, {}, None),
         ("rewrite", "disk"): (
-            [("load", "rewrite")], {}, {"disk_hits": 1}, None,
+            _read("rewrite"), {}, {"disk_hits": 1}, None,
         ),
-        ("rewrite", "flight"): (
-            [("load", "rewrite"), ("flight", "rewrite")], {},
-            {"disk_misses": 1}, None,
-        ),
+        ("rewrite", "flight"): ([("flight", "rewrite")], {}, {}, None),
         ("rewrite", "cold"): (
-            [("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite")],
+            [*_read("rewrite"), ("store", "rewrite")],
             {"rewrite": 1}, {"disk_misses": 1}, None,
         ),
         # The "none" script's result is a cleanup copy: memory only.
         ("rewrite", "local"): ([], {"rewrite": 1}, {}, None),
         ("compile", "memory"): ([], {}, {"hits": 1}, 0),
         ("compile", "disk"): (
-            [("load", "result")], {}, {"misses": 1, "disk_hits": 1}, 0,
+            _read("result"), {}, {"hits": 1, "disk_hits": 1}, 0,
         ),
         # An adopted payload keeps its certificate.
         ("compile", "flight"): (
-            [("load", "result"), ("flight", "result")], {},
-            {"misses": 1, "disk_misses": 1}, 16,
+            [("flight", "result")], {}, {"hits": 1}, 16,
         ),
         ("compile", "cold"): (
             COLD_RESULT, {"rewrite": 1, "compile": 1},
@@ -506,12 +509,11 @@ class TestTierContract:
             [("store", "result")], {"verify": 1}, {"hits": 1}, 16,
         ),
         ("compile-verified", "disk"): (
-            [("load", "result"), ("store", "result")], {"verify": 1},
-            {"misses": 1, "disk_hits": 1}, 16,
+            [*_read("result"), ("store", "result")], {"verify": 1},
+            {"hits": 1, "disk_hits": 1}, 16,
         ),
         ("compile-verified", "flight"): (
-            [("load", "result"), ("flight", "result")], {},
-            {"misses": 1, "disk_misses": 1}, 16,
+            [("flight", "result")], {}, {"hits": 1}, 16,
         ),
         ("compile-verified", "cold"): (
             COLD_RESULT, {"rewrite": 1, "compile": 1, "verify": 1},
@@ -520,17 +522,17 @@ class TestTierContract:
         ("compile-verified", "local"): (
             [], {"rewrite": 1, "compile": 1, "verify": 1}, {"misses": 1}, 16,
         ),
-        # verify counts no hit for an already-compiled pair ...
+        # verify counts no hit ...
         ("verify", "memory"): ([("store", "result")], {"verify": 1}, {}, 16),
-        # ... and runs compile(verify=True) for any other.
         ("verify", "disk"): (
-            [("load", "result"), ("store", "result")], {"verify": 1},
-            {"misses": 1, "disk_hits": 1}, 16,
+            [*_read("result"), ("store", "result")], {"verify": 1},
+            {"disk_hits": 1}, 16,
         ),
         ("verify", "flight"): (
-            [("load", "result"), ("flight", "result"), ("store", "result")],
-            {"verify": 1}, {"misses": 1, "disk_misses": 1}, 16,
+            [("flight", "result"), ("store", "result")],
+            {"verify": 1}, {}, 16,
         ),
+        # ... and a miss only when it compiles.
         ("verify", "cold"): (
             COLD_RESULT, {"rewrite": 1, "compile": 1, "verify": 1},
             {"misses": 1, "disk_misses": 2}, 16,
@@ -549,7 +551,7 @@ class TestTierContract:
         ("source", "disk"): (True, [("load", "mig")], {"disk_hits": 1}, []),
         ("source", "cold"): (
             False, [("load", "mig")], {"disk_misses": 1},
-            [("load", "mig"), ("flight", "mig"), ("store", "mig")],
+            [*_read("mig"), ("store", "mig")],
         ),
         ("rewrite", "memory"): (True, [], {}, []),
         ("rewrite", "disk"): (
@@ -557,7 +559,7 @@ class TestTierContract:
         ),
         ("rewrite", "cold"): (
             False, [("load", "rewrite")], {"disk_misses": 1},
-            [("load", "rewrite"), ("flight", "rewrite"), ("store", "rewrite")],
+            [*_read("rewrite"), ("store", "rewrite")],
         ),
         ("rewrite", "local"): (False, [], {}, []),
         ("compile", "memory"): (True, [], {}, []),
@@ -574,7 +576,7 @@ class TestTierContract:
         ("verify", "memory"): (False, [], {}, [("store", "result")]),
         ("verify", "disk"): (
             False, [("load", "result")], {"disk_hits": 1},
-            [("load", "result"), ("store", "result")],
+            [*_read("result"), ("store", "result")],
         ),
         ("verify", "cold"): (
             False, [("load", "result")], {"disk_misses": 1}, COLD_RESULT,
