@@ -90,14 +90,15 @@ class FanoutView:
             if aggregate not in ("max", "min"):
                 raise ValueError(f"unknown aggregate {aggregate!r}")
             reduce = max if aggregate == "max" else min
-            levels = self.levels
-            pinned = self.depth + 1
+            level = self.levels.__getitem__
             cached = [
-                pinned
-                if self.po_refs[node]
-                else reduce((levels[f] for f in fanout), default=0)
-                for node, fanout in enumerate(self.fanouts)
+                reduce(map(level, fanout)) if fanout else 0
+                for fanout in self.fanouts
             ]
+            pinned = self.depth + 1
+            for node, po_refs in enumerate(self.po_refs):
+                if po_refs:
+                    cached[node] = pinned
             self._level_indices[aggregate] = cached
         return list(cached)
 

@@ -27,7 +27,10 @@ exploits at runtime.
 The external contract (``new_cell`` / ``request`` / ``release`` /
 ``record_write`` / ``writable`` / ``headroom`` / ``writes`` /
 ``strategy`` / ``retired``) is exactly the crossbar allocator's, so the
-compiler consumes either through the same code path.
+compiler consumes either through the same code path.  Its translation
+loop uses ``writes``, ``w_max``, ``request``, ``release`` and
+``new_cell`` (charging each emitted write to ``writes`` itself);
+``record_write`` and ``writable`` stay for other callers.
 """
 
 from __future__ import annotations

@@ -26,8 +26,11 @@ gate in that order.
   :class:`~repro.mig.views.FanoutView`, and every allocation policy,
   write cap and machine compiled from one graph with one strategy shares
   it.
-* :meth:`_Compilation.run` translates the gates in that order, consulting
-  the allocator for every destination and helper device.
+* :meth:`_Compilation.run` translates the gates in that order in one
+  loop that classifies each gate's fanins, emits its repairs and its RM3
+  inline, and frees devices at their last use.  The allocator surface it
+  uses is ``writes`` (the compile-time tally, which the loop charges
+  directly), ``w_max``, ``request``, ``release`` and ``new_cell``.
 
 Both loops check the stage deadline every :data:`CHECKPOINT_GATES`
 gates.
@@ -80,7 +83,7 @@ from typing import List, Optional, Tuple
 from ..mig.graph import Mig
 from ..mig.signal import is_complemented, node_of
 from ..resilience.timeouts import checkpoint
-from .isa import OP_CONST0, OP_CONST1, Program, const_operand
+from .isa import OP_CONST0, OP_CONST1, Program
 
 
 # Role kinds used by the assignment enumeration.
@@ -341,182 +344,177 @@ class _Compilation:
         self.fanout_aggregate = fanout_aggregate
         self.alloc = allocator
         self.allow_pi_overwrite = allow_pi_overwrite
+        #: Nodes whose devices are never overwritten nor reused: with
+        #: input protection on (``allow_pi_overwrite=False``) input data
+        #: survives the whole program, not merely its node's computation.
+        self.protected = frozenset() if allow_pi_overwrite else frozenset(
+            mig.pis()
+        )
         self.min_write = allocator.strategy == "min_write"
         self._roles = _role_table(cost)
         self.refs: List[int] = list(mig.fanout_view().ref_counts)
         self.cell_of: List[Optional[int]] = [None] * mig.num_nodes
         self.instructions: List[Tuple[int, int, int]] = []
 
-    # -- emission helpers -------------------------------------------------
-
-    def _emit(self, p: int, q: int, z: int) -> None:
-        self.instructions.append((p, q, z))
-        self.alloc.record_write(z)
-
-    def _emit_const(self, z: int, value: int) -> None:
-        """``Z <- value`` as a single RM3 (write-0 / write-1 idiom)."""
-        if value:
-            self._emit(OP_CONST1, OP_CONST0, z)
-        else:
-            self._emit(OP_CONST0, OP_CONST1, z)
-
-    def _emit_materialize(
-        self, src_cell: int, inverted: bool, extra_headroom: int = 0
-    ) -> int:
-        """Copy (or copy-invert) a stored value into a requested device.
-
-        Serves copied destinations and the helper inversions of ``Q``
-        and ``P``.  Returns the new device; costs exactly two
-        instructions — the repair cost the paper charges per
-        fanout/complement violation.
-        ``extra_headroom`` reserves cap room for writes the caller will
-        add afterwards (the final RM3 of a copy destination).
-        """
-        dst = self.alloc.request(headroom=2 + extra_headroom)
-        if inverted:
-            self._emit_const(dst, 1)
-            self._emit(OP_CONST0, src_cell, dst)  # MAJ(0, ~x, 1) = ~x
-        else:
-            self._emit_const(dst, 0)
-            self._emit(src_cell, OP_CONST0, dst)  # MAJ(x, 1, 0) = x
-        return dst
-
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> Program:
         mig = self.mig
+        alloc = self.alloc
         order = schedule(mig, self.selection, self.fanout_aggregate)
 
         pi_cells = []
         for node in mig.pis():
-            cell = self.alloc.new_cell()
+            cell = alloc.new_cell()
             self.cell_of[node] = cell
             pi_cells.append(cell)
 
-        translate = self._translate
+        # Node translation, one gate per iteration, with every name the
+        # loop touches bound locally: classify the three fanins, read the
+        # role table, emit the repairs and the gate's RM3 (charging each
+        # write to the allocator's tally directly), then free the devices
+        # of values at their last use.
+        fanins = mig._fanins  # every scheduled node is a gate
+        roles = self._roles
+        min_write = self.min_write
+        protected = self.protected
+        refs = self.refs
+        cell_of = self.cell_of
+        instructions = self.instructions
+        emit = instructions.append
+        writes = alloc.writes
+        w_max = alloc.w_max
+        request = alloc.request
+        release = alloc.release
         for index, node in enumerate(order):
             if not index % CHECKPOINT_GATES:
                 checkpoint()
-            translate(node)
+            signals = fanins[node]
+
+            # Classify each fanin; the class triple indexes the role table.
+            key = 0
+            for signal in signals:
+                child = signal >> 1
+                if child == 0:
+                    kind = _CONST
+                elif signal & 1:
+                    kind = _COMPLEMENTED
+                else:
+                    cell = cell_of[child]
+                    if (
+                        refs[child] == 1
+                        and cell is not None
+                        and (w_max is None or writes[cell] < w_max)
+                        and child not in protected
+                    ):
+                        kind = _DIRECT
+                    else:
+                        kind = _COPY
+                key = key << 2 | kind
+            z_kind, candidates = roles[key]
+            if len(candidates) > 1 and min_write:
+                # The less-worn direct destination; min keeps the first of
+                # equal write counts, so ties stay in enumeration order.
+                qi, zi, pi = min(
+                    candidates,
+                    key=lambda r: writes[cell_of[signals[r[1]] >> 1]],
+                )
+            else:
+                qi, zi, pi = candidates[0]
+
+            # Destination Z holds the contribution of its fanin.  Constant
+            # operands: const_operand(bit) == OP_CONST0 - bit.
+            signal = signals[zi]
+            overwritten = signal >> 1
+            if z_kind == _Z_DIRECT:
+                z_addr = cell_of[overwritten]
+            else:
+                overwritten = None
+                if z_kind == _Z_CONST:  # init + final RM3
+                    z_addr = request(2)
+                    emit((OP_CONST0 - signal, OP_CONST1 + signal, z_addr))
+                    writes[z_addr] += 1
+                else:  # _Z_COPY: copy or copy-invert, + final RM3
+                    src = cell_of[signal >> 1]
+                    z_addr = request(3)
+                    if signal & 1:
+                        instructions += (
+                            (OP_CONST1, OP_CONST0, z_addr),
+                            (OP_CONST0, src, z_addr),  # MAJ(0, ~x, 1) = ~x
+                        )
+                    else:
+                        instructions += (
+                            (OP_CONST0, OP_CONST1, z_addr),
+                            (src, OP_CONST0, z_addr),  # MAJ(x, 1, 0) = x
+                        )
+                    writes[z_addr] += 2
+
+            # Second operand Q: RM3 applies ~Q, so Q must hold the
+            # *inverse* of the fanin's contribution; a plain stored value
+            # is inverted into a helper device (MAJ(0, ~x, 1) = ~x).
+            signal = signals[qi]
+            q_temp = None
+            if signal < 2:
+                q_op = OP_CONST1 + signal
+            elif signal & 1:
+                q_op = cell_of[signal >> 1]
+            else:
+                q_op = q_temp = request(2)
+                instructions += (
+                    (OP_CONST1, OP_CONST0, q_temp),
+                    (OP_CONST0, cell_of[signal >> 1], q_temp),
+                )
+                writes[q_temp] += 2
+
+            # First operand P holds the contribution directly.
+            signal = signals[pi]
+            p_temp = None
+            if signal < 2:
+                p_op = OP_CONST0 - signal
+            elif not signal & 1:
+                p_op = cell_of[signal >> 1]
+            else:
+                p_op = p_temp = request(2)
+                instructions += (
+                    (OP_CONST1, OP_CONST0, p_temp),
+                    (OP_CONST0, cell_of[signal >> 1], p_temp),
+                )
+                writes[p_temp] += 2
+
+            emit((p_op, q_op, z_addr))
+            writes[z_addr] += 1
+
+            # Consume fanin references; free devices at their last use.
+            for signal in signals:
+                child = signal >> 1
+                if child:
+                    refs[child] -= 1
+                    if not refs[child]:
+                        cell = cell_of[child]
+                        cell_of[child] = None
+                        if (
+                            child != overwritten
+                            and cell is not None
+                            and child not in protected
+                        ):
+                            release(cell)
+            if q_temp is not None:
+                release(q_temp)
+            if p_temp is not None:
+                release(p_temp)
+            cell_of[node] = z_addr
 
         po_cells = self._materialize_outputs()
 
         program = Program(
-            instructions=self.instructions,
-            num_cells=self.alloc.num_cells,
+            instructions=instructions,
+            num_cells=alloc.num_cells,
             pi_cells=pi_cells,
             po_cells=po_cells,
             name=mig.name,
         )
         program.validate()
         return program
-
-    # -- node translation ---------------------------------------------------
-
-    def _translate(self, node: int) -> None:
-        refs = self.refs
-        cell_of = self.cell_of
-        alloc = self.alloc
-        signals = self.mig.fanins(node)
-
-        # Classify each fanin; the class triple indexes the role table.
-        index = 0
-        for signal in signals:
-            child = signal >> 1
-            if child == 0:
-                kind = _CONST
-            elif signal & 1:
-                kind = _COMPLEMENTED
-            else:
-                cell = cell_of[child]
-                if (
-                    refs[child] == 1
-                    and cell is not None
-                    and alloc.writable(cell)
-                    and (self.allow_pi_overwrite or not self.mig.is_pi(child))
-                ):
-                    kind = _DIRECT
-                else:
-                    kind = _COPY
-            index = index << 2 | kind
-        z_kind, candidates = self._roles[index]
-        if len(candidates) > 1 and self.min_write:
-            # The less-worn direct destination; min keeps the first of
-            # equal write counts, so ties stay in enumeration order.
-            writes = alloc.writes
-            qi, zi, pi = min(
-                candidates,
-                key=lambda roles: writes[cell_of[signals[roles[1]] >> 1]],
-            )
-        else:
-            qi, zi, pi = candidates[0]
-        z_node, z_bit = signals[zi] >> 1, signals[zi] & 1
-        q_node, q_bit = signals[qi] >> 1, signals[qi] & 1
-        p_node, p_bit = signals[pi] >> 1, signals[pi] & 1
-
-        temps: List[int] = []
-
-        # Destination Z holds the contribution of its fanin.
-        overwritten: Optional[int] = None
-        if z_kind == _Z_DIRECT:
-            z_addr = cell_of[z_node]
-            overwritten = z_node
-        elif z_kind == _Z_CONST:
-            z_addr = alloc.request(headroom=2)  # init + final RM3
-            self._emit_const(z_addr, z_bit)
-        else:  # _Z_COPY
-            z_addr = self._emit_materialize(
-                cell_of[z_node], inverted=z_bit, extra_headroom=1
-            )
-
-        # Second operand Q: RM3 applies ~Q, so Q must hold the *inverse*
-        # of the fanin's contribution.
-        if q_node == 0:
-            q_op = const_operand(1 - q_bit)
-        elif q_bit:
-            q_op = cell_of[q_node]  # stored value, contribution is ~v
-        else:
-            q_op = self._emit_materialize(cell_of[q_node], inverted=True)
-            temps.append(q_op)
-
-        # First operand P holds the contribution directly.
-        if p_node == 0:
-            p_op = const_operand(p_bit)
-        elif not p_bit:
-            p_op = cell_of[p_node]
-        else:
-            p_op = self._emit_materialize(cell_of[p_node], inverted=True)
-            temps.append(p_op)
-
-        self._emit(p_op, q_op, z_addr)
-
-        # Consume fanin references; free devices at their last use.
-        for signal in signals:
-            child = signal >> 1
-            if child == 0:
-                continue
-            refs[child] -= 1
-            if refs[child] == 0:
-                cell = cell_of[child]
-                cell_of[child] = None
-                if child != overwritten and cell is not None:
-                    self._release(child, cell)
-        for temp in temps:
-            alloc.release(temp)
-
-        cell_of[node] = z_addr
-
-    def _release(self, node: int, cell: int) -> None:
-        """Return a dead value's device to the pool.
-
-        With input protection on (``allow_pi_overwrite=False``) devices
-        pre-loaded with primary inputs never re-enter the pool: the flag
-        guarantees input data survives the whole program, not merely the
-        node's own computation.
-        """
-        if not self.allow_pi_overwrite and self.mig.is_pi(node):
-            return
-        self.alloc.release(cell)
 
     # -- outputs ------------------------------------------------------------
 
@@ -528,34 +526,40 @@ class _Compilation:
         initialisation write.  Cells are shared between outputs wanting
         the same signal.
         """
+        alloc = self.alloc
+        writes = alloc.writes
+        instructions = self.instructions
+        cell_of = self.cell_of
         const_cells: dict = {}
         inverted_cells: dict = {}
         po_cells: List[int] = []
         for s in self.mig.pos():
             node = node_of(s)
             if node == 0:
-                value = 1 if is_complemented(s) else 0
-                if value not in const_cells:
-                    cell = self.alloc.request(headroom=1)
-                    self._emit_const(cell, value)
-                    const_cells[value] = cell
-                po_cells.append(const_cells[value])
+                if s not in const_cells:
+                    cell = const_cells[s] = alloc.request(1)
+                    instructions.append((OP_CONST0 - s, OP_CONST1 + s, cell))
+                    writes[cell] += 1
+                po_cells.append(const_cells[s])
             elif not is_complemented(s):
-                cell = self.cell_of[node]
+                cell = cell_of[node]
                 assert cell is not None, f"output node {node} has no device"
                 po_cells.append(cell)
             else:
                 if s not in inverted_cells:
-                    src = self.cell_of[node]
+                    src = cell_of[node]
                     assert src is not None, f"output node {node} has no device"
-                    inverted_cells[s] = self._emit_materialize(
-                        src, inverted=True
+                    cell = inverted_cells[s] = alloc.request(2)
+                    instructions += (
+                        (OP_CONST1, OP_CONST0, cell),
+                        (OP_CONST0, src, cell),
                     )
+                    writes[cell] += 2
                 po_cells.append(inverted_cells[s])
                 self.refs[node] -= 1
                 if self.refs[node] == 0:
-                    cell = self.cell_of[node]
-                    self.cell_of[node] = None
-                    if cell is not None:
-                        self._release(node, cell)
+                    cell = cell_of[node]
+                    cell_of[node] = None
+                    if cell is not None and node not in self.protected:
+                        alloc.release(cell)
         return po_cells

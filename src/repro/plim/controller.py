@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .isa import Program, operand_const_value, operand_is_const
+from .isa import Program, operand_const_value
 from .memory import RramArray
 
 #: Controller cycles per RM3: fetch, read P, read Q, compute+write Z.
@@ -71,11 +71,21 @@ class PlimController:
             All-ones mask covering the simulated pattern width.
         trace:
             Optional :class:`ExecutionTrace` collecting a readable log.
+
+        On a plain :class:`~repro.plim.memory.RramArray` without an
+        endurance budget, and without a *trace*, a (valid) program runs
+        on one flat copy of the cell values whose last two slots are the
+        constant lines (``OP_CONST1 = -2`` indexes *mask*, ``OP_CONST0 =
+        -1`` indexes 0); the values are copied back and the program's
+        static write counts charged once.  A budgeted array must raise
+        at the exhausting write and a Start-Gap array remaps on every
+        write, so both take one ``write`` call per instruction.
         """
-        if program.num_cells > self.array.num_cells:
+        array = self.array
+        if program.num_cells > array.num_cells:
             raise ValueError(
                 f"program needs {program.num_cells} cells, array has "
-                f"{self.array.num_cells}"
+                f"{array.num_cells}"
             )
         pi_values = list(pi_values or [])
         if len(pi_values) != len(program.pi_cells):
@@ -84,30 +94,40 @@ class PlimController:
                 f"{len(pi_values)}"
             )
         for cell, word in zip(program.pi_cells, pi_values):
-            self.array.preload(cell, word & mask)
+            array.preload(cell, word & mask)
 
-        values = self.array.values
-        for pc, (p, q, z) in enumerate(program.instructions):
-            p_val = (
-                (mask if operand_const_value(p) else 0)
-                if operand_is_const(p)
-                else values[p]
-            )
-            q_val = (
-                (mask if operand_const_value(q) else 0)
-                if operand_is_const(q)
-                else values[q]
-            )
-            nq = q_val ^ mask
-            z_val = values[z]
-            result = (p_val & nq) | (p_val & z_val) | (nq & z_val)
-            self.array.write(z, result & mask)
-            if trace is not None:
-                trace.log(pc, p, q, z, result)
+        if (
+            type(array) is RramArray
+            and array.endurance is None
+            and trace is None
+        ):
+            values = array.values + [mask, 0]
+            for p, q, z in program.instructions:
+                p_val = values[p]
+                nq = values[q] ^ mask
+                z_val = values[z]
+                result = (p_val & nq) | (p_val & z_val) | (nq & z_val)
+                values[z] = result & mask
+            del values[-2:]
+            array.values[:] = values
+            writes = array.writes
+            for cell, count in enumerate(program.write_counts()):
+                writes[cell] += count
+        else:
+            values = array.values
+            for pc, (p, q, z) in enumerate(program.instructions):
+                p_val = values[p] if p >= 0 else mask * operand_const_value(p)
+                q_val = values[q] if q >= 0 else mask * operand_const_value(q)
+                nq = q_val ^ mask
+                z_val = values[z]
+                result = (p_val & nq) | (p_val & z_val) | (nq & z_val)
+                array.write(z, result & mask)
+                if trace is not None:
+                    trace.log(pc, p, q, z, result)
         self.instructions_executed += len(program.instructions)
         self.cycles += CYCLES_PER_INSTRUCTION * len(program.instructions)
 
-        return [self.array.read(cell) & mask for cell in program.po_cells]
+        return [array.read(cell) & mask for cell in program.po_cells]
 
 
 def execute(

@@ -137,6 +137,10 @@ def resolve_timeouts(
     )
 
 
+#: The deadline clock, read by :func:`time_limit` and :func:`checkpoint`
+#: alike (one module-level name, so a test can substitute a fake clock).
+_now = time.monotonic
+
 #: The active deadline ``(expires, stage, seconds, job)``: the earliest
 #: expiring enclosing budget, or ``None``.  Context-local, so per thread.
 _DEADLINE: ContextVar = ContextVar("repro_deadline", default=None)
@@ -149,7 +153,7 @@ def checkpoint(cap: float = math.inf) -> float:
     deadline = _DEADLINE.get()
     if deadline is None:
         return cap
-    left = deadline[0] - time.monotonic()
+    left = deadline[0] - _now()
     if left <= 0:
         raise StageTimeoutError(*deadline[1:])
     return min(cap, left)
@@ -170,7 +174,7 @@ def time_limit(
     if not seconds or seconds <= 0:
         yield
         return
-    deadline = (time.monotonic() + seconds, stage, seconds, job)
+    deadline = (_now() + seconds, stage, seconds, job)
     token = _DEADLINE.set(min(deadline, _DEADLINE.get() or deadline))
     try:
         yield

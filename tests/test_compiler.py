@@ -6,6 +6,7 @@ each complement/fanout violation adds exactly two instructions and one
 device.
 """
 
+import hashlib
 import heapq
 import pickle
 import sys
@@ -32,7 +33,7 @@ from repro.plim.compiler import (
     _Compilation,
     schedule,
 )
-from repro.plim.isa import OP_CONST0, Program, const_operand
+from repro.plim.isa import OP_CONST0, OP_CONST1, Program, const_operand
 from repro.plim.verify import cross_check_truth_tables, verify_program
 from repro.resilience import StageTimeoutError
 from repro.resilience.timeouts import time_limit
@@ -260,9 +261,11 @@ class TestEndToEnd:
 # node selection with node translation, so the selection keys read the
 # reference counts its own translator decrements, and a translator that
 # classifies each fanin into a ``_Fanin`` object and prices every
-# (Q, Z, P) role assignment through per-role method calls.  It shares
-# neither the memoized schedule nor the role table with the compiler,
-# which must emit the identical program, instruction for instruction.
+# (Q, Z, P) role assignment through per-role method calls, emitting
+# through its own per-instruction helpers.  It shares neither the
+# memoized schedule, the role table nor the fused translation loop with
+# the compiler, which must emit the identical program, instruction for
+# instruction.
 
 
 @dataclass(frozen=True)
@@ -463,6 +466,67 @@ class _ReferenceCompilation(_Compilation):
             self.alloc.release(temp)
         self.cell_of[node] = z_addr
 
+    # The emission, release and output helpers the compiler's fused
+    # translation loop inlines, as separate per-instruction calls.
+
+    def _emit(self, p: int, q: int, z: int) -> None:
+        self.instructions.append((p, q, z))
+        self.alloc.record_write(z)
+
+    def _emit_const(self, z: int, value: int) -> None:
+        if value:
+            self._emit(OP_CONST1, OP_CONST0, z)
+        else:
+            self._emit(OP_CONST0, OP_CONST1, z)
+
+    def _emit_materialize(self, src_cell: int, inverted: bool,
+                          extra_headroom: int = 0) -> int:
+        dst = self.alloc.request(headroom=2 + extra_headroom)
+        if inverted:
+            self._emit_const(dst, 1)
+            self._emit(OP_CONST0, src_cell, dst)
+        else:
+            self._emit_const(dst, 0)
+            self._emit(src_cell, OP_CONST0, dst)
+        return dst
+
+    def _release(self, node: int, cell: int) -> None:
+        if not self.allow_pi_overwrite and self.mig.is_pi(node):
+            return
+        self.alloc.release(cell)
+
+    def _materialize_outputs(self) -> List[int]:
+        const_cells: dict = {}
+        inverted_cells: dict = {}
+        po_cells: List[int] = []
+        for s in self.mig.pos():
+            node = node_of(s)
+            if node == 0:
+                value = 1 if is_complemented(s) else 0
+                if value not in const_cells:
+                    cell = self.alloc.request(headroom=1)
+                    self._emit_const(cell, value)
+                    const_cells[value] = cell
+                po_cells.append(const_cells[value])
+            elif not is_complemented(s):
+                assert self.cell_of[node] is not None
+                po_cells.append(self.cell_of[node])
+            else:
+                if s not in inverted_cells:
+                    src = self.cell_of[node]
+                    assert src is not None
+                    inverted_cells[s] = self._emit_materialize(
+                        src, inverted=True
+                    )
+                po_cells.append(inverted_cells[s])
+                self.refs[node] -= 1
+                if self.refs[node] == 0:
+                    cell = self.cell_of[node]
+                    self.cell_of[node] = None
+                    if cell is not None:
+                        self._release(node, cell)
+        return po_cells
+
 
 def _compilation(cls, mig, compiler, arch):
     """The compilation *compiler* would run on *arch* (cf. its compile)."""
@@ -559,6 +623,36 @@ class TestTranslateParity:
             ),
         ):
             assert_translate_parity(mig, arch_name, **options)
+
+
+#: SHA-256 over every default-preset program of the paper suite (the 18
+#: registry benchmarks under Table I's five and Table III's four
+#: configurations) on the default machine.  Any change to selection,
+#: translation or allocation that alters one instruction moves it.
+DEFAULT_PROGRAM_DIGEST = (
+    "1853f83d33ab2abf2f57ca6d1e62c773d38524d2cb08f68d82f9d88738985d3f"
+)
+
+
+def test_default_preset_programs_are_pinned():
+    digest = hashlib.sha256()
+    for name in BENCHMARK_ORDER:
+        source = build_benchmark(name, "default")
+        rewritten = {}
+        for config in TABLE_CONFIGS:
+            key = (config.rewriting, config.effort)
+            if key not in rewritten:
+                rewritten[key] = rewrite(source, *key)
+            program = compile_pipeline(
+                source, config, rewritten=rewritten[key], arch="endurance"
+            ).program
+            digest.update(repr((
+                program.instructions,
+                program.num_cells,
+                program.pi_cells,
+                program.po_cells,
+            )).encode())
+    assert digest.hexdigest() == DEFAULT_PROGRAM_DIGEST
 
 
 # -- schedule memo -----------------------------------------------------------

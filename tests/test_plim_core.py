@@ -1,6 +1,13 @@
 """Tests for the PLiM ISA, memory array, and controller."""
 
+import random
+from functools import lru_cache
+
 import pytest
+
+from repro.analysis.tables import TABLE1_CONFIGS
+from repro.core.manager import PRESETS, compile_pipeline
+from repro.mig.simulate import exhaustive_words
 
 from repro.plim.controller import (
     CYCLES_PER_INSTRUCTION,
@@ -22,6 +29,7 @@ from repro.plim.memory import (
     RramArray,
     estimate_lifetime,
 )
+from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 
 
 class TestOperands:
@@ -230,3 +238,94 @@ class TestController:
         array = RramArray(1, endurance=3)
         with pytest.raises(EnduranceExhaustedError):
             PlimController(array).run(prog)
+
+
+# -- co-simulation parity: flat-list path against the per-write loop -------
+
+
+@lru_cache(maxsize=None)
+def _table1_programs(name):
+    """*name* (tiny) and its programs under the Table I configurations."""
+    source = build_benchmark(name, "tiny")
+    return source, tuple(
+        compile_pipeline(source, PRESETS[config]).program
+        for config in TABLE1_CONFIGS
+    )
+
+
+def _batches(mig):
+    """Two random 64-pattern batches, plus every pattern when the
+    function is small enough to enumerate."""
+    rng = random.Random(mig.num_pis)
+    mask = (1 << 64) - 1
+    batches = [
+        ([rng.getrandbits(64) for _ in range(mig.num_pis)], mask)
+        for _ in range(2)
+    ]
+    if mig.num_pis <= 12:
+        width = 1 << mig.num_pis
+        words = exhaustive_words(mig.num_pis, width)
+        batches.append((words, (1 << width) - 1))
+    return batches
+
+
+class TestCoSimulationParity:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_flat_list_path_matches_per_write_path(self, name):
+        mig, programs = _table1_programs(name)
+        for program in programs:
+            # One spare cell beyond the program, and every batch run
+            # back to back on the same array: values and wear carry over.
+            fast = PlimController(RramArray(program.num_cells + 1))
+            slow = PlimController(RramArray(program.num_cells + 1))
+            for words, mask in _batches(mig):
+                got = fast.run(program, words, mask=mask)
+                assert got == slow.run(
+                    program, words, mask=mask, trace=ExecutionTrace()
+                )
+                assert fast.array.values == slow.array.values
+                assert fast.array.writes == slow.array.writes
+                assert (fast.cycles, fast.instructions_executed) == (
+                    slow.cycles, slow.instructions_executed
+                )
+            assert fast.array.writes[: program.num_cells] == [
+                len(_batches(mig)) * count
+                for count in program.write_counts()
+            ]
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_budgeted_array_raises_at_the_exhausting_write(self, name):
+        mig, programs = _table1_programs(name)
+        words, mask = _batches(mig)[0]
+        for program in programs:
+            budget = max(program.write_counts()) - 1
+            seen = [0] * program.num_cells
+            for _, _, z in program.instructions:
+                seen[z] += 1
+                if seen[z] > budget:
+                    break
+            array = RramArray(program.num_cells, endurance=budget)
+            with pytest.raises(EnduranceExhaustedError) as excinfo:
+                PlimController(array).run(program, words, mask=mask)
+            error = excinfo.value
+            assert (error.cell, error.writes, error.endurance) == (
+                z, budget + 1, budget
+            )
+            assert array.writes == seen
+
+    def test_bits_beyond_the_mask_are_cut_like_a_write(self):
+        # Cells left holding wider words (e.g. by a wider earlier batch)
+        # are read as they are; only the written result is masked.
+        prog = Program(
+            instructions=[(0, OP_CONST0, 1), (1, 0, 2)], num_cells=3,
+            po_cells=[1, 2],
+        )
+        arrays = [RramArray(3), RramArray(3)]
+        for array in arrays:
+            array.values[:] = [0b111, 0b101, 0b110]
+        fast = PlimController(arrays[0]).run(prog, mask=0b1)
+        slow = PlimController(arrays[1]).run(
+            prog, mask=0b1, trace=ExecutionTrace()
+        )
+        assert fast == slow == [1, 0]
+        assert arrays[0].values == arrays[1].values == [0b111, 1, 0]

@@ -375,12 +375,19 @@ class TestStageCheckpoints:
 
     BUDGET = 0.05
 
-    def _expire(self):
-        import time as _time
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """The deadline clock, standing still until :meth:`_expire`."""
+        from repro.resilience import timeouts
 
-        _time.sleep(self.BUDGET * 2)
+        now = [0.0]
+        monkeypatch.setattr(timeouts, "_now", lambda: now[0])
+        return now
 
-    def test_rewrite_stops_at_the_next_pass(self):
+    def _expire(self, clock):
+        clock[0] += self.BUDGET * 2
+
+    def test_rewrite_stops_at_the_next_pass(self, clock):
         from repro.mig.rewrite import rebuild
         from repro.synth.registry import build_benchmark
 
@@ -391,7 +398,7 @@ class TestStageCheckpoints:
         def transform(new, ctx, node, children):
             if passes[-1] == 3 and not slept:
                 slept.append(node)
-                self._expire()  # the budget runs out inside pass 3
+                self._expire(clock)  # the budget runs out inside pass 3
 
         def body():
             with time_limit(self.BUDGET, stage="rewrite", job="adder"):
@@ -405,37 +412,38 @@ class TestStageCheckpoints:
         # pass 3 finishes; pass 4 raises at its entry
         assert passes == [0, 1, 2, 3, 4]
 
-    def test_compile_stops_within_one_gate_batch(self, monkeypatch):
-        from repro.plim.compiler import (
-            CHECKPOINT_GATES,
-            PlimCompiler,
-            _Compilation,
-        )
+    def test_compile_stops_within_one_gate_batch(self, clock, monkeypatch):
+        from repro.plim import compiler
         from repro.synth.registry import build_benchmark
 
         mig = build_benchmark("log2", "tiny")
-        assert mig.num_live_gates() > 10 + 2 * CHECKPOINT_GATES
+        assert mig.num_live_gates() > 10 + 2 * compiler.CHECKPOINT_GATES
         translated = []
-        original = _Compilation._translate
+        original = compiler.schedule
 
-        def translate(state, node):
-            translated.append(node)
-            if len(translated) == 10:
-                self._expire()
-            original(state, node)
+        def schedule(*args, **kwargs):
+            # Count the gates as the translation loop draws them.
+            def counting(order):
+                for node in order:
+                    translated.append(node)
+                    if len(translated) == 10:
+                        self._expire(clock)
+                    yield node
 
-        monkeypatch.setattr(_Compilation, "_translate", translate)
+            return counting(original(*args, **kwargs))
+
+        monkeypatch.setattr(compiler, "schedule", schedule)
 
         def body():
             with time_limit(self.BUDGET, stage="compile", job="log2"):
-                PlimCompiler().compile(mig)
+                compiler.PlimCompiler().compile(mig)
 
         error = _raised_on_a_thread(body)
         assert isinstance(error, StageTimeoutError)
         assert error.stage == "compile"
-        assert 10 < len(translated) <= 10 + CHECKPOINT_GATES
+        assert 10 < len(translated) <= 10 + compiler.CHECKPOINT_GATES
 
-    def test_verify_stops_at_the_next_pattern_batch(self, monkeypatch):
+    def test_verify_stops_at_the_next_pattern_batch(self, clock, monkeypatch):
         from repro.mig.kernel import get_kernel
         from repro.plim import verify
         from repro.plim.compiler import PlimCompiler
@@ -448,7 +456,7 @@ class TestStageCheckpoints:
 
         def simulate(*args, **kwargs):
             batches.append(True)
-            self._expire()
+            self._expire(clock)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(verify, "simulate", simulate)

@@ -1,8 +1,13 @@
 """Tests for fanout/level views used by node selection."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.mig.graph import Mig
 from repro.mig.signal import complement, node_of
 from repro.mig.views import FanoutView
+from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
+from .conftest import make_random_mig
 
 
 def build_fig2_like():
@@ -91,6 +96,53 @@ class TestFanoutView:
         assert view.ref_counts[node_of(dead)] == 0
         # a and b are used by the live gate only
         assert view.ref_counts[node_of(a)] == 1
+
+
+def assert_level_indices_match(mig):
+    """The one-sweep vector equals the per-node definition, and pins
+    PO drivers at ``depth + 1`` and fanout-free nodes at 0."""
+    view = FanoutView(mig)
+    po_nodes = {node_of(s) for s in mig.pos()}
+    for aggregate in ("max", "min"):
+        indices = view.fanout_level_indices(aggregate)
+        assert indices == [
+            view.fanout_level_index(node, aggregate)
+            for node in range(mig.num_nodes)
+        ]
+        for node in range(mig.num_nodes):
+            if node in po_nodes:
+                assert indices[node] == view.depth + 1
+            elif not view.fanouts[node]:
+                assert indices[node] == 0
+    return view, po_nodes
+
+
+class TestFanoutLevelIndices:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_registry_benchmarks(self, name):
+        assert_level_indices_match(build_benchmark(name, "tiny"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=60),
+        use_strash=st.booleans(),
+        po_on_inputs=st.booleans(),
+    )
+    def test_random_graphs(self, seed, gates, use_strash, po_on_inputs):
+        mig = make_random_mig(
+            4, gates, seed=seed, complement_prob=0.4, use_strash=use_strash
+        )
+        spare = mig.add_pi("spare")
+        dead = mig.add_maj(spare, mig.pi_signals()[0], 1)
+        if po_on_inputs:
+            # A PO driven by an input that also feeds gates, and one
+            # driven by the constant node.
+            mig.add_po(complement(mig.pi_signals()[0]), "pi0")
+            mig.add_po(1, "one")
+        view, _ = assert_level_indices_match(mig)
+        assert not view.fanouts[node_of(spare)]
+        assert not view.fanouts[node_of(dead)]
 
 
 class TestGraphLifetime:
