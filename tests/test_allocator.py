@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.plim.allocator import MIN_WRITE_CAP, STRATEGIES, RramAllocator
+from repro.plim.blocked import BlockedAllocator
 
 
 class TestBasics:
@@ -215,34 +216,83 @@ class TestUncappedRequests:
         assert len(set(uncapped[0])) < len(uncapped[0])  # the pool is reused
 
 
-class _ScanningAllocator(RramAllocator):
-    """The min-write request before the early stop: a capped miss pops
-    and re-pushes the whole pool."""
+class _ScanningAllocator:
+    """The crossbar allocator before the early stop, standalone: a LIFO
+    free stack under ``naive``, and a ``(writes, addr)`` heap under
+    ``min_write`` whose capped miss pops and re-pushes the whole pool.
+    Entries whose cell is no longer free, or whose write count changed
+    since it was pushed, are dropped."""
 
-    def request(self, headroom: int = 1) -> int:
-        if self.strategy != "min_write":
-            return super().request(headroom)
-        w_max = self.w_max
-        writes = self.writes
+    def __init__(self, strategy="naive", w_max=None):
+        self.strategy = strategy
+        self.w_max = w_max
+        self.writes = []
+        self._free_stack = []
+        self._free_heap = []
+        self._free_set = set()
+        self.retired = set()
+
+    @property
+    def num_cells(self):
+        return len(self.writes)
+
+    def new_cell(self):
+        self.writes.append(0)
+        return len(self.writes) - 1
+
+    def _fits(self, addr, headroom):
+        return self.w_max is None or self.writes[addr] + headroom <= self.w_max
+
+    def request(self, headroom=1):
         free_set = self._free_set
-        heap = self._free_heap
-        skipped = []
         found = None
-        while heap:
-            wr, addr = heapq.heappop(heap)
-            if addr not in free_set or wr != writes[addr]:
-                continue
-            if w_max is not None and wr + headroom > w_max:
-                skipped.append((wr, addr))
-                continue
-            found = addr
-            break
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        if found is not None:
-            free_set.discard(found)
-            return found
-        return self.new_cell()
+        if self.strategy == "min_write":
+            heap = self._free_heap
+            skipped = []
+            while heap:
+                wr, addr = heapq.heappop(heap)
+                if addr not in free_set or wr != self.writes[addr]:
+                    continue
+                if not self._fits(addr, headroom):
+                    skipped.append((wr, addr))
+                    continue
+                found = addr
+                break
+            for entry in skipped:
+                heapq.heappush(heap, entry)
+        else:
+            stack = self._free_stack
+            skipped = []
+            while stack:
+                addr = stack.pop()
+                if not self._fits(addr, headroom):
+                    skipped.append(addr)
+                    continue
+                found = addr
+                break
+            stack.extend(reversed(skipped))
+        if found is None:
+            return self.new_cell()
+        free_set.discard(found)
+        return found
+
+    def release(self, addr):
+        if addr in self._free_set:
+            raise ValueError(f"double release of cell {addr}")
+        if self.w_max is not None and self.writes[addr] >= self.w_max:
+            self.retired.add(addr)
+            return
+        self._free_set.add(addr)
+        if self.strategy == "min_write":
+            heapq.heappush(self._free_heap, (self.writes[addr], addr))
+        else:
+            self._free_stack.append(addr)
+
+    def record_write(self, addr):
+        self.writes[addr] += 1
+
+    def writable(self, addr):
+        return self.w_max is None or self.writes[addr] < self.w_max
 
 
 class TestCappedMinWriteEarlyStop:
@@ -275,3 +325,165 @@ class TestCappedMinWriteEarlyStop:
         expected = self._replay(_ScanningAllocator, w_max, seed)
         assert self._replay(RramAllocator, w_max, seed) == expected
         assert expected[1].count(w_max) > 1  # the cap was reached
+
+
+class _ReferenceBlocked:
+    """The word-line allocator as first written, standalone: ``naive``
+    searches lines most recently released into first, LIFO within a
+    line; ``min_write`` sorts the lines holding free cells by
+    ``(hottest allocated cell, line)`` on every request and takes the
+    least-written fitting cell of the first line that has one."""
+
+    def __init__(self, block_size, strategy="naive", w_max=None):
+        self.block_size = block_size
+        self.strategy = strategy
+        self.w_max = w_max
+        self.writes = []
+        self._free_stacks = {}
+        self._free_set = set()
+        self._recency = []
+        self.retired = set()
+
+    @property
+    def num_blocks(self):
+        return -(-len(self.writes) // self.block_size)
+
+    @property
+    def num_cells(self):
+        return self.num_blocks * self.block_size
+
+    def new_cell(self):
+        self.writes.append(0)
+        return len(self.writes) - 1
+
+    def _fits(self, addr, headroom):
+        return self.w_max is None or self.writes[addr] + headroom <= self.w_max
+
+    def _block_wear(self, block):
+        start = block * self.block_size
+        stop = min(start + self.block_size, len(self.writes))
+        return max(self.writes[start:stop], default=0)
+
+    def request(self, headroom=1):
+        if self.strategy == "min_write":
+            found = self._request_min_write(headroom)
+        else:
+            found = self._request_naive(headroom)
+        return self.new_cell() if found is None else found
+
+    def _request_naive(self, headroom):
+        for block in self._recency:
+            stack = self._free_stacks.get(block)
+            skipped = []
+            found = None
+            while stack:
+                addr = stack.pop()
+                if addr not in self._free_set:
+                    continue
+                if not self._fits(addr, headroom):
+                    skipped.append(addr)
+                    continue
+                self._free_set.discard(addr)
+                found = addr
+                break
+            if stack is not None:
+                stack.extend(reversed(skipped))
+            if found is not None:
+                return found
+        return None
+
+    def _request_min_write(self, headroom):
+        candidates = [
+            block
+            for block, stack in self._free_stacks.items()
+            if any(a in self._free_set for a in stack)
+        ]
+        for block in sorted(
+            candidates, key=lambda b: (self._block_wear(b), b)
+        ):
+            fitting = [
+                a
+                for a in self._free_stacks[block]
+                if a in self._free_set and self._fits(a, headroom)
+            ]
+            if not fitting:
+                continue
+            addr = min(fitting, key=lambda a: (self.writes[a], a))
+            self._free_set.discard(addr)
+            self._free_stacks[block] = [
+                a for a in self._free_stacks[block] if a != addr
+            ]
+            return addr
+        return None
+
+    def release(self, addr):
+        if addr in self._free_set:
+            raise ValueError(f"double release of cell {addr}")
+        if self.w_max is not None and self.writes[addr] >= self.w_max:
+            self.retired.add(addr)
+            return
+        block = addr // self.block_size
+        self._free_set.add(addr)
+        self._free_stacks.setdefault(block, []).append(addr)
+        if block in self._recency:
+            self._recency.remove(block)
+        self._recency.insert(0, block)
+
+
+def _allocator(block_size, strategy, w_max):
+    """The allocator under test for a machine with *block_size*-cell
+    word lines (1 = a crossbar)."""
+    if block_size == 1:
+        return RramAllocator(strategy, w_max)
+    return BlockedAllocator(block_size, strategy, w_max)
+
+
+class TestTraceParity:
+    """Seeded request/release traces replayed on the allocator under
+    test and on the two reference allocators.  Like the compiler, the
+    trace charges writes only to held cells (through ``writes``), which
+    leaves the wear of a word line with pooled cells stale."""
+
+    @staticmethod
+    def _replay(alloc, seed):
+        rng = random.Random(seed)
+        w_max = alloc.w_max
+        writes = alloc.writes
+        held, trace = [], []
+        for _ in range(600):
+            if held and rng.random() < 0.45:
+                alloc.release(held.pop(rng.randrange(len(held))))
+                continue
+            addr = alloc.request(headroom=rng.choice((1, 2, 3)))
+            held.append(addr)
+            trace.append(addr)
+            for _ in range(rng.randrange(4)):
+                cell = rng.choice(held)
+                if w_max is None or writes[cell] < w_max:
+                    writes[cell] += 1
+        return (
+            trace,
+            alloc.num_cells,
+            getattr(alloc, "num_blocks", alloc.num_cells),
+            sorted(alloc.retired),
+            list(writes),
+        )
+
+    @pytest.mark.parametrize("w_max", [None, MIN_WRITE_CAP, 4, 6])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("block_size", [1, 2, 8])
+    def test_matches_the_reference_allocators(
+        self, block_size, strategy, w_max
+    ):
+        for seed in range(6):
+            got = self._replay(_allocator(block_size, strategy, w_max), seed)
+            blocked = self._replay(
+                _ReferenceBlocked(block_size, strategy, w_max), seed
+            )
+            assert got == blocked
+            if block_size == 1:
+                crossbar = self._replay(_ScanningAllocator(strategy, w_max), seed)
+                assert got == crossbar
+            assert len(set(got[0])) < len(got[0])  # the pool is reused
+            if w_max is not None and seed == 0:
+                assert got[3]  # the cap retired devices

@@ -633,9 +633,18 @@ DEFAULT_PROGRAM_DIGEST = (
     "1853f83d33ab2abf2f57ca6d1e62c773d38524d2cb08f68d82f9d88738985d3f"
 )
 
+#: The same suite on the word-addressed ``blocked`` machine (8-cell word
+#: lines, whole-line provisioning, block-first free-pool search).
+BLOCKED_PROGRAM_DIGEST = (
+    "82b53ea6ef9f20210400e2d97761d3f5a3adcb03eca2ee69d1a5560d3f489e51"
+)
 
-def test_default_preset_programs_are_pinned():
-    digest = hashlib.sha256()
+
+@pytest.fixture(scope="module")
+def suite_jobs():
+    """(source, config, rewritten) for every suite compilation, each
+    rewrite computed once and shared by the digest tests of this module."""
+    jobs = []
     for name in BENCHMARK_ORDER:
         source = build_benchmark(name, "default")
         rewritten = {}
@@ -643,16 +652,31 @@ def test_default_preset_programs_are_pinned():
             key = (config.rewriting, config.effort)
             if key not in rewritten:
                 rewritten[key] = rewrite(source, *key)
-            program = compile_pipeline(
-                source, config, rewritten=rewritten[key], arch="endurance"
-            ).program
-            digest.update(repr((
-                program.instructions,
-                program.num_cells,
-                program.pi_cells,
-                program.po_cells,
-            )).encode())
-    assert digest.hexdigest() == DEFAULT_PROGRAM_DIGEST
+            jobs.append((source, config, rewritten[key]))
+    return jobs
+
+
+def _suite_digest(jobs, arch: str) -> str:
+    digest = hashlib.sha256()
+    for source, config, rewritten in jobs:
+        program = compile_pipeline(
+            source, config, rewritten=rewritten, arch=arch
+        ).program
+        digest.update(repr((
+            program.instructions,
+            program.num_cells,
+            program.pi_cells,
+            program.po_cells,
+        )).encode())
+    return digest.hexdigest()
+
+
+def test_default_preset_programs_are_pinned(suite_jobs):
+    assert _suite_digest(suite_jobs, "endurance") == DEFAULT_PROGRAM_DIGEST
+
+
+def test_blocked_programs_are_pinned(suite_jobs):
+    assert _suite_digest(suite_jobs, "blocked") == BLOCKED_PROGRAM_DIGEST
 
 
 # -- schedule memo -----------------------------------------------------------

@@ -75,6 +75,50 @@ class TestProgram:
         with pytest.raises(ValueError):
             prog.validate()
 
+    def test_validate_names_the_first_bad_instruction(self):
+        prog = Program(
+            instructions=[
+                (OP_CONST0, OP_CONST1, 0),
+                (0, 1, 1),
+                (OP_CONST0, 7, 1),
+                (OP_CONST0, OP_CONST1, 9),
+            ],
+            num_cells=2,
+        )
+        with pytest.raises(ValueError, match=r"^instruction 2: bad operand 7$"):
+            prog.validate()
+        prog.instructions[2] = (OP_CONST0, 1, -1)
+        with pytest.raises(
+            ValueError, match=r"^instruction 2: bad destination -1$"
+        ):
+            prog.validate()
+
+    def test_validate_rejects_operands_below_the_constants(self):
+        prog = Program(
+            instructions=[(OP_CONST1, OP_CONST0, 0), (0, OP_CONST1 - 1, 1)],
+            num_cells=2,
+        )
+        with pytest.raises(
+            ValueError, match=rf"^instruction 1: bad operand {OP_CONST1 - 1}$"
+        ):
+            prog.validate()
+
+    def test_validate_rejects_interface_cells_out_of_range(self):
+        prog = Program(
+            instructions=[(OP_CONST0, OP_CONST1, 0)],
+            num_cells=2,
+            pi_cells=[0, 1],
+            po_cells=[2],
+        )
+        with pytest.raises(ValueError, match=r"^interface cell 2 out of range$"):
+            prog.validate()
+        prog.po_cells = [0]
+        prog.pi_cells = [-1]
+        with pytest.raises(ValueError, match=r"^interface cell -1 out of range$"):
+            prog.validate()
+        prog.pi_cells = [1]
+        prog.validate()
+
     def test_disassemble_truncates(self):
         prog = Program(
             instructions=[(OP_CONST0, OP_CONST1, 0)] * 10, num_cells=1
