@@ -26,10 +26,8 @@ An architecture is four orthogonal pieces:
   count strategy is unimplementable), write-cap retirement, the physical
   per-cell endurance budget used for lifetime estimates.
 * the **device-request semantics** — :meth:`Architecture.make_allocator`
-  builds the free-pool machinery matching the geometry: a flat
-  :class:`~repro.plim.allocator.RramAllocator` for crossbars, a
-  per-block :class:`~repro.plim.blocked.BlockedAllocator` for
-  word-addressed arrays.
+  builds the one :class:`~repro.plim.allocator.RramAllocator` over the
+  geometry's word lines; a crossbar is the case of one-cell lines.
 
 Architectures are registered by name (see :mod:`repro.arch.registry`)
 and selected per :class:`repro.flow.Session` via ``--arch`` /
@@ -93,10 +91,11 @@ class Geometry:
     """Array shape and the wear-levelling constants tied to it."""
 
     #: Devices per word line.  ``None`` — unbounded crossbar, devices are
-    #: individually addressable and provisioned one at a time.  An
-    #: integer — word-addressed arrays: capacity is provisioned (and
-    #: reported as ``#R``) a whole block at a time, and the free pool is
-    #: searched block-first (see :class:`repro.plim.blocked.BlockedAllocator`).
+    #: individually addressable and provisioned one at a time (the
+    #: allocator's one-cell lines).  An integer — word-addressed arrays:
+    #: capacity is provisioned (and reported as ``#R``) a whole block at a
+    #: time, and the free pool is searched block-first (see
+    #: :class:`repro.plim.allocator.RramAllocator`).
     block_size: Optional[int] = None
     #: Hard device limit; allocation past it raises
     #: :class:`~repro.plim.allocator.CapacityExceededError`.  ``None``
@@ -214,27 +213,19 @@ class Architecture:
     # -- machinery factories -------------------------------------------
 
     def make_allocator(self, strategy: str, w_max: Optional[int]):
-        """Device-request machinery matching this machine's geometry.
-
-        Crossbars get the flat :class:`~repro.plim.allocator.RramAllocator`;
-        word-addressed geometries get the per-block
-        :class:`~repro.plim.blocked.BlockedAllocator`.  The allocation
-        request is validated against the endurance model first.
+        """The :class:`~repro.plim.allocator.RramAllocator` over this
+        machine's word lines (one-cell lines on a crossbar).  The
+        allocation request is validated against the endurance model
+        first.
         """
         self.validate_allocation(strategy, w_max)
         from ..plim.allocator import RramAllocator
 
-        if self.geometry.block_size is None:
-            return RramAllocator(
-                strategy, w_max, capacity=self.geometry.capacity
-            )
-        from ..plim.blocked import BlockedAllocator
-
-        return BlockedAllocator(
-            self.geometry.block_size,
+        return RramAllocator(
             strategy,
             w_max,
             capacity=self.geometry.capacity,
+            block_size=self.geometry.block_size or 1,
         )
 
     def make_array(self, num_cells: int, *, wear_out: bool = False):

@@ -1,9 +1,9 @@
 """Allocation-policy descriptions for endurance management.
 
-The mechanics live in :class:`repro.plim.allocator.RramAllocator` (and
-its word-addressed sibling :class:`repro.plim.blocked.BlockedAllocator`);
-this module names and documents the policies the paper proposes and
-provides small value objects the configuration layer
+The mechanics live in :class:`repro.plim.allocator.RramAllocator`, one
+allocator for every array geometry (a crossbar is its one-cell word
+lines); this module names and documents the policies the paper proposes
+and provides small value objects the configuration layer
 (:mod:`repro.core.manager`) and the ablation benchmarks compose.
 
 Policies are *requests*: whether the target machine can implement one is

@@ -1,7 +1,6 @@
 """The PLiM computer: ISA, memory, controller, compiler, verifier."""
 
 from .allocator import CapacityExceededError, RramAllocator
-from .blocked import BlockedAllocator
 from .compiler import PlimCompiler
 from .controller import CYCLES_PER_INSTRUCTION, ExecutionTrace, PlimController, execute
 from .isa import OP_CONST0, OP_CONST1, Program, const_operand, format_operand
@@ -17,7 +16,6 @@ from .startgap import StartGapArray, run_with_start_gap
 from .verify import VerificationError, cross_check_truth_tables, verify_program
 
 __all__ = [
-    "BlockedAllocator",
     "CYCLES_PER_INSTRUCTION",
     "CapacityExceededError",
     "EnduranceExhaustedError",

@@ -5,9 +5,10 @@ Reimplements the compiler of [Soeken et al., DAC'16] — node *selection*
 realise one majority node with RM3 instructions) — with the endurance hooks
 of the reproduced paper threaded through:
 
-* the destination/allocation decisions consult an
-  :class:`~repro.plim.allocator.RramAllocator` whose policy implements the
-  minimum/maximum write count strategies;
+* the destination/allocation decisions consult the
+  :class:`~repro.plim.allocator.RramAllocator` (one allocator for every
+  machine; a crossbar is its one-cell word lines) whose policy implements
+  the minimum/maximum write count strategies;
 * the selection order is pluggable (:mod:`repro.core.selection` provides
   the DAC'16 and the endurance-aware Algorithm 3 strategies).
 

@@ -193,14 +193,15 @@ class Program:
 
     def validate(self) -> None:
         """Sanity-check addresses; raises :class:`ValueError` on corruption."""
+        n = self.num_cells
         for idx, (p, q, z) in enumerate(self.instructions):
-            if z < 0 or z >= self.num_cells:
-                raise ValueError(f"instruction {idx}: bad destination {z}")
-            for op in (p, q):
-                if op >= self.num_cells or op < OP_CONST1:
-                    raise ValueError(f"instruction {idx}: bad operand {op}")
+            if not (0 <= z < n and OP_CONST1 <= p < n and OP_CONST1 <= q < n):
+                if not 0 <= z < n:
+                    raise ValueError(f"instruction {idx}: bad destination {z}")
+                bad = p if not OP_CONST1 <= p < n else q
+                raise ValueError(f"instruction {idx}: bad operand {bad}")
         for addr in list(self.pi_cells) + list(self.po_cells):
-            if addr < 0 or addr >= self.num_cells:
+            if addr < 0 or addr >= n:
                 raise ValueError(f"interface cell {addr} out of range")
 
     def stats_summary(self) -> Dict[str, float]:

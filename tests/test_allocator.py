@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.plim.allocator import MIN_WRITE_CAP, STRATEGIES, RramAllocator
-from repro.plim.blocked import BlockedAllocator
 
 
 class TestBasics:
@@ -430,14 +429,6 @@ class _ReferenceBlocked:
         self._recency.insert(0, block)
 
 
-def _allocator(block_size, strategy, w_max):
-    """The allocator under test for a machine with *block_size*-cell
-    word lines (1 = a crossbar)."""
-    if block_size == 1:
-        return RramAllocator(strategy, w_max)
-    return BlockedAllocator(block_size, strategy, w_max)
-
-
 class TestTraceParity:
     """Seeded request/release traces replayed on the allocator under
     test and on the two reference allocators.  Like the compiler, the
@@ -476,7 +467,9 @@ class TestTraceParity:
         self, block_size, strategy, w_max
     ):
         for seed in range(6):
-            got = self._replay(_allocator(block_size, strategy, w_max), seed)
+            got = self._replay(
+                RramAllocator(strategy, w_max, block_size=block_size), seed
+            )
             blocked = self._replay(
                 _ReferenceBlocked(block_size, strategy, w_max), seed
             )

@@ -30,8 +30,7 @@ from repro.analysis.runner import run_matrix
 from repro.analysis.scenarios import architecture_sweep, fig2_mig
 from repro.core.manager import PRESETS, compile_pipeline, full_management
 from repro.flow import Flow, Session
-from repro.plim.allocator import CapacityExceededError
-from repro.plim.blocked import BlockedAllocator
+from repro.plim.allocator import CapacityExceededError, RramAllocator
 from repro.synth.registry import build_benchmark
 
 
@@ -158,16 +157,12 @@ class TestCapabilities:
         assert Geometry().provisioned(13) == 13  # crossbar: exact
 
     def test_allocator_factory_matches_geometry(self):
-        from repro.plim.allocator import RramAllocator
-
-        assert isinstance(
-            get_architecture("endurance").make_allocator("naive", None),
-            RramAllocator,
-        )
-        assert isinstance(
-            get_architecture("blocked").make_allocator("min_write", 10),
-            BlockedAllocator,
-        )
+        assert (
+            get_architecture("endurance").make_allocator("naive", None)
+        ).block_size == 1
+        assert (
+            get_architecture("blocked").make_allocator("min_write", 10)
+        ).block_size == 8
 
     def test_cost_model_changes_role_choice(self):
         """A machine with free copies prefers copy destinations, so the
@@ -186,7 +181,7 @@ class TestCapabilities:
 
 class TestBlockedAllocator:
     def test_provisions_whole_lines(self):
-        alloc = BlockedAllocator(4)
+        alloc = RramAllocator(block_size=4)
         assert alloc.num_cells == 0
         for _ in range(5):
             alloc.new_cell()
@@ -194,7 +189,7 @@ class TestBlockedAllocator:
         assert alloc.num_cells == 8
 
     def test_naive_prefers_open_line(self):
-        alloc = BlockedAllocator(2)
+        alloc = RramAllocator(block_size=2)
         cells = [alloc.new_cell() for _ in range(4)]  # lines {0,1}, {2,3}
         alloc.release(cells[0])  # line 0 released first
         alloc.release(cells[2])  # line 1 is now the open line
@@ -202,7 +197,7 @@ class TestBlockedAllocator:
         assert alloc.request() == cells[0]
 
     def test_min_write_prefers_least_worn_line(self):
-        alloc = BlockedAllocator(2, strategy="min_write")
+        alloc = RramAllocator(block_size=2, strategy="min_write")
         cells = [alloc.new_cell() for _ in range(4)]
         for _ in range(5):
             alloc.record_write(cells[0])  # line 0 is hot (its worst cell)
@@ -213,7 +208,7 @@ class TestBlockedAllocator:
         assert alloc.request() == cells[1]
 
     def test_retirement_matches_crossbar_semantics(self):
-        alloc = BlockedAllocator(4, strategy="min_write", w_max=3)
+        alloc = RramAllocator(block_size=4, strategy="min_write", w_max=3)
         cell = alloc.new_cell()
         for _ in range(3):
             alloc.record_write(cell)
@@ -222,14 +217,14 @@ class TestBlockedAllocator:
         assert alloc.request() != cell
 
     def test_double_release_rejected(self):
-        alloc = BlockedAllocator(4)
+        alloc = RramAllocator(block_size=4)
         cell = alloc.new_cell()
         alloc.release(cell)
         with pytest.raises(ValueError, match="double release"):
             alloc.release(cell)
 
     def test_request_respects_headroom(self):
-        alloc = BlockedAllocator(4, w_max=5)
+        alloc = RramAllocator(block_size=4, w_max=5)
         cell = alloc.new_cell()
         for _ in range(4):
             alloc.record_write(cell)  # one write of headroom left
@@ -238,7 +233,7 @@ class TestBlockedAllocator:
         assert alloc.request(headroom=1) == cell  # still pooled for 1
 
     def test_capacity_in_whole_lines(self):
-        alloc = BlockedAllocator(4, capacity=8)
+        alloc = RramAllocator(block_size=4, capacity=8)
         for _ in range(8):
             alloc.new_cell()
         with pytest.raises(CapacityExceededError):
@@ -248,17 +243,17 @@ class TestBlockedAllocator:
         """A fractional-line capacity cannot be enforced exactly by a
         word-addressed machine — refuse it instead of over-allocating."""
         with pytest.raises(ValueError, match="whole number"):
-            BlockedAllocator(8, capacity=12)
+            RramAllocator(block_size=8, capacity=12)
         with pytest.raises(ValueError, match="whole number"):
-            BlockedAllocator(8, capacity=4)
+            RramAllocator(block_size=8, capacity=4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="block size"):
-            BlockedAllocator(0)
+            RramAllocator(block_size=0)
         with pytest.raises(ValueError, match="strategy"):
-            BlockedAllocator(4, "bogus")
+            RramAllocator("bogus", block_size=4)
         with pytest.raises(ValueError, match="w_max"):
-            BlockedAllocator(4, w_max=1)
+            RramAllocator(block_size=4, w_max=1)
 
 
 #: Tiny benchmarks exercising distinct shapes for the parity sweeps.
