@@ -112,17 +112,6 @@ class Geometry:
             self.gap_interval,
         )
 
-    def provisioned(self, cells: int) -> int:
-        """Devices physically provisioned to hold *cells* values.
-
-        Word-addressed geometries round up to whole blocks — the
-        machine cannot manufacture a fraction of a word line.
-        """
-        if self.block_size is None or cells == 0:
-            return cells
-        blocks = -(-cells // self.block_size)  # ceil division
-        return blocks * self.block_size
-
 
 @dataclass(frozen=True)
 class EnduranceModel:

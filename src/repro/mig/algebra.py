@@ -31,9 +31,11 @@ behind them is semantics.
 Each pass's matcher also has a *scan*, ``scan(fanins, first)``: the
 matcher's reject stated once over a whole canonical fanin table, listing
 in ascending order the gates that pass it.  A rebuild probing a
-canonical input calls the matcher only at those gates (see
-:func:`repro.mig.rewrite.rebuild`); everywhere else, and once a pass has
-fired, the matcher still runs at every node.  A canonical triple
+canonical input calls the matcher only at those gates; once a pass has
+fired, it calls the matcher at the later candidates and at the nodes
+whose children or grandchildren the rebuild changed, which is all that
+a matcher's reject reads (see :func:`repro.mig.rewrite.rebuild`).
+Non-canonical inputs run the matcher at every node.  A canonical triple
 ``(a, b, c)`` is ascending with at most one constant (``a``), and a
 gate's fanins precede it, so ``a``'s gate holds neither ``b`` nor ``c``:
 the scans leave out the clauses of a reject that cannot hold there.
@@ -205,36 +207,65 @@ def try_associativity(mig: Mig, a: int, b: int, c: int) -> Optional[int]:
     hash-hits), so the rewrite is monotonically non-increasing in size.
 
     Reject: a plain gate operand holding neither of the other two.
+    Straight-line over the three gate positions (``a``, ``b``, ``c``),
+    each trying ``u`` as the earlier, then the later of the other two
+    operands (see :func:`_associate`).
     """
     fanins = mig._fanins
-    operands = (a, b, c)
-    for w_pos in range(3):
-        w = operands[w_pos]
-        if w & 1:
-            continue  # complemented gates are Omega.I's job
-        inner = fanins[w >> 1]
-        if inner is None:
-            continue
-        i, j = _OTHERS[w_pos]
-        p, q = operands[i], operands[j]
-        # Reject: the inner gate must hold one of the other operands.
-        if p not in inner and q not in inner:
-            continue
-        outer_rest = [p, q]
-        for u in outer_rest:
-            if u not in inner:
-                continue
-            x = outer_rest[0] if outer_rest[1] == u else outer_rest[1]
-            inner_rest = [s for s in inner if s != u]
-            if len(inner_rest) != 2:
-                continue
-            for swap_idx in range(2):
-                z = inner_rest[swap_idx]
-                y = inner_rest[1 - swap_idx]
-                # <x u <y u z>>  ->  <z u <y u x>>
-                if not mig.maj_would_allocate(y, u, x):
-                    new_inner = mig.add_maj(y, u, x)
-                    return mig.add_maj(z, u, new_inner)
+    if not a & 1:  # complemented gates are Omega.I's job
+        inner = fanins[a >> 1]
+        if inner is not None:
+            if b in inner:
+                result = _associate(mig, inner, b, c)
+                if result is not None:
+                    return result
+            if c in inner:
+                result = _associate(mig, inner, c, b)
+                if result is not None:
+                    return result
+    if not b & 1:
+        inner = fanins[b >> 1]
+        if inner is not None:
+            if a in inner:
+                result = _associate(mig, inner, a, c)
+                if result is not None:
+                    return result
+            if c in inner:
+                result = _associate(mig, inner, c, a)
+                if result is not None:
+                    return result
+    if not c & 1:
+        inner = fanins[c >> 1]
+        if inner is not None:
+            if a in inner:
+                result = _associate(mig, inner, a, b)
+                if result is not None:
+                    return result
+            if b in inner:
+                return _associate(mig, inner, b, a)
+    return None
+
+
+def _associate(mig: Mig, inner, u: int, x: int) -> Optional[int]:
+    """``<x u <y u z>> -> <z u <y u x>>`` for the fanins *inner* of the
+    gate operand, which hold *u*: ``y`` is the later, then the earlier of
+    the other two inner fanins, and the first ``<y u x>`` that does not
+    allocate is taken.  ``None`` when *u* occurs twice or neither fits."""
+    s0, s1, s2 = inner
+    if u == s0:
+        if u == s1 or u == s2:
+            return None
+        z, y = s1, s2
+    elif u == s1:
+        if u == s2:
+            return None
+        z, y = s0, s2
+    else:
+        z, y = s0, s1
+    if not mig.maj_would_allocate(y, u, x):
+        return mig.add_maj(z, u, mig.add_maj(y, u, x))
+    if not mig.maj_would_allocate(z, u, x):
+        return mig.add_maj(y, u, mig.add_maj(z, u, x))
     return None
 
 

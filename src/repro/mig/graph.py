@@ -40,14 +40,12 @@ from .signal import (
     CONST0,
     CONST1,
     apply_complement,
-    are_complementary,
     complement,
     format_signal,
     is_complemented,
     is_constant,
     make_signal,
     node_of,
-    sorted_fanins,
 )
 
 
@@ -142,7 +140,8 @@ class Mig:
             return a
 
         # Inline sorted_fanins: must produce the same canonical key as
-        # maj_would_allocate's sorted_fanins() probe or strash drifts.
+        # maj_would_allocate's probe (and rebuild's copy loop) or strash
+        # drifts.
         if a > b:
             a, b = b, a
         if b > c:
@@ -171,17 +170,16 @@ class Mig:
         call or when the structural hash already holds the node.  Rewriting
         passes use this probe to accept only size-non-increasing variants.
         """
-        if a == b or a == c or b == c:
+        if a == b or a == c or b == c or a ^ b == 1 or a ^ c == 1 or b ^ c == 1:
             return False
-        if (
-            are_complementary(a, b)
-            or are_complementary(a, c)
-            or are_complementary(b, c)
-        ):
-            return False
-        # sorted_fanins must stay in lockstep with add_maj's inline sort:
-        # both sides key the same strash table.
-        return sorted_fanins(a, b, c) not in self._strash
+        # add_maj's sort, in lockstep: both key the same strash table.
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        return (a, b, c) not in self._strash
 
     # Convenience gate constructors -------------------------------------
 

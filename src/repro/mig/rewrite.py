@@ -16,9 +16,18 @@ matcher's reject lets through, found in one sweep of the fanin table
 (:mod:`repro.mig.algebra`).  When no candidate fires it returns the
 input itself, memoized traversals included; otherwise the new graph
 starts as a copy of the unchanged prefix and the rebuild resumes at the
-first node that fired, calling the transform at every node from there
-on.  A pass result may therefore *be* its input, so callers must not
-mutate pass results.
+first node that fired.  From there on it calls the transform only at
+the later candidates and at the nodes whose children or grandchildren
+came out *dirty* (not a fresh copy of the input node: the transform
+fired, the structural hash hit, or ``Omega.M`` collapsed the node); it
+copies every other node straight from the input's fanin table.  Such a
+node's matcher reads a neighbourhood that the rebuild translated
+injectively, so it rejects as it did on the input (the argument is in
+:func:`rebuild`'s docstring).  This is the incremental, DAG-aware style
+of [Mishchenko, Chatterjee & Brayton, DAC'06] applied to rebuild passes,
+and it keeps node numbering identical to a rebuild that calls the
+transform everywhere.  A pass result may *be* its input, so callers
+must not mutate pass results.
 
 A script cycles its passes, and a pass often meets a graph it already
 returned unchanged (another pass of the cycle changed something, but not
@@ -44,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..resilience.timeouts import checkpoint
 from . import algebra
 from .graph import Mig
-from .signal import complement, sorted_fanins
+from .signal import complement
 
 
 class RebuildContext:
@@ -97,7 +106,8 @@ class RebuildContext:
 Transform = Callable[[Mig, RebuildContext, int, Sequence[int]], Optional[int]]
 
 #: A scan maps a canonical input's fanin table and its first gate id to
-#: the ascending ids of the gates at which a pass's transform may fire.
+#: the ascending ids of the gates at which a pass's transform may fire
+#: (see :func:`rebuild` for what the transform may read).
 Scan = Callable[[List, int], Sequence[int]]
 
 
@@ -124,7 +134,14 @@ class _PrefixView:
     def maj_would_allocate(self, a: int, b: int, c: int) -> bool:
         if a == b or a == c or b == c or a ^ b == 1 or a ^ c == 1 or b ^ c == 1:
             return False
-        node = self._strash.get(sorted_fanins(a, b, c))
+        # add_maj's sort, in lockstep: both key the same strash table.
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        node = self._strash.get((a, b, c))
         return node is None or node >= self.limit
 
     def add_maj(self, a: int, b: int, c: int) -> int:
@@ -153,10 +170,31 @@ def rebuild(
     With ``transform=None`` this is a cleanup + ``Omega.M`` +
     structural-hashing pass (the paper's plain ``Omega.M`` step).
 
-    *scan* narrows the probe of a canonical input: it must list (a
-    superset of) the gates at which *transform*, called on the
-    read-only view, returns a signal or builds a node.  Without it the
-    probe calls *transform* at every gate.
+    *scan* narrows the calls of *transform* on a canonical input: it
+    must list (a superset of) the gates at which *transform* returns a
+    signal or builds a node when it is called on the input itself (the
+    probe's read-only view).  The transform's decision to fire may read
+    only the node's children and grandchildren: the child signals, which
+    of them are gates, and those gates' fanin triples.  Without a scan,
+    and on a non-canonical input, *transform* runs at every gate.
+
+    With a scan, a rebuild that fired calls *transform* only at the
+    later candidates and at the nodes with a *dirty* child or
+    grandchild; every other node is copied by a sort and a
+    structural-hash insert.  A node is dirty when its image is not a
+    fresh node allocated from its own translated fanins: the transform
+    fired, or ``add_maj`` hit the structural hash or collapsed the node
+    (``Omega.M``).  Skipping is sound because the image of a clean node
+    is a plain signal of a node allocated after the images of every
+    earlier clean node: on clean nodes the translation is injective,
+    keeps polarity and keeps constants, inputs and gates apart.  A node
+    whose children and grandchildren are all clean therefore presents
+    its matcher with the same equalities, complement pairs and fanin
+    memberships as it had in the input, so the matcher decides as it
+    decided there, where the scan said it does not fire.  (One level is
+    not enough: a clean child's fanins are the images of the
+    grandchildren, and a dirty grandchild's image may equal an operand
+    the matcher compares it with.)
 
     Returns *mig* itself when the result would equal it (see the module
     docstring); callers must not mutate the result.
@@ -164,6 +202,8 @@ def rebuild(
     checkpoint()  # every pass starts here: the rewrite stage's deadline
     ctx = RebuildContext(mig)
     xlat = ctx.xlat
+    fanins = mig._fanins
+    num_nodes = mig.num_nodes
     canonical = mig._is_canonical()
     if canonical:
         if transform is None:
@@ -172,11 +212,11 @@ def rebuild(
         # the input, so xlat grows as the identity.
         first = mig.num_pis + 1
         view = _PrefixView(mig)
-        fanins = mig._fanins
+        everywhere = scan is None
         candidates = (
-            range(first, mig.num_nodes) if scan is None else scan(fanins, first)
+            range(first, num_nodes) if everywhere else scan(fanins, first)
         )
-        for node in candidates:
+        for index, node in enumerate(candidates):
             view.limit = node
             xlat.extend(range(len(xlat) << 1, node << 1, 2))
             try:
@@ -187,30 +227,73 @@ def rebuild(
         else:
             return mig
         new = _prefix(mig, node)
-        xlat.extend([-1] * (mig.num_nodes - node))
-        gates = mig.flat_gates()[node - first:]
+        xlat.extend([-1] * (num_nodes - node))
+        order = range(node, num_nodes)
+        targets = iter(candidates[index:])
     else:
         new = Mig(mig.name)
-        xlat.extend([-1] * mig.num_nodes)
+        xlat.extend([-1] * num_nodes)
         xlat[0] = 0
         for idx, node in enumerate(mig.pis()):
             xlat[node] = new.add_pi(mig.pi_name(idx))
-        gates = mig.flat_gates()
+        everywhere = True
+        order = mig._live_gates()
+        targets = iter(())
+    new_fanins = new._fanins
+    new_pi_index = new._pi_index
+    strash = new._strash
     add_maj = new.add_maj
-    # flat_gates carries complement attributes as XOR masks (0 / -1);
-    # `& 1` recovers the signal-level complement bit.
-    if transform is None:
-        for node, na, xa, nb, xb, nc, xc in gates:
-            xlat[node] = add_maj(
-                xlat[na] ^ (xa & 1), xlat[nb] ^ (xb & 1), xlat[nc] ^ (xc & 1)
-            )
-    else:
-        for node, na, xa, nb, xb, nc, xc in gates:
+    # Per input node: 0 clean, 1 clean with a dirty child, 2 dirty.
+    dirt = bytearray(num_nodes)
+    target = next(targets, num_nodes)
+    for node in order:
+        a, b, c = fanins[node]
+        na = a >> 1
+        nb = b >> 1
+        nc = c >> 1
+        da = dirt[na]
+        db = dirt[nb]
+        dc = dirt[nc]
+        if da or db or dc or everywhere or node == target:
+            if node == target:
+                target = next(targets, num_nodes)
             children = (
-                xlat[na] ^ (xa & 1), xlat[nb] ^ (xb & 1), xlat[nc] ^ (xc & 1)
+                xlat[na] ^ (a & 1), xlat[nb] ^ (b & 1), xlat[nc] ^ (c & 1)
             )
-            result = transform(new, ctx, node, children)
-            xlat[node] = add_maj(*children) if result is None else result
+            result = None
+            if transform is not None:
+                result = transform(new, ctx, node, children)
+            if result is None:
+                size = len(new_fanins)
+                result = add_maj(*children)
+                if len(new_fanins) == size:
+                    dirt[node] = 2
+                elif da == 2 or db == 2 or dc == 2:
+                    dirt[node] = 1
+            else:
+                dirt[node] = 2
+            xlat[node] = result
+            continue
+        # A clean neighbourhood: add_maj's sort and strash insert.
+        a = xlat[na] ^ (a & 1)
+        b = xlat[nb] ^ (b & 1)
+        c = xlat[nc] ^ (c & 1)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        key = (a, b, c)
+        image = strash.get(key)
+        if image is None:
+            image = len(new_fanins)
+            new_fanins.append(key)
+            new_pi_index.append(-1)
+            strash[key] = image
+        else:
+            dirt[node] = 2
+        xlat[node] = image << 1
     for idx, s in enumerate(mig.pos()):
         new.add_po(xlat[s >> 1] ^ (s & 1), mig.po_name(idx))
     if canonical and new._fanins == mig._fanins and new._pos == mig._pos:

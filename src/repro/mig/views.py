@@ -61,6 +61,11 @@ class FanoutView:
         #: :func:`repro.plim.compiler.schedule` per (selection strategy,
         #: fanout aggregate).
         self.schedules: Dict[Tuple[object, str], Tuple[int, ...]] = {}
+        #: Compiled programs, memoized by
+        #: :meth:`repro.plim.compiler.PlimCompiler.compile` per (selection
+        #: strategy, fanout aggregate, allocation strategy, input
+        #: protection, architecture, write cap).
+        self.programs: Dict[Tuple, object] = {}
 
     def fanout_level_index(self, node: int, aggregate: str = "max") -> int:
         """Level of the consumer that finally releases *node*'s device.

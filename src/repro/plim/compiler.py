@@ -36,6 +36,20 @@ gate in that order.
 Both loops check the stage deadline every :data:`CHECKPOINT_GATES`
 gates.
 
+The program, too, is memoized on the fanout view, keyed by (strategy,
+fanout aggregate, allocation strategy, input protection, architecture,
+write cap); a run cut short by the deadline stores nothing.  A capped
+compile whose uncapped program is memoized and never writes a device
+``w_max`` times returns that program: when every final write count is
+below the cap, each of the three places the cap is read decides as if
+there were none.  The direct-``Z`` test ``writes < w_max`` holds at
+every step; every device a ``request(headroom)`` returns receives at
+least *headroom* more writes, so the uncapped choice satisfies ``count
+<= w_max - headroom`` and the capped search, walking the same pool in
+the same order, stops at it; and no release reaches the cap, so nothing
+is retired.  A program that writes some device exactly ``w_max`` times
+is compiled again.
+
 Cost model (Section III of the paper)
 -------------------------------------
 A majority node ``<a b c>`` costs a single RM3 when one fanin can serve as
@@ -313,19 +327,44 @@ class PlimCompiler:
         self.arch = arch
 
     def compile(self, mig: Mig) -> Program:
-        """Translate *mig* into a :class:`~repro.plim.isa.Program`."""
+        """Translate *mig* into a :class:`~repro.plim.isa.Program`.
+
+        The program is memoized on the graph's fanout view, and a write
+        cap the uncapped program never reaches answers with that program
+        (see the module docstring).  Callers must not mutate the result.
+        """
         from ..arch import resolve_architecture
 
         arch = resolve_architecture(self.arch)
-        run = _Compilation(
-            mig,
-            selection=self.selection,
-            allocator=arch.make_allocator(self.allocation, self.w_max),
-            allow_pi_overwrite=self.allow_pi_overwrite,
-            fanout_aggregate=self.fanout_aggregate,
-            cost=arch.cost,
+        # Built first: it refuses invalid caps and unsupported policies.
+        allocator = arch.make_allocator(self.allocation, self.w_max)
+        programs = mig.fanout_view().programs
+        key = (
+            self.selection,
+            self.fanout_aggregate,
+            self.allocation,
+            self.allow_pi_overwrite,
+            arch,
         )
-        return run.run()
+        w_max = self.w_max
+        program = programs.get(key + (w_max,))
+        if program is None:
+            uncapped = None if w_max is None else programs.get(key + (None,))
+            if uncapped is not None and max(
+                uncapped.write_counts(), default=0
+            ) < w_max:
+                program = uncapped
+            else:
+                program = _Compilation(
+                    mig,
+                    selection=self.selection,
+                    allocator=allocator,
+                    allow_pi_overwrite=self.allow_pi_overwrite,
+                    fanout_aggregate=self.fanout_aggregate,
+                    cost=arch.cost,
+                ).run()
+            programs[key + (w_max,)] = program
+        return program
 
 
 class _Compilation:
@@ -515,6 +554,7 @@ class _Compilation:
             name=mig.name,
         )
         program.validate()
+        program.memoize_write_counts()
         return program
 
     # -- outputs ------------------------------------------------------------

@@ -116,12 +116,27 @@ class Program:
 
         This is the distribution whose standard deviation the paper
         reports; PI pre-loads are excluded by construction (they are not
-        instructions).
+        instructions).  After :meth:`memoize_write_counts` it is a copy
+        of the count made there.
         """
+        counts = self.__dict__.get("_write_counts")
+        if counts is not None:
+            return list(counts)
         counts = [0] * self.num_cells
         for _, _, z in self.instructions:
             counts[z] += 1
         return counts
+
+    def memoize_write_counts(self) -> None:
+        """Count the writes once for every later :meth:`write_counts`.
+
+        For programs that are no longer changed: the compiler calls it
+        on every program it emits (compiled programs are shared by its
+        memo and the experiment caches).  The count is not a dataclass
+        field, so equality and ``repr`` ignore it.
+        """
+        self.__dict__.pop("_write_counts", None)
+        self._write_counts = self.write_counts()
 
     def read_counts(self) -> List[int]:
         """Static per-cell read counts (P/Q operands plus the old Z value)."""

@@ -148,13 +148,18 @@ class TestCapabilities:
         with pytest.raises(CapacityExceededError):
             compile_pipeline(mig, PRESETS["naive"], arch=tight)
 
-    def test_geometry_provisioning_rounds_up(self):
-        geometry = Geometry(block_size=8)
-        assert geometry.provisioned(0) == 0
-        assert geometry.provisioned(1) == 8
-        assert geometry.provisioned(8) == 8
-        assert geometry.provisioned(9) == 16
-        assert Geometry().provisioned(13) == 13  # crossbar: exact
+    def test_allocator_provisioning_rounds_up(self):
+        def provisioned(cells, **geometry):
+            alloc = RramAllocator(**geometry)
+            for _ in range(cells):
+                alloc.new_cell()
+            return alloc.num_cells
+
+        assert provisioned(0, block_size=8) == 0
+        assert provisioned(1, block_size=8) == 8
+        assert provisioned(8, block_size=8) == 8
+        assert provisioned(9, block_size=8) == 16
+        assert provisioned(13) == 13  # crossbar: exact
 
     def test_allocator_factory_matches_geometry(self):
         assert (

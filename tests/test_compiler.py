@@ -679,6 +679,84 @@ def test_blocked_programs_are_pinned(suite_jobs):
     assert _suite_digest(suite_jobs, "blocked") == BLOCKED_PROGRAM_DIGEST
 
 
+# -- program memo and the non-binding cap fold -------------------------------
+
+
+def test_non_binding_caps_fold_into_the_uncapped_program(suite_jobs):
+    """Every default-preset benchmark under caps 10/20/50/100: a capped
+    compile returns the memoized uncapped ``ea-full`` program exactly
+    when that program writes no device ``w_max`` times, and equals a
+    cold compile on an unpickled graph either way."""
+    folds = {}
+    for arch in ("endurance", "blocked"):
+        folds[arch] = 0
+        for source, config, rewritten in suite_jobs:
+            if config.name != "ea-full":
+                continue
+            uncapped = compile_pipeline(
+                source, config, rewritten=rewritten, arch=arch
+            ).program
+            peak = max(uncapped.write_counts())
+            for cap in TABLE3_CAPS:
+                capped = compile_pipeline(
+                    source, full_management(cap), rewritten=rewritten,
+                    arch=arch,
+                ).program
+                cold = compile_pipeline(
+                    source, full_management(cap), rewritten=_fresh(rewritten),
+                    arch=arch,
+                ).program
+                assert capped == cold, (source.name, arch, cap)
+                assert (capped is uncapped) == (peak < cap)
+                folds[arch] += capped is uncapped
+    assert folds["endurance"] == 34
+
+
+class TestProgramMemo:
+    def test_repeat_compiles_share_one_program(self):
+        mig = _fresh(_rewritten("dec", "endurance", 1))
+        compiler = PlimCompiler(allocation="min_write", w_max=10)
+        program = compiler.compile(mig)
+        assert compiler.compile(mig) is program
+        assert compile_mig(mig, allocation="min_write", w_max=20) is not program
+
+    def test_invalid_cap_raises_beside_a_memoized_program(self):
+        mig = _fresh(_rewritten("dec", "endurance", 1))
+        compile_mig(mig, allocation="min_write")
+        with pytest.raises(ValueError, match="w_max"):
+            compile_mig(mig, allocation="min_write", w_max=2)
+
+    def test_binding_cap_compiles_again(self):
+        mig = _fresh(_rewritten("ctrl", "endurance", 1))
+        uncapped = compile_mig(mig, allocation="min_write")
+        peak = max(uncapped.write_counts())
+        assert peak >= 3
+        at_peak = compile_mig(mig, allocation="min_write", w_max=peak)
+        assert at_peak is not uncapped
+        assert at_peak == compile_mig(
+            _fresh(mig), allocation="min_write", w_max=peak
+        )
+        assert compile_mig(
+            mig, allocation="min_write", w_max=peak + 1
+        ) is uncapped
+
+    def test_compiled_programs_count_their_writes_once(self):
+        program = compile_mig(_fresh(_rewritten("dec", "endurance", 1)))
+        assert "_write_counts" in vars(program)
+        copy = Program(
+            instructions=list(program.instructions),
+            num_cells=program.num_cells,
+            pi_cells=list(program.pi_cells),
+            po_cells=list(program.po_cells),
+            name=program.name,
+        )
+        assert program == copy and repr(program) == repr(copy)
+        counts = program.write_counts()
+        assert counts == copy.write_counts()
+        counts[0] += 1  # a copy: the memo is untouched
+        assert program.write_counts() == copy.write_counts()
+
+
 # -- schedule memo -----------------------------------------------------------
 
 
@@ -774,6 +852,7 @@ class TestScheduleMemo:
             with time_limit(0.05, stage="compile"):
                 compile_mig(mig, selection=selection)
         assert not mig.fanout_view().schedules
+        assert not mig.fanout_view().programs
         program = compile_mig(mig, selection=selection)
         assert program == compile_mig(
             _fresh(mig), selection=make_selection("releasing-only")

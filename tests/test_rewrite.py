@@ -373,6 +373,162 @@ class TestScanSoundness:
 
 
 # ----------------------------------------------------------------------
+# Incremental rebuild: after a firing, the transform runs only at the
+# later candidates and next to dirty nodes
+# ----------------------------------------------------------------------
+
+def windowed_rebuild(mig, transform, scan, depth):
+    """A rebuild that, once the transform has fired, calls it only at the
+    scan's candidates and at nodes with a dirty node (one whose image is
+    not a fresh node of its own translated fanins) at most *depth* fanin
+    levels below.  ``depth=2`` is :func:`rebuild`'s rule; smaller depths
+    are the unsound mutants the parity checks must catch."""
+    candidates = set(scan(mig._fanins, mig.num_pis + 1))
+    new = Mig(mig.name)
+    ctx = RebuildContext(mig)
+    xlat = ctx.xlat
+    xlat.extend([-1] * mig.num_nodes)
+    xlat[0] = 0
+    for idx, node in enumerate(mig.pis()):
+        xlat[node] = new.add_pi(mig.pi_name(idx))
+    # Bit k of below[node]: a dirty node k fanin levels below (0: itself).
+    below = [0] * mig.num_nodes
+    window = ((1 << (depth + 1)) - 1) & ~1
+    fired = False
+    for node in mig.live_gates():
+        fanins = mig.fanins(node)
+        children = tuple(xlat[s >> 1] ^ (s & 1) for s in fanins)
+        reach = 0
+        for s in fanins:
+            reach |= below[s >> 1] << 1
+        result = None
+        if not fired or node in candidates or reach & window:
+            result = transform(new, ctx, node, children)
+        if result is None:
+            size = new.num_nodes
+            result = new.add_maj(*children)
+            dirty = new.num_nodes == size
+        else:
+            fired = dirty = True
+        xlat[node] = result
+        below[node] = (reach | dirty) & 0b111
+    for idx, s in enumerate(mig.pos()):
+        new.add_po(xlat[s >> 1] ^ (s & 1), mig.po_name(idx))
+    return new
+
+
+def structure(mig):
+    return mig._fanins, mig._pis, mig._pos
+
+
+class _RebuildParity:
+    """Stands in for :func:`rebuild`: runs it and the call-everywhere
+    reference on every call, and tallies the calls whose result differs
+    from the reference's node for node.  On every scanned call that
+    fired on a canonical input it also runs the candidates-only mutant
+    (depth 0)."""
+
+    def __init__(self):
+        self.calls = self.fired = self.mutant_mismatches = 0
+        self.mismatches = []
+
+    def __call__(self, mig, transform=None, scan=None):
+        out = REAL_REBUILD(mig, transform, scan)
+        self.calls += 1
+        expected = structure(reference_rebuild(mig, transform))
+        if structure(out) != expected:
+            self.mismatches.append((mig.name, self.calls))
+        if scan is not None and out is not mig and mig._is_canonical():
+            self.fired += 1
+            got = windowed_rebuild(mig, transform, scan, 0)
+            self.mutant_mismatches += structure(got) != expected
+        return out
+
+    def run(self, fn, *args):
+        with mock.patch.object(rewrite_module, "rebuild", self):
+            return fn(*args)
+
+
+REAL_REBUILD = rewrite_module.rebuild
+
+
+@pytest.fixture(scope="module")
+def default_script_rebuilds():
+    """The parity tally over every rebuild of both scripts on every
+    default-preset registry benchmark."""
+    parity = _RebuildParity()
+    for name in BENCHMARK_ORDER:
+        source = build_benchmark(name, "default")
+        for script in ("dac16", "endurance"):
+            parity.run(rewrite, source, script)
+    return parity
+
+
+class TestIncrementalRebuild:
+    def test_default_preset_scripts_match_the_reference(
+        self, default_script_rebuilds
+    ):
+        parity = default_script_rebuilds
+        assert parity.calls > 700 and parity.fired > 100
+        assert parity.mismatches == []
+
+    def test_skipping_every_non_candidate_breaks_parity(
+        self, default_script_rebuilds
+    ):
+        # The mutation check: a rebuild that, after firing, calls the
+        # transform at the scan's candidates only.  (These scripts need
+        # not tell the one-level rule from the two-level one;
+        # test_grandchild_collision does.)
+        assert default_script_rebuilds.mutant_mismatches > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=80),
+        script=st.sampled_from(["dac16", "endurance"]),
+    )
+    def test_random_canonical_graphs_under_every_pass(self, seed, gates, script):
+        mig = canonical(make_random_mig(5, gates, seed=seed, complement_prob=0.4))
+        parity = _RebuildParity()
+        for name in PASSES:
+            parity.run(PASSES[name], mig.clone())
+        parity.run(rewrite, mig, script, 3)
+        assert parity.mismatches == []
+
+    def test_grandchild_collision(self):
+        """``n = <x u w>`` over ``w = <y z g>``: once ``g``'s image is
+        ``u``, ``w``'s image holds ``u`` and Omega.A fires at ``n``
+        through ``<y u x>``.  Every child of ``n`` is clean (``w`` is a
+        fresh node), so only the grandchild says ``n`` must be re-matched."""
+        mig = Mig("collide")
+        x, u, y, z, p, q, r = mig.add_pis(7)
+        probe = mig.add_maj(y, u, x)
+        g = mig.add_maj(p, q, r)
+        w = mig.add_maj(y, z, g)
+        n = mig.add_maj(x, u, w)
+        mig.add_po(probe)
+        mig.add_po(n)
+        assert mig._is_canonical()
+
+        def transform(new, ctx, node, children):
+            if node == g >> 1:
+                return u  # g's image collides with an operand of n
+            return algebra.try_associativity(new, *children)
+
+        def scan(fanins, first):
+            return sorted({g >> 1, *algebra.associativity_scan(fanins, first)})
+
+        assert n >> 1 not in scan(mig._fanins, mig.num_pis + 1)
+        expected = structure(reference_rebuild(mig, transform))
+        assert structure(rebuild(mig, transform, scan)) == expected
+        assert structure(windowed_rebuild(mig, transform, scan, 2)) == expected
+        assert structure(windowed_rebuild(mig, transform, scan, 1)) != expected
+        # Omega.A fired at n: the reference outputs <z u <y u x>>.
+        out = reference_rebuild(mig, transform)
+        assert out.fanins(out.pos()[1] >> 1) == (u, z, probe)
+
+
+# ----------------------------------------------------------------------
 # Default-preset pin: the scripts' outputs at the harness scale
 # ----------------------------------------------------------------------
 
