@@ -15,16 +15,16 @@ paper's full widths (slow in pure Python).  ``REPRO_BENCH_PARALLEL=N``
 fans the suite evaluation out over N worker processes (results are
 identical to the serial run).  With ``REPRO_CACHE_DIR=<dir>`` the
 session reads through / writes back to the persistent on-disk cache, so
-a warm rerun of the harness deserialises instead of recompiling;
-``REPRO_SIM_BACKEND`` picks the simulation kernel.  All of these resolve
-through ``Session.from_env()``.
+a warm rerun of the harness deserialises instead of recompiling.  All
+of these resolve through ``Session.from_env()``.  The simulation kernel
+is numpy when it is importable, bigint otherwise.
 
 Every benchmark session additionally emits a timing artefact,
 ``benchmarks/output/BENCH_suite.json``: suite wall-clock per evaluation
 stage, per-stage flow timings from the session's observer hooks,
 the experiment cache's counters (memory, disk and remote tiers, in the
-schema of ``ExperimentCache.counters``), the active simulation
-backend, and the backend micro-benchmark numbers recorded by
+schema of ``ExperimentCache.counters``), the simulation kernel in
+use, and the kernel micro-benchmark numbers recorded by
 ``test_simbackend.py`` — the perf trajectory of the harness is tracked
 from these files.  Every ``BENCH_*.json`` carries a ``provenance``
 block (:func:`provenance`) saying which commit, how many CPUs and which
@@ -45,6 +45,7 @@ import warnings
 import pytest
 
 from repro.flow import Session
+from repro.mig.kernel import get_kernel
 
 
 _BENCH_DIR = pathlib.Path(__file__).parent
@@ -89,14 +90,14 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 #: One session per pytest run, shared by every benchmark module; its
 #: cache is persistent across runs when REPRO_CACHE_DIR points at a
-#: root, and its backend follows REPRO_SIM_BACKEND.
+#: root.
 SESSION = Session.from_env(preset=PRESET, parallel=PARALLEL)
 
 #: The session's experiment cache — kept under its historic name for the
 #: ablation modules that drive it directly.
 SESSION_CACHE = SESSION.cache
 
-#: Accumulated BENCH_suite.json content (stage timings, backend
+#: Accumulated BENCH_suite.json content (stage timings, kernel
 #: micro-benchmarks); written out at session finish.
 BENCH_REPORT: dict = {"suite_seconds": {}, "stages": {}}
 
@@ -189,7 +190,7 @@ def pytest_sessionfinish(session):
                 {
                     "provenance": provenance(),
                     "preset": PRESET,
-                    "backend": SESSION.kernel.name,
+                    "backend": get_kernel().name,
                     "kernel": BENCH_REPORT["kernel"],
                     "stages": BENCH_REPORT["stages"],
                     "suite_seconds": BENCH_REPORT["suite_seconds"],
@@ -204,7 +205,7 @@ def pytest_sessionfinish(session):
         "provenance": provenance(),
         "preset": PRESET,
         "parallel": PARALLEL,
-        "backend": SESSION.kernel.name,
+        "backend": get_kernel().name,
         # The session cache's own counters (ExperimentCache.counters),
         # plus its disk root and the counters aggregated over every
         # run_matrix(parallel=N) worker process of the session.

@@ -38,7 +38,7 @@ def describe(label: str, instructions: int, counts) -> None:
 
 def main() -> None:
     bench = "cavlc"
-    # from_env: honours $REPRO_SIM_BACKEND / $REPRO_CACHE_DIR if set
+    # from_env: honours $REPRO_CACHE_DIR if set
     session = Session.from_env(preset="tiny")
     mig = session.cache.benchmark_mig(bench, session.preset)
     print(

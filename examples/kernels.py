@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Simulation kernels: selection and the parity guarantee.
+"""Simulation kernels: the automatic choice and the parity guarantee.
 
 Bit-parallel MIG simulation runs on one of two interchangeable kernels
 (``repro.mig.kernel``): **bigint** — Python integers as simulation
 words, always available, the reference engine; and **numpy** — the
 level-batched ``uint64`` lane engine, which gathers each MIG level's
 operand rows into contiguous 2-D arrays (a handful of large ufunc calls
-per level instead of per-gate dispatch) on the calling thread.  Both
-are bit-identical on every routed operation, so this script sweeps the
-same truth tables across the inventory and diffs them, then shows the
-backend knob at every layer it surfaces: kernel scopes, ``Session``
-arguments, and the ``--backend`` flag whose precedence mirrors
-``$REPRO_SIM_BACKEND``.
+per level instead of per-gate dispatch) on the calling thread.
+
+The engine is not a setting: ``get_kernel()`` returns the numpy kernel
+when numpy is importable and the bigint kernel otherwise.  Both are
+bit-identical on every routed operation, so this script sweeps the same
+truth tables through each installed kernel and diffs them, then runs an
+exhaustive equivalence check the way every pipeline does — through the
+automatic choice.
 
 Run:  python examples/kernels.py
 """
@@ -19,7 +21,6 @@ Run:  python examples/kernels.py
 import os
 import time
 
-from repro.flow import Session
 from repro.mig import kernel
 from repro.mig.simulate import equivalent, truth_tables
 from repro.synth.arithmetic import build_multiplier
@@ -31,9 +32,9 @@ PRESET = os.environ.get("REPRO_EXAMPLE_PRESET", "tiny")
 WIDTH = {"tiny": 5, "paper": 8}.get(PRESET, 7)
 
 
-def _timed_tables(mig):
+def _timed_tables(mig, engine):
     start = time.perf_counter()
-    tables = truth_tables(mig)
+    tables = truth_tables(mig, kernel=engine)
     return tables, time.perf_counter() - start
 
 
@@ -45,40 +46,34 @@ def main() -> None:
         f"2^{mig.num_pis} exhaustive patterns\n"
     )
 
-    print("Kernel inventory (auto prefers the last importable one):")
-    auto = kernel.resolve_backend("auto")
-    for name in kernel.available_backends():
-        marker = "  <- auto" if name == auto.name else ""
-        print(f"  {name}{marker}")
-    print()
+    active = kernel.get_kernel()
+    print(f"get_kernel() picks {active.name!r}: numpy when importable,")
+    print("bigint otherwise.\n")
 
     # -- 1. the parity guarantee: same tables from every kernel --------
-    print("Exhaustive truth tables under each kernel:")
+    # Passing kernel= explicitly is how a caller compares engines; the
+    # pipelines never do, they take the automatic choice.
+    print("Exhaustive truth tables under each installed kernel:")
+    engines = [kernel.BigintKernel()]
+    if kernel.numpy_available():
+        engines.append(active)
     reference = None
-    for name in kernel.available_backends():
-        with kernel.backend_scope(name):
-            tables, seconds = _timed_tables(mig)
+    for engine in engines:
+        tables, seconds = _timed_tables(mig, engine)
         if reference is None:
             reference, verdict = tables, "reference"
         else:
             verdict = (
                 "bit-identical" if tables == reference else "MISMATCH"
             )
-        print(f"  {name:<12} {seconds * 1e3:8.2f} ms   {verdict}")
+        print(f"  {engine.name:<12} {seconds * 1e3:8.2f} ms   {verdict}")
     if not kernel.numpy_available():
         print("numpy not importable: only the bigint kernel is loaded")
     print()
 
-    # -- 2. the same knob through a Session ----------------------------
-    # Flow runs and matrix evaluations enter activated() on their own;
-    # entering it by hand scopes hand-driven kernel APIs the same way.
-    # On the command line the equivalent wiring is
-    #   python -m repro table1 --backend numpy
-    session = Session(preset=PRESET, backend="auto")
-    with session.activated() as active:
-        print(f"Session(backend='auto') activates {active.name!r}")
-        assert equivalent(mig, mig.clone())
-    print("exhaustive equivalence vs a clone inside the session: OK\n")
+    # -- 2. the automatic choice, as every flow and matrix uses it -----
+    assert equivalent(mig, mig.clone())
+    print(f"exhaustive equivalence vs a clone on {active.name!r}: OK\n")
 
     print("A numpy kernel failure at runtime demotes the rest of the")
     print("affected job to the bigint kernel, with identical results.")

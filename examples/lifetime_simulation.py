@@ -43,7 +43,7 @@ def run_until_failure(program, num_inputs: int, seed: int = 1) -> int:
 
 def main() -> None:
     bench = "sin"
-    # from_env: honours $REPRO_SIM_BACKEND / $REPRO_CACHE_DIR if set
+    # from_env: honours $REPRO_CACHE_DIR if set
     session = Session.from_env(preset="tiny")
     mig = session.cache.benchmark_mig(bench, session.preset)
     print(

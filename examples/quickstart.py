@@ -29,7 +29,7 @@ def main() -> None:
           f"{mig.num_pos} outputs, {mig.num_live_gates()} majority nodes)")
     print()
 
-    # One session owns the experiment cache (and the backend/persistence
+    # One session owns the experiment cache (and the persistence
     # knobs); every flow below routes through it, so configurations with
     # a common rewriting script share one rewriting run.
     session = Session()

@@ -45,7 +45,7 @@ The package provides:
   ``run_manifest.json`` provenance sidecars, and the deterministic
   fault-injection harness (``$REPRO_FAULTS``);
 * :mod:`repro.flow` — the Session + pass-pipeline API every harness entry
-  point routes through: :class:`~repro.flow.Session` resolves backend,
+  point routes through: :class:`~repro.flow.Session` resolves knobs,
   cache, parallelism, and preset once; :class:`~repro.flow.Flow` runs the
   source → rewrite → compile → verify pipeline with per-stage caching and
   observer hooks;

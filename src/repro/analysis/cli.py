@@ -32,12 +32,14 @@ benchmark name or a netlist path (``.mig``/``.blif``/``.aag``/
 keyed by content fingerprint.
 
 Every subcommand routes through one :class:`repro.flow.Session` built
-from its arguments.  The knob flags (``--backend``, ``--arch``,
-``--opt``, ``--source``, ``--timeout``, ``--cache-dir``,
-``--cache-url``, ``--retries``) come from one table,
-:data:`repro.flow.options.KNOBS`: each beats its ``$REPRO_*`` variable
-and is validated at startup.  ``--parallel`` fans benchmarks out over
-worker processes and ``--preset`` picks the benchmark widths.
+from its arguments.  The knob flags (``--arch``, ``--opt``,
+``--source``, ``--timeout``, ``--cache-dir``, ``--cache-url``,
+``--retries``) come from one table, :data:`repro.flow.options.KNOBS`:
+each beats its ``$REPRO_*`` variable and is validated at startup.
+``--parallel`` fans benchmarks out over worker processes and
+``--preset`` picks the benchmark widths.  The simulation engine is not
+a flag: numpy when it is importable, bigint otherwise
+(:mod:`repro.mig.kernel`).
 """
 
 from __future__ import annotations
@@ -191,8 +193,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    with session.activated():
-        mig = session.cache.source_mig(source, session.preset)
+    mig = session.cache.source_mig(source, session.preset)
     print(f"{source.name}: {mig.num_pis} PIs, {mig.num_pos} POs, "
           f"{mig.num_live_gates()} gates")
     configs = list(PRESETS.values())

@@ -158,7 +158,7 @@ def full_report(
     Each (benchmark, configuration) pair compiles exactly once — the
     Table I columns and the Table III caps share one evaluation matrix —
     and the rendered artefacts are returned keyed by table name.  Pass a
-    :class:`repro.flow.Session` to reuse its cache/backend/parallelism
+    :class:`repro.flow.Session` to reuse its cache/parallelism
     (its preset wins over the *preset* argument); the remaining keyword
     arguments exist for legacy callers and build a throwaway session.
     """

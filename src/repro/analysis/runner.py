@@ -859,7 +859,7 @@ def _run_benchmark_job(
 
     The worker reconstructs a :class:`repro.flow.Session` from the
     picklable spec shipped by the parent — same disk-cache root, same
-    simulation backend, same machine model and optimizer — so
+    machine model and optimizer — so
     cross-cutting concerns resolve identically on both sides of the
     process boundary.  Returns the built MIG alongside the evaluation
     (so the parent can adopt both into a shared cache), the worker
@@ -883,17 +883,16 @@ def _run_benchmark_job(
             session.timeouts.limit("job"), stage="job", job=job
         ):
             res_faults.worker_entry(job)
-            with session.activated():
-                mig = session.cache.source_mig(source, preset)
-                evaluation = evaluate_mig_cached(
-                    mig,
-                    configs,
-                    cache=session.cache,
-                    verify=verify,
-                    verify_patterns=verify_patterns,
-                    arch=session.architecture,
-                    opt=session.optimizer,
-                )
+            mig = session.cache.source_mig(source, preset)
+            evaluation = evaluate_mig_cached(
+                mig,
+                configs,
+                cache=session.cache,
+                verify=verify,
+                verify_patterns=verify_patterns,
+                arch=session.architecture,
+                opt=session.optimizer,
+            )
     return mig, evaluation, session.cache.counters(), list(log)
 
 
@@ -906,7 +905,7 @@ def _worker_spec(
 ):
     """The :class:`repro.flow.SessionSpec` worker processes rebuild from.
 
-    Prefers the dispatching session's own spec (backend + cache root),
+    Prefers the dispatching session's own spec (knobs + cache root),
     pinned to the *resolved* architecture and optimizer the matrix is
     targeting — an explicit ``run_matrix(arch=...)``/``opt=...``
     override must reach the workers even when the session prefers
@@ -1205,7 +1204,7 @@ def run_matrix(
         on-disk root.
     session:
         The :class:`repro.flow.Session` driving this matrix, if any —
-        supplies the spec (backend + cache root) workers are rebuilt
+        supplies the spec (knobs + cache root) workers are rebuilt
         from.  Prefer calling :meth:`repro.flow.Session.run_matrix`,
         which fills *cache*, *parallel*, *preset*, and *session* in one
         go.

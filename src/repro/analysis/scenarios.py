@@ -122,7 +122,7 @@ def evaluate_scenarios(
     :class:`~repro.core.manager.EnduranceConfig` objects; yields
     ``(label, FlowResult)`` pairs in order.  The CLI ``fig1``/``fig2``
     subcommands and the figure examples route through this helper so
-    scenario compilations share the session's cache and backend like
+    scenario compilations share the session's cache and machine model like
     every other pipeline.
     """
     from ..flow import Flow, Session  # deferred: flow imports analysis
@@ -398,24 +398,23 @@ def optimizer_objective_study(
     preset = preset or session.preset
     optimizer = Optimizer(opt, session.architecture)
     rows: List[ObjectiveStudyRow] = []
-    with session.activated():
-        for name in names:
-            mig = session.cache.benchmark_mig(name, preset)
-            graph_id = mig_key(mig)
-            scripted = session.cache.rewritten(
-                mig, baseline, effort, key=graph_id
+    for name in names:
+        mig = session.cache.benchmark_mig(name, preset)
+        graph_id = mig_key(mig)
+        scripted = session.cache.rewritten(
+            mig, baseline, effort, key=graph_id
+        )
+        optimized = session.cache.rewritten(
+            mig, baseline, effort, key=graph_id, optimizer=optimizer
+        )
+        rows.append(
+            ObjectiveStudyRow(
+                benchmark=name,
+                raw=optimizer.score(mig),
+                script=optimizer.score(scripted),
+                optimized=optimizer.score(optimized),
             )
-            optimized = session.cache.rewritten(
-                mig, baseline, effort, key=graph_id, optimizer=optimizer
-            )
-            rows.append(
-                ObjectiveStudyRow(
-                    benchmark=name,
-                    raw=optimizer.score(mig),
-                    script=optimizer.score(scripted),
-                    optimized=optimizer.score(optimized),
-                )
-            )
+        )
     return rows
 
 

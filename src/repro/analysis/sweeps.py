@@ -54,7 +54,7 @@ def sweep_widths(
     *builder* maps an integer size parameter to a MIG (any of the
     arithmetic generators fits directly).  Every point runs as a
     :class:`repro.flow.Flow` through one session (pass *session* to
-    share its cache/backend; the legacy *cache* argument wraps the cache
+    share its cache; the legacy *cache* argument wraps the cache
     in a throwaway session), so configurations with a common rewriting
     script rewrite each width only once.
     """

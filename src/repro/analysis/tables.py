@@ -57,27 +57,20 @@ def evaluate_mig(
     With ``verify=True`` every compiled program is co-simulated against
     the MIG — a failed check raises, keeping bogus statistics out of the
     tables.  Passing a shared *cache* (or a :class:`repro.flow.Session`,
-    whose cache and backend are adopted) deduplicates work across calls.
+    whose cache and machine model are adopted) deduplicates work across calls.
     """
     jobs = resolve_configs(
         configs if configs is not None else TABLE1_CONFIGS, caps, effort
     )
-    if session is not None:
-        with session.activated():
-            return evaluate_mig_cached(
-                mig,
-                jobs,
-                cache=cache if cache is not None else session.cache,
-                verify=verify,
-                verify_patterns=verify_patterns,
-                arch=session.architecture,
-            )
+    if session is not None and cache is None:
+        cache = session.cache
     return evaluate_mig_cached(
         mig,
         jobs,
         cache=cache,
         verify=verify,
         verify_patterns=verify_patterns,
+        arch=session.architecture if session is not None else None,
     )
 
 

@@ -4,8 +4,8 @@ This package is the stable seam between *what* the reproduction computes
 (:mod:`repro.core`, :mod:`repro.plim`, :mod:`repro.mig`) and *how* a run
 is provisioned:
 
-* :class:`Session` owns the cross-cutting concerns — simulation-kernel
-  backend, persistent experiment cache, parallelism, benchmark width
+* :class:`Session` owns the cross-cutting concerns — target machine,
+  optimizer, persistent experiment cache, parallelism, benchmark width
   preset — resolved once per run (explicitly, from the environment, or
   from CLI arguments) instead of per entry point.
 * :class:`Flow` declares the paper's pipeline (source → rewrite →
@@ -19,7 +19,7 @@ layer.
 """
 
 from ..analysis.diskcache import resolve_cache_dir
-from .session import BACKEND_CHOICES, PRESET_CHOICES, Session, SessionSpec
+from .session import PRESET_CHOICES, Session, SessionSpec
 from .pipeline import (
     STAGES,
     Flow,
@@ -29,7 +29,6 @@ from .pipeline import (
 )
 
 __all__ = [
-    "BACKEND_CHOICES",
     "Flow",
     "FlowResult",
     "PRESET_CHOICES",

@@ -17,7 +17,6 @@ from .._env import env_value
 from ..analysis.diskcache import CACHE_ENV_VAR
 from ..arch import ARCH_ENV_VAR, available_architectures, get_architecture
 from ..cachesvc.client import CACHE_URL_ENV_VAR
-from ..mig.kernel import BACKEND_ENV_VAR, BACKENDS, resolve_backend
 from ..opt import OPT_ENV_VAR, OptimizerSpec
 from ..resilience import DEFAULT_POLICY, RETRY_ENV_VAR, TIMEOUT_ENV_VAR
 from ..resilience import Timeouts, resolve_retry
@@ -77,11 +76,6 @@ def _validated(check: Callable[[str], object]) -> Callable[[str], str]:
 
 #: The knobs, in ``--help`` order.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
-    Knob(
-        "backend", "--backend", BACKEND_ENV_VAR, _validated(resolve_backend),
-        "backend", "simulation-kernel backend", "auto-detection",
-        choices=lambda: list(BACKENDS),
-    ),
     Knob(
         "arch", "--arch", ARCH_ENV_VAR,
         lambda value: get_architecture(value).name,

@@ -41,6 +41,7 @@ from ..core.manager import CompilationResult, EnduranceConfig, PRESETS
 from ..core.stats import WriteTrafficStats
 from ..opt import DEFAULT_EFFORT, OptimizerSpec
 from ..mig.graph import Mig
+from ..mig.kernel import degradation_scope
 from ..plim.isa import Program
 from ..resilience import time_limit
 from ..source import MigSource, Source, SourceLike, resolve_source
@@ -335,7 +336,9 @@ class Flow:
             self._emit_end(event.finished(seconds=seconds, cached=cached))
             return value
 
-        with self.session.activated():
+        # One degradation scope per run, tagged with its job: a numpy
+        # failure demotes the rest of the run and lands in its manifest.
+        with degradation_scope(source.name):
             # source: build (or fetch) the graph under evaluation —
             # registry benchmarks through their classic (name, preset)
             # keys, external sources under their content fingerprints

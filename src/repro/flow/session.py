@@ -1,11 +1,11 @@
 """The :class:`Session`: one object owning every cross-cutting concern.
 
-A run is provisioned by a handful of knobs: the simulation-kernel
-backend, the target PLiM machine model (:mod:`repro.arch`), the
-rewriting optimizer (:mod:`repro.opt`), the default circuit source
-(:mod:`repro.source`), per-stage wall-clock budgets, the persistent
-cache directory and the shared cache server (:mod:`repro.cachesvc`) —
-plus the worker-process count and the benchmark width preset.  A
+A run is provisioned by a handful of knobs: the target PLiM machine
+model (:mod:`repro.arch`), the rewriting optimizer (:mod:`repro.opt`),
+the default circuit source (:mod:`repro.source`), per-stage wall-clock
+budgets, the persistent cache directory and the shared cache server
+(:mod:`repro.cachesvc`) — plus the worker-process count and the
+benchmark width preset.  A
 :class:`Session` resolves them once and everything downstream —
 :class:`repro.flow.Flow` pipelines, matrix evaluations, report
 generation — routes through it.
@@ -15,7 +15,7 @@ environment variable, validation and help text per row.
 
 Construction
 ------------
-* ``Session(backend=..., cache_dir=..., arch=..., ...)`` — explicit
+* ``Session(cache_dir=..., arch=..., ...)`` — explicit
   values are validated now; ``None`` means "no override": the ambient
   ``$REPRO_*`` selection applies at use time (serial, default widths).
 * :meth:`Session.from_args` — from an ``argparse`` namespace: every
@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, List, Optional, Sequence
 
 from ..arch import Architecture, resolve_architecture
 from ..opt import DEFAULT_EFFORT, OptimizerSpec, resolve_optimizer
-from ..mig.kernel import BACKENDS, backend_scope, get_kernel, resolve_backend
 from ..resilience import Timeouts, resolve_timeouts
 from ..source import Source, SourceLike, resolve_source, source_from_env
 from ..analysis.diskcache import DiskCache
@@ -57,17 +55,14 @@ from .options import SESSION_KNOBS
 #: Benchmark width presets understood by the synthesis registry.
 PRESET_CHOICES: List[str] = ["tiny", "default", "paper"]
 
-#: Simulation backends selectable per session (see repro.mig.kernel).
-BACKEND_CHOICES: List[str] = list(BACKENDS)
-
 
 @dataclass(frozen=True)
 class SessionSpec:
     """Picklable capture of a session's resolved knobs.
 
-    Worker processes cannot inherit live caches or kernel overrides, so
-    :func:`repro.analysis.runner.run_matrix` ships this spec instead and
-    each worker rebuilds an equivalent :class:`Session` from it.  One
+    Worker processes cannot inherit live caches, so
+    :func:`repro.analysis.runner.run_matrix` ships this spec instead
+    and each worker rebuilds an equivalent :class:`Session` from it.  One
     field per session knob of :data:`~repro.flow.options.KNOBS`, holding
     its canonical string; ``None`` defers to the worker's ambient
     ``$REPRO_*`` selection, which matches the parent's.  ``parallel`` is
@@ -77,7 +72,6 @@ class SessionSpec:
     ship as ``None``.
     """
 
-    backend: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_url: Optional[str] = None
     preset: str = "default"
@@ -88,7 +82,7 @@ class SessionSpec:
 
 
 class Session:
-    """Owns backend, experiment cache, parallelism, and width preset.
+    """Owns the knobs, experiment cache, parallelism, and width preset.
 
     The session's :attr:`cache` is a single
     :class:`~repro.analysis.runner.ExperimentCache` shared by every flow
@@ -103,7 +97,6 @@ class Session:
     def __init__(
         self,
         *,
-        backend: Optional[str] = None,
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_url: Optional[str] = None,
         parallel: Optional[int] = None,
@@ -114,9 +107,6 @@ class Session:
         source: SourceLike = None,
         timeouts: "str | float | Timeouts | None" = None,
     ) -> None:
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on unknown/unavailable
-        self.backend = backend
         self.parallel = parallel
         self.preset = preset
         # Per-stage wall-clock budgets: explicit > $REPRO_TIMEOUT > none
@@ -180,7 +170,6 @@ class Session:
         # The canonical string of every session knob (the KNOBS rows):
         # what spec() ships to worker processes.
         self._spec = dict(
-            backend=self.backend,
             arch=self.arch,
             source=source_spec,
             opt=self.opt,
@@ -229,7 +218,6 @@ class Session:
         preset: bool = True,
         parallel: bool = True,
         cache: bool = True,
-        backend: bool = True,
         arch: bool = True,
         opt: bool = True,
         source: bool = False,
@@ -242,8 +230,7 @@ class Session:
         affect them.
         """
         switches = dict(
-            cache=cache, backend=backend, arch=arch, opt=opt, source=source,
-            timeout=timeout,
+            cache=cache, arch=arch, opt=opt, source=source, timeout=timeout,
         )
         if preset:
             parser.add_argument(
@@ -278,15 +265,6 @@ class Session:
             **{knob.name: getattr(spec, knob.name) for knob in SESSION_KNOBS},
         )
 
-    # -- backend -------------------------------------------------------
-
-    @property
-    def kernel(self):
-        """The simulation kernel this session resolves to."""
-        if self.backend is not None:
-            return resolve_backend(self.backend)
-        return get_kernel()
-
     # -- architecture --------------------------------------------------
 
     @property
@@ -295,7 +273,7 @@ class Session:
 
         An explicit ``Session(arch=...)`` wins; otherwise the ambient
         selection (``$REPRO_ARCH``, else the default ``endurance``
-        machine) applies at access time, mirroring :attr:`kernel`.
+        machine) applies at access time.
         """
         if self._architecture is not None:
             return self._architecture
@@ -331,20 +309,6 @@ class Session:
     def disk(self) -> Optional[DiskCache]:
         """The attached persistent cache, if any."""
         return self.cache.disk
-
-    @contextmanager
-    def activated(self):
-        """Context manager installing this session's simulation overrides.
-
-        Enters the backend scope; a ``None`` backend is a no-op scope
-        (ambient selection applies), and the previous override is
-        restored on exit, so sessions nest.  Flow runs and matrix
-        evaluations enter this scope themselves — call it directly only
-        when driving kernel-level APIs by hand.  Yields the active
-        kernel.
-        """
-        with backend_scope(self.backend) as kernel:
-            yield kernel
 
     # -- observers -------------------------------------------------------
 
@@ -411,19 +375,18 @@ class Session:
         )
         self.emit("on_stage_start", event)
         start = time.perf_counter()
-        with self.activated():
-            evaluations = _run_matrix(
-                names,
-                configs,
-                preset=self.preset,
-                caps=caps,
-                effort=effort,
-                verify=verify,
-                verify_patterns=verify_patterns,
-                parallel=parallel if parallel is not None else self.parallel,
-                cache=self.cache,
-                session=self,
-            )
+        evaluations = _run_matrix(
+            names,
+            configs,
+            preset=self.preset,
+            caps=caps,
+            effort=effort,
+            verify=verify,
+            verify_patterns=verify_patterns,
+            parallel=parallel if parallel is not None else self.parallel,
+            cache=self.cache,
+            session=self,
+        )
         self.emit(
             "on_stage_end",
             event.finished(seconds=time.perf_counter() - start, cached=False),

@@ -28,22 +28,21 @@ backend-parity tests assert over random graphs and the full registry.
 
 Selection
 ---------
-:func:`get_kernel` resolves the active kernel: an explicit
-:func:`set_backend` override wins, then the ``REPRO_SIM_BACKEND``
-environment variable (one of :data:`BACKENDS`), then auto-detection
-(numpy when importable, bigint otherwise).  Requesting numpy without
-numpy installed fails loudly rather than silently degrading.
+The engine is not a user choice: :func:`get_kernel` returns the numpy
+kernel when numpy is importable and the bigint kernel otherwise.  The
+numpy kernel itself hands pattern windows no wider than one 64-bit lane
+to the bigint engine, where a Python-int operation beats numpy dispatch.
 
 Degradation
 -----------
-Selection failures are loud, but *runtime* failures inside the numpy
-engine degrade gracefully: both kernels are bit-identical, so a fault
-mid-job is recoverable by recomputing on the reference engine
-(**numpy → bigint**).  Every numpy dispatch is guarded — on failure the
-call falls back to bigint, a ``kernel_degraded`` event is recorded
-(:mod:`repro.resilience.events`, surfaced in run manifests), and inside
-a :func:`degradation_scope` the demotion is *sticky* for the rest of
-the job, so a faulting engine is not re-tried call by call.
+Runtime failures inside the numpy engine degrade gracefully: both
+kernels are bit-identical, so a fault mid-job is recoverable by
+recomputing on the reference engine (**numpy → bigint**).  Every numpy
+dispatch is guarded — on failure the call falls back to bigint, a
+``kernel_degraded`` event is recorded (:mod:`repro.resilience.events`,
+surfaced in run manifests), and inside a :func:`degradation_scope` the
+demotion is *sticky* for the rest of the job, so a faulting engine is
+not re-tried call by call.
 """
 
 from __future__ import annotations
@@ -54,17 +53,9 @@ from contextlib import contextmanager
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
-from .._env import env_value
 from ..resilience import events as _res_events
 from ..resilience import faults as _res_faults
 from .graph import Mig
-
-#: Environment variable naming the simulation backend.
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: Every accepted backend name: the ``$REPRO_SIM_BACKEND`` values, the
-#: :func:`set_backend` arguments and the ``--backend`` choices.
-BACKENDS = ("auto", "bigint", "numpy")
 
 try:  # numpy is optional: the bigint kernel needs nothing beyond CPython
     import numpy as _np
@@ -147,8 +138,10 @@ def degradation_scope(job: Optional[str] = None):
     *job*); the demotion ends with the scope, so the next job tries the
     numpy engine again.  Outside any scope failures still fall back, but
     per call.  The job runner enters one scope per (benchmark,
-    configurations) job — in worker processes and the serial path alike.  Yields the frame dict (``{"job": ...,
-    "demoted": set-of-engine-names}``) so tests can observe demotion.
+    configurations) job — in worker processes and the serial path alike
+    — and :meth:`repro.flow.Flow.run` one per run.  Yields the frame
+    dict (``{"job": ..., "demoted": set-of-engine-names}``) so tests can
+    observe demotion.
     """
     stack = getattr(_DEGRADE, "stack", None)
     if stack is None:
@@ -709,104 +702,18 @@ class NumpyBatchKernel(NumpyKernel):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Selection
 # ----------------------------------------------------------------------
 
 _BIGINT = BigintKernel()
 _NUMPY = NumpyKernel() if _np is not None else None
 
-#: Explicit override installed by :func:`set_backend`; beats the
-#: environment variable.
-_OVERRIDE: Optional[object] = None
-
-#: Per-thread stack of :func:`backend_scope` overrides; beats everything.
-#: Thread-local so concurrent sessions cannot clobber each other's
-#: backend, and a stack so scopes nest and unwind correctly.
-_SCOPE = threading.local()
-
 
 def numpy_available() -> bool:
-    """Whether the numpy backend can be used in this process."""
+    """Whether the numpy engine can be used in this process."""
     return _NUMPY is not None
 
 
-def available_backends() -> List[str]:
-    """Names of the kernels importable in this process."""
-    return [
-        name for name in BACKENDS
-        if name == _BIGINT.name or (name == "numpy" and _NUMPY is not None)
-    ]
-
-
-def _resolve(name: str):
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {name!r}; "
-            f"choose one of: {', '.join(BACKENDS)}"
-        )
-    if name == "bigint" or (name == "auto" and _NUMPY is None):
-        return _BIGINT
-    if _NUMPY is None:
-        raise ImportError(
-            f"{BACKEND_ENV_VAR}/set_backend requested the {name!r} "
-            "simulation backend but numpy is not importable; install "
-            "numpy or select the 'bigint' backend"
-        )
-    return _NUMPY
-
-
-def resolve_backend(name: str):
-    """Resolve a backend *name* to its kernel without installing it.
-
-    Validates availability the same way :func:`set_backend` does —
-    requesting a numpy engine without numpy raises ``ImportError``, an
-    unknown name raises ``ValueError`` — so callers (e.g.
-    :class:`repro.flow.Session`) can fail fast at construction time.
-    """
-    return _resolve(name)
-
-
-@contextmanager
-def backend_scope(name: Optional[str]):
-    """Temporarily install *name* as the backend override.
-
-    ``None`` is a no-op scope: the ambient selection (an existing
-    override, then ``$REPRO_SIM_BACKEND``, then auto-detection) stays in
-    effect.  The override lives on a thread-local stack, so scopes nest
-    and concurrent sessions on different threads cannot clobber each
-    other (threads spawned *inside* a scope start unscoped).  Yields the
-    kernel active inside the scope.
-    """
-    if name is None:
-        yield get_kernel()
-        return
-    kernel = _resolve(name)
-    stack = getattr(_SCOPE, "stack", None)
-    if stack is None:
-        stack = _SCOPE.stack = []
-    stack.append(kernel)
-    try:
-        yield kernel
-    finally:
-        stack.pop()
-
-
-def set_backend(name: Optional[str]):
-    """Install an explicit backend override (``None`` removes it).
-
-    Returns the now-active kernel.  Mostly for tests and embedding code;
-    command-line users set ``REPRO_SIM_BACKEND`` instead.
-    """
-    global _OVERRIDE
-    _OVERRIDE = _resolve(name) if name is not None else None
-    return get_kernel()
-
-
 def get_kernel():
-    """The active simulation kernel (scope > override > environment > auto)."""
-    stack = getattr(_SCOPE, "stack", None)
-    if stack:
-        return stack[-1]
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return _resolve(env_value(BACKEND_ENV_VAR) or "auto")
+    """The simulation kernel: numpy when importable, bigint otherwise."""
+    return _NUMPY if _NUMPY is not None else _BIGINT

@@ -83,7 +83,7 @@ def simulate(
         All-ones mask covering the pattern width (e.g. ``(1 << 64) - 1``
         for 64 parallel patterns).
     kernel:
-        Simulation kernel override; defaults to the active backend
+        Simulation kernel override; defaults to the process-wide engine
         (:func:`repro.mig.kernel.get_kernel`).
 
     Returns

@@ -13,7 +13,7 @@ from .memory import (
     estimate_lifetime,
 )
 from .startgap import StartGapArray, run_with_start_gap
-from .verify import VerificationError, cross_check_truth_tables, verify_program
+from .verify import VerificationError, verify_program
 
 __all__ = [
     "CYCLES_PER_INSTRUCTION",
@@ -34,7 +34,6 @@ __all__ = [
     "TYPICAL_ENDURANCE_LOW",
     "VerificationError",
     "const_operand",
-    "cross_check_truth_tables",
     "estimate_lifetime",
     "execute",
     "format_operand",

@@ -10,14 +10,12 @@ program would be meaningless.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..mig.graph import Mig
 from ..mig.simulate import (
     exhaustive_words,
     randomized_rounds,
     simulate,
-    truth_tables,
 )
 from ..resilience.timeouts import checkpoint
 from .controller import PlimController
@@ -84,17 +82,3 @@ def verify_program(
             return False
     return True
 
-
-def cross_check_truth_tables(program: Program, mig: Mig) -> Optional[int]:
-    """Exhaustive comparison helper for tiny functions; returns the first
-    differing output index or ``None`` when equivalent."""
-    tables = truth_tables(mig)
-    width = 1 << mig.num_pis
-    mask = (1 << width) - 1
-    words = exhaustive_words(mig.num_pis, width)
-    array = RramArray(program.num_cells)
-    got = PlimController(array).run(program, words, mask=mask)
-    for idx, (table, word) in enumerate(zip(tables, got)):
-        if table != word:
-            return idx
-    return None

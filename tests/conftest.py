@@ -7,8 +7,16 @@ import socket
 
 import pytest
 
+from repro.mig import kernel
 from repro.mig.graph import Mig
 from repro.mig.signal import complement
+
+#: The numpy engine as installed (``None`` without numpy); tests that
+#: hide it from the kernel module put it back through :func:`use_engine`.
+_NUMPY_ENGINE = kernel._NUMPY
+
+#: The engines this interpreter runs: bigint always, numpy if installed.
+ENGINES = ("bigint", "numpy") if _NUMPY_ENGINE is not None else ("bigint",)
 
 
 def make_random_mig(
@@ -72,6 +80,28 @@ def raw_status(server, method: str, path: str, content_length: str) -> int:
         while chunk := sock.recv(65536):
             response += chunk
     return int(response.split(b" ", 2)[1])
+
+
+def use_engine(monkeypatch, name: str):
+    """Point :func:`repro.mig.kernel.get_kernel` at the *name* engine for
+    the rest of the test and return that kernel.
+
+    ``bigint`` hides numpy from :mod:`repro.mig.kernel`, as on a
+    CPython-only platform; ``numpy`` skips the test where numpy is not
+    installed.
+    """
+    if name == "numpy" and _NUMPY_ENGINE is None:
+        pytest.skip("numpy not installed")
+    monkeypatch.setattr(
+        kernel, "_NUMPY", _NUMPY_ENGINE if name == "numpy" else None
+    )
+    return kernel.get_kernel()
+
+
+@pytest.fixture(params=["bigint", "numpy"])
+def engine(request, monkeypatch):
+    """Run the test once per simulation engine; yields its kernel."""
+    return use_engine(monkeypatch, request.param)
 
 
 @pytest.fixture

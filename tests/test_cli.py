@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.cli import build_parser, main
+from .conftest import use_engine
 
 
 class TestParser:
@@ -92,42 +93,16 @@ class TestCommands:
 
 
 class TestBackendOption:
-    def test_suite_subcommands_accept_backend(self, capsys):
-        for cmd in ("table1", "table2", "table3", "headline", "report"):
-            args = build_parser().parse_args(
-                [cmd, "--preset", "tiny", "--backend", "bigint"]
-            )
-            assert args.backend == "bigint"
-        assert main([
-            "table1", "--preset", "tiny", "--benchmarks", "dec",
-            "--no-verify", "--backend", "bigint",
-        ]) == 0
-        assert "TABLE I" in capsys.readouterr().out
+    """The simulation engine never changes an artefact."""
 
-    def test_bench_accepts_backend(self, capsys):
-        assert main([
-            "bench", "dec", "--preset", "tiny", "--backend", "bigint",
-        ]) == 0
-        assert "naive" in capsys.readouterr().out
-
-    def test_fig_commands_accept_backend(self, capsys):
-        assert main(["fig1", "--backend", "bigint"]) == 0
-        capsys.readouterr()
-        assert main(["fig2", "--backend", "bigint"]) == 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["table1", "--backend", "quantum"]
-            )
-
-    def test_backend_does_not_change_artifacts(self, capsys):
-        """bigint is the reference engine; pinning it must not change
-        any table (verification runs through the selected kernel)."""
+    def test_backend_does_not_change_artifacts(self, capsys, monkeypatch):
+        """bigint is the reference engine; running on it must not change
+        any table (verification runs through the process's kernel)."""
         argv = ["table1", "--preset", "tiny", "--benchmarks", "dec"]
         assert main(argv) == 0
         ambient = capsys.readouterr().out
-        assert main(argv + ["--backend", "bigint"]) == 0
+        use_engine(monkeypatch, "bigint")
+        assert main(argv) == 0
         assert capsys.readouterr().out == ambient
 
 
@@ -481,7 +456,6 @@ CLI_SURFACE = {
     'arch': {},
     'arch list': {},
     'archsweep': {'--archs': (None, ['dac16', 'endurance', 'blocked'], 'ARCH'),
-                  '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                   '--cache-dir': (None, None, 'DIR'),
                   '--cache-url': (None, None, 'URL'),
                   '--configs': (['naive', 'ea-full'], None, 'CONFIG'),
@@ -491,7 +465,6 @@ CLI_SURFACE = {
                   '--timeout': (None, None, 'SPEC'),
                   'name': (None, None, 'NAME_OR_PATH')},
     'bench': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-              '--backend': (None, ['auto', 'bigint', 'numpy'], None),
               '--cache-dir': (None, None, 'DIR'),
               '--cache-url': (None, None, 'URL'),
               '--opt': (None, None, 'SPEC'),
@@ -514,15 +487,12 @@ CLI_SURFACE = {
                        '-v/--verbose': (False, None, None)},
     'cachesvc stats': {'--json': (False, None, None), '--url': (None, None, 'URL')},
     'fig1': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-             '--backend': (None, ['auto', 'bigint', 'numpy'], None),
              '--opt': (None, None, 'SPEC'),
              '--timeout': (None, None, 'SPEC')},
     'fig2': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-             '--backend': (None, ['auto', 'bigint', 'numpy'], None),
              '--opt': (None, None, 'SPEC'),
              '--timeout': (None, None, 'SPEC')},
     'headline': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-                 '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                  '--benchmarks': (None, None, 'NAME_OR_PATH'),
                  '--cache-dir': (None, None, 'DIR'),
                  '--cache-url': (None, None, 'URL'),
@@ -543,7 +513,6 @@ CLI_SURFACE = {
     'opt': {},
     'opt list': {},
     'optsweep': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-                 '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                  '--cache-dir': (None, None, 'DIR'),
                  '--cache-url': (None, None, 'URL'),
                  '--configs': (['ea-full'], None, 'CONFIG'),
@@ -553,7 +522,6 @@ CLI_SURFACE = {
                  '--timeout': (None, None, 'SPEC'),
                  'name': (None, None, 'NAME_OR_PATH')},
     'report': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                '--benchmarks': (None, None, 'NAME_OR_PATH'),
                '--cache-dir': (None, None, 'DIR'),
                '--cache-url': (None, None, 'URL'),
@@ -566,7 +534,6 @@ CLI_SURFACE = {
     'serve': {'--allow-frontend': (False, None, None),
               '--allow-shutdown': (False, None, None),
               '--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-              '--backend': (None, ['auto', 'bigint', 'numpy'], None),
               '--cache-dir': (None, None, 'DIR'),
               '--cache-url': (None, None, 'URL'),
               '--host': ('127.0.0.1', None, None),
@@ -581,8 +548,7 @@ CLI_SURFACE = {
     'source': {},
     'source list': {},
     'sourcesweep': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-                    '--backend': (None, ['auto', 'bigint', 'numpy'], None),
-                    '--cache-dir': (None, None, 'DIR'),
+                      '--cache-dir': (None, None, 'DIR'),
                     '--cache-url': (None, None, 'URL'),
                     '--configs': (['naive', 'ea-full'], None, 'CONFIG'),
                     '--no-verify': (False, None, None),
@@ -591,7 +557,6 @@ CLI_SURFACE = {
                     '--timeout': (None, None, 'SPEC'),
                     'sources': (None, None, 'NAME_OR_PATH')},
     'table1': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                '--benchmarks': (None, None, 'NAME_OR_PATH'),
                '--cache-dir': (None, None, 'DIR'),
                '--cache-url': (None, None, 'URL'),
@@ -602,7 +567,6 @@ CLI_SURFACE = {
                '--preset': ('default', ['tiny', 'default', 'paper'], None),
                '--timeout': (None, None, 'SPEC')},
     'table2': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                '--benchmarks': (None, None, 'NAME_OR_PATH'),
                '--cache-dir': (None, None, 'DIR'),
                '--cache-url': (None, None, 'URL'),
@@ -613,7 +577,6 @@ CLI_SURFACE = {
                '--preset': ('default', ['tiny', 'default', 'paper'], None),
                '--timeout': (None, None, 'SPEC')},
     'table3': {'--arch': (None, ['dac16', 'endurance', 'blocked'], None),
-               '--backend': (None, ['auto', 'bigint', 'numpy'], None),
                '--benchmarks': (None, None, 'NAME_OR_PATH'),
                '--cache-dir': (None, None, 'DIR'),
                '--cache-url': (None, None, 'URL'),

@@ -12,7 +12,6 @@ from repro.core.manager import (
     full_management,
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
-from repro.mig.kernel import get_kernel, resolve_backend, set_backend
 
 SUBSET = ["adder", "dec"]
 
@@ -20,7 +19,6 @@ SUBSET = ["adder", "dec"]
 class TestSessionConstruction:
     def test_defaults(self):
         session = Session()
-        assert session.backend is None
         assert session.cache_dir is None
         assert session.parallel is None
         assert session.preset == "default"
@@ -39,36 +37,24 @@ class TestSessionConstruction:
         assert session.cache_dir is None  # adopted cache has no disk
 
     def test_unknown_backend_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            Session(backend="tpu")
-
-    def test_kernel_resolution(self):
-        assert Session(backend="bigint").kernel.name == "bigint"
-        assert Session().kernel is get_kernel()
+        # the simulation engine is not a session knob
+        with pytest.raises(TypeError, match="backend"):
+            Session(backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            SessionSpec(backend="numpy")
 
 
 class TestSessionEnvPrecedence:
-    def test_from_env_reads_cache_and_backend(self, tmp_path, monkeypatch):
+    def test_from_env_reads_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envroot"))
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "bigint")
         session = Session.from_env(preset="tiny")
         assert session.cache_dir == str(tmp_path / "envroot")
-        assert session.backend == "bigint"
         assert session.preset == "tiny"
 
     def test_from_env_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         session = Session.from_env()
-        assert session.cache_dir is None and session.backend is None
-
-    def test_whitespace_backend_env_agrees_everywhere(self, monkeypatch):
-        """The session and the ambient kernel read $REPRO_SIM_BACKEND
-        through one reader: surrounding whitespace is not the value."""
-        monkeypatch.setenv("REPRO_SIM_BACKEND", " bigint ")
-        assert Session.from_env().backend == "bigint"
-        assert Session().kernel.name == "bigint"
-        assert get_kernel().name == "bigint"
+        assert session.cache_dir is None
 
     def test_from_args_flag_beats_env(self, tmp_path, monkeypatch):
         import argparse
@@ -91,54 +77,17 @@ class TestSessionEnvPrecedence:
 
     def test_spec_round_trip_pickles(self, tmp_path):
         session = Session(
-            backend="bigint", cache_dir=tmp_path, parallel=4, preset="tiny"
+            arch="blocked", cache_dir=tmp_path, parallel=4, preset="tiny"
         )
         spec = pickle.loads(pickle.dumps(session.spec()))
         assert spec == SessionSpec(
-            backend="bigint", cache_dir=str(tmp_path), preset="tiny"
+            arch="blocked", cache_dir=str(tmp_path), preset="tiny"
         )
         rebuilt = Session.from_spec(spec)
-        assert rebuilt.backend == "bigint"
+        assert rebuilt.arch == "blocked"
         assert rebuilt.preset == "tiny"
         assert str(rebuilt.disk.root) == str(tmp_path)
         assert rebuilt.parallel is None  # workers never fan out again
-
-    def test_activated_scope_restores_override(self):
-        assert set_backend(None).name  # clear any leftover override
-        ambient = get_kernel()
-        with Session(backend="bigint").activated() as kernel:
-            assert kernel.name == "bigint"
-            assert get_kernel().name == "bigint"
-        assert get_kernel() is ambient
-
-    def test_activated_scopes_are_thread_local(self):
-        """Concurrent sessions must not clobber each other's backend,
-        and no override may leak once every scope has exited."""
-        import threading
-
-        assert set_backend(None).name
-        ambient = get_kernel()
-        barrier = threading.Barrier(2)
-        observed = {}
-
-        def run(name, backend):
-            with Session(backend=backend).activated():
-                barrier.wait(timeout=10)  # both scopes active at once
-                observed[name] = get_kernel().name
-                barrier.wait(timeout=10)
-
-        threads = [
-            threading.Thread(target=run, args=("a", "bigint")),
-            threading.Thread(target=run, args=("b", "auto")),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert observed["a"] == "bigint"
-        # an explicit "auto" autodetects; it ignores $REPRO_SIM_BACKEND
-        assert observed["b"] == resolve_backend("auto").name
-        assert get_kernel() is ambient  # nothing leaked
 
 
 class TestFlowStages:
@@ -316,7 +265,7 @@ class TestMatrixThroughSession:
         """Workers rebuilt from the session spec produce bit-identical
         results to the serial path."""
         serial = Session(preset="tiny")
-        fanned = Session(preset="tiny", parallel=2, backend="bigint")
+        fanned = Session(preset="tiny", parallel=2)
         a = serial.run_matrix(SUBSET, ["naive", "ea-full"])
         b = fanned.run_matrix(SUBSET, ["naive", "ea-full"])
         for x, y in zip(a, b):

@@ -2,7 +2,7 @@
 
 The central property: for every decorated function, the compiled MIG
 agrees with the plain Python call on *every* input combination, on both
-simulation backends.
+simulation engines.
 """
 
 import pickle
@@ -10,22 +10,12 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mig import kernel
 from repro.mig.simulate import simulate_one
 from repro.synth.frontend import (
     FrontendError,
     FrontendFunction,
     mig_function,
 )
-
-
-@pytest.fixture(params=["bigint", "numpy"])
-def backend(request):
-    if request.param not in kernel.available_backends():
-        pytest.skip(f"{request.param} backend unavailable")
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(None)
 
 
 def circuit_eval(ff: FrontendFunction, *args: int):
@@ -63,14 +53,14 @@ def assert_matches_python(ff: FrontendFunction, *arg_ranges):
 
 
 class TestArithmetic:
-    def test_adder_exhaustive(self, backend):
+    def test_adder_exhaustive(self, engine):
         @mig_function(width=4)
         def add(a, b):
             return a + b
 
         assert_matches_python(add, range(16), range(16))
 
-    def test_subtraction_wraps(self, backend):
+    def test_subtraction_wraps(self, engine):
         @mig_function(width=3)
         def sub(a, b):
             return a - b
@@ -78,21 +68,21 @@ class TestArithmetic:
         # two's-complement wrap at 3 bits == Python result masked
         assert_matches_python(sub, range(8), range(8))
 
-    def test_multiplier_mixed_widths(self, backend):
+    def test_multiplier_mixed_widths(self, engine):
         @mig_function(a=3, b=2)
         def mul(a, b):
             return a * b
 
         assert_matches_python(mul, range(8), range(4))
 
-    def test_negate(self, backend):
+    def test_negate(self, engine):
         @mig_function(width=3)
         def neg(a):
             return -a
 
         assert_matches_python(neg, range(8))
 
-    def test_shifts_and_bitwise(self, backend):
+    def test_shifts_and_bitwise(self, engine):
         @mig_function(width=4)
         def mash(a, b):
             t = (a << 1) ^ (b >> 1)
@@ -100,7 +90,7 @@ class TestArithmetic:
 
         assert_matches_python(mash, range(16), range(16))
 
-    def test_augmented_assignment(self, backend):
+    def test_augmented_assignment(self, engine):
         @mig_function(width=3)
         def accumulate(a, b):
             t = a
@@ -112,7 +102,7 @@ class TestArithmetic:
 
 
 class TestControl:
-    def test_clamped_diff(self, backend):
+    def test_clamped_diff(self, engine):
         @mig_function(width=4)
         def clamped_diff(a, b):
             big = a if a >= b else b
@@ -121,7 +111,7 @@ class TestControl:
 
         assert_matches_python(clamped_diff, range(16), range(16))
 
-    def test_comparisons(self, backend):
+    def test_comparisons(self, engine):
         @mig_function(width=3)
         def compare(a, b):
             lt = a < b
@@ -134,7 +124,7 @@ class TestControl:
 
         assert_matches_python(compare, range(8), range(8))
 
-    def test_boolean_connectives(self, backend):
+    def test_boolean_connectives(self, engine):
         @mig_function(width=3)
         def in_band(a, b):
             low = a > 1
@@ -144,7 +134,7 @@ class TestControl:
 
         assert_matches_python(in_band, range(8), range(8))
 
-    def test_constants_and_bool_literals(self, backend):
+    def test_constants_and_bool_literals(self, engine):
         @mig_function(width=4)
         def offset(a):
             return a + 5 if a < 10 else a & 3
@@ -214,7 +204,7 @@ class TestIdentity:
         with pytest.raises(FrontendError, match="unpickled"):
             clone(1, 2)
 
-    def test_majority_native_mode_equivalent(self, backend):
+    def test_majority_native_mode_equivalent(self, engine):
         def body(a, b):
             return (a + b) & a
 

@@ -15,91 +15,41 @@ from repro.mig.simulate import (
     simulate,
     truth_tables,
 )
-from .conftest import make_random_mig
+from .conftest import ENGINES, make_random_mig, use_engine
 
 needs_numpy = pytest.mark.skipif(
     not kernel.numpy_available(), reason="numpy not installed"
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave no backend override behind, whatever a test does."""
-    yield
-    kernel.set_backend(None)
-
-
 class TestSelection:
-    def test_bigint_always_available(self):
-        assert "bigint" in kernel.available_backends()
+    """The engine is chosen by one rule: numpy when importable."""
 
-    def test_set_backend_override(self):
-        assert kernel.set_backend("bigint").name == "bigint"
-        assert kernel.get_kernel().name == "bigint"
-        kernel.set_backend(None)
+    def test_bigint_always_available(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_NUMPY", None)
+        assert not kernel.numpy_available()
+        assert kernel.get_kernel() is kernel._BIGINT
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "bigint")
-        assert kernel.get_kernel().name == "bigint"
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
-        assert kernel.get_kernel().name in ("bigint", "numpy")
+    @needs_numpy
+    def test_auto_prefers_numpy(self):
+        assert kernel.get_kernel() is kernel._NUMPY
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
-        kernel.set_backend("bigint")
-        assert kernel.get_kernel().name == "bigint"
+    def test_engine_fixture_pins_the_kernel(self, engine, request):
+        assert engine.name == request.node.callspec.params["engine"]
+        assert kernel.get_kernel() is engine
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            kernel.set_backend("cuda")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            kernel.get_kernel()
-
-    @pytest.mark.parametrize("name", ["numpy-batch", "batch", "python"])
-    def test_retired_backend_names_rejected(self, monkeypatch, name):
-        choices = "choose one of: auto, bigint, numpy"
-        with pytest.raises(ValueError, match=choices):
-            kernel.set_backend(name)
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, name)
-        with pytest.raises(ValueError, match=choices):
-            kernel.get_kernel()
-
-    @pytest.mark.parametrize("name", ["numpy-batch", "batch", "python"])
+    @pytest.mark.parametrize(
+        "name", ["numpy-batch", "batch", "python", "auto", "bigint", "numpy"]
+    )
     def test_retired_backend_flag_exits_2(self, capsys, name):
+        """The engine flag is gone: every name it ever took now fails as
+        an unrecognized argument."""
         from repro.analysis.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["table1", "--backend", name])
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err
-        assert all(choice in err for choice in kernel.BACKENDS)
-
-    def test_backend_vocabulary_is_shared(self):
-        from repro.flow import BACKEND_CHOICES
-
-        assert kernel.BACKENDS == ("auto", "bigint", "numpy")
-        assert BACKEND_CHOICES == list(kernel.BACKENDS)
-        assert set(kernel.available_backends()) <= set(kernel.BACKENDS)
-
-    def test_numpy_request_fails_loudly_when_absent(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_NUMPY", None)
-        with pytest.raises(ImportError, match="numpy"):
-            kernel._resolve("numpy")
-        # auto degrades silently to bigint instead
-        assert kernel._resolve("auto").name == "bigint"
-        assert kernel.available_backends() == ["bigint"]
-
-    @needs_numpy
-    def test_auto_prefers_numpy(self):
-        assert kernel._resolve("auto") is kernel._NUMPY
-
-    @needs_numpy
-    def test_all_backends_listed(self):
-        assert kernel.available_backends() == ["bigint", "numpy"]
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_simulation_runs_on_the_calling_thread(self):
         assert kernel.resolve_sim_threads() == 1
@@ -228,19 +178,18 @@ class TestBackendParity:
                 mig, base, 256
             ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
 
-    def test_equivalent_verdicts_match(self):
+    def test_equivalent_verdicts_match(self, monkeypatch):
         m1 = make_random_mig(9, 70, seed=21)
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
+        for name in ENGINES:
+            use_engine(monkeypatch, name)
             assert equivalent(m1, m1.clone()), name
             assert not equivalent(m1, flipped), name
 
     def test_equivalent_after_interleaved_simulate(self):
         # The exhaustive stimulus fast path caches filled PI rows; a
         # generic simulate() in between must invalidate them.
-        kernel.set_backend("numpy")
         mig = make_random_mig(8, 60, seed=23)
         reference = truth_tables(mig)
         rng = random.Random(0)
@@ -249,7 +198,6 @@ class TestBackendParity:
         assert truth_tables(mig) == reference
 
     def test_plan_invalidated_on_mutation(self):
-        kernel.set_backend("numpy")
         mig = Mig()
         a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
         mig.add_po(mig.add_maj(a, b, c), "f")
@@ -263,7 +211,6 @@ class TestBackendParity:
         # executables.
         import threading
 
-        kernel.set_backend("numpy")
         mig = make_random_mig(9, 120, seed=31)
         clone = mig.clone()
         failures = []
@@ -282,19 +229,18 @@ class TestBackendParity:
         assert not failures
 
     def test_equivalent_same_object_both_sides(self):
-        kernel.set_backend("numpy")
         mig = make_random_mig(8, 60, seed=33)
         assert equivalent(mig, mig)  # one executable serves both sides
 
-    def test_counterexample_parity(self):
+    def test_counterexample_parity(self, monkeypatch):
         m1 = Mig()
         a, b = m1.add_pi("a"), m1.add_pi("b")
         m1.add_po(m1.add_and(a, b), "f")
         m2 = Mig()
         a, b = m2.add_pi("a"), m2.add_pi("b")
         m2.add_po(m2.add_or(a, b), "f")
-        for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
+        for name in ENGINES:
+            use_engine(monkeypatch, name)
             cex = find_counterexample(m1, m2)
             assert cex is not None
             assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
@@ -398,7 +344,6 @@ class TestDegradationChain:
         # Every numpy path (simulate, windows, equivalence) compiles or
         # fetches the plan inside its guard.
         monkeypatch.setattr(kernel, "_batch_plan", boom)
-        kernel.set_backend("numpy")
         with events.capture() as log:
             with kernel.degradation_scope("job-a") as frame:
                 assert truth_tables(mig) == reference
@@ -420,7 +365,6 @@ class TestDegradationChain:
             kernel, "_windows_equal",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
-        kernel.set_backend("numpy")
         with events.capture() as log:
             assert equivalent(mig, mig.clone())
             assert not equivalent(mig, flipped)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch import Architecture, CostModel, get_architecture
-from repro.mig import kernel
 from repro.mig.simulate import equivalent, truth_tables
 from repro.opt import (
     DEFAULT_EFFORT,
@@ -29,15 +28,9 @@ from repro.opt import (
 )
 from repro.opt.engine import OPT_ENV_VAR
 from repro.synth.registry import build_benchmark
-from .conftest import make_random_mig
+from .conftest import ENGINES, make_random_mig, use_engine
 
 ENDURANCE = get_architecture("endurance")
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    kernel.set_backend(None)
 
 
 class TestPassRegistry:
@@ -75,38 +68,33 @@ class TestPassRegistry:
 class TestPassEquivalence:
     """Every registered pass preserves the function at every output —
     the metadata's `preserves_equivalence` claim, sweep-tested on
-    randomized MIGs across both simulation backends."""
+    randomized MIGs on every installed simulation engine."""
 
     SEEDS = (3, 11, 29)
-
-    def _backends(self):
-        return kernel.available_backends()
 
     @pytest.mark.parametrize("name", [
         "M", "D_rl", "A", "Psi_C", "I_rl_1_3", "I_rl", "P",
         "cycle:dac16", "cycle:endurance",
     ])
-    def test_pass_preserves_truth_tables(self, name):
+    def test_pass_preserves_truth_tables(self, name, monkeypatch):
         rewrite_pass = get_pass(name)
-        for backend in self._backends():
-            with kernel.backend_scope(backend):
-                for seed in self.SEEDS:
-                    mig = make_random_mig(
-                        num_pis=6, num_gates=45, seed=seed
-                    )
-                    result = rewrite_pass.apply(mig)
-                    assert truth_tables(result) == truth_tables(mig), (
-                        f"pass {name} broke seed {seed} on {backend}"
-                    )
+        for engine in ENGINES:
+            use_engine(monkeypatch, engine)
+            for seed in self.SEEDS:
+                mig = make_random_mig(num_pis=6, num_gates=45, seed=seed)
+                result = rewrite_pass.apply(mig)
+                assert truth_tables(result) == truth_tables(mig), (
+                    f"pass {name} broke seed {seed} on {engine}"
+                )
 
     @pytest.mark.parametrize("spec", ["greedy", "budget", "greedy:depth"])
-    def test_strategies_preserve_equivalence(self, spec):
+    def test_strategies_preserve_equivalence(self, spec, monkeypatch):
         optimizer = Optimizer(spec, ENDURANCE)
-        for backend in self._backends():
-            with kernel.backend_scope(backend):
-                mig = make_random_mig(num_pis=6, num_gates=40, seed=17)
-                result = optimizer.run(mig, "endurance", effort=2)
-                assert equivalent(mig, result)
+        for engine in ENGINES:
+            use_engine(monkeypatch, engine)
+            mig = make_random_mig(num_pis=6, num_gates=40, seed=17)
+            result = optimizer.run(mig, "endurance", effort=2)
+            assert equivalent(mig, result), engine
 
 
 class TestObjectives:

@@ -18,7 +18,6 @@ from repro.flow.options import KNOBS, SESSION_KNOBS
 #: their canonical forms, and a malformed value (``None``: the knob
 #: accepts any string).
 CASES = {
-    "backend": ("bigint", "auto", "bigint", "auto", "tpu"),
     "arch": ("dac16", "blocked", "dac16", "blocked", "bogus"),
     "source": ("adder", "dec", "adder", "dec", "bogus"),
     "opt": ("budget", "greedy", "budget:write_cost@2", "greedy:write_cost",
@@ -89,9 +88,7 @@ def test_spec_round_trips_every_session_row(monkeypatch):
     assert Session.from_spec(spec).spec() == spec
 
 
-@pytest.mark.parametrize(
-    "var", ["REPRO_ARCH", "REPRO_OPT", "REPRO_SIM_BACKEND", "REPRO_TIMEOUT"]
-)
+@pytest.mark.parametrize("var", ["REPRO_ARCH", "REPRO_OPT", "REPRO_TIMEOUT"])
 def test_serve_rejects_bad_env_at_startup(var, monkeypatch):
     """A malformed knob fails before ``repro serve`` binds, instead of
     failing every submitted job."""

@@ -201,7 +201,6 @@ CACHESVC_API = [
 
 #: The blessed repro.flow namespace.
 FLOW_API = [
-    "BACKEND_CHOICES",
     "Flow",
     "FlowResult",
     "PRESET_CHOICES",
@@ -373,4 +372,3 @@ class TestFlowNamespace:
 
     def test_choice_lists_stable(self):
         assert repro.flow.PRESET_CHOICES == ["tiny", "default", "paper"]
-        assert repro.flow.BACKEND_CHOICES == ["auto", "bigint", "numpy"]

@@ -717,14 +717,14 @@ class TestKernelDegradation:
         """A numpy-kernel failure mid-verification must demote the job to
         the bigint reference kernel — same results, plus a recorded
         ``kernel_degraded`` event."""
-        pytest.importorskip("numpy")
-        baseline = Session(backend="numpy", preset="tiny").run_matrix(
+        pytest.importorskip("numpy")  # numpy installed: the numpy engine runs
+        baseline = Session(preset="tiny").run_matrix(
             ["adder"], ["naive"], verify=True, verify_patterns=256
         )
         # width 256 >= the numpy dispatch threshold, so the fault fires
         _arm(monkeypatch, tmp_path, "kernel_fail:job=adder:count=1")
         with events.capture() as log:
-            degraded = Session(backend="numpy", preset="tiny").run_matrix(
+            degraded = Session(preset="tiny").run_matrix(
                 ["adder"], ["naive"], verify=True, verify_patterns=256
             )
         kinds = {e["kind"] for e in log}
@@ -734,6 +734,31 @@ class TestKernelDegradation:
         assert event["fallback"] == "bigint"
         assert _result_signature(degraded[0]) == _result_signature(
             baseline[0]
+        )
+
+    def test_flow_run_tags_demotion_with_its_job(self, tmp_path, monkeypatch):
+        """A numpy failure inside one Flow run (an inline ``repro serve``
+        job, a sweep point) is recorded under the run's source name, so
+        it reaches that job's run manifest."""
+        pytest.importorskip("numpy")
+        from repro.flow import Flow
+        from repro.mig import kernel
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(kernel, "_batch_plan", boom)
+        session = Session(cache_dir=tmp_path / "cache", preset="tiny")
+        with events.capture() as log:
+            Flow.for_job("ctrl", "naive", verify=256, session=session).run()
+        assert ("kernel_degraded", "ctrl") in {
+            (e["kind"], e.get("job")) for e in log
+        }
+        manifests = [m for _, m in iter_manifests(tmp_path / "cache")]
+        assert manifests
+        assert all(
+            "kernel_degraded" in {e["kind"] for e in m["events"]}
+            for m in manifests
         )
 
 
@@ -830,9 +855,9 @@ class TestSupervisedRunner:
         configs = ["naive", "ea-full"]
 
         serial_root = tmp_path / "serial-cache"
-        serial = Session(
-            backend="numpy", cache_dir=serial_root, preset="tiny"
-        ).run_matrix(benchmarks, configs, verify=True, verify_patterns=256)
+        serial = Session(cache_dir=serial_root, preset="tiny").run_matrix(
+            benchmarks, configs, verify=True, verify_patterns=256
+        )
 
         # The kernel fault targets 'bar', which is only scheduled after
         # the pool respawn: a directive aimed at a job in flight beside
@@ -847,17 +872,15 @@ class TestSupervisedRunner:
         )
         faulted_root = tmp_path / "faulted-cache"
         with events.capture() as log:
-            faulted = Session(
-                backend="numpy", cache_dir=faulted_root, preset="tiny"
-            ).run_matrix(
+            faulted = Session(cache_dir=faulted_root, preset="tiny").run_matrix(
                 benchmarks, configs, verify=True, verify_patterns=256,
                 parallel=2,
             )
             # second pass over the warm cache: the corruption directive
             # garbles one read, which must degrade to a miss + recompute
-            warm = Session(
-                backend="numpy", cache_dir=faulted_root, preset="tiny"
-            ).run_matrix(benchmarks, configs, verify=True, verify_patterns=256)
+            warm = Session(cache_dir=faulted_root, preset="tiny").run_matrix(
+                benchmarks, configs, verify=True, verify_patterns=256
+            )
 
         # the matrix completed and matches the fault-free reference
         for reference, survivor, rewarmed in zip(serial, faulted, warm):
