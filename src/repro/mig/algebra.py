@@ -29,13 +29,16 @@ are first-match: only the rejects are shortcuts, the enumeration order
 behind them is semantics.
 
 Each pass's matcher also has a *scan*, ``scan(fanins, first)``: the
-matcher's reject stated once over a whole canonical fanin table, listing
-in ascending order the gates that pass it.  A rebuild probing a
-canonical input calls the matcher only at those gates; once a pass has
-fired, it calls the matcher at the later candidates and at the nodes
-whose children or grandchildren the rebuild changed, which is all that
-a matcher's reject reads (see :func:`repro.mig.rewrite.rebuild`).
-Non-canonical inputs run the matcher at every node.  A canonical triple
+matcher's reject stated once over a whole fanin table of a structurally
+hashed graph with its primary inputs first, listing in ascending order
+the gates that pass it.  A rebuild probing a canonical input calls the
+matcher only at those gates; once a pass has fired, and from the first
+gate on an input with dead gates, it calls the matcher at the (live)
+candidates and at the nodes whose children or grandchildren the rebuild
+changed, which is all that a matcher's reject reads (see
+:func:`repro.mig.rewrite.rebuild`).  Inputs with interleaved primary
+inputs or without structural hashing run the matcher at every node.
+A canonical triple
 ``(a, b, c)`` is ascending with at most one constant (``a``), and a
 gate's fanins precede it, so ``a``'s gate holds neither ``b`` nor ``c``:
 the scans leave out the clauses of a reject that cannot hold there.

@@ -39,7 +39,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .signal import (
     CONST0,
     CONST1,
-    apply_complement,
     complement,
     format_signal,
     is_complemented,
@@ -408,11 +407,22 @@ class Mig:
         cached = self._derived.get(key)
         if cached is not None:
             return cached
-        counts = [0] * len(self._fanins)
-        for _, na, _, nb, _, nc, _ in self.flat_gates():
-            counts[na] += 1
-            counts[nb] += 1
-            counts[nc] += 1
+        fanins = self._fanins
+        counts = [0] * len(fanins)
+        flat = self._derived.get("flat_gates")
+        if flat is not None:
+            # Pre-split records count fastest, but building them only to
+            # count (a rewrite pass's input) costs more than the fanins.
+            for _, na, _, nb, _, nc, _ in flat:
+                counts[na] += 1
+                counts[nb] += 1
+                counts[nc] += 1
+        else:
+            for node in self._live_gates():
+                a, b, c = fanins[node]
+                counts[a >> 1] += 1
+                counts[b >> 1] += 1
+                counts[c >> 1] += 1
         if include_pos:
             for s in self._pos:
                 counts[s >> 1] += 1
@@ -587,15 +597,19 @@ class Mig:
         other._strash = dict(self._strash)
         return other
 
+    def _is_ordered(self) -> bool:
+        """Whether a rebuild keeps this graph's node order: structural
+        hashing on and PIs are nodes ``1..n``.  Dead gates may remain;
+        the rewrite passes scan such a graph like a canonical one (see
+        :func:`repro.mig.rewrite.rebuild`)."""
+        pis = self._pis
+        return self.use_strash and (not pis or pis[-1] == len(pis))
+
     def _is_canonical(self) -> bool:
         """Whether a plain rebuild reproduces this graph node for node:
-        structural hashing on, PIs are nodes ``1..n``, and no dead gates."""
-        pis = self._pis
-        return (
-            self.use_strash
-            and (not pis or pis[-1] == len(pis))
-            and len(self._live_gates()) == self.num_gates
-        )
+        it is :meth:`_is_ordered` and has no dead gates.  Only a
+        canonical graph can be its own pass result."""
+        return self._is_ordered() and len(self._live_gates()) == self.num_gates
 
     def cleanup(self) -> "Mig":
         """Return a copy containing only nodes reachable from the outputs.
@@ -608,24 +622,19 @@ class Mig:
         """
         if self._is_canonical():
             return self.clone()
-        live = self.live_mask()
+        fanins = self._fanins
         other = Mig(self.name, use_strash=self.use_strash)
-        xlat = [0] * len(self._fanins)  # old node -> new signal of same polarity
+        xlat = [0] * len(fanins)  # old node -> new signal of same polarity
         for idx, node in enumerate(self._pis):
             xlat[node] = other.add_pi(self._pi_names[idx])
-        for node in range(1, len(self._fanins)):
-            fi = self._fanins[node]
-            if fi is None or not live[node]:
-                continue
-            children = tuple(
-                apply_complement(xlat[node_of(s)], is_complemented(s)) for s in fi
+        add_maj = other.add_maj
+        for node in self._live_gates():
+            a, b, c = fanins[node]
+            xlat[node] = add_maj(
+                xlat[a >> 1] ^ (a & 1), xlat[b >> 1] ^ (b & 1), xlat[c >> 1] ^ (c & 1)
             )
-            xlat[node] = other.add_maj(*children)
         for out_idx, s in enumerate(self._pos):
-            other.add_po(
-                apply_complement(xlat[node_of(s)], is_complemented(s)),
-                self._po_names[out_idx],
-            )
+            other.add_po(xlat[s >> 1] ^ (s & 1), self._po_names[out_idx])
         return other
 
     # ------------------------------------------------------------------

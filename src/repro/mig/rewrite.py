@@ -23,11 +23,16 @@ fired, the structural hash hit, or ``Omega.M`` collapsed the node); it
 copies every other node straight from the input's fanin table.  Such a
 node's matcher reads a neighbourhood that the rebuild translated
 injectively, so it rejects as it did on the input (the argument is in
-:func:`rebuild`'s docstring).  This is the incremental, DAG-aware style
-of [Mishchenko, Chatterjee & Brayton, DAC'06] applied to rebuild passes,
-and it keeps node numbering identical to a rebuild that calls the
-transform everywhere.  A pass result may *be* its input, so callers
-must not mutate pass results.
+:func:`rebuild`'s docstring).  A firing pass often leaves dead gates in
+its result, and such an input can never be its own pass result, so it
+gets no probe: when it is structurally hashed with its primary inputs
+first, its rebuild follows the same rule from its first live gate.
+Only inputs with interleaved primary inputs or without structural
+hashing call the transform at every gate.  This is the incremental,
+DAG-aware style of [Mishchenko, Chatterjee & Brayton, DAC'06] applied
+to rebuild passes, and it keeps node numbering identical to a rebuild
+that calls the transform everywhere.  A pass result may *be* its
+input, so callers must not mutate pass results.
 
 A script cycles its passes, and a pass often meets a graph it already
 returned unchanged (another pass of the cycle changed something, but not
@@ -170,13 +175,15 @@ def rebuild(
     With ``transform=None`` this is a cleanup + ``Omega.M`` +
     structural-hashing pass (the paper's plain ``Omega.M`` step).
 
-    *scan* narrows the calls of *transform* on a canonical input: it
-    must list (a superset of) the gates at which *transform* returns a
-    signal or builds a node when it is called on the input itself (the
+    *scan* narrows the calls of *transform* on an ordered input
+    (structurally hashed, primary inputs first: :meth:`Mig._is_ordered`):
+    it must list (a superset of) the gates at which *transform* returns
+    a signal or builds a node when it is called on the input itself (the
     probe's read-only view).  The transform's decision to fire may read
     only the node's children and grandchildren: the child signals, which
     of them are gates, and those gates' fanin triples.  Without a scan,
-    and on a non-canonical input, *transform* runs at every gate.
+    and on an input with interleaved primary inputs or without
+    structural hashing, *transform* runs at every live gate.
 
     With a scan, a rebuild that fired calls *transform* only at the
     later candidates and at the nodes with a *dirty* child or
@@ -196,6 +203,13 @@ def rebuild(
     grandchildren, and a dirty grandchild's image may equal an operand
     the matcher compares it with.)
 
+    An ordered input with dead gates is not probed (its result drops
+    them, so it is never the input) and follows the rule above from its
+    first live gate, at the live candidates only.  The argument still
+    holds: a dead gate gets no image, but no live gate reads one, the
+    primary inputs keep their ids, and the scan decides each gate from
+    its own neighbourhood, which is all live.
+
     Returns *mig* itself when the result would equal it (see the module
     docstring); callers must not mutate the result.
     """
@@ -204,13 +218,13 @@ def rebuild(
     xlat = ctx.xlat
     fanins = mig._fanins
     num_nodes = mig.num_nodes
+    first = mig.num_pis + 1
     canonical = mig._is_canonical()
     if canonical:
         if transform is None:
             return mig
         # Probe: while nothing fires, node k of the rebuild is node k of
         # the input, so xlat grows as the identity.
-        first = mig.num_pis + 1
         view = _PrefixView(mig)
         everywhere = scan is None
         candidates = (
@@ -236,9 +250,17 @@ def rebuild(
         xlat[0] = 0
         for idx, node in enumerate(mig.pis()):
             xlat[node] = new.add_pi(mig.pi_name(idx))
-        everywhere = True
         order = mig._live_gates()
-        targets = iter(())
+        # An ordered input with dead gates cannot be its own result, so
+        # there is nothing to probe for: scan and skip from the start.
+        everywhere = not mig._is_ordered() or (
+            scan is None and transform is not None
+        )
+        if everywhere or scan is None:
+            targets = iter(())
+        else:
+            live = mig._live_mask()
+            targets = iter([n for n in scan(fanins, first) if live[n]])
     new_fanins = new._fanins
     new_pi_index = new._pi_index
     strash = new._strash

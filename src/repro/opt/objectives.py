@@ -100,7 +100,8 @@ def estimated_write_cost(mig: Mig, arch: Architecture) -> int:
     *z_const* rather than a *z_copy*.
     """
     cost = arch.cost
-    refs = mig._fanout_counts()
+    gates = mig.flat_gates()
+    refs = mig._fanout_counts()  # counted from the records just built
     is_gate = mig.is_gate
     q = cost.q_invert_instructions
     p = cost.p_invert_instructions
@@ -109,7 +110,7 @@ def estimated_write_cost(mig: Mig, arch: Architecture) -> int:
     total = 0
     # flat_gates carries complement attributes as XOR masks (0 / -1);
     # `& 1` recovers the complement bit.
-    for _node, na, xa, nb, xb, nc, xc in mig.flat_gates():
+    for _node, na, xa, nb, xb, nc, xc in gates:
         total += rm3_gate_cost(
             ((na, xa & 1), (nb, xb & 1), (nc, xc & 1)),
             refs,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
+from unittest import mock
 
 import pytest
 
@@ -96,6 +98,25 @@ def use_engine(monkeypatch, name: str):
         kernel, "_NUMPY", _NUMPY_ENGINE if name == "numpy" else None
     )
     return kernel.get_kernel()
+
+
+@contextlib.contextmanager
+def numpy_runs():
+    """Count the numpy engine's batch-program replays inside the block.
+
+    Yields a list that gets one entry per replay; every window the numpy
+    engine simulates replays once, and a window narrower than
+    ``kernel._NUMPY_MIN_WIDTH`` goes to bigint without one.
+    """
+    runs = []
+    replay = kernel._BatchExec.run
+
+    def counted(self, plan):
+        runs.append(plan)
+        return replay(self, plan)
+
+    with mock.patch.object(kernel._BatchExec, "run", counted):
+        yield runs
 
 
 @pytest.fixture(params=["bigint", "numpy"])

@@ -5,51 +5,67 @@ agrees with the plain Python call on *every* input combination, on both
 simulation engines.
 """
 
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mig.simulate import simulate_one
+from repro.mig.kernel import get_kernel
+from repro.mig.simulate import simulate
 from repro.synth.frontend import (
     FrontendError,
     FrontendFunction,
     mig_function,
 )
+from .conftest import numpy_runs
 
 
-def circuit_eval(ff: FrontendFunction, *args: int):
-    """Simulate the compiled circuit on integer inputs, LSB-first words."""
+#: Patterns per simulation: wider than one 64-bit lane, so the numpy
+#: engine simulates the window itself instead of handing it to bigint.
+WINDOW = 128
+
+
+def circuit_outputs(ff: FrontendFunction, combos):
+    """Simulate the compiled circuit on every argument tuple of *combos*
+    in one window of at least :data:`WINDOW` patterns (tuples repeat to
+    fill it) and return the output value, or tuple of values, per tuple.
+    Inputs and outputs are LSB-first words."""
     mig = ff.build()
-    assignment = {}
-    for value, (param, width) in zip(args, ff.input_widths.items()):
-        for i in range(width):
-            assignment[f"{param}{i}"] = (value >> i) & 1
-    out = simulate_one(mig, assignment)
-    values = []
-    po_index = 0
-    for width in ff.output_widths:
-        word = 0
-        for i in range(width):
-            word |= out[mig.po_name(po_index)] << i
-            po_index += 1
-        values.append(word)
-    return tuple(values) if len(values) > 1 else values[0]
+    width = max(WINDOW, len(combos))
+    bit_of = {
+        f"{param}{i}": (arg, i)
+        for arg, (param, bits) in enumerate(ff.input_widths.items())
+        for i in range(bits)
+    }
+    words = []
+    for j in range(mig.num_pis):
+        arg, i = bit_of[mig.pi_name(j)]
+        words.append(sum(
+            ((combos[p % len(combos)][arg] >> i) & 1) << p for p in range(width)
+        ))
+    with numpy_runs() as runs:
+        out = simulate(mig, words, (1 << width) - 1)
+    assert bool(runs) == (get_kernel().name == "numpy")
+    results = []
+    for p in range(len(combos)):
+        values = []
+        po_index = 0
+        for bits in ff.output_widths:
+            word = 0
+            for i in range(bits):
+                word |= ((out[po_index] >> p) & 1) << i
+                po_index += 1
+            values.append(word)
+        results.append(tuple(values) if len(values) > 1 else values[0])
+    return results
 
 
 def assert_matches_python(ff: FrontendFunction, *arg_ranges):
     """Exhaustively compare circuit vs ``ff.reference`` over the ranges."""
-    if len(arg_ranges) == 1:
-        for a in arg_ranges[0]:
-            assert circuit_eval(ff, a) == ff.reference(a), f"a={a}"
-    elif len(arg_ranges) == 2:
-        for a in arg_ranges[0]:
-            for b in arg_ranges[1]:
-                assert circuit_eval(ff, a, b) == ff.reference(a, b), (
-                    f"a={a} b={b}"
-                )
-    else:  # pragma: no cover - not used
-        raise AssertionError("unsupported arity")
+    combos = list(itertools.product(*arg_ranges))
+    for args, got in zip(combos, circuit_outputs(ff, combos)):
+        assert got == ff.reference(*args), f"args={args}"
 
 
 class TestArithmetic:
@@ -211,11 +227,10 @@ class TestIdentity:
         aig_style = mig_function(width=3)(body)
         native = mig_function(width=3, elaborated=False)(body)
         assert aig_style.fingerprint != native.fingerprint
-        for a in range(8):
-            for b in range(8):
-                assert circuit_eval(aig_style, a, b) == circuit_eval(
-                    native, a, b
-                )
+        combos = list(itertools.product(range(8), range(8)))
+        assert circuit_outputs(aig_style, combos) == circuit_outputs(
+            native, combos
+        )
 
 
 class TestErrors:
@@ -393,10 +408,8 @@ class TestGeneratedFrontends:
 
     def check(self, expr: str) -> None:
         fuzzed = self.build_frontend(expr, FUZZ_WIDTH)
-        for a in range(1 << FUZZ_WIDTH):
-            for b in range(1 << FUZZ_WIDTH):
-                assert circuit_eval(fuzzed, a, b) == \
-                    fuzzed.reference(a, b), f"{expr} at a={a} b={b}"
+        span = range(1 << FUZZ_WIDTH)
+        assert_matches_python(fuzzed, span, span)
 
     @settings(max_examples=25, deadline=None)
     @given(expr=exact_expr_strategy())

@@ -5,6 +5,7 @@ import pytest
 from repro.mig.graph import Mig
 from repro.mig.signal import CONST0, CONST1, complement, node_of
 from repro.mig.simulate import truth_tables
+from .conftest import make_random_mig
 
 
 @pytest.fixture
@@ -202,6 +203,27 @@ class TestTraversal:
         assert counts[node_of(f)] == 2  # used by g and one PO
         assert counts[node_of(a)] == 2
         assert counts[node_of(g)] == 1
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("include_pos", [True, False])
+    def test_fanout_counts_match_the_flat_records(self, seed, include_pos):
+        dead = make_random_mig(6, 60, seed=seed)
+        assert dead.num_live_gates() < dead.num_gates
+        for mig in (dead, dead.cleanup()):
+            expected = [0] * mig.num_nodes
+            for _, na, _, nb, _, nc, _ in mig.flat_gates():
+                expected[na] += 1
+                expected[nb] += 1
+                expected[nc] += 1
+            if include_pos:
+                for s in mig.pos():
+                    expected[node_of(s)] += 1
+            # With the flat records built, counting reads them ...
+            assert mig.fanout_counts(include_pos) == expected
+            # ... and without them, the fanin table (building none).
+            fresh = mig.clone()
+            assert fresh.fanout_counts(include_pos) == expected
+            assert "flat_gates" not in fresh._derived
 
     def test_complement_histogram(self):
         mig = Mig()

@@ -16,6 +16,7 @@ from repro.opt import (
     rewrite_endurance_aware,
 )
 from repro.mig.rewrite import PASSES, RebuildContext, apply_script, rebuild
+from repro.mig.signal import apply_complement, is_complemented, node_of
 from repro.mig.simulate import equivalent
 from repro.synth.arithmetic import build_adder
 from repro.synth.control import build_dec
@@ -189,17 +190,26 @@ def canonical(mig):
 
 
 def non_canonical_graphs():
-    """An interleaved-PI, a dead-gate and an unhashed graph."""
+    """An interleaved-PI, a dead-gate and an unhashed graph.
+
+    The dead-gate graph is a random canonical graph with one dead gate
+    put in ahead of its other gates."""
     interleaved = Mig("interleaved")
     a, b = interleaved.add_pis(2)
     gate = interleaved.add_maj(a, b ^ 1, 0)
     c = interleaved.add_pi("late")
     interleaved.add_po(interleaved.add_maj(gate, c, a))
 
+    live = canonical(make_random_mig(6, 120, seed=5))
     dead = Mig("dead")
-    a, b, c = dead.add_pis(3)
-    dead.add_maj(a, b, c ^ 1)
-    dead.add_po(dead.add_maj(a, b ^ 1, c))
+    xlat = [0]
+    for idx in range(live.num_pis):
+        xlat.append(dead.add_pi(live.pi_name(idx)))
+    dead.add_maj(xlat[1], xlat[2] ^ 1, xlat[3] ^ 1)
+    for node in live.gates():
+        xlat.append(dead.add_maj(*(xlat[s >> 1] ^ (s & 1) for s in live.fanins(node))))
+    for idx, s in enumerate(live.pos()):
+        dead.add_po(xlat[s >> 1] ^ (s & 1), live.po_name(idx))
 
     unhashed = canonical(make_random_mig(5, 30, seed=11))
     elaborated = Mig(unhashed.name, use_strash=False)
@@ -266,14 +276,52 @@ class TestPassParity:
         assert equivalent(mig, out)
         assert_pass_parity(mig)
 
-    def test_non_canonical_inputs_take_the_full_rebuild(self):
-        for mig in non_canonical_graphs():
-            for name, fn in PASSES.items():
-                out = fn(mig)
-                assert out is not mig, (mig.name, name)
-                assert out.content_fingerprint() == (
-                    reference_pass(name, mig).content_fingerprint()
-                ), (mig.name, name)
+    @staticmethod
+    def _transform_calls(name, mig):
+        """Run ``PASSES[name]`` on *mig*, check its result against the
+        reference, and return the nodes at which it called its transform
+        (``None`` for ``M``, which has no transform)."""
+        transform, scan = transform_and_scan(name, mig)
+        calls = []
+        counted = None
+        if transform is not None:
+            def counted(new, ctx, node, children):
+                calls.append(node)
+                return transform(new, ctx, node, children)
+
+        out = rebuild(mig, counted, scan)
+        assert out is not mig, (mig.name, name)
+        assert out.content_fingerprint() == (
+            reference_pass(name, mig).content_fingerprint()
+        ), (mig.name, name)
+        return None if transform is None else calls
+
+    def test_dead_gate_inputs_take_the_scan_path(self):
+        _, dead, _ = non_canonical_graphs()
+        assert dead._is_ordered() and not dead._is_canonical()
+        live_gates = dead.live_gates()
+        live = dead.live_mask()
+        for name in PASSES:
+            calls = self._transform_calls(name, dead)
+            if calls is None:
+                continue
+            _, scan = transform_and_scan(name, dead)
+            candidates = [
+                node for node in scan(dead._fanins, dead.num_pis + 1)
+                if live[node]
+            ]
+            assert 2 * len(candidates) < len(live_gates), name
+            assert set(candidates) <= set(calls), name
+            assert len(calls) < len(live_gates), name
+
+    def test_interleaved_and_unhashed_inputs_take_the_full_rebuild(self):
+        interleaved, _, elaborated = non_canonical_graphs()
+        for mig in (interleaved, elaborated):
+            assert not mig._is_ordered()
+            for name in PASSES:
+                calls = self._transform_calls(name, mig)
+                if calls is not None:
+                    assert calls == mig.live_gates(), (mig.name, name)
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +429,10 @@ def windowed_rebuild(mig, transform, scan, depth):
     """A rebuild that, once the transform has fired, calls it only at the
     scan's candidates and at nodes with a dirty node (one whose image is
     not a fresh node of its own translated fanins) at most *depth* fanin
-    levels below.  ``depth=2`` is :func:`rebuild`'s rule; smaller depths
-    are the unsound mutants the parity checks must catch."""
+    levels below.  An input with dead gates is not probed, so there the
+    rule holds from the first gate on.  ``depth=2`` is :func:`rebuild`'s
+    rule; smaller depths are the unsound mutants the parity checks must
+    catch."""
     candidates = set(scan(mig._fanins, mig.num_pis + 1))
     new = Mig(mig.name)
     ctx = RebuildContext(mig)
@@ -394,7 +444,7 @@ def windowed_rebuild(mig, transform, scan, depth):
     # Bit k of below[node]: a dirty node k fanin levels below (0: itself).
     below = [0] * mig.num_nodes
     window = ((1 << (depth + 1)) - 1) & ~1
-    fired = False
+    fired = not mig._is_canonical()
     for node in mig.live_gates():
         fanins = mig.fanins(node)
         children = tuple(xlat[s >> 1] ^ (s & 1) for s in fanins)
@@ -425,11 +475,13 @@ class _RebuildParity:
     """Stands in for :func:`rebuild`: runs it and the call-everywhere
     reference on every call, and tallies the calls whose result differs
     from the reference's node for node.  On every scanned call that
-    fired on a canonical input it also runs the candidates-only mutant
-    (depth 0)."""
+    changed an ordered input (canonical, or with dead gates) it also
+    runs the candidates-only mutant (depth 0), tallied per kind of
+    input."""
 
     def __init__(self):
-        self.calls = self.fired = self.mutant_mismatches = 0
+        self.calls = self.fired = 0
+        self.mutant_mismatches = {"canonical": 0, "dead": 0}
         self.mismatches = []
 
     def __call__(self, mig, transform=None, scan=None):
@@ -438,10 +490,11 @@ class _RebuildParity:
         expected = structure(reference_rebuild(mig, transform))
         if structure(out) != expected:
             self.mismatches.append((mig.name, self.calls))
-        if scan is not None and out is not mig and mig._is_canonical():
+        if scan is not None and out is not mig and mig._is_ordered():
             self.fired += 1
             got = windowed_rebuild(mig, transform, scan, 0)
-            self.mutant_mismatches += structure(got) != expected
+            kind = "canonical" if mig._is_canonical() else "dead"
+            self.mutant_mismatches[kind] += structure(got) != expected
         return out
 
     def run(self, fn, *args):
@@ -478,8 +531,10 @@ class TestIncrementalRebuild:
         # The mutation check: a rebuild that, after firing, calls the
         # transform at the scan's candidates only.  (These scripts need
         # not tell the one-level rule from the two-level one;
-        # test_grandchild_collision does.)
-        assert default_script_rebuilds.mutant_mismatches > 0
+        # test_grandchild_collision does.)  It must break on canonical
+        # inputs and on the inputs a firing pass left dead gates in.
+        mismatches = default_script_rebuilds.mutant_mismatches
+        assert mismatches["canonical"] > 0 and mismatches["dead"] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -643,6 +698,31 @@ def node_by_node_cleanup(mig):
         return mig.cleanup()
 
 
+def reference_cleanup(mig):
+    """The node-by-node cleanup loop written with the signal helpers, one
+    call per fanin: the reference for :meth:`Mig.cleanup`'s inline
+    translation."""
+    live = mig.live_mask()
+    other = Mig(mig.name, use_strash=mig.use_strash)
+    xlat = [0] * mig.num_nodes
+    for idx, node in enumerate(mig.pis()):
+        xlat[node] = other.add_pi(mig.pi_name(idx))
+    for node in range(1, mig.num_nodes):
+        if not mig.is_gate(node) or not live[node]:
+            continue
+        children = tuple(
+            apply_complement(xlat[node_of(s)], is_complemented(s))
+            for s in mig.fanins(node)
+        )
+        xlat[node] = other.add_maj(*children)
+    for idx, s in enumerate(mig.pos()):
+        other.add_po(
+            apply_complement(xlat[node_of(s)], is_complemented(s)),
+            mig.po_name(idx),
+        )
+    return other
+
+
 def assert_same_graph(got, expected):
     for attr in (
         "name", "use_strash", "_fanins", "_pi_index", "_pis", "_pi_names",
@@ -674,6 +754,12 @@ class TestCanonicalCleanup:
         mig = canonical(make_random_mig(5, gates, seed=seed))
         assert mig._is_canonical()
         assert_same_graph(mig.cleanup(), node_by_node_cleanup(mig))
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_elaborated_sources_match_the_reference_loop(self, name):
+        source = build_benchmark(name, "tiny")
+        assert not source.use_strash
+        assert_same_graph(source.cleanup(), reference_cleanup(source))
 
     def test_non_canonical_inputs_still_rebuild(self):
         interleaved, dead, elaborated = non_canonical_graphs()
