@@ -53,7 +53,8 @@ endurance-aware script) are sequences of these passes; they live in
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence
+import itertools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.timeouts import checkpoint
 from . import algebra
@@ -432,9 +433,10 @@ def rm3_gate_cost(
     :func:`repro.opt.estimated_write_cost` re-prices through a target
     architecture's :class:`~repro.arch.CostModel`.
 
-    This is the single pricing implementation shared by the
-    write-cost objective and :func:`polarity_pass` — keep it that way,
-    or the search layers drift apart.
+    This is the single pricing implementation: :func:`rm3_cost_table`
+    tabulates it once per cost model, and the write-cost objective and
+    :func:`polarity_pass` read that table — keep it that way, or the
+    search layers drift apart.
     """
     complements = 0
     constants = 0
@@ -459,6 +461,60 @@ def rm3_gate_cost(
     return bill
 
 
+# Fanin classes of the price table, numbered as the compiler's
+# (:mod:`repro.plim.compiler`).  Statically, a plain edge is a direct
+# ``Z`` when its fanin is a gate with a single fanout.
+_CONST = 0  # constant edge of either polarity
+_COMPLEMENTED = 1  # complemented edge to a PI or gate
+_DIRECT = 2  # plain edge to a single-fanout gate
+_COPY = 3  # any other plain edge
+
+#: One ``(node, complement)`` fanin per class, for the fanout counts
+#: ``(0, 1, 2)`` of :func:`rm3_cost_table`: gate 1 has one fanout,
+#: gate 2 two.
+_CLASS_FANINS = ((0, 0), (1, 1), (1, 0), (2, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def rm3_cost_table(
+    q_invert: int, p_invert: int, z_copy: int, z_const: int
+) -> Tuple[int, ...]:
+    """:func:`rm3_gate_cost` of every fanin-class triple, memoized.
+
+    Entry ``16 * c0 + 4 * c1 + c2`` prices a gate whose fanins have the
+    classes ``c0, c1, c2`` (see :func:`rm3_edge_classes`), the index of
+    the compiler's role table.  Every entry is computed by
+    :func:`rm3_gate_cost` itself on a representative fanin triple.
+    """
+    refs = (0, 1, 2)
+    return tuple(
+        rm3_gate_cost(
+            fanins, refs, bool,  # every nonzero node is a gate
+            q_invert=q_invert, p_invert=p_invert,
+            z_copy=z_copy, z_const=z_const,
+        )
+        for fanins in itertools.product(_CLASS_FANINS, repeat=3)
+    )
+
+
+def rm3_edge_classes(mig: Mig) -> List[int]:
+    """The price-table class of every signal of *mig*, indexed by signal.
+
+    Complementing a signal (``s ^ 1``) moves a constant edge nowhere and
+    any other edge between :data:`_COMPLEMENTED` and its plain class, so
+    ``classes[s] ^ classes[s ^ 1]`` is what a complement flip XORs into
+    a gate's table index.
+    """
+    refs = mig._fanout_counts()
+    classes = [_COPY, _COMPLEMENTED] * len(mig._fanins)
+    classes[0] = classes[1] = _CONST
+    # Every gate with a fanout is live.
+    for node in mig._live_gates():
+        if refs[node] == 1:
+            classes[2 * node] = _DIRECT
+    return classes
+
+
 def polarity_pass(
     mig: Mig,
     *,
@@ -476,69 +532,76 @@ def polarity_pass(
     without changing any output.  Which phase is cheaper on a PLiM
     machine is priced by :func:`rm3_gate_cost` (the shared static
     replay of the compiler's role assignment — see its docstring for
-    the violation semantics, including the constant-fanin rules).
+    the violation semantics, including the constant-fanin rules),
+    through its table :func:`rm3_cost_table`.
 
     The search sweeps nodes in topological order, flipping a gate's
     stored phase whenever the *exact* cost delta over the gate and its
     consumers is strictly negative, until a sweep makes no flip (or
-    *sweeps* sweeps ran).  Flips change only edge attributes — the
-    graph structure, fanout counts, and every output function are
-    untouched, so the pass composes freely with the structural axioms.
-    The default costs mirror the default RM3 cost table; the optimiser
-    layer's objectives re-price candidate results under the actual
-    target architecture either way.
+    *sweeps* sweeps ran).  Each gate keeps its table index (its fanin
+    classes, whose complemented slots a flip XORs) and knows the index
+    bits a flip of it XORs into every consumer, so a delta is two table
+    lookups per gate touched.  Flips change only
+    edge attributes — the graph structure, fanout counts, and every
+    output function are untouched, so the pass composes freely with the
+    structural axioms.  The default costs mirror the default RM3 cost
+    table; the optimiser layer's objectives re-price candidate results
+    under the actual target architecture either way.
     """
-    gates = mig.flat_gates()
-    refs = mig.fanout_counts()
-    is_gate = mig.is_gate
-    # Mutable per-gate fanin attributes: [child, complement-bit] triples,
-    # plus the reverse map (consumer gate, slot) per child.
-    fanin_bits: Dict[int, List[List[int]]] = {}
-    consumers: Dict[int, List[tuple]] = {}
-    for node, na, xa, nb, xb, nc, xc in gates:
-        fanin_bits[node] = [[na, xa & 1], [nb, xb & 1], [nc, xc & 1]]
-        for slot, child in enumerate((na, nb, nc)):
-            consumers.setdefault(child, []).append((node, slot))
+    table = rm3_cost_table(q_invert, p_invert, z_copy, z_const)
+    classes = rm3_edge_classes(mig)
+    fanins = mig._fanins
+    order = mig._live_gates()
+    size = len(fanins)
+    # index[g]: g's table index; own[g]: the index bits a flip of g
+    # XORs into it; consumers[g]: {consumer: the bits it XORs there}.
+    index = [0] * size
+    own = [0] * size
+    no_users: Dict[int, int] = {}
+    consumers = [no_users] * size
+    for node in order:
+        a, b, c = fanins[node]
+        ca, cb, cc = classes[a], classes[b], classes[c]
+        fa = (ca ^ classes[a ^ 1]) << 4
+        fb = (cb ^ classes[b ^ 1]) << 2
+        fc = cc ^ classes[c ^ 1]
+        index[node] = ca << 4 | cb << 2 | cc
+        own[node] = fa | fb | fc
+        for child, flip in ((a >> 1, fa), (b >> 1, fb), (c >> 1, fc)):
+            if fanins[child] is not None:
+                users = consumers[child]
+                if users is no_users:
+                    users = consumers[child] = {}
+                users[node] = users.get(node, 0) | flip
 
-    def gate_cost(node: int) -> int:
-        return rm3_gate_cost(
-            fanin_bits[node], refs, is_gate,
-            q_invert=q_invert, p_invert=p_invert,
-            z_copy=z_copy, z_const=z_const,
-        )
-
-    def toggle(node: int) -> None:
-        for entry in fanin_bits[node]:
-            entry[1] ^= 1
-        for consumer, slot in consumers.get(node, ()):
-            fanin_bits[consumer][slot][1] ^= 1
-
-    flipped: Dict[int, int] = {}
-    order = [record[0] for record in gates]
+    flipped = bytearray(size)
     for _ in range(max(1, sweeps)):
         changed = False
         for node in order:
-            affected = {node}
-            affected.update(c for c, _ in consumers.get(node, ()))
-            before = sum(gate_cost(g) for g in affected)
-            toggle(node)
-            if sum(gate_cost(g) for g in affected) < before:
-                flipped[node] = flipped.get(node, 0) ^ 1
+            key = index[node]
+            delta = table[key ^ own[node]] - table[key]
+            users = consumers[node]
+            for user, bits in users.items():
+                key = index[user]
+                delta += table[key ^ bits] - table[key]
+            if delta < 0:
+                index[node] ^= own[node]
+                for user, bits in users.items():
+                    index[user] ^= bits
+                flipped[node] ^= 1
                 changed = True
-            else:
-                toggle(node)
         if not changed:
             break
 
     def transform(new: Mig, ctx: RebuildContext, node: int, children):
-        if flipped.get(node):
+        if flipped[node]:
             return complement(
                 new.add_maj(*(complement(s) for s in children))
             )
         return None
 
     def scan(fanins, first):
-        return sorted(node for node, bit in flipped.items() if bit)
+        return [node for node in order if flipped[node]]
 
     return rebuild(mig, transform, scan)
 

@@ -31,7 +31,9 @@ complement needs a ``Q`` helper inversion, each surplus complement a
 ``P`` inversion, a missing overwritable destination a copy/constant
 initialisation).  It is an *estimate* — selection order and allocation
 can still shift the exact bill — but it is monotone in the violations
-the paper's Algorithm 2 targets, and it needs one linear scan.
+the paper's Algorithm 2 targets.  The bills of all 64 fanin-class
+triples are tabulated once per cost model, so scoring a graph is one
+linear scan with a table lookup per gate.
 
 Custom objectives register like architectures do::
 
@@ -54,7 +56,7 @@ from typing import Callable, Dict, List
 
 from ..arch import Architecture
 from ..mig.graph import Mig
-from ..mig.rewrite import rm3_gate_cost
+from ..mig.rewrite import rm3_cost_table, rm3_edge_classes
 
 
 @dataclass(frozen=True)
@@ -92,31 +94,29 @@ def estimated_write_cost(mig: Mig, arch: Architecture) -> int:
     *arch* — the static replay of the compiler's violation pricing.
 
     Per-gate pricing lives in :func:`repro.mig.rewrite.rm3_gate_cost`
-    (one implementation, shared with the polarity pass); this objective
-    feeds it the target machine's repair bills, so a different cost
-    table re-prices the same graph.  Constant fanins follow the machine
-    semantics: either polarity of a constant edge is violation-free, a
-    constant serves as the free ``Q``, and a constant destination is a
-    *z_const* rather than a *z_copy*.
+    (one implementation, shared with the polarity pass), tabulated once
+    per cost model by :func:`repro.mig.rewrite.rm3_cost_table`: this
+    objective classifies each live gate's fanins and adds one table
+    entry per gate.  The table is priced with the target machine's
+    repair bills, so a different cost table re-prices the same graph.
+    Constant fanins follow the machine semantics: either polarity of a
+    constant edge is violation-free, a constant serves as the free
+    ``Q``, and a constant destination is a *z_const* rather than a
+    *z_copy*.
     """
     cost = arch.cost
-    gates = mig.flat_gates()
-    refs = mig._fanout_counts()  # counted from the records just built
-    is_gate = mig.is_gate
-    q = cost.q_invert_instructions
-    p = cost.p_invert_instructions
-    z_copy = cost.z_copy_instructions
-    z_const = cost.z_const_instructions
+    table = rm3_cost_table(
+        cost.q_invert_instructions,
+        cost.p_invert_instructions,
+        cost.z_copy_instructions,
+        cost.z_const_instructions,
+    )
+    classes = rm3_edge_classes(mig)
+    fanins = mig._fanins
     total = 0
-    # flat_gates carries complement attributes as XOR masks (0 / -1);
-    # `& 1` recovers the complement bit.
-    for _node, na, xa, nb, xb, nc, xc in gates:
-        total += rm3_gate_cost(
-            ((na, xa & 1), (nb, xb & 1), (nc, xc & 1)),
-            refs,
-            is_gate,
-            q_invert=q, p_invert=p, z_copy=z_copy, z_const=z_const,
-        )
+    for node in mig._live_gates():
+        a, b, c = fanins[node]
+        total += table[classes[a] << 4 | classes[b] << 2 | classes[c]]
     return total
 
 

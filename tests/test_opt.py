@@ -1,10 +1,14 @@
 """Tests for the cost-guided rewriting optimizer layer (repro.opt)."""
 
+from itertools import product
+
 import pytest
 
 from repro.arch import Architecture, CostModel, get_architecture
+from repro.mig.rewrite import apply_script, rm3_cost_table, rm3_gate_cost
 from repro.mig.simulate import equivalent, truth_tables
 from repro.opt import (
+    ALGORITHM2_STEPS,
     DEFAULT_EFFORT,
     Objective,
     Optimizer,
@@ -27,7 +31,8 @@ from repro.opt import (
     rewrite,
 )
 from repro.opt.engine import OPT_ENV_VAR
-from repro.synth.registry import build_benchmark
+from repro.plim.compiler import _CLASS_ROLES, _role_table
+from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 from .conftest import ENGINES, make_random_mig, numpy_runs, use_engine
 
 ENDURANCE = get_architecture("endurance")
@@ -198,6 +203,108 @@ class TestObjectives:
             register_objective(
                 Objective(name="depth", fn=lambda m, a: 0)
             )
+
+
+#: The cost models the price-table tests run under: the default and the
+#: two re-priced machines of test_write_cost_prices_through_the_cost_model.
+PRICED_MODELS = (
+    CostModel(),
+    CostModel(q_invert_instructions=9),
+    CostModel(z_copy_instructions=9),
+)
+
+
+def price_table(cost):
+    return rm3_cost_table(
+        cost.q_invert_instructions,
+        cost.p_invert_instructions,
+        cost.z_copy_instructions,
+        cost.z_const_instructions,
+    )
+
+
+def static_price(fanin_bits, refs, is_gate, cost):
+    return rm3_gate_cost(
+        fanin_bits, refs, is_gate,
+        q_invert=cost.q_invert_instructions,
+        p_invert=cost.p_invert_instructions,
+        z_copy=cost.z_copy_instructions,
+        z_const=cost.z_const_instructions,
+    )
+
+
+class TestPriceTable:
+    """:func:`rm3_cost_table` is :func:`rm3_gate_cost`, tabulated."""
+
+    #: Fanout counts and gates of the representative fanins: gates 1
+    #: (one fanout) and 2 (three fanouts), PI 3 (one fanout).
+    REFS = (0, 1, 3, 1)
+    GATES = (1, 2)
+    #: Representative ``(node, complement)`` fanins per class: constant,
+    #: complemented, direct Z, copy Z — each by more than one edge.
+    CLASS_FANINS = (
+        ((0, 0), (0, 1)),
+        ((3, 1), (1, 1)),
+        ((1, 0),),
+        ((2, 0), (3, 0)),
+    )
+
+    @pytest.mark.parametrize("cost", PRICED_MODELS)
+    def test_entries_are_the_static_price(self, cost):
+        table = price_table(cost)
+        assert len(table) == 64
+        is_gate = self.GATES.__contains__
+        for classes in product(range(4), repeat=3):
+            index = 16 * classes[0] + 4 * classes[1] + classes[2]
+            for fanins in product(*(self.CLASS_FANINS[c] for c in classes)):
+                assert table[index] == static_price(
+                    fanins, self.REFS, is_gate, cost
+                ), (classes, fanins)
+
+    @pytest.mark.parametrize("cost", PRICED_MODELS)
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_write_cost_sums_the_static_price(self, name, cost):
+        arch = Architecture(name="priced", cost=cost)
+        mig = build_benchmark(name, "tiny")
+        for graph in (mig, apply_script(mig, ALGORITHM2_STEPS)):
+            refs = graph.fanout_counts()
+            expected = sum(
+                static_price(
+                    ((na, xa & 1), (nb, xb & 1), (nc, xc & 1)),
+                    refs, graph.is_gate, cost,
+                )
+                for _, na, xa, nb, xb, nc, xc in graph.flat_gates()
+            )
+            assert estimated_write_cost(graph, arch) == expected
+
+    def test_static_and_compiled_prices_disagree_on_seven_triples(self):
+        """The static price exceeds the compiler's (one RM3 plus the
+        cheapest role assignment's repairs) on exactly these triples of
+        fanin classes under the default cost model."""
+        cost = CostModel()
+        table = price_table(cost)
+        roles = _role_table(cost)
+        z_instructions = (0, cost.z_const_instructions, cost.z_copy_instructions)
+        disagree = {}
+        for index, classes in enumerate(product(range(4), repeat=3)):
+            qi, zi, pi = roles[index][1][0]
+            compiled = (
+                1
+                + cost.q_invert_instructions * _CLASS_ROLES[classes[qi]][0]
+                + z_instructions[_CLASS_ROLES[classes[zi]][1]]
+                + cost.p_invert_instructions * _CLASS_ROLES[classes[pi]][2]
+            )
+            if table[index] != compiled:
+                disagree[classes] = (table[index], compiled)
+        assert disagree == {
+            (0, 1, 1): (4, 3),
+            (1, 0, 1): (4, 3),
+            (1, 1, 0): (4, 3),
+            (1, 1, 1): (7, 5),
+            (1, 1, 3): (5, 3),
+            (1, 3, 1): (5, 3),
+            (3, 1, 1): (5, 3),
+        }
 
 
 class TestSpec:

@@ -15,8 +15,16 @@ from repro.opt import (
     rewrite_dac16,
     rewrite_endurance_aware,
 )
-from repro.mig.rewrite import PASSES, RebuildContext, apply_script, rebuild
-from repro.mig.signal import apply_complement, is_complemented, node_of
+from repro.mig.rewrite import (
+    PASSES,
+    RebuildContext,
+    _same_structure,
+    apply_script,
+    polarity_pass,
+    rebuild,
+    rm3_gate_cost,
+)
+from repro.mig.signal import apply_complement, complement, is_complemented, node_of
 from repro.mig.simulate import equivalent
 from repro.synth.arithmetic import build_adder
 from repro.synth.control import build_dec
@@ -603,6 +611,110 @@ def test_default_preset_rewrites_are_pinned():
         for script in ("dac16", "endurance"):
             digest.update(rewrite(source, script).content_fingerprint().encode())
     assert digest.hexdigest() == DEFAULT_REWRITE_DIGEST
+
+
+# ----------------------------------------------------------------------
+# Polarity pass: table-driven deltas against the closure loop
+# ----------------------------------------------------------------------
+
+def reference_polarity_pass(
+    mig, *, q_invert=2, p_invert=2, z_copy=2, z_const=1, sweeps=4,
+    strict=True,
+):
+    """The polarity search priced gate by gate with :func:`rm3_gate_cost`:
+    toggle, re-sum the gate and its consumers, toggle back unless the
+    sum dropped (or, with ``strict=False``, did not rise).  The
+    reference for :func:`polarity_pass`'s table lookups."""
+    gates = mig.flat_gates()
+    refs = mig.fanout_counts()
+    is_gate = mig.is_gate
+    fanin_bits = {}
+    consumers = {}
+    for node, na, xa, nb, xb, nc, xc in gates:
+        fanin_bits[node] = [[na, xa & 1], [nb, xb & 1], [nc, xc & 1]]
+        for slot, child in enumerate((na, nb, nc)):
+            consumers.setdefault(child, []).append((node, slot))
+
+    def gate_cost(node):
+        return rm3_gate_cost(
+            fanin_bits[node], refs, is_gate,
+            q_invert=q_invert, p_invert=p_invert,
+            z_copy=z_copy, z_const=z_const,
+        )
+
+    def toggle(node):
+        for entry in fanin_bits[node]:
+            entry[1] ^= 1
+        for consumer, slot in consumers.get(node, ()):
+            fanin_bits[consumer][slot][1] ^= 1
+
+    flipped = {}
+    order = [record[0] for record in gates]
+    for _ in range(max(1, sweeps)):
+        changed = False
+        for node in order:
+            affected = {node}
+            affected.update(c for c, _ in consumers.get(node, ()))
+            before = sum(gate_cost(g) for g in affected)
+            toggle(node)
+            after = sum(gate_cost(g) for g in affected)
+            if after < before or (not strict and after == before):
+                flipped[node] = flipped.get(node, 0) ^ 1
+                changed = True
+            else:
+                toggle(node)
+        if not changed:
+            break
+
+    def transform(new, ctx, node, children):
+        if flipped.get(node):
+            return complement(new.add_maj(*(complement(s) for s in children)))
+        return None
+
+    def scan(fanins, first):
+        return sorted(node for node, bit in flipped.items() if bit)
+
+    return rebuild(mig, transform, scan)
+
+
+POLARITY_WEIGHTS = ({}, {"q_invert": 1}, {"z_copy": 3, "z_const": 0})
+
+
+class TestPolarityParity:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_tiny_benchmarks(self, name):
+        source = build_benchmark(name, "tiny")
+        for graph in (source, apply_script(source, ALGORITHM2_STEPS)):
+            for weights in POLARITY_WEIGHTS:
+                assert _same_structure(
+                    polarity_pass(graph, **weights),
+                    reference_polarity_pass(graph, **weights),
+                ), weights
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=80),
+    )
+    def test_random_graphs(self, seed, gates):
+        mig = make_random_mig(7, gates, seed=seed, complement_prob=0.4)
+        for weights in POLARITY_WEIGHTS:
+            assert _same_structure(
+                polarity_pass(mig, **weights),
+                reference_polarity_pass(mig, **weights),
+            ), weights
+
+    def test_a_non_strict_reference_differs(self):
+        """The parity tests can fail: committing zero-delta flips too
+        changes the result on some graph."""
+        assert any(
+            not _same_structure(
+                polarity_pass(graph), reference_polarity_pass(graph, strict=False)
+            )
+            for graph in (
+                build_benchmark(name, "tiny") for name in BENCHMARK_ORDER
+            )
+        )
 
 
 # ----------------------------------------------------------------------
