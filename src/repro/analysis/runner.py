@@ -12,12 +12,15 @@ compilations *shared work*:
   configs that differ only in ``name`` (e.g. ``with_cap`` relabels) hit
   the same cache line; every configuration sharing a rewriting script
   reuses one rewriting run.
+* :func:`run_stages` is the one stage sequence — source → rewrite →
+  compile → verify for one (source, configuration) cell — that
+  :meth:`repro.flow.Flow.run` and every table cell run.
 * :func:`run_matrix` evaluates a sources x configurations matrix.  Every
   matrix entry — a registry name, a netlist path, a graph — resolves to
   a :class:`~repro.source.Source` and travels as one through the cache,
   the worker processes, and the disk keys (registry benchmarks keep
   their classic ``(name, preset)`` identity).  Entries run serially
-  through one cache, or :func:`dispatch_jobs` fans the ones the cache is
+  through one session, or :func:`dispatch_jobs` fans the ones its cache is
   missing out over supervised worker processes and adopts the results
   back; the matrix is then assembled in order from the warm cache, so
   the parallel path is bit-for-bit identical to the serial one.
@@ -68,9 +71,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..arch import Architecture, resolve_architecture
+from ..arch import DEFAULT_ARCHITECTURE, Architecture, resolve_architecture
 from ..core.manager import (
     CompilationResult,
     EnduranceConfig,
@@ -78,7 +81,7 @@ from ..core.manager import (
     compile_pipeline,
     full_management,
 )
-from ..core.stats import improvement_percent
+from ..core.stats import WriteTrafficStats, improvement_percent
 from ..opt import (
     DEFAULT_EFFORT,
     OptLike,
@@ -88,6 +91,7 @@ from ..opt import (
 )
 from ..mig.graph import Mig
 from ..mig.kernel import degradation_scope
+from ..plim.isa import Program
 from ..plim.verify import verify_program
 from ..resilience import (
     DEFAULT_POLICY,
@@ -97,7 +101,6 @@ from ..resilience import (
     WorkerCrashError,
     call_with_retry,
     classify_transient,
-    resolve_timeouts,
     time_limit,
 )
 from ..resilience import events as res_events
@@ -207,6 +210,71 @@ class BenchmarkEvaluation:
         return improvement_percent(
             self.stats(baseline).stdev, self.stats(config).stdev
         )
+
+
+#: Stage names in pipeline order.
+STAGES: Tuple[str, ...] = ("source", "rewrite", "compile", "verify")
+
+
+@dataclass(frozen=True)
+class StageEvent:
+    """One observer notification (start or end of a pipeline stage)."""
+
+    stage: str
+    flow: Optional[str] = None
+    benchmark: Optional[str] = None
+    config: Optional[str] = None
+    #: Filled on end events only.
+    cached: Optional[bool] = None
+    seconds: Optional[float] = None
+
+    def finished(self, *, seconds: float, cached: bool) -> "StageEvent":
+        """The matching end event for this start event."""
+        # Built directly: dataclasses.replace costs several times more,
+        # and every stage of every table cell ends with one.
+        return StageEvent(
+            self.stage, self.flow, self.benchmark, self.config, cached, seconds
+        )
+
+
+@dataclass(frozen=True)
+class StageArtifact:
+    """What one stage produced: the value, provenance, and timing."""
+
+    stage: str
+    value: object
+    #: Whether the stage ran no compute: its artefact came from the
+    #: session cache (memory, or the attached disk cache) or from another
+    #: process through the cache server.
+    cached: bool
+    seconds: float
+
+
+@dataclass
+class FlowResult:
+    """Typed per-stage artefacts of one :func:`run_stages` cell."""
+
+    mig: Mig
+    rewritten: Optional[Mig]
+    compilation: CompilationResult
+    verified_patterns: int = 0
+    stages: Dict[str, StageArtifact] = field(default_factory=dict)
+    #: The machine model the compile stage targeted.
+    architecture: Optional[Architecture] = None
+    #: The rewriting optimizer the rewrite stage ran.
+    optimizer: Optional[OptimizerSpec] = None
+
+    @property
+    def program(self) -> Program:
+        return self.compilation.program
+
+    @property
+    def stats(self) -> WriteTrafficStats:
+        return self.compilation.stats
+
+    @property
+    def config(self) -> EnduranceConfig:
+        return self.compilation.config
 
 
 def _graph_id(mig_or_key) -> Tuple:
@@ -635,7 +703,7 @@ class ExperimentCache:
     ) -> CompilationResult:
         """Ensure the stored result carries a certificate >= *patterns*.
 
-        The flow layer's verify stage: :meth:`compile` with
+        The verify stage of :func:`run_stages`: :meth:`compile` with
         verification, except that it counts no hit (the compile stage
         before it counted the request).
         """
@@ -731,6 +799,21 @@ class ExperimentCache:
             append_manifest_events(entry, list(events))
 
 
+def resolve_config(config: ConfigLike) -> EnduranceConfig:
+    """The configuration of a preset name (explicit configs pass
+    through); an unknown name raises a :class:`ValueError` that lists
+    the presets."""
+    if not isinstance(config, str):
+        return config
+    try:
+        return PRESETS[config]
+    except KeyError:
+        raise ValueError(
+            f"unknown configuration preset {config!r}; "
+            f"choose one of: {', '.join(PRESETS)}"
+        ) from None
+
+
 def resolve_configs(
     configs: Optional[Sequence[ConfigLike]] = None,
     caps: Optional[Sequence[int]] = None,
@@ -742,49 +825,154 @@ def resolve_configs(
     :class:`EnduranceConfig` objects already carry their own effort and
     pass through untouched.
     """
-    jobs: List[EnduranceConfig] = []
-    for entry in configs if configs is not None else TABLE1_PRESETS:
-        if isinstance(entry, str):
-            cfg = PRESETS[entry]
-            if cfg.effort != effort:
-                cfg = replace(cfg, effort=effort)
-            jobs.append(cfg)
-        else:
-            jobs.append(entry)
-    for cap in caps or []:
-        cfg = full_management(cap)
-        if cfg.effort != effort:
-            cfg = replace(cfg, effort=effort)
-        jobs.append(cfg)
-    return jobs
+    named = [
+        (isinstance(entry, str), resolve_config(entry))
+        for entry in (configs if configs is not None else TABLE1_PRESETS)
+    ] + [(True, full_management(cap)) for cap in caps or []]
+    return [
+        replace(cfg, effort=effort) if override and cfg.effort != effort else cfg
+        for override, cfg in named
+    ]
+
+
+def _session(session=None, **knobs):
+    """*session*, or a new :class:`repro.flow.Session` of *knobs*."""
+    if session is not None:
+        return session
+    from ..flow.session import Session  # deferred: flow imports runner
+
+    return Session(**knobs)
+
+
+def run_stages(
+    session,
+    source: "Source | Mig",
+    config: EnduranceConfig,
+    *,
+    preset: str,
+    arch: Architecture,
+    optimizer: Optimizer,
+    verify_patterns: Optional[int] = None,
+    keep_rewritten: bool = True,
+    hooks: Tuple[Sequence[Callable], Sequence[Callable]] = ((), ()),
+) -> FlowResult:
+    """Run one (source, configuration) cell through *session*.
+
+    Each stage runs under the session's budget for it, on any thread,
+    and sends a start and an end :class:`StageEvent` to the *hooks*
+    (start, end) and the session's observers; it is ``cached`` when it
+    ran no compute.  *source* is a :class:`~repro.source.Source` built
+    at *preset*, or a built graph.  The compile stage stores the result
+    at certificate 0; the verify stage (unless *verify_patterns* is
+    ``None``) co-simulates and certifies it.  ``keep_rewritten=False``
+    skips the rewrite when the result is already held (the probe adopts
+    a disk hit), leaving ``rewritten`` ``None``.
+    """
+    cache = session.cache
+    timeouts = session.timeouts
+    built = isinstance(source, Mig)
+    label = f"{source.name if built else source.label(preset)}/{config.name}"
+    if arch.name != DEFAULT_ARCHITECTURE:
+        label += f"#{arch.name}"
+    if optimizer.spec.strategy != "script":
+        label += f"!{optimizer.spec.label()}"
+    starts, ends = hooks
+    stages: Dict[str, StageArtifact] = {}
+
+    def stage(name: str, benchmark: str, work):
+        event = StageEvent(name, label, benchmark, config.name)
+        for hook in starts:
+            hook(event)
+        session.emit("on_stage_start", event)
+        start = time.perf_counter()
+        computes = cache.computes()
+        # The session's budget for this stage binds on any thread; a
+        # blown one raises StageTimeoutError instead of wedging the run.
+        with time_limit(timeouts.limit(name), stage=name, job=benchmark):
+            value = work()
+        cached = cache.computes() == computes
+        seconds = time.perf_counter() - start
+        stages[name] = StageArtifact(name, value, cached, seconds)
+        event = event.finished(seconds=seconds, cached=cached)
+        for hook in ends:
+            hook(event)
+        session.emit("on_stage_end", event)
+        return value
+
+    # source: build (or fetch) the graph under evaluation — registry
+    # benchmarks through their classic (name, preset) keys, external
+    # sources under their content fingerprints
+    mig = stage(
+        "source", source.name,
+        lambda: source if built else cache.source_mig(source, preset),
+    )
+    graph_id = mig_key(mig)
+    target = dict(arch=arch, optimizer=optimizer)
+
+    def rewrite() -> Optional[Mig]:
+        if not keep_rewritten and cache.has(graph_id, config, **target):
+            return None
+        return cache.rewritten(
+            mig, config.rewriting, config.effort, key=graph_id,
+            optimizer=optimizer,
+        )
+
+    # rewrite: shared by every config running the same script through
+    # the same optimizer
+    rewritten = stage("rewrite", mig.name, rewrite)
+    # compile: selection + allocation + RM3 emission + stats, targeting
+    # the resolved machine model; stored at certificate 0
+    compilation = stage(
+        "compile", mig.name,
+        lambda: cache.compile(mig, config, key=graph_id, **target),
+    )
+    # verify: co-simulate program vs MIG and certify the stored result
+    if verify_patterns is not None:
+        stage(
+            "verify", mig.name,
+            lambda: cache.verify(
+                mig, config, key=graph_id, patterns=verify_patterns, **target
+            ),
+        )
+    return FlowResult(
+        mig=mig,
+        rewritten=rewritten,
+        compilation=compilation,
+        verified_patterns=verify_patterns or 0,
+        stages=stages,
+        architecture=arch,
+        optimizer=optimizer.spec,
+    )
 
 
 def evaluate_mig_cached(
-    mig: Mig,
+    source: "Mig | Source",
     configs: Sequence[EnduranceConfig],
     *,
     cache: Optional[ExperimentCache] = None,
-    key: Optional[Tuple] = None,
+    session=None,
+    preset: Optional[str] = None,
     verify: bool = False,
     verify_patterns: int = 64,
     arch: ArchLike = None,
     opt: "OptLike | Optimizer" = None,
 ) -> BenchmarkEvaluation:
-    """Compile *mig* under every configuration through a cache."""
-    cache = cache if cache is not None else ExperimentCache()
-    arch, optimizer = resolve_target(arch, opt)
-    evaluation = BenchmarkEvaluation(
-        name=mig.name,
-        num_pis=mig.num_pis,
-        num_pos=mig.num_pos,
-        gates=mig.num_live_gates(),
-    )
+    """One table row: *source* (a graph, or a Source built at *preset*,
+    default the session's) under every configuration, one
+    :func:`run_stages` cell each, in *session* (default: one around
+    *cache*).  *arch* and *opt* resolve explicit > session's > ambient.
+    """
+    session = _session(session, cache=cache)
+    preset = preset or session.preset
+    machine, optimizer = resolve_target(arch, opt, session)
+    mig = source if isinstance(source, Mig) else None
+    results: Dict[str, CompilationResult] = {}
     labels: Dict[str, Tuple] = {}
     # One degradation scope per job: a numpy-kernel failure demotes the
     # rest of *this* benchmark's compilations to the (bit-identical)
     # bigint engine and is recorded in its manifests; the next
     # benchmark tries the numpy engine again.
-    with degradation_scope(mig.name):
+    with degradation_scope(source.name):
         for cfg in configs:
             label = result_label(cfg)
             semantic = config_key(cfg)
@@ -796,12 +984,22 @@ def evaluate_mig_cached(
                     f"distinct configurations share the result label "
                     f"{label!r}; rename one of them"
                 )
-            evaluation.results[label] = cache.compile(
-                mig, cfg, key=key, verify=verify,
-                verify_patterns=verify_patterns, arch=arch,
+            cell = run_stages(
+                session, source, cfg, preset=preset, arch=machine,
                 optimizer=optimizer,
+                verify_patterns=verify_patterns if verify else None,
+                keep_rewritten=False,
             )
-    return evaluation
+            mig, results[label] = cell.mig, cell.compilation
+    if mig is None:  # no configuration built the graph
+        mig = session.cache.source_mig(source, preset)
+    return BenchmarkEvaluation(
+        name=mig.name,
+        num_pis=mig.num_pis,
+        num_pos=mig.num_pos,
+        gates=mig.num_live_gates(),
+        results=results,
+    )
 
 
 #: Directory containing the ``repro`` package, for worker bootstrap.
@@ -869,9 +1067,10 @@ def _run_benchmark_job(
     saw).  The job's circuit is a picklable :class:`~repro.source.Source`
     and the job is named after it.
 
-    The job runs under the session's ``job`` wall-clock budget and
-    passes the worker-entry fault-injection site first, so an injected
-    crash kills the process before any work.
+    The job runs under the session's ``job`` wall-clock budget, each
+    of its stages under that stage's budget, and passes the
+    worker-entry fault-injection site first, so an injected crash kills
+    the process before any work.
     """
     source, preset, configs, verify, verify_patterns, spec = args
     from ..flow.session import Session  # deferred: flow imports runner
@@ -883,52 +1082,12 @@ def _run_benchmark_job(
             session.timeouts.limit("job"), stage="job", job=job
         ):
             res_faults.worker_entry(job)
-            mig = session.cache.source_mig(source, preset)
             evaluation = evaluate_mig_cached(
-                mig,
-                configs,
-                cache=session.cache,
-                verify=verify,
-                verify_patterns=verify_patterns,
-                arch=session.architecture,
-                opt=session.optimizer,
+                source, configs, session=session, preset=preset,
+                verify=verify, verify_patterns=verify_patterns,
             )
+    mig = session.cache.source_mig(source, preset)
     return mig, evaluation, session.cache.counters(), list(log)
-
-
-def _worker_spec(
-    session,
-    cache: ExperimentCache,
-    preset: str,
-    arch: str,
-    opt: str,
-):
-    """The :class:`repro.flow.SessionSpec` worker processes rebuild from.
-
-    Prefers the dispatching session's own spec (knobs + cache root),
-    pinned to the *resolved* architecture and optimizer the matrix is
-    targeting — an explicit ``run_matrix(arch=...)``/``opt=...``
-    override must reach the workers even when the session prefers
-    different ones.  Legacy calls without a session ship just the
-    cache's disk root plus the architecture and optimizer names, so
-    workers still share persisted artefacts and target the same
-    machine/optimizer.
-    """
-    import dataclasses
-
-    from ..flow.session import SessionSpec  # deferred: flow imports runner
-
-    if session is not None:
-        return dataclasses.replace(session.spec(), arch=arch, opt=opt)
-    disk = cache.disk
-    root = disk.root if disk is not None else None
-    return SessionSpec(
-        cache_dir=str(root) if root is not None else None,
-        cache_url=disk.url if disk is not None else None,
-        preset=preset,
-        arch=arch,
-        opt=opt,
-    )
 
 
 def _supervised_pool_map(
@@ -1096,7 +1255,7 @@ def dispatch_jobs(
     parallel: int,
     arch: Architecture,
     optimizer: Optimizer,
-    session=None,
+    session,
     policy: RetryPolicy = DEFAULT_POLICY,
     job_timeout: Optional[float] = None,
 ) -> Tuple[List[BenchmarkEvaluation], List[List[Dict]]]:
@@ -1106,15 +1265,14 @@ def dispatch_jobs(
     The one process dispatch of ``run_matrix(parallel=N)`` and of
     ``repro serve``'s isolated mode.  Each job is a source plus the
     configurations to compile it under; workers rebuild a session from
-    *session*'s spec (else from *cache*'s disk) pinned to *arch* and
-    *optimizer*, run under :func:`_supervised_pool_map`, and their
+    *session*'s spec pinned to *arch* and *optimizer* (an explicit
+    ``run_matrix(arch=...)``/``opt=...`` beats the session's own), run
+    under :func:`_supervised_pool_map`, and their
     graphs, results, and cache counters are merged into *cache*.
     Returns each job's evaluation and its parent-side recovery events
     (crashes, respawns, retries), in *jobs* order.
     """
-    spec = _worker_spec(
-        session, cache, preset, arch.name, optimizer.spec.label()
-    )
+    spec = replace(session.spec(), arch=arch.name, opt=optimizer.spec.label())
     work = [
         (source, preset, list(configs), verify, verify_patterns, spec)
         for source, configs in jobs
@@ -1190,24 +1348,23 @@ def run_matrix(
         ``$REPRO_OPT``/default selection.  Results and cache entries
         are keyed by it.
     parallel:
-        ``None``/``0``/``1`` — run serially through *cache* (created on
-        demand).  ``N > 1`` — fan benchmarks out over ``N`` worker
-        processes; each worker reconstructs a :class:`repro.flow.Session`
-        from the dispatching session's spec, and results are assembled in
-        matrix order, so the output is identical to the serial run
-        (asserted by the runner tests).  The *cache* (a throwaway one
-        when neither it nor *session* is given) cooperates with the
-        pool: already-compiled (benchmark, config) pairs are served from
-        it, only the missing remainder is dispatched, and worker results
-        are adopted back into the cache.  When the cache has a disk
-        cache attached, workers read through and write back to the same
+        ``None``/``0``/``1`` — run serially in the session.  ``N > 1`` —
+        fan benchmarks out over ``N`` worker processes; each worker
+        reconstructs a :class:`repro.flow.Session` from the dispatching
+        session's spec, and results are assembled in matrix order, so
+        the output is identical to the serial run (asserted by the
+        runner tests).  The session's cache cooperates with the pool:
+        already-compiled (benchmark, config) pairs are served from it,
+        only the missing remainder is dispatched, and worker results are
+        adopted back into the cache.  When the cache has a disk cache
+        attached, workers read through and write back to the same
         on-disk root.
-    session:
-        The :class:`repro.flow.Session` driving this matrix, if any —
-        supplies the spec (knobs + cache root) workers are rebuilt
-        from.  Prefer calling :meth:`repro.flow.Session.run_matrix`,
-        which fills *cache*, *parallel*, *preset*, and *session* in one
-        go.
+    cache, session:
+        The :class:`repro.flow.Session` driving this matrix (its cache,
+        budgets, observers, and the spec workers are rebuilt from);
+        without one, ``Session(cache=cache, preset=preset)``.  Prefer
+        :meth:`repro.flow.Session.run_matrix`, which fills *parallel*,
+        *preset* and *session* in one go.
     retry:
         The :class:`repro.resilience.RetryPolicy` supervising every
         job: transient failures (worker crashes, injected faults,
@@ -1216,22 +1373,19 @@ def run_matrix(
         deterministic exponential backoff; permanent failures and
         exhausted budgets propagate.  Defaults to
         :data:`repro.resilience.DEFAULT_POLICY` (three attempts).  The
-        session's ``job`` timeout budget is enforced per job in both
-        the serial and parallel paths.
+        session's ``job`` budget is enforced per job, and its stage
+        budgets per stage, in both the serial and parallel paths.
     """
     sources = [
         resolve_source(item)
         for item in (benchmarks if benchmarks is not None else BENCHMARK_ORDER)
     ]
     jobs = resolve_configs(configs, caps, effort)
-    if cache is None:
-        cache = session.cache if session is not None else ExperimentCache()
+    session = _session(session, cache=cache, preset=preset)
+    cache = session.cache
     machine, optimizer = resolve_target(arch, opt, session)
     policy = retry if retry is not None else DEFAULT_POLICY
-    timeouts = (
-        session.timeouts if session is not None else resolve_timeouts(None)
-    )
-    job_timeout = timeouts.limit("job")
+    job_timeout = session.timeouts.limit("job")
     # Touch the fault plan before any pool exists: an active
     # $REPRO_FAULTS spec exports its fire ledger into the environment
     # here, so workers spawned below share the parent's fault budget (a
@@ -1272,33 +1426,27 @@ def run_matrix(
 
     evaluations = []
     for source in sources:
-        job_name = source.name
-        mig = cache.source_mig(source, preset)
 
-        def attempt(mig=mig, job_name=job_name):
+        def attempt(source=source):
             # Serial jobs run under the same job budget and injection
             # site as pool workers (minus the process-killing faults),
             # so the retry taxonomy behaves identically in both paths.
-            with time_limit(job_timeout, stage="job", job=job_name):
-                res_faults.serial_entry(job_name)
+            with time_limit(job_timeout, stage="job", job=source.name):
+                res_faults.serial_entry(source.name)
                 return evaluate_mig_cached(
-                    mig,
-                    jobs,
-                    cache=cache,
-                    verify=verify,
-                    verify_patterns=verify_patterns,
-                    arch=machine,
-                    opt=optimizer,
+                    source, jobs, session=session, preset=preset,
+                    verify=verify, verify_patterns=verify_patterns,
+                    arch=machine, opt=optimizer,
                 )
 
         evaluations.append(
             call_with_retry(
                 attempt,
                 policy=policy,
-                key=(job_name,),
-                job=job_name,
-                on_retry=lambda n, error, job_name=job_name: res_events.record(
-                    "retry", job=job_name, attempt=n, error=repr(error)
+                key=(source.name,),
+                job=source.name,
+                on_retry=lambda n, error, job=source.name: res_events.record(
+                    "retry", job=job, attempt=n, error=repr(error)
                 ),
             )
         )

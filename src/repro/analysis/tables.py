@@ -56,21 +56,19 @@ def evaluate_mig(
     ``caps`` adds full-management runs keyed ``"wmax{cap}"`` (Table III).
     With ``verify=True`` every compiled program is co-simulated against
     the MIG — a failed check raises, keeping bogus statistics out of the
-    tables.  Passing a shared *cache* (or a :class:`repro.flow.Session`,
-    whose cache and machine model are adopted) deduplicates work across calls.
+    tables.  Passing a :class:`repro.flow.Session` (whose cache, machine
+    model, optimizer and stage budgets are adopted; it wins over
+    *cache*) or a shared *cache* deduplicates work across calls.
     """
-    jobs = resolve_configs(
-        configs if configs is not None else TABLE1_CONFIGS, caps, effort
-    )
-    if session is not None and cache is None:
-        cache = session.cache
     return evaluate_mig_cached(
         mig,
-        jobs,
+        resolve_configs(
+            configs if configs is not None else TABLE1_CONFIGS, caps, effort
+        ),
         cache=cache,
+        session=session,
         verify=verify,
         verify_patterns=verify_patterns,
-        arch=session.architecture if session is not None else None,
     )
 
 

@@ -11,7 +11,9 @@ is provisioned:
 * :class:`Flow` declares the paper's pipeline (source → rewrite →
   compile → verify) as composable stages with typed
   :class:`StageArtifact` outputs, per-stage caching, and
-  ``on_stage_start`` / ``on_stage_end`` observer hooks.
+  ``on_stage_start`` / ``on_stage_end`` observer hooks.  It runs the
+  one stage sequence (:func:`repro.analysis.runner.run_stages`) that
+  every table cell runs too.
 
 Every harness entry point — CLI subcommands, table/report generation,
 sweeps, the benchmark conftest, the examples — routes through this
@@ -19,14 +21,9 @@ layer.
 """
 
 from ..analysis.diskcache import resolve_cache_dir
+from ..analysis.runner import STAGES, FlowResult, StageArtifact, StageEvent
 from .session import PRESET_CHOICES, Session, SessionSpec
-from .pipeline import (
-    STAGES,
-    Flow,
-    FlowResult,
-    StageArtifact,
-    StageEvent,
-)
+from .pipeline import Flow
 
 __all__ = [
     "Flow",

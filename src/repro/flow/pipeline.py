@@ -21,104 +21,35 @@ or, for the common case of one endurance configuration end to end::
 
     result = Flow.for_config("ea-full", session=session).source("adder").run()
 
-Every stage produces a typed :class:`StageArtifact` (value, cached flag,
-wall-clock seconds), cached through the session's
-:class:`~repro.analysis.runner.ExperimentCache` — and hence through the
-content-addressed disk cache when the session is persistent, so a second
-run hits every stage.  ``on_stage_start`` / ``on_stage_end`` hooks (per
-flow and per session) observe the run for progress reporting and the
-benchmark harness's ``BENCH_suite.json`` timings.
+:meth:`Flow.run` is one call of :func:`~repro.analysis.runner.run_stages`,
+the stage sequence every table cell runs too.  Every stage produces a
+typed :class:`StageArtifact` (value, cached flag, wall-clock seconds),
+cached through the session's :class:`~repro.analysis.runner.ExperimentCache`
+(and its disk cache, so a second run hits every stage) under the
+session's budget for that stage.  ``on_stage_start`` / ``on_stage_end``
+hooks (per flow and per session) feed progress reporting and
+``BENCH_suite.json``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import replace as _dc_replace
+from typing import Callable, List, Optional, Tuple, Union
 
-from ..arch import Architecture, DEFAULT_ARCHITECTURE
-from ..core.manager import CompilationResult, EnduranceConfig, PRESETS
-from ..core.stats import WriteTrafficStats
+from ..arch import Architecture
+from ..core.manager import EnduranceConfig, PRESETS
 from ..opt import DEFAULT_EFFORT, OptimizerSpec
 from ..mig.graph import Mig
 from ..mig.kernel import degradation_scope
-from ..plim.isa import Program
-from ..resilience import time_limit
 from ..source import MigSource, Source, SourceLike, resolve_source
-from ..analysis.runner import mig_key, resolve_target
+from ..analysis.runner import (
+    FlowResult,
+    StageEvent,
+    resolve_config,
+    resolve_target,
+    run_stages,
+)
 from .session import Session
-
-#: Stage names in pipeline order.
-STAGES: Tuple[str, ...] = ("source", "rewrite", "compile", "verify")
-
-
-@dataclass(frozen=True)
-class StageEvent:
-    """One observer notification (start or end of a pipeline stage)."""
-
-    stage: str
-    flow: Optional[str] = None
-    benchmark: Optional[str] = None
-    config: Optional[str] = None
-    #: Filled on end events only.
-    cached: Optional[bool] = None
-    seconds: Optional[float] = None
-
-    def finished(self, *, seconds: float, cached: bool) -> "StageEvent":
-        """The matching end event for this start event."""
-        return _dc_replace(self, seconds=seconds, cached=cached)
-
-
-@dataclass(frozen=True)
-class StageArtifact:
-    """What one stage produced: the value, provenance, and timing."""
-
-    stage: str
-    value: object
-    #: Whether the stage ran no compute: its artefact came from the
-    #: session cache (memory, or the attached disk cache) or from another
-    #: process through the cache server.
-    cached: bool
-    seconds: float
-
-
-@dataclass
-class FlowResult:
-    """Typed per-stage artefacts of one flow run."""
-
-    mig: Mig
-    rewritten: Mig
-    compilation: CompilationResult
-    verified_patterns: int = 0
-    stages: Dict[str, StageArtifact] = field(default_factory=dict)
-    #: The machine model the compile stage targeted.
-    architecture: Optional[Architecture] = None
-    #: The rewriting optimizer the rewrite stage ran.
-    optimizer: Optional[OptimizerSpec] = None
-
-    @property
-    def program(self) -> Program:
-        return self.compilation.program
-
-    @property
-    def stats(self) -> WriteTrafficStats:
-        return self.compilation.stats
-
-    @property
-    def config(self) -> EnduranceConfig:
-        return self.compilation.config
-
-
-def _resolve_config(config: Union[str, EnduranceConfig]) -> EnduranceConfig:
-    if isinstance(config, str):
-        try:
-            return PRESETS[config]
-        except KeyError:
-            raise ValueError(
-                f"unknown configuration preset {config!r}; "
-                f"choose one of: {', '.join(PRESETS)}"
-            ) from None
-    return config
 
 
 class Flow:
@@ -227,7 +158,7 @@ class Flow:
 
     def compile(self, config: Union[str, EnduranceConfig]) -> "Flow":
         """Set the endurance configuration (preset name or explicit)."""
-        self._config = _resolve_config(config)
+        self._config = resolve_config(config)
         return self
 
     def verify(self, patterns: int = 64) -> "Flow":
@@ -276,16 +207,6 @@ class Flow:
             config = _dc_replace(config, rewriting=script, effort=effort)
         return config
 
-    def _emit_start(self, event: StageEvent) -> None:
-        for hook in self._start_hooks:
-            hook(event)
-        self.session.emit("on_stage_start", event)
-
-    def _emit_end(self, event: StageEvent) -> None:
-        for hook in self._end_hooks:
-            hook(event)
-        self.session.emit("on_stage_end", event)
-
     def run(self) -> FlowResult:
         """Execute the declared pipeline and return its artefacts."""
         source = (
@@ -299,99 +220,16 @@ class Flow:
                 ".source_mig(mig) before running (or set "
                 "Session(source=...)/$REPRO_SOURCE)"
             )
-        preset = self._source_preset or self.session.preset
-        config = self._effective_config()
-        cache = self.session.cache
         machine, optimizer = resolve_target(
             self._arch, self._opt, self.session
         )
-        opt_spec = optimizer.spec
-        label = f"{source.label(preset)}/{config.name}"
-        if machine.name != DEFAULT_ARCHITECTURE:
-            label += f"#{machine.name}"
-        if opt_spec.strategy != "script":
-            label += f"!{opt_spec.label()}"
-        stages: Dict[str, StageArtifact] = {}
-
-        timeouts = self.session.timeouts
-
-        def stage(name: str, benchmark: Optional[str], work):
-            event = StageEvent(
-                stage=name, flow=label, benchmark=benchmark, config=config.name
-            )
-            self._emit_start(event)
-            start = time.perf_counter()
-            computes = cache.computes()
-            # The session's budget for this stage binds on any thread; a
-            # blown one raises StageTimeoutError instead of wedging the flow.
-            with time_limit(
-                timeouts.limit(name), stage=name, job=benchmark or ""
-            ):
-                value = work()
-            cached = cache.computes() == computes
-            seconds = time.perf_counter() - start
-            stages[name] = StageArtifact(
-                stage=name, value=value, cached=cached, seconds=seconds
-            )
-            self._emit_end(event.finished(seconds=seconds, cached=cached))
-            return value
-
         # One degradation scope per run, tagged with its job: a numpy
         # failure demotes the rest of the run and lands in its manifest.
         with degradation_scope(source.name):
-            # source: build (or fetch) the graph under evaluation —
-            # registry benchmarks through their classic (name, preset)
-            # keys, external sources under their content fingerprints
-            mig = stage(
-                "source",
-                source.name,
-                lambda: cache.source_mig(source, preset),
+            return run_stages(
+                self.session, source, self._effective_config(),
+                preset=self._source_preset or self.session.preset,
+                arch=machine, optimizer=optimizer,
+                verify_patterns=self._verify_patterns,
+                hooks=(self._start_hooks, self._end_hooks),
             )
-            bench_name = mig.name
-            graph_id = mig_key(mig)
-
-            # rewrite: shared by every config running the same script
-            # through the same optimizer
-            rewritten = stage(
-                "rewrite",
-                bench_name,
-                lambda: cache.rewritten(
-                    mig, config.rewriting, config.effort, key=graph_id,
-                    optimizer=optimizer,
-                ),
-            )
-
-            # compile: selection + allocation + RM3 emission + stats,
-            # targeting the resolved machine model
-            compilation = stage(
-                "compile",
-                bench_name,
-                lambda: cache.compile(
-                    mig, config, key=graph_id, arch=machine,
-                    optimizer=optimizer,
-                ),
-            )
-
-            # verify: co-simulate program vs MIG (certificate-cached)
-            verified = 0
-            if self._verify_patterns is not None:
-                patterns = self._verify_patterns
-                stage(
-                    "verify",
-                    bench_name,
-                    lambda: cache.verify(
-                        mig, config, key=graph_id, patterns=patterns,
-                        arch=machine, optimizer=optimizer,
-                    ),
-                )
-                verified = patterns
-
-        return FlowResult(
-            mig=mig,
-            rewritten=rewritten,
-            compilation=compilation,
-            verified_patterns=verified,
-            stages=stages,
-            architecture=machine,
-            optimizer=opt_spec,
-        )

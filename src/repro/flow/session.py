@@ -47,6 +47,7 @@ from ..analysis.runner import (
     BenchmarkEvaluation,
     ConfigLike,
     ExperimentCache,
+    StageEvent,
     TABLE1_PRESETS,
     run_matrix as _run_matrix,
 )
@@ -89,7 +90,8 @@ class Session:
     and matrix evaluation routed through it, disk-backed when a cache
     directory is configured.  Observers registered with
     :meth:`add_observer` receive the :class:`~repro.flow.StageEvent`
-    stream of every flow run in this session (plus matrix-level events),
+    stream of every flow run and table cell in this session (plus
+    matrix-level events),
     which is how progress reporting and ``BENCH_suite.json`` timings are
     fed.
     """
@@ -357,10 +359,9 @@ class Session:
         Delegates to :func:`repro.analysis.runner.run_matrix` with the
         session's cache, preset, and parallelism; worker processes are
         rebuilt from :meth:`spec`.  Emits ``"matrix"`` stage events to
-        the session observers around the whole evaluation.
+        the session observers around the whole evaluation, and each
+        serially run cell's stage events inside them.
         """
-        from .pipeline import StageEvent  # deferred: pipeline imports session
-
         names = (
             list(benchmarks)
             if benchmarks is not None
@@ -384,7 +385,6 @@ class Session:
             verify=verify,
             verify_patterns=verify_patterns,
             parallel=parallel if parallel is not None else self.parallel,
-            cache=self.cache,
             session=self,
         )
         self.emit(

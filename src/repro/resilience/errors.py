@@ -78,6 +78,11 @@ class StageTimeoutError(PermanentFault):
             f"stage {stage!r} exceeded its {seconds:g}s timeout{where}"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its fields: a worker process's blown budget
+        # reaches the supervisor as itself, not as a broken pool.
+        return type(self), (self.stage, self.seconds, self.job)
+
 
 class RetriesExhaustedError(PermanentFault):
     """A job kept failing transiently until the retry budget ran out.

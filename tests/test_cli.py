@@ -44,6 +44,25 @@ class TestParser:
 
 
 class TestCommands:
+    def test_table_stage_budget_fails_the_command(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("REPRO_CACHE_DIR", "REPRO_CACHE_URL")
+        }
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "table1", "--preset", "tiny",
+             "--benchmarks", "adder", "--timeout", "compile=0.000001"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert "StageTimeoutError" in proc.stderr
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

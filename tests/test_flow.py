@@ -218,8 +218,13 @@ class TestObserverHooks:
         assert all(e[2] is not None for e in end_events)
         seen.clear()
         session.run_matrix(["dec"], ["naive"])
+        # a table cell runs the same stage sequence inside the matrix
         assert [e[:2] for e in seen] == [
-            ("start", "matrix"), ("end", "matrix")
+            ("start", "matrix"),
+            ("start", "source"), ("end", "source"),
+            ("start", "rewrite"), ("end", "rewrite"),
+            ("start", "compile"), ("end", "compile"),
+            ("end", "matrix"),
         ]
         seen.clear()
         session.remove_observer(observer)

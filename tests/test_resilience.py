@@ -482,6 +482,27 @@ class TestStageCheckpoints:
         assert isinstance(error, StageTimeoutError)
         assert (error.stage, error.job) == ("compile", "adder")
 
+    def test_stage_budget_binds_in_a_serial_matrix(self):
+        session = Session(preset="tiny", timeouts="compile=1e-9")
+        with pytest.raises(StageTimeoutError) as caught:
+            session.run_matrix(["adder"], ["naive"])
+        assert (caught.value.stage, caught.value.job) == ("compile", "adder")
+
+    @pytest.mark.slow
+    def test_stage_budget_binds_in_matrix_workers(self):
+        session = Session(preset="tiny", timeouts="compile=1e-9")
+        with pytest.raises(StageTimeoutError) as caught:
+            session.run_matrix(["adder", "dec"], ["naive"], parallel=2)
+        assert caught.value.stage == "compile"
+
+    def test_stage_timeout_survives_pickling(self):
+        import pickle
+
+        error = pickle.loads(
+            pickle.dumps(StageTimeoutError("verify", 0.5, "dec"))
+        )
+        assert (error.stage, error.seconds, error.job) == ("verify", 0.5, "dec")
+
 
 class TestFaultSpec:
     def test_parse_directives(self):

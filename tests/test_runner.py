@@ -246,6 +246,12 @@ class TestResolveConfigEffort:
         assert by_name["custom"].effort == 2         # explicit: preserved
         assert by_name["ea-full+wmax10"].effort == 3  # cap: overridden
 
+    def test_unknown_preset_lists_the_presets(self):
+        from repro.flow import Session
+
+        with pytest.raises(ValueError, match="unknown configuration preset"):
+            Session(preset="tiny").run_matrix(["dec"], ["turbo"])
+
 
 class TestDuplicateLabels:
     def test_distinct_configs_sharing_a_label_refused(self):

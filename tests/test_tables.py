@@ -55,6 +55,13 @@ class TestEvaluate:
         # evaluate_mig with a tiny graph runs verify without error
         evaluate_mig(build_adder(width=3), configs=["naive"])
 
+    def test_session_optimizer_is_adopted(self):
+        session = Session(preset="tiny", opt="greedy:write_cost")
+        mig = session.cache.benchmark_mig("dec", "tiny")
+        evaluate_mig(mig, configs=["ea-full"], session=session)
+        session.flow("ea-full").source("dec").run()
+        assert session.cache.misses == 1  # the flow hit the same program
+
     def test_evaluate_benchmark_by_name(self):
         ev = evaluate_benchmark("dec", preset="tiny", configs=["naive"])
         assert ev.name == "dec"
