@@ -12,8 +12,6 @@ from .tables import (
     TABLE1_CONFIGS,
     TABLE3_CAPS,
     average_row,
-    evaluate_benchmark,
-    evaluate_mig,
     headline_metrics,
 )
 from .report import (
@@ -35,8 +33,6 @@ __all__ = [
     "TABLE1_CONFIGS",
     "TABLE3_CAPS",
     "average_row",
-    "evaluate_benchmark",
-    "evaluate_mig",
     "fig1_chain",
     "fig1_mig",
     "fig2_ladder",

@@ -3,16 +3,14 @@
 Formats :class:`~repro.analysis.tables.BenchmarkEvaluation` collections
 into fixed-width tables laid out like Tables I-III of the paper, with the
 same AVG row semantics (column means; the improvement column averages the
-per-benchmark percentages).  :func:`full_report` drives the shared
-:mod:`~repro.analysis.runner` once and renders every table from that
-single evaluation pass.
+per-benchmark percentages).  :meth:`repro.flow.Session.full_report`
+renders every table from one evaluation pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
-from .runner import ExperimentCache
 from .tables import (
     BenchmarkEvaluation,
     TABLE1_CONFIGS,
@@ -140,45 +138,6 @@ def render_table3(
     lines.append("-" * len(lines[1]))
     lines.append(" | ".join(f"{c:>12s}" for c in avg_cells))
     return "\n".join(lines)
-
-
-def full_report(
-    preset: str = "default",
-    names: Optional[Iterable[str]] = None,
-    *,
-    caps: Sequence[int] = tuple(TABLE3_CAPS),
-    effort: int = 5,
-    verify: bool = True,
-    parallel: Optional[int] = None,
-    cache: Optional[ExperimentCache] = None,
-    session=None,
-) -> Dict[str, str]:
-    """Regenerate every table and the headline from one runner pass.
-
-    Each (benchmark, configuration) pair compiles exactly once — the
-    Table I columns and the Table III caps share one evaluation matrix —
-    and the rendered artefacts are returned keyed by table name.  Pass a
-    :class:`repro.flow.Session` to reuse its cache/parallelism
-    (its preset wins over the *preset* argument); the remaining keyword
-    arguments exist for legacy callers and build a throwaway session.
-    """
-    if session is None:
-        from ..flow import Session  # deferred: flow imports this module
-
-        session = Session(preset=preset, parallel=parallel, cache=cache)
-    evaluations = session.run_matrix(
-        names,
-        TABLE1_CONFIGS,
-        caps=list(caps),
-        effort=effort,
-        verify=verify,
-    )
-    return {
-        "table1": render_table1(evaluations),
-        "table2": render_table2(evaluations),
-        "table3": render_table3(evaluations, caps=caps),
-        "headline": render_headline(evaluations),
-    }
 
 
 def render_architecture_sweep(points, title: str = "") -> str:

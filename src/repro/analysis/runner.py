@@ -25,6 +25,11 @@ compilations *shared work*:
   back; the matrix is then assembled in order from the warm cache, so
   the parallel path is bit-for-bit identical to the serial one.
   ``repro serve``'s isolated mode dispatches through the same function.
+* One verification knob: every entry point takes ``verify`` —
+  ``True`` certifies :data:`VERIFY_PATTERNS` patterns, an int *N*
+  certifies *N*, and ``False`` or ``0`` runs no verify stage
+  (:func:`verify_width`).  The width crosses the worker boundary as one
+  pattern count.
 
 **The tier path.**  Every stage reads memory, then the single-flight
 window of the attached disk cache (a local
@@ -56,9 +61,12 @@ local root, a cache server, a client's fallback root — writes through
 narrower certificate than the stored one inside the entry's writer
 lock.
 
-The table/report layer (:mod:`repro.analysis.tables`,
-:mod:`repro.analysis.report`) and the benchmark harness conftest are thin
-views over this runner.
+:class:`repro.flow.Session` is the one door into an evaluation: its
+``run_matrix``, ``evaluate_suite`` and ``full_report`` drive this runner
+with the session's cache, preset, machine, optimizer and budgets (an
+existing cache enters as ``Session(cache=...)``).  The table/report
+layer (:mod:`repro.analysis.tables`, :mod:`repro.analysis.report`) keeps
+the table vocabulary and the renderers.
 """
 
 from __future__ import annotations
@@ -116,6 +124,25 @@ ArchLike = Union[str, Architecture, None]
 
 #: A configuration request: a preset name or an explicit config object.
 ConfigLike = Union[str, EnduranceConfig]
+
+#: The pattern count ``verify=True`` certifies: every compiled program is
+#: co-simulated against its source graph on this many input patterns
+#: (small graphs exhaustively).
+VERIFY_PATTERNS = 64
+
+
+def verify_width(verify: "bool | int") -> int:
+    """The pattern count a ``verify`` argument certifies.
+
+    ``True`` means :data:`VERIFY_PATTERNS`, ``False`` or ``0`` no
+    verification, and an int *N* certifies *N* patterns.
+    """
+    if verify is True:  # first: True == 1
+        return VERIFY_PATTERNS
+    if verify < 0:
+        raise ValueError(f"verify takes a pattern count >= 0, not {verify}")
+    return int(verify)
+
 
 #: The five incremental Table I configuration presets, in column order —
 #: the default matrix columns.  Deliberately an explicit list rather than
@@ -672,23 +699,22 @@ class ExperimentCache:
         config: EnduranceConfig,
         *,
         key: Optional[Tuple] = None,
-        verify: bool = False,
-        verify_patterns: int = 64,
+        verify: "bool | int" = False,
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> CompilationResult:
         """Compile *mig* under *config* for *arch* through *optimizer*.
 
-        With ``verify=True`` the result carries a certificate of at
-        least *verify_patterns*.  Entries are keyed by the target
+        The result carries a certificate at least as wide as *verify*
+        asks (see :func:`verify_width`).  Entries are keyed by the target
         machine and optimizer (:func:`experiment_key`), so one cache
         serves every machine model and optimizer spec without
         cross-talk.  Counts a miss when it compiles and a hit
         otherwise.
         """
         return self._compile(
-            mig, config, key, verify_patterns if verify else 0, arch,
-            optimizer, count_hit=True,
+            mig, config, key, verify_width(verify), arch, optimizer,
+            count_hit=True,
         )
 
     def verify(
@@ -697,7 +723,7 @@ class ExperimentCache:
         config: EnduranceConfig,
         *,
         key: Optional[Tuple] = None,
-        patterns: int = 64,
+        patterns: int = VERIFY_PATTERNS,
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> CompilationResult:
@@ -835,15 +861,6 @@ def resolve_configs(
     ]
 
 
-def _session(session=None, **knobs):
-    """*session*, or a new :class:`repro.flow.Session` of *knobs*."""
-    if session is not None:
-        return session
-    from ..flow.session import Session  # deferred: flow imports runner
-
-    return Session(**knobs)
-
-
 def run_stages(
     session,
     source: "Source | Mig",
@@ -852,7 +869,7 @@ def run_stages(
     preset: str,
     arch: Architecture,
     optimizer: Optimizer,
-    verify_patterns: Optional[int] = None,
+    verify: "bool | int" = False,
     keep_rewritten: bool = True,
     hooks: Tuple[Sequence[Callable], Sequence[Callable]] = ((), ()),
 ) -> FlowResult:
@@ -863,13 +880,14 @@ def run_stages(
     (start, end) and the session's observers; it is ``cached`` when it
     ran no compute.  *source* is a :class:`~repro.source.Source` built
     at *preset*, or a built graph.  The compile stage stores the result
-    at certificate 0; the verify stage (unless *verify_patterns* is
-    ``None``) co-simulates and certifies it.  ``keep_rewritten=False``
-    skips the rewrite when the result is already held (the probe adopts
-    a disk hit), leaving ``rewritten`` ``None``.
+    at certificate 0; the verify stage, run when *verify* asks for
+    patterns (see :func:`verify_width`), co-simulates and certifies it.
+    ``keep_rewritten=False`` skips the rewrite when the result is already
+    held (the probe adopts a disk hit), leaving ``rewritten`` ``None``.
     """
     cache = session.cache
     timeouts = session.timeouts
+    patterns = verify_width(verify)
     built = isinstance(source, Mig)
     label = f"{source.name if built else source.label(preset)}/{config.name}"
     if arch.name != DEFAULT_ARCHITECTURE:
@@ -927,18 +945,18 @@ def run_stages(
         lambda: cache.compile(mig, config, key=graph_id, **target),
     )
     # verify: co-simulate program vs MIG and certify the stored result
-    if verify_patterns is not None:
+    if patterns:
         stage(
             "verify", mig.name,
             lambda: cache.verify(
-                mig, config, key=graph_id, patterns=verify_patterns, **target
+                mig, config, key=graph_id, patterns=patterns, **target
             ),
         )
     return FlowResult(
         mig=mig,
         rewritten=rewritten,
         compilation=compilation,
-        verified_patterns=verify_patterns or 0,
+        verified_patterns=patterns,
         stages=stages,
         architecture=arch,
         optimizer=optimizer.spec,
@@ -949,20 +967,17 @@ def evaluate_mig_cached(
     source: "Mig | Source",
     configs: Sequence[EnduranceConfig],
     *,
-    cache: Optional[ExperimentCache] = None,
-    session=None,
+    session,
     preset: Optional[str] = None,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
     arch: ArchLike = None,
     opt: "OptLike | Optimizer" = None,
 ) -> BenchmarkEvaluation:
     """One table row: *source* (a graph, or a Source built at *preset*,
     default the session's) under every configuration, one
-    :func:`run_stages` cell each, in *session* (default: one around
-    *cache*).  *arch* and *opt* resolve explicit > session's > ambient.
+    :func:`run_stages` cell each, in *session*, verified as *verify*
+    asks.  *arch* and *opt* resolve explicit > session's > ambient.
     """
-    session = _session(session, cache=cache)
     preset = preset or session.preset
     machine, optimizer = resolve_target(arch, opt, session)
     mig = source if isinstance(source, Mig) else None
@@ -986,9 +1001,7 @@ def evaluate_mig_cached(
                 )
             cell = run_stages(
                 session, source, cfg, preset=preset, arch=machine,
-                optimizer=optimizer,
-                verify_patterns=verify_patterns if verify else None,
-                keep_rewritten=False,
+                optimizer=optimizer, verify=verify, keep_rewritten=False,
             )
             mig, results[label] = cell.mig, cell.compilation
     if mig is None:  # no configuration built the graph
@@ -1050,9 +1063,7 @@ def _importable_in_workers():
                     os.environ["PYTHONPATH"] = _ENV_SAVED
 
 
-def _run_benchmark_job(
-    args,
-) -> Tuple[Mig, BenchmarkEvaluation, Dict[str, int], List[Dict]]:
+def _run_benchmark_job(args) -> Tuple[Mig, BenchmarkEvaluation, Dict[str, int]]:
     """Worker-process entry: evaluate one benchmark in a local session.
 
     The worker reconstructs a :class:`repro.flow.Session` from the
@@ -1060,34 +1071,30 @@ def _run_benchmark_job(
     machine model and optimizer — so
     cross-cutting concerns resolve identically on both sides of the
     process boundary.  Returns the built MIG alongside the evaluation
-    (so the parent can adopt both into a shared cache), the worker
+    (so the parent can adopt both into a shared cache) and the worker
     cache's hit/miss counters (so ``BENCH_suite.json`` can report the
-    fan-out's cache behaviour, not just the parent's), and the job's
-    resilience event log (so the parent can report recoveries it never
-    saw).  The job's circuit is a picklable :class:`~repro.source.Source`
-    and the job is named after it.
+    fan-out's cache behaviour, not just the parent's); the job's
+    resilience events reach the manifests the worker stores.  The job's
+    circuit is a picklable :class:`~repro.source.Source` and the job is
+    named after it; *verify* is the pattern count to certify.
 
     The job runs under the session's ``job`` wall-clock budget, each
     of its stages under that stage's budget, and passes the
     worker-entry fault-injection site first, so an injected crash kills
     the process before any work.
     """
-    source, preset, configs, verify, verify_patterns, spec = args
+    source, preset, configs, verify, spec = args
     from ..flow.session import Session  # deferred: flow imports runner
 
     job = source.name
     session = Session.from_spec(spec)
-    with res_events.capture() as log:
-        with time_limit(
-            session.timeouts.limit("job"), stage="job", job=job
-        ):
-            res_faults.worker_entry(job)
-            evaluation = evaluate_mig_cached(
-                source, configs, session=session, preset=preset,
-                verify=verify, verify_patterns=verify_patterns,
-            )
+    with time_limit(session.timeouts.limit("job"), stage="job", job=job):
+        res_faults.worker_entry(job)
+        evaluation = evaluate_mig_cached(
+            source, configs, session=session, preset=preset, verify=verify
+        )
     mig = session.cache.source_mig(source, preset)
-    return mig, evaluation, session.cache.counters(), list(log)
+    return mig, evaluation, session.cache.counters()
 
 
 def _supervised_pool_map(
@@ -1246,12 +1253,10 @@ def _supervised_pool_map(
 
 
 def dispatch_jobs(
-    cache: ExperimentCache,
     jobs: Sequence[Tuple[Source, Sequence[EnduranceConfig]]],
     *,
     preset: str,
-    verify: bool,
-    verify_patterns: int,
+    verify: "bool | int",
     parallel: int,
     arch: Architecture,
     optimizer: Optimizer,
@@ -1260,32 +1265,34 @@ def dispatch_jobs(
     job_timeout: Optional[float] = None,
 ) -> Tuple[List[BenchmarkEvaluation], List[List[Dict]]]:
     """Evaluate *jobs* in supervised worker processes and adopt the
-    results into *cache*.
+    results into *session*'s cache.
 
     The one process dispatch of ``run_matrix(parallel=N)`` and of
     ``repro serve``'s isolated mode.  Each job is a source plus the
     configurations to compile it under; workers rebuild a session from
     *session*'s spec pinned to *arch* and *optimizer* (an explicit
     ``run_matrix(arch=...)``/``opt=...`` beats the session's own), run
-    under :func:`_supervised_pool_map`, and their
-    graphs, results, and cache counters are merged into *cache*.
+    under :func:`_supervised_pool_map`, certify *verify* patterns (see
+    :func:`verify_width`), and their graphs, results, and cache counters
+    are merged into the session's cache.
     Returns each job's evaluation and its parent-side recovery events
     (crashes, respawns, retries), in *jobs* order.
     """
+    cache = session.cache
+    certified = verify_width(verify)
     spec = replace(session.spec(), arch=arch.name, opt=optimizer.spec.label())
     work = [
-        (source, preset, list(configs), verify, verify_patterns, spec)
+        (source, preset, list(configs), certified, spec)
         for source, configs in jobs
     ]
     with _importable_in_workers():
         payloads, recoveries = _supervised_pool_map(
             work, parallel, policy=policy, job_timeout=job_timeout
         )
-    certified = verify_patterns if verify else 0
     for (source, configs), payload, recovery in zip(
         jobs, payloads, recoveries
     ):
-        mig, evaluation, counters, _worker_log = payload
+        mig, evaluation, counters = payload
         identity = tuple(source.identity(preset))
         cache.adopt(
             identity, source.name, mig, configs, evaluation,
@@ -1305,13 +1312,11 @@ def run_matrix(
     benchmarks: "Optional[Iterable[SourceLike]]" = None,
     configs: Optional[Sequence[ConfigLike]] = None,
     *,
-    preset: str = "default",
+    preset: Optional[str] = None,
     caps: Optional[Sequence[int]] = None,
     effort: int = DEFAULT_EFFORT,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
     parallel: Optional[int] = None,
-    cache: Optional[ExperimentCache] = None,
     session=None,
     arch: ArchLike = None,
     opt: OptLike = None,
@@ -1332,8 +1337,16 @@ def run_matrix(
     configs:
         Configuration preset names or explicit :class:`EnduranceConfig`
         objects (default: the five Table I columns).
+    preset:
+        Width preset registry sources are built at (default: the
+        session's).
     caps:
         Additional ``full_management(cap)`` columns, labelled ``wmaxN``.
+    verify:
+        ``True`` co-simulates every compiled program on
+        :data:`VERIFY_PATTERNS` patterns, an int *N* on *N* patterns,
+        ``False``/``0`` not at all; a failed check raises.  Each result
+        stores the width as its certificate.
     arch:
         Target machine model for every compilation (a registry name or
         :class:`~repro.arch.Architecture`).  An explicit value beats
@@ -1359,12 +1372,13 @@ def run_matrix(
         adopted back into the cache.  When the cache has a disk cache
         attached, workers read through and write back to the same
         on-disk root.
-    cache, session:
+    session:
         The :class:`repro.flow.Session` driving this matrix (its cache,
-        budgets, observers, and the spec workers are rebuilt from);
-        without one, ``Session(cache=cache, preset=preset)``.  Prefer
-        :meth:`repro.flow.Session.run_matrix`, which fills *parallel*,
-        *preset* and *session* in one go.
+        preset, budgets, observers, and the spec workers are rebuilt
+        from); without one, a fresh ``Session(preset=preset)``.  An
+        existing cache enters as ``Session(cache=...)``.  Prefer
+        :meth:`repro.flow.Session.run_matrix`, which fills *parallel*
+        and *session* in one go.
     retry:
         The :class:`repro.resilience.RetryPolicy` supervising every
         job: transient failures (worker crashes, injected faults,
@@ -1381,7 +1395,12 @@ def run_matrix(
         for item in (benchmarks if benchmarks is not None else BENCHMARK_ORDER)
     ]
     jobs = resolve_configs(configs, caps, effort)
-    session = _session(session, cache=cache, preset=preset)
+    patterns = verify_width(verify)
+    if session is None:
+        from ..flow.session import Session  # deferred: flow imports runner
+
+        session = Session(preset=preset or "default")
+    preset = preset or session.preset
     cache = session.cache
     machine, optimizer = resolve_target(arch, opt, session)
     policy = retry if retry is not None else DEFAULT_POLICY
@@ -1396,7 +1415,6 @@ def run_matrix(
         # Dispatch only the pairs the cache is missing (an entry without
         # a wide-enough verification certificate counts as missing when
         # this run verifies).
-        needed = verify_patterns if verify else 0
         work = []
         for source in sources:
             mig = cache.cached_source_mig(source, preset)
@@ -1407,7 +1425,7 @@ def run_matrix(
                     cfg
                     for cfg in jobs
                     if not cache.has(
-                        mig_key(mig), cfg, verified_patterns=needed,
+                        mig_key(mig), cfg, verified_patterns=patterns,
                         arch=machine, optimizer=optimizer,
                     )
                 ]
@@ -1416,8 +1434,7 @@ def run_matrix(
                 work.append((source, missing))
         if work:
             dispatch_jobs(
-                cache, work, preset=preset, verify=verify,
-                verify_patterns=verify_patterns, parallel=parallel,
+                work, preset=preset, verify=patterns, parallel=parallel,
                 arch=machine, optimizer=optimizer, session=session,
                 policy=policy, job_timeout=job_timeout,
             )
@@ -1435,8 +1452,7 @@ def run_matrix(
                 res_faults.serial_entry(source.name)
                 return evaluate_mig_cached(
                     source, jobs, session=session, preset=preset,
-                    verify=verify, verify_patterns=verify_patterns,
-                    arch=machine, opt=optimizer,
+                    verify=patterns, arch=machine, opt=optimizer,
                 )
 
         evaluations.append(

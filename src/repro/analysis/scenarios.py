@@ -113,14 +113,15 @@ def evaluate_scenarios(
     configs: Sequence,
     *,
     session=None,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
 ) -> Iterable[Tuple[str, "object"]]:
     """Compile a scenario MIG under each configuration through a Flow.
 
     *configs* is a sequence of preset names or
     :class:`~repro.core.manager.EnduranceConfig` objects; yields
-    ``(label, FlowResult)`` pairs in order.  The CLI ``fig1``/``fig2``
+    ``(label, FlowResult)`` pairs in order; *verify* is ``True``
+    (:data:`~repro.analysis.runner.VERIFY_PATTERNS` patterns) or a
+    pattern count, as for every sweep below.  The CLI ``fig1``/``fig2``
     subcommands and the figure examples route through this helper so
     scenario compilations share the session's cache and machine model like
     every other pipeline.
@@ -131,9 +132,7 @@ def evaluate_scenarios(
         session = Session()
     for config in configs:
         flow = Flow.for_config(config, session=session).source_mig(mig)
-        if verify:
-            flow.verify(verify_patterns)
-        result = flow.run()
+        result = flow.verify(verify).run()
         yield result.compilation.config.name, result
 
 
@@ -163,8 +162,7 @@ def architecture_sweep(
     configs: Sequence = ("naive", "ea-full"),
     *,
     session=None,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
 ) -> List[ArchSweepPoint]:
     """Compile one source under every (architecture, configuration) pair.
 
@@ -193,9 +191,7 @@ def architecture_sweep(
         machine = resolve_architecture(arch)
         for config in configs:
             flow = Flow.for_config(config, session=session).arch(machine)
-            flow.source(source)  # any SourceLike: name, path, Mig, ...
-            if verify:
-                flow.verify(verify_patterns)
+            flow.source(source).verify(verify)  # any SourceLike
             try:
                 result = flow.run()
             except ArchitectureError as exc:
@@ -239,8 +235,7 @@ def optimizer_sweep(
     configs: Sequence = ("ea-full",),
     *,
     session=None,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
 ) -> List[OptSweepPoint]:
     """Compile one source under every (optimizer, configuration) pair.
 
@@ -268,9 +263,7 @@ def optimizer_sweep(
         spec = resolve_optimizer(opt)
         for config in configs:
             flow = Flow.for_config(config, session=session).optimize(spec)
-            flow.source(source)  # any SourceLike: name, path, Mig, ...
-            if verify:
-                flow.verify(verify_patterns)
+            flow.source(source).verify(verify)  # any SourceLike
             result = flow.run()
             points.append(
                 OptSweepPoint(
@@ -305,8 +298,7 @@ def source_sweep(
     configs: Sequence = ("naive", "ea-full"),
     *,
     session=None,
-    verify: bool = False,
-    verify_patterns: int = 64,
+    verify: "bool | int" = False,
 ) -> List[SourceSweepPoint]:
     """Compile every source under every configuration pair.
 
@@ -333,9 +325,7 @@ def source_sweep(
         resolved = resolve_source(entry)
         for config in configs:
             flow = Flow.for_config(config, session=session).source(resolved)
-            if verify:
-                flow.verify(verify_patterns)
-            result = flow.run()
+            result = flow.verify(verify).run()
             points.append(
                 SourceSweepPoint(
                     source=resolved.name,

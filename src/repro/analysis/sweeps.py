@@ -19,7 +19,6 @@ from ..core.manager import (
 )
 from ..mig.graph import Mig
 from ..plim.memory import TYPICAL_ENDURANCE_LOW, estimate_lifetime
-from .runner import ExperimentCache
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ def sweep_widths(
     widths: Sequence[int],
     configs: Optional[Dict[str, EnduranceConfig]] = None,
     endurance: int = TYPICAL_ENDURANCE_LOW,
-    cache: Optional[ExperimentCache] = None,
     session=None,
 ) -> List[SweepPoint]:
     """Compile ``builder(width)`` for every width under every config.
@@ -54,9 +52,8 @@ def sweep_widths(
     *builder* maps an integer size parameter to a MIG (any of the
     arithmetic generators fits directly).  Every point runs as a
     :class:`repro.flow.Flow` through one session (pass *session* to
-    share its cache; the legacy *cache* argument wraps the cache
-    in a throwaway session), so configurations with a common rewriting
-    script rewrite each width only once.
+    share its cache), so configurations with a common rewriting script
+    rewrite each width only once.
     """
     from ..flow import Flow, Session  # deferred: flow imports this package
 
@@ -67,7 +64,7 @@ def sweep_widths(
             "wmax20": full_management(20),
         }
     if session is None:
-        session = Session(cache=cache)
+        session = Session()
     points: List[SweepPoint] = []
     for width in widths:
         mig = builder(width)

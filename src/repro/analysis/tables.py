@@ -4,23 +4,18 @@ The heavy lifting — building, rewriting, compiling, verifying — lives in
 :mod:`repro.analysis.runner` behind the :mod:`repro.flow` Session/Flow
 API, which memoizes each stage per session so every (benchmark,
 configuration) pair compiles exactly once no matter how many tables ask
-for it.  This module keeps the table vocabulary (column orders, write
-caps) and the per-table aggregate views.
+for it; a table's rows come from :meth:`repro.flow.Session.run_matrix`
+or :meth:`~repro.flow.Session.evaluate_suite`.  This module keeps the
+table vocabulary (column orders, write caps) and the per-table aggregate
+views.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.stats import average_improvement
-from ..mig.graph import Mig
-from .runner import (
-    BenchmarkEvaluation,
-    ExperimentCache,
-    TABLE1_PRESETS,
-    evaluate_mig_cached,
-    resolve_configs,
-)
+from .runner import BenchmarkEvaluation, TABLE1_PRESETS
 
 #: Table I column order (left to right in the paper).
 TABLE1_CONFIGS: List[str] = list(TABLE1_PRESETS)
@@ -33,60 +28,8 @@ __all__ = [
     "TABLE1_CONFIGS",
     "TABLE3_CAPS",
     "average_row",
-    "evaluate_benchmark",
-    "evaluate_mig",
     "headline_metrics",
 ]
-
-
-def evaluate_mig(
-    mig: Mig,
-    *,
-    configs: Optional[Sequence[str]] = None,
-    caps: Optional[Sequence[int]] = None,
-    effort: int = 5,
-    verify: bool = True,
-    verify_patterns: int = 64,
-    cache: Optional[ExperimentCache] = None,
-    session=None,
-) -> BenchmarkEvaluation:
-    """Compile *mig* under every requested configuration.
-
-    ``configs`` are preset names (default: the Table I columns);
-    ``caps`` adds full-management runs keyed ``"wmax{cap}"`` (Table III).
-    With ``verify=True`` every compiled program is co-simulated against
-    the MIG — a failed check raises, keeping bogus statistics out of the
-    tables.  Passing a :class:`repro.flow.Session` (whose cache, machine
-    model, optimizer and stage budgets are adopted; it wins over
-    *cache*) or a shared *cache* deduplicates work across calls.
-    """
-    return evaluate_mig_cached(
-        mig,
-        resolve_configs(
-            configs if configs is not None else TABLE1_CONFIGS, caps, effort
-        ),
-        cache=cache,
-        session=session,
-        verify=verify,
-        verify_patterns=verify_patterns,
-    )
-
-
-def evaluate_benchmark(
-    name: str,
-    preset: str = "default",
-    *,
-    cache: Optional[ExperimentCache] = None,
-    session=None,
-    **kwargs,
-) -> BenchmarkEvaluation:
-    """Build a registry benchmark and evaluate it."""
-    if cache is None:
-        cache = session.cache if session is not None else ExperimentCache()
-    return evaluate_mig(
-        cache.benchmark_mig(name, preset), cache=cache, session=session,
-        **kwargs,
-    )
 
 
 # ----------------------------------------------------------------------

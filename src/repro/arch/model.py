@@ -217,16 +217,6 @@ class Architecture:
             block_size=self.geometry.block_size or 1,
         )
 
-    def make_array(self, num_cells: int, *, wear_out: bool = False):
-        """A behavioural :class:`~repro.plim.memory.RramArray` of this
-        machine; ``wear_out=True`` arms the physical endurance budget."""
-        from ..plim.memory import RramArray
-
-        return RramArray(
-            num_cells,
-            endurance=self.endurance.cell_endurance if wear_out else None,
-        )
-
     def estimate_lifetime(self, write_counts):
         """Program executions until the first cell dies on this machine."""
         from ..plim.memory import estimate_lifetime

@@ -12,7 +12,7 @@ compilation → co-simulation verify → write-traffic statistics.  A
         Flow(session)
         .source("adder")            # registry benchmark (or .source_mig(mig))
         .compile("ea-full")         # preset name or EnduranceConfig
-        .verify(patterns=64)        # co-simulate program vs MIG
+        .verify()                   # co-simulate program vs MIG
         .run()
     )
     result.stats.stdev, result.program.num_instructions
@@ -43,6 +43,7 @@ from ..mig.graph import Mig
 from ..mig.kernel import degradation_scope
 from ..source import MigSource, Source, SourceLike, resolve_source
 from ..analysis.runner import (
+    VERIFY_PATTERNS,
     FlowResult,
     StageEvent,
     resolve_config,
@@ -69,7 +70,7 @@ class Flow:
         self._source_preset: Optional[str] = None
         self._config: Optional[EnduranceConfig] = None
         self._rewrite: Optional[Tuple[str, int]] = None
-        self._verify_patterns: Optional[int] = None
+        self._verify: "bool | int" = False
         self._arch: "str | Architecture | None" = None
         self._opt: "str | OptimizerSpec | None" = None
         self._start_hooks: List[Callable[[StageEvent], None]] = []
@@ -96,7 +97,7 @@ class Flow:
         preset: Optional[str] = None,
         arch: "str | Architecture | None" = None,
         opt: "str | OptimizerSpec | None" = None,
-        verify: Optional[int] = None,
+        verify: "bool | int" = False,
         session: Optional[Session] = None,
     ) -> "Flow":
         """The job-shaped entry: one call declaring a whole pipeline.
@@ -117,9 +118,7 @@ class Flow:
             flow.arch(arch)
         if opt is not None:
             flow.optimize(opt)
-        if verify is not None:
-            flow.verify(verify)
-        return flow
+        return flow.verify(verify)
 
     def source(
         self, source: SourceLike, preset: Optional[str] = None
@@ -161,9 +160,11 @@ class Flow:
         self._config = resolve_config(config)
         return self
 
-    def verify(self, patterns: int = 64) -> "Flow":
-        """Append a co-simulation verify stage (program vs MIG)."""
-        self._verify_patterns = patterns
+    def verify(self, patterns: "bool | int" = VERIFY_PATTERNS) -> "Flow":
+        """Append a co-simulation verify stage (program vs MIG) on
+        *patterns* patterns; ``True`` means :data:`VERIFY_PATTERNS`,
+        ``False`` or ``0`` drops the stage."""
+        self._verify = patterns
         return self
 
     def arch(self, arch: "str | Architecture") -> "Flow":
@@ -230,6 +231,6 @@ class Flow:
                 self.session, source, self._effective_config(),
                 preset=self._source_preset or self.session.preset,
                 arch=machine, optimizer=optimizer,
-                verify_patterns=self._verify_patterns,
+                verify=self._verify,
                 hooks=(self._start_hooks, self._end_hooks),
             )

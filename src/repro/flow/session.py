@@ -36,12 +36,13 @@ import os
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..arch import Architecture, resolve_architecture
 from ..opt import DEFAULT_EFFORT, OptimizerSpec, resolve_optimizer
 from ..resilience import Timeouts, resolve_timeouts
 from ..source import Source, SourceLike, resolve_source, source_from_env
+from ..analysis import report
 from ..analysis.diskcache import DiskCache
 from ..analysis.runner import (
     BenchmarkEvaluation,
@@ -345,22 +346,25 @@ class Session:
 
     def run_matrix(
         self,
-        benchmarks: Optional[Iterable[str]] = None,
+        benchmarks: Optional[Iterable[SourceLike]] = None,
         configs: Optional[Sequence[ConfigLike]] = None,
         *,
         caps: Optional[Sequence[int]] = None,
         effort: int = DEFAULT_EFFORT,
-        verify: bool = False,
-        verify_patterns: int = 64,
+        verify: "bool | int" = False,
         parallel: Optional[int] = None,
     ) -> List[BenchmarkEvaluation]:
         """Evaluate a benchmarks x configurations matrix in this session.
 
         Delegates to :func:`repro.analysis.runner.run_matrix` with the
         session's cache, preset, and parallelism; worker processes are
-        rebuilt from :meth:`spec`.  Emits ``"matrix"`` stage events to
-        the session observers around the whole evaluation, and each
-        serially run cell's stage events inside them.
+        rebuilt from :meth:`spec`.  *benchmarks* are registry names,
+        netlist paths, built graphs, or anything else
+        :func:`repro.source.resolve_source` takes; *verify* is ``True``
+        (:data:`~repro.analysis.runner.VERIFY_PATTERNS` patterns) or a
+        pattern count.  Emits ``"matrix"`` stage events to the session
+        observers around the whole evaluation, and each serially run
+        cell's stage events inside them.
         """
         names = (
             list(benchmarks)
@@ -379,11 +383,9 @@ class Session:
         evaluations = _run_matrix(
             names,
             configs,
-            preset=self.preset,
             caps=caps,
             effort=effort,
             verify=verify,
-            verify_patterns=verify_patterns,
             parallel=parallel if parallel is not None else self.parallel,
             session=self,
         )
@@ -395,13 +397,12 @@ class Session:
 
     def evaluate_suite(
         self,
-        names: Optional[Iterable[str]] = None,
+        names: Optional[Iterable[SourceLike]] = None,
         *,
-        configs: Optional[Sequence[str]] = None,
+        configs: Optional[Sequence[ConfigLike]] = None,
         caps: Optional[Sequence[int]] = None,
         effort: int = DEFAULT_EFFORT,
-        verify: bool = True,
-        verify_patterns: int = 64,
+        verify: "bool | int" = True,
         parallel: Optional[int] = None,
     ) -> List[BenchmarkEvaluation]:
         """The paper's suite evaluation (default: all 18 benchmarks,
@@ -412,7 +413,6 @@ class Session:
             caps=caps,
             effort=effort,
             verify=verify,
-            verify_patterns=verify_patterns,
             parallel=parallel,
         )
 
@@ -422,18 +422,26 @@ class Session:
         *,
         caps: Optional[Sequence[int]] = None,
         effort: int = DEFAULT_EFFORT,
-        verify: bool = True,
-    ):
-        """Every table + the headline, rendered from one matrix pass."""
-        from ..analysis import report  # deferred: report imports flow shims
+        verify: "bool | int" = True,
+    ) -> Dict[str, str]:
+        """Every table + the headline, rendered from one matrix pass.
 
-        return report.full_report(
-            names=names,
-            caps=caps if caps is not None else report.TABLE3_CAPS,
-            effort=effort,
+        Each (benchmark, configuration) pair compiles exactly once: the
+        Table I columns and the Table III caps (default: all four) share
+        one :meth:`run_matrix`.  The rendered artefacts are keyed by
+        table name.
+        """
+        caps = list(caps if caps is not None else report.TABLE3_CAPS)
+        evaluations = self.run_matrix(
+            names, report.TABLE1_CONFIGS, caps=caps, effort=effort,
             verify=verify,
-            session=self,
         )
+        return {
+            "table1": report.render_table1(evaluations),
+            "table2": report.render_table2(evaluations),
+            "table3": report.render_table3(evaluations, caps=caps),
+            "headline": report.render_headline(evaluations),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         knobs = "".join(f", {name}={value!r}" for name, value in self._spec.items())

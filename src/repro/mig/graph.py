@@ -268,10 +268,6 @@ class Mig:
         """Return ``True`` if *node* is a majority gate."""
         return self._fanins[node] is not None
 
-    def pi_index(self, node: int) -> int:
-        """Position of a PI node in the input list (``-1`` otherwise)."""
-        return self._pi_index[node]
-
     def fanins(self, node: int) -> Tuple[int, int, int]:
         """The three fanin signals of a gate node."""
         fi = self._fanins[node]

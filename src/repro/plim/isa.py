@@ -29,7 +29,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Operand encoding for the constant 0 applied directly to a bit line.
 OP_CONST0 = -1
@@ -218,17 +218,3 @@ class Program:
         for addr in list(self.pi_cells) + list(self.po_cells):
             if addr < 0 or addr >= n:
                 raise ValueError(f"interface cell {addr} out of range")
-
-    def stats_summary(self) -> Dict[str, float]:
-        """Compact summary used by reports and tests."""
-        counts = self.write_counts()
-        from ..core.stats import WriteTrafficStats
-
-        stats = WriteTrafficStats.from_counts(counts)
-        return {
-            "instructions": float(self.num_instructions),
-            "rrams": float(self.num_rrams),
-            "stdev": stats.stdev,
-            "min": float(stats.min_writes),
-            "max": float(stats.max_writes),
-        }

@@ -89,10 +89,6 @@ class RramArray:
         """Zero all write counters (fresh array)."""
         self.writes = [0] * self.num_cells
 
-    def reset_values(self) -> None:
-        """Zero the stored data, keeping wear state."""
-        self.values = [0] * self.num_cells
-
     def max_writes(self) -> int:
         """Highest write count over the array."""
         return max(self.writes, default=0)

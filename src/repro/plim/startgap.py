@@ -176,13 +176,6 @@ class StartGapArray:
         """Completed revolutions per rotation region."""
         return [rotor.revolutions for rotor in self._rotors]
 
-    def region_of(self, logical: int) -> int:
-        """Rotation-region index of a logical address."""
-        self.physical_address(logical)  # bounds check
-        if self.block_size is None:
-            return 0
-        return logical // self.block_size
-
     # -- address translation ---------------------------------------------
 
     def physical_address(self, logical: int) -> int:

@@ -55,10 +55,14 @@ class WorkerCrashError(TransientFault):
     def __init__(self, job: str, attempt: int, detail: str = "") -> None:
         self.job = job
         self.attempt = attempt
+        self.detail = detail
         super().__init__(
             f"worker running {job!r} died (attempt {attempt})"
             + (f": {detail}" if detail else "")
         )
+
+    def __reduce__(self):
+        return type(self), (self.job, self.attempt, self.detail)
 
 
 class StageTimeoutError(PermanentFault):
@@ -100,6 +104,9 @@ class RetriesExhaustedError(PermanentFault):
         )
         self.__cause__ = last
 
+    def __reduce__(self):
+        return type(self), (self.job, self.attempts, self.__cause__)
+
 
 class KernelDegradedError(TransientFault):
     """A simulation-kernel backend failed on a job.
@@ -123,6 +130,9 @@ class FaultInjected(TransientFault):
         self.job = job
         where = f" on job {job!r}" if job else ""
         super().__init__(f"injected fault at {point!r}{where}")
+
+    def __reduce__(self):
+        return type(self), (self.point, self.job)
 
 
 #: Exception types from outside the taxonomy that are worth retrying:

@@ -8,9 +8,9 @@ process-global recorder.
 
 Events are plain dicts — ``{"kind": ..., "job": ..., **detail}`` — so
 they serialise into ``run_manifest.json`` untouched.  Worker processes
-accumulate their own log and ship a snapshot back to the parent with
-their results; :func:`capture` scopes collection around one unit of work
-(one experiment compile, one job) so events land in the right manifest.
+accumulate their own log and write each job's events into the manifests
+they store; :func:`capture` scopes collection around one unit of work
+(one experiment compile, one job) for callers that need the span.
 The process log keeps only the newest :data:`MAX_EVENTS` events, so a
 long-running service stays bounded; capture sinks still see every event.
 """

@@ -181,11 +181,9 @@ class JobQueue:
             job.id, {"kind": "dispatch", "mode": "process"}
         )
         (evaluation,), (recovery,) = dispatch_jobs(
-            session.cache,
             [(spec.source, [spec.config])],
             preset=spec.preset,
-            verify=spec.verify > 0,
-            verify_patterns=spec.verify,
+            verify=spec.verify,
             parallel=1,
             arch=spec.arch,
             optimizer=Optimizer(spec.opt, spec.arch),
@@ -215,7 +213,7 @@ class JobQueue:
             preset=spec.preset,
             arch=spec.arch,
             opt=spec.opt,
-            verify=spec.verify or None,
+            verify=spec.verify,
             session=self.session,
         )
         flow.on_stage_start(

@@ -37,7 +37,7 @@ from ..mig.io import MigParseError, loads_aiger, loads_blif, loads_mig
 from ..opt import OptimizerSpec, resolve_optimizer
 from ..source import MigSource, Source, resolve_source
 from ..synth.frontend import FrontendFunction, mig_function
-from ..analysis.runner import experiment_key
+from ..analysis.runner import VERIFY_PATTERNS, experiment_key
 
 #: Inline netlist formats accepted by ``POST /jobs`` (text flavours
 #: only — binary ``.aig`` payloads travel as files, not JSON strings).
@@ -51,8 +51,9 @@ INLINE_NETLIST_FORMATS = {
 PRESET_CHOICES = ("tiny", "default", "paper")
 
 #: Default verification width applied when a job does not choose one —
-#: matches the harness default, so served artefacts carry certificates.
-DEFAULT_VERIFY_PATTERNS = 64
+#: the harness's ``verify=True`` width, so served artefacts carry
+#: certificates.
+DEFAULT_VERIFY_PATTERNS = VERIFY_PATTERNS
 
 _KNOWN_KEYS = frozenset(
     {"source", "netlist", "frontend", "preset", "config", "wmax",

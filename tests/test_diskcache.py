@@ -12,6 +12,7 @@ from repro.analysis.diskcache import (
 )
 from repro.analysis.runner import ExperimentCache, run_matrix
 from repro.core.manager import PRESETS
+from repro.flow import Session
 
 
 class TestDiskCacheBasics:
@@ -376,7 +377,7 @@ class TestExperimentCacheReadThrough:
     def test_verification_certificate_persists(self, tmp_path):
         cold = ExperimentCache(disk=DiskCache(tmp_path))
         mig = cold.benchmark_mig("dec", "tiny")
-        cold.compile(mig, PRESETS["naive"], verify=True, verify_patterns=16)
+        cold.compile(mig, PRESETS["naive"], verify=16)
 
         warm = ExperimentCache(disk=DiskCache(tmp_path))
         mig2 = warm.benchmark_mig("dec", "tiny")
@@ -393,14 +394,11 @@ class TestExperimentCacheReadThrough:
 
         session_a = ExperimentCache(disk=DiskCache(tmp_path))
         session_a.compile(
-            session_a.benchmark_mig("dec", "tiny"),
-            PRESETS["naive"],
-            verify=True,
-            verify_patterns=256,
+            session_a.benchmark_mig("dec", "tiny"), PRESETS["naive"], verify=256
         )  # disk cert: 256
 
         session_b.compile(
-            mig_b, PRESETS["naive"], verify=True, verify_patterns=16
+            mig_b, PRESETS["naive"], verify=16
         )  # memory upgrade to 16 must not clobber the 256 on disk
 
         fresh = ExperimentCache(disk=DiskCache(tmp_path))
@@ -447,14 +445,14 @@ class TestRunMatrixDiskSharing:
     def test_warm_serial_run_is_pure_disk_io(self, tmp_path):
         cold = ExperimentCache(disk=DiskCache(tmp_path))
         reference = run_matrix(
-            self.SUBSET, preset="tiny", verify=False, cache=cold
+            self.SUBSET, verify=False, session=Session(cache=cold, preset="tiny")
         )
         pairs = cold.misses
         assert pairs == len(self.SUBSET) * 5
 
         warm = ExperimentCache(disk=DiskCache(tmp_path))
         rerun = run_matrix(
-            self.SUBSET, preset="tiny", verify=False, cache=warm
+            self.SUBSET, verify=False, session=Session(cache=warm, preset="tiny")
         )
         # every benchmark and every result deserialised, none compiled
         assert warm.disk.hits == len(self.SUBSET) + pairs
@@ -466,13 +464,14 @@ class TestRunMatrixDiskSharing:
         # Cold run entirely inside worker processes...
         cold = ExperimentCache(disk=DiskCache(tmp_path))
         fanned = run_matrix(
-            self.SUBSET, preset="tiny", verify=False, parallel=2, cache=cold
+            self.SUBSET, verify=False, parallel=2,
+            session=Session(cache=cold, preset="tiny"),
         )
         # ...must leave a cache a fresh serial process can fully reuse:
         # cross-process sharing via the filesystem.
         warm = ExperimentCache(disk=DiskCache(tmp_path))
         rerun = run_matrix(
-            self.SUBSET, preset="tiny", verify=False, cache=warm
+            self.SUBSET, verify=False, session=Session(cache=warm, preset="tiny")
         )
         assert len(warm._rewrites) == 0
         assert self._signature(rerun) == self._signature(fanned)

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.analysis import report
 from repro.analysis.runner import ExperimentCache
 from repro.core.manager import (
     PRESETS,
@@ -252,16 +251,6 @@ class TestObserverHooks:
         end = start.finished(seconds=1.5, cached=True)
         assert start.seconds is None and end.seconds == 1.5
         assert end.stage == "compile" and end.cached is True
-
-
-class TestLegacyShims:
-    def test_full_report_legacy_args_match_session_path(self):
-        session = Session(preset="tiny")
-        modern = session.full_report(["dec"], caps=[10, 100], verify=False)
-        legacy = report.full_report(
-            preset="tiny", names=["dec"], caps=[10, 100], verify=False
-        )
-        assert modern == legacy
 
 
 class TestMatrixThroughSession:

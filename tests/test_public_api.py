@@ -7,6 +7,7 @@ change, deliberately.
 """
 
 import repro
+import repro.analysis
 import repro.arch
 import repro.cachesvc
 import repro.flow
@@ -199,6 +200,29 @@ CACHESVC_API = [
     "resolve_cache_url",
 ]
 
+#: The blessed repro.analysis namespace (tables, figures, sweeps).
+ANALYSIS_API = [
+    "BenchmarkEvaluation",
+    "SweepPoint",
+    "TABLE1_CONFIGS",
+    "TABLE3_CAPS",
+    "average_row",
+    "by_config",
+    "fig1_chain",
+    "fig1_mig",
+    "fig2_ladder",
+    "fig2_mig",
+    "headline_metrics",
+    "render_headline",
+    "render_sweep",
+    "render_table1",
+    "render_table2",
+    "render_table3",
+    "scaling_exponent",
+    "storage_pressure",
+    "sweep_widths",
+]
+
 #: The blessed repro.flow namespace.
 FLOW_API = [
     "Flow",
@@ -372,3 +396,12 @@ class TestFlowNamespace:
 
     def test_choice_lists_stable(self):
         assert repro.flow.PRESET_CHOICES == ["tiny", "default", "paper"]
+
+
+class TestAnalysisNamespace:
+    def test_all_snapshot(self):
+        assert sorted(repro.analysis.__all__) == sorted(ANALYSIS_API)
+
+    def test_every_name_resolves(self):
+        for name in repro.analysis.__all__:
+            assert getattr(repro.analysis, name) is not None

@@ -503,6 +503,32 @@ class TestStageCheckpoints:
         )
         assert (error.stage, error.seconds, error.job) == ("verify", 0.5, "dec")
 
+    @staticmethod
+    def _round_trip(error):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        return copy
+
+    def test_fault_injected_survives_pickling(self):
+        error = self._round_trip(faults.FaultInjected("job_fail", "dec"))
+        assert (error.point, error.job) == ("job_fail", "dec")
+        assert str(error) == "injected fault at 'job_fail' on job 'dec'"
+
+    def test_worker_crash_survives_pickling(self):
+        error = self._round_trip(WorkerCrashError("dec", 2, "SIGKILL"))
+        assert (error.job, error.attempt, error.detail) == ("dec", 2, "SIGKILL")
+
+    def test_retries_exhausted_survives_pickling(self):
+        error = self._round_trip(
+            RetriesExhaustedError("dec", 3, TransientFault("flaky"))
+        )
+        assert (error.job, error.attempts) == ("dec", 3)
+        assert type(error.__cause__) is TransientFault
+        assert str(error.__cause__) == "flaky"
+
 
 class TestFaultSpec:
     def test_parse_directives(self):
@@ -740,13 +766,13 @@ class TestKernelDegradation:
         ``kernel_degraded`` event."""
         pytest.importorskip("numpy")  # numpy installed: the numpy engine runs
         baseline = Session(preset="tiny").run_matrix(
-            ["adder"], ["naive"], verify=True, verify_patterns=256
+            ["adder"], ["naive"], verify=256
         )
         # width 256 >= the numpy dispatch threshold, so the fault fires
         _arm(monkeypatch, tmp_path, "kernel_fail:job=adder:count=1")
         with events.capture() as log:
             degraded = Session(preset="tiny").run_matrix(
-                ["adder"], ["naive"], verify=True, verify_patterns=256
+                ["adder"], ["naive"], verify=256
             )
         kinds = {e["kind"] for e in log}
         assert "fault_injected" in kinds and "kernel_degraded" in kinds
@@ -877,7 +903,7 @@ class TestSupervisedRunner:
 
         serial_root = tmp_path / "serial-cache"
         serial = Session(cache_dir=serial_root, preset="tiny").run_matrix(
-            benchmarks, configs, verify=True, verify_patterns=256
+            benchmarks, configs, verify=256
         )
 
         # The kernel fault targets 'bar', which is only scheduled after
@@ -894,13 +920,12 @@ class TestSupervisedRunner:
         faulted_root = tmp_path / "faulted-cache"
         with events.capture() as log:
             faulted = Session(cache_dir=faulted_root, preset="tiny").run_matrix(
-                benchmarks, configs, verify=True, verify_patterns=256,
-                parallel=2,
+                benchmarks, configs, verify=256, parallel=2
             )
             # second pass over the warm cache: the corruption directive
             # garbles one read, which must degrade to a miss + recompute
             warm = Session(cache_dir=faulted_root, preset="tiny").run_matrix(
-                benchmarks, configs, verify=True, verify_patterns=256
+                benchmarks, configs, verify=256
             )
 
         # the matrix completed and matches the fault-free reference

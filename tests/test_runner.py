@@ -17,6 +17,7 @@ from repro.analysis.runner import (
     run_matrix,
 )
 from repro.core.manager import PRESETS, full_management
+from repro.flow import Session
 from repro.source import resolve_source
 from repro.synth.arithmetic import build_adder
 
@@ -98,9 +99,9 @@ class TestExperimentCache:
     def test_verification_runs_once_per_entry(self):
         cache = ExperimentCache()
         mig = build_adder(width=3)
-        cache.compile(mig, PRESETS["naive"], verify=True, verify_patterns=16)
+        cache.compile(mig, PRESETS["naive"], verify=16)
         # re-request with verification: served from the stored certificate
-        cache.compile(mig, PRESETS["naive"], verify=True, verify_patterns=16)
+        cache.compile(mig, PRESETS["naive"], verify=16)
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_migs_do_not_collide(self):
@@ -127,19 +128,17 @@ class TestRunMatrix:
 
     def test_shared_cache_makes_second_pass_free(self):
         cache = ExperimentCache()
-        run_matrix(SUBSET, preset="tiny", verify=False, cache=cache)
+        session = Session(cache=cache, preset="tiny")
+        run_matrix(SUBSET, verify=False, session=session)
         misses = cache.misses
-        run_matrix(SUBSET, preset="tiny", verify=False, cache=cache)
+        run_matrix(SUBSET, verify=False, session=session)
         assert cache.misses == misses  # pure cache hits
 
     def test_effort_override_changes_identity(self):
         cache = ExperimentCache()
-        run_matrix(
-            ["adder"], ["dac16"], preset="tiny", effort=1, cache=cache
-        )
-        run_matrix(
-            ["adder"], ["dac16"], preset="tiny", effort=2, cache=cache
-        )
+        session = Session(cache=cache, preset="tiny")
+        run_matrix(["adder"], ["dac16"], effort=1, session=session)
+        run_matrix(["adder"], ["dac16"], effort=2, session=session)
         assert cache.misses == 2
 
     @pytest.mark.slow
@@ -157,19 +156,13 @@ class TestRunMatrix:
         from repro.analysis.runner import ExperimentCache
 
         cache = ExperimentCache()
-        plain = run_matrix(
-            SUBSET, preset="tiny", verify=False, cache=cache
-        )
+        session = Session(cache=cache, preset="tiny")
+        plain = run_matrix(SUBSET, verify=False, session=session)
         compiled = cache.misses
         # capped pass in parallel: Table I columns come from the cache,
         # only the wmax10 column is dispatched to workers
         capped = run_matrix(
-            SUBSET,
-            preset="tiny",
-            caps=[10],
-            verify=False,
-            parallel=2,
-            cache=cache,
+            SUBSET, caps=[10], verify=False, parallel=2, session=session
         )
         assert cache.misses == compiled  # nothing recompiled in-process
         for a, b in zip(plain, capped):
@@ -214,14 +207,94 @@ class TestMigKeyStructure:
         assert mig.structural_digest() != d
 
 
+def _serial_matrix(session, names, verify):
+    run_matrix(names, ["naive"], verify=verify, session=session)
+
+
+def _parallel_matrix(session, names, verify):
+    run_matrix(names, ["naive"], verify=verify, parallel=2, session=session)
+
+
+def _suite(session, names, verify):
+    session.evaluate_suite(names, configs=["naive"], verify=verify)
+
+
+def _arch_sweep(session, names, verify):
+    from repro.analysis.scenarios import architecture_sweep
+
+    for name in names:
+        architecture_sweep(
+            name, archs=("endurance",), configs=("naive",), session=session,
+            verify=verify,
+        )
+
+
+class TestVerifyWidth:
+    """``verify`` is one width at every door: ``True`` certifies
+    VERIFY_PATTERNS, an int that many patterns, ``False`` nothing."""
+
+    NAMES = ["adder", "dec"]
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            pytest.param(_serial_matrix, id="run_matrix"),
+            pytest.param(
+                _parallel_matrix, id="run_matrix-parallel",
+                marks=pytest.mark.slow,
+            ),
+            pytest.param(_suite, id="evaluate_suite"),
+            pytest.param(_arch_sweep, id="architecture_sweep"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "verify, width", [(True, 64), (256, 256), (False, 0)]
+    )
+    def test_verify_certifies_its_width(self, door, verify, width):
+        session = Session(preset="tiny")
+        stages = []
+
+        class Observer:
+            def on_stage_end(self, event):
+                stages.append(event.stage)
+
+        session.add_observer(Observer())
+        door(session, self.NAMES, verify)
+        cache, cfg = session.cache, PRESETS["naive"]
+        for name in self.NAMES:
+            mig = cache.cached_mig(name, "tiny")
+            assert cache.has(mig, cfg, verified_patterns=width)
+            assert not cache.has(mig, cfg, verified_patterns=width + 1)
+        if not verify:
+            assert "verify" not in stages
+
+    def test_true_means_the_module_width(self):
+        from repro.analysis.runner import VERIFY_PATTERNS, verify_width
+
+        assert VERIFY_PATTERNS == 64
+        assert verify_width(True) == VERIFY_PATTERNS
+        assert verify_width(1) == 1  # an int, not a bool
+        assert verify_width(False) == verify_width(0) == 0
+        with pytest.raises(ValueError):
+            verify_width(-1)
+
+    def test_session_preset_builds_the_sources(self):
+        # both doors build the same graph: the session's preset applies
+        session = Session(preset="tiny")
+        (ev,) = run_matrix(["adder"], ["naive"], session=session)
+        tiny = session.cache.cached_mig("adder", "tiny")
+        assert tiny is not None and ev.num_pis == tiny.num_pis
+        assert session.cache.cached_mig("adder", "default") is None
+        (twin,) = Session(preset="tiny").run_matrix(["adder"], ["naive"])
+        assert (twin.num_pis, twin.gates) == (ev.num_pis, ev.gates)
+
+
 class TestCooperativeVerification:
     @pytest.mark.slow
     def test_verifying_run_dispatches_unverified_entries(self):
         cache = ExperimentCache()
-        run_matrix(
-            ["adder", "dec"], ["naive"], preset="tiny",
-            verify=False, cache=cache,
-        )
+        session = Session(cache=cache, preset="tiny")
+        run_matrix(["adder", "dec"], ["naive"], verify=False, session=session)
         mig = cache.cached_mig("adder", "tiny")
         cfg = PRESETS["naive"]
         assert cache.has(mig, cfg)
@@ -229,8 +302,8 @@ class TestCooperativeVerification:
         # verifying parallel pass: entries count as missing, workers
         # verify, and the adopted certificate upgrades the stored entry
         run_matrix(
-            ["adder", "dec"], ["naive"], preset="tiny",
-            verify=True, verify_patterns=16, parallel=2, cache=cache,
+            ["adder", "dec"], ["naive"], verify=16, parallel=2,
+            session=session,
         )
         assert cache.has(mig, cfg, verified_patterns=16)
 
@@ -262,14 +335,16 @@ class TestDuplicateLabels:
         impostor = replace(PRESETS["dac16"], name="naive")
         with pytest.raises(ValueError, match="share the result label"):
             evaluate_mig_cached(
-                build_adder(width=3), [PRESETS["naive"], impostor]
+                build_adder(width=3), [PRESETS["naive"], impostor],
+                session=Session(),
             )
 
     def test_repeated_identical_config_allowed(self):
         from repro.analysis.runner import evaluate_mig_cached
 
         ev = evaluate_mig_cached(
-            build_adder(width=3), [PRESETS["naive"], PRESETS["naive"]]
+            build_adder(width=3), [PRESETS["naive"], PRESETS["naive"]],
+            session=Session(),
         )
         assert set(ev.results) == {"naive"}
 
@@ -305,10 +380,7 @@ class TestWorkerCounterAggregation:
         # entries count as missing, so workers are dispatched — and find
         # their builds and compilations already on the shared root.
         warm = Session(cache_dir=tmp_path, preset="tiny")
-        warm.run_matrix(
-            ["adder", "ctrl"], ["naive"], parallel=2,
-            verify=True, verify_patterns=16,
-        )
+        warm.run_matrix(["adder", "ctrl"], ["naive"], parallel=2, verify=16)
         counters = warm.cache.worker_counters
         assert counters["workers"] == 2
         assert counters["disk_hits"] > 0  # served from the shared root
@@ -317,7 +389,9 @@ class TestWorkerCounterAggregation:
         from repro.analysis.runner import ExperimentCache
 
         cache = ExperimentCache()
-        run_matrix(["adder"], ["naive"], preset="tiny", cache=cache)
+        run_matrix(
+            ["adder"], ["naive"], session=Session(cache=cache, preset="tiny")
+        )
         assert cache.worker_counters["workers"] == 0
         assert all(v == 0 for v in cache.worker_counters.values())
 
@@ -378,7 +452,10 @@ class TestRegistryDiskKeys:
 
         monkeypatch.setattr(DiskCache, "store", recording)
         cache = ExperimentCache(disk=DiskCache(tmp_path))
-        run_matrix(["adder"], self.CONFIGS, preset="tiny", cache=cache)
+        run_matrix(
+            ["adder"], self.CONFIGS,
+            session=Session(cache=cache, preset="tiny"),
+        )
         assert len(received) == len(set(received))
         assert set(received) == self._expected(["adder"])
         self._assert_stored(tmp_path, received)
@@ -389,8 +466,8 @@ class TestRegistryDiskKeys:
 
         cache = ExperimentCache(disk=DiskCache(tmp_path))
         run_matrix(
-            ["adder", "dec"], self.CONFIGS, preset="tiny", cache=cache,
-            parallel=2,
+            ["adder", "dec"], self.CONFIGS,
+            session=Session(cache=cache, preset="tiny"), parallel=2,
         )
         assert cache.worker_counters["workers"] == 2
         self._assert_stored(tmp_path, self._expected(["adder", "dec"]))
@@ -648,7 +725,7 @@ class TestTierContract:
         run = {
             "compile": lambda: cache.compile(graph, cfg, key=gid),
             "compile-verified": lambda: cache.compile(
-                graph, cfg, key=gid, verify=True, verify_patterns=patterns
+                graph, cfg, key=gid, verify=patterns
             ),
             "verify": lambda: cache.verify(
                 graph, cfg, key=gid, patterns=patterns

@@ -10,13 +10,7 @@ from repro.analysis.report import (
     render_table2,
     render_table3,
 )
-from repro.analysis.tables import (
-    TABLE1_CONFIGS,
-    average_row,
-    evaluate_benchmark,
-    evaluate_mig,
-    headline_metrics,
-)
+from repro.analysis.tables import TABLE1_CONFIGS, average_row, headline_metrics
 from repro.flow import Session
 from repro.synth.arithmetic import build_adder
 
@@ -52,23 +46,26 @@ class TestEvaluate:
             assert ev.stats("wmax100").max_writes <= 100
 
     def test_verification_enabled_by_default(self):
-        # evaluate_mig with a tiny graph runs verify without error
-        evaluate_mig(build_adder(width=3), configs=["naive"])
+        # the suite verifies a built graph without error
+        (ev,) = Session().evaluate_suite(
+            [build_adder(width=3)], configs=["naive"]
+        )
+        assert ev.results["naive"].num_instructions > 0
 
     def test_session_optimizer_is_adopted(self):
         session = Session(preset="tiny", opt="greedy:write_cost")
         mig = session.cache.benchmark_mig("dec", "tiny")
-        evaluate_mig(mig, configs=["ea-full"], session=session)
+        session.run_matrix([mig], ["ea-full"])
         session.flow("ea-full").source("dec").run()
         assert session.cache.misses == 1  # the flow hit the same program
 
     def test_evaluate_benchmark_by_name(self):
-        ev = evaluate_benchmark("dec", preset="tiny", configs=["naive"])
+        (ev,) = Session(preset="tiny").run_matrix(["dec"], ["naive"])
         assert ev.name == "dec"
 
     def test_custom_effort(self):
-        ev = evaluate_mig(
-            build_adder(width=3), configs=["dac16"], effort=1
+        (ev,) = Session().run_matrix(
+            [build_adder(width=3)], ["dac16"], effort=1
         )
         assert "dac16" in ev.results
 
