@@ -417,9 +417,13 @@ class DiskCache:
 
         With a *manifest* dict the entry gets a ``run_manifest.json``
         sidecar (see :mod:`repro.resilience.manifest`), written inside
-        the same lock so it always describes the bytes on disk; a
-        refused write still folds the manifest's event log into the
-        existing sidecar, so recovery history is never lost.
+        the same lock and before the blob, from the bytes in memory.  A
+        writer killed between the two leaves the sidecar ahead of a
+        narrower (or missing) blob, which the retried store repairs;
+        never a wide blob whose sidecar describes the replaced bytes,
+        which a retried job would hit and never rewrite.  A refused
+        write still folds the manifest's event log into the existing
+        sidecar, so recovery history is never lost.
         """
         certificate = blob_certificate(blob)
         if certificate is None:
@@ -438,6 +442,17 @@ class DiskCache:
             if stored is not None and stored > certificate:
                 run_manifest.append_manifest_events(path, events)
                 return False
+            if manifest is not None:
+                run_manifest.write_manifest(
+                    path,
+                    run_manifest.build_manifest(
+                        path,
+                        key_repr=key_repr,
+                        blob=blob,
+                        meta=meta,
+                        events=events,
+                    ),
+                )
             # The temp suffix is deliberately not ".pkl": a writer killed
             # mid-write (terminated worker, SIGKILL) orphans the temp
             # file, and an orphan must never be countable or comparable
@@ -455,17 +470,6 @@ class DiskCache:
                 except OSError:
                     pass
                 raise
-            if manifest is not None:
-                run_manifest.write_manifest(
-                    path,
-                    run_manifest.build_manifest(
-                        path,
-                        key_repr=key_repr,
-                        blob=blob,
-                        meta=meta,
-                        events=events,
-                    ),
-                )
             return True
         except Exception:
             return False

@@ -46,17 +46,23 @@ exactly when it compiled.  The probes (``cached_source_mig``,
 ``has_rewritten``, ``has``), for callers that decide before any stage
 runs, walk memory and disk only and never compute; a satisfying disk
 entry is adopted, so the stage call that follows is a pure memory hit.
-Graphs persist under their source's identity and their rewrites and
-results under that identity too; hand-built graphs and the ``"none"``
-script's rewrite (a cleanup copy) stay in memory.
+Graphs persist under their source's identity (a built graph's is its
+content fingerprint, as a :class:`~repro.source.MigSource`) and their
+rewrites and results under that identity too; graphs handed straight to
+:class:`ExperimentCache` and the ``"none"`` script's rewrite (a cleanup
+copy) stay in memory.  Every rewrite runs through a bound
+:class:`~repro.opt.Optimizer`: the fixed scripts are
+``Optimizer("script", arch)``.
 
 **Certificates.**  A compiled result carries a verification
-certificate: the number of patterns it was co-simulated against.  A
-request for a wider certificate co-simulates the stored program once
-and writes the widened certificate back.  Certificates never narrow, in
-memory or on disk, whatever the writer interleaving: the write-back
-carries the certificate in the entry header, and every disk tier — a
-local root, a cache server, a client's fallback root — writes through
+certificate: the number of patterns it was co-simulated against.  The
+compile stage stores a result at certificate 0; a verify-stage request
+(:meth:`ExperimentCache.verify`) for a wider certificate co-simulates
+the stored program once and writes the widened certificate back.
+Certificates never narrow, in memory or on disk, whatever the writer
+interleaving: the write-back carries the certificate in the entry
+header, and every disk tier — a local root, a cache server, a client's
+fallback root — writes through
 :meth:`~repro.analysis.diskcache.DiskCache.store_blob`, which refuses a
 narrower certificate than the stored one inside the entry's writer
 lock.
@@ -90,13 +96,7 @@ from ..core.manager import (
     full_management,
 )
 from ..core.stats import WriteTrafficStats, improvement_percent
-from ..opt import (
-    DEFAULT_EFFORT,
-    OptLike,
-    Optimizer,
-    OptimizerSpec,
-    rewrite,
-)
+from ..opt import DEFAULT_EFFORT, OptLike, Optimizer, OptimizerSpec
 from ..mig.graph import Mig
 from ..mig.kernel import degradation_scope
 from ..plim.isa import Program
@@ -530,21 +530,13 @@ class ExperimentCache:
     # -- rewrite ---------------------------------------------------------
 
     def _rewrite_keys(
-        self,
-        graph_id: Tuple,
-        script: str,
-        effort: int,
-        optimizer: Optional[Optimizer],
+        self, graph_id: Tuple, script: str, effort: int, optimizer: Optimizer
     ) -> Tuple[Tuple, Optional[Tuple]]:
         """(memory key, disk key) of one rewriting result.  Results are
         keyed by :meth:`repro.opt.Optimizer.rewrite_key`, so script
         rewrites are shared across machines and architecture-sensitive
         search results are kept per machine."""
-        tail = (
-            ("script", script, effort)
-            if optimizer is None
-            else optimizer.rewrite_key(script, effort)
-        )
+        tail = optimizer.rewrite_key(script, effort)
         disk_key = (
             None if script == "none"
             else self._disk_key("rewrite", graph_id, tail)
@@ -552,11 +544,7 @@ class ExperimentCache:
         return (graph_id, tail), disk_key
 
     def has_rewritten(
-        self,
-        mig_or_key,
-        script: str,
-        effort: int,
-        optimizer: Optional[Optimizer] = None,
+        self, mig_or_key, script: str, effort: int, *, optimizer: Optimizer
     ) -> bool:
         """Whether the rewriting result is already available (never
         computes)."""
@@ -571,20 +559,19 @@ class ExperimentCache:
         script: str,
         effort: int,
         key: Optional[Tuple] = None,
-        optimizer: Optional[Optimizer] = None,
+        *,
+        optimizer: Optimizer,
     ) -> Mig:
         """Rewriting result shared by every config running *script*
-        through *optimizer* (default: the fixed script pipelines)."""
-
-        def make() -> Mig:
-            if optimizer is not None:
-                return optimizer.run(mig, script, effort=effort)
-            return rewrite(mig, script, effort=effort)
-
+        through *optimizer* (``Optimizer("script", arch)`` for the fixed
+        script pipelines)."""
         keys = self._rewrite_keys(
             key or mig_key(mig), script, effort, optimizer
         )
-        return self._through(self._rewrites, *keys, make)
+        return self._through(
+            self._rewrites, *keys,
+            lambda: optimizer.run(mig, script, effort=effort),
+        )
 
     # -- compile and verify ----------------------------------------------
 
@@ -699,22 +686,19 @@ class ExperimentCache:
         config: EnduranceConfig,
         *,
         key: Optional[Tuple] = None,
-        verify: "bool | int" = False,
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> CompilationResult:
         """Compile *mig* under *config* for *arch* through *optimizer*.
 
-        The result carries a certificate at least as wide as *verify*
-        asks (see :func:`verify_width`).  Entries are keyed by the target
-        machine and optimizer (:func:`experiment_key`), so one cache
-        serves every machine model and optimizer spec without
-        cross-talk.  Counts a miss when it compiles and a hit
-        otherwise.
+        A computed result is stored at certificate 0; :meth:`verify`
+        certifies it.  Entries are keyed by the target machine and
+        optimizer (:func:`experiment_key`), so one cache serves every
+        machine model and optimizer spec without cross-talk.  Counts a
+        miss when it compiles and a hit otherwise.
         """
         return self._compile(
-            mig, config, key, verify_width(verify), arch, optimizer,
-            count_hit=True,
+            mig, config, key, 0, arch, optimizer, count_hit=True
         )
 
     def verify(
@@ -729,9 +713,10 @@ class ExperimentCache:
     ) -> CompilationResult:
         """Ensure the stored result carries a certificate >= *patterns*.
 
-        The verify stage of :func:`run_stages`: :meth:`compile` with
-        verification, except that it counts no hit (the compile stage
-        before it counted the request).
+        The verify stage of :func:`run_stages`: co-simulates the stored
+        program (compiling it first on a miss) and writes the widened
+        certificate back.  It counts no hit: the compile stage before it
+        counted the request.
         """
         return self._compile(
             mig, config, key, patterns, arch, optimizer, count_hit=False
@@ -863,7 +848,7 @@ def resolve_configs(
 
 def run_stages(
     session,
-    source: "Source | Mig",
+    source: Source,
     config: EnduranceConfig,
     *,
     preset: str,
@@ -879,17 +864,18 @@ def run_stages(
     and sends a start and an end :class:`StageEvent` to the *hooks*
     (start, end) and the session's observers; it is ``cached`` when it
     ran no compute.  *source* is a :class:`~repro.source.Source` built
-    at *preset*, or a built graph.  The compile stage stores the result
-    at certificate 0; the verify stage, run when *verify* asks for
-    patterns (see :func:`verify_width`), co-simulates and certifies it.
+    at *preset* (a built graph enters as a
+    :class:`~repro.source.MigSource`).  The compile stage stores the
+    result at certificate 0; the verify stage, run when *verify* asks
+    for patterns (see :func:`verify_width`), co-simulates and certifies
+    it.
     ``keep_rewritten=False`` skips the rewrite when the result is already
     held (the probe adopts a disk hit), leaving ``rewritten`` ``None``.
     """
     cache = session.cache
     timeouts = session.timeouts
     patterns = verify_width(verify)
-    built = isinstance(source, Mig)
-    label = f"{source.name if built else source.label(preset)}/{config.name}"
+    label = f"{source.label(preset)}/{config.name}"
     if arch.name != DEFAULT_ARCHITECTURE:
         label += f"#{arch.name}"
     if optimizer.spec.strategy != "script":
@@ -921,8 +907,7 @@ def run_stages(
     # benchmarks through their classic (name, preset) keys, external
     # sources under their content fingerprints
     mig = stage(
-        "source", source.name,
-        lambda: source if built else cache.source_mig(source, preset),
+        "source", source.name, lambda: cache.source_mig(source, preset)
     )
     graph_id = mig_key(mig)
     target = dict(arch=arch, optimizer=optimizer)
@@ -964,7 +949,7 @@ def run_stages(
 
 
 def evaluate_mig_cached(
-    source: "Mig | Source",
+    source: Source,
     configs: Sequence[EnduranceConfig],
     *,
     session,
@@ -973,14 +958,14 @@ def evaluate_mig_cached(
     arch: ArchLike = None,
     opt: "OptLike | Optimizer" = None,
 ) -> BenchmarkEvaluation:
-    """One table row: *source* (a graph, or a Source built at *preset*,
-    default the session's) under every configuration, one
+    """One table row: *source* (built at *preset*, default the
+    session's) under every configuration, one
     :func:`run_stages` cell each, in *session*, verified as *verify*
     asks.  *arch* and *opt* resolve explicit > session's > ambient.
     """
     preset = preset or session.preset
     machine, optimizer = resolve_target(arch, opt, session)
-    mig = source if isinstance(source, Mig) else None
+    mig = None
     results: Dict[str, CompilationResult] = {}
     labels: Dict[str, Tuple] = {}
     # One degradation scope per job: a numpy-kernel failure demotes the

@@ -387,12 +387,13 @@ def optimizer_objective_study(
     effort = effort if effort is not None else DEFAULT_EFFORT
     preset = preset or session.preset
     optimizer = Optimizer(opt, session.architecture)
+    script = Optimizer("script", session.architecture)
     rows: List[ObjectiveStudyRow] = []
     for name in names:
         mig = session.cache.benchmark_mig(name, preset)
         graph_id = mig_key(mig)
         scripted = session.cache.rewritten(
-            mig, baseline, effort, key=graph_id
+            mig, baseline, effort, key=graph_id, optimizer=script
         )
         optimized = session.cache.rewritten(
             mig, baseline, effort, key=graph_id, optimizer=optimizer

@@ -3,8 +3,8 @@
 Table I of the paper characterises each compiled program by the standard
 deviation, minimum, and maximum of the per-device write counts; Tables II
 and III add instruction (``#I``) and device (``#R``) counts.  This module
-computes those numbers plus the derived quantities used in the prose
-(improvement over a baseline, lifetime gain).
+computes those numbers plus the improvement over a baseline used in the
+prose.
 
 The paper calls the standard deviation "a robust statistical metric"
 without specifying the estimator; we use the *population* standard
@@ -50,28 +50,6 @@ class WriteTrafficStats:
             stdev=math.sqrt(var),
             sample_stdev=math.sqrt(sample_var),
         )
-
-    def improvement_over(self, baseline: "WriteTrafficStats") -> float:
-        """Relative stdev reduction vs *baseline*, in percent.
-
-        Matches the paper's ``impr.`` columns: positive is better,
-        negative means the technique *worsened* the balance (the paper
-        reports such cases too, e.g. ``div`` and ``dec``).
-        """
-        if baseline.stdev == 0:
-            return 0.0
-        return (1.0 - self.stdev / baseline.stdev) * 100.0
-
-    def lifetime_gain_over(self, baseline: "WriteTrafficStats") -> float:
-        """Array-lifetime multiplier vs *baseline*.
-
-        Lifetime is inversely proportional to the *maximum* per-device
-        write count (the most-worn cell dies first), so balancing writes
-        multiplies the usable lifetime by ``baseline.max / new.max``.
-        """
-        if self.max_writes == 0:
-            return float("inf") if baseline.max_writes else 1.0
-        return baseline.max_writes / self.max_writes
 
     def describe(self) -> str:
         """One-line summary in the paper's ``min/max STDEV`` format."""

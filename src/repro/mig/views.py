@@ -7,14 +7,16 @@ Algorithm 3 in the reproduced paper) rank candidate nodes by
 * the number of RRAM devices *released* by computing the node (children
   whose last pending use this is), and
 * the *fanout level index*: how long the node's own value must stay resident
-  before its last consumer is computed.
+  before its last consumer is computed, i.e. the level of that consumer
+  (the storage-duration reading; the DAC'16 compiler breaks ties with the
+  same key).
 
 This module computes the static parts of those metrics once per graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import Mig
 from .signal import node_of
@@ -30,12 +32,10 @@ class FanoutView:
     """
 
     def __init__(self, mig: Mig) -> None:
-        # The node count, not the graph: the view is memoized on the
-        # graph, and a back-reference would make every graph a cycle.
-        self.num_nodes = mig.num_nodes
-        self.live = mig.live_mask()
+        # No reference to the graph: the view is memoized on the graph,
+        # and a back-reference would make every graph a cycle.
         self.levels = mig.levels()
-        n = self.num_nodes
+        n = mig.num_nodes
         fanouts: List[List[int]] = [[] for _ in range(n)]
         ref_counts: List[int] = [0] * n
         for node, na, _, nb, _, nc, _ in mig.flat_gates():
@@ -56,75 +56,41 @@ class FanoutView:
         self.depth = max(
             (self.levels[node_of(s)] for s in mig.pos()), default=0
         )
-        self._level_indices: Dict[str, List[int]] = {}
+        self._level_indices: Optional[List[int]] = None
         #: Compiler gate orders, memoized by
-        #: :func:`repro.plim.compiler.schedule` per (selection strategy,
-        #: fanout aggregate).
-        self.schedules: Dict[Tuple[object, str], Tuple[int, ...]] = {}
+        #: :func:`repro.plim.compiler.schedule` per selection strategy.
+        self.schedules: Dict[object, Tuple[int, ...]] = {}
         #: Compiled programs, memoized by
         #: :meth:`repro.plim.compiler.PlimCompiler.compile` per (selection
-        #: strategy, fanout aggregate, allocation strategy, input
-        #: protection, architecture, write cap).
+        #: strategy, allocation strategy, input protection, architecture,
+        #: write cap).
         self.programs: Dict[Tuple, object] = {}
 
-    def fanout_level_index(self, node: int, aggregate: str = "max") -> int:
+    def fanout_level_index(self, node: int) -> int:
         """Level of the consumer that finally releases *node*'s device.
 
-        ``max`` (default) is the storage-duration reading used by the
-        endurance-aware selection: the device stays blocked until the
-        highest-level fanout is computed.  ``min`` gives the first-use
-        level, exposed for the ablation benchmarks.  Nodes that drive a
-        primary output are pinned until the end of the program and get
-        ``depth + 1``.
+        The storage-duration reading of the endurance-aware selection:
+        the device stays blocked until the highest-level fanout is
+        computed.  Nodes that drive a primary output are pinned until the
+        end of the program and get ``depth + 1``.
         """
         if self.po_refs[node]:
             return self.depth + 1
-        levels = [self.levels[f] for f in self.fanouts[node]]
-        if not levels:
-            return 0
-        if aggregate == "max":
-            return max(levels)
-        if aggregate == "min":
-            return min(levels)
-        raise ValueError(f"unknown aggregate {aggregate!r}")
+        return max((self.levels[f] for f in self.fanouts[node]), default=0)
 
-    def fanout_level_indices(self, aggregate: str = "max") -> List[int]:
+    def fanout_level_indices(self) -> List[int]:
         """Vector of :meth:`fanout_level_index` per node (memoized)."""
-        cached = self._level_indices.get(aggregate)
+        cached = self._level_indices
         if cached is None:
-            if aggregate not in ("max", "min"):
-                raise ValueError(f"unknown aggregate {aggregate!r}")
-            reduce = max if aggregate == "max" else min
             level = self.levels.__getitem__
             cached = [
-                reduce(map(level, fanout)) if fanout else 0
+                max(map(level, fanout)) if fanout else 0
                 for fanout in self.fanouts
             ]
             pinned = self.depth + 1
             for node, po_refs in enumerate(self.po_refs):
                 if po_refs:
                     cached[node] = pinned
-            self._level_indices[aggregate] = cached
+            self._level_indices = cached
         return list(cached)
 
-    def single_fanout_nodes(self) -> List[int]:
-        """Live nodes with exactly one use (ideal RM3 destinations)."""
-        return [
-            node
-            for node in range(1, self.num_nodes)
-            if self.live[node] and self.ref_counts[node] == 1
-        ]
-
-    def level_spread(self) -> Dict[int, int]:
-        """Histogram of ``fanout_level_index - own_level`` over live gates.
-
-        Large spreads are the "blocked RRAM" pathology of Fig. 2 in the
-        paper: values produced early but consumed late pin their devices.
-        """
-        spread: Dict[int, int] = {}
-        for node in range(1, self.num_nodes):
-            if not self.live[node] or not self.fanouts[node]:
-                continue
-            d = self.fanout_level_index(node) - self.levels[node]
-            spread[d] = spread.get(d, 0) + 1
-        return spread

@@ -23,7 +23,7 @@ gate in that order.
   slice — ``refs``, ``fanout_level_index`` and ``releasing_count`` —
   over reference counts the scheduler decrements itself.  A schedule
   never depends on the allocator, so it is a pure function of (graph,
-  strategy, fanout aggregate): it is memoized on the graph's
+  strategy): it is memoized on the graph's
   :class:`~repro.mig.views.FanoutView`, and every allocation policy,
   write cap and machine compiled from one graph with one strategy shares
   it.
@@ -37,12 +37,12 @@ Both loops check the stage deadline every :data:`CHECKPOINT_GATES`
 gates.
 
 The program, too, is memoized on the fanout view, keyed by (strategy,
-fanout aggregate, allocation strategy, input protection, architecture,
-write cap); a run cut short by the deadline stores nothing.  A capped
-compile whose uncapped program is memoized and never writes a device
-``w_max`` times returns that program: when every final write count is
-below the cap, each of the three places the cap is read decides as if
-there were none.  The direct-``Z`` test ``writes < w_max`` holds at
+allocation strategy, input protection, architecture, write cap); a run
+cut short by the deadline stores nothing.  A capped compile whose
+uncapped program is memoized and never writes a device ``w_max`` times
+returns that program: when every final write count is below the cap,
+each of the three places the cap is read decides as if there were
+none.  The direct-``Z`` test ``writes < w_max`` holds at
 every step; every device a ``request(headroom)`` returns receives at
 least *headroom* more writes, so the uncapped choice satisfies ``count
 <= w_max - headroom`` and the capped search, walking the same pool in
@@ -177,37 +177,33 @@ def _topological_key(node: int) -> Tuple[int, ...]:
     return (node,)
 
 
-def schedule(
-    mig: Mig, selection=None, fanout_aggregate: str = "max"
-) -> Tuple[int, ...]:
+def schedule(mig: Mig, selection=None) -> Tuple[int, ...]:
     """The order in which the compiler translates *mig*'s live gates.
 
     *selection* is a strategy object (see :mod:`repro.core.selection`)
-    or ``None`` for plain topological order; *fanout_aggregate* picks the
-    fanout level index its keys read.  The order is memoized on the
-    graph's fanout view, keyed by the strategy object itself and the
-    aggregate, so it is rebuilt after any mutation of the graph.  A run
-    cut short by the stage deadline stores nothing.
+    or ``None`` for plain topological order; its keys read the fanout
+    level index of :meth:`repro.mig.views.FanoutView.fanout_level_index`
+    (the level of a node's last consumer).  The order is memoized on the
+    graph's fanout view, keyed by the strategy object itself, so it is
+    rebuilt after any mutation of the graph.  A run cut short by the
+    stage deadline stores nothing.
     """
     view = mig.fanout_view()
-    memo_key = (selection, fanout_aggregate)
-    order = view.schedules.get(memo_key)
+    order = view.schedules.get(selection)
     if order is None:
-        order = _Scheduler(mig, view, fanout_aggregate).run(selection)
-        view.schedules[memo_key] = order
+        order = _Scheduler(mig, view).run(selection)
+        view.schedules[selection] = order
     return order
 
 
 class _Scheduler:
     """One selection run; also the ``state`` view for selection keys."""
 
-    def __init__(self, mig: Mig, view, fanout_aggregate: str) -> None:
+    def __init__(self, mig: Mig, view) -> None:
         self.mig = mig
         self.view = view
         self.refs: List[int] = list(view.ref_counts)
-        self.fanout_level_index: List[int] = view.fanout_level_indices(
-            fanout_aggregate
-        )
+        self.fanout_level_index: List[int] = view.fanout_level_indices()
         # Per-gate fanin node-id triples, for the hot selection keys.
         self._fanin_nodes: List[Optional[Tuple[int, int, int]]] = [
             None
@@ -297,9 +293,6 @@ class PlimCompiler:
         Whether devices pre-loaded with primary inputs may be reused as
         destinations once their value is dead (the DAC'16 compiler's
         aggressive reuse; disable for ablations).
-    fanout_aggregate:
-        ``"max"`` (storage-duration reading) or ``"min"`` (first-use
-        reading) for the fanout level index used by selection strategies.
     arch:
         The target machine model — a :class:`repro.arch.Architecture`,
         a registry name, or ``None`` for the ambient selection
@@ -316,14 +309,12 @@ class PlimCompiler:
         allocation: str = "naive",
         w_max: Optional[int] = None,
         allow_pi_overwrite: bool = True,
-        fanout_aggregate: str = "max",
         arch=None,
     ) -> None:
         self.selection = selection
         self.allocation = allocation
         self.w_max = w_max
         self.allow_pi_overwrite = allow_pi_overwrite
-        self.fanout_aggregate = fanout_aggregate
         self.arch = arch
 
     def compile(self, mig: Mig) -> Program:
@@ -341,7 +332,6 @@ class PlimCompiler:
         programs = mig.fanout_view().programs
         key = (
             self.selection,
-            self.fanout_aggregate,
             self.allocation,
             self.allow_pi_overwrite,
             arch,
@@ -360,7 +350,6 @@ class PlimCompiler:
                     selection=self.selection,
                     allocator=allocator,
                     allow_pi_overwrite=self.allow_pi_overwrite,
-                    fanout_aggregate=self.fanout_aggregate,
                     cost=arch.cost,
                 ).run()
             programs[key + (w_max,)] = program
@@ -376,12 +365,10 @@ class _Compilation:
         selection,
         allocator,
         allow_pi_overwrite: bool,
-        fanout_aggregate: str,
         cost,
     ) -> None:
         self.mig = mig
         self.selection = selection
-        self.fanout_aggregate = fanout_aggregate
         self.alloc = allocator
         self.allow_pi_overwrite = allow_pi_overwrite
         #: Nodes whose devices are never overwritten nor reused: with
@@ -401,7 +388,7 @@ class _Compilation:
     def run(self) -> Program:
         mig = self.mig
         alloc = self.alloc
-        order = schedule(mig, self.selection, self.fanout_aggregate)
+        order = schedule(mig, self.selection)
 
         pi_cells = []
         for node in mig.pis():

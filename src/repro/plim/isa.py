@@ -138,17 +138,6 @@ class Program:
         self.__dict__.pop("_write_counts", None)
         self._write_counts = self.write_counts()
 
-    def read_counts(self) -> List[int]:
-        """Static per-cell read counts (P/Q operands plus the old Z value)."""
-        counts = [0] * self.num_cells
-        for p, q, z in self.instructions:
-            if p >= 0:
-                counts[p] += 1
-            if q >= 0:
-                counts[q] += 1
-            counts[z] += 1  # RM3 reads the stored Z before writing
-        return counts
-
     def value_lifetimes(self) -> List[List[Tuple[int, int]]]:
         """Per-cell value lifetimes: ``(written_at, last_read_at)`` spans.
 
@@ -179,14 +168,6 @@ class Program:
                 )
                 spans[cell].append((open_at[cell], close))
         return spans
-
-    def max_blocked_span(self) -> int:
-        """Longest value lifetime in instructions (Fig. 2's pathology)."""
-        longest = 0
-        for cell_spans in self.value_lifetimes():
-            for start, stop in cell_spans:
-                longest = max(longest, stop - start)
-        return longest
 
     def disassemble(self, limit: Optional[int] = None) -> str:
         """Readable listing; *limit* truncates long programs."""

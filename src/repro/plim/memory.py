@@ -85,10 +85,6 @@ class RramArray:
 
     # -- wear bookkeeping ------------------------------------------------
 
-    def reset_wear(self) -> None:
-        """Zero all write counters (fresh array)."""
-        self.writes = [0] * self.num_cells
-
     def max_writes(self) -> int:
         """Highest write count over the array."""
         return max(self.writes, default=0)
@@ -96,12 +92,6 @@ class RramArray:
     def total_writes(self) -> int:
         """Sum of all write counters."""
         return sum(self.writes)
-
-    def remaining_endurance(self) -> Optional[int]:
-        """Writes left on the most-worn cell (``None`` when unbounded)."""
-        if self.endurance is None:
-            return None
-        return self.endurance - self.max_writes()
 
 
 @dataclass(frozen=True)

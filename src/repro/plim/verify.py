@@ -34,7 +34,6 @@ def verify_program(
     patterns: int = 256,
     seed: int = 0x5EED,
     exhaustive_limit: int = 10,
-    raise_on_mismatch: bool = True,
 ) -> bool:
     """Check that *program* computes the same function as *mig*.
 
@@ -44,7 +43,7 @@ def verify_program(
     (:func:`repro.mig.simulate.randomized_rounds`).  The MIG side runs
     through that kernel; the program side always executes on the
     behavioural array.  Returns ``True`` on success; raises
-    :class:`VerificationError` (or returns ``False``) on mismatch.
+    :class:`VerificationError` on mismatch.
     """
     if len(program.pi_cells) != mig.num_pis:
         raise ValueError("program/MIG input arity mismatch")
@@ -69,16 +68,14 @@ def verify_program(
         array = RramArray(program.num_cells)
         got = PlimController(array).run(program, words, mask=mask)
         if expected != got:
-            if raise_on_mismatch:
-                bad = [
-                    (i, mig.po_name(i))
-                    for i, (e, g) in enumerate(zip(expected, got))
-                    if e != g
-                ]
-                raise VerificationError(
-                    f"program {program.name!r} disagrees with its MIG on "
-                    f"outputs {bad[:8]}"
-                )
-            return False
+            bad = [
+                (i, mig.po_name(i))
+                for i, (e, g) in enumerate(zip(expected, got))
+                if e != g
+            ]
+            raise VerificationError(
+                f"program {program.name!r} disagrees with its MIG on "
+                f"outputs {bad[:8]}"
+            )
     return True
 

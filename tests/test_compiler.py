@@ -283,14 +283,12 @@ _P_FREE, _P_INVERT = 0, 1
 
 
 class _ReferenceCompilation(_Compilation):
-    def __init__(self, mig, selection, allocator, allow_pi_overwrite,
-                 fanout_aggregate, cost):
-        super().__init__(mig, selection, allocator, allow_pi_overwrite,
-                         fanout_aggregate, cost)
+    def __init__(self, mig, selection, allocator, allow_pi_overwrite, cost):
+        super().__init__(mig, selection, allocator, allow_pi_overwrite, cost)
         self.cost = cost
         self.view = mig.fanout_view()
         self.fanout_level_index = [
-            self.view.fanout_level_index(node, fanout_aggregate)
+            self.view.fanout_level_index(node)
             for node in range(mig.num_nodes)
         ]
 
@@ -536,7 +534,6 @@ def _compilation(cls, mig, compiler, arch):
         selection=compiler.selection,
         allocator=arch.make_allocator(compiler.allocation, compiler.w_max),
         allow_pi_overwrite=compiler.allow_pi_overwrite,
-        fanout_aggregate=compiler.fanout_aggregate,
         cost=arch.cost,
     )
 
@@ -568,6 +565,25 @@ def _rewritten(name: str, script: str, effort: int) -> Mig:
     return rewrite(build_benchmark(name, "tiny"), script, effort=effort)
 
 
+class _FirstUse(SelectionStrategy):
+    """Algorithm 3's keys over the first-use reading of the fanout level
+    index (the level of a node's *first* consumer, PO drivers pinned at
+    ``depth + 1``): a schedule none of the registry strategies makes."""
+
+    dynamic = True
+
+    def __init__(self, mig: Mig) -> None:
+        view = mig.fanout_view()
+        self.first_use = [
+            view.depth + 1 if view.po_refs[node]
+            else min((view.levels[f] for f in view.fanouts[node]), default=0)
+            for node in range(mig.num_nodes)
+        ]
+
+    def key(self, state, node):
+        return (self.first_use[node], -state.releasing_count(node), node)
+
+
 class TestTranslateParity:
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_registry_benchmarks_every_table_config(self, name):
@@ -591,16 +607,19 @@ class TestTranslateParity:
     def test_ablation_selections_and_first_use_aggregate(self, name):
         config = PRESETS["ea-full"]
         mig = _rewritten(name, config.rewriting, config.effort)
-        for selection in ("releasing-only", "level-only", "dac16", "endurance"):
-            for aggregate in ("max", "min"):
-                for arch_name in ("endurance", "blocked"):
-                    assert_translate_parity(
-                        mig,
-                        arch_name,
-                        selection=make_selection(selection),
-                        allocation="min_write",
-                        fanout_aggregate=aggregate,
-                    )
+        selections = [
+            make_selection(selection)
+            for selection in ("releasing-only", "level-only", "dac16",
+                              "endurance")
+        ] + [_FirstUse(mig)]
+        for selection in selections:
+            for arch_name in ("endurance", "blocked"):
+                assert_translate_parity(
+                    mig,
+                    arch_name,
+                    selection=selection,
+                    allocation="min_write",
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -806,7 +825,7 @@ class TestScheduleMemo:
             assert program == compile_mig(
                 _fresh(mig), selection=selection, **kwargs
             )
-        assert list(mig.fanout_view().schedules) == [(selection, "max")]
+        assert list(mig.fanout_view().schedules) == [selection]
 
     def test_configs_naming_one_strategy_share_its_schedule(self):
         source = build_benchmark("dec", "tiny")
@@ -815,7 +834,7 @@ class TestScheduleMemo:
                        full_management(50)):
             compile_pipeline(source, config, rewritten=mig)
         assert list(mig.fanout_view().schedules) == [
-            (make_selection("endurance"), "max")
+            make_selection("endurance")
         ]
 
     def test_parameterised_instances_never_share(self):
@@ -858,7 +877,7 @@ class TestScheduleMemo:
         assert program == compile_mig(
             _fresh(mig), selection=make_selection("releasing-only")
         )
-        assert list(mig.fanout_view().schedules) == [(selection, "max")]
+        assert list(mig.fanout_view().schedules) == [selection]
 
     def test_concurrent_compiles_of_one_graph_agree(self):
         # The path of serve's inline workers: threads share one graph
@@ -888,6 +907,6 @@ class TestScheduleMemo:
                     _fresh(mig), selection=selection, allocation="min_write"
                 )
                 assert all(program == expected for program in programs)
-                assert list(mig.fanout_view().schedules) == [(selection, "max")]
+                assert list(mig.fanout_view().schedules) == [selection]
         finally:
             sys.setswitchinterval(interval)

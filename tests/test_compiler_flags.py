@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.manager import EnduranceConfig, compile_pipeline
-from repro.core.selection import make_selection
 from repro.plim.compiler import PlimCompiler
 from repro.plim.verify import verify_program
 from repro.synth.arithmetic import build_adder
@@ -37,32 +36,3 @@ class TestPiOverwrite:
         for cell in result.program.pi_cells:
             assert result.program.write_counts()[cell] == 0
 
-
-class TestFanoutAggregate:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**5))
-    def test_min_aggregate_verifies(self, seed):
-        mig = make_random_mig(6, 35, seed=seed)
-        program = PlimCompiler(
-            selection=make_selection("endurance"), fanout_aggregate="min"
-        ).compile(mig)
-        verify_program(program, mig, patterns=64)
-
-    def test_aggregates_can_change_schedule(self):
-        """On graphs with multi-level fanouts the first-use and last-use
-        readings order candidates differently (the knob is not inert)."""
-        found_difference = False
-        for seed in range(30):
-            mig = make_random_mig(6, 45, seed=seed)
-            a = PlimCompiler(
-                selection=make_selection("endurance"),
-                fanout_aggregate="max",
-            ).compile(mig)
-            b = PlimCompiler(
-                selection=make_selection("endurance"),
-                fanout_aggregate="min",
-            ).compile(mig)
-            if a.instructions != b.instructions:
-                found_difference = True
-                break
-        assert found_difference

@@ -377,7 +377,7 @@ class TestExperimentCacheReadThrough:
     def test_verification_certificate_persists(self, tmp_path):
         cold = ExperimentCache(disk=DiskCache(tmp_path))
         mig = cold.benchmark_mig("dec", "tiny")
-        cold.compile(mig, PRESETS["naive"], verify=16)
+        cold.verify(mig, PRESETS["naive"], patterns=16)
 
         warm = ExperimentCache(disk=DiskCache(tmp_path))
         mig2 = warm.benchmark_mig("dec", "tiny")
@@ -393,12 +393,13 @@ class TestExperimentCacheReadThrough:
         session_b.compile(mig_b, PRESETS["naive"])  # disk cert: 0
 
         session_a = ExperimentCache(disk=DiskCache(tmp_path))
-        session_a.compile(
-            session_a.benchmark_mig("dec", "tiny"), PRESETS["naive"], verify=256
+        session_a.verify(
+            session_a.benchmark_mig("dec", "tiny"), PRESETS["naive"],
+            patterns=256,
         )  # disk cert: 256
 
-        session_b.compile(
-            mig_b, PRESETS["naive"], verify=16
+        session_b.verify(
+            mig_b, PRESETS["naive"], patterns=16
         )  # memory upgrade to 16 must not clobber the 256 on disk
 
         fresh = ExperimentCache(disk=DiskCache(tmp_path))
@@ -407,6 +408,50 @@ class TestExperimentCacheReadThrough:
             PRESETS["naive"],
             verified_patterns=256,
         )
+
+    def test_killed_widening_leaves_a_repairable_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        # A certificate widening replaces the entry's blob and writes its
+        # run_manifest.json sidecar, each with one os.replace.  A writer
+        # killed between the two must not leave a wide blob whose sidecar
+        # describes the replaced bytes: the retried job would hit the
+        # wide entry and never rewrite it.
+        from repro.resilience.manifest import iter_manifests, verify_manifest
+
+        class Killed(BaseException):
+            pass
+
+        cold = ExperimentCache(disk=DiskCache(tmp_path))
+        mig = cold.benchmark_mig("dec", "tiny")
+        cold.compile(mig, PRESETS["naive"])  # disk cert: 0
+        replace, replaced = os.replace, []
+
+        def killed_on_the_second(src, dst):
+            replaced.append(dst)
+            if len(replaced) == 2:
+                raise Killed
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed_on_the_second)
+        with pytest.raises(Killed):
+            cold.verify(mig, PRESETS["naive"], patterns=16)
+        monkeypatch.setattr(os, "replace", replace)
+        assert len(replaced) == 2  # the blob and its sidecar
+
+        retry = Session(preset="tiny", cache_dir=tmp_path)
+        retry.evaluate_suite(["dec"], configs=["naive"], verify=16)
+        fresh = ExperimentCache(disk=DiskCache(tmp_path))
+        assert fresh.has(
+            fresh.benchmark_mig("dec", "tiny"), PRESETS["naive"],
+            verified_patterns=16,
+        )
+        problems = [
+            problem
+            for sidecar, manifest in iter_manifests(tmp_path)
+            for problem in verify_manifest(sidecar, manifest)
+        ]
+        assert problems == []
 
     def test_corrupt_entry_recompiles(self, tmp_path):
         from repro.analysis.runner import config_key

@@ -11,6 +11,7 @@ from repro.core.manager import (
     full_management,
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
+from repro.opt import Optimizer
 
 SUBSET = ["adder", "dec"]
 
@@ -150,7 +151,10 @@ class TestFlowStages:
         # ask for a *different* configuration sharing the same script:
         # the compile misses, but the rewriting comes back from disk
         hits = warm.disk.hits
-        warm.cache.rewritten(mig, "endurance", 5)
+        warm.cache.rewritten(
+            mig, "endurance", 5,
+            optimizer=Optimizer("script", warm.architecture),
+        )
         assert warm.disk.hits == hits + 1
 
     def test_explicit_rewrite_overrides_config_script(self):

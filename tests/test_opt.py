@@ -530,14 +530,19 @@ class TestCacheKeying:
 
         cache = ExperimentCache()
         mig = build_benchmark("ctrl", "tiny")
-        scripted = cache.rewritten(mig, "endurance", DEFAULT_EFFORT)
+        script = Optimizer("script", ENDURANCE)
+        scripted = cache.rewritten(
+            mig, "endurance", DEFAULT_EFFORT, optimizer=script
+        )
         greedy = cache.rewritten(
             mig, "endurance", DEFAULT_EFFORT,
             optimizer=Optimizer("greedy", ENDURANCE),
         )
         assert scripted is not greedy
         # and a re-request of either is a pure memory hit
-        assert cache.rewritten(mig, "endurance", DEFAULT_EFFORT) is scripted
+        assert cache.rewritten(
+            mig, "endurance", DEFAULT_EFFORT, optimizer=script
+        ) is scripted
         assert cache.rewritten(
             mig, "endurance", DEFAULT_EFFORT,
             optimizer=Optimizer("greedy", ENDURANCE),

@@ -1,13 +1,15 @@
 """Tests for the PLiM ISA, memory array, and controller."""
 
+import dataclasses
 import random
 from functools import lru_cache
 
 import pytest
 
+from repro.analysis.scenarios import storage_pressure
 from repro.analysis.tables import TABLE1_CONFIGS
 from repro.core.manager import PRESETS, compile_pipeline
-from repro.mig.simulate import exhaustive_words
+from repro.mig.simulate import exhaustive_words, simulate
 
 from repro.plim.controller import (
     CYCLES_PER_INSTRUCTION,
@@ -29,6 +31,7 @@ from repro.plim.memory import (
     RramArray,
     estimate_lifetime,
 )
+from repro.plim.verify import VerificationError, verify_program
 from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 
 
@@ -56,14 +59,6 @@ class TestProgram:
             num_cells=3,
         )
         assert prog.write_counts() == [1, 2, 0]
-
-    def test_read_counts(self):
-        prog = Program(
-            instructions=[(0, 1, 2)],
-            num_cells=3,
-        )
-        # p reads 0, q reads 1, z reads its own old value
-        assert prog.read_counts() == [1, 1, 1]
 
     def test_validate_catches_bad_destination(self):
         prog = Program(instructions=[(OP_CONST0, OP_CONST1, 5)], num_cells=2)
@@ -154,7 +149,8 @@ class TestProgram:
             ],
             num_cells=2,
         )
-        assert prog.max_blocked_span() == 3  # cell0: written@0, read@3
+        longest, _mean = storage_pressure(prog)
+        assert longest == 3  # cell0: written@0, read@3
 
 
 class TestRramArray:
@@ -179,14 +175,7 @@ class TestRramArray:
         with pytest.raises(EnduranceExhaustedError) as exc:
             array.write(0, 1)
         assert exc.value.cell == 0
-        assert array.remaining_endurance() == -1
-
-    def test_reset_wear(self):
-        array = RramArray(2, endurance=1)
-        array.write(1, 1)
-        array.reset_wear()
-        array.write(1, 0)  # fine again
-        assert array.writes == [0, 1]
+        assert array.writes == [3]
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -373,3 +362,51 @@ class TestCoSimulationParity:
         )
         assert fast == slow == [1, 0]
         assert arrays[0].values == arrays[1].values == [0b111, 1, 0]
+
+
+
+def _zero_a_po(mig, program):
+    """*program* with one ``RM3(0, 1, z)`` appended on the cell of a PO
+    that is not constant 0: ``z <- MAJ(0, ~1, z) = 0``."""
+    words, mask = _batches(mig)[0]
+    outputs = simulate(mig, words, mask=mask)
+    po = next(i for i, value in enumerate(outputs) if value)
+    return dataclasses.replace(
+        program,
+        instructions=program.instructions
+        + [(OP_CONST0, OP_CONST1, program.po_cells[po])],
+    )
+
+
+class TestVerifierRejects:
+    """``verify_program`` raises on a program that computes another
+    function, on both of its paths, and so does the verify stage."""
+
+    @pytest.mark.parametrize(
+        "name,exhaustive", [("ctrl", True), ("adder", False)]
+    )
+    def test_mutated_program(self, name, exhaustive):
+        mig = build_benchmark(name, "tiny")
+        assert (mig.num_pis <= 10) == exhaustive  # the exhaustive limit
+        program = compile_pipeline(mig, PRESETS["naive"]).program
+        assert verify_program(program, mig, patterns=64)
+        with pytest.raises(VerificationError):
+            verify_program(_zero_a_po(mig, program), mig, patterns=64)
+
+    def test_verify_stage(self, monkeypatch):
+        from repro.analysis import runner
+        from repro.flow import Session
+
+        compile_pipeline = runner.compile_pipeline
+
+        def miscompile(mig, config, **kwargs):
+            result = compile_pipeline(mig, config, **kwargs)
+            return dataclasses.replace(
+                result, program=_zero_a_po(mig, result.program)
+            )
+
+        monkeypatch.setattr(runner, "compile_pipeline", miscompile)
+        session = Session(preset="tiny")
+        session.evaluate_suite(["ctrl"], configs=["naive"], verify=False)
+        with pytest.raises(VerificationError):
+            session.evaluate_suite(["ctrl"], configs=["naive"], verify=True)

@@ -405,3 +405,28 @@ class TestAnalysisNamespace:
     def test_every_name_resolves(self):
         for name in repro.analysis.__all__:
             assert getattr(repro.analysis, name) is not None
+
+
+class TestBenchmarkTracePoints:
+    """``perfbench/layers.py`` wraps layer entry points by name: module
+    globals, registry entries and class attributes, some of which
+    (``ExperimentCache.has_rewritten``, ``cached_mig``) have no caller
+    in ``src/``.  Deleting or renaming one breaks the traced benchmark,
+    so the tier-1 suite installs and removes every wrapper once."""
+
+    def test_install_wraps_every_name_and_restore_undoes_it(self):
+        from perfbench import layers
+        from perfbench.tracer import Tracer
+
+        from repro.analysis import runner
+
+        before = dict(vars(runner.ExperimentCache))
+        compile_pipeline = runner.compile_pipeline
+        tracer = Tracer()
+        try:
+            layers.install(tracer)
+            assert runner.compile_pipeline is not compile_pipeline
+        finally:
+            tracer.restore()
+        assert runner.compile_pipeline is compile_pipeline
+        assert dict(vars(runner.ExperimentCache)) == before

@@ -13,6 +13,7 @@ from repro.analysis.runner import (
     experiment_key,
     mig_key,
     resolve_configs,
+    resolve_target,
     result_label,
     run_matrix,
 )
@@ -99,9 +100,12 @@ class TestExperimentCache:
     def test_verification_runs_once_per_entry(self):
         cache = ExperimentCache()
         mig = build_adder(width=3)
-        cache.compile(mig, PRESETS["naive"], verify=16)
-        # re-request with verification: served from the stored certificate
-        cache.compile(mig, PRESETS["naive"], verify=16)
+        cache.verify(mig, PRESETS["naive"], patterns=16)
+        computes = cache.computes()
+        # re-requests: served from the stored, certified entry
+        cache.verify(mig, PRESETS["naive"], patterns=16)
+        cache.compile(mig, PRESETS["naive"])
+        assert cache.computes() == computes
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_migs_do_not_collide(self):
@@ -194,8 +198,8 @@ class TestMigKeyStructure:
         assert and_mig.num_nodes == or_mig.num_nodes
         assert mig_key(and_mig) != mig_key(or_mig)
         cache = ExperimentCache()
-        p1 = cache.compile(and_mig, PRESETS["naive"], verify=True)
-        p2 = cache.compile(or_mig, PRESETS["naive"], verify=True)
+        p1 = cache.verify(and_mig, PRESETS["naive"])
+        p2 = cache.verify(or_mig, PRESETS["naive"])
         assert cache.misses == 2  # no cross-function cache hit
         assert p1 is not p2
 
@@ -335,7 +339,8 @@ class TestDuplicateLabels:
         impostor = replace(PRESETS["dac16"], name="naive")
         with pytest.raises(ValueError, match="share the result label"):
             evaluate_mig_cached(
-                build_adder(width=3), [PRESETS["naive"], impostor],
+                resolve_source(build_adder(width=3)),
+                [PRESETS["naive"], impostor],
                 session=Session(),
             )
 
@@ -343,7 +348,8 @@ class TestDuplicateLabels:
         from repro.analysis.runner import evaluate_mig_cached
 
         ev = evaluate_mig_cached(
-            build_adder(width=3), [PRESETS["naive"], PRESETS["naive"]],
+            resolve_source(build_adder(width=3)),
+            [PRESETS["naive"], PRESETS["naive"]],
             session=Session(),
         )
         assert set(ev.results) == {"naive"}
@@ -588,23 +594,6 @@ class TestTierContract:
         ("compile", "local"): (
             [], {"rewrite": 1, "compile": 1}, {"misses": 1}, 0,
         ),
-        ("compile-verified", "memory"): (
-            [("store", "result")], {"verify": 1}, {"hits": 1}, 16,
-        ),
-        ("compile-verified", "disk"): (
-            [*_read("result"), ("store", "result")], {"verify": 1},
-            {"hits": 1, "disk_hits": 1}, 16,
-        ),
-        ("compile-verified", "flight"): (
-            [("flight", "result")], {}, {"hits": 1}, 16,
-        ),
-        ("compile-verified", "cold"): (
-            COLD_RESULT, {"rewrite": 1, "compile": 1, "verify": 1},
-            {"misses": 1, "disk_misses": 2}, 16,
-        ),
-        ("compile-verified", "local"): (
-            [], {"rewrite": 1, "compile": 1, "verify": 1}, {"misses": 1}, 16,
-        ),
         # verify counts no hit ...
         ("verify", "memory"): ([("store", "result")], {"verify": 1}, {}, 16),
         ("verify", "disk"): (
@@ -685,7 +674,6 @@ class TestTierContract:
 
         for attr, name in (
             ("build_benchmark", "build"),
-            ("rewrite", "rewrite"),
             ("compile_pipeline", "compile"),
             ("verify_program", "verify"),
         ):
@@ -718,15 +706,17 @@ class TestTierContract:
         gid = mig_key(graph)
         if stage == "rewrite":
             script = "none" if state == "local" else cfg.rewriting
-            run = lambda: cache.rewritten(graph, script, cfg.effort, key=gid)
-            probe = lambda: cache.has_rewritten(gid, script, cfg.effort)
+            _, opt = resolve_target()
+            run = lambda: cache.rewritten(
+                graph, script, cfg.effort, key=gid, optimizer=opt
+            )
+            probe = lambda: cache.has_rewritten(
+                gid, script, cfg.effort, optimizer=opt
+            )
             return graph, run, probe, run
         patterns = self.PATTERNS
         run = {
             "compile": lambda: cache.compile(graph, cfg, key=gid),
-            "compile-verified": lambda: cache.compile(
-                graph, cfg, key=gid, verify=patterns
-            ),
             "verify": lambda: cache.verify(
                 graph, cfg, key=gid, patterns=patterns
             ),

@@ -56,22 +56,15 @@ class TestWriteTrafficStats:
     def test_improvement_over(self):
         base = WriteTrafficStats.from_counts([0, 10])  # stdev 5
         better = WriteTrafficStats.from_counts([4, 6])  # stdev 1
-        assert math.isclose(better.improvement_over(base), 80.0)
-        assert better.improvement_over(
-            WriteTrafficStats.from_counts([3, 3])
-        ) == 0.0  # zero baseline -> 0 by convention
+        assert math.isclose(improvement_percent(base.stdev, better.stdev), 80.0)
+        flat = WriteTrafficStats.from_counts([3, 3])
+        # zero baseline -> 0 by convention
+        assert improvement_percent(flat.stdev, better.stdev) == 0.0
 
     def test_negative_improvement_possible(self):
         base = WriteTrafficStats.from_counts([4, 6])
         worse = WriteTrafficStats.from_counts([0, 10])
-        assert worse.improvement_over(base) < 0
-
-    def test_lifetime_gain(self):
-        base = WriteTrafficStats.from_counts([100, 1])
-        flat = WriteTrafficStats.from_counts([10, 10])
-        assert flat.lifetime_gain_over(base) == 10.0
-        zero = WriteTrafficStats.from_counts([0, 0])
-        assert zero.lifetime_gain_over(base) == float("inf")
+        assert improvement_percent(base.stdev, worse.stdev) < 0
 
     def test_describe(self):
         text = WriteTrafficStats.from_counts([1, 3]).describe()

@@ -55,37 +55,6 @@ class TestFanoutView:
         g_idx = view.fanout_level_index(node_of(sigs["g"]))
         assert g_idx == view.depth + 1
 
-    def test_min_aggregate(self):
-        mig, sigs = build_fig2_like()
-        view = FanoutView(mig)
-        c_node = node_of(sigs["c"])
-        assert view.fanout_level_index(c_node, "min") <= view.fanout_level_index(
-            c_node, "max"
-        )
-
-    def test_bad_aggregate(self):
-        mig, _ = build_fig2_like()
-        view = FanoutView(mig)
-        try:
-            view.fanout_level_index(1, "median")
-            assert False, "expected ValueError"
-        except ValueError:
-            pass
-
-    def test_single_fanout_nodes(self):
-        mig, sigs = build_fig2_like()
-        view = FanoutView(mig)
-        singles = set(view.single_fanout_nodes())
-        assert node_of(sigs["a"]) in singles
-        assert node_of(sigs["c"]) not in singles
-
-    def test_level_spread_counts_blocked(self):
-        mig, sigs = build_fig2_like()
-        view = FanoutView(mig)
-        spread = view.level_spread()
-        assert sum(spread.values()) > 0
-        assert max(spread) >= 3  # A's spread: produced L1, consumed L4
-
     def test_dead_gate_excluded(self):
         mig = Mig()
         a, b, c = (mig.add_pi() for _ in range(3))
@@ -103,17 +72,15 @@ def assert_level_indices_match(mig):
     PO drivers at ``depth + 1`` and fanout-free nodes at 0."""
     view = FanoutView(mig)
     po_nodes = {node_of(s) for s in mig.pos()}
-    for aggregate in ("max", "min"):
-        indices = view.fanout_level_indices(aggregate)
-        assert indices == [
-            view.fanout_level_index(node, aggregate)
-            for node in range(mig.num_nodes)
-        ]
-        for node in range(mig.num_nodes):
-            if node in po_nodes:
-                assert indices[node] == view.depth + 1
-            elif not view.fanouts[node]:
-                assert indices[node] == 0
+    indices = view.fanout_level_indices()
+    assert indices == [
+        view.fanout_level_index(node) for node in range(mig.num_nodes)
+    ]
+    for node in range(mig.num_nodes):
+        if node in po_nodes:
+            assert indices[node] == view.depth + 1
+        elif not view.fanouts[node]:
+            assert indices[node] == 0
     return view, po_nodes
 
 
