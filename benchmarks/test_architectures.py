@@ -10,8 +10,11 @@ the default-machine rows are pure cache hits against the table suite.
 """
 
 from repro.analysis.report import render_architecture_sweep
-from repro.analysis.scenarios import architecture_sweep
-from repro.arch import DEFAULT_ARCHITECTURE, get_architecture
+from repro.arch import (
+    DEFAULT_ARCHITECTURE,
+    available_architectures,
+    get_architecture,
+)
 
 from .conftest import PRESET, SESSION, write_artifact
 
@@ -22,10 +25,10 @@ SWEEP_BENCHMARK = "dec"
 
 def test_architecture_sweep_artifact(benchmark):
     def run():
-        return architecture_sweep(
-            SWEEP_BENCHMARK,
-            configs=("naive", "ea-full"),
-            session=SESSION,
+        return SESSION.grid(
+            [SWEEP_BENCHMARK],
+            ("naive", "ea-full"),
+            archs=available_architectures(),
             verify=True,
         )
 
@@ -37,10 +40,10 @@ def test_architecture_sweep_artifact(benchmark):
     write_artifact("ARCH_sweep.txt", text)
     print("\n" + text)
 
-    by_pair = {(p.arch, p.config): p for p in points}
+    by_pair = {(p.arch.name, p.config.name): p for p in points}
 
     # The endurance-oblivious machine cannot run min-write configs…
-    assert not by_pair[("dac16", "ea-full")].supported
+    assert by_pair[("dac16", "ea-full")].result is None
     # …but reproduces the naive program of the default machine exactly.
     dac16 = by_pair[("dac16", "naive")].result.program
     default = by_pair[(DEFAULT_ARCHITECTURE, "naive")].result.program
@@ -51,7 +54,7 @@ def test_architecture_sweep_artifact(benchmark):
     block = get_architecture("blocked").geometry.block_size
     for config in ("naive", "ea-full"):
         point = by_pair[("blocked", config)]
-        assert point.supported
+        assert point.result is not None
         assert point.result.program.num_cells % block == 0
 
 
@@ -63,14 +66,11 @@ def test_default_architecture_rows_match_table_suite():
     evaluation = next(
         e for e in suite_plain() if e.name == SWEEP_BENCHMARK
     )
-    points = architecture_sweep(
-        SWEEP_BENCHMARK,
-        archs=(DEFAULT_ARCHITECTURE,),
-        configs=("naive", "ea-full"),
-        session=SESSION,
+    points = SESSION.grid(
+        [SWEEP_BENCHMARK], ("naive", "ea-full"), archs=(DEFAULT_ARCHITECTURE,)
     )
     for point in points:
-        suite_result = evaluation.results[point.config]
+        suite_result = evaluation.results[point.config.name]
         assert point.result.program.instructions == (
             suite_result.program.instructions
         )

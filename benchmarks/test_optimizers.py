@@ -20,10 +20,8 @@ from repro.analysis.report import (
     render_objective_study,
     render_optimizer_sweep,
 )
-from repro.analysis.scenarios import (
-    optimizer_objective_study,
-    optimizer_sweep,
-)
+from repro.analysis.scenarios import optimizer_objective_study
+from repro.opt import Optimizer
 
 from .conftest import PRESET, SESSION, write_artifact
 
@@ -38,11 +36,10 @@ STUDY_PRESET = "default" if PRESET == "paper" else "tiny"
 
 def test_optimizer_sweep_artifact(benchmark):
     def run():
-        points = optimizer_sweep(
-            SWEEP_BENCHMARK,
+        points = SESSION.grid(
+            [SWEEP_BENCHMARK],
+            ("ea-full",),
             opts=("script", "greedy", "budget"),
-            configs=("ea-full",),
-            session=SESSION,
             verify=True,
         )
         rows = optimizer_objective_study(
@@ -71,13 +68,20 @@ def test_optimizer_sweep_artifact(benchmark):
     write_artifact("OPT_sweep.txt", text)
     print("\n" + text)
 
-    by_opt = {p.opt: p for p in points}
+    objective = {
+        p.optimizer.label(): Optimizer(p.optimizer, p.arch).score(
+            p.result.rewritten
+        )
+        for p in points
+    }
     # Every strategy produced a verified, compilable result…
-    assert set(by_opt) == {"script", "greedy:write_cost", "budget:write_cost@2"}
+    assert set(objective) == {
+        "script", "greedy:write_cost", "budget:write_cost@2"
+    }
     # …and the cost-guided strategies never do worse than the fixed
     # script under their own objective.
-    assert by_opt["greedy:write_cost"].objective <= by_opt["script"].objective
-    assert by_opt["budget:write_cost@2"].objective <= by_opt["script"].objective
+    assert objective["greedy:write_cost"] <= objective["script"]
+    assert objective["budget:write_cost@2"] <= objective["script"]
 
     # The acceptance bar of the optimizer layer: the architecture-aware
     # greedy search strictly reduces the estimated write cost vs the
@@ -98,14 +102,11 @@ def test_script_rows_match_table_suite():
     evaluation = next(
         e for e in suite_plain() if e.name == SWEEP_BENCHMARK
     )
-    points = optimizer_sweep(
-        SWEEP_BENCHMARK,
-        opts=("script",),
-        configs=("naive", "ea-full"),
-        session=SESSION,
+    points = SESSION.grid(
+        [SWEEP_BENCHMARK], ("naive", "ea-full"), opts=("script",)
     )
     for point in points:
-        suite_result = evaluation.results[point.config]
+        suite_result = evaluation.results[point.config.name]
         assert point.result.program.instructions == (
             suite_result.program.instructions
         )

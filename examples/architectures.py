@@ -17,9 +17,13 @@ Run:  python examples/architectures.py
 import os
 
 from repro import Session
-from repro.arch import Architecture, Geometry, register_architecture
+from repro.arch import (
+    Architecture,
+    Geometry,
+    available_architectures,
+    register_architecture,
+)
 from repro.analysis.report import render_architecture_sweep
-from repro.analysis.scenarios import architecture_sweep
 
 PRESET = os.environ.get("REPRO_EXAMPLE_PRESET", "tiny")
 
@@ -30,10 +34,10 @@ def main() -> None:
     print("Built-in machine models over one benchmark ('dec'):")
     print("(the dac16 machine has no wear counters, so every")
     print(" min-write-based configuration is a capability gap)\n")
-    points = architecture_sweep(
-        "dec",
-        configs=("naive", "min-write", "ea-full"),
-        session=session,
+    points = session.grid(
+        ["dec"],
+        ("naive", "min-write", "ea-full"),
+        archs=available_architectures(),
         verify=True,
     )
     print(render_architecture_sweep(points, title=f"dec @ {PRESET} preset"))
@@ -50,12 +54,8 @@ def main() -> None:
     )
     print("A custom 32-cell-word machine, registered on the fly:")
     print("(coarser words waste more provisioned devices -> higher #R)\n")
-    points = architecture_sweep(
-        "dec",
-        archs=("blocked", "wide-word"),
-        configs=("ea-full",),
-        session=session,
-        verify=True,
+    points = session.grid(
+        ["dec"], ("ea-full",), archs=("blocked", "wide-word"), verify=True
     )
     print(
         render_architecture_sweep(

@@ -15,18 +15,18 @@ Run:  python examples/fig1_unbalanced_write.py
 """
 
 from repro import Session
-from repro.analysis.scenarios import evaluate_scenarios, fig1_chain, fig1_mig
+from repro.analysis.scenarios import fig1_chain, fig1_mig
 from repro.core.manager import PRESETS, full_management
 from repro.core.stats import write_histogram
 
 
 def show(session, mig, configs) -> None:
     print(f"--- {mig.name}: {mig.num_live_gates()} nodes ---")
-    scenario_results = evaluate_scenarios(
-        mig, [config for _, config in configs], session=session, verify=True
+    points = session.grid(
+        [mig], [config for _, config in configs], verify=True
     )
-    for (label, _), (_, flow_result) in zip(configs, scenario_results):
-        result = flow_result.compilation
+    for (label, _), point in zip(configs, points):
+        result = point.result.compilation
         counts = result.program.write_counts()
         print(
             f"{label:12s} #I={result.num_instructions:4d} "

@@ -16,23 +16,16 @@ Run:  python examples/fig2_blocked_rram.py
 """
 
 from repro import Session
-from repro.analysis.scenarios import (
-    evaluate_scenarios,
-    fig2_ladder,
-    fig2_mig,
-    storage_pressure,
-)
+from repro.analysis.scenarios import fig2_ladder, fig2_mig, storage_pressure
 
 
 def report(session, mig) -> None:
     print(f"--- {mig.name}: {mig.num_live_gates()} nodes ---")
-    for label, flow_result in evaluate_scenarios(
-        mig, ("dac16", "ea-full"), session=session, verify=True
-    ):
-        result = flow_result.compilation
+    for point in session.grid([mig], ("dac16", "ea-full"), verify=True):
+        result = point.result.compilation
         longest, mean = storage_pressure(result.program)
         print(
-            f"{label:8s} #I={result.num_instructions:4d} "
+            f"{point.config.name:8s} #I={result.num_instructions:4d} "
             f"max-writes={result.stats.max_writes:3d} "
             f"stdev={result.stats.stdev:5.2f} "
             f"longest-lifetime={longest:3d} mean={mean:5.1f}"

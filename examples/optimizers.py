@@ -20,7 +20,6 @@ import os
 
 from repro import Session
 from repro.analysis.report import render_optimizer_sweep
-from repro.analysis.scenarios import optimizer_sweep
 from repro.opt import Objective, register_objective
 
 PRESET = os.environ.get("REPRO_EXAMPLE_PRESET", "tiny")
@@ -33,11 +32,8 @@ def main() -> None:
     print("Rewriting strategies over one benchmark ('dec'):")
     print("(the 'objective' column is the compile-free estimate the")
     print(" search minimises; #I/#R are the measured compilation)\n")
-    points = optimizer_sweep(
-        BENCH,
-        opts=("script", "greedy", "budget"),
-        configs=("ea-full",),
-        session=session,
+    points = session.grid(
+        [BENCH], ("ea-full",), opts=("script", "greedy", "budget"),
         verify=True,
     )
     print(render_optimizer_sweep(
@@ -51,31 +47,10 @@ def main() -> None:
     print("The same sweep targeting the word-addressed 'blocked' machine:")
     print("(#R grows to whole word lines; the greedy search now optimises")
     print(" under that machine's costs — artefacts are cached per machine)\n")
-    from repro import Flow
-    from repro.analysis.scenarios import OptSweepPoint
-    from repro.opt import Optimizer, resolve_optimizer
-
-    arch_points = []
-    for opt in ("script", "greedy"):
-        spec = resolve_optimizer(opt)
-        result = (
-            Flow.for_config("ea-full", session=session)
-            .arch("blocked")
-            .optimize(spec)
-            .source(BENCH)
-            .verify(16)
-            .run()
-        )
-        arch_points.append(
-            OptSweepPoint(
-                opt=spec.label(),
-                config="ea-full",
-                result=result,
-                objective=Optimizer(spec, result.architecture).score(
-                    result.rewritten
-                ),
-            )
-        )
+    arch_points = session.grid(
+        [BENCH], ("ea-full",), archs=("blocked",), opts=("script", "greedy"),
+        verify=16,
+    )
     print(render_optimizer_sweep(
         arch_points, title=f"{BENCH} @ {PRESET} preset, blocked machine"
     ))
@@ -92,11 +67,8 @@ def main() -> None:
         overwrite=True,  # idempotent when the example is re-run in-process
     )
     print("A custom objective ('complement_edges'), registered on the fly:\n")
-    custom = optimizer_sweep(
-        BENCH,
-        opts=("script", "greedy:complement_edges"),
-        configs=("ea-full",),
-        session=session,
+    custom = session.grid(
+        [BENCH], ("ea-full",), opts=("script", "greedy:complement_edges"),
         verify=True,
     )
     print(render_optimizer_sweep(

@@ -32,7 +32,10 @@ benchmark name or a netlist path (``.mig``/``.blif``/``.aag``/
 keyed by content fingerprint.
 
 Every subcommand routes through one :class:`repro.flow.Session` built
-from its arguments.  The knob flags (``--arch``, ``--opt``,
+from its arguments.  The tables run its ``run_matrix``; ``fig1``,
+``fig2``, ``bench`` and the three sweeps are each one
+:meth:`~repro.flow.Session.grid` call, and the sweeps share one parser
+helper and one handler (:func:`cmd_sweep`).  The knob flags (``--arch``, ``--opt``,
 ``--source``, ``--timeout``, ``--cache-dir``, ``--cache-url``,
 ``--retries``) come from one table, :data:`repro.flow.options.KNOBS`:
 each beats its ``$REPRO_*`` variable and is validated at startup.
@@ -51,6 +54,7 @@ from typing import List, Optional
 
 from ..arch import (
     DEFAULT_ARCHITECTURE,
+    ArchitectureError,
     available_architectures,
     get_architecture,
 )
@@ -66,7 +70,7 @@ from ..opt import (
 )
 from ..cachesvc import DEFAULT_PORT as CACHESVC_DEFAULT_PORT
 from ..cachesvc import resolve_cache_url
-from ..flow import Flow, Session, resolve_cache_dir
+from ..flow import Session, resolve_cache_dir
 from ..flow.options import KNOBS
 from ..resilience import iter_manifests, verify_manifest
 from ..source import available_sources, get_source, resolve_source
@@ -80,7 +84,7 @@ def _add_suite_options(parser: argparse.ArgumentParser) -> None:
     Session.add_arguments(parser)
     parser.add_argument(
         "--benchmarks",
-        nargs="*",
+        nargs="+",
         default=None,
         metavar="NAME_OR_PATH",
         help=(
@@ -143,18 +147,28 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _refuse_gaps(points):
+    """*points*, raising the refusal of the first configuration its
+    machine cannot run; only ``archsweep`` renders such gaps."""
+    for point in points:
+        if point.result is None:
+            raise ArchitectureError(point.reason)
+    return points
+
+
 def cmd_fig1(args) -> int:
     session = Session.from_args(args)
     mig = scenarios.fig1_mig()
+    points = _refuse_gaps(
+        session.grid([mig], ("naive", "min-write", "ea-full"))
+    )
     print(mig.dump())
     print()
-    for name, flow_result in scenarios.evaluate_scenarios(
-        mig, ("naive", "min-write", "ea-full"), session=session
-    ):
-        counts = flow_result.program.write_counts()
+    for point in points:
+        counts = point.result.program.write_counts()
         print(
-            f"{name:10s}: writes per device = {counts} "
-            f"(stdev {flow_result.stats.stdev:.2f})"
+            f"{point.config.name:10s}: writes per device = {counts} "
+            f"(stdev {point.result.stats.stdev:.2f})"
         )
     return 0
 
@@ -162,15 +176,15 @@ def cmd_fig1(args) -> int:
 def cmd_fig2(args) -> int:
     session = Session.from_args(args)
     mig = scenarios.fig2_mig()
+    points = _refuse_gaps(session.grid([mig], ("dac16", "ea-full")))
     print(mig.dump())
     print()
-    for name, flow_result in scenarios.evaluate_scenarios(
-        mig, ("dac16", "ea-full"), session=session
-    ):
-        longest, mean = scenarios.storage_pressure(flow_result.program)
+    for point in points:
+        longest, mean = scenarios.storage_pressure(point.result.program)
         print(
-            f"{name:10s}: longest value lifetime = {longest} instructions, "
-            f"mean = {mean:.1f}, stdev of writes = {flow_result.stats.stdev:.2f}"
+            f"{point.config.name:10s}: longest value lifetime = {longest} "
+            f"instructions, mean = {mean:.1f}, "
+            f"stdev of writes = {point.result.stats.stdev:.2f}"
         )
     return 0
 
@@ -193,22 +207,17 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    mig = session.cache.source_mig(source, session.preset)
-    print(f"{source.name}: {mig.num_pis} PIs, {mig.num_pos} POs, "
-          f"{mig.num_live_gates()} gates")
     configs = list(PRESETS.values())
     if args.wmax is not None:
         configs.append(full_management(args.wmax))
-    for cfg in configs:
-        result = (
-            Flow.for_config(cfg, session=session)
-            .source(source)
-            .run()
-            .compilation
-        )
-        stats = result.stats
+    points = _refuse_gaps(session.grid([source], configs))
+    mig = points[0].result.mig
+    print(f"{source.name}: {mig.num_pis} PIs, {mig.num_pos} POs, "
+          f"{mig.num_live_gates()} gates")
+    for point in points:
+        result, stats = point.result.compilation, point.result.stats
         print(
-            f"  {cfg.name:16s} #I={result.num_instructions:8d} "
+            f"  {point.config.name:16s} #I={result.num_instructions:8d} "
             f"#R={result.num_rrams:6d} writes {stats.min_writes}/"
             f"{stats.max_writes} stdev {stats.stdev:.2f}"
         )
@@ -242,27 +251,6 @@ def cmd_arch_list(args) -> int:
     return 0
 
 
-def cmd_archsweep(args) -> int:
-    session = Session.from_args(args)
-    points = scenarios.architecture_sweep(
-        args.name,
-        archs=args.archs,
-        configs=args.configs,
-        session=session,
-        verify=not args.no_verify,
-    )
-    print(
-        report.render_architecture_sweep(
-            points,
-            title=(
-                f"ARCHITECTURE SWEEP - {args.name} "
-                f"({session.preset} preset)"
-            ),
-        )
-    )
-    return 0
-
-
 def cmd_source_list(args) -> int:
     print("circuit sources (select with a name/path, --source, or "
           "$REPRO_SOURCE):")
@@ -273,27 +261,6 @@ def cmd_source_list(args) -> int:
           "does; register custom\nsources via "
           "repro.source.register_source, or compile Python functions "
           "with\n@repro.synth.frontend.mig_function")
-    return 0
-
-
-def cmd_sourcesweep(args) -> int:
-    session = Session.from_args(args)
-    points = scenarios.source_sweep(
-        args.sources,
-        configs=args.configs,
-        session=session,
-        verify=not args.no_verify,
-    )
-    print(
-        report.render_source_sweep(
-            points,
-            title=(
-                f"SOURCE SWEEP - {len(args.sources)} sources "
-                f"({session.preset} preset, {session.architecture.name} "
-                "machine)"
-            ),
-        )
-    )
     return 0
 
 
@@ -320,26 +287,58 @@ def cmd_opt_list(args) -> int:
     return 0
 
 
-def cmd_optsweep(args) -> int:
+def cmd_sweep(args) -> int:
+    """``archsweep``/``optsweep``/``sourcesweep``: one grid, rendered."""
     session = Session.from_args(args)
-    points = scenarios.optimizer_sweep(
-        args.name,
-        opts=args.opts,
-        configs=args.configs,
-        session=session,
+    sources = args.sources if "sources" in args else [args.name]
+    archs = None  # the session's machine, except in archsweep: all of them
+    if "archs" in args:
+        archs = args.archs or available_architectures()
+    points = session.grid(
+        sources, args.configs, archs=archs, opts=getattr(args, "opts", None),
         verify=not args.no_verify,
     )
-    print(
-        report.render_optimizer_sweep(
-            points,
-            title=(
-                f"OPTIMIZER SWEEP - {args.name} "
-                f"({session.preset} preset, {session.architecture.name} "
-                "machine)"
-            ),
-        )
+    if archs is None:  # gaps render only where machines are swept
+        _refuse_gaps(points)
+    title = args.title.format(
+        subject=args.name if "name" in args else f"{len(sources)} sources",
+        preset=session.preset,
+        machine=session.architecture.name,
     )
+    print(args.render(points, title=title))
     return 0
+
+
+def _add_sweep(sub, command, help, *, axis, configs, title, render, **knobs):
+    """One sweep subcommand for :func:`cmd_sweep`: *axis* is the swept
+    ``(flag, add_argument keywords)``, ``None`` when the sources are
+    (``sourcesweep``); *knobs* drop that dimension's session flag."""
+    p = sub.add_parser(command, help=help)
+    if axis is None:
+        p.add_argument(
+            "sources",
+            nargs="+",
+            metavar="NAME_OR_PATH",
+            help="sources to sweep (registry names and/or netlist paths)",
+        )
+    else:
+        p.add_argument("name", metavar="NAME_OR_PATH")
+        flag, options = axis
+        p.add_argument(flag, nargs="+", **options)
+    Session.add_arguments(p, parallel=False, **knobs)
+    p.add_argument(
+        "--configs",
+        nargs="+",
+        default=configs,
+        metavar="CONFIG",
+        help="endurance configurations per sweep point",
+    )
+    p.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="skip program-vs-MIG co-simulation (faster)",
+    )
+    p.set_defaults(func=cmd_sweep, title=title, render=render)
 
 
 def _add_cache_root(parser, help: str = "cache root") -> None:
@@ -637,62 +636,33 @@ def build_parser() -> argparse.ArgumentParser:
     ps = source_sub.add_parser("list", help="registered sources")
     ps.set_defaults(func=cmd_source_list)
 
-    p = sub.add_parser(
-        "sourcesweep", help="one pipeline across circuit sources"
+    _add_sweep(
+        sub, "sourcesweep", "one pipeline across circuit sources",
+        axis=None,
+        configs=["naive", "ea-full"],
+        title="SOURCE SWEEP - {subject} ({preset} preset, {machine} machine)",
+        render=report.render_source_sweep,
     )
-    p.add_argument(
-        "sources",
-        nargs="+",
-        metavar="NAME_OR_PATH",
-        help="sources to sweep (registry names and/or netlist paths)",
-    )
-    Session.add_arguments(p, parallel=False)
-    p.add_argument(
-        "--configs",
-        nargs="*",
-        default=["naive", "ea-full"],
-        metavar="CONFIG",
-        help="endurance configurations per source",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip program-vs-MIG co-simulation (faster)",
-    )
-    p.set_defaults(func=cmd_sourcesweep)
 
     p = sub.add_parser("arch", help="inspect the PLiM machine-model registry")
     arch_sub = p.add_subparsers(dest="arch_command", required=True)
     pa = arch_sub.add_parser("list", help="registered architectures")
     pa.set_defaults(func=cmd_arch_list)
 
-    p = sub.add_parser(
-        "archsweep", help="one circuit across PLiM machine models"
+    # The swept dimension gets no session knob: no --arch here.
+    _add_sweep(
+        sub, "archsweep", "one circuit across PLiM machine models",
+        axis=("--archs", dict(
+            default=None,
+            choices=available_architectures(),
+            metavar="ARCH",
+            help="architectures to sweep (default: all registered)",
+        )),
+        configs=["naive", "ea-full"],
+        title="ARCHITECTURE SWEEP - {subject} ({preset} preset)",
+        render=report.render_architecture_sweep,
+        arch=False,
     )
-    p.add_argument("name", metavar="NAME_OR_PATH")
-    # The architecture dimension is swept, so no --arch session knob here.
-    Session.add_arguments(p, parallel=False, arch=False)
-    p.add_argument(
-        "--archs",
-        nargs="*",
-        default=None,
-        choices=available_architectures(),
-        metavar="ARCH",
-        help="architectures to sweep (default: all registered)",
-    )
-    p.add_argument(
-        "--configs",
-        nargs="*",
-        default=["naive", "ea-full"],
-        metavar="CONFIG",
-        help="endurance configurations per architecture",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip program-vs-MIG co-simulation (faster)",
-    )
-    p.set_defaults(func=cmd_archsweep)
 
     p = sub.add_parser(
         "opt", help="inspect the rewriting-optimizer registries"
@@ -703,35 +673,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     po.set_defaults(func=cmd_opt_list)
 
-    p = sub.add_parser(
-        "optsweep", help="one circuit across rewriting optimizers"
+    # The swept dimension gets no session knob: no --opt here.
+    _add_sweep(
+        sub, "optsweep", "one circuit across rewriting optimizers",
+        axis=("--opts", dict(
+            default=["script", "greedy", "budget"],
+            metavar="SPEC",
+            help=(
+                "optimizer specs to sweep, STRATEGY[:OBJECTIVE][@DEPTH] "
+                "(default: script greedy budget)"
+            ),
+        )),
+        configs=["ea-full"],
+        title="OPTIMIZER SWEEP - {subject} ({preset} preset, {machine} machine)",
+        render=report.render_optimizer_sweep,
+        opt=False,
     )
-    p.add_argument("name", metavar="NAME_OR_PATH")
-    # The optimizer dimension is swept, so no --opt session knob here.
-    Session.add_arguments(p, parallel=False, opt=False)
-    p.add_argument(
-        "--opts",
-        nargs="*",
-        default=["script", "greedy", "budget"],
-        metavar="SPEC",
-        help=(
-            "optimizer specs to sweep, STRATEGY[:OBJECTIVE][@DEPTH] "
-            "(default: script greedy budget)"
-        ),
-    )
-    p.add_argument(
-        "--configs",
-        nargs="*",
-        default=["ea-full"],
-        metavar="CONFIG",
-        help="endurance configurations per optimizer",
-    )
-    p.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip program-vs-MIG co-simulation (faster)",
-    )
-    p.set_defaults(func=cmd_optsweep)
 
     p = sub.add_parser("cache", help="inspect/clear the on-disk experiment cache")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)

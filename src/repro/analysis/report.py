@@ -4,13 +4,15 @@ Formats :class:`~repro.analysis.tables.BenchmarkEvaluation` collections
 into fixed-width tables laid out like Tables I-III of the paper, with the
 same AVG row semantics (column means; the improvement column averages the
 per-benchmark percentages).  :meth:`repro.flow.Session.full_report`
-renders every table from one evaluation pass.
+renders every table from one evaluation pass.  The sweep tables render
+:meth:`repro.flow.Session.grid` points through one fixed-width helper.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
+from ..opt import Optimizer
 from .tables import (
     BenchmarkEvaluation,
     TABLE1_CONFIGS,
@@ -140,130 +142,121 @@ def render_table3(
     return "\n".join(lines)
 
 
-def render_architecture_sweep(points, title: str = "") -> str:
-    """Fixed-width table of an architecture sweep.
+def _sweep_table(title: str, columns, rows) -> List[str]:
+    """Title, header, rule and right-aligned *rows* of a fixed-width
+    table; *columns* are ``(header, width)`` pairs."""
+    widths = [width for _, width in columns]
 
-    *points* are :class:`~repro.analysis.scenarios.ArchSweepPoint`
-    instances; unsupported (architecture, configuration) pairs render as
-    dashes with the refusal reason in a footnote, so e.g. the ``dac16``
+    def line(cells) -> str:
+        return " | ".join(f"{c:>{w}s}" for c, w in zip(cells, widths))
+
+    header = line(name for name, _ in columns)
+    return [title, header, "-" * len(header)] + [line(row) for row in rows]
+
+
+#: The measured columns every sweep table ends with.
+_MEASURED = [("#I", 8), ("#R", 7), ("min/max", 9), ("STDEV", 8)]
+
+
+def _measured(point) -> List[str]:
+    """#I, #R, min/max writes and write stdev of a grid point's program."""
+    result = point.result.compilation
+    stats = result.stats
+    return [
+        str(result.num_instructions),
+        str(result.num_rrams),
+        f"{stats.min_writes}/{stats.max_writes}",
+        f"{stats.stdev:.2f}",
+    ]
+
+
+def render_architecture_sweep(points, title: str = "") -> str:
+    """Fixed-width table of :class:`~repro.analysis.runner.GridPoint`
+    cells across machine models.
+
+    Unsupported (architecture, configuration) pairs render as dashes
+    with the refusal reason in a footnote, so e.g. the ``dac16``
     machine's missing wear counters show up as a capability gap rather
     than an error.  Lifetime uses each machine's own endurance budget.
     """
-    lines: List[str] = []
-    lines.append(
-        title
-        or "ARCHITECTURE SWEEP - ONE SOURCE ACROSS PLIM MACHINE MODELS"
-    )
-    header = ["arch", "config", "#I", "#R", "min/max", "STDEV", "lifetime"]
-    widths = [10, 12, 8, 8, 9, 8, 14]
-    lines.append(
-        " | ".join(f"{c:>{w}s}" for c, w in zip(header, widths))
-    )
-    lines.append("-" * len(lines[-1]))
-    notes: List[str] = []
+    rows, notes = [], []
     for p in points:
-        if not p.supported:
-            row = [p.arch, p.config, "-", "-", "-", "-", "-"]
-            notes.append(f"  [{len(notes) + 1}] {p.arch}/{p.config}: {p.reason}")
-            row[1] += f"[{len(notes)}]"
-        else:
-            result = p.result.compilation
-            stats = result.stats
-            counts = result.program.write_counts()
-            life = p.result.architecture.estimate_lifetime(counts)
-            row = [
-                p.arch,
-                p.config,
-                str(result.num_instructions),
-                str(result.num_rrams),
-                f"{stats.min_writes}/{stats.max_writes}",
-                f"{stats.stdev:.2f}",
-                f"{life.executions:,d}",
-            ]
-        lines.append(
-            " | ".join(f"{c:>{w}s}" for c, w in zip(row, widths))
+        if p.result is None:
+            notes.append(
+                f"  [{len(notes) + 1}] {p.arch.name}/{p.config.name}: "
+                f"{p.reason}"
+            )
+            config = f"{p.config.name}[{len(notes)}]"
+            rows.append([p.arch.name, config] + ["-"] * 5)
+            continue
+        counts = p.result.program.write_counts()
+        life = p.arch.estimate_lifetime(counts).executions
+        rows.append(
+            [p.arch.name, p.config.name] + _measured(p) + [f"{life:,d}"]
         )
+    lines = _sweep_table(
+        title or "ARCHITECTURE SWEEP - ONE SOURCE ACROSS PLIM MACHINE MODELS",
+        [("arch", 10), ("config", 12), ("#I", 8), ("#R", 8), ("min/max", 9),
+         ("STDEV", 8), ("lifetime", 14)],
+        rows,
+    )
     if notes:
-        lines.append("")
-        lines.append("unsupported pairs:")
-        lines.extend(notes)
+        lines += ["", "unsupported pairs:"] + notes
     return "\n".join(lines)
 
 
 def render_optimizer_sweep(points, title: str = "") -> str:
-    """Fixed-width table of an optimizer sweep.
+    """Fixed-width table of :class:`~repro.analysis.runner.GridPoint`
+    cells across rewriting optimizers.
 
-    *points* are :class:`~repro.analysis.scenarios.OptSweepPoint`
-    instances: per (optimizer, configuration) pair the *measured*
-    compilation (#I, #R, write statistics) next to the optimizer's
-    compile-free objective estimate of its rewritten graph, so the
-    estimate's fidelity is visible in the artefact itself.
+    Per (optimizer, configuration) pair the *measured* compilation (#I,
+    #R, write statistics) sits next to the optimizer's compile-free
+    objective estimate of its rewritten graph, priced on the point's own
+    machine, so the estimate's fidelity is visible in the artefact
+    itself.  Gap points are the architecture table's alone.
     """
-    lines: List[str] = []
-    lines.append(
-        title or "OPTIMIZER SWEEP - ONE SOURCE ACROSS REWRITE STRATEGIES"
-    )
-    header = [
-        "optimizer", "config", "gates", "objective", "#I", "#R",
-        "min/max", "STDEV",
-    ]
-    widths = [22, 12, 7, 9, 8, 7, 9, 8]
-    lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(header, widths)))
-    lines.append("-" * len(lines[-1]))
-    for p in points:
-        result = p.result.compilation
-        stats = result.stats
-        row = [
-            p.opt,
-            p.config,
+    rows = [
+        [
+            p.optimizer.label(),
+            p.config.name,
             str(p.result.rewritten.num_live_gates()),
-            str(p.objective),
-            str(result.num_instructions),
-            str(result.num_rrams),
-            f"{stats.min_writes}/{stats.max_writes}",
-            f"{stats.stdev:.2f}",
-        ]
-        lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(row, widths)))
-    return "\n".join(lines)
+            str(Optimizer(p.optimizer, p.arch).score(p.result.rewritten)),
+        ] + _measured(p)
+        for p in points
+    ]
+    return "\n".join(_sweep_table(
+        title or "OPTIMIZER SWEEP - ONE SOURCE ACROSS REWRITE STRATEGIES",
+        [("optimizer", 22), ("config", 12), ("gates", 7), ("objective", 9)]
+        + _MEASURED,
+        rows,
+    ))
 
 
 def render_source_sweep(points, title: str = "") -> str:
-    """Fixed-width table of a source sweep.
+    """Fixed-width table of :class:`~repro.analysis.runner.GridPoint`
+    cells across circuit sources.
 
-    *points* are :class:`~repro.analysis.scenarios.SourceSweepPoint`
-    instances: per (source, configuration) pair the circuit's shape
-    (PIs/POs/gates) next to the measured compilation, so registry
+    Per (source, configuration) pair the circuit's shape
+    (PIs/POs/gates) sits next to the measured compilation, so registry
     benchmarks, imported netlists, and frontend circuits line up in one
-    table.
+    table.  Gap points are the architecture table's alone.
     """
-    lines: List[str] = []
-    lines.append(
-        title or "SOURCE SWEEP - ONE PIPELINE ACROSS CIRCUIT ORIGINS"
-    )
-    header = [
-        "source", "kind", "config", "PI/PO", "gates", "#I", "#R",
-        "min/max", "STDEV",
+    rows = [
+        [
+            p.source.name,
+            p.source.kind,
+            p.config.name,
+            f"{p.result.mig.num_pis}/{p.result.mig.num_pos}",
+            str(p.result.mig.num_live_gates()),
+        ] + _measured(p)
+        for p in points
     ]
-    widths = [16, 9, 12, 8, 7, 8, 7, 9, 8]
-    lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(header, widths)))
-    lines.append("-" * len(lines[-1]))
-    for p in points:
-        result = p.result.compilation
-        stats = result.stats
-        mig = p.result.mig
-        row = [
-            p.source,
-            p.kind,
-            p.config,
-            f"{mig.num_pis}/{mig.num_pos}",
-            str(mig.num_live_gates()),
-            str(result.num_instructions),
-            str(result.num_rrams),
-            f"{stats.min_writes}/{stats.max_writes}",
-            f"{stats.stdev:.2f}",
-        ]
-        lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join(_sweep_table(
+        title or "SOURCE SWEEP - ONE PIPELINE ACROSS CIRCUIT ORIGINS",
+        [("source", 16), ("kind", 9), ("config", 12), ("PI/PO", 8),
+         ("gates", 7)] + _MEASURED,
+        rows,
+    ))
 
 
 def render_objective_study(rows, title: str = "") -> str:
@@ -273,30 +266,25 @@ def render_objective_study(rows, title: str = "") -> str:
     instances; the summary line counts the benchmarks on which the
     cost-guided optimizer strictly beat the fixed script.
     """
-    lines: List[str] = []
-    lines.append(
-        title or "OBJECTIVE STUDY - COST-GUIDED OPTIMIZER VS FIXED SCRIPT"
+    lines = _sweep_table(
+        title or "OBJECTIVE STUDY - COST-GUIDED OPTIMIZER VS FIXED SCRIPT",
+        [("benchmark", 12), ("raw", 8), ("script", 8), ("optimized", 9),
+         ("delta", 7), ("", 4)],
+        [
+            [
+                row.benchmark,
+                str(row.raw),
+                str(row.script),
+                str(row.optimized),
+                str(row.optimized - row.script),
+                "WIN" if row.improved else "",
+            ]
+            for row in rows
+        ],
     )
-    header = ["benchmark", "raw", "script", "optimized", "delta", ""]
-    widths = [12, 8, 8, 9, 7, 4]
-    lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(header, widths)))
-    lines.append("-" * len(lines[-1]))
-    improved = 0
-    for row in rows:
-        improved += 1 if row.improved else 0
-        cells = [
-            row.benchmark,
-            str(row.raw),
-            str(row.script),
-            str(row.optimized),
-            str(row.optimized - row.script),
-            "WIN" if row.improved else "",
-        ]
-        lines.append(" | ".join(f"{c:>{w}s}" for c, w in zip(cells, widths)))
+    improved = sum(1 for row in rows if row.improved)
     lines.append("-" * len(lines[1]))
-    lines.append(
-        f"strictly improved on {improved}/{len(rows)} benchmarks"
-    )
+    lines.append(f"strictly improved on {improved}/{len(rows)} benchmarks")
     return "\n".join(lines)
 
 

@@ -68,11 +68,12 @@ narrower certificate than the stored one inside the entry's writer
 lock.
 
 :class:`repro.flow.Session` is the one door into an evaluation: its
-``run_matrix``, ``evaluate_suite`` and ``full_report`` drive this runner
-with the session's cache, preset, machine, optimizer and budgets (an
-existing cache enters as ``Session(cache=...)``).  The table/report
-layer (:mod:`repro.analysis.tables`, :mod:`repro.analysis.report`) keeps
-the table vocabulary and the renderers.
+``run_matrix`` (under ``evaluate_suite``/``full_report``) and ``grid``
+drive this runner with the session's cache, preset, machine, optimizer
+and budgets (an existing cache enters as ``Session(cache=...)``).  The
+table/report layer (:mod:`repro.analysis.tables`,
+:mod:`repro.analysis.report`) keeps the table vocabulary and the
+renderers.
 """
 
 from __future__ import annotations
@@ -302,6 +303,24 @@ class FlowResult:
     @property
     def config(self) -> EnduranceConfig:
         return self.compilation.config
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One (source, machine, optimizer, configuration) cell of
+    :meth:`repro.flow.Session.grid`.
+
+    ``result`` is ``None`` when the machine refuses the configuration;
+    ``reason`` then says why (e.g. the ``dac16`` machine has no wear
+    counters for ``min_write``).
+    """
+
+    source: Source
+    config: EnduranceConfig
+    arch: Architecture
+    optimizer: OptimizerSpec
+    result: Optional[FlowResult]
+    reason: str = ""
 
 
 def _graph_id(mig_or_key) -> Tuple:

@@ -1,4 +1,4 @@
-"""The motivating examples of the paper: Fig. 1 and Fig. 2.
+"""The paper's motivating MIGs and the studies that read compiled programs.
 
 Fig. 1 shows a MIG where the area/latency-optimal destination choice
 rewrites the *same* device repeatedly: whenever the only single-fanout,
@@ -12,13 +12,17 @@ short-lived neighbours are released and rewritten over and over.
 This module rebuilds both MIGs exactly as drawn, plus parametric
 generalisations (:func:`fig1_chain`, :func:`fig2_ladder`) used by the
 figure benchmarks to show how the pathologies scale and how the paper's
-techniques mitigate them.
+techniques mitigate them; :func:`storage_pressure` reads Fig. 2 off a
+compiled program.  It also holds the suite-wide objective study
+(:func:`optimizer_objective_study`) behind ``OPT_sweep.txt``.  The
+scenarios compile like every design-space sweep, as cells of
+:meth:`repro.flow.Session.grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..mig.graph import Mig
 from ..mig.signal import complement
@@ -106,235 +110,6 @@ def fig2_ladder(rungs: int = 8) -> Mig:
         root = mig.add_maj(root, producer, xs[0])
     mig.add_po(root, "g")
     return mig
-
-
-def evaluate_scenarios(
-    mig: Mig,
-    configs: Sequence,
-    *,
-    session=None,
-    verify: "bool | int" = False,
-) -> Iterable[Tuple[str, "object"]]:
-    """Compile a scenario MIG under each configuration through a Flow.
-
-    *configs* is a sequence of preset names or
-    :class:`~repro.core.manager.EnduranceConfig` objects; yields
-    ``(label, FlowResult)`` pairs in order; *verify* is ``True``
-    (:data:`~repro.analysis.runner.VERIFY_PATTERNS` patterns) or a
-    pattern count, as for every sweep below.  The CLI ``fig1``/``fig2``
-    subcommands and the figure examples route through this helper so
-    scenario compilations share the session's cache and machine model like
-    every other pipeline.
-    """
-    from ..flow import Flow, Session  # deferred: flow imports analysis
-
-    if session is None:
-        session = Session()
-    for config in configs:
-        flow = Flow.for_config(config, session=session).source_mig(mig)
-        result = flow.verify(verify).run()
-        yield result.compilation.config.name, result
-
-
-@dataclass(frozen=True)
-class ArchSweepPoint:
-    """One (architecture, configuration) measurement of a sweep.
-
-    ``result`` is the :class:`repro.flow.FlowResult` when the machine
-    supports the configuration, ``None`` otherwise (``reason`` then says
-    why — e.g. the ``dac16`` machine has no wear counters for
-    ``min_write``).
-    """
-
-    arch: str
-    config: str
-    result: Optional[object]
-    reason: str = ""
-
-    @property
-    def supported(self) -> bool:
-        return self.result is not None
-
-
-def architecture_sweep(
-    source: Union[Mig, str],
-    archs: Optional[Sequence] = None,
-    configs: Sequence = ("naive", "ea-full"),
-    *,
-    session=None,
-    verify: "bool | int" = False,
-) -> List[ArchSweepPoint]:
-    """Compile one source under every (architecture, configuration) pair.
-
-    The architecture dimension of the design space: the same benchmark
-    (a registry name or an explicit MIG) is compiled for each machine
-    model — by default every registered one — under each endurance
-    configuration, all through one session so every artefact lands in
-    the shared (architecture-keyed) cache.  Pairs the machine cannot
-    implement (e.g. ``min_write`` on the wear-counter-free ``dac16``)
-    come back as unsupported points rather than raising, so a sweep
-    table can render them as gaps.
-
-    The CLI ``archsweep`` subcommand, the architecture example, and the
-    ``ARCH_sweep`` benchmark artefact all render these points via
-    :func:`repro.analysis.report.render_architecture_sweep`.
-    """
-    from ..arch import ArchitectureError, available_architectures, resolve_architecture
-    from ..flow import Flow, Session  # deferred: flow imports analysis
-
-    if session is None:
-        session = Session()
-    if archs is None:
-        archs = available_architectures()
-    points: List[ArchSweepPoint] = []
-    for arch in archs:
-        machine = resolve_architecture(arch)
-        for config in configs:
-            flow = Flow.for_config(config, session=session).arch(machine)
-            flow.source(source).verify(verify)  # any SourceLike
-            try:
-                result = flow.run()
-            except ArchitectureError as exc:
-                points.append(
-                    ArchSweepPoint(
-                        arch=machine.name,
-                        config=config if isinstance(config, str) else config.name,
-                        result=None,
-                        reason=str(exc),
-                    )
-                )
-                continue
-            points.append(
-                ArchSweepPoint(
-                    arch=machine.name,
-                    config=result.compilation.config.name,
-                    result=result,
-                )
-            )
-    return points
-
-
-@dataclass(frozen=True)
-class OptSweepPoint:
-    """One (optimizer, configuration) measurement of an optimizer sweep.
-
-    ``objective`` is the optimizer's own objective score of the
-    rewritten graph (estimated, compile-free); ``result`` the full
-    :class:`repro.flow.FlowResult` with the *measured* compilation.
-    """
-
-    opt: str
-    config: str
-    result: object
-    objective: int
-
-
-def optimizer_sweep(
-    source: Union[Mig, str],
-    opts: Sequence = ("script", "greedy", "budget"),
-    configs: Sequence = ("ea-full",),
-    *,
-    session=None,
-    verify: "bool | int" = False,
-) -> List[OptSweepPoint]:
-    """Compile one source under every (optimizer, configuration) pair.
-
-    The optimizer dimension of the design space: the same benchmark (a
-    registry name or an explicit MIG) is rewritten by each optimizer
-    spec — the legacy fixed scripts, the greedy cost-guided strategy,
-    the bounded look-ahead search, or any custom spec string — then
-    compiled under each endurance configuration, all through one
-    session so every artefact lands in the shared (optimizer-keyed)
-    cache and the measured #I/#R/write statistics are directly
-    comparable against the compile-free objective estimates.
-
-    The CLI ``optsweep`` subcommand, the optimizer example, and the
-    ``OPT_sweep`` benchmark artefact all render these points via
-    :func:`repro.analysis.report.render_optimizer_sweep`.
-    """
-    from ..flow import Flow, Session  # deferred: flow imports analysis
-    from ..opt import Optimizer, resolve_optimizer
-
-    if session is None:
-        session = Session()
-    machine = session.architecture
-    points: List[OptSweepPoint] = []
-    for opt in opts:
-        spec = resolve_optimizer(opt)
-        for config in configs:
-            flow = Flow.for_config(config, session=session).optimize(spec)
-            flow.source(source).verify(verify)  # any SourceLike
-            result = flow.run()
-            points.append(
-                OptSweepPoint(
-                    opt=spec.label(),
-                    config=result.compilation.config.name,
-                    result=result,
-                    objective=Optimizer(spec, machine).score(
-                        result.rewritten
-                    ),
-                )
-            )
-    return points
-
-
-@dataclass(frozen=True)
-class SourceSweepPoint:
-    """One (source, configuration) measurement of a source sweep.
-
-    ``source`` is the display name, ``kind`` the origin
-    (``registry``/``file``/``frontend``/``graph``), ``result`` the full
-    :class:`repro.flow.FlowResult`.
-    """
-
-    source: str
-    kind: str
-    config: str
-    result: object
-
-
-def source_sweep(
-    sources: Sequence,
-    configs: Sequence = ("naive", "ea-full"),
-    *,
-    session=None,
-    verify: "bool | int" = False,
-) -> List[SourceSweepPoint]:
-    """Compile every source under every configuration pair.
-
-    The source dimension of the design space: circuits from *anywhere*
-    — registry benchmarks, imported BLIF/AIGER netlists, frontend
-    functions, hand-built graphs — run the identical pipeline under
-    each endurance configuration, all through one session, so the
-    write-traffic characteristics of hand-picked benchmarks can be
-    compared directly against circuits nobody hand-picked.  Each entry
-    of *sources* is anything :func:`repro.source.resolve_source`
-    accepts.
-
-    The CLI ``sourcesweep`` subcommand and the frontend example render
-    these points via
-    :func:`repro.analysis.report.render_source_sweep`.
-    """
-    from ..flow import Flow, Session  # deferred: flow imports analysis
-    from ..source import resolve_source
-
-    if session is None:
-        session = Session()
-    points: List[SourceSweepPoint] = []
-    for entry in sources:
-        resolved = resolve_source(entry)
-        for config in configs:
-            flow = Flow.for_config(config, session=session).source(resolved)
-            result = flow.verify(verify).run()
-            points.append(
-                SourceSweepPoint(
-                    source=resolved.name,
-                    kind=resolved.kind,
-                    config=result.compilation.config.name,
-                    result=result,
-                )
-            )
-    return points
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 The paper evaluates fixed-size benchmarks.  Because our generators are
 width-parametric, we can additionally ask how the endurance techniques
 *scale*: does the naive compiler's write imbalance grow with circuit
-size, and does the managed flow keep it flat?  These sweeps back the
-scaling ablation benches and the ``design_space`` example.
+size, and does the managed flow keep it flat?  :func:`sweep_widths`
+runs the widths as the sources of one :meth:`repro.flow.Session.grid`;
+it backs the scaling benches and the ``design_space`` example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.manager import (
@@ -18,7 +20,6 @@ from ..core.manager import (
     full_management,
 )
 from ..mig.graph import Mig
-from ..plim.memory import TYPICAL_ENDURANCE_LOW, estimate_lifetime
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,18 @@ def sweep_widths(
     builder: Callable[[int], Mig],
     widths: Sequence[int],
     configs: Optional[Dict[str, EnduranceConfig]] = None,
-    endurance: int = TYPICAL_ENDURANCE_LOW,
     session=None,
 ) -> List[SweepPoint]:
     """Compile ``builder(width)`` for every width under every config.
 
     *builder* maps an integer size parameter to a MIG (any of the
-    arithmetic generators fits directly).  Every point runs as a
-    :class:`repro.flow.Flow` through one session (pass *session* to
-    share its cache), so configurations with a common rewriting script
-    rewrite each width only once.
+    arithmetic generators fits directly); *configs* maps row labels to
+    configurations.  The built graphs are the sources of one
+    :meth:`repro.flow.Session.grid` (pass *session* to share its cache),
+    so configurations with a common rewriting script rewrite each width
+    only once.  Lifetime uses the session machine's endurance budget.
     """
-    from ..flow import Flow, Session  # deferred: flow imports this package
+    from ..flow import Session  # deferred: flow imports this package
 
     if configs is None:
         configs = {
@@ -65,31 +66,25 @@ def sweep_widths(
         }
     if session is None:
         session = Session()
-    points: List[SweepPoint] = []
-    for width in widths:
-        mig = builder(width)
-        gates = mig.num_live_gates()
-        for label, config in configs.items():
-            result = Flow.for_config(
-                config, session=session
-            ).source_mig(mig).run().compilation
-            stats = result.stats
-            life = estimate_lifetime(
-                result.program.write_counts(), endurance=endurance
-            )
-            points.append(
-                SweepPoint(
-                    parameter=width,
-                    config=label,
-                    gates=gates,
-                    instructions=result.num_instructions,
-                    rrams=result.num_rrams,
-                    stdev=stats.stdev,
-                    max_writes=stats.max_writes,
-                    lifetime=life.executions,
-                )
-            )
-    return points
+    points = session.grid(
+        [builder(width) for width in widths], list(configs.values())
+    )
+    return [
+        SweepPoint(
+            parameter=width,
+            config=label,
+            gates=point.result.mig.num_live_gates(),
+            instructions=point.result.compilation.num_instructions,
+            rrams=point.result.compilation.num_rrams,
+            stdev=point.result.stats.stdev,
+            max_writes=point.result.stats.max_writes,
+            lifetime=point.arch.estimate_lifetime(
+                point.result.program.write_counts()
+            ).executions,
+        )
+        # the grid walks sources (widths) outside configurations
+        for (width, label), point in zip(product(widths, configs), points)
+    ]
 
 
 def scaling_exponent(points: Sequence[SweepPoint], field: str) -> float:

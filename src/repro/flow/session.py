@@ -35,10 +35,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import product
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..arch import Architecture, resolve_architecture
+from ..arch import Architecture, ArchitectureError, resolve_architecture
 from ..opt import DEFAULT_EFFORT, OptimizerSpec, resolve_optimizer
 from ..resilience import Timeouts, resolve_timeouts
 from ..source import Source, SourceLike, resolve_source, source_from_env
@@ -48,8 +49,10 @@ from ..analysis.runner import (
     BenchmarkEvaluation,
     ConfigLike,
     ExperimentCache,
+    GridPoint,
     StageEvent,
     TABLE1_PRESETS,
+    resolve_config,
     run_matrix as _run_matrix,
 )
 from .options import SESSION_KNOBS
@@ -86,10 +89,14 @@ class SessionSpec:
 class Session:
     """Owns the knobs, experiment cache, parallelism, and width preset.
 
-    The session's :attr:`cache` is a single
-    :class:`~repro.analysis.runner.ExperimentCache` shared by every flow
-    and matrix evaluation routed through it, disk-backed when a cache
-    directory is configured.  Observers registered with
+    Two loops evaluate through it: :meth:`run_matrix` (the tables, and
+    ``evaluate_suite``/``full_report`` on top of it) and :meth:`grid`,
+    the design-space sweep over sources x machines x optimizers x
+    configurations behind the figures, ``bench`` and every sweep.  The
+    session's :attr:`cache` is a single
+    :class:`~repro.analysis.runner.ExperimentCache` shared by every flow,
+    grid and matrix evaluation routed through it, disk-backed when a
+    cache directory is configured.  Observers registered with
     :meth:`add_observer` receive the :class:`~repro.flow.StageEvent`
     stream of every flow run and table cell in this session (plus
     matrix-level events),
@@ -416,6 +423,50 @@ class Session:
             parallel=parallel,
         )
 
+    def grid(
+        self,
+        sources: Sequence[SourceLike],
+        configs: Sequence[ConfigLike],
+        *,
+        archs: "Sequence[str | Architecture] | None" = None,
+        opts: "Sequence[str | OptimizerSpec] | None" = None,
+        verify: "bool | int" = False,
+    ) -> List[GridPoint]:
+        """Every (source, machine, optimizer, configuration) cell of a
+        design-space sweep, in that nesting order, run serially.
+
+        Each cell is one :meth:`repro.flow.Flow.for_job` run (the stage
+        sequence of every table cell); *archs* and *opts* default to the
+        session's machine and optimizer, and *verify* is as for
+        :meth:`run_matrix`.  Every axis resolves before the first cell
+        runs.  A machine that refuses a configuration
+        (:meth:`~repro.arch.Architecture.supports_config`) yields a gap
+        point carrying the refusal reason; it runs no stage.
+        """
+        from .pipeline import Flow
+
+        axes = (
+            [resolve_source(source) for source in sources],
+            [resolve_architecture(arch) for arch in archs]
+            if archs is not None else [self.architecture],
+            [resolve_optimizer(opt) for opt in opts]
+            if opts is not None else [self.optimizer],
+            [resolve_config(config) for config in configs],
+        )
+        points: List[GridPoint] = []
+        for source, machine, spec, config in product(*axes):
+            if machine.supports_config(config):
+                result, reason = Flow.for_job(
+                    source, config, arch=machine, opt=spec, verify=verify,
+                    session=self,
+                ).run(), ""
+            else:
+                result, reason = None, _refusal(machine, config)
+            points.append(
+                GridPoint(source, config, machine, spec, result, reason)
+            )
+        return points
+
     def full_report(
         self,
         names: Optional[Iterable[str]] = None,
@@ -448,3 +499,12 @@ class Session:
         return (
             f"Session(parallel={self.parallel!r}, preset={self.preset!r}{knobs})"
         )
+
+
+def _refusal(machine: Architecture, config) -> str:
+    """Why *machine* refuses *config* (empty when it supports it)."""
+    try:
+        machine.validate_config(config)
+    except ArchitectureError as error:
+        return str(error)
+    return ""

@@ -27,7 +27,7 @@ from repro.arch import (
 )
 from repro.analysis.report import render_architecture_sweep, render_table1
 from repro.analysis.runner import run_matrix
-from repro.analysis.scenarios import architecture_sweep, fig2_mig
+from repro.analysis.scenarios import fig2_mig
 from repro.core.manager import PRESETS, compile_pipeline, full_management
 from repro.flow import Flow, Session
 from repro.plim.allocator import CapacityExceededError, RramAllocator
@@ -411,36 +411,44 @@ class TestArchThroughFlow:
 
 
 class TestArchitectureSweep:
+    """The machine axis of :meth:`Session.grid`, with its gaps."""
+
     def test_sweep_covers_all_machines(self):
         session = Session(preset="tiny")
-        points = architecture_sweep(
-            "dec", configs=("naive", "ea-full"), session=session
+        points = session.grid(
+            ["dec"], ("naive", "ea-full"), archs=available_architectures()
         )
-        assert {p.arch for p in points} == set(available_architectures())
-        unsupported = [p for p in points if not p.supported]
-        assert {(p.arch, p.config) for p in unsupported} == {
+        assert {p.arch.name for p in points} == set(available_architectures())
+        unsupported = [p for p in points if p.result is None]
+        assert {(p.arch.name, p.config.name) for p in unsupported} == {
             ("dac16", "ea-full")
         }
         assert "wear counters" in unsupported[0].reason
 
     def test_sweep_accepts_explicit_mig(self):
-        points = architecture_sweep(
-            fig2_mig(),
-            archs=("endurance",),
-            configs=("naive",),
-            session=Session(),
-            verify=True,
+        points = Session().grid(
+            [fig2_mig()], ("naive",), archs=("endurance",), verify=True
         )
-        assert len(points) == 1 and points[0].supported
+        assert len(points) == 1 and points[0].result is not None
         assert points[0].result.verified_patterns > 0
+
+    def test_gap_runs_no_stage(self):
+        session = Session(preset="tiny")
+        flows = []
+
+        class Observer:
+            def on_stage_start(self, event):
+                flows.append(event.flow)
+
+        session.add_observer(Observer())
+        (gap,) = session.grid(["dec"], ("min-write",), archs=("dac16",))
+        assert gap.result is None and "wear counters" in gap.reason
+        assert flows == []
 
     def test_render_marks_gaps(self):
         session = Session(preset="tiny")
-        points = architecture_sweep(
-            "dec",
-            archs=("dac16",),
-            configs=("naive", "min-write"),
-            session=session,
+        points = session.grid(
+            ["dec"], ("naive", "min-write"), archs=("dac16",)
         )
         text = render_architecture_sweep(points)
         assert "unsupported pairs:" in text

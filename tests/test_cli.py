@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis.cli import build_parser, main
@@ -111,6 +113,67 @@ class TestCommands:
         assert "HEADLINE" in capsys.readouterr().out
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
+
+#: The commands whose stdout is pinned byte for byte, by fixture name.
+PINNED_COMMANDS = {
+    "archsweep_dec": ["archsweep", "dec", "--preset", "tiny"],
+    "optsweep_ctrl": ["optsweep", "ctrl", "--preset", "tiny"],
+    "sourcesweep_adder_dec": [
+        "sourcesweep", "adder", "dec", "--preset", "tiny",
+    ],
+    "bench_dec_wmax10": ["bench", "dec", "--preset", "tiny", "--wmax", "10"],
+    "fig1": ["fig1"],
+    "fig2": ["fig2"],
+}
+
+
+class TestPinnedOutput:
+    """The sweep, bench and figure commands print exactly the recorded
+    tables (``tests/fixtures/cli/<name>.txt``)."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+    def test_stdout_matches_fixture(self, name, capsys, monkeypatch):
+        from repro.flow.options import KNOBS
+
+        for knob in KNOBS.values():
+            monkeypatch.delenv(knob.env_var, raising=False)
+        assert main(PINNED_COMMANDS[name]) == 0
+        expected = (FIXTURES / f"{name}.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+
+class TestEmptyAxis:
+    """An axis flag given with no values is a usage error, not an empty
+    (or crashing) run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--preset", "tiny", "--benchmarks"],
+        ["table2", "--preset", "tiny", "--benchmarks"],
+        ["table3", "--preset", "tiny", "--benchmarks"],
+        ["headline", "--preset", "tiny", "--benchmarks"],
+        ["report", "--preset", "tiny", "--benchmarks"],
+        ["archsweep", "dec", "--preset", "tiny", "--archs"],
+        ["archsweep", "dec", "--preset", "tiny", "--configs"],
+        ["optsweep", "dec", "--preset", "tiny", "--configs"],
+        ["optsweep", "dec", "--preset", "tiny", "--opts"],
+        ["sourcesweep", "dec", "--preset", "tiny", "--configs"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_exits_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected at least one argument" in captured.err
+
+    def test_bench_bad_cap_prints_nothing(self, capsys):
+        assert main(["bench", "dec", "--preset", "tiny", "--wmax", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "w_max below 3" in captured.err
+
+
 class TestBackendOption:
     """The simulation engine never changes an artefact."""
 
@@ -173,6 +236,20 @@ class TestArchOption:
         ]) == 0
         out = capsys.readouterr().out
         assert "blocked" in out and "dac16" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "dec", "--preset", "tiny"],
+        ["fig1"],
+        ["fig2"],
+        ["optsweep", "ctrl", "--preset", "tiny", "--no-verify"],
+        ["sourcesweep", "dec", "--preset", "tiny", "--no-verify"],
+    ], ids=lambda argv: argv[0])
+    def test_refused_configuration_fails_before_printing(self, argv, capsys):
+        # only archsweep renders the pairs a machine refuses as gaps
+        assert main(argv + ["--arch", "dac16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no per-cell wear counters" in captured.err
 
     def test_env_selects_arch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ARCH", "blocked")

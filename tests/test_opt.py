@@ -654,20 +654,65 @@ class TestMatrixIntegration:
                 )
 
     def test_optimizer_sweep_points(self):
-        from repro.analysis.scenarios import optimizer_sweep
         from repro.flow import Session
 
         session = Session(preset="tiny")
-        points = optimizer_sweep(
-            "ctrl", opts=("script", "greedy"), configs=("ea-full",),
-            session=session,
+        points = session.grid(
+            ["ctrl"], ("ea-full",), opts=("script", "greedy")
         )
-        assert [p.opt for p in points] == ["script", "greedy:write_cost"]
-        by_opt = {p.opt: p for p in points}
-        assert (
-            by_opt["greedy:write_cost"].objective
-            <= by_opt["script"].objective
+        assert [p.optimizer.label() for p in points] == [
+            "script", "greedy:write_cost"
+        ]
+        objective = {
+            p.optimizer.label(): Optimizer(p.optimizer, p.arch).score(
+                p.result.rewritten
+            )
+            for p in points
+        }
+        assert objective["greedy:write_cost"] <= objective["script"]
+
+    def test_grid_crosses_machines_and_optimizers(self):
+        from repro.analysis.report import render_optimizer_sweep
+        from repro.flow import Session
+
+        points = Session(preset="tiny").grid(
+            ["dec"], ("ea-full",), archs=("endurance", "blocked"),
+            opts=("script", "greedy"),
         )
+        # source -> machine -> optimizer -> configuration
+        assert [(p.arch.name, p.optimizer.label()) for p in points] == [
+            ("endurance", "script"), ("endurance", "greedy:write_cost"),
+            ("blocked", "script"), ("blocked", "greedy:write_cost"),
+        ]
+        text = render_optimizer_sweep(points).splitlines()[3:]
+        for point, row in zip(points, text):
+            objective = Optimizer(point.optimizer, point.arch).score(
+                point.result.rewritten
+            )
+            assert point.result.architecture is point.arch
+            # the rendered objective is priced on the point's own machine
+            assert row.split("|")[3].strip() == str(objective)
+
+    def test_rendered_objective_follows_the_machine_costs(self):
+        from repro.analysis.report import render_optimizer_sweep
+        from repro.flow import Session
+
+        pricey = Architecture(
+            name="pricey",
+            cost=CostModel(
+                q_invert_instructions=5,
+                z_copy_instructions=6,
+                p_invert_instructions=5,
+            ),
+        )
+        session = Session(preset="tiny")
+        (point,) = session.grid(["dec"], ("ea-full",), archs=(pricey,))
+        (row,) = render_optimizer_sweep([point]).splitlines()[3:]
+        rewritten = point.result.rewritten
+        default = Optimizer("script", session.architecture).score(rewritten)
+        own = Optimizer("script", pricey).score(rewritten)
+        assert own != default
+        assert row.split("|")[3].strip() == str(own)
 
     def test_objective_study_rows(self):
         from repro.analysis.scenarios import optimizer_objective_study
@@ -687,15 +732,12 @@ class TestMatrixIntegration:
             render_objective_study,
             render_optimizer_sweep,
         )
-        from repro.analysis.scenarios import (
-            optimizer_objective_study,
-            optimizer_sweep,
-        )
+        from repro.analysis.scenarios import optimizer_objective_study
         from repro.flow import Session
 
         session = Session(preset="tiny")
         sweep = render_optimizer_sweep(
-            optimizer_sweep("ctrl", opts=("script", "greedy"), session=session)
+            session.grid(["ctrl"], ("ea-full",), opts=("script", "greedy"))
         )
         assert "script" in sweep and "greedy:write_cost" in sweep
         study = render_objective_study(

@@ -223,14 +223,8 @@ def _suite(session, names, verify):
     session.evaluate_suite(names, configs=["naive"], verify=verify)
 
 
-def _arch_sweep(session, names, verify):
-    from repro.analysis.scenarios import architecture_sweep
-
-    for name in names:
-        architecture_sweep(
-            name, archs=("endurance",), configs=("naive",), session=session,
-            verify=verify,
-        )
+def _grid(session, names, verify):
+    session.grid(names, ["naive"], archs=("endurance",), verify=verify)
 
 
 class TestVerifyWidth:
@@ -248,7 +242,7 @@ class TestVerifyWidth:
                 marks=pytest.mark.slow,
             ),
             pytest.param(_suite, id="evaluate_suite"),
-            pytest.param(_arch_sweep, id="architecture_sweep"),
+            pytest.param(_grid, id="grid"),
         ],
     )
     @pytest.mark.parametrize(
