@@ -43,7 +43,7 @@ def main() -> None:
         # the verify stage co-simulates program vs MIG on the array model.
         result = (
             Flow.for_config(config, session=session)
-            .source_mig(mig)
+            .source(mig)
             .verify()
             .run()
         )

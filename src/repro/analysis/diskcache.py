@@ -164,8 +164,8 @@ def _lock_holder_dead(lock: pathlib.Path) -> bool:
     holding an entry lock leaks it — its retried job must not wait out
     :data:`STALE_LOCK_SECONDS` (and then *skip* the store) for a writer
     that can never release.  Best-effort on purpose: an empty or
-    unparsable lock (a foreign writer, or the instant between create and
-    write) and a reused PID both fall back to the age-based break.
+    unparsable lock (a foreign writer) and a reused PID both fall back
+    to the age-based break.
     """
     try:
         pid = int(lock.read_bytes())
@@ -312,7 +312,7 @@ class DiskCache:
     def _acquire_lock(self, path: pathlib.Path) -> Optional[pathlib.Path]:
         """Take the per-entry writer lock, or ``None`` on timeout.
 
-        The lock is an ``O_EXCL``-created sidecar file: exactly one
+        The lock is an exclusively created sidecar file: exactly one
         process holds it at a time, making every entry write
         single-writer even when a whole worker pool warms the same
         root.  A held lock is polled for up to
@@ -324,34 +324,38 @@ class DiskCache:
         belongs to a crashed writer and is broken.
         """
         lock = path.with_suffix(".lock")
-        deadline = time.monotonic() + LOCK_WAIT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        # Record the holder so waiters can tell a *dead* writer
+        # (terminated pool worker — SIGTERM runs no Python cleanup, so
+        # the lock leaks) from a live slow one, and break it without the
+        # 60s wait.  The PID goes into a temp file that is hard-linked
+        # into place, so no lock is ever empty: a writer killed between
+        # creating the lock and writing its PID would leave one, which no
+        # waiter could tell from a live holder's.
+        fd, holder = tempfile.mkstemp(
+            dir=path.parent, prefix=".tmp-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(str(os.getpid()))
+            deadline = time.monotonic() + LOCK_WAIT_SECONDS
+            while True:
                 try:
-                    # Record the holder so waiters can tell a *dead*
-                    # writer (terminated pool worker — SIGTERM runs no
-                    # Python cleanup, so the lock leaks) from a live
-                    # slow one, and break it without the 60s wait.
-                    os.write(fd, str(os.getpid()).encode())
-                finally:
-                    os.close(fd)
-                return lock
-            except FileExistsError:
+                    os.link(holder, lock)
+                    return lock
+                except FileExistsError:
+                    pass
                 if time.monotonic() >= deadline:
                     return None
                 try:
                     age = time.time() - lock.stat().st_mtime
-                except FileNotFoundError:
-                    continue  # holder finished between open and stat
                 except OSError:
-                    continue
+                    continue  # e.g. the holder finished since the link
                 if age >= STALE_LOCK_SECONDS or _lock_holder_dead(lock):
                     self._break_stale_lock(lock)
                     continue
-                if time.monotonic() >= deadline:
-                    return None
                 time.sleep(_LOCK_POLL_SECONDS)
+        finally:
+            os.unlink(holder)
 
     @staticmethod
     def _break_stale_lock(lock: pathlib.Path) -> None:

@@ -14,17 +14,24 @@ compilations *shared work*:
   reuses one rewriting run.
 * :func:`run_stages` is the one stage sequence — source → rewrite →
   compile → verify for one (source, configuration) cell — that
-  :meth:`repro.flow.Flow.run` and every table cell run.
-* :func:`run_matrix` evaluates a sources x configurations matrix.  Every
-  matrix entry — a registry name, a netlist path, a graph — resolves to
-  a :class:`~repro.source.Source` and travels as one through the cache,
-  the worker processes, and the disk keys (registry benchmarks keep
-  their classic ``(name, preset)`` identity).  Entries run serially
-  through one session, or :func:`dispatch_jobs` fans the ones its cache is
-  missing out over supervised worker processes and adopts the results
-  back; the matrix is then assembled in order from the warm cache, so
-  the parallel path is bit-for-bit identical to the serial one.
-  ``repro serve``'s isolated mode dispatches through the same function.
+  :meth:`repro.flow.Flow.run` and every evaluation cell run.
+* :func:`walk_source` is the one per-source cell loop: a source's
+  (machine x optimizer x configuration) cells, each a gap the machine
+  refuses or one :func:`run_stages` call, under one degradation scope.
+  :func:`run_job` runs it as one serial job — the session's ``job``
+  budget, the serial fault-injection site, retries — for both
+  :meth:`repro.flow.Session.grid` and
+  :meth:`~repro.flow.Session.run_matrix`; a worker process of
+  :func:`dispatch_jobs` runs it under its own ``job`` budget while the
+  supervisor retries.  Every source — a registry name, a netlist path,
+  a graph — is a :class:`~repro.source.Source` and travels as one
+  through the cache, the worker processes, and the disk keys (registry
+  benchmarks keep their classic ``(name, preset)`` identity).  A
+  parallel matrix fans the pairs its cache is missing out to workers
+  and adopts the results back; its rows are then walked in order from
+  the warm cache, so the parallel path is bit-for-bit identical to the
+  serial one.  ``repro serve``'s isolated mode dispatches through the
+  same function.
 * One verification knob: every entry point takes ``verify`` —
   ``True`` certifies :data:`VERIFY_PATTERNS` patterns, an int *N*
   certifies *N*, and ``False`` or ``0`` runs no verify stage
@@ -86,9 +93,15 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch import DEFAULT_ARCHITECTURE, Architecture, resolve_architecture
+from ..arch import (
+    DEFAULT_ARCHITECTURE,
+    Architecture,
+    ArchitectureError,
+    resolve_architecture,
+)
 from ..core.manager import (
     CompilationResult,
     EnduranceConfig,
@@ -114,8 +127,8 @@ from ..resilience import (
 )
 from ..resilience import events as res_events
 from ..resilience import faults as res_faults
-from ..source import RegistrySource, Source, SourceLike, resolve_source
-from ..synth.registry import BENCHMARK_ORDER, build_benchmark
+from ..source import RegistrySource, Source
+from ..synth.registry import build_benchmark
 from .diskcache import TIER_COUNTER_KEYS, DiskCache
 
 #: An architecture request: a registry name, an explicit
@@ -229,6 +242,23 @@ class BenchmarkEvaluation:
     num_pos: int
     gates: int
     results: Dict[str, CompilationResult] = field(default_factory=dict)
+
+    @classmethod
+    def from_points(
+        cls, mig: Mig, points: Sequence["GridPoint"]
+    ) -> "BenchmarkEvaluation":
+        """The table row of *mig*: its cells' compilations, keyed by
+        :func:`result_label`."""
+        return cls(
+            name=mig.name,
+            num_pis=mig.num_pis,
+            num_pos=mig.num_pos,
+            gates=mig.num_live_gates(),
+            results={
+                result_label(point.config): point.result.compilation
+                for point in points
+            },
+        )
 
     def stats(self, config: str):
         return self.results[config].stats
@@ -967,55 +997,111 @@ def run_stages(
     )
 
 
-def evaluate_mig_cached(
+def _refusal(machine: Architecture, config: EnduranceConfig) -> str:
+    """Why *machine* refuses *config* (empty when it supports it)."""
+    try:
+        machine.validate_config(config)
+    except ArchitectureError as error:
+        return str(error)
+    return ""
+
+
+def check_columns(
+    machine: Architecture, configs: Sequence[EnduranceConfig]
+) -> None:
+    """Refuse table columns before any of their cells runs.
+
+    A configuration *machine* refuses raises its
+    :class:`~repro.arch.ArchitectureError`; distinct configurations
+    sharing a :func:`result_label` raise :class:`ValueError` — a silent
+    last-wins overwrite would also poison the shared cache through
+    :meth:`ExperimentCache.adopt`, which maps labels back to
+    configurations.
+    """
+    labels: Dict[str, Tuple] = {}
+    for config in configs:
+        machine.validate_config(config)
+        label, semantic = result_label(config), config_key(config)
+        if labels.setdefault(label, semantic) != semantic:
+            raise ValueError(
+                f"distinct configurations share the result label "
+                f"{label!r}; rename one of them"
+            )
+
+
+def walk_source(
+    session,
     source: Source,
+    targets: Sequence[Tuple[Architecture, Optimizer]],
     configs: Sequence[EnduranceConfig],
     *,
-    session,
-    preset: Optional[str] = None,
+    preset: str,
     verify: "bool | int" = False,
-    arch: ArchLike = None,
-    opt: "OptLike | Optimizer" = None,
-) -> BenchmarkEvaluation:
-    """One table row: *source* (built at *preset*, default the
-    session's) under every configuration, one
-    :func:`run_stages` cell each, in *session*, verified as *verify*
-    asks.  *arch* and *opt* resolve explicit > session's > ambient.
+    keep_rewritten: bool = True,
+) -> List[GridPoint]:
+    """One source's cells: every (machine, optimizer) of *targets* x
+    every configuration, in that nesting order.
+
+    A cell the machine refuses
+    (:meth:`~repro.arch.Architecture.supports_config`) is a gap point
+    carrying the refusal reason and runs no stage; every other cell is
+    one :func:`run_stages` call.  The cells share one degradation scope:
+    a numpy-kernel failure demotes the rest of *this* source's cells to
+    the (bit-identical) bigint engine and is recorded in their
+    manifests; the next source tries the numpy engine again.
     """
-    preset = preset or session.preset
-    machine, optimizer = resolve_target(arch, opt, session)
-    mig = None
-    results: Dict[str, CompilationResult] = {}
-    labels: Dict[str, Tuple] = {}
-    # One degradation scope per job: a numpy-kernel failure demotes the
-    # rest of *this* benchmark's compilations to the (bit-identical)
-    # bigint engine and is recorded in its manifests; the next
-    # benchmark tries the numpy engine again.
+    points: List[GridPoint] = []
     with degradation_scope(source.name):
-        for cfg in configs:
-            label = result_label(cfg)
-            semantic = config_key(cfg)
-            if labels.setdefault(label, semantic) != semantic:
-                # A silent last-wins overwrite here would also poison the
-                # shared cache through adopt(), which maps labels back to
-                # configurations — refuse loudly instead.
-                raise ValueError(
-                    f"distinct configurations share the result label "
-                    f"{label!r}; rename one of them"
-                )
-            cell = run_stages(
-                session, source, cfg, preset=preset, arch=machine,
-                optimizer=optimizer, verify=verify, keep_rewritten=False,
+        for (machine, optimizer), config in product(targets, configs):
+            reason = _refusal(machine, config)
+            result = None if reason else run_stages(
+                session, source, config, preset=preset, arch=machine,
+                optimizer=optimizer, verify=verify,
+                keep_rewritten=keep_rewritten,
             )
-            mig, results[label] = cell.mig, cell.compilation
-    if mig is None:  # no configuration built the graph
-        mig = session.cache.source_mig(source, preset)
-    return BenchmarkEvaluation(
-        name=mig.name,
-        num_pis=mig.num_pis,
-        num_pos=mig.num_pos,
-        gates=mig.num_live_gates(),
-        results=results,
+            points.append(
+                GridPoint(
+                    source, config, machine, optimizer.spec, result, reason
+                )
+            )
+    return points
+
+
+def run_job(
+    session,
+    source: Source,
+    targets: Sequence[Tuple[Architecture, Optimizer]],
+    configs: Sequence[EnduranceConfig],
+    *,
+    verify: "bool | int" = False,
+    keep_rewritten: bool = True,
+) -> List[GridPoint]:
+    """:func:`walk_source` as one serial job of *session*.
+
+    The job runs under the session's ``job`` budget and the serial
+    fault-injection site (the worker entry minus the process-killing
+    faults), so the retry taxonomy behaves as in a pool worker;
+    transient failures are retried under :data:`DEFAULT_POLICY`.
+    """
+    job = source.name
+    job_timeout = session.timeouts.limit("job")
+
+    def attempt() -> List[GridPoint]:
+        with time_limit(job_timeout, stage="job", job=job):
+            res_faults.serial_entry(job)
+            return walk_source(
+                session, source, targets, configs, preset=session.preset,
+                verify=verify, keep_rewritten=keep_rewritten,
+            )
+
+    return call_with_retry(
+        attempt,
+        policy=DEFAULT_POLICY,
+        key=(job,),
+        job=job,
+        on_retry=lambda n, error: res_events.record(
+            "retry", job=job, attempt=n, error=repr(error)
+        ),
     )
 
 
@@ -1029,6 +1115,10 @@ _ENV_LOCK = threading.Lock()
 _ENV_DEPTH = 0
 _ENV_SAVED: object = None
 _ENV_UNTOUCHED = object()  # sentinel: nothing to restore
+
+#: How long the supervisor waits for a terminated worker to exit so it
+#: can be reaped; a SIGTERM'd worker normally exits in milliseconds.
+_REAP_SECONDS = 5.0
 
 
 @contextmanager
@@ -1068,7 +1158,8 @@ def _importable_in_workers():
 
 
 def _run_benchmark_job(args) -> Tuple[Mig, BenchmarkEvaluation, Dict[str, int]]:
-    """Worker-process entry: evaluate one benchmark in a local session.
+    """Worker-process entry: one source's :func:`walk_source` in a local
+    session, as one table row.
 
     The worker reconstructs a :class:`repro.flow.Session` from the
     picklable spec shipped by the parent — same disk-cache root, same
@@ -1085,19 +1176,24 @@ def _run_benchmark_job(args) -> Tuple[Mig, BenchmarkEvaluation, Dict[str, int]]:
     The job runs under the session's ``job`` wall-clock budget, each
     of its stages under that stage's budget, and passes the
     worker-entry fault-injection site first, so an injected crash kills
-    the process before any work.
+    the process before any work.  It does not retry: the supervisor
+    (:func:`_supervised_pool_map`) does.
     """
     source, preset, configs, verify, spec = args
     from ..flow.session import Session  # deferred: flow imports runner
 
     job = source.name
     session = Session.from_spec(spec)
+    target = resolve_target(session=session)
+    check_columns(target[0], configs)
     with time_limit(session.timeouts.limit("job"), stage="job", job=job):
         res_faults.worker_entry(job)
-        evaluation = evaluate_mig_cached(
-            source, configs, session=session, preset=preset, verify=verify
+        points = walk_source(
+            session, source, [target], configs, preset=preset,
+            verify=verify, keep_rewritten=False,
         )
     mig = session.cache.source_mig(source, preset)
+    evaluation = BenchmarkEvaluation.from_points(mig, points)
     return mig, evaluation, session.cache.counters()
 
 
@@ -1110,7 +1206,8 @@ def _supervised_pool_map(
 ) -> Tuple[List[Tuple], List[List[Dict]]]:
     """Run :func:`_run_benchmark_job` over *work*, supervised.
 
-    The supervisor half of ``run_matrix(parallel=N)``'s fault tolerance:
+    The supervisor half of ``Session.run_matrix(parallel=N)``'s fault
+    tolerance:
 
     * **Retry** — a job failing with a *transient* error (see
       :func:`repro.resilience.classify_transient`) is resubmitted after
@@ -1170,15 +1267,21 @@ def _supervised_pool_map(
             deadlines[future] = time.monotonic() + job_timeout
 
     def kill_pool() -> None:
-        """Terminate every worker and drop the pool (broken or not)."""
+        """Terminate and reap every worker, and drop the pool (broken or
+        not).  A killed worker left unreaped keeps its PID, so a disk
+        cache entry lock it leaked would still read as held by a live
+        writer, and every later store of that entry would be skipped."""
         nonlocal pool
         if pool is not None:
-            for process in list(getattr(pool, "_processes", {}).values()):
+            processes = list(getattr(pool, "_processes", {}).values())
+            for process in processes:
                 try:
                     process.terminate()
                 except Exception:
                     pass
             pool.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                process.join(timeout=_REAP_SECONDS)
             pool = None
         futures.clear()
         deadlines.clear()
@@ -1271,11 +1374,11 @@ def dispatch_jobs(
     """Evaluate *jobs* in supervised worker processes and adopt the
     results into *session*'s cache.
 
-    The one process dispatch of ``run_matrix(parallel=N)`` and of
-    ``repro serve``'s isolated mode.  Each job is a source plus the
+    The one process dispatch of ``Session.run_matrix(parallel=N)`` and
+    of ``repro serve``'s isolated mode.  Each job is a source plus the
     configurations to compile it under; workers rebuild a session from
-    *session*'s spec pinned to *arch* and *optimizer* (an explicit
-    ``run_matrix(arch=...)``/``opt=...`` beats the session's own), run
+    *session*'s spec pinned to *arch* and *optimizer* (a serve job's
+    machine and optimizer beat the session's own), run
     under :func:`_supervised_pool_map`, certify *verify* patterns (see
     :func:`verify_width`), and their graphs, results, and cache counters
     are merged into the session's cache.
@@ -1310,164 +1413,3 @@ def dispatch_jobs(
             identity, configs, recovery, arch=arch, optimizer=optimizer
         )
     return [payload[1] for payload in payloads], recoveries
-
-
-def run_matrix(
-    benchmarks: "Optional[Iterable[SourceLike]]" = None,
-    configs: Optional[Sequence[ConfigLike]] = None,
-    *,
-    preset: Optional[str] = None,
-    caps: Optional[Sequence[int]] = None,
-    effort: int = DEFAULT_EFFORT,
-    verify: "bool | int" = False,
-    parallel: Optional[int] = None,
-    session=None,
-    arch: ArchLike = None,
-    opt: OptLike = None,
-    retry: Optional[RetryPolicy] = None,
-) -> List[BenchmarkEvaluation]:
-    """Evaluate a benchmarks x configurations matrix.
-
-    Parameters
-    ----------
-    benchmarks:
-        Circuit sources (default: all 18 registry benchmarks, table
-        order).  Each entry is anything
-        :func:`repro.source.resolve_source` accepts — a registry name,
-        a netlist path, a :class:`~repro.source.Source`, a built
-        :class:`~repro.mig.graph.Mig`, or a decorated frontend
-        function.  External sources persist and fan out under their
-        content fingerprints, exactly like registry benchmarks.
-    configs:
-        Configuration preset names or explicit :class:`EnduranceConfig`
-        objects (default: the five Table I columns).
-    preset:
-        Width preset registry sources are built at (default: the
-        session's).
-    caps:
-        Additional ``full_management(cap)`` columns, labelled ``wmaxN``.
-    verify:
-        ``True`` co-simulates every compiled program on
-        :data:`VERIFY_PATTERNS` patterns, an int *N* on *N* patterns,
-        ``False``/``0`` not at all; a failed check raises.  Each result
-        stores the width as its certificate.
-    arch:
-        Target machine model for every compilation (a registry name or
-        :class:`~repro.arch.Architecture`).  An explicit value beats
-        the dispatching *session*'s architecture (mirroring
-        ``Flow.arch()``); unset, the session's — else the ambient —
-        selection applies.  Results and cache entries are keyed by it.
-    opt:
-        Rewriting optimizer for every compilation (an
-        :class:`repro.opt.OptimizerSpec` or spec string such as
-        ``"greedy:write_cost"``).  Resolution mirrors *arch*: explicit
-        beats the session's, which beats the ambient
-        ``$REPRO_OPT``/default selection.  Results and cache entries
-        are keyed by it.
-    parallel:
-        ``None``/``0``/``1`` — run serially in the session.  ``N > 1`` —
-        fan benchmarks out over ``N`` worker processes; each worker
-        reconstructs a :class:`repro.flow.Session` from the dispatching
-        session's spec, and results are assembled in matrix order, so
-        the output is identical to the serial run (asserted by the
-        runner tests).  The session's cache cooperates with the pool:
-        already-compiled (benchmark, config) pairs are served from it,
-        only the missing remainder is dispatched, and worker results are
-        adopted back into the cache.  When the cache has a disk cache
-        attached, workers read through and write back to the same
-        on-disk root.
-    session:
-        The :class:`repro.flow.Session` driving this matrix (its cache,
-        preset, budgets, observers, and the spec workers are rebuilt
-        from); without one, a fresh ``Session(preset=preset)``.  An
-        existing cache enters as ``Session(cache=...)``.  Prefer
-        :meth:`repro.flow.Session.run_matrix`, which fills *parallel*
-        and *session* in one go.
-    retry:
-        The :class:`repro.resilience.RetryPolicy` supervising every
-        job: transient failures (worker crashes, injected faults,
-        I/O errors classified by
-        :func:`repro.resilience.classify_transient`) are retried with
-        deterministic exponential backoff; permanent failures and
-        exhausted budgets propagate.  Defaults to
-        :data:`repro.resilience.DEFAULT_POLICY` (three attempts).  The
-        session's ``job`` budget is enforced per job, and its stage
-        budgets per stage, in both the serial and parallel paths.
-    """
-    sources = [
-        resolve_source(item)
-        for item in (benchmarks if benchmarks is not None else BENCHMARK_ORDER)
-    ]
-    jobs = resolve_configs(configs, caps, effort)
-    patterns = verify_width(verify)
-    if session is None:
-        from ..flow.session import Session  # deferred: flow imports runner
-
-        session = Session(preset=preset or "default")
-    preset = preset or session.preset
-    cache = session.cache
-    machine, optimizer = resolve_target(arch, opt, session)
-    policy = retry if retry is not None else DEFAULT_POLICY
-    job_timeout = session.timeouts.limit("job")
-    # Touch the fault plan before any pool exists: an active
-    # $REPRO_FAULTS spec exports its fire ledger into the environment
-    # here, so workers spawned below share the parent's fault budget (a
-    # retried job must not re-fire a spent count=1 crash).
-    res_faults.active_plan()
-
-    if parallel is not None and parallel > 1 and len(sources) > 1:
-        # Dispatch only the pairs the cache is missing (an entry without
-        # a wide-enough verification certificate counts as missing when
-        # this run verifies).
-        work = []
-        for source in sources:
-            mig = cache.cached_source_mig(source, preset)
-            missing = (
-                jobs
-                if mig is None
-                else [
-                    cfg
-                    for cfg in jobs
-                    if not cache.has(
-                        mig_key(mig), cfg, verified_patterns=patterns,
-                        arch=machine, optimizer=optimizer,
-                    )
-                ]
-            )
-            if missing:
-                work.append((source, missing))
-        if work:
-            dispatch_jobs(
-                work, preset=preset, verify=patterns, parallel=parallel,
-                arch=machine, optimizer=optimizer, session=session,
-                policy=policy, job_timeout=job_timeout,
-            )
-        # Fall through: assemble every evaluation from the now-warm cache
-        # (pure hits), which also keeps matrix order.
-
-    evaluations = []
-    for source in sources:
-
-        def attempt(source=source):
-            # Serial jobs run under the same job budget and injection
-            # site as pool workers (minus the process-killing faults),
-            # so the retry taxonomy behaves identically in both paths.
-            with time_limit(job_timeout, stage="job", job=source.name):
-                res_faults.serial_entry(source.name)
-                return evaluate_mig_cached(
-                    source, jobs, session=session, preset=preset,
-                    verify=patterns, arch=machine, opt=optimizer,
-                )
-
-        evaluations.append(
-            call_with_retry(
-                attempt,
-                policy=policy,
-                key=(source.name,),
-                job=source.name,
-                on_retry=lambda n, error, job=source.name: res_events.record(
-                    "retry", job=job, attempt=n, error=repr(error)
-                ),
-            )
-        )
-    return evaluations

@@ -10,7 +10,7 @@ compilation → co-simulation verify → write-traffic statistics.  A
     session = Session(cache_dir=".repro_cache")
     result = (
         Flow(session)
-        .source("adder")            # registry benchmark (or .source_mig(mig))
+        .source("adder")            # registry name, netlist path or Mig
         .compile("ea-full")         # preset name or EnduranceConfig
         .verify()                   # co-simulate program vs MIG
         .run()
@@ -39,9 +39,8 @@ from typing import Callable, List, Optional, Tuple, Union
 from ..arch import Architecture
 from ..core.manager import EnduranceConfig, PRESETS
 from ..opt import DEFAULT_EFFORT, OptimizerSpec
-from ..mig.graph import Mig
 from ..mig.kernel import degradation_scope
-from ..source import MigSource, Source, SourceLike, resolve_source
+from ..source import Source, SourceLike, resolve_source
 from ..analysis.runner import (
     VERIFY_PATTERNS,
     FlowResult,
@@ -56,12 +55,11 @@ from .session import Session
 class Flow:
     """Builder for one source → rewrite → compile → verify pipeline.
 
-    Stage declarations (:meth:`source` / :meth:`source_mig`,
-    :meth:`rewrite`, :meth:`compile`, :meth:`verify`) mutate the builder
-    and return it, so declarations chain; :meth:`run` executes the
-    pipeline through the session cache and returns a
-    :class:`FlowResult`.  A flow can be run repeatedly — reruns are pure
-    cache hits.
+    Stage declarations (:meth:`source`, :meth:`rewrite`,
+    :meth:`compile`, :meth:`verify`) mutate the builder and return it,
+    so declarations chain; :meth:`run` executes the pipeline through the
+    session cache and returns a :class:`FlowResult`.  A flow can be run
+    repeatedly — reruns are pure cache hits.
     """
 
     def __init__(self, session: Optional[Session] = None) -> None:
@@ -141,15 +139,6 @@ class Flow:
         self._source_preset = preset
         return self
 
-    def source_mig(self, mig: Mig) -> "Flow":
-        """Take an explicit, already-built MIG.
-
-        Equivalent to ``source(mig)``: the graph is keyed by its
-        content fingerprint, so downstream artefacts persist in the
-        disk cache and repeat runs hit every stage.
-        """
-        return self.source(MigSource(mig))
-
     def rewrite(self, script: str, *, effort: int = DEFAULT_EFFORT) -> "Flow":
         """Override the rewriting stage (defaults to the config's script)."""
         self._rewrite = (script, effort)
@@ -218,7 +207,7 @@ class Flow:
         if source is None:
             raise ValueError(
                 "flow has no source; declare .source(benchmark) or "
-                ".source_mig(mig) before running (or set "
+                ".source(mig) before running (or set "
                 "Session(source=...)/$REPRO_SOURCE)"
             )
         machine, optimizer = resolve_target(

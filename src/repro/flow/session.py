@@ -39,9 +39,10 @@ from itertools import product
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..arch import Architecture, ArchitectureError, resolve_architecture
-from ..opt import DEFAULT_EFFORT, OptimizerSpec, resolve_optimizer
+from ..arch import Architecture, resolve_architecture
+from ..opt import DEFAULT_EFFORT, Optimizer, OptimizerSpec, resolve_optimizer
 from ..resilience import Timeouts, resolve_timeouts
+from ..resilience import faults as res_faults
 from ..source import Source, SourceLike, resolve_source, source_from_env
 from ..analysis import report
 from ..analysis.diskcache import DiskCache
@@ -52,9 +53,15 @@ from ..analysis.runner import (
     GridPoint,
     StageEvent,
     TABLE1_PRESETS,
+    check_columns,
+    dispatch_jobs,
     resolve_config,
-    run_matrix as _run_matrix,
+    resolve_configs,
+    resolve_target,
+    run_job,
+    verify_width,
 )
+from ..synth.registry import BENCHMARK_ORDER
 from .options import SESSION_KNOBS
 
 #: Benchmark width presets understood by the synthesis registry.
@@ -66,7 +73,7 @@ class SessionSpec:
     """Picklable capture of a session's resolved knobs.
 
     Worker processes cannot inherit live caches, so
-    :func:`repro.analysis.runner.run_matrix` ships this spec instead
+    :func:`repro.analysis.runner.dispatch_jobs` ships this spec instead
     and each worker rebuilds an equivalent :class:`Session` from it.  One
     field per session knob of :data:`~repro.flow.options.KNOBS`, holding
     its canonical string; ``None`` defers to the worker's ambient
@@ -89,10 +96,13 @@ class SessionSpec:
 class Session:
     """Owns the knobs, experiment cache, parallelism, and width preset.
 
-    Two loops evaluate through it: :meth:`run_matrix` (the tables, and
-    ``evaluate_suite``/``full_report`` on top of it) and :meth:`grid`,
-    the design-space sweep over sources x machines x optimizers x
-    configurations behind the figures, ``bench`` and every sweep.  The
+    One walk evaluates through it: each source is one job
+    (:func:`~repro.analysis.runner.run_job`) whose cells are its
+    machine x optimizer x configuration product.  :meth:`grid`, the
+    design-space sweep behind the figures, ``bench`` and every sweep,
+    returns the walk's points; :meth:`run_matrix` (the tables, and
+    ``evaluate_suite``/``full_report`` on top of it) groups them into
+    one row per source.  The
     session's :attr:`cache` is a single
     :class:`~repro.analysis.runner.ExperimentCache` shared by every flow,
     grid and matrix evaluation routed through it, disk-backed when a
@@ -345,12 +355,6 @@ class Session:
 
     # -- matrix evaluation -------------------------------------------
 
-    def flow(self, config: ConfigLike = "naive") -> "Flow":
-        """A fresh :class:`repro.flow.Flow` bound to this session."""
-        from .pipeline import Flow
-
-        return Flow.for_config(config, session=self)
-
     def run_matrix(
         self,
         benchmarks: Optional[Iterable[SourceLike]] = None,
@@ -363,44 +367,91 @@ class Session:
     ) -> List[BenchmarkEvaluation]:
         """Evaluate a benchmarks x configurations matrix in this session.
 
-        Delegates to :func:`repro.analysis.runner.run_matrix` with the
-        session's cache, preset, and parallelism; worker processes are
-        rebuilt from :meth:`spec`.  *benchmarks* are registry names,
-        netlist paths, built graphs, or anything else
-        :func:`repro.source.resolve_source` takes; *verify* is ``True``
-        (:data:`~repro.analysis.runner.VERIFY_PATTERNS` patterns) or a
-        pattern count.  Emits ``"matrix"`` stage events to the session
+        *benchmarks* are registry names, netlist paths, built graphs, or
+        anything else :func:`repro.source.resolve_source` takes (default:
+        the 18 registry benchmarks, table order); *configs* are preset
+        names or :class:`~repro.core.manager.EnduranceConfig` objects
+        (default: the five Table I columns), plus one
+        ``full_management(cap)`` column per *caps* entry, labelled
+        ``wmaxN``.  *verify* is ``True``
+        (:data:`~repro.analysis.runner.VERIFY_PATTERNS` patterns), a
+        pattern count, or ``False``.  Every column is checked against
+        the session's machine before any work
+        (:func:`~repro.analysis.runner.check_columns`).
+
+        With *parallel* (default: the session's) ``N > 1``, the pairs
+        the cache is missing fan out over ``N`` supervised worker
+        processes rebuilt from :meth:`spec`
+        (:func:`~repro.analysis.runner.dispatch_jobs`), and their
+        results are adopted back.  The rows are then assembled in order
+        by the same per-source walk as :meth:`grid` — pure cache hits
+        after a fan-out — so the parallel path is identical to the
+        serial one.  Emits ``"matrix"`` stage events to the session
         observers around the whole evaluation, and each serially run
         cell's stage events inside them.
         """
-        names = (
-            list(benchmarks)
-            if benchmarks is not None
-            else None
-        )
+        sources = [
+            resolve_source(item)
+            for item in (
+                benchmarks if benchmarks is not None else BENCHMARK_ORDER
+            )
+        ]
+        columns = resolve_configs(configs, caps, effort)
+        target = resolve_target(session=self)
+        check_columns(target[0], columns)
         event = StageEvent(
             stage="matrix",
-            flow=f"matrix[{len(names) if names is not None else 'all'}x"
+            flow=f"matrix[{len(sources) if benchmarks is not None else 'all'}x"
             f"{len(configs) if configs is not None else len(TABLE1_PRESETS)}]",
-            benchmark=None,
-            config=None,
         )
         self.emit("on_stage_start", event)
         start = time.perf_counter()
-        evaluations = _run_matrix(
-            names,
-            configs,
-            caps=caps,
-            effort=effort,
-            verify=verify,
-            parallel=parallel if parallel is not None else self.parallel,
-            session=self,
-        )
+        # Touch the fault plan before any pool exists: an active
+        # $REPRO_FAULTS spec exports its fire ledger into the environment
+        # here, so workers spawned below share this process's fault
+        # budget (a retried job must not re-fire a spent count=1 crash).
+        res_faults.active_plan()
+        parallel = parallel if parallel is not None else self.parallel
+        if parallel is not None and parallel > 1 and len(sources) > 1:
+            self._dispatch_missing(sources, columns, target, verify, parallel)
+        evaluations = []
+        for source in sources:
+            points = run_job(
+                self, source, [target], columns, verify=verify,
+                keep_rewritten=False,
+            )
+            mig = self.cache.source_mig(source, self.preset)
+            evaluations.append(BenchmarkEvaluation.from_points(mig, points))
         self.emit(
             "on_stage_end",
             event.finished(seconds=time.perf_counter() - start, cached=False),
         )
         return evaluations
+
+    def _dispatch_missing(self, sources, columns, target, verify, parallel):
+        """Fan the (source, configuration) pairs this session's cache is
+        missing out over *parallel* worker processes; an entry without a
+        wide-enough verification certificate counts as missing."""
+        machine, optimizer = target
+        patterns = verify_width(verify)
+        work = []
+        for source in sources:
+            mig = self.cache.cached_source_mig(source, self.preset)
+            missing = [
+                cfg for cfg in columns
+                if mig is None or not self.cache.has(
+                    mig, cfg, verified_patterns=patterns, arch=machine,
+                    optimizer=optimizer,
+                )
+            ]
+            if missing:
+                work.append((source, missing))
+        if work:
+            dispatch_jobs(
+                work, preset=self.preset, verify=patterns, parallel=parallel,
+                arch=machine, optimizer=optimizer, session=self,
+                job_timeout=self.timeouts.limit("job"),
+            )
 
     def evaluate_suite(
         self,
@@ -435,37 +486,37 @@ class Session:
         """Every (source, machine, optimizer, configuration) cell of a
         design-space sweep, in that nesting order, run serially.
 
-        Each cell is one :meth:`repro.flow.Flow.for_job` run (the stage
-        sequence of every table cell); *archs* and *opts* default to the
-        session's machine and optimizer, and *verify* is as for
-        :meth:`run_matrix`.  Every axis resolves before the first cell
-        runs.  A machine that refuses a configuration
-        (:meth:`~repro.arch.Architecture.supports_config`) yields a gap
-        point carrying the refusal reason; it runs no stage.
+        Each source is one job of the per-source walk every table row
+        runs too (:func:`~repro.analysis.runner.run_job`): the session's
+        ``job`` budget and retries apply, and each cell is one
+        :func:`~repro.analysis.runner.run_stages` call.  *archs* and
+        *opts* default to the session's machine and optimizer, and
+        *verify* is as for :meth:`run_matrix`.  Every axis resolves
+        before the first cell runs.  A machine that refuses a
+        configuration (:meth:`~repro.arch.Architecture.supports_config`)
+        yields a gap point carrying the refusal reason; it runs no stage.
         """
-        from .pipeline import Flow
-
-        axes = (
-            [resolve_source(source) for source in sources],
+        sources = [resolve_source(source) for source in sources]
+        machines = (
             [resolve_architecture(arch) for arch in archs]
-            if archs is not None else [self.architecture],
-            [resolve_optimizer(opt) for opt in opts]
-            if opts is not None else [self.optimizer],
-            [resolve_config(config) for config in configs],
+            if archs is not None else [self.architecture]
         )
-        points: List[GridPoint] = []
-        for source, machine, spec, config in product(*axes):
-            if machine.supports_config(config):
-                result, reason = Flow.for_job(
-                    source, config, arch=machine, opt=spec, verify=verify,
-                    session=self,
-                ).run(), ""
-            else:
-                result, reason = None, _refusal(machine, config)
-            points.append(
-                GridPoint(source, config, machine, spec, result, reason)
+        specs = (
+            [resolve_optimizer(opt) for opt in opts]
+            if opts is not None else [self.optimizer]
+        )
+        configs = [resolve_config(config) for config in configs]
+        targets = [
+            (machine, Optimizer(spec, machine))
+            for machine, spec in product(machines, specs)
+        ]
+        return [
+            point
+            for source in sources
+            for point in run_job(
+                self, source, targets, configs, verify=verify
             )
-        return points
+        ]
 
     def full_report(
         self,
@@ -500,11 +551,3 @@ class Session:
             f"Session(parallel={self.parallel!r}, preset={self.preset!r}{knobs})"
         )
 
-
-def _refusal(machine: Architecture, config) -> str:
-    """Why *machine* refuses *config* (empty when it supports it)."""
-    try:
-        machine.validate_config(config)
-    except ArchitectureError as error:
-        return str(error)
-    return ""

@@ -10,8 +10,9 @@ provenance (:mod:`repro.resilience.manifest`), and the deterministic
 fault-injection harness (:mod:`repro.resilience.faults`,
 ``$REPRO_FAULTS``) that exercises every recovery path with real faults.
 
-The supervised job runner lives where the jobs do
-(:func:`repro.analysis.runner.run_matrix`); kernel degradation lives
+The supervised job runners live where the jobs do
+(:func:`repro.analysis.runner.run_job` and
+:func:`~repro.analysis.runner.dispatch_jobs`); kernel degradation lives
 with the kernels (:mod:`repro.mig.kernel`).  This package holds the
 policies and mechanisms they share.
 """

@@ -1,6 +1,7 @@
 """Deterministic retry policy: exponential backoff with keyed jitter.
 
-The supervisor (:func:`repro.analysis.runner.run_matrix`) retries
+The job runners (:func:`repro.analysis.runner.run_job` and
+:func:`~repro.analysis.runner.dispatch_jobs`) retry
 transiently-failed jobs through one :class:`RetryPolicy`.  Two design
 constraints shape it:
 

@@ -26,7 +26,6 @@ from repro.arch import (
     resolve_architecture,
 )
 from repro.analysis.report import render_architecture_sweep, render_table1
-from repro.analysis.runner import run_matrix
 from repro.analysis.scenarios import fig2_mig
 from repro.core.manager import PRESETS, compile_pipeline, full_management
 from repro.flow import Flow, Session
@@ -316,9 +315,9 @@ class TestParity:
         assert render_table1(pinned) == render_table1(plain)
 
     def test_run_matrix_arch_argument_parity(self):
-        plain = run_matrix(PARITY_BENCHMARKS, ["naive"], preset="tiny")
-        pinned = run_matrix(
-            PARITY_BENCHMARKS, ["naive"], preset="tiny", arch="endurance"
+        plain = Session(preset="tiny").run_matrix(PARITY_BENCHMARKS, ["naive"])
+        pinned = Session(preset="tiny", arch="endurance").run_matrix(
+            PARITY_BENCHMARKS, ["naive"]
         )
         for a, b in zip(plain, pinned):
             assert a.results["naive"].program.instructions == (
@@ -326,12 +325,10 @@ class TestParity:
             )
 
     def test_run_matrix_explicit_arch_beats_session(self):
-        """An explicit arch argument overrides the session's machine,
-        mirroring Flow.arch()."""
-        session = Session(preset="tiny")  # ambient: endurance
-        swept = run_matrix(
-            ["dec"], ["naive"], preset="tiny", session=session,
-            arch="blocked",
+        """An explicit session machine overrides the ambient one
+        (endurance) in every table cell."""
+        swept = Session(preset="tiny", arch="blocked").run_matrix(
+            ["dec"], ["naive"]
         )
         assert swept[0].results["naive"].program.num_cells % 8 == 0
 

@@ -35,7 +35,7 @@ from repro.cachesvc import (
     create_cache_server,
     resolve_cache_url,
 )
-from repro.flow import Session
+from repro.flow import Flow, Session
 from repro.resilience import StageTimeoutError, events, faults, time_limit
 
 from .conftest import raw_status
@@ -703,14 +703,18 @@ class TestSessionIntegration:
     def test_flow_compiles_through_server(self, tmp_path):
         with running_server(tmp_path) as server:
             session = Session(preset="tiny", cache_url=server.url)
-            result = session.flow("naive").source("adder").run().compilation
+            result = (
+                Flow.for_config("naive", session=session)
+                .source("adder").run().compilation
+            )
             assert result.num_instructions > 0
             stats = server.stats_payload()
             assert stats["puts"] > 0
             # Warm rerun from a fresh session: served, not recompiled.
             warm = Session(preset="tiny", cache_url=server.url)
             warm_result = (
-                warm.flow("naive").source("adder").run().compilation
+                Flow.for_config("naive", session=warm)
+                .source("adder").run().compilation
             )
             assert warm_result.num_instructions == result.num_instructions
             remote = warm.cache.disk
@@ -736,8 +740,6 @@ class TestRequestEconomy:
         return requests
 
     def test_one_get_per_persisted_key(self, tmp_path, monkeypatch):
-        from repro.flow import Flow
-
         requests = self._recording(monkeypatch)
         with running_server(tmp_path) as server:
 

@@ -45,22 +45,39 @@ class TestParser:
         assert args.configs == ["naive", "ea-full"]
 
 
+def _run_cold(*argv):
+    """``python -m repro *argv*`` in a subprocess with no cache root or
+    cache server, so every stage really computes."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("REPRO_CACHE_DIR", "REPRO_CACHE_URL")
+    }
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 class TestCommands:
     def test_table_stage_budget_fails_the_command(self):
-        import os
-        import pathlib
-        import subprocess
-        import sys
+        proc = _run_cold(
+            "table1", "--preset", "tiny", "--benchmarks", "adder",
+            "--timeout", "compile=0.000001",
+        )
+        assert proc.returncode != 0
+        assert "StageTimeoutError" in proc.stderr
 
-        env = {
-            k: v for k, v in os.environ.items()
-            if k not in ("REPRO_CACHE_DIR", "REPRO_CACHE_URL")
-        }
-        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "table1", "--preset", "tiny",
-             "--benchmarks", "adder", "--timeout", "compile=0.000001"],
-            capture_output=True, text=True, env=env, timeout=300,
+    def test_grid_job_budget_fails_the_command(self):
+        # bench walks Session.grid: each source is one job under the
+        # session's job budget, as a table row is
+        proc = _run_cold(
+            "bench", "dec", "--preset", "tiny", "--timeout", "job=0.000001"
         )
         assert proc.returncode != 0
         assert "StageTimeoutError" in proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the persistent experiment cache (repro.analysis.diskcache)."""
 
 import os
+import pathlib
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.analysis.diskcache import (
     code_fingerprint,
     disk_cache_from_env,
 )
-from repro.analysis.runner import ExperimentCache, run_matrix
+from repro.analysis.runner import ExperimentCache
 from repro.core.manager import PRESETS
 from repro.flow import Session
 
@@ -59,6 +60,23 @@ class TestSingleWriterLock:
         path = cache.entry_path(("k",))
         assert path.is_file()
         assert not path.with_suffix(".lock").exists()
+        # the holder file the lock was linked from is gone too
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_lock_names_its_holder_from_the_start(self, tmp_path, monkeypatch):
+        """A lock appears already holding its writer's PID: a writer
+        killed right after taking it leaves a lock its waiters can
+        break, never an empty one they must honour until it is stale."""
+        seen = []
+        link = os.link
+
+        def recording(src, dst):
+            link(src, dst)
+            seen.append(pathlib.Path(dst).read_text())
+
+        monkeypatch.setattr(os, "link", recording)
+        DiskCache(tmp_path).store(("k",), "v")
+        assert seen == [str(os.getpid())]
 
     def test_held_lock_skips_the_write(self, tmp_path, monkeypatch):
         from repro.analysis import diskcache as module
@@ -489,15 +507,15 @@ class TestRunMatrixDiskSharing:
 
     def test_warm_serial_run_is_pure_disk_io(self, tmp_path):
         cold = ExperimentCache(disk=DiskCache(tmp_path))
-        reference = run_matrix(
-            self.SUBSET, verify=False, session=Session(cache=cold, preset="tiny")
+        reference = Session(cache=cold, preset="tiny").run_matrix(
+            self.SUBSET, verify=False
         )
         pairs = cold.misses
         assert pairs == len(self.SUBSET) * 5
 
         warm = ExperimentCache(disk=DiskCache(tmp_path))
-        rerun = run_matrix(
-            self.SUBSET, verify=False, session=Session(cache=warm, preset="tiny")
+        rerun = Session(cache=warm, preset="tiny").run_matrix(
+            self.SUBSET, verify=False
         )
         # every benchmark and every result deserialised, none compiled
         assert warm.disk.hits == len(self.SUBSET) + pairs
@@ -508,17 +526,16 @@ class TestRunMatrixDiskSharing:
     def test_workers_share_the_disk_root(self, tmp_path):
         # Cold run entirely inside worker processes...
         cold = ExperimentCache(disk=DiskCache(tmp_path))
-        fanned = run_matrix(
-            self.SUBSET, verify=False, parallel=2,
-            session=Session(cache=cold, preset="tiny"),
+        fanned = Session(cache=cold, preset="tiny").run_matrix(
+            self.SUBSET, verify=False, parallel=2
         )
         # ...must leave a cache a fresh serial process can fully reuse:
         # cross-process sharing via the filesystem.
         warm = ExperimentCache(disk=DiskCache(tmp_path))
-        rerun = run_matrix(
-            self.SUBSET, verify=False, session=Session(cache=warm, preset="tiny")
+        rerun = Session(cache=warm, preset="tiny").run_matrix(
+            self.SUBSET, verify=False
         )
         assert len(warm._rewrites) == 0
         assert self._signature(rerun) == self._signature(fanned)
-        reference = run_matrix(self.SUBSET, preset="tiny", verify=False)
+        reference = Session(preset="tiny").run_matrix(self.SUBSET, verify=False)
         assert self._signature(rerun) == self._signature(reference)

@@ -178,9 +178,12 @@ class TestFlowStages:
         with pytest.raises(ValueError, match="unknown configuration preset"):
             Flow(Session()).compile("turbo")
 
-    def test_session_flow_shorthand(self):
+    def test_for_config_takes_a_capped_config(self):
         session = Session(preset="tiny")
-        result = session.flow(full_management(10)).source("dec").run()
+        result = (
+            Flow.for_config(full_management(10), session=session)
+            .source("dec").run()
+        )
         assert result.compilation.config.name == "ea-full+wmax10"
 
 

@@ -618,23 +618,6 @@ class TestCacheKeying:
 
 
 class TestMatrixIntegration:
-    def test_run_matrix_explicit_opt_beats_session(self):
-        from repro.flow import Session
-        from repro.analysis.runner import run_matrix
-
-        session = Session(preset="tiny", opt="greedy")
-        explicit = run_matrix(
-            ["ctrl"], ["ea-full"], preset="tiny", session=session,
-            opt="script",
-        )
-        ambient = run_matrix(
-            ["ctrl"], ["ea-full"], preset="tiny",
-        )
-        assert (
-            explicit[0].results["ea-full"].program.instructions
-            == ambient[0].results["ea-full"].program.instructions
-        )
-
     @pytest.mark.slow
     def test_parallel_matches_serial_under_greedy(self):
         from repro.flow import Session

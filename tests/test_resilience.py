@@ -14,8 +14,8 @@ import pathlib
 
 import pytest
 
+from repro.analysis import runner
 from repro.analysis.diskcache import DiskCache
-from repro.analysis.runner import run_matrix
 from repro.flow import Session
 from repro.resilience import (
     PermanentFault,
@@ -813,10 +813,10 @@ class TestSupervisedRunner:
     def test_serial_retry_recovers_transient_job_fault(
         self, tmp_path, monkeypatch
     ):
-        baseline = run_matrix(SUBSET, ["naive"], preset="tiny")
+        baseline = Session(preset="tiny").run_matrix(SUBSET, ["naive"])
         _arm(monkeypatch, tmp_path, "job_fail:job=dec:count=1")
         with events.capture() as log:
-            faulted = run_matrix(SUBSET, ["naive"], preset="tiny")
+            faulted = Session(preset="tiny").run_matrix(SUBSET, ["naive"])
         retries = [e for e in log if e["kind"] == "retry"]
         assert [e["job"] for e in retries] == ["dec"]
         assert "FaultInjected" in retries[0]["error"]
@@ -826,17 +826,16 @@ class TestSupervisedRunner:
     def test_serial_permanent_fault_propagates(self, tmp_path, monkeypatch):
         _arm(monkeypatch, tmp_path, "job_fail:job=dec:mode=permanent")
         with pytest.raises(PermanentFault):
-            run_matrix(SUBSET, ["naive"], preset="tiny")
+            Session(preset="tiny").run_matrix(SUBSET, ["naive"])
 
     def test_serial_exhausted_budget_surfaces(self, tmp_path, monkeypatch):
         _arm(monkeypatch, tmp_path, "job_fail:job=dec:count=99")
+        monkeypatch.setattr(
+            runner, "DEFAULT_POLICY",
+            RetryPolicy(attempts=2, base=0.0, jitter=0.0),
+        )
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            run_matrix(
-                SUBSET,
-                ["naive"],
-                preset="tiny",
-                retry=RetryPolicy(attempts=2, base=0.0, jitter=0.0),
-            )
+            Session(preset="tiny").run_matrix(SUBSET, ["naive"])
         assert excinfo.value.attempts == 2
 
     def test_renamed_netlist_manifest_keeps_job_events(
@@ -913,9 +912,7 @@ class TestSupervisedRunner:
         # the budget is spent, and no degradation is ever observed.
         _arm(
             monkeypatch, tmp_path,
-            "worker_crash:job=dec:count=1,"
-            "kernel_fail:job=bar:count=1,"
-            "cache_corrupt:job=ctrl:count=1",
+            "worker_crash:job=dec:count=1,kernel_fail:job=bar:count=1",
         )
         faulted_root = tmp_path / "faulted-cache"
         with events.capture() as log:
@@ -923,7 +920,11 @@ class TestSupervisedRunner:
                 benchmarks, configs, verify=256, parallel=2
             )
             # second pass over the warm cache: the corruption directive
-            # garbles one read, which must degrade to a miss + recompute
+            # garbles one read, which must degrade to a miss + recompute.
+            # Armed only now, in this process: during the parallel pass
+            # a retried ctrl worker reading its predecessor's entries
+            # could spend the one slot where this log never sees it.
+            _arm(monkeypatch, tmp_path, "cache_corrupt:job=ctrl:count=1")
             warm = Session(cache_dir=faulted_root, preset="tiny").run_matrix(
                 benchmarks, configs, verify=256
             )

@@ -15,7 +15,6 @@ from repro.analysis.runner import (
     resolve_configs,
     resolve_target,
     result_label,
-    run_matrix,
 )
 from repro.core.manager import PRESETS, full_management
 from repro.flow import Session
@@ -121,8 +120,8 @@ class TestExperimentCache:
 
 class TestRunMatrix:
     def test_caps_extend_table1_columns(self):
-        evaluations = run_matrix(
-            ["adder"], preset="tiny", caps=[10], verify=False
+        evaluations = Session(preset="tiny").run_matrix(
+            ["adder"], caps=[10], verify=False
         )
         (ev,) = evaluations
         assert isinstance(ev, BenchmarkEvaluation)
@@ -133,23 +132,25 @@ class TestRunMatrix:
     def test_shared_cache_makes_second_pass_free(self):
         cache = ExperimentCache()
         session = Session(cache=cache, preset="tiny")
-        run_matrix(SUBSET, verify=False, session=session)
+        session.run_matrix(SUBSET, verify=False)
         misses = cache.misses
-        run_matrix(SUBSET, verify=False, session=session)
+        session.run_matrix(SUBSET, verify=False)
         assert cache.misses == misses  # pure cache hits
 
     def test_effort_override_changes_identity(self):
         cache = ExperimentCache()
         session = Session(cache=cache, preset="tiny")
-        run_matrix(["adder"], ["dac16"], effort=1, session=session)
-        run_matrix(["adder"], ["dac16"], effort=2, session=session)
+        session.run_matrix(["adder"], ["dac16"], effort=1)
+        session.run_matrix(["adder"], ["dac16"], effort=2)
         assert cache.misses == 2
 
     @pytest.mark.slow
     def test_parallel_matches_serial(self):
-        serial = run_matrix(SUBSET, preset="tiny", caps=[10], verify=False)
-        fanned = run_matrix(
-            SUBSET, preset="tiny", caps=[10], verify=False, parallel=2
+        serial = Session(preset="tiny").run_matrix(
+            SUBSET, caps=[10], verify=False
+        )
+        fanned = Session(preset="tiny").run_matrix(
+            SUBSET, caps=[10], verify=False, parallel=2
         )
         assert [e.name for e in fanned] == [e.name for e in serial]
         for a, b in zip(serial, fanned):
@@ -161,19 +162,21 @@ class TestRunMatrix:
 
         cache = ExperimentCache()
         session = Session(cache=cache, preset="tiny")
-        plain = run_matrix(SUBSET, verify=False, session=session)
+        plain = session.run_matrix(SUBSET, verify=False)
         compiled = cache.misses
         # capped pass in parallel: Table I columns come from the cache,
         # only the wmax10 column is dispatched to workers
-        capped = run_matrix(
-            SUBSET, caps=[10], verify=False, parallel=2, session=session
+        capped = session.run_matrix(
+            SUBSET, caps=[10], verify=False, parallel=2
         )
         assert cache.misses == compiled  # nothing recompiled in-process
         for a, b in zip(plain, capped):
             assert _result_signature(a).items() <= _result_signature(b).items()
             assert "wmax10" in b.results
         # serial reference run must agree exactly
-        reference = run_matrix(SUBSET, preset="tiny", caps=[10], verify=False)
+        reference = Session(preset="tiny").run_matrix(
+            SUBSET, caps=[10], verify=False
+        )
         for a, b in zip(reference, capped):
             assert _result_signature(a) == _result_signature(b)
 
@@ -212,11 +215,11 @@ class TestMigKeyStructure:
 
 
 def _serial_matrix(session, names, verify):
-    run_matrix(names, ["naive"], verify=verify, session=session)
+    session.run_matrix(names, ["naive"], verify=verify)
 
 
 def _parallel_matrix(session, names, verify):
-    run_matrix(names, ["naive"], verify=verify, parallel=2, session=session)
+    session.run_matrix(names, ["naive"], verify=verify, parallel=2)
 
 
 def _suite(session, names, verify):
@@ -279,7 +282,7 @@ class TestVerifyWidth:
     def test_session_preset_builds_the_sources(self):
         # both doors build the same graph: the session's preset applies
         session = Session(preset="tiny")
-        (ev,) = run_matrix(["adder"], ["naive"], session=session)
+        (ev,) = session.run_matrix(["adder"], ["naive"])
         tiny = session.cache.cached_mig("adder", "tiny")
         assert tiny is not None and ev.num_pis == tiny.num_pis
         assert session.cache.cached_mig("adder", "default") is None
@@ -292,17 +295,14 @@ class TestCooperativeVerification:
     def test_verifying_run_dispatches_unverified_entries(self):
         cache = ExperimentCache()
         session = Session(cache=cache, preset="tiny")
-        run_matrix(["adder", "dec"], ["naive"], verify=False, session=session)
+        session.run_matrix(["adder", "dec"], ["naive"], verify=False)
         mig = cache.cached_mig("adder", "tiny")
         cfg = PRESETS["naive"]
         assert cache.has(mig, cfg)
         assert not cache.has(mig, cfg, verified_patterns=16)
         # verifying parallel pass: entries count as missing, workers
         # verify, and the adopted certificate upgrades the stored entry
-        run_matrix(
-            ["adder", "dec"], ["naive"], verify=16, parallel=2,
-            session=session,
-        )
+        session.run_matrix(["adder", "dec"], ["naive"], verify=16, parallel=2)
         assert cache.has(mig, cfg, verified_patterns=16)
 
 
@@ -328,25 +328,69 @@ class TestDuplicateLabels:
     def test_distinct_configs_sharing_a_label_refused(self):
         from dataclasses import replace
 
-        from repro.analysis.runner import evaluate_mig_cached
-
         impostor = replace(PRESETS["dac16"], name="naive")
         with pytest.raises(ValueError, match="share the result label"):
-            evaluate_mig_cached(
-                resolve_source(build_adder(width=3)),
-                [PRESETS["naive"], impostor],
-                session=Session(),
+            Session().run_matrix(
+                [build_adder(width=3)], [PRESETS["naive"], impostor]
             )
 
     def test_repeated_identical_config_allowed(self):
-        from repro.analysis.runner import evaluate_mig_cached
-
-        ev = evaluate_mig_cached(
-            resolve_source(build_adder(width=3)),
-            [PRESETS["naive"], PRESETS["naive"]],
-            session=Session(),
+        (ev,) = Session().run_matrix(
+            [build_adder(width=3)], [PRESETS["naive"], PRESETS["naive"]]
         )
         assert set(ev.results) == {"naive"}
+
+
+class TestOneWalk:
+    """Table rows and grid points run through one per-source walk:
+    the job budget, retries and column checks bind on both."""
+
+    def test_job_budget_binds_on_the_grid(self):
+        from repro.resilience import StageTimeoutError
+
+        session = Session(preset="tiny", timeouts="job=1e-6")
+        with pytest.raises(StageTimeoutError) as excinfo:
+            session.grid(["dec"], ["naive"])
+        assert excinfo.value.stage == "job"
+
+    def test_refused_column_fails_before_any_work(self):
+        from repro.arch import ArchitectureError
+
+        session = Session(preset="tiny", arch="dac16")
+        events = []
+
+        class Observer:
+            def on_stage_start(self, event):
+                events.append(event.stage)
+
+        session.add_observer(Observer())
+        with pytest.raises(ArchitectureError) as excinfo:
+            session.run_matrix(["adder"], ["naive", "min-write"])
+        assert str(excinfo.value) == (
+            "architecture 'dac16' has no per-cell wear counters; the "
+            "minimum write count strategy needs them (pick the "
+            "'endurance' architecture or strategy='naive')"
+        )
+        assert events == []
+        assert session.cache.misses == 0
+
+    def test_grid_and_table_share_the_walk(self, monkeypatch):
+        from repro.analysis import runner
+
+        walked = []
+        walk = runner.walk_source
+
+        def recording(session, source, targets, configs, **kwargs):
+            walked.append((source.name, kwargs["keep_rewritten"]))
+            return walk(session, source, targets, configs, **kwargs)
+
+        monkeypatch.setattr(runner, "walk_source", recording)
+        session = Session(preset="tiny")
+        points = session.grid(["adder", "dec"], ["naive"])
+        (row,) = session.run_matrix(["dec"], ["naive"])
+        assert walked == [("adder", True), ("dec", True), ("dec", False)]
+        # the row is the grid's cell, served from the shared cache
+        assert row.results["naive"] is points[1].result.compilation
 
 
 class TestWorkerCounterAggregation:
@@ -389,9 +433,7 @@ class TestWorkerCounterAggregation:
         from repro.analysis.runner import ExperimentCache
 
         cache = ExperimentCache()
-        run_matrix(
-            ["adder"], ["naive"], session=Session(cache=cache, preset="tiny")
-        )
+        Session(cache=cache, preset="tiny").run_matrix(["adder"], ["naive"])
         assert cache.worker_counters["workers"] == 0
         assert all(v == 0 for v in cache.worker_counters.values())
 
@@ -452,9 +494,8 @@ class TestRegistryDiskKeys:
 
         monkeypatch.setattr(DiskCache, "store", recording)
         cache = ExperimentCache(disk=DiskCache(tmp_path))
-        run_matrix(
-            ["adder"], self.CONFIGS,
-            session=Session(cache=cache, preset="tiny"),
+        Session(cache=cache, preset="tiny").run_matrix(
+            ["adder"], self.CONFIGS
         )
         assert len(received) == len(set(received))
         assert set(received) == self._expected(["adder"])
@@ -465,9 +506,8 @@ class TestRegistryDiskKeys:
         from repro.analysis.diskcache import DiskCache
 
         cache = ExperimentCache(disk=DiskCache(tmp_path))
-        run_matrix(
-            ["adder", "dec"], self.CONFIGS,
-            session=Session(cache=cache, preset="tiny"), parallel=2,
+        Session(cache=cache, preset="tiny").run_matrix(
+            ["adder", "dec"], self.CONFIGS, parallel=2
         )
         assert cache.worker_counters["workers"] == 2
         self._assert_stored(tmp_path, self._expected(["adder", "dec"]))

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.runner import ExperimentCache, run_matrix
+from repro.analysis.runner import ExperimentCache
 from repro.flow import Flow, Session
 from repro.mig.graph import Mig
 from repro.source import (
@@ -234,10 +234,8 @@ class TestSessionSource:
 class TestRunMatrixSources:
     def test_mixed_entries_serial(self):
         mig = make_random_mig(4, 16, seed=11, num_pos=2)
-        evaluations = run_matrix(
-            ["ctrl", FULLADDER_BLIF, mig, saturating_sub],
-            configs=["naive"],
-            preset="tiny",
+        evaluations = Session(preset="tiny").run_matrix(
+            ["ctrl", FULLADDER_BLIF, mig, saturating_sub], configs=["naive"]
         )
         assert [e.name for e in evaluations] == [
             "ctrl", "fulladder", mig.name, "satsub"
@@ -246,9 +244,9 @@ class TestRunMatrixSources:
 
     def test_mixed_entries_parallel_matches_serial(self):
         entries = [FULLADDER_BLIF, saturating_sub]
-        serial = run_matrix(entries, configs=["naive"], preset="tiny")
-        fanned = run_matrix(
-            entries, configs=["naive"], preset="tiny", parallel=2
+        serial = Session(preset="tiny").run_matrix(entries, configs=["naive"])
+        fanned = Session(preset="tiny").run_matrix(
+            entries, configs=["naive"], parallel=2
         )
         assert [e.name for e in serial] == [e.name for e in fanned]
         for a, b in zip(serial, fanned):

@@ -11,7 +11,7 @@ from repro.analysis.report import (
     render_table3,
 )
 from repro.analysis.tables import TABLE1_CONFIGS, average_row, headline_metrics
-from repro.flow import Session
+from repro.flow import Flow, Session
 from repro.synth.arithmetic import build_adder
 
 SUBSET = ["adder", "dec", "ctrl"]
@@ -56,7 +56,7 @@ class TestEvaluate:
         session = Session(preset="tiny", opt="greedy:write_cost")
         mig = session.cache.benchmark_mig("dec", "tiny")
         session.run_matrix([mig], ["ea-full"])
-        session.flow("ea-full").source("dec").run()
+        Flow.for_config("ea-full", session=session).source("dec").run()
         assert session.cache.misses == 1  # the flow hit the same program
 
     def test_evaluate_benchmark_by_name(self):
