@@ -15,10 +15,13 @@ truth tables through each installed kernel and diffs them, then runs an
 exhaustive equivalence check the way every pipeline does — through the
 automatic choice.
 
+Per-kernel timings go to stderr, so stdout is the same on every run.
+
 Run:  python examples/kernels.py
 """
 
 import os
+import sys
 import time
 
 from repro.mig import kernel
@@ -66,7 +69,8 @@ def main() -> None:
             verdict = (
                 "bit-identical" if tables == reference else "MISMATCH"
             )
-        print(f"  {engine.name:<12} {seconds * 1e3:8.2f} ms   {verdict}")
+        print(f"  {engine.name:<12} {verdict}")
+        print(f"  {engine.name:<12} {seconds * 1e3:8.2f} ms", file=sys.stderr)
     if not kernel.numpy_available():
         print("numpy not importable: only the bigint kernel is loaded")
     print()

@@ -11,19 +11,23 @@ a full client session against it with nothing but ``urllib``:
 2. stream the pipeline's per-stage progress as NDJSON events;
 3. fetch the compiled RM3 program and its provenance manifest —
    re-verified server-side against the artefact on disk;
-4. submit the same job twice more: one duplicate coalesces onto the
-   in-flight compile, and the warm repeat is a pure cache hit
+4. submit the same job twice more: a duplicate coalesces onto the
+   in-flight compile (or, if it arrives late, hits the warm cache) and
+   gets the identical artefact, and the warm repeat is a pure cache hit
    (``disk.misses == 0``, every stage event ``cached``);
 5. read the service health counters (``GET /stats``) and stop the
    server over HTTP.
 
 The same API comes up standalone with ``python -m repro serve``.
+Run-dependent details (the port, whether the duplicate coalesced) go to
+stderr, so stdout is the same on every run.
 
 Run:  python examples/serve.py
 """
 
 import json
 import os
+import sys
 import tempfile
 import threading
 import urllib.request
@@ -67,7 +71,8 @@ def main() -> None:
     )
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = server.url
-    print(f"repro.serve up at {base} (preset={PRESET})\n")
+    print(f"repro.serve up at {base}", file=sys.stderr)
+    print(f"repro.serve up (preset={PRESET})\n")
 
     # -- 1. submit and poll ------------------------------------------
     print("1. POST /jobs {'source': 'adder', 'config': 'ea-full'}")
@@ -107,10 +112,17 @@ def main() -> None:
     first = post(f"{base}/jobs", body)
     twin = post(f"{base}/jobs", body)  # identical & in flight
     if twin.get("coalesced_with"):
-        print(f"   {twin['id']} coalesced with {twin['coalesced_with']}")
+        print(f"   {twin['id']} coalesced with {twin['coalesced_with']}",
+              file=sys.stderr)
     else:  # first finished before the twin arrived: still one compile
-        print(f"   {first['id']} finished before {twin['id']} was queued")
-    server.store.wait_terminal(twin["id"], timeout=600)
+        print(f"   {first['id']} finished before {twin['id']} was queued",
+              file=sys.stderr)
+    for ticket in (first, twin):
+        server.store.wait_terminal(ticket["id"], timeout=600)
+    same = get(f"{base}/jobs/{first['id']}/artifact") == get(
+        f"{base}/jobs/{twin['id']}/artifact"
+    )
+    print(f"   twin artefact identical: {same}")
     repeat = post(f"{base}/jobs", body)  # warm: pure cache hit
     server.store.wait_terminal(repeat["id"], timeout=600)
     counters = get(f"{base}/jobs/{repeat['id']}")["counters"]
@@ -120,10 +132,10 @@ def main() -> None:
     print("5. GET /stats, POST /shutdown")
     stats = get(f"{base}/stats")
     print(
-        f"   jobs={stats['jobs']['done']} done "
-        f"({stats['jobs']['coalesced']} coalesced), "
+        f"   jobs={stats['jobs']['done']} done, "
         f"disk entries={stats['disk']['entries']}"
     )
+    print(f"   ({stats['jobs']['coalesced']} coalesced)", file=sys.stderr)
     print(f"   {post(f'{base}/shutdown')['status']}")
     server.close()
 

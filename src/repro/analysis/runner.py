@@ -19,9 +19,10 @@ compilations *shared work*:
   (machine x optimizer x configuration) cells, each a gap the machine
   refuses or one :func:`run_stages` call, under one degradation scope.
   :func:`run_job` runs it as one serial job — the session's ``job``
-  budget, the serial fault-injection site, retries — for both
-  :meth:`repro.flow.Session.grid` and
-  :meth:`~repro.flow.Session.run_matrix`; a worker process of
+  budget, the serial fault-injection site, retries — for
+  :meth:`repro.flow.Session.grid`,
+  :meth:`~repro.flow.Session.run_matrix`, :meth:`repro.flow.Flow.run`
+  (one cell) and every ``repro serve`` job; a worker process of
   :func:`dispatch_jobs` runs it under its own ``job`` budget while the
   supervisor retries.  Every source — a registry name, a netlist path,
   a graph — is a :class:`~repro.source.Source` and travels as one
@@ -30,8 +31,8 @@ compilations *shared work*:
   parallel matrix fans the pairs its cache is missing out to workers
   and adopts the results back; its rows are then walked in order from
   the warm cache, so the parallel path is bit-for-bit identical to the
-  serial one.  ``repro serve``'s isolated mode dispatches through the
-  same function.
+  serial one.  ``repro serve``'s isolated mode dispatches a missing
+  job the same way, then walks it from the warm cache.
 * One verification knob: every entry point takes ``verify`` —
   ``True`` certifies :data:`VERIFY_PATTERNS` patterns, an int *N*
   certifies *N*, and ``False`` or ``0`` runs no verify stage
@@ -1038,6 +1039,7 @@ def walk_source(
     preset: str,
     verify: "bool | int" = False,
     keep_rewritten: bool = True,
+    hooks: Tuple[Sequence[Callable], Sequence[Callable]] = ((), ()),
 ) -> List[GridPoint]:
     """One source's cells: every (machine, optimizer) of *targets* x
     every configuration, in that nesting order.
@@ -1045,7 +1047,8 @@ def walk_source(
     A cell the machine refuses
     (:meth:`~repro.arch.Architecture.supports_config`) is a gap point
     carrying the refusal reason and runs no stage; every other cell is
-    one :func:`run_stages` call.  The cells share one degradation scope:
+    one :func:`run_stages` call, its stage events sent to *hooks*.  The
+    cells share one degradation scope:
     a numpy-kernel failure demotes the rest of *this* source's cells to
     the (bit-identical) bigint engine and is recorded in their
     manifests; the next source tries the numpy engine again.
@@ -1057,7 +1060,7 @@ def walk_source(
             result = None if reason else run_stages(
                 session, source, config, preset=preset, arch=machine,
                 optimizer=optimizer, verify=verify,
-                keep_rewritten=keep_rewritten,
+                keep_rewritten=keep_rewritten, hooks=hooks,
             )
             points.append(
                 GridPoint(
@@ -1073,35 +1076,45 @@ def run_job(
     targets: Sequence[Tuple[Architecture, Optimizer]],
     configs: Sequence[EnduranceConfig],
     *,
+    preset: Optional[str] = None,
     verify: "bool | int" = False,
     keep_rewritten: bool = True,
+    hooks: Tuple[Sequence[Callable], Sequence[Callable]] = ((), ()),
+    policy: Optional[RetryPolicy] = None,
+    on_retry: Optional[Callable[[int, BaseException], None]] = None,
 ) -> List[GridPoint]:
     """:func:`walk_source` as one serial job of *session*.
 
-    The job runs under the session's ``job`` budget and the serial
-    fault-injection site (the worker entry minus the process-killing
-    faults), so the retry taxonomy behaves as in a pool worker;
-    transient failures are retried under :data:`DEFAULT_POLICY`.
+    The one serial job wrapper: :meth:`repro.flow.Session.grid`,
+    :meth:`~repro.flow.Session.run_matrix`, :meth:`repro.flow.Flow.run`
+    and every ``repro serve`` job run through it.  The job runs under
+    the session's ``job`` budget and the serial fault-injection site
+    (the worker entry minus the process-killing faults), so the retry
+    taxonomy behaves as in a pool worker; transient failures are
+    retried under *policy* (default :data:`DEFAULT_POLICY`), each retry
+    recorded in the resilience log and passed to *on_retry* as
+    ``(attempt, error)``.  *preset* defaults to the session's.
     """
     job = source.name
     job_timeout = session.timeouts.limit("job")
+    preset = preset or session.preset
 
     def attempt() -> List[GridPoint]:
         with time_limit(job_timeout, stage="job", job=job):
             res_faults.serial_entry(job)
             return walk_source(
-                session, source, targets, configs, preset=session.preset,
-                verify=verify, keep_rewritten=keep_rewritten,
+                session, source, targets, configs, preset=preset,
+                verify=verify, keep_rewritten=keep_rewritten, hooks=hooks,
             )
 
+    def retried(n: int, error: BaseException) -> None:
+        res_events.record("retry", job=job, attempt=n, error=repr(error))
+        if on_retry is not None:
+            on_retry(n, error)
+
     return call_with_retry(
-        attempt,
-        policy=DEFAULT_POLICY,
-        key=(job,),
-        job=job,
-        on_retry=lambda n, error: res_events.record(
-            "retry", job=job, attempt=n, error=repr(error)
-        ),
+        attempt, policy=policy or DEFAULT_POLICY, key=(job,), job=job,
+        on_retry=retried,
     )
 
 
@@ -1359,6 +1372,36 @@ def _supervised_pool_map(
     return list(results), parent_events
 
 
+def missing_jobs(
+    cache: ExperimentCache,
+    sources: Sequence[Source],
+    configs: Sequence[EnduranceConfig],
+    *,
+    preset: str,
+    verify: "bool | int",
+    arch: Architecture,
+    optimizer: Optimizer,
+) -> List[Tuple[Source, List[EnduranceConfig]]]:
+    """The :func:`dispatch_jobs` work *cache* is missing: each source
+    with the configurations whose results it does not hold, in memory or
+    on disk, for *arch* and *optimizer* (never computes).  An entry
+    without a wide-enough verification certificate counts as missing."""
+    patterns = verify_width(verify)
+    work = []
+    for source in sources:
+        mig = cache.cached_source_mig(source, preset)
+        missing = [
+            cfg for cfg in configs
+            if mig is None or not cache.has(
+                mig, cfg, verified_patterns=patterns, arch=arch,
+                optimizer=optimizer,
+            )
+        ]
+        if missing:
+            work.append((source, missing))
+    return work
+
+
 def dispatch_jobs(
     jobs: Sequence[Tuple[Source, Sequence[EnduranceConfig]]],
     *,
@@ -1369,7 +1412,6 @@ def dispatch_jobs(
     optimizer: Optimizer,
     session,
     policy: RetryPolicy = DEFAULT_POLICY,
-    job_timeout: Optional[float] = None,
 ) -> Tuple[List[BenchmarkEvaluation], List[List[Dict]]]:
     """Evaluate *jobs* in supervised worker processes and adopt the
     results into *session*'s cache.
@@ -1379,7 +1421,8 @@ def dispatch_jobs(
     configurations to compile it under; workers rebuild a session from
     *session*'s spec pinned to *arch* and *optimizer* (a serve job's
     machine and optimizer beat the session's own), run
-    under :func:`_supervised_pool_map`, certify *verify* patterns (see
+    under :func:`_supervised_pool_map` with *session*'s ``job`` budget as
+    their deadline, certify *verify* patterns (see
     :func:`verify_width`), and their graphs, results, and cache counters
     are merged into the session's cache.
     Returns each job's evaluation and its parent-side recovery events
@@ -1394,7 +1437,8 @@ def dispatch_jobs(
     ]
     with _importable_in_workers():
         payloads, recoveries = _supervised_pool_map(
-            work, parallel, policy=policy, job_timeout=job_timeout
+            work, parallel, policy=policy,
+            job_timeout=session.timeouts.limit("job"),
         )
     for (source, configs), payload, recovery in zip(
         jobs, payloads, recoveries

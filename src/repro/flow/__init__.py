@@ -11,9 +11,9 @@ is provisioned:
 * :class:`Flow` declares the paper's pipeline (source → rewrite →
   compile → verify) as composable stages with typed
   :class:`StageArtifact` outputs, per-stage caching, and
-  ``on_stage_start`` / ``on_stage_end`` observer hooks.  It runs the
-  one stage sequence (:func:`repro.analysis.runner.run_stages`) that
-  every table cell runs too.
+  ``on_stage_start`` / ``on_stage_end`` observer hooks.  Its run is a
+  one-cell :func:`repro.analysis.runner.run_job`, the serial job every
+  table row, grid source and served job runs too.
 
 Every harness entry point — CLI subcommands, table/report generation,
 sweeps, the benchmark conftest, the examples — routes through this

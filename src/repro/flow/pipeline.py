@@ -21,25 +21,27 @@ or, for the common case of one endurance configuration end to end::
 
     result = Flow.for_config("ea-full", session=session).source("adder").run()
 
-:meth:`Flow.run` is one call of :func:`~repro.analysis.runner.run_stages`,
-the stage sequence every table cell runs too.  Every stage produces a
-typed :class:`StageArtifact` (value, cached flag, wall-clock seconds),
-cached through the session's :class:`~repro.analysis.runner.ExperimentCache`
-(and its disk cache, so a second run hits every stage) under the
-session's budget for that stage.  ``on_stage_start`` / ``on_stage_end``
+:meth:`Flow.run` is a one-cell :func:`~repro.analysis.runner.run_job`,
+the serial job every table row, grid source and served job runs too: the
+session's ``job`` budget, the serial fault-injection site and retries
+apply, and a configuration the machine refuses raises its
+:class:`~repro.arch.ArchitectureError` before any stage runs.  Every
+stage produces a typed :class:`StageArtifact` (value, cached flag,
+wall-clock seconds), cached through the session's
+:class:`~repro.analysis.runner.ExperimentCache` (and its disk cache, so a
+second run hits every stage) under the session's budget for that
+stage.  ``on_stage_start`` / ``on_stage_end``
 hooks (per flow and per session) feed progress reporting and
 ``BENCH_suite.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 from ..arch import Architecture
 from ..core.manager import EnduranceConfig, PRESETS
-from ..opt import DEFAULT_EFFORT, OptimizerSpec
-from ..mig.kernel import degradation_scope
+from ..opt import OptimizerSpec
 from ..source import Source, SourceLike, resolve_source
 from ..analysis.runner import (
     VERIFY_PATTERNS,
@@ -47,7 +49,7 @@ from ..analysis.runner import (
     StageEvent,
     resolve_config,
     resolve_target,
-    run_stages,
+    run_job,
 )
 from .session import Session
 
@@ -55,8 +57,8 @@ from .session import Session
 class Flow:
     """Builder for one source → rewrite → compile → verify pipeline.
 
-    Stage declarations (:meth:`source`, :meth:`rewrite`,
-    :meth:`compile`, :meth:`verify`) mutate the builder and return it,
+    Stage declarations (:meth:`source`, :meth:`compile`,
+    :meth:`verify`) mutate the builder and return it,
     so declarations chain; :meth:`run` executes the pipeline through the
     session cache and returns a :class:`FlowResult`.  A flow can be run
     repeatedly — reruns are pure cache hits.
@@ -67,7 +69,6 @@ class Flow:
         self._source: Optional[Source] = None
         self._source_preset: Optional[str] = None
         self._config: Optional[EnduranceConfig] = None
-        self._rewrite: Optional[Tuple[str, int]] = None
         self._verify: "bool | int" = False
         self._arch: "str | Architecture | None" = None
         self._opt: "str | OptimizerSpec | None" = None
@@ -102,9 +103,8 @@ class Flow:
 
         Everything a self-contained compilation job specifies — source,
         configuration, machine model, optimizer, verification width —
-        in one declaration, so job-oriented callers (the
-        :mod:`repro.serve` queue, scripts replaying a service job
-        serially) build identical flows from identical parameters::
+        in one declaration, the parameters of a :mod:`repro.serve` job
+        request, so a script replays a served job serially::
 
             result = Flow.for_job(
                 "adder", "ea-full", arch="blocked", verify=64,
@@ -137,11 +137,6 @@ class Flow:
         """
         self._source = resolve_source(source)
         self._source_preset = preset
-        return self
-
-    def rewrite(self, script: str, *, effort: int = DEFAULT_EFFORT) -> "Flow":
-        """Override the rewriting stage (defaults to the config's script)."""
-        self._rewrite = (script, effort)
         return self
 
     def compile(self, config: Union[str, EnduranceConfig]) -> "Flow":
@@ -190,13 +185,6 @@ class Flow:
 
     # -- execution -----------------------------------------------------
 
-    def _effective_config(self) -> EnduranceConfig:
-        config = self._config if self._config is not None else PRESETS["naive"]
-        if self._rewrite is not None:
-            script, effort = self._rewrite
-            config = _dc_replace(config, rewriting=script, effort=effort)
-        return config
-
     def run(self) -> FlowResult:
         """Execute the declared pipeline and return its artefacts."""
         source = (
@@ -210,16 +198,12 @@ class Flow:
                 ".source(mig) before running (or set "
                 "Session(source=...)/$REPRO_SOURCE)"
             )
-        machine, optimizer = resolve_target(
-            self._arch, self._opt, self.session
+        config = self._config if self._config is not None else PRESETS["naive"]
+        target = resolve_target(self._arch, self._opt, self.session)
+        target[0].validate_config(config)
+        (point,) = run_job(
+            self.session, source, [target], [config],
+            preset=self._source_preset, verify=self._verify,
+            hooks=(self._start_hooks, self._end_hooks),
         )
-        # One degradation scope per run, tagged with its job: a numpy
-        # failure demotes the rest of the run and lands in its manifest.
-        with degradation_scope(source.name):
-            return run_stages(
-                self.session, source, self._effective_config(),
-                preset=self._source_preset or self.session.preset,
-                arch=machine, optimizer=optimizer,
-                verify=self._verify,
-                hooks=(self._start_hooks, self._end_hooks),
-            )
+        return point.result

@@ -55,11 +55,11 @@ from ..analysis.runner import (
     TABLE1_PRESETS,
     check_columns,
     dispatch_jobs,
+    missing_jobs,
     resolve_config,
     resolve_configs,
     resolve_target,
     run_job,
-    verify_width,
 )
 from ..synth.registry import BENCHMARK_ORDER
 from .options import SESSION_KNOBS
@@ -343,9 +343,6 @@ class Session:
         self._observers.append(observer)
         return observer
 
-    def remove_observer(self, observer) -> None:
-        self._observers.remove(observer)
-
     def emit(self, hook: str, event) -> None:
         """Dispatch *event* to every observer implementing *hook*."""
         for observer in list(self._observers):
@@ -413,7 +410,17 @@ class Session:
         res_faults.active_plan()
         parallel = parallel if parallel is not None else self.parallel
         if parallel is not None and parallel > 1 and len(sources) > 1:
-            self._dispatch_missing(sources, columns, target, verify, parallel)
+            machine, optimizer = target
+            work = missing_jobs(
+                self.cache, sources, columns, preset=self.preset,
+                verify=verify, arch=machine, optimizer=optimizer,
+            )
+            if work:
+                dispatch_jobs(
+                    work, preset=self.preset, verify=verify,
+                    parallel=parallel, arch=machine, optimizer=optimizer,
+                    session=self,
+                )
         evaluations = []
         for source in sources:
             points = run_job(
@@ -427,31 +434,6 @@ class Session:
             event.finished(seconds=time.perf_counter() - start, cached=False),
         )
         return evaluations
-
-    def _dispatch_missing(self, sources, columns, target, verify, parallel):
-        """Fan the (source, configuration) pairs this session's cache is
-        missing out over *parallel* worker processes; an entry without a
-        wide-enough verification certificate counts as missing."""
-        machine, optimizer = target
-        patterns = verify_width(verify)
-        work = []
-        for source in sources:
-            mig = self.cache.cached_source_mig(source, self.preset)
-            missing = [
-                cfg for cfg in columns
-                if mig is None or not self.cache.has(
-                    mig, cfg, verified_patterns=patterns, arch=machine,
-                    optimizer=optimizer,
-                )
-            ]
-            if missing:
-                work.append((source, missing))
-        if work:
-            dispatch_jobs(
-                work, preset=self.preset, verify=patterns, parallel=parallel,
-                arch=machine, optimizer=optimizer, session=self,
-                job_timeout=self.timeouts.limit("job"),
-            )
 
     def evaluate_suite(
         self,

@@ -23,7 +23,7 @@ This package provides the baseline the paper argues against:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..mig.graph import Mig
 from ..mig.signal import is_complemented, node_of
@@ -57,18 +57,6 @@ class ImpProgram:
         for ins in self.instructions:
             counts[ins[-1]] += 1
         return counts
-
-    def disassemble(self, limit: Optional[int] = None) -> str:
-        lines = [f"; imp program {self.name or '<anonymous>'}"]
-        for idx, ins in enumerate(self.instructions):
-            if limit is not None and idx >= limit:
-                lines.append(f"; ... {len(self.instructions) - limit} more")
-                break
-            if ins[0] == OP_FALSE:
-                lines.append(f"{idx:6d}: FALSE(@{ins[1]})")
-            else:
-                lines.append(f"{idx:6d}: IMP(@{ins[1]}, @{ins[2]})")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -93,10 +93,6 @@ class Mig:
             self._derived.clear()
         return make_signal(node)
 
-    def add_pis(self, count: int, prefix: str = "pi") -> List[int]:
-        """Create *count* primary inputs named ``{prefix}{i}``."""
-        return [self.add_pi(f"{prefix}{i}") for i in range(count)]
-
     def add_po(self, signal: int, name: Optional[str] = None) -> int:
         """Register *signal* as a primary output; returns the output index."""
         self._check_signal(signal)
@@ -194,10 +190,6 @@ class Mig:
         """``NOT (a AND b)``."""
         return complement(self.add_and(a, b))
 
-    def add_nor(self, a: int, b: int) -> int:
-        """``NOT (a OR b)``."""
-        return complement(self.add_or(a, b))
-
     def add_xor(self, a: int, b: int) -> int:
         """``a XOR b`` as ``(a OR b) AND (NOT a OR NOT b)``."""
         upper = self.add_or(a, b)
@@ -256,10 +248,6 @@ class Mig:
         """Number of majority gates (excludes constant and PIs)."""
         return len(self._fanins) - 1 - len(self._pis)
 
-    def is_pi(self, node: int) -> bool:
-        """Return ``True`` if *node* is a primary input."""
-        return self._pi_index[node] >= 0
-
     def is_constant(self, node: int) -> bool:
         """Return ``True`` if *node* is the constant-false node."""
         return node == 0
@@ -278,10 +266,6 @@ class Mig:
     def pis(self) -> List[int]:
         """Node ids of the primary inputs, in declaration order."""
         return list(self._pis)
-
-    def pi_signals(self) -> List[int]:
-        """Signals of the primary inputs, in declaration order."""
-        return [make_signal(n) for n in self._pis]
 
     def pos(self) -> List[int]:
         """Output signals, in declaration order."""

@@ -210,10 +210,6 @@ class RramAllocator:
 
     # -- write accounting -------------------------------------------------
 
-    def record_write(self, addr: int) -> None:
-        """Charge one compile-time write to *addr*."""
-        self.writes[addr] += 1
-
     def writable(self, addr: int) -> bool:
         """May the compiler still target *addr* with an RM3?"""
         return self.w_max is None or self.writes[addr] < self.w_max

@@ -169,24 +169,6 @@ class Program:
                 spans[cell].append((open_at[cell], close))
         return spans
 
-    def disassemble(self, limit: Optional[int] = None) -> str:
-        """Readable listing; *limit* truncates long programs."""
-        lines = [f"; program {self.name or '<anonymous>'}"]
-        lines.append(
-            f"; {self.num_instructions} instructions over {self.num_cells} cells"
-        )
-        for idx, (p, q, z) in enumerate(self.instructions):
-            if limit is not None and idx >= limit:
-                lines.append(
-                    f"; ... {self.num_instructions - limit} more instructions"
-                )
-                break
-            lines.append(
-                f"{idx:6d}: RM3({format_operand(p)}, {format_operand(q)}, "
-                f"{format_operand(z)})"
-            )
-        return "\n".join(lines)
-
     def validate(self) -> None:
         """Sanity-check addresses; raises :class:`ValueError` on corruption."""
         n = self.num_cells

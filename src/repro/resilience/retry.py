@@ -1,9 +1,12 @@
 """Deterministic retry policy: exponential backoff with keyed jitter.
 
-The job runners (:func:`repro.analysis.runner.run_job` and
-:func:`~repro.analysis.runner.dispatch_jobs`) retry
-transiently-failed jobs through one :class:`RetryPolicy`.  Two design
-constraints shape it:
+The job runners retry transiently-failed jobs through one
+:class:`RetryPolicy`: :func:`repro.analysis.runner.run_job`, the one
+serial job wrapper (table rows, grid sources, ``Flow.run`` and every
+``repro serve`` job, under the server's ``--retries`` policy there),
+and the worker-pool supervisor behind
+:func:`~repro.analysis.runner.dispatch_jobs`.  Two design constraints
+shape it:
 
 * **Determinism** — the harness's artefacts are byte-identical across
   runs, and its resilience layer should be too: jitter is derived from a

@@ -1,25 +1,29 @@
 """The background job queue: N executors in front of one warm Session.
 
-Two execution modes per job, chosen when the server starts:
+Every job runs as one :func:`~repro.analysis.runner.run_job` — the
+serial job wrapper every table row, grid source and
+:meth:`~repro.flow.Flow.run` share — with the job's preset, the
+server's retry policy, and its stage events and retries appended to the
+job's event stream.  The session's ``job`` budget and stage budgets
+bind, and the serial fault-injection site fires, exactly as on the CLI.
 
-* **isolated** (``workers`` processes, the default under ``repro
-  serve``) — each cold job ships to a worker process through the same
-  dispatch as ``run_matrix(parallel=N)``
+Two execution modes, chosen when the server starts:
+
+* **isolated** (``repro serve``'s default) — a job whose artefact the
+  cache tiers do not hold is first dispatched to a worker process
+  through the same supervised pool as ``run_matrix(parallel=N)``
   (:func:`~repro.analysis.runner.dispatch_jobs`): picklable
   :class:`~repro.flow.SessionSpec`, crash respawn, per-job deadline
-  from the session's ``job`` timeout budget, deterministic retry.  The
-  worker's results are adopted into the shared warm cache, then the
-  job's summary/artefact assemble from it.
-* **inline** — the job runs a :class:`~repro.flow.Flow` directly on an
-  executor thread under :func:`~repro.resilience.call_with_retry`, each
-  attempt within the session's ``job`` budget and its stages within
-  theirs.
+  from the session's ``job`` budget, deterministic retry.  Its results
+  are adopted into the shared warm cache, so the job's walk that
+  follows is a pure cache hit.
+* **inline** — the walk does the work on the executor thread.
 
 Either way, repeat and duplicate submissions are near-free: identical
 in-flight jobs coalesce in the :class:`~repro.serve.jobstore.JobStore`
-(the follower waits for the primary, then assembles from the warm
-cache), and anything the cache tiers already hold short-circuits the
-process dispatch entirely.
+(the follower waits for the primary, then walks the warm cache), and
+anything the cache tiers already hold short-circuits the process
+dispatch entirely.
 """
 
 from __future__ import annotations
@@ -29,10 +33,15 @@ import threading
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
-from ..analysis.runner import dispatch_jobs, experiment_key, result_label
+from ..analysis.runner import (
+    dispatch_jobs,
+    experiment_key,
+    missing_jobs,
+    run_job,
+)
 from ..mig.io import dumps_program
 from ..opt import Optimizer
-from ..resilience import DEFAULT_POLICY, RetryPolicy, call_with_retry, time_limit
+from ..resilience import DEFAULT_POLICY, RetryPolicy
 from .jobstore import Job, JobStore
 from .schemas import JobSpec, summarize_compilation
 
@@ -120,26 +129,56 @@ class JobQueue:
 
     def _execute(self, job_id: str) -> None:
         store = self.store
+        session = self.session
         job = store.get(job_id)
         spec = job.spec
         store.mark_running(job_id)
 
+        def event(kind: str, **detail) -> None:
+            store.append_event(job_id, {"kind": kind, **detail})
+
         if job.coalesced_with is not None:
-            # Ride the primary's compile: wait until it lands, then
-            # assemble from the warm cache.  If the primary failed, fall
-            # through and compile for ourselves.
-            store.append_event(
-                job_id,
-                {"kind": "coalesce_wait", "primary": job.coalesced_with},
-            )
+            # Ride the primary's compile: wait until it lands, then walk
+            # the warm cache.  If the primary failed, the walk compiles.
+            event("coalesce_wait", primary=job.coalesced_with)
             store.wait_terminal(job.coalesced_with)
 
-        before = self.session.cache.counters()
-        if self.isolate and not self._satisfied(spec):
-            compilation = self._dispatch_worker(job)
-        else:
-            compilation = self._assemble(job)
-        after = self.session.cache.counters()
+        target = (spec.arch, Optimizer(spec.opt, spec.arch))
+        before = session.cache.counters()
+        if self.isolate:
+            work = missing_jobs(
+                session.cache, [spec.source], [spec.config],
+                preset=spec.preset, verify=spec.verify,
+                arch=target[0], optimizer=target[1],
+            )
+            if work:
+                event("dispatch", mode="process")
+                _, (recovery,) = dispatch_jobs(
+                    work, preset=spec.preset, verify=spec.verify,
+                    parallel=1, arch=target[0], optimizer=target[1],
+                    session=session, policy=self.retry,
+                )
+                for entry in recovery:
+                    store.append_event(job_id, {"kind": "recovery", **entry})
+        # An isolated job's result is held by now (the probe adopted it
+        # or the worker computed it, without its rewrite), so its walk
+        # skips the rewrite; an inline job's rewrite stage reads its own
+        # key rather than probing the result first.
+        (point,) = run_job(
+            session, spec.source, [target], [spec.config],
+            preset=spec.preset, verify=spec.verify,
+            keep_rewritten=not self.isolate,
+            hooks=(
+                [lambda e: event("stage_start", **asdict(e))],
+                [lambda e: event("stage_end", **asdict(e))],
+            ),
+            policy=self.retry,
+            on_retry=lambda n, error: event(
+                "retry", attempt=n, error=repr(error)
+            ),
+        )
+        compilation = point.result.compilation
+        after = session.cache.counters()
         delta = {key: value - before[key] for key, value in after.items()}
 
         store.finish(
@@ -150,103 +189,12 @@ class JobQueue:
             counters=delta,
         )
 
-    def _satisfied(self, spec: JobSpec) -> bool:
-        """Whether the warm cache already holds this job's artefact
-        (memory or disk), certificate included."""
-        cache = self.session.cache
-        mig = cache.cached_source_mig(spec.source, spec.preset)
-        if mig is None:
-            return False
-        return cache.has(
-            mig,
-            spec.config,
-            verified_patterns=spec.verify,
-            arch=spec.arch,
-            optimizer=spec.opt,
-        )
-
     def _manifest_entry(self, spec: JobSpec) -> Optional[str]:
         disk = self.session.disk
         if disk is None:
             return None
         semantic = experiment_key(spec.config, spec.arch, spec.opt)
         return str(disk.entry_path(("result", *spec.identity(), semantic)))
-
-    def _dispatch_worker(self, job: Job):
-        """Compile in a worker process through the supervised pool,
-        then adopt the results into the warm session cache."""
-        spec = job.spec
-        session = self.session
-        self.store.append_event(
-            job.id, {"kind": "dispatch", "mode": "process"}
-        )
-        (evaluation,), (recovery,) = dispatch_jobs(
-            [(spec.source, [spec.config])],
-            preset=spec.preset,
-            verify=spec.verify,
-            parallel=1,
-            arch=spec.arch,
-            optimizer=Optimizer(spec.opt, spec.arch),
-            session=session,
-            policy=self.retry,
-            job_timeout=session.timeouts.limit("job"),
-        )
-        for event in recovery:
-            self.store.append_event(job.id, {"kind": "recovery", **event})
-        return evaluation.results[result_label(spec.config)]
-
-    def _assemble(self, job: Job):
-        """Run the job's Flow inline on this executor thread.
-
-        Cold jobs in inline mode do the actual work here; warm repeats
-        and coalesced followers are pure cache hits whose stage events
-        report ``cached=True``.
-        """
-        from ..flow.pipeline import Flow  # deferred: flow imports runner
-
-        spec = job.spec
-        store = self.store
-
-        flow = Flow.for_job(
-            spec.source,
-            spec.config,
-            preset=spec.preset,
-            arch=spec.arch,
-            opt=spec.opt,
-            verify=spec.verify,
-            session=self.session,
-        )
-        flow.on_stage_start(
-            lambda event: store.append_event(
-                job.id, {"kind": "stage_start", **asdict(event)}
-            )
-        )
-        flow.on_stage_end(
-            lambda event: store.append_event(
-                job.id, {"kind": "stage_end", **asdict(event)}
-            )
-        )
-
-        def on_retry(attempt: int, error: BaseException) -> None:
-            store.append_event(
-                job.id,
-                {"kind": "retry", "attempt": attempt, "error": repr(error)},
-            )
-
-        budget = self.session.timeouts.limit("job")
-
-        def attempt():  # under the job budget, like an isolated worker
-            with time_limit(budget, stage="job", job=spec.source.name):
-                return flow.run()
-
-        result = call_with_retry(
-            attempt,
-            policy=self.retry,
-            key=(job.id,),
-            job=job.id,
-            on_retry=on_retry,
-        )
-        return result.compilation
 
     # -- stats ---------------------------------------------------------
 

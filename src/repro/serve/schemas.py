@@ -31,7 +31,12 @@ import linecache
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..arch import Architecture, available_architectures, resolve_architecture
+from ..arch import (
+    Architecture,
+    ArchitectureError,
+    available_architectures,
+    resolve_architecture,
+)
 from ..core.manager import EnduranceConfig, PRESETS, full_management
 from ..mig.io import MigParseError, loads_aiger, loads_blif, loads_mig
 from ..opt import OptimizerSpec, resolve_optimizer
@@ -253,7 +258,9 @@ def parse_job(
     *session* supplies the defaults a request may omit: its width
     preset, architecture, and optimizer — so a bare
     ``{"source": "adder"}`` compiles exactly like the CLI would with
-    the server's flags.
+    the server's flags.  A configuration the machine refuses (e.g.
+    ``min_write`` allocation on ``dac16``, which has no wear counters)
+    is a :class:`SchemaError`: nothing is queued.
     """
     _require(isinstance(payload, dict), "request body must be a JSON object")
     unknown = sorted(set(payload) - _KNOWN_KEYS)
@@ -281,6 +288,11 @@ def parse_job(
                 f"unknown architecture {arch_name!r}; choose one of: "
                 f"{', '.join(available_architectures())}"
             ) from None
+
+    try:
+        arch.validate_config(config)
+    except ArchitectureError as error:
+        raise SchemaError(str(error)) from None
 
     opt_name = payload.get("opt")
     if opt_name is None:

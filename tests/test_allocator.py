@@ -57,10 +57,10 @@ class TestMinWrite:
         alloc = RramAllocator("min_write")
         a, b, c = (alloc.new_cell() for _ in range(3))
         for _ in range(5):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         for _ in range(2):
-            alloc.record_write(b)
-        alloc.record_write(c)
+            alloc.writes[b] += 1
+        alloc.writes[c] += 1
         for cell in (a, b, c):
             alloc.release(cell)
         assert alloc.request() == c  # 1 write
@@ -80,8 +80,8 @@ class TestMinWrite:
         alloc.release(a)
         got = alloc.request()
         assert got == a
-        alloc.record_write(a)
-        alloc.record_write(a)
+        alloc.writes[a] += 1
+        alloc.writes[a] += 1
         b = alloc.new_cell()
         alloc.release(b)
         alloc.release(a)  # two heap entries for a now (one stale)
@@ -94,7 +94,7 @@ class TestMaxWriteCap:
         alloc = RramAllocator("min_write", w_max=3)
         a = alloc.new_cell()
         for _ in range(3):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         alloc.release(a)
         assert a in alloc.retired
         # the pool is empty: a fresh cell is allocated
@@ -105,13 +105,13 @@ class TestMaxWriteCap:
         a = alloc.new_cell()
         assert alloc.writable(a)
         for _ in range(3):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         assert not alloc.writable(a)
 
     def test_headroom(self):
         alloc = RramAllocator("min_write", w_max=5)
         a = alloc.new_cell()
-        alloc.record_write(a)
+        alloc.writes[a] += 1
         assert alloc.headroom(a) == 4
         uncapped = RramAllocator("min_write")
         b = uncapped.new_cell()
@@ -121,7 +121,7 @@ class TestMaxWriteCap:
         alloc = RramAllocator("naive")
         a = alloc.new_cell()
         for _ in range(100):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         alloc.release(a)
         assert not alloc.retired
         assert alloc.writable(a)
@@ -134,7 +134,7 @@ class TestWmaxRetirementBoundaries:
         alloc = RramAllocator("min_write", w_max=3)
         a = alloc.new_cell()
         for _ in range(2):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         assert alloc.writable(a)  # 2 < 3: one RM3 still fits
         assert alloc.headroom(a) == 1
         alloc.release(a)
@@ -145,7 +145,7 @@ class TestWmaxRetirementBoundaries:
         alloc = RramAllocator("min_write", w_max=3)
         a = alloc.new_cell()
         for _ in range(3):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         assert not alloc.writable(a)
         assert alloc.headroom(a) == 0
         alloc.release(a)
@@ -160,7 +160,7 @@ class TestWmaxRetirementBoundaries:
         alloc = RramAllocator("min_write", w_max=4)
         a = alloc.new_cell()
         for _ in range(3):
-            alloc.record_write(a)
+            alloc.writes[a] += 1
         alloc.release(a)  # one write of headroom left
         fresh = alloc.request(headroom=2)  # copy destination: won't fit
         assert fresh != a
@@ -200,9 +200,9 @@ class TestUncappedRequests:
                 continue
             addr = alloc.request(headroom=rng.choice((1, 2, 3)))
             for _ in range(rng.randrange(4)):
-                alloc.record_write(addr)
+                alloc.writes[addr] += 1
             if rng.random() < 0.2:  # may wear a pooled device: stale entries
-                alloc.record_write(rng.randrange(alloc.num_cells))
+                alloc.writes[rng.randrange(alloc.num_cells)] += 1
             held.append(addr)
             trace.append(addr)
         return trace, alloc.writes
@@ -287,9 +287,6 @@ class _ScanningAllocator:
         else:
             self._free_stack.append(addr)
 
-    def record_write(self, addr):
-        self.writes[addr] += 1
-
     def writable(self, addr):
         return self.w_max is None or self.writes[addr] < self.w_max
 
@@ -311,9 +308,9 @@ class TestCappedMinWriteEarlyStop:
             addr = alloc.request(headroom=rng.choice((1, 2, 3)))
             for _ in range(rng.randrange(3)):
                 if alloc.writable(addr):
-                    alloc.record_write(addr)
+                    alloc.writes[addr] += 1
             if rng.random() < 0.2:  # may wear a pooled device: stale entries
-                alloc.record_write(rng.randrange(alloc.num_cells))
+                alloc.writes[rng.randrange(alloc.num_cells)] += 1
             held.append(addr)
             trace.append(("request", addr))
         return trace, alloc.writes, sorted(alloc._free_set)

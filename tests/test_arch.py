@@ -204,8 +204,8 @@ class TestBlockedAllocator:
         alloc = RramAllocator(block_size=2, strategy="min_write")
         cells = [alloc.new_cell() for _ in range(4)]
         for _ in range(5):
-            alloc.record_write(cells[0])  # line 0 is hot (its worst cell)
-        alloc.record_write(cells[3])
+            alloc.writes[cells[0]] += 1  # line 0 is hot (its worst cell)
+        alloc.writes[cells[3]] += 1
         alloc.release(cells[1])  # cold cell, hot line
         alloc.release(cells[2])  # cold cell, cold line
         assert alloc.request() == cells[2]
@@ -215,7 +215,7 @@ class TestBlockedAllocator:
         alloc = RramAllocator(block_size=4, strategy="min_write", w_max=3)
         cell = alloc.new_cell()
         for _ in range(3):
-            alloc.record_write(cell)
+            alloc.writes[cell] += 1
         alloc.release(cell)
         assert cell in alloc.retired
         assert alloc.request() != cell
@@ -231,7 +231,7 @@ class TestBlockedAllocator:
         alloc = RramAllocator(block_size=4, w_max=5)
         cell = alloc.new_cell()
         for _ in range(4):
-            alloc.record_write(cell)  # one write of headroom left
+            alloc.writes[cell] += 1  # one write of headroom left
         alloc.release(cell)
         assert alloc.request(headroom=2) != cell  # cannot absorb 2
         assert alloc.request(headroom=1) == cell  # still pooled for 1

@@ -286,6 +286,7 @@ class _ReferenceCompilation(_Compilation):
     def __init__(self, mig, selection, allocator, allow_pi_overwrite, cost):
         super().__init__(mig, selection, allocator, allow_pi_overwrite, cost)
         self.cost = cost
+        self.pi_nodes = set(mig.pis())
         self.view = mig.fanout_view()
         self.fanout_level_index = [
             self.view.fanout_level_index(node)
@@ -370,7 +371,7 @@ class _ReferenceCompilation(_Compilation):
             and self.refs[f.node] == 1
             and self.cell_of[f.node] is not None
             and self.alloc.writable(self.cell_of[f.node])
-            and (self.allow_pi_overwrite or not self.mig.is_pi(f.node))
+            and (self.allow_pi_overwrite or f.node not in self.pi_nodes)
         ):
             return _Z_DIRECT
         return _Z_COPY
@@ -470,7 +471,7 @@ class _ReferenceCompilation(_Compilation):
 
     def _emit(self, p: int, q: int, z: int) -> None:
         self.instructions.append((p, q, z))
-        self.alloc.record_write(z)
+        self.alloc.writes[z] += 1
 
     def _emit_const(self, z: int, value: int) -> None:
         if value:
@@ -490,7 +491,7 @@ class _ReferenceCompilation(_Compilation):
         return dst
 
     def _release(self, node: int, cell: int) -> None:
-        if not self.allow_pi_overwrite and self.mig.is_pi(node):
+        if not self.allow_pi_overwrite and node in self.pi_nodes:
             return
         self.alloc.release(cell)
 

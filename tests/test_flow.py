@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.analysis.runner import ExperimentCache
+from repro.arch import ArchitectureError
 from repro.core.manager import (
     PRESETS,
     compile_pipeline,
@@ -12,6 +13,7 @@ from repro.core.manager import (
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
 from repro.opt import Optimizer
+from repro.resilience import StageTimeoutError
 
 SUBSET = ["adder", "dec"]
 
@@ -157,19 +159,6 @@ class TestFlowStages:
         )
         assert warm.disk.hits == hits + 1
 
-    def test_explicit_rewrite_overrides_config_script(self):
-        session = Session(preset="tiny")
-        vanilla = Flow.for_config("naive", session=session).source("adder").run()
-        rewired = (
-            Flow.for_config("naive", session=session)
-            .source("adder")
-            .rewrite("endurance", effort=2)
-            .run()
-        )
-        assert rewired.compilation.config.rewriting == "endurance"
-        assert rewired.compilation.config.effort == 2
-        assert vanilla.compilation.config.rewriting == "none"
-
     def test_source_required(self):
         with pytest.raises(ValueError, match="no source"):
             Flow.for_config("naive", session=Session()).run()
@@ -185,6 +174,35 @@ class TestFlowStages:
             .source("dec").run()
         )
         assert result.compilation.config.name == "ea-full+wmax10"
+
+
+class TestFlowIsOneJob:
+    """:meth:`Flow.run` is a one-cell serial job, like a table row."""
+
+    def test_job_budget_binds(self):
+        session = Session(preset="tiny", timeouts="job=1e-6")
+        flow = Flow.for_config("ea-full", session=session).source("adder")
+        with pytest.raises(StageTimeoutError, match="stage 'job' exceeded"):
+            flow.run()
+
+    def test_refused_cell_runs_no_stage(self):
+        session = Session(preset="tiny", arch="dac16")
+        seen = []
+
+        class Observer:
+            def on_stage_start(self, event):
+                seen.append(event)
+
+        session.add_observer(Observer())
+        flow = (
+            Flow.for_config("ea-full", session=session)
+            .source("adder")
+            .on_stage_start(seen.append)
+        )
+        with pytest.raises(ArchitectureError, match="wear counters"):
+            flow.run()
+        assert seen == []
+        assert session.cache.misses == 0
 
 
 class TestObserverHooks:
@@ -217,7 +235,7 @@ class TestObserverHooks:
             def on_stage_end(self, event):
                 seen.append(("end", event.stage, event.seconds))
 
-        observer = session.add_observer(Observer())
+        session.add_observer(Observer())
         Flow.for_config("naive", session=session).source("dec").run()
         assert ("start", "source", None) == seen[0]
         end_events = [e for e in seen if e[0] == "end"]
@@ -232,10 +250,6 @@ class TestObserverHooks:
             ("start", "compile"), ("end", "compile"),
             ("end", "matrix"),
         ]
-        seen.clear()
-        session.remove_observer(observer)
-        Flow.for_config("naive", session=session).source("dec").run()
-        assert not seen
 
     def test_end_event_carries_cached_flag(self):
         session = Session(preset="tiny")

@@ -27,12 +27,6 @@ class TestConstruction:
         mig, *_ = abc_mig
         assert [mig.pi_name(i) for i in range(3)] == ["a", "b", "c"]
 
-    def test_add_pis_bulk(self):
-        mig = Mig()
-        sigs = mig.add_pis(4, prefix="in")
-        assert len(sigs) == 4
-        assert mig.pi_name(2) == "in2"
-
     def test_maj_allocates(self, abc_mig):
         mig, a, b, c = abc_mig
         f = mig.add_maj(a, b, c)
@@ -127,7 +121,7 @@ class TestGateHelpers:
         mig.add_po(mig.add_or(a, b), "or")
         mig.add_po(mig.add_xor(a, b), "xor")
         mig.add_po(mig.add_nand(a, b), "nand")
-        mig.add_po(mig.add_nor(a, b), "nor")
+        mig.add_po(complement(mig.add_or(a, b)), "nor")
         mig.add_po(mig.add_xnor(a, b), "xnor")
         tables = truth_tables(mig)
         # variable order: a is bit0 of the minterm index; patterns 0..3

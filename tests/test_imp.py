@@ -215,10 +215,3 @@ class TestSimulator:
         prog = ImpProgram(num_cells=1, pi_cells=[0])
         with pytest.raises(ValueError):
             sim.run(prog, [])
-
-    def test_disassemble(self):
-        prog = ImpProgram(
-            instructions=[(OP_FALSE, 0), (OP_IMP, 0, 1)], num_cells=2
-        )
-        text = prog.disassemble()
-        assert "FALSE(@0)" in text and "IMP(@0, @1)" in text

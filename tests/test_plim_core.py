@@ -114,14 +114,6 @@ class TestProgram:
         prog.pi_cells = [1]
         prog.validate()
 
-    def test_disassemble_truncates(self):
-        prog = Program(
-            instructions=[(OP_CONST0, OP_CONST1, 0)] * 10, num_cells=1
-        )
-        text = prog.disassemble(limit=3)
-        assert "7 more instructions" in text
-        assert "RM3(0, 1, @0)" in text
-
     def test_value_lifetimes_simple(self):
         # write cell0 at 0, read it at 2, overwrite at 3
         prog = Program(

@@ -203,7 +203,7 @@ def non_canonical_graphs():
     The dead-gate graph is a random canonical graph with one dead gate
     put in ahead of its other gates."""
     interleaved = Mig("interleaved")
-    a, b = interleaved.add_pis(2)
+    a, b = (interleaved.add_pi() for _ in range(2))
     gate = interleaved.add_maj(a, b ^ 1, 0)
     c = interleaved.add_pi("late")
     interleaved.add_po(interleaved.add_maj(gate, c, a))
@@ -253,7 +253,7 @@ class TestPassParity:
         """``<x u <y u z>>`` plus the node ``<y u x>`` Omega.A probes for,
         built after the outer node when *probe_after* (both live)."""
         mig = Mig("assoc")
-        x, u, y, z = mig.add_pis(4)
+        x, u, y, z = (mig.add_pi() for _ in range(4))
         inner = mig.add_maj(y, u, z)
         if probe_after:
             outer = mig.add_maj(x, u, inner)
@@ -564,7 +564,7 @@ class TestIncrementalRebuild:
         through ``<y u x>``.  Every child of ``n`` is clean (``w`` is a
         fresh node), so only the grandchild says ``n`` must be re-matched."""
         mig = Mig("collide")
-        x, u, y, z, p, q, r = mig.add_pis(7)
+        x, u, y, z, p, q, r = (mig.add_pi() for _ in range(7))
         probe = mig.add_maj(y, u, x)
         g = mig.add_maj(p, q, r)
         w = mig.add_maj(y, z, g)

@@ -18,6 +18,7 @@ from repro.analysis.runner import (
 )
 from repro.core.manager import PRESETS, full_management
 from repro.flow import Session
+from repro.mig.signal import make_signal
 from repro.source import resolve_source
 from repro.synth.arithmetic import build_adder
 
@@ -210,7 +211,7 @@ class TestMigKeyStructure:
         mig = build_adder(width=3)
         d = mig.structural_digest()
         assert mig.structural_digest() == d
-        mig.add_po(mig.pi_signals()[0], "extra")
+        mig.add_po(make_signal(mig.pis()[0]), "extra")
         assert mig.structural_digest() != d
 
 

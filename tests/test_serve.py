@@ -26,7 +26,9 @@ from repro.serve import (
     create_server,
     parse_job,
 )
+from repro.resilience import faults
 from repro.serve.jobstore import JobStore
+from repro.serve import queue as queue_module
 from repro.serve import routes
 
 from .conftest import raw_status
@@ -196,6 +198,14 @@ class TestParseJob:
         })
         assert spec.arch.name == "blocked"
         assert spec.opt.label() == "greedy:write_cost"
+
+    def test_machine_refused_config_rejected(self):
+        """A pair the machine refuses fails at submit, not at compile."""
+        with pytest.raises(SchemaError, match="no per-cell wear counters"):
+            self.parse({"source": "adder", "config": "ea-full",
+                        "arch": "dac16"})
+        assert self.parse({"source": "adder", "config": "naive",
+                           "arch": "dac16"}).arch.name == "dac16"
 
     def test_unknown_arch_and_opt(self):
         with pytest.raises(SchemaError, match="unknown architecture"):
@@ -395,6 +405,16 @@ class TestRoutesDirect:
         assert response.status == 400
         assert "unresolvable" in response.payload["error"]
 
+    def test_machine_refused_job_is_400_and_not_queued(self):
+        facade = self.facade()
+        response = routes.handle(
+            facade, "POST", "/jobs", {},
+            {"source": "adder", "config": "ea-full", "arch": "dac16"},
+        )
+        assert response.status == 400
+        assert "dac16" in response.payload["error"]
+        assert facade.store.jobs() == []
+
     def test_unknown_job_404(self):
         assert routes.handle(
             self.facade(), "GET", "/jobs/j999999", {}, None
@@ -505,10 +525,10 @@ class TestJobQueue:
         session = tiny_session(tmp_path)
         queue = JobQueue(session, workers=1, isolate=False)
 
-        def explode(self, job):
+        def explode(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(JobQueue, "_assemble", explode)
+        monkeypatch.setattr(queue_module, "run_job", explode)
         queue.start()
         try:
             job = queue.submit(parse_job({"source": "adder"}, session))
@@ -537,6 +557,30 @@ class TestJobQueue:
                 f"StageTimeoutError: stage {stage!r} exceeded"
             ), job.error
             assert not any(e["kind"] == "retry" for e in job.events)
+        finally:
+            queue.stop()
+
+
+    def test_inline_job_retries_a_transient_fault(
+        self, tmp_path, monkeypatch
+    ):
+        """A served job passes the serial fault site and is retried under
+        the server's policy, like a table row."""
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "job_fail:job=adder:count=1")
+        monkeypatch.setenv(faults.LEDGER_ENV_VAR, str(tmp_path / "ledger"))
+        (tmp_path / "ledger").mkdir()
+        monkeypatch.setattr(faults, "_CACHED", None)
+        session = tiny_session(tmp_path)
+        queue = JobQueue(session, workers=1, isolate=False)
+        queue.start()
+        try:
+            job = queue.submit(parse_job({"source": "adder"}, session))
+            assert queue.store.wait_terminal(job.id, 60)
+            job = queue.store.get(job.id)
+            assert job.status == "done", job.error
+            retries = [e for e in job.events if e["kind"] == "retry"]
+            assert len(retries) == 1
+            assert "FaultInjected" in retries[0]["error"]
         finally:
             queue.stop()
 
@@ -810,3 +854,31 @@ class TestServeIsolated:
             assert warm.counters["disk_misses"] == 0
             assert not any(e["kind"] == "dispatch" for e in warm.events)
             assert warm.artifact == job.artifact
+
+    def test_dispatched_job_streams_its_stages(self, tmp_path):
+        """A cold isolated job is dispatched to a worker process, then
+        walked from the warm cache: its stream carries every stage,
+        after the dispatch, each a cache hit."""
+        session = tiny_session(tmp_path)
+        with running_server(session=session, isolate=True,
+                            workers=1) as server:
+            _, body, _ = api(server, "POST", "/jobs",
+                             {"source": "adder", "verify": 8})
+            job = wait_done(server, body["id"], timeout=300)
+        kinds = [event["kind"] for event in job.events]
+        assert kinds.count("dispatch") == 1
+        dispatch = kinds.index("dispatch")
+        assert not any(kind.startswith("stage") for kind in kinds[:dispatch])
+        stages = [
+            event for event in job.events[dispatch:]
+            if event["kind"] in ("stage_start", "stage_end")
+        ]
+        assert [(event["kind"], event["stage"]) for event in stages] == [
+            (kind, stage)
+            for stage in ("source", "rewrite", "compile", "verify")
+            for kind in ("stage_start", "stage_end")
+        ]
+        assert all(
+            event["cached"] for event in stages
+            if event["kind"] == "stage_end"
+        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mig.graph import Mig
-from repro.mig.signal import complement, node_of
+from repro.mig.signal import complement, make_signal, node_of
 from repro.mig.views import FanoutView
 from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
 from .conftest import make_random_mig
@@ -101,11 +101,11 @@ class TestFanoutLevelIndices:
             4, gates, seed=seed, complement_prob=0.4, use_strash=use_strash
         )
         spare = mig.add_pi("spare")
-        dead = mig.add_maj(spare, mig.pi_signals()[0], 1)
+        dead = mig.add_maj(spare, make_signal(mig.pis()[0]), 1)
         if po_on_inputs:
             # A PO driven by an input that also feeds gates, and one
             # driven by the constant node.
-            mig.add_po(complement(mig.pi_signals()[0]), "pi0")
+            mig.add_po(complement(make_signal(mig.pis()[0])), "pi0")
             mig.add_po(1, "one")
         view, _ = assert_level_indices_match(mig)
         assert not view.fanouts[node_of(spare)]
