@@ -496,7 +496,7 @@ def cmd_serve(args) -> int:
     print(f"repro.serve listening on http://{host}:{port}")
     print(f"  executors : {args.workers} ({mode})")
     print(f"  cache     : {session.cache_dir or 'in-memory only'}")
-    print('  submit    : POST /jobs {"source": "adder", "config": "ea-full"}')
+    print('  submit    : POST /jobs {"source": "adder"}')
     sys.stdout.flush()
     try:
         server.serve_forever()

@@ -14,12 +14,28 @@ sit in RRAM devices and therefore how writes distribute:
   fanout level index* first (shortest storage duration, avoiding "blocked
   RRAMs" as in the paper's Fig. 2), break ties by most released devices.
 
-A strategy computes an orderable key per candidate.  Keys that depend on
-the live reference counts (the "releasing" component) are *dynamic*: they
-can change while a node waits in the candidate set, so the compiler
-revalidates them lazily on pop.
+A strategy states its key once per graph, as data:
+:meth:`SelectionStrategy.ranks` returns a per-node *rank* vector and a
+*releasing weight* ``w``.  The compiler selects the computable node
+``v`` of smallest
 
-Keys read only the :class:`CompilerStateView` slice, never the device
+    ``rank[v] - w * releasing(v)``, ties broken by the smaller node id,
+
+where ``releasing(v)`` counts the children whose last pending use ``v``
+is (the devices computing ``v`` frees).  Each fanin releases at most one
+device, so ``releasing`` lies in ``[0, 3]``, and the fanout level index
+in ``[0, depth + 1]``; scaling one component past the other's range
+turns the two-component orders of the paper into one number:
+
+* ``dac16``: ``rank = level index``, ``w = depth + 2`` — releasing first;
+* ``endurance``: ``rank = 4 * level index``, ``w = 1`` — level first;
+* ``releasing-only``: ``rank = 0``, ``w = 1``;
+* ``level-only``: ``rank = level index``, ``w = 0``;
+* ``topo``: no rank — plain topological (creation) order.
+
+A key with ``w != 0`` is *dynamic*: releasing counts change while a node
+waits among the candidates, so the compiler revalidates it lazily on
+pop.  Keys read only the graph's fanout view, never the device
 allocator, so the compiler memoizes each graph's order per strategy
 object (:func:`repro.plim.compiler.schedule`).  :func:`make_selection`
 returns one shared instance per registry name, so every configuration
@@ -28,38 +44,30 @@ naming a strategy shares its orders.
 
 from __future__ import annotations
 
-from typing import List, Protocol, Tuple
+from typing import Optional, Sequence, Tuple
 
-
-class CompilerStateView(Protocol):
-    """The slice of compiler state a selection strategy may inspect."""
-
-    refs: List[int]
-    fanout_level_index: List[int]
-
-    def releasing_count(self, node: int) -> int:
-        """Devices that would be freed by computing *node* now."""
-        ...
+#: A strategy's key terms over one graph: ``(rank vector, releasing
+#: weight)``; no rank vector means topological order.
+KeyTerms = Tuple[Optional[Sequence[int]], int]
 
 
 class SelectionStrategy:
-    """Base class: topological order, static keys.
+    """Base class: topological order.
 
-    ``key`` may read only the :class:`CompilerStateView` it is given:
-    the compiler schedules a graph once per strategy object and reuses
-    that order for every allocation policy and machine.  Registry
-    instances are shared (see :func:`make_selection`), so a strategy
-    holds no per-compile state; a parameterised strategy is a separate
-    instance per parameter set.
+    Registry instances are shared (see :func:`make_selection`), so a
+    strategy holds no per-compile state; a parameterised strategy is a
+    separate instance per parameter set.
     """
 
-    #: Whether keys depend on mutable compiler state (lazy revalidation).
-    dynamic = False
     name = "topo"
 
-    def key(self, state: CompilerStateView, node: int) -> Tuple[int, ...]:
-        """Orderable priority key; *smaller* keys are selected first."""
-        return (node,)
+    def ranks(self, view) -> KeyTerms:
+        """The key terms over a :class:`~repro.mig.views.FanoutView`.
+
+        The rank vector is indexed by node id and read-only; smaller
+        keys are selected first.
+        """
+        return None, 0
 
 
 class TopoSelection(SelectionStrategy):
@@ -74,15 +82,10 @@ class Dac16Selection(SelectionStrategy):
     is consumed sooner, so its device is blocked for less time).
     """
 
-    dynamic = True
     name = "dac16"
 
-    def key(self, state: CompilerStateView, node: int) -> Tuple[int, ...]:
-        return (
-            -state.releasing_count(node),
-            state.fanout_level_index[node],
-            node,
-        )
+    def ranks(self, view) -> KeyTerms:
+        return view.fanout_level_index, view.depth + 2
 
 
 class EnduranceAwareSelection(SelectionStrategy):
@@ -94,25 +97,19 @@ class EnduranceAwareSelection(SelectionStrategy):
     maximum number of releasing RRAMs.
     """
 
-    dynamic = True
     name = "endurance"
 
-    def key(self, state: CompilerStateView, node: int) -> Tuple[int, ...]:
-        return (
-            state.fanout_level_index[node],
-            -state.releasing_count(node),
-            node,
-        )
+    def ranks(self, view) -> KeyTerms:
+        return [4 * index for index in view.fanout_level_index], 1
 
 
 class ReleasingOnlySelection(SelectionStrategy):
     """Ablation: releasing-count key alone (no level tie-break)."""
 
-    dynamic = True
     name = "releasing-only"
 
-    def key(self, state: CompilerStateView, node: int) -> Tuple[int, ...]:
-        return (-state.releasing_count(node), node)
+    def ranks(self, view) -> KeyTerms:
+        return [0] * len(view.levels), 1
 
 
 class LevelOnlySelection(SelectionStrategy):
@@ -120,8 +117,8 @@ class LevelOnlySelection(SelectionStrategy):
 
     name = "level-only"
 
-    def key(self, state: CompilerStateView, node: int) -> Tuple[int, ...]:
-        return (state.fanout_level_index[node], node)
+    def ranks(self, view) -> KeyTerms:
+        return view.fanout_level_index, 0
 
 
 #: Strategy registry used by configuration presets and the CLI.

@@ -16,47 +16,65 @@ This module computes the static parts of those metrics once per graph.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import Mig
-from .signal import node_of
 
 
 class FanoutView:
     """Fanout lists and storage-duration metrics for the live part of a MIG.
 
-    One instance may be shared by many consumers (it is memoized on the
-    graph via :meth:`repro.mig.graph.Mig.fanout_view`), so ``fanouts``
-    and ``ref_counts`` are immutable tuples; copy before mutating, like
-    the compiler does with its working reference counts.
+    Built by one sweep over the live gates.  One instance may be shared
+    by many consumers (it is memoized on the graph via
+    :meth:`repro.mig.graph.Mig.fanout_view`), so every list is read-only
+    by contract; copy before mutating, like the compiler does with its
+    working reference counts.
+
+    * ``fanouts[v]`` — the live gates reading *v*, once per reference,
+      in topological order;
+    * ``ref_counts[v]`` — references to *v* from live gates and outputs;
+    * ``fanout_level_index[v]`` — the level of the consumer that finally
+      releases *v*'s device (the storage-duration reading of the
+      endurance-aware selection: the device stays blocked until the
+      highest-level fanout is computed); output drivers are pinned until
+      the end of the program at ``depth + 1``, and nodes without
+      consumers get 0;
+    * ``levels`` — the graph's own per-node levels.
     """
 
     def __init__(self, mig: Mig) -> None:
         # No reference to the graph: the view is memoized on the graph,
         # and a back-reference would make every graph a cycle.
-        self.levels = mig.levels()
-        n = mig.num_nodes
+        self.levels = levels = mig._levels()
+        fanins = mig._fanins
+        n = len(fanins)
         fanouts: List[List[int]] = [[] for _ in range(n)]
-        ref_counts: List[int] = [0] * n
-        for node, na, _, nb, _, nc, _ in mig.flat_gates():
-            fanouts[na].append(node)
-            ref_counts[na] += 1
-            fanouts[nb].append(node)
-            ref_counts[nb] += 1
-            fanouts[nc].append(node)
-            ref_counts[nc] += 1
-        self.po_refs: List[int] = [0] * n
-        for s in mig.pos():
-            self.po_refs[node_of(s)] += 1
-            ref_counts[node_of(s)] += 1
-        self.fanouts: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(f) for f in fanouts
-        )
-        self.ref_counts: Tuple[int, ...] = tuple(ref_counts)
-        self.depth = max(
-            (self.levels[node_of(s)] for s in mig.pos()), default=0
-        )
-        self._level_indices: Optional[List[int]] = None
+        last = [0] * n
+        for node in mig._live_gates():
+            a, b, c = fanins[node]
+            level = levels[node]
+            a >>= 1
+            b >>= 1
+            c >>= 1
+            fanouts[a].append(node)
+            fanouts[b].append(node)
+            fanouts[c].append(node)
+            if last[a] < level:
+                last[a] = level
+            if last[b] < level:
+                last[b] = level
+            if last[c] < level:
+                last[c] = level
+        ref_counts = list(map(len, fanouts))
+        pos = [s >> 1 for s in mig._pos]
+        self.depth = pinned = max(map(levels.__getitem__, pos), default=0)
+        pinned += 1
+        for node in pos:
+            ref_counts[node] += 1
+            last[node] = pinned
+        self.fanouts = fanouts
+        self.ref_counts = ref_counts
+        self.fanout_level_index = last
         #: Compiler gate orders, memoized by
         #: :func:`repro.plim.compiler.schedule` per selection strategy.
         self.schedules: Dict[object, Tuple[int, ...]] = {}
@@ -65,32 +83,3 @@ class FanoutView:
         #: strategy, allocation strategy, input protection, architecture,
         #: write cap).
         self.programs: Dict[Tuple, object] = {}
-
-    def fanout_level_index(self, node: int) -> int:
-        """Level of the consumer that finally releases *node*'s device.
-
-        The storage-duration reading of the endurance-aware selection:
-        the device stays blocked until the highest-level fanout is
-        computed.  Nodes that drive a primary output are pinned until the
-        end of the program and get ``depth + 1``.
-        """
-        if self.po_refs[node]:
-            return self.depth + 1
-        return max((self.levels[f] for f in self.fanouts[node]), default=0)
-
-    def fanout_level_indices(self) -> List[int]:
-        """Vector of :meth:`fanout_level_index` per node (memoized)."""
-        cached = self._level_indices
-        if cached is None:
-            level = self.levels.__getitem__
-            cached = [
-                max(map(level, fanout)) if fanout else 0
-                for fanout in self.fanouts
-            ]
-            pinned = self.depth + 1
-            for node, po_refs in enumerate(self.po_refs):
-                if po_refs:
-                    cached[node] = pinned
-            self._level_indices = cached
-        return list(cached)
-

@@ -3,7 +3,7 @@
 from .allocator import CapacityExceededError, RramAllocator
 from .compiler import PlimCompiler
 from .controller import CYCLES_PER_INSTRUCTION, ExecutionTrace, PlimController, execute
-from .isa import OP_CONST0, OP_CONST1, Program, const_operand, format_operand
+from .isa import OP_CONST0, OP_CONST1, Program, const_operand
 from .memory import (
     EnduranceExhaustedError,
     LifetimeEstimate,
@@ -36,6 +36,5 @@ __all__ = [
     "const_operand",
     "estimate_lifetime",
     "execute",
-    "format_operand",
     "verify_program",
 ]

@@ -17,16 +17,17 @@ Two steps
 A compilation first *schedules* the graph, then *translates* it gate by
 gate in that order.
 
-* :func:`schedule` runs the selection heap: computable gates ranked by
-  the strategy's key, with dynamic keys revalidated lazily on pop.  The
-  keys see only the :class:`~repro.core.selection.CompilerStateView`
-  slice — ``refs``, ``fanout_level_index`` and ``releasing_count`` —
-  over reference counts the scheduler decrements itself.  A schedule
-  never depends on the allocator, so it is a pure function of (graph,
-  strategy): it is memoized on the graph's
-  :class:`~repro.mig.views.FanoutView`, and every allocation policy,
-  write cap and machine compiled from one graph with one strategy shares
-  it.
+* :func:`schedule` orders the gates.  The strategy states its key once
+  per graph as a rank vector and a releasing weight over the graph's
+  :class:`~repro.mig.views.FanoutView`; the scheduler prices each
+  computable gate inline as one packed integer, counting its released
+  children from flat child arrays over reference counts it decrements
+  itself, and keeps those integers in a heap, revalidating dynamic keys
+  lazily on pop.  Topological order needs no heap: it is the live-gate
+  list.  A schedule never depends on the allocator, so it is a pure
+  function of (graph, strategy): it is memoized on the fanout view, and
+  every allocation policy, write cap and machine compiled from one
+  graph with one strategy shares it.
 * :meth:`_Compilation.run` translates the gates in that order in one
   loop that classifies each gate's fanins, emits its repairs and its RM3
   inline, and frees devices at their last use.  The allocator surface it
@@ -90,8 +91,8 @@ in the DAC'16 enumeration order.
 
 from __future__ import annotations
 
-import heapq
-from functools import lru_cache, partial
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import List, Optional, Tuple
 
@@ -172,106 +173,108 @@ def _role_table(cost) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...
     return tuple(table)
 
 
-def _topological_key(node: int) -> Tuple[int, ...]:
-    """Selection key of plain topological order (no strategy)."""
-    return (node,)
-
-
 def schedule(mig: Mig, selection=None) -> Tuple[int, ...]:
     """The order in which the compiler translates *mig*'s live gates.
 
     *selection* is a strategy object (see :mod:`repro.core.selection`)
-    or ``None`` for plain topological order; its keys read the fanout
-    level index of :meth:`repro.mig.views.FanoutView.fanout_level_index`
-    (the level of a node's last consumer).  The order is memoized on the
-    graph's fanout view, keyed by the strategy object itself, so it is
-    rebuilt after any mutation of the graph.  A run cut short by the
-    stage deadline stores nothing.
+    or ``None`` for plain topological order.  The order is memoized on
+    the graph's :class:`~repro.mig.views.FanoutView`, keyed by the
+    strategy object itself, so it is rebuilt after any mutation of the
+    graph.  A run cut short by the stage deadline stores nothing.
     """
     view = mig.fanout_view()
     order = view.schedules.get(selection)
     if order is None:
-        order = _Scheduler(mig, view).run(selection)
+        order = _schedule(mig, view, selection)
         view.schedules[selection] = order
     return order
 
 
-class _Scheduler:
-    """One selection run; also the ``state`` view for selection keys."""
+def _schedule(mig: Mig, view, selection) -> Tuple[int, ...]:
+    """One selection run: a heap of packed integer keys.
 
-    def __init__(self, mig: Mig, view) -> None:
-        self.mig = mig
-        self.view = view
-        self.refs: List[int] = list(view.ref_counts)
-        self.fanout_level_index: List[int] = view.fanout_level_indices()
-        # Per-gate fanin node-id triples, for the hot selection keys.
-        self._fanin_nodes: List[Optional[Tuple[int, int, int]]] = [
-            None
-        ] * mig.num_nodes
-        for node, na, _, nb, _, nc, _ in mig.flat_gates():
-            self._fanin_nodes[node] = (na, nb, nc)
-
-    def releasing_count(self, node: int) -> int:
-        """Devices freed by computing *node*: children at their last use."""
-        refs = self.refs
-        fanins = self._fanin_nodes[node]
-        if fanins is None:
-            # Not a live gate: dead gates still answer (the flat records
-            # only cover live ones); non-gates raise as they always did.
-            fanins = tuple(s >> 1 for s in self.mig.fanins(node))
-        count = 0
-        for child in fanins:
-            if child != 0 and refs[child] == 1:
-                count += 1
-        return count
-
-    def run(self, selection) -> Tuple[int, ...]:
-        if selection is None:
-            key = _topological_key
-        else:
-            key = partial(selection.key, self)
-        # Live gates are exactly the nodes with a fanin record, and every
-        # fanin of a live gate is live.
-        fanin_nodes = self._fanin_nodes
-        pending = [0] * self.mig.num_nodes
-        heap: List[Tuple[Tuple[int, ...], int]] = []
-        gates = self.mig.live_gates()
-        for node in gates:
-            count = 0
-            for child in fanin_nodes[node]:
-                if fanin_nodes[child] is not None:
-                    count += 1
+    Node ``v`` with rank ``r`` and releasing count ``k`` under weight
+    ``w`` is keyed ``(r - w * k) * n + v`` for ``n`` nodes, which orders
+    like the pair ``(r - w * k, v)``; the node is ``key % n``.
+    """
+    rank, weight = (None, 0) if selection is None else selection.ranks(view)
+    gates = mig._live_gates()
+    if rank is None:
+        # Every gate's children have smaller ids, so the smallest
+        # unscheduled live gate is always computable.
+        return tuple(gates)
+    fanins = mig._fanins
+    n = len(fanins)
+    # Flat child arrays; refs[0] starts at 0 and only falls, so the
+    # constant never counts as released.
+    child_a = [0] * n
+    child_b = [0] * n
+    child_c = [0] * n
+    refs = list(view.ref_counts)
+    refs[0] = 0
+    pending = [0] * n
+    heap: List[int] = []
+    for node in gates:
+        a, b, c = fanins[node]
+        a >>= 1
+        b >>= 1
+        c >>= 1
+        child_a[node] = a
+        child_b[node] = b
+        child_c[node] = c
+        # Live gates are exactly the nodes with fanins, and every fanin
+        # of a live gate is live.
+        count = (
+            (fanins[a] is not None)
+            + (fanins[b] is not None)
+            + (fanins[c] is not None)
+        )
+        if count:
             pending[node] = count
-            if count == 0:
-                heapq.heappush(heap, (key(node), node))
-
-        parents = self.view.fanouts  # immutable Tuple[Tuple[int, ...], ...]
-        refs = self.refs
-        dynamic = selection is not None and selection.dynamic
-        order: List[int] = []
-        while heap:
-            queued, node = heapq.heappop(heap)
-            if dynamic:
-                fresh = key(node)
-                if fresh != queued:
-                    heapq.heappush(heap, (fresh, node))
-                    continue
-            if not len(order) % CHECKPOINT_GATES:
-                checkpoint()
-            order.append(node)
-            for child in fanin_nodes[node]:
-                if child:
-                    refs[child] -= 1
-            for parent in parents[node]:
-                pending[parent] -= 1
-                if pending[parent] == 0:
-                    heapq.heappush(heap, (key(parent), parent))
-        if len(order) != len(gates):
-            raise RuntimeError(
-                f"scheduled {len(order)} of {len(gates)} gates — "
-                "candidate bookkeeping is inconsistent"
+        else:
+            heap.append(
+                (rank[node] - weight * (
+                    (refs[a] == 1) + (refs[b] == 1) + (refs[c] == 1)
+                )) * n + node
             )
-        return tuple(order)
+    heapify(heap)  # keys are distinct: pops follow key order only
+
+    fanouts = view.fanouts
+    order: List[int] = []
+    while heap:
+        key = heappop(heap)
+        node = key % n
+        a = child_a[node]
+        b = child_b[node]
+        c = child_c[node]
+        if weight:
+            fresh = (rank[node] - weight * (
+                (refs[a] == 1) + (refs[b] == 1) + (refs[c] == 1)
+            )) * n + node
+            if fresh != key:
+                heappush(heap, fresh)
+                continue
+        if not len(order) % CHECKPOINT_GATES:
+            checkpoint()
+        order.append(node)
+        refs[a] -= 1
+        refs[b] -= 1
+        refs[c] -= 1
+        for parent in fanouts[node]:
+            count = pending[parent] - 1
+            pending[parent] = count
+            if not count:
+                heappush(heap, (rank[parent] - weight * (
+                    (refs[child_a[parent]] == 1)
+                    + (refs[child_b[parent]] == 1)
+                    + (refs[child_c[parent]] == 1)
+                )) * n + parent)
+    if len(order) != len(gates):
+        raise RuntimeError(
+            f"scheduled {len(order)} of {len(gates)} gates — "
+            "candidate bookkeeping is inconsistent"
+        )
+    return tuple(order)
 
 
 class PlimCompiler:
@@ -280,8 +283,8 @@ class PlimCompiler:
     Parameters
     ----------
     selection:
-        A strategy object with ``key(state, node)`` and ``dynamic``
-        attributes (see :mod:`repro.core.selection`); ``None`` selects
+        A strategy object stating its key terms through ``ranks(view)``
+        (see :mod:`repro.core.selection`); ``None`` selects
         plain topological order (the naive baseline).
     allocation:
         ``"naive"`` (LIFO free list) or ``"min_write"`` (the paper's

@@ -57,15 +57,6 @@ def operand_const_value(op: int) -> int:
     raise ValueError(f"operand {op} is not a constant")
 
 
-def format_operand(op: int) -> str:
-    """Human-readable operand for disassembly."""
-    if op == OP_CONST0:
-        return "0"
-    if op == OP_CONST1:
-        return "1"
-    return f"@{op}"
-
-
 #: One RM3 instruction: ``(P, Q, Z)`` with Z always a cell address.
 Rm3 = Tuple[int, int, int]
 

@@ -42,7 +42,7 @@ from ..mig.io import MigParseError, loads_aiger, loads_blif, loads_mig
 from ..opt import OptimizerSpec, resolve_optimizer
 from ..source import MigSource, Source, resolve_source
 from ..synth.frontend import FrontendFunction, mig_function
-from ..analysis.runner import VERIFY_PATTERNS, experiment_key
+from ..analysis.runner import TABLE1_PRESETS, VERIFY_PATTERNS, experiment_key
 
 #: Inline netlist formats accepted by ``POST /jobs`` (text flavours
 #: only — binary ``.aig`` payloads travel as files, not JSON strings).
@@ -214,8 +214,14 @@ def _parse_source(
     return source, {"frontend": source.name}
 
 
-def _parse_config(payload: Dict[str, object]) -> EnduranceConfig:
-    name = payload.get("config", "ea-full")
+def _parse_config(
+    payload: Dict[str, object], arch: Architecture
+) -> EnduranceConfig:
+    name = payload["config"] if "config" in payload else next(
+        # The last Table I column the machine can run.
+        name for name in reversed(TABLE1_PRESETS)
+        if arch.supports_config(PRESETS[name])
+    )
     wmax = payload.get("wmax")
     if wmax is not None:
         _require(
@@ -258,7 +264,9 @@ def parse_job(
     *session* supplies the defaults a request may omit: its width
     preset, architecture, and optimizer — so a bare
     ``{"source": "adder"}`` compiles exactly like the CLI would with
-    the server's flags.  A configuration the machine refuses (e.g.
+    the server's flags.  The configuration defaults to the last Table I
+    column the job's machine can run: ``ea-full``, or ``dac16`` on the
+    ``dac16`` machine.  A configuration the machine refuses (e.g.
     ``min_write`` allocation on ``dac16``, which has no wear counters)
     is a :class:`SchemaError`: nothing is queued.
     """
@@ -274,8 +282,6 @@ def parse_job(
         f"'preset' must be one of: {', '.join(PRESET_CHOICES)}",
     )
 
-    config = _parse_config(payload)
-
     arch_name = payload.get("arch")
     if arch_name is None:
         arch = session.architecture
@@ -289,6 +295,7 @@ def parse_job(
                 f"{', '.join(available_architectures())}"
             ) from None
 
+    config = _parse_config(payload, arch)
     try:
         arch.validate_config(config)
     except ArchitectureError as error:

@@ -23,9 +23,11 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.tables import TABLE1_CONFIGS, TABLE3_CAPS
 from repro.arch import get_architecture
 from repro.core.manager import PRESETS, compile_pipeline, full_management
-from repro.core.selection import SelectionStrategy, make_selection
+from repro.core.selection import SELECTIONS, SelectionStrategy, make_selection
 from repro.mig.graph import Mig
-from repro.mig.signal import CONST0, CONST1, complement, is_complemented, node_of
+from repro.mig.signal import (
+    CONST0, CONST1, complement, is_complemented, make_signal, node_of,
+)
 from repro.opt import rewrite
 from repro.plim.compiler import (
     CHECKPOINT_GATES,
@@ -259,8 +261,10 @@ class TestEndToEnd:
 # -- translation parity ----------------------------------------------------
 #
 # A test-local copy of the original compiler: one loop that interleaves
-# node selection with node translation, so the selection keys read the
-# reference counts its own translator decrements, and a translator that
+# node selection with node translation, so the selection keys — tuples
+# of its own, per strategy name, over its own fanout level indices —
+# read the reference counts its own translator decrements, and a
+# translator that
 # classifies each fanin into a ``_Fanin`` object and prices every
 # (Q, Z, P) role assignment through per-role method calls, emitting
 # through its own per-instruction helpers.  It shares neither the
@@ -282,18 +286,69 @@ _Z_DIRECT, _Z_CONST, _Z_COPY = 0, 1, 2
 _P_FREE, _P_INVERT = 0, 1
 
 
+def _consumers(mig: Mig) -> List[List[int]]:
+    """The live gates reading each node, once per reference."""
+    consumers = [[] for _ in range(mig.num_nodes)]
+    for gate in mig.live_gates():
+        for signal in mig.fanins(gate):
+            consumers[node_of(signal)].append(gate)
+    return consumers
+
+
+def _reference_level_index(mig: Mig) -> List[int]:
+    """The fanout level index by its definition: the level of a node's
+    last live consumer, output drivers pinned at ``depth + 1``, and 0
+    for a node no live gate reads."""
+    levels = mig.levels()
+    po_nodes = {node_of(s) for s in mig.pos()}
+    depth = max((levels[node] for node in po_nodes), default=0)
+    return [
+        depth + 1 if node in po_nodes
+        else max((levels[gate] for gate in consumers), default=0)
+        for node, consumers in enumerate(_consumers(mig))
+    ]
+
+
+#: The reference's tuple key and dynamic flag per strategy name; the
+#: test-only strategies of this module name their own entries.
+_REFERENCE_KEYS = {
+    "topo": (lambda ref, node: (node,), False),
+    "dac16": (
+        lambda ref, node: (
+            -ref.releasing(node), ref.level_index[node], node
+        ),
+        True,
+    ),
+    "endurance": (
+        lambda ref, node: (
+            ref.level_index[node], -ref.releasing(node), node
+        ),
+        True,
+    ),
+    "releasing-only": (
+        lambda ref, node: (-ref.releasing(node), node), True
+    ),
+    "level-only": (lambda ref, node: (ref.level_index[node], node), False),
+    "first-use": (
+        lambda ref, node: (
+            ref.selection.first_use[node], -ref.releasing(node), node
+        ),
+        True,
+    ),
+}
+
+
 class _ReferenceCompilation(_Compilation):
     def __init__(self, mig, selection, allocator, allow_pi_overwrite, cost):
         super().__init__(mig, selection, allocator, allow_pi_overwrite, cost)
         self.cost = cost
         self.pi_nodes = set(mig.pis())
-        self.view = mig.fanout_view()
-        self.fanout_level_index = [
-            self.view.fanout_level_index(node)
-            for node in range(mig.num_nodes)
-        ]
+        self.refs = mig.fanout_counts()
+        self.level_index = _reference_level_index(mig)
+        #: The gates in the order this reference translated them.
+        self.order: List[int] = []
 
-    def releasing_count(self, node: int) -> int:
+    def releasing(self, node: int) -> int:
         return sum(
             1
             for signal in self.mig.fanins(node)
@@ -308,14 +363,14 @@ class _ReferenceCompilation(_Compilation):
             self.cell_of[node] = cell
             pi_cells.append(cell)
 
-        selection = self.selection
-        if selection is None:
-            def key(node):
-                return (node,)
-        else:
-            def key(node):
-                return selection.key(self, node)
+        name = "topo" if self.selection is None else self.selection.name
+        ranked, dynamic = _REFERENCE_KEYS[name]
+
+        def key(node):
+            return ranked(self, node)
+
         gates = mig.live_gates()
+        parents = _consumers(mig)
         pending = [0] * mig.num_nodes
         heap = []
         for node in gates:
@@ -325,7 +380,6 @@ class _ReferenceCompilation(_Compilation):
             if pending[node] == 0:
                 heapq.heappush(heap, (key(node), node))
         computed = [False] * mig.num_nodes
-        dynamic = selection is not None and selection.dynamic
         while heap:
             queued, node = heapq.heappop(heap)
             if computed[node]:
@@ -337,7 +391,8 @@ class _ReferenceCompilation(_Compilation):
                     continue
             self._translate(node)
             computed[node] = True
-            for parent in self.view.fanouts[node]:
+            self.order.append(node)
+            for parent in parents[node]:
                 pending[parent] -= 1
                 if pending[parent] == 0:
                     heapq.heappush(heap, (key(parent), parent))
@@ -571,18 +626,20 @@ class _FirstUse(SelectionStrategy):
     index (the level of a node's *first* consumer, PO drivers pinned at
     ``depth + 1``): a schedule none of the registry strategies makes."""
 
-    dynamic = True
+    name = "first-use"
 
     def __init__(self, mig: Mig) -> None:
-        view = mig.fanout_view()
+        levels = mig.levels()
+        po_nodes = {node_of(s) for s in mig.pos()}
+        depth = max((levels[node] for node in po_nodes), default=0)
         self.first_use = [
-            view.depth + 1 if view.po_refs[node]
-            else min((view.levels[f] for f in view.fanouts[node]), default=0)
-            for node in range(mig.num_nodes)
+            depth + 1 if node in po_nodes
+            else min((levels[gate] for gate in consumers), default=0)
+            for node, consumers in enumerate(_consumers(mig))
         ]
 
-    def key(self, state, node):
-        return (self.first_use[node], -state.releasing_count(node), node)
+    def ranks(self, view):
+        return [4 * first for first in self.first_use], 1
 
 
 class TestTranslateParity:
@@ -644,6 +701,68 @@ class TestTranslateParity:
             ),
         ):
             assert_translate_parity(mig, arch_name, **options)
+
+
+def reference_schedule(mig: Mig, selection) -> tuple:
+    """The order the reference compilation translates *mig*'s gates in."""
+    arch = get_architecture("endurance")
+    compiler = PlimCompiler(selection=selection, arch=arch)
+    run = _compilation(_ReferenceCompilation, mig, compiler, arch)
+    run.run()
+    return tuple(run.order)
+
+
+class TestScheduleOracle:
+    """The packed-key scheduler against the reference's tuple keys."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_registry_benchmarks_both_scripts(self, name):
+        for config in (PRESETS["dac16"], PRESETS["ea-full"]):
+            mig = _rewritten(name, config.rewriting, config.effort)
+            for strategy in SELECTIONS:
+                selection = make_selection(strategy)
+                assert schedule(mig, selection) == reference_schedule(
+                    mig, selection
+                ), (name, config.rewriting, strategy)
+            assert schedule(mig) == tuple(mig.live_gates())
+
+    def test_components_do_not_bleed_at_their_bounds(self):
+        """Two first candidates: ``x`` releases all three children (the
+        maximum) at level index 3, ``y`` releases none at 2.  Algorithm 3
+        takes ``y`` first, DAC'16 ``x``; a rank scale of 3 instead of 4
+        would tie Algorithm 3's keys and take the smaller id, ``x``."""
+        mig = Mig()
+        p = [mig.add_pi() for _ in range(6)]
+        x = mig.add_maj(p[0], p[1], p[2])
+        y = mig.add_maj(p[3], p[4], p[5])
+        z1 = mig.add_maj(y, complement(p[3]), p[4])
+        mig.add_po(mig.add_maj(x, z1, p[5]))
+        x, y = node_of(x), node_of(y)
+        for strategy, first in (("endurance", y), ("dac16", x)):
+            selection = make_selection(strategy)
+            order = schedule(mig, selection)
+            assert order == reference_schedule(mig, selection)
+            assert order[0] == first, strategy
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        gates=st.integers(min_value=1, max_value=60),
+        use_strash=st.booleans(),
+    )
+    def test_random_graphs_with_dead_gates(self, seed, gates, use_strash):
+        mig = make_random_mig(
+            4, gates, seed=seed, complement_prob=0.4, use_strash=use_strash
+        )
+        spare = mig.add_pi("spare")
+        mig.add_maj(spare, complement(make_signal(mig.pis()[0])), 1)  # dead
+        mig.add_po(complement(mig.pos()[0]), "again")
+        assert mig.num_live_gates() < mig.num_gates
+        for strategy in SELECTIONS:
+            selection = make_selection(strategy)
+            assert schedule(mig, selection) == reference_schedule(
+                mig, selection
+            ), strategy
 
 
 #: SHA-256 over every default-preset program of the paper suite (the 18
@@ -793,25 +912,21 @@ class _Signed(SelectionStrategy):
     def __init__(self, sign: int) -> None:
         self.sign = sign
 
-    def key(self, state, node):
-        return (self.sign * node,)
+    def ranks(self, view):
+        return [self.sign * node for node in range(len(view.levels))], 0
 
 
 class _ExpiringSelection(SelectionStrategy):
-    """Releasing-count order that sleeps past its budget on one key."""
+    """Releasing-count order that sleeps while it first builds its
+    ranks, inside the schedule's deadline."""
 
-    dynamic = True
-
-    def __init__(self, sleep_at: int, seconds: float) -> None:
-        self.calls = 0
-        self.sleep_at = sleep_at
+    def __init__(self, seconds: float) -> None:
         self.seconds = seconds
 
-    def key(self, state, node):
-        self.calls += 1
-        if self.calls == self.sleep_at:
-            time.sleep(self.seconds)
-        return (-state.releasing_count(node), node)
+    def ranks(self, view):
+        time.sleep(self.seconds)
+        self.seconds = 0
+        return [0] * len(view.levels), 1
 
 
 class TestScheduleMemo:
@@ -868,7 +983,7 @@ class TestScheduleMemo:
     def test_timeout_while_scheduling_stores_nothing(self):
         mig = _fresh(build_benchmark("log2", "tiny"))
         assert mig.num_live_gates() > 2 * CHECKPOINT_GATES
-        selection = _ExpiringSelection(sleep_at=10, seconds=0.1)
+        selection = _ExpiringSelection(seconds=0.1)
         with pytest.raises(StageTimeoutError):
             with time_limit(0.05, stage="compile"):
                 compile_mig(mig, selection=selection)

@@ -42,19 +42,23 @@ class TestSelections:
             make_selection("alphabetical")
 
     def test_key_orderings(self):
-        class FakeState:
+        class FakeView:
             fanout_level_index = [0, 5, 2]
+            depth = 5
+            levels = [0, 1, 1]
 
-            def releasing_count(self, node):
-                return {1: 3, 2: 1}.get(node, 0)
+        releasing = {1: 3, 2: 1}
 
-        state = FakeState()
+        def key(selection, node):
+            rank, weight = selection.ranks(FakeView)
+            return (rank[node] - weight * releasing[node], node)
+
         dac16 = make_selection("dac16")
         ea = make_selection("endurance")
         # dac16 prefers max releasing (node 1)
-        assert dac16.key(state, 1) < dac16.key(state, 2)
+        assert key(dac16, 1) < key(dac16, 2)
         # endurance prefers min fanout level (node 2)
-        assert ea.key(state, 2) < ea.key(state, 1)
+        assert key(ea, 2) < key(ea, 1)
 
 
 class TestPresets:

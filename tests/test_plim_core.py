@@ -22,7 +22,6 @@ from repro.plim.isa import (
     OP_CONST1,
     Program,
     const_operand,
-    format_operand,
     operand_const_value,
     operand_is_const,
 )
@@ -44,11 +43,6 @@ class TestOperands:
         assert operand_const_value(OP_CONST1) == 1
         with pytest.raises(ValueError):
             operand_const_value(3)
-
-    def test_format(self):
-        assert format_operand(OP_CONST0) == "0"
-        assert format_operand(OP_CONST1) == "1"
-        assert format_operand(7) == "@7"
 
 
 class TestProgram:

@@ -207,6 +207,23 @@ class TestParseJob:
         assert self.parse({"source": "adder", "config": "naive",
                            "arch": "dac16"}).arch.name == "dac16"
 
+    def test_default_config_follows_the_machine(self):
+        """A request without ``config`` gets the last Table I column its
+        machine runs; an explicit refused one stays a 400."""
+        dac16 = tiny_session(arch="dac16")
+        spec = parse_job({"source": "adder"}, dac16)
+        assert (spec.arch.name, spec.config.name) == ("dac16", "dac16")
+        for payload in ({"source": "adder", "config": "ea-full"},
+                        {"source": "adder", "wmax": 10}):
+            with pytest.raises(SchemaError, match="no per-cell wear"):
+                parse_job(payload, dac16)
+        assert self.parse(
+            {"source": "adder", "arch": "dac16"}
+        ).config.name == "dac16"
+        assert self.parse(
+            {"source": "adder", "arch": "blocked"}
+        ).config.name == "ea-full"
+
     def test_unknown_arch_and_opt(self):
         with pytest.raises(SchemaError, match="unknown architecture"):
             self.parse({"source": "adder", "arch": "quantum"})

@@ -36,7 +36,7 @@ class TestFanoutView:
     def test_fanout_lists(self):
         mig, sigs = build_fig2_like()
         view = FanoutView(mig)
-        assert view.fanouts[node_of(sigs["b"])] == (node_of(sigs["d"]),)
+        assert view.fanouts[node_of(sigs["b"])] == [node_of(sigs["d"])]
         assert sorted(view.fanouts[node_of(sigs["c"])]) == sorted(
             [node_of(sigs["d"]), node_of(sigs["e"])]
         )
@@ -45,14 +45,14 @@ class TestFanoutView:
         mig, sigs = build_fig2_like()
         view = FanoutView(mig)
         # A is consumed by G at level 4: long storage duration.
-        a_idx = view.fanout_level_index(node_of(sigs["a"]))
-        b_idx = view.fanout_level_index(node_of(sigs["b"]))
+        a_idx = view.fanout_level_index[node_of(sigs["a"])]
+        b_idx = view.fanout_level_index[node_of(sigs["b"])]
         assert a_idx > b_idx
 
     def test_po_nodes_pinned_to_end(self):
         mig, sigs = build_fig2_like()
         view = FanoutView(mig)
-        g_idx = view.fanout_level_index(node_of(sigs["g"]))
+        g_idx = view.fanout_level_index[node_of(sigs["g"])]
         assert g_idx == view.depth + 1
 
     def test_dead_gate_excluded(self):
@@ -67,27 +67,37 @@ class TestFanoutView:
         assert view.ref_counts[node_of(a)] == 1
 
 
-def assert_level_indices_match(mig):
-    """The one-sweep vector equals the per-node definition, and pins
-    PO drivers at ``depth + 1`` and fanout-free nodes at 0."""
+def assert_view_matches_definitions(mig):
+    """The one-sweep view equals the per-node definitions: live consumers
+    once per reference, references from live gates and outputs, and the
+    level of the last live consumer with output drivers pinned at
+    ``depth + 1``."""
     view = FanoutView(mig)
-    po_nodes = {node_of(s) for s in mig.pos()}
-    indices = view.fanout_level_indices()
-    assert indices == [
-        view.fanout_level_index(node) for node in range(mig.num_nodes)
-    ]
+    levels = mig.levels()
+    live = mig.live_gates()
+    outputs = [node_of(s) for s in mig.pos()]
+    depth = max((levels[node] for node in outputs), default=0)
+    assert view.depth == depth
     for node in range(mig.num_nodes):
-        if node in po_nodes:
-            assert indices[node] == view.depth + 1
-        elif not view.fanouts[node]:
-            assert indices[node] == 0
-    return view, po_nodes
+        readers = [
+            gate for gate in live
+            for signal in mig.fanins(gate) if node_of(signal) == node
+        ]
+        assert view.fanouts[node] == readers
+        assert view.ref_counts[node] == len(readers) + outputs.count(node)
+        if node in outputs:
+            assert view.fanout_level_index[node] == depth + 1
+        else:
+            assert view.fanout_level_index[node] == max(
+                (levels[gate] for gate in readers), default=0
+            )
+    return view
 
 
 class TestFanoutLevelIndices:
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_registry_benchmarks(self, name):
-        assert_level_indices_match(build_benchmark(name, "tiny"))
+        assert_view_matches_definitions(build_benchmark(name, "tiny"))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -102,14 +112,19 @@ class TestFanoutLevelIndices:
         )
         spare = mig.add_pi("spare")
         dead = mig.add_maj(spare, make_signal(mig.pis()[0]), 1)
+        # The first output again, plain and complemented.
+        mig.add_po(mig.pos()[0], "again")
+        mig.add_po(complement(mig.pos()[0]), "again_n")
         if po_on_inputs:
             # A PO driven by an input that also feeds gates, and one
             # driven by the constant node.
             mig.add_po(complement(make_signal(mig.pis()[0])), "pi0")
             mig.add_po(1, "one")
-        view, _ = assert_level_indices_match(mig)
+        view = assert_view_matches_definitions(mig)
         assert not view.fanouts[node_of(spare)]
         assert not view.fanouts[node_of(dead)]
+        assert view.ref_counts[node_of(spare)] == 0
+        assert view.fanout_level_index[node_of(spare)] == 0
 
 
 class TestGraphLifetime:
