@@ -36,6 +36,16 @@ from .kernel import get_kernel
 MAX_EXHAUSTIVE_PIS = 20
 
 
+def check_exhaustive_limit(limit: int) -> None:
+    """Refuse an exhaustive cutoff above :data:`MAX_EXHAUSTIVE_PIS`."""
+    if limit > MAX_EXHAUSTIVE_PIS:
+        raise ValueError(
+            f"exhaustive_limit {limit} exceeds MAX_EXHAUSTIVE_PIS "
+            f"({MAX_EXHAUSTIVE_PIS}); exhaustive simulation past 2^"
+            f"{MAX_EXHAUSTIVE_PIS} patterns is not supported"
+        )
+
+
 def input_word(var: int, num_patterns: int, base: int = 0) -> int:
     """Bit-parallel stimulus for variable *var* over a pattern window.
 
@@ -253,12 +263,7 @@ def equivalent(
         return False
     explicit = exhaustive_limit is not None
     limit = exhaustive_limit if explicit else MAX_EXHAUSTIVE_PIS
-    if limit > MAX_EXHAUSTIVE_PIS:
-        raise ValueError(
-            f"exhaustive_limit {limit} exceeds MAX_EXHAUSTIVE_PIS "
-            f"({MAX_EXHAUSTIVE_PIS}); exhaustive simulation past 2^"
-            f"{MAX_EXHAUSTIVE_PIS} patterns is not supported"
-        )
+    check_exhaustive_limit(limit)
     kernel = get_kernel()
     if a.num_pis <= limit:
         # Both graphs must be swept with identical chunking or the

@@ -22,12 +22,13 @@ gate in that order.
   :class:`~repro.mig.views.FanoutView`; the scheduler prices each
   computable gate inline as one packed integer, counting its released
   children from flat child arrays over reference counts it decrements
-  itself, and keeps those integers in a heap, revalidating dynamic keys
-  lazily on pop.  Topological order needs no heap: it is the live-gate
-  list.  A schedule never depends on the allocator, so it is a pure
-  function of (graph, strategy): it is memoized on the fanout view, and
-  every allocation policy, write cap and machine compiled from one
-  graph with one strategy shares it.
+  itself, and keeps those integers in a heap.  A key is priced once,
+  when its gate becomes computable, and is never re-priced on pop (see
+  :func:`_schedule` for why).  Topological order needs no heap: it is
+  the live-gate list.  A schedule never depends on the allocator, so it
+  is a pure function of (graph, strategy): it is memoized on the fanout
+  view, and every allocation policy, write cap and machine compiled
+  from one graph with one strategy shares it.
 * :meth:`_Compilation.run` translates the gates in that order in one
   loop that classifies each gate's fanins, emits its repairs and its RM3
   inline, and frees devices at their last use.  The allocator surface it
@@ -196,8 +197,18 @@ def _schedule(mig: Mig, view, selection) -> Tuple[int, ...]:
     Node ``v`` with rank ``r`` and releasing count ``k`` under weight
     ``w`` is keyed ``(r - w * k) * n + v`` for ``n`` nodes, which orders
     like the pair ``(r - w * k, v)``; the node is ``key % n``.
+
+    A key is priced once, when its node becomes computable, and never
+    revalidated.  While the node waits it holds a reference to each
+    child, so a child's count never falls below 1 and ``k`` can only
+    grow: with ``w >= 0`` a stale key is only ever too large.  Re-pricing
+    the popped node would give a key below every key left in the heap,
+    so it would be popped again at once; the order is the same.  A
+    negative weight would break that argument and raises ``ValueError``.
     """
     rank, weight = (None, 0) if selection is None else selection.ranks(view)
+    if weight < 0:
+        raise ValueError(f"releasing weight must be >= 0, got {weight}")
     gates = mig._live_gates()
     if rank is None:
         # Every gate's children have smaller ids, so the smallest
@@ -242,18 +253,10 @@ def _schedule(mig: Mig, view, selection) -> Tuple[int, ...]:
     fanouts = view.fanouts
     order: List[int] = []
     while heap:
-        key = heappop(heap)
-        node = key % n
+        node = heappop(heap) % n
         a = child_a[node]
         b = child_b[node]
         c = child_c[node]
-        if weight:
-            fresh = (rank[node] - weight * (
-                (refs[a] == 1) + (refs[b] == 1) + (refs[c] == 1)
-            )) * n + node
-            if fresh != key:
-                heappush(heap, fresh)
-                continue
         if not len(order) % CHECKPOINT_GATES:
             checkpoint()
         order.append(node)

@@ -13,6 +13,7 @@ import random
 
 from ..mig.graph import Mig
 from ..mig.simulate import (
+    check_exhaustive_limit,
     exhaustive_words,
     randomized_rounds,
     simulate,
@@ -43,8 +44,10 @@ def verify_program(
     (:func:`repro.mig.simulate.randomized_rounds`).  The MIG side runs
     through that kernel; the program side always executes on the
     behavioural array.  Returns ``True`` on success; raises
-    :class:`VerificationError` on mismatch.
+    :class:`VerificationError` on mismatch, and ``ValueError`` for an
+    *exhaustive_limit* above :data:`~repro.mig.simulate.MAX_EXHAUSTIVE_PIS`.
     """
+    check_exhaustive_limit(exhaustive_limit)
     if len(program.pi_cells) != mig.num_pis:
         raise ValueError("program/MIG input arity mismatch")
     if len(program.po_cells) != mig.num_pos:

@@ -29,8 +29,8 @@ Grammar
 ``kernel_fail``           numpy-kernel dispatch: raise inside ``simulate`` —
                           must demote the rest of the job to the bigint
                           reference engine (one fire per job: a demoted
-                          job skips the hook, so ``count=2`` demotes a
-                          second job)
+                          job and a simulation memo hit skip the hook,
+                          so ``count=2`` demotes a second job)
 ========================  =====================================================
 
 Keys: ``job=NAME`` restricts a directive to one benchmark/source;

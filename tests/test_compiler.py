@@ -764,6 +764,21 @@ class TestScheduleOracle:
                 mig, selection
             ), strategy
 
+    def test_negative_weight_is_refused(self):
+        """Keys are never re-priced on pop, which is exact only while a
+        stale key can be too large and never too small: a negative
+        releasing weight is refused, and nothing is memoized."""
+
+        class _Negative(SelectionStrategy):
+            def ranks(self, view):
+                return [0] * len(view.levels), -1
+
+        mig = build_benchmark("adder", "tiny")
+        selection = _Negative()
+        with pytest.raises(ValueError, match="releasing weight"):
+            schedule(mig, selection)
+        assert selection not in mig.fanout_view().schedules
+
 
 #: SHA-256 over every default-preset program of the paper suite (the 18
 #: registry benchmarks under Table I's five and Table III's four

@@ -391,6 +391,127 @@ class TestDegradationChain:
         assert calls["n"] == 2  # fresh scope retries the full engine
 
 
+def _count_engine_runs(monkeypatch):
+    """Count every run of each engine; returns the live tally."""
+    runs = {"bigint": 0, "numpy": 0}
+    bigint = kernel._bigint_simulate
+
+    def counted_bigint(*args):
+        runs["bigint"] += 1
+        return bigint(*args)
+
+    monkeypatch.setattr(kernel, "_bigint_simulate", counted_bigint)
+    if kernel.numpy_available():
+        numpy = kernel._NUMPY._numpy_simulate
+
+        def counted_numpy(*args):
+            runs["numpy"] += 1
+            return numpy(*args)
+
+        monkeypatch.setattr(kernel._NUMPY, "_numpy_simulate", counted_numpy)
+    return runs
+
+
+class TestSimulationMemo:
+    """Each kernel remembers a graph's last simulation per engine."""
+
+    #: Wide enough for the numpy engine proper (not its bigint path).
+    WIDTH = 128
+
+    def _stimulus(self, mig, seed=7):
+        rng = random.Random(seed)
+        words = [rng.getrandbits(self.WIDTH) for _ in range(mig.num_pis)]
+        return words, (1 << self.WIDTH) - 1
+
+    @pytest.mark.parametrize("name", ["adder", "ctrl"])
+    def test_verified_row_runs_the_engine_once(self, engine, monkeypatch, name):
+        """A row's five Table I columns and four Table III caps make nine
+        requests on one source graph; the engine runs once."""
+        from repro.analysis.tables import TABLE1_PRESETS, TABLE3_CAPS
+        from repro.flow import Session
+
+        runs = _count_engine_runs(monkeypatch)
+        requested = []
+        simulate_ = type(engine).simulate
+
+        def counted(self, mig, *args):
+            requested.append(mig)
+            return simulate_(self, mig, *args)
+
+        monkeypatch.setattr(type(engine), "simulate", counted)
+        session = Session(preset="tiny")
+        (row,) = session.evaluate_suite(
+            [name], configs=list(TABLE1_PRESETS), caps=list(TABLE3_CAPS),
+            verify=True,
+        )
+        assert len(row.results) == 9
+        source = session.cache.benchmark_mig(name, "tiny")
+        assert len(requested) == 9
+        assert all(mig is source for mig in requested)
+        # ctrl's 7 inputs are checked on all 128 patterns: wide enough
+        # for the numpy engine; adder's 64 random patterns are not.
+        ran = "numpy" if engine.name == "numpy" and name == "ctrl" else "bigint"
+        assert runs == {"bigint": 0, "numpy": 0, ran: 1}
+
+    def test_mutation_simulates_again(self, engine, monkeypatch):
+        runs = _count_engine_runs(monkeypatch)
+        mig = make_random_mig(6, 40, seed=5)
+        words, mask = self._stimulus(mig)
+        before = simulate(mig, words, mask)
+        assert simulate(mig, words, mask) == before
+        assert sum(runs.values()) == 1
+        a, b, c = (2 * node for node in mig.pis()[:3])
+        gate = mig.add_maj(a, b, complement(c))
+        assert simulate(mig, words, mask) == before
+        assert sum(runs.values()) == 2
+        mig.add_po(gate, "new")
+        after = simulate(mig, words, mask)
+        assert sum(runs.values()) == 3
+        wa, wb, wc = words[:3]
+        assert after == before + [(wa & wb) | ((wa | wb) & ~wc & mask)]
+
+    def test_hit_returns_a_copy(self, engine):
+        mig = make_random_mig(6, 40, seed=6)
+        words, mask = self._stimulus(mig)
+        outputs = simulate(mig, words, mask)
+        expected = list(outputs)
+        outputs[0] ^= 1
+        assert simulate(mig, words, mask) == expected
+
+    def test_chunked_sweep_misses_every_chunk(self, monkeypatch):
+        runs = _count_engine_runs(monkeypatch)
+        mig = make_random_mig(8, 60, seed=8)
+        truth_tables(mig, chunk_bits=4, kernel=kernel._BIGINT)
+        truth_tables(mig, chunk_bits=4, kernel=kernel._BIGINT)
+        assert runs["bigint"] == 2 * (1 << 8) // (1 << 4)
+
+    @needs_numpy
+    def test_engine_is_part_of_the_key(self, monkeypatch):
+        runs = _count_engine_runs(monkeypatch)
+        mig = make_random_mig(6, 40, seed=9)
+        words, mask = self._stimulus(mig)
+        reference = simulate(mig, words, mask, kernel=kernel._BIGINT)
+        assert simulate(mig, words, mask, kernel=kernel._NUMPY) == reference
+        assert runs == {"bigint": 1, "numpy": 1}
+        simulate(mig, words, mask, kernel=kernel._BIGINT)
+        simulate(mig, words, mask, kernel=kernel._NUMPY)
+        assert runs == {"bigint": 1, "numpy": 1}
+
+    @needs_numpy
+    def test_fallback_is_not_remembered(self, monkeypatch):
+        mig = make_random_mig(6, 40, seed=10)
+        words, mask = self._stimulus(mig)
+        monkeypatch.setattr(
+            kernel._NUMPY, "_numpy_simulate",
+            lambda *a: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        fallback = kernel._NUMPY.simulate(mig, words, mask)
+        assert ("simulate", "numpy") not in mig._derived
+        monkeypatch.undo()
+        assert kernel._NUMPY.simulate(mig, words, mask) == fallback
+        assert ("simulate", "numpy") in mig._derived
+
+
 class TestRandomizedRounds:
     def test_bigint_defaults(self):
         k = kernel._BIGINT

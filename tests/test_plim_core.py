@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.scenarios import storage_pressure
 from repro.analysis.tables import TABLE1_CONFIGS
 from repro.core.manager import PRESETS, compile_pipeline
-from repro.mig.simulate import exhaustive_words, simulate
+from repro.mig.simulate import MAX_EXHAUSTIVE_PIS, exhaustive_words, simulate
 
 from repro.plim.controller import (
     CYCLES_PER_INSTRUCTION,
@@ -375,9 +375,31 @@ class TestVerifierRejects:
         mig = build_benchmark(name, "tiny")
         assert (mig.num_pis <= 10) == exhaustive  # the exhaustive limit
         program = compile_pipeline(mig, PRESETS["naive"]).program
+        mutated = _zero_a_po(mig, program)
         assert verify_program(program, mig, patterns=64)
+        # The good program filled the graph's simulation memo, and the
+        # mutated one is checked against those very outputs.
+        memo = {
+            key: entry for key, entry in mig._derived.items()
+            if isinstance(key, tuple) and key[0] == "simulate"
+        }
+        assert memo
         with pytest.raises(VerificationError):
-            verify_program(_zero_a_po(mig, program), mig, patterns=64)
+            verify_program(mutated, mig, patterns=64)
+        for key, entry in memo.items():
+            assert mig._derived[key] is entry
+
+    def test_exhaustive_limit_is_capped(self):
+        """Exhaustive co-simulation stops where ``equivalent`` does."""
+        mig = build_benchmark("dec", "tiny")
+        program = compile_pipeline(mig, PRESETS["naive"]).program
+        with pytest.raises(ValueError, match="MAX_EXHAUSTIVE_PIS"):
+            verify_program(
+                program, mig, exhaustive_limit=MAX_EXHAUSTIVE_PIS + 1
+            )
+        assert verify_program(
+            program, mig, exhaustive_limit=MAX_EXHAUSTIVE_PIS
+        )
 
     def test_verify_stage(self, monkeypatch):
         from repro.analysis import runner
