@@ -44,6 +44,19 @@ memo sits inside the registry entries, so :func:`apply_script`, the
 optimiser's candidates and anything that wraps a registry entry all see
 every call.
 
+A search round of :mod:`repro.opt` applies many candidates to one start
+graph, and several of them begin with the same pass (both script cycles
+start with ``M ; D_rl``, an atomic candidate repeats a cycle's first
+firing step, a look-ahead re-expands every no-op).  So while a graph
+carries a :data:`PASS_RESULTS` dict, each entry also stores a firing
+result there and answers the next call on that graph with the stored
+graph.  Only the search strategies add the dict
+(:func:`remember_pass_results`), to a round's private start graph, and
+remove it when the round ends, so it holds at most one result per pass
+for one graph; the scripts never add it.  It sits inside the entries
+for the same reason as the no-op memo: a hit is still a call of the
+entry, seen by every wrapper of it.
+
 The rewriting *scripts* of the reproduced paper (Algorithm 1, the PLiM
 compiler script of [Soeken et al., DAC'16], and Algorithm 2, the
 endurance-aware script) are sequences of these passes; they live in
@@ -52,9 +65,10 @@ endurance-aware script) are sequences of these passes; they live in
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..resilience.timeouts import checkpoint
 from . import algebra
@@ -606,22 +620,48 @@ def polarity_pass(
     return rebuild(mig, transform, scan)
 
 
-def _memoized(name: str, fn: Callable[[Mig], Mig]) -> Callable[[Mig], Mig]:
-    """*fn* answering at once for a graph it already returned unchanged.
+#: ``_derived`` key of a search round's result memo (see the module
+#: docstring): a dict from pass name to that pass's result on the graph.
+PASS_RESULTS = "pass_results"
 
-    The no-op is recorded in the graph's ``_derived`` memo, which every
-    mutation clears and pickling drops, so it never answers for a
+
+@contextlib.contextmanager
+def remember_pass_results(mig: Mig) -> Iterator[None]:
+    """Let *mig* remember each :data:`PASSES` entry's result on it
+    until the block ends (see the module docstring)."""
+    mig._derived[PASS_RESULTS] = {}
+    try:
+        yield
+    finally:
+        mig._derived.pop(PASS_RESULTS, None)
+
+
+def _memoized(name: str, fn: Callable[[Mig], Mig]) -> Callable[[Mig], Mig]:
+    """*fn* answering at once for a graph it already returned unchanged,
+    and, while the graph carries a :data:`PASS_RESULTS` dict, for a
+    graph it already rewrote.
+
+    Both memos live in the graph's ``_derived`` state, which every
+    mutation clears and pickling drops, so they never answer for a
     changed graph.
     """
     key = ("noop", name)
 
     @functools.wraps(fn)
     def run(mig: Mig) -> Mig:
-        if key in mig._derived:
+        derived = mig._derived
+        if key in derived:
             return mig
+        results = derived.get(PASS_RESULTS)
+        if results is not None:
+            result = results.get(name)
+            if result is not None:
+                return result
         result = fn(mig)
         if result is mig:
-            mig._derived[key] = True
+            derived[key] = True
+        elif results is not None:
+            results[name] = result
         return result
 
     return run

@@ -28,6 +28,9 @@ Three strategies ship built in:
     single-step greedy cannot (apply a pass that pays off only after a
     second pass).  The effort knob bounds the number of rounds.
 
+``greedy`` and ``budget`` share one round loop (:class:`SearchStrategy`)
+and differ only in how a round explores.
+
 Specs parse from compact strings (``"greedy"``,
 ``"greedy:node_count"``, ``"budget:write_cost@3"``); the same strings
 work for ``--opt``, ``$REPRO_OPT``, ``Session(opt=...)``,
@@ -46,6 +49,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .._env import env_value
 from ..arch import Architecture
 from ..mig.graph import Mig
+from ..mig.rewrite import remember_pass_results
 from .objectives import DEFAULT_OBJECTIVE, Objective, get_objective
 from .passes import atomic_passes, candidate_passes
 from .scripts import DEFAULT_EFFORT, rewrite
@@ -100,40 +104,74 @@ class ScriptStrategy(Strategy):
         return rewrite(mig, script, effort=effort)
 
 
-class GreedyStrategy(Strategy):
-    """Per-round best-of-candidate-passes under the objective.
+class SearchStrategy(Strategy):
+    """Hill climbing in rounds under the objective.
 
-    Ties break toward the earlier registered candidate, and a round
-    only commits on a *strict* score improvement, so runs are
-    deterministic and terminate (scores are non-negative integers).
+    Every round starts from the current graph, explores candidate
+    results with :meth:`explore`, and commits to the best one only on a
+    *strict* score improvement, so runs are deterministic and terminate
+    (scores are non-negative integers).  The effort knob bounds the
+    rounds.  Subclasses differ only in how a round explores.
+
+    While a round runs, its start graph remembers each built-in pass's
+    result (:func:`repro.mig.rewrite.remember_pass_results`), so a
+    candidate that re-applies a pass to the start graph (a script
+    cycle's first firing step, a look-ahead re-expanding a no-op) gets
+    the stored graph back.  The start graph is always private to the run (a
+    cleanup copy or a strictly better pass result), and the memo is
+    dropped when the round ends, so it holds one round's results.
     """
 
-    name = "greedy"
-
-    #: Safety valve: rounds per unit of effort.  Strict integer descent
-    #: terminates on its own long before this in practice.
-    ROUNDS_PER_EFFORT = 8
+    #: Safety valve: rounds per unit of effort.
+    ROUNDS_PER_EFFORT = 1
 
     def run(self, mig, *, script, effort, objective, arch, lookahead):
-        if script == "none":
-            return mig.cleanup()
         current = mig.cleanup()
+        if script == "none":
+            return current
         score = objective.score(current, arch)
         for _ in range(max(1, effort) * self.ROUNDS_PER_EFFORT):
-            best = None
-            best_score = score
-            for candidate in candidate_passes():
-                result = candidate.apply(current)
-                result_score = objective.score(result, arch)
-                if result_score < best_score:
-                    best, best_score = result, result_score
+            with remember_pass_results(current):
+                best, best_score = self.explore(
+                    current, score, objective, arch, lookahead
+                )
             if best is None:
                 break
             current, score = best, best_score
         return current.cleanup()
 
+    def explore(self, start, score, objective, arch, lookahead):
+        """The best result scoring strictly below *score* reachable
+        from *start* in one round, with its score; ``(None, score)``
+        when nothing improves.  Ties go to the first result found."""
+        raise NotImplementedError
 
-class BudgetStrategy(Strategy):
+
+class GreedyStrategy(SearchStrategy):
+    """Per-round best-of-candidate-passes under the objective.
+
+    A round applies every registered candidate (the atomic axioms and
+    the two script cycles) to the start graph; ties break toward the
+    earlier registered candidate.
+    """
+
+    name = "greedy"
+
+    #: Strict integer descent terminates on its own long before this in
+    #: practice.
+    ROUNDS_PER_EFFORT = 8
+
+    def explore(self, start, score, objective, arch, lookahead):
+        best = None
+        for candidate in candidate_passes():
+            result = candidate.apply(start)
+            result_score = objective.score(result, arch)
+            if result_score < score:
+                best, score = result, result_score
+        return best, score
+
+
+class BudgetStrategy(SearchStrategy):
     """Bounded look-ahead search over the atomic axiom passes.
 
     Each round explores every pass sequence up to *lookahead* deep from
@@ -150,33 +188,24 @@ class BudgetStrategy(Strategy):
 
     ROUNDS_PER_EFFORT = 4
 
-    def run(self, mig, *, script, effort, objective, arch, lookahead):
-        if script == "none":
-            return mig.cleanup()
+    def explore(self, start, score, objective, arch, lookahead):
         passes = atomic_passes()
-        current = mig.cleanup()
-        score = objective.score(current, arch)
-        for _ in range(max(1, effort) * self.ROUNDS_PER_EFFORT):
-            best = None
-            best_score = score
-            # Depth-first over pass sequences; the best end point wins
-            # regardless of depth (a shorter improving sequence beats a
-            # longer sequence reaching the same score — it is found
-            # first, and only strict improvements replace the best).
-            stack = [(current, 0)]
-            while stack:
-                graph, depth = stack.pop()
-                for candidate in passes:
-                    result = candidate.apply(graph)
-                    result_score = objective.score(result, arch)
-                    if result_score < best_score:
-                        best, best_score = result, result_score
-                    if depth + 1 < lookahead:
-                        stack.append((result, depth + 1))
-            if best is None:
-                break
-            current, score = best, best_score
-        return current.cleanup()
+        best = None
+        # Depth-first over pass sequences; the best end point wins
+        # regardless of depth (a shorter improving sequence beats a
+        # longer sequence reaching the same score — it is found first,
+        # and only strict improvements replace the best).
+        stack = [(start, 0)]
+        while stack:
+            graph, depth = stack.pop()
+            for candidate in passes:
+                result = candidate.apply(graph)
+                result_score = objective.score(result, arch)
+                if result_score < score:
+                    best, score = result, result_score
+                if depth + 1 < lookahead:
+                    stack.append((result, depth + 1))
+        return best, score
 
 
 #: Registered strategies, registration order.

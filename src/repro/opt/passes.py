@@ -56,8 +56,10 @@ class RewritePass:
     preserves_equivalence: bool = True
 
     def apply(self, mig: Mig) -> Mig:
-        """Run the pass.  Never mutates *mig*, and returns *mig* itself
-        when nothing fired, so callers must not mutate the result."""
+        """Run the pass.  Never mutates *mig*'s structure (it may add
+        derived-state entries such as the rewrite memos), and returns
+        *mig* itself when nothing fired, so callers must not mutate the
+        result."""
         return self.fn(mig)
 
 

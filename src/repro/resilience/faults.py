@@ -227,6 +227,23 @@ class FaultPlan:
         return None
 
 
+def unfired(spec: str, ledger: str) -> List[Tuple[FaultDirective, int]]:
+    """The directives of *spec* that fired fewer than ``count`` times
+    in *ledger*, each with its number of fires.
+
+    A plan whose injection site a run no longer reaches passes that run
+    silently; a chaos run checks its ledger with this instead.
+    """
+    claimed = set(os.listdir(ledger)) if os.path.isdir(ledger) else set()
+    short = []
+    for directive in parse_faults(spec):
+        tag = directive.ledger_id()
+        fires = sum(f"{tag}.{slot}" in claimed for slot in range(directive.count))
+        if fires < directive.count:
+            short.append((directive, fires))
+    return short
+
+
 # -- ambient plan ------------------------------------------------------
 
 _CACHE_LOCK = threading.Lock()

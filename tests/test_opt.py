@@ -1,13 +1,23 @@
 """Tests for the cost-guided rewriting optimizer layer (repro.opt)."""
 
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from repro.arch import Architecture, CostModel, get_architecture
-from repro.mig.rewrite import apply_script, rm3_cost_table, rm3_gate_cost
+from repro.mig.rewrite import (
+    PASS_RESULTS,
+    PASSES,
+    apply_script,
+    remember_pass_results,
+    rm3_cost_table,
+    rm3_gate_cost,
+)
 from repro.mig.simulate import equivalent, truth_tables
 from repro.opt import (
+    ALGORITHM1_STEPS,
     ALGORITHM2_STEPS,
     DEFAULT_EFFORT,
     Objective,
@@ -522,6 +532,192 @@ class TestSearchStrategies:
         assert depth_a.rewrite_key("endurance", 5) == (
             depth_b.rewrite_key("endurance", 5)
         )
+
+
+def _parent_greedy(mig, objective, arch, effort):
+    """The greedy round loop as it was before rounds remembered pass
+    results: no memo dict is ever put on a graph."""
+    current = mig.cleanup()
+    score = objective.score(current, arch)
+    for _ in range(max(1, effort) * 8):
+        best = None
+        best_score = score
+        for candidate in candidate_passes():
+            result = candidate.apply(current)
+            result_score = objective.score(result, arch)
+            if result_score < best_score:
+                best, best_score = result, result_score
+        if best is None:
+            break
+        current, score = best, best_score
+    return current.cleanup()
+
+
+def _parent_budget(mig, objective, arch, effort, lookahead):
+    """The budget round loop as it was before rounds remembered pass
+    results."""
+    passes = atomic_passes()
+    current = mig.cleanup()
+    score = objective.score(current, arch)
+    for _ in range(max(1, effort) * 4):
+        best = None
+        best_score = score
+        stack = [(current, 0)]
+        while stack:
+            graph, depth = stack.pop()
+            for candidate in passes:
+                result = candidate.apply(graph)
+                result_score = objective.score(result, arch)
+                if result_score < best_score:
+                    best, best_score = result, result_score
+                if depth + 1 < lookahead:
+                    stack.append((result, depth + 1))
+        if best is None:
+            break
+        current, score = best, best_score
+    return current.cleanup()
+
+
+def _round_inputs():
+    """Tiny-preset benchmarks and seeded random graphs."""
+    for name in BENCHMARK_ORDER:
+        yield build_benchmark(name, "tiny")
+    for seed in (3, 11, 29):
+        yield make_random_mig(num_pis=6, num_gates=60, seed=seed)
+
+
+class TestRoundMemo:
+    """A search round's start graph remembers each built-in pass's
+    result: same graphs as before, each pass run once per round."""
+
+    @pytest.mark.parametrize(
+        "spec", ["greedy:write_cost", "greedy:node_count", "budget:write_cost@2"]
+    )
+    def test_matches_the_memo_free_round_loop(self, spec):
+        optimizer = Optimizer(spec, ENDURANCE)
+        for mig in _round_inputs():
+            got = optimizer.run(mig, "endurance", effort=DEFAULT_EFFORT)
+            if optimizer.spec.strategy == "greedy":
+                want = _parent_greedy(
+                    mig, optimizer.objective, ENDURANCE, DEFAULT_EFFORT
+                )
+            else:
+                want = _parent_budget(
+                    mig, optimizer.objective, ENDURANCE, DEFAULT_EFFORT,
+                    optimizer.spec.lookahead,
+                )
+            assert got._fanins == want._fanins, mig.name
+            assert got._pis == want._pis, mig.name
+            assert got._pos == want._pos, mig.name
+
+    @pytest.mark.parametrize("spec", ["greedy:write_cost", "budget:write_cost@2"])
+    def test_each_pass_runs_once_per_round_on_the_start_graph(
+        self, monkeypatch, spec
+    ):
+        import repro.mig.rewrite as engine_rewrite
+
+        if spec.startswith("greedy"):
+            per_round = len(candidate_passes())
+        else:
+            # a look-ahead-2 round expands the start and each result
+            per_round = len(atomic_passes()) * (1 + len(atomic_passes()))
+
+        rebuild = engine_rewrite.rebuild
+        apply = RewritePass.apply
+        applied = []  # every candidate input, in order (kept alive)
+        runs = []  # (round, input graph, pass function) of each rebuild
+
+        def counted_rebuild(mig, *args):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "inverter_propagation_pass":
+                frame = frame.f_back  # I_rl_1_3 or I_rl
+            runs.append(
+                ((len(applied) - 1) // per_round, mig, frame.f_code.co_name)
+            )
+            return rebuild(mig, *args)
+
+        def recorded_apply(self, graph):
+            applied.append(graph)
+            return apply(self, graph)
+
+        monkeypatch.setattr(engine_rewrite, "rebuild", counted_rebuild)
+        monkeypatch.setattr(RewritePass, "apply", recorded_apply)
+        optimizer = Optimizer(spec, ENDURANCE)
+        for name in ("ctrl", "int2float", "priority", "cavlc"):
+            applied.clear()
+            runs.clear()
+            optimizer.run(
+                build_benchmark(name, "tiny"), "endurance",
+                effort=DEFAULT_EFFORT,
+            )
+            assert len(applied) % per_round == 0
+            assert len(applied) > per_round  # at least one commit
+            on_start = Counter(
+                (round_, fn)
+                for round_, mig, fn in runs
+                if mig is applied[round_ * per_round]
+            )
+            assert on_start, name
+            assert max(on_start.values()) == 1, (name, on_start.most_common(3))
+
+    def test_no_memo_outlives_a_run(self, monkeypatch):
+        mig = build_benchmark("ctrl", "tiny")
+        for spec in ("greedy", "budget:write_cost@2"):
+            result = Optimizer(spec, ENDURANCE).run(
+                mig, "endurance", effort=DEFAULT_EFFORT
+            )
+            assert PASS_RESULTS not in mig._derived
+            assert PASS_RESULTS not in result._derived
+        seen = []
+        for name, fn in list(PASSES.items()):
+            monkeypatch.setitem(
+                PASSES, name,
+                lambda g, _fn=fn: seen.append(PASS_RESULTS in g._derived)
+                or _fn(g),
+            )
+        for script in (ALGORITHM1_STEPS, ALGORITHM2_STEPS):
+            result = apply_script(mig, script, cycles=DEFAULT_EFFORT)
+            assert PASS_RESULTS not in result._derived
+        assert seen and not any(seen)
+
+    def test_memo_dropped_when_a_round_raises(self):
+        starts = []
+
+        def failing(mig, arch):
+            starts.append(mig)
+            if len(starts) > 1:
+                raise RuntimeError("objective failed")
+            return 10 ** 9
+
+        objective = Objective(name="failing", fn=failing)
+        for name in ("greedy", "budget"):
+            starts.clear()
+            with pytest.raises(RuntimeError):
+                get_strategy(name).run(
+                    build_benchmark("ctrl", "tiny"), script="endurance",
+                    effort=1, objective=objective, arch=ENDURANCE,
+                    lookahead=2,
+                )
+            assert PASS_RESULTS not in starts[0]._derived
+
+    def test_registry_entry_returns_the_stored_result(self):
+        # an as-built graph has no structural hashing, so every pass
+        # fires on it; its Omega.M result is a fixed point of some
+        source = PASSES["M"](build_benchmark("ctrl", "tiny"))
+        mig = source.clone()
+        with remember_pass_results(mig):
+            first = {name: fn(mig) for name, fn in PASSES.items()}
+            fired = {n for n, result in first.items() if result is not mig}
+            assert fired and fired != set(PASSES)
+            # firing results are stored and answered; no-ops are left
+            # to the no-op memo
+            assert mig._derived[PASS_RESULTS].keys() == fired
+            for name, fn in PASSES.items():
+                assert fn(mig) is first[name]
+        assert PASS_RESULTS not in mig._derived
+        # without the dict nothing is stored: a fresh result each call
+        name = min(fired)
+        assert PASSES[name](mig) is not PASSES[name](mig)
 
 
 class TestCacheKeying:

@@ -600,6 +600,23 @@ class TestFaultLedger:
         assert [e["kind"] for e in log] == ["fault_injected"]
         assert log[0]["job"] == "adder"
 
+    def test_unfired_directives_are_reported(self, tmp_path):
+        ledger = tmp_path / "ledger"
+        spec = "job_fail:job=adder:count=2,cache_io:count=1,worker_hang:job=dec"
+        # nothing fired yet, not even a ledger directory
+        assert [
+            (d.point, fires) for d, fires in faults.unfired(spec, str(ledger))
+        ] == [("job_fail", 0), ("cache_io", 0), ("worker_hang", 0)]
+        plan = faults.FaultPlan.parse(spec, ledger=str(ledger))
+        assert plan.fire("job_fail", "adder") is not None
+        assert plan.fire("cache_io", "bar") is not None
+        assert [
+            (d.point, fires) for d, fires in faults.unfired(spec, str(ledger))
+        ] == [("job_fail", 1), ("worker_hang", 0)]
+        assert plan.fire("job_fail", "adder") is not None
+        assert plan.fire("worker_hang", "dec") is not None
+        assert faults.unfired(spec, str(ledger)) == []
+
     def test_active_plan_exports_ledger(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "job_fail:count=1")
         faults._CACHED = None
