@@ -38,9 +38,10 @@ MULT_WIDTH = 9
 MIN_SPEEDUP = 1.5
 
 
-def _best_of(fn, repeats: int = 3) -> float:
+def _best_of(fn, repeats: int = 3, setup=lambda: None) -> float:
     best = float("inf")
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -71,10 +72,17 @@ def measured():
             assert kernel.get_kernel().name == name
             tables[name] = truth_tables(mig)
             assert equivalent(mig, other), name
+
+            def forget(slot=("exhaustive", name)):
+                # Time the engine's sweep, not a lookup of the tables
+                # that exhaustive equivalence remembers per graph.
+                mig._derived.pop(slot, None)
+                other._derived.pop(slot, None)
+
             seconds[name] = {
                 "truth_tables_seconds": _best_of(lambda: truth_tables(mig)),
                 "equivalence_seconds": _best_of(
-                    lambda: equivalent(mig, other)
+                    lambda: equivalent(mig, other), setup=forget
                 ),
             }
     return mig, tables, seconds

@@ -206,9 +206,18 @@ class Server(ThreadingHTTPServer):
         """Stop accepting requests, from a handler thread.
 
         ``shutdown()`` deadlocks when called from the serving thread,
-        so the stop runs on a helper thread after the response flushes.
+        so the stop runs on a helper thread, once the requesting handler
+        has sent its response: ``repro serve`` exits as soon as the
+        serve loop returns, which would kill the (daemon) handler thread
+        mid-reply and leave the client an empty response.
         """
-        threading.Thread(target=self.shutdown, daemon=True).start()
+        handler = threading.current_thread()
+
+        def stop() -> None:
+            handler.join(timeout=10)
+            self.shutdown()
+
+        threading.Thread(target=stop, daemon=True).start()
 
     def _stop(self) -> None:
         """Subclass hook run first by :meth:`close`: release whatever

@@ -43,6 +43,26 @@ source graph with one seeded stimulus) returns a copy without running
 the engine.  A chunked exhaustive sweep misses on every chunk, and a
 degraded fallback is never stored.
 
+Exhaustive equivalence (:func:`repro.mig.simulate.equivalent`) also
+remembers each graph's whole exhaustive output table, in the
+``("exhaustive", engine)`` slot of the same memo: a read-only
+``(POs, 2**num_pis / 64)`` ``uint64`` array in true polarity on the
+numpy engine (:meth:`NumpyKernel.exhaustive_equivalent`), a tuple of
+``2**num_pis``-bit ints on the bigint kernel (the generic chunk path).
+Neither depends on the window width, so pairs swept at different
+widths share them.  The first sweep of a graph that reaches the end
+stores the table, and an equivalent partner gets the same object; a
+sweep that stops at a differing window, fails or is demoted stores
+nothing.  A graph with a known table is not swept again: two known
+tables are compared directly — a hit that never reaches the numpy
+guard or its ``kernel_fail`` chaos hook — and one known table is
+compared window by window with the other graph's sweep.  So prove-suite's
+35 checks sweep each of their 28 graphs once, not 70 times.  The
+perfbench ``kernel.patterns`` count (hence ``kernel.patterns_per_s``)
+is per ``equivalent`` call, so it counts remembered sweeps too.  The
+memo lives below the traced ``simulate``/``exhaustive_window`` entry
+points: a numpy sweep runs :func:`_window_rows`, not those methods.
+
 Degradation
 -----------
 Runtime failures inside the numpy engine degrade gracefully: both
@@ -448,6 +468,8 @@ class _BatchPlan:
         "num_rows",
         "pi_rows",
         "po_extract",
+        "po_rows",
+        "po_flips",
         "groups",
         "max_gates",
         "_tls",
@@ -510,6 +532,16 @@ class _BatchPlan:
             lo += g
         self.max_gates = max((grp.hi - grp.lo for grp in self.groups), default=0)
         self.po_extract = [(row_of[node], flip) for node, flip in po_extract]
+        # The same map as gather indices and a (POs, 1) all-ones/zero
+        # XOR column (None when no PO is stored complemented).
+        self.po_rows = np.array(
+            [row for row, _ in self.po_extract], dtype=np.intp
+        )
+        flips = [flip for _, flip in self.po_extract]
+        self.po_flips = None
+        if any(flips):
+            self.po_flips = np.zeros((len(flips), 1), dtype=np.uint64)
+            self.po_flips[flips] = np.uint64(0xFFFFFFFFFFFFFFFF)
         self._tls = threading.local()
 
     def executable(self, num_lanes: int, width: int) -> _BatchExec:
@@ -603,19 +635,18 @@ def _run_window(plan, base: int, width: int):
     return exe
 
 
-def _windows_equal(plan_a, plan_b, base: int, width: int) -> bool:
-    """Evaluate one window on both plans and compare PO rows lane-wise."""
-    np = _np
-    exe_a = _run_window(plan_a, base, width)
-    exe_b = exe_a if plan_b is plan_a else _run_window(plan_b, base, width)
-    for (ra, fa), (rb, fb) in zip(plan_a.po_extract, plan_b.po_extract):
-        row_a = exe_a.vals[ra]
-        if fa != fb:  # opposite stored polarity: compare flipped
-            np.bitwise_xor(row_a, exe_a.full, out=exe_a.tmp)
-            row_a = exe_a.tmp
-        if not np.array_equal(row_a, exe_b.vals[rb]):
-            return False
-    return True
+def _window_rows(plan, base: int, width: int):
+    """Fill + replay one exhaustive window; a fresh ``(POs, lanes)``
+    array of its output rows with the stored polarity folded back in.
+
+    Exhaustive windows on this engine are whole lanes (*width* is a
+    multiple of 64), so a complement is a plain XOR with all ones.
+    """
+    exe = _run_window(plan, base, width)
+    rows = exe.vals[plan.po_rows]
+    if plan.po_flips is not None:
+        _np.bitwise_xor(rows, plan.po_flips, out=rows)
+    return rows
 
 
 class NumpyKernel:
@@ -709,26 +740,50 @@ class NumpyKernel:
     ) -> Optional[bool]:
         """Exhaustively compare two same-interface MIGs window by window.
 
-        Fast path used by :func:`repro.mig.simulate.equivalent`: both
-        graphs are swept with :meth:`exhaustive_window`'s stimulus and
-        their output *rows* are compared lane-wise, skipping the
+        Fast path used by :func:`repro.mig.simulate.equivalent`: the
+        output *rows* of each window are compared lane-wise, skipping the
         int-conversion boundary entirely — on output-heavy graphs that
-        boundary dominates the sweep.  Early-exits on the first
-        differing window.  Returns ``None`` (caller falls back to the
-        generic chunk-zip) when the windows are too narrow, or when the
-        engine is demoted or fails.
+        boundary dominates the sweep.  A graph whose exhaustive table is
+        remembered (see "Memo" above) is not swept: two known tables are
+        compared directly, and one known table is compared window by
+        window with the other graph's sweep.  Early-exits on the first
+        differing window; only a sweep that reaches the end stores its
+        table, on both graphs, as one read-only array.  Returns ``None``
+        (caller falls back to the generic chunk-zip) when the windows are
+        too narrow, or when the engine is demoted or fails.
         """
         num_patterns = 1 << a.num_pis
         width = min(num_patterns, 1 << chunk_bits)
         if width < _NUMPY_MIN_WIDTH:
             return None
+        slot = ("exhaustive", self.name)
+        known, other = a._derived.get(slot), b._derived.get(slot)
+        if known is not None and other is not None:
+            return known is other or bool(_np.array_equal(known, other))
+        if known is None:  # sweep a against b's table, if b has one
+            a, b, known = b, a, other
 
         def run():
-            plan_a, plan_b = _batch_plan(a), _batch_plan(b)
-            return all(
-                _windows_equal(plan_a, plan_b, base, width)
-                for base in range(0, num_patterns, width)
-            )
+            plan_b = _batch_plan(b)
+            plan_a = None if known is not None or a is b else _batch_plan(a)
+            table = known
+            if table is None:
+                table = _np.empty((b.num_pos, num_patterns >> 6), dtype=_np.uint64)
+            for base in range(0, num_patterns, width):
+                window = table[:, base >> 6 : (base + width) >> 6]
+                rows = _window_rows(plan_b, base, width)
+                if known is not None:
+                    if not _np.array_equal(rows, window):
+                        return False
+                    continue
+                if plan_a is not None and not _np.array_equal(
+                    rows, _window_rows(plan_a, base, width)
+                ):
+                    return False
+                window[...] = rows
+            table.flags.writeable = False
+            a._derived[slot] = b._derived[slot] = table
+            return True
 
         return self._guarded(run, lambda: None)
 

@@ -183,33 +183,10 @@ def truth_tables(
     :data:`MAX_EXHAUSTIVE_PIS`; wide tables are swept chunk by chunk.
     The result is independent of the chunking and of the active kernel.
     """
-    n = mig.num_pis
-    if n > MAX_EXHAUSTIVE_PIS:
-        raise ValueError(f"too many inputs for exhaustive simulation: {n}")
-    # Chunk outputs are assembled bytewise: appending fixed-size byte
-    # blocks and joining once is linear in the table size, where
-    # ``table |= word << base`` would copy the growing table per chunk.
-    parts: Optional[List[List[bytes]]] = None
-    chunk_bytes = 0
-    for base, width, outputs in exhaustive_chunks(mig, chunk_bits, kernel=kernel):
-        if base == 0:
-            if width >= (1 << n):  # single chunk: nothing to assemble
-                return outputs
-            if width & 7:  # sub-byte chunks (tiny explicit chunk_bits)
-                tables = [0] * mig.num_pos
-                for base, _, outputs in exhaustive_chunks(
-                    mig, chunk_bits, kernel=kernel
-                ):
-                    for idx, word in enumerate(outputs):
-                        tables[idx] |= word << base
-                return tables
-            parts = [[] for _ in outputs]
-            chunk_bytes = width >> 3
-        for idx, word in enumerate(outputs):
-            parts[idx].append(word.to_bytes(chunk_bytes, "little"))
-    if parts is None:  # zero POs or a pathological empty sweep
-        return [0] * mig.num_pos
-    return [int.from_bytes(b"".join(p), "little") for p in parts]
+    windows = []
+    for _, width, outputs in exhaustive_chunks(mig, chunk_bits, kernel=kernel):
+        windows.append(outputs)
+    return list(_join_windows(windows, width))
 
 
 def random_words(num_inputs: int, width: int, rng: random.Random) -> List[int]:
@@ -235,6 +212,82 @@ def randomized_rounds(
     return rounds, width, (1 << width) - 1
 
 
+def _chunks_equal(
+    a: Mig, b: Mig, chunk_bits: int, kernel, *, remember: bool
+) -> bool:
+    """Generic exhaustive comparison: zip both graphs' chunk sweeps.
+
+    With *remember*, a graph whose exhaustive table is known (the
+    ``("exhaustive", kernel.name)`` entry of its ``_derived`` memo: one
+    ``2**num_pis``-bit int per output) is not swept, and a sweep that
+    reaches the end stores its table on both graphs as one tuple.
+    """
+    slot = ("exhaustive", kernel.name)
+    known = a._derived.get(slot) if remember else None
+    other = b._derived.get(slot) if remember else None
+    if known is not None and other is not None:
+        return known == other
+    if known is None:  # sweep a against b's table, if b has one
+        a, b, known = b, a, other
+    if known is not None:
+        reference = _table_windows(known, b.num_pis, chunk_bits)
+    elif a is not b:
+        reference = (out for _, _, out in exhaustive_chunks(a, chunk_bits, kernel=kernel))
+    else:
+        reference = None
+    windows: List[List[int]] = []
+    for _, width, out_b in exhaustive_chunks(b, chunk_bits, kernel=kernel):
+        if reference is not None and next(reference) != out_b:
+            return False
+        if remember and known is None:
+            windows.append(out_b)
+    if remember:
+        table = known if known is not None else _join_windows(windows, width)
+        a._derived[slot] = b._derived[slot] = table
+    return True
+
+
+def _table_windows(table, num_pis: int, chunk_bits: int) -> Iterator[List[int]]:
+    """A remembered table's chunk outputs, in sweep order.
+
+    A table split into several chunks is split on byte boundaries:
+    equivalence sweeps chunks of the kernel's width (at least 2^13
+    patterns).
+    """
+    num_patterns = 1 << num_pis
+    width = min(num_patterns, 1 << chunk_bits)
+    if width == num_patterns:
+        yield list(table)
+        return
+    size, step = num_patterns >> 3, width >> 3
+    rows = [word.to_bytes(size, "little") for word in table]
+    for start in range(0, size, step):
+        yield [int.from_bytes(row[start : start + step], "little") for row in rows]
+
+
+def _join_windows(windows: List[List[int]], width: int) -> Tuple[int, ...]:
+    """One table int per output from in-order chunk outputs of *width*.
+
+    Byte-sized chunks are joined bytewise: appending fixed-size byte
+    blocks and joining once is linear in the table size, where
+    ``table |= word << base`` would copy the growing table per chunk.
+    """
+    if len(windows) == 1:
+        return tuple(windows[0])
+    if width & 7:  # sub-byte chunks (tiny explicit chunk_bits)
+        return tuple(
+            sum(word << (i * width) for i, word in enumerate(column))
+            for column in zip(*windows)
+        )
+    step = width >> 3
+    return tuple(
+        int.from_bytes(
+            b"".join(word.to_bytes(step, "little") for word in column), "little"
+        )
+        for column in zip(*windows)
+    )
+
+
 def equivalent(
     a: Mig,
     b: Mig,
@@ -249,7 +302,18 @@ def equivalent(
     Up to ``exhaustive_limit`` inputs (default: :data:`MAX_EXHAUSTIVE_PIS`,
     the same ceiling :func:`truth_tables` enforces) the check is exhaustive
     and therefore exact, evaluated chunk-wise with early exit on the first
-    differing window.
+    differing window.  Each graph remembers its exhaustive output table
+    per engine in its ``_derived`` memo (see "Memo" in
+    :mod:`repro.mig.kernel`), so a graph checked again is not swept
+    again: two known tables are compared directly, and one known table
+    against the other graph's sweep.  A sweep stores its table only when
+    it reaches the end (equivalent graphs then share one table object);
+    one that stops early, fails or is demoted stores nothing, and any
+    mutation or pickling drops the table.  A memo hit never reaches the
+    numpy engine's guard or its chaos hook.  Under the numpy kernel the
+    generic chunk path stores nothing: it runs there only for windows
+    of at most 64 patterns (one simulate request, which the simulate
+    memo answers) or as the fallback of a failed or demoted sweep.
 
     Beyond the limit an exhaustive check is infeasible, and the function
     *refuses* rather than silently degrading: randomized bit-parallel
@@ -277,13 +341,7 @@ def equivalent(
             verdict = fast(a, b, chunk_bits)
             if verdict is not None:
                 return verdict
-        for (_, _, out_a), (_, _, out_b) in zip(
-            exhaustive_chunks(a, chunk_bits, kernel=kernel),
-            exhaustive_chunks(b, chunk_bits, kernel=kernel),
-        ):
-            if out_a != out_b:
-                return False
-        return True
+        return _chunks_equal(a, b, chunk_bits, kernel, remember=fast is None)
     if not explicit:
         raise ValueError(
             f"{a.num_pis} inputs exceed the exhaustive-check ceiling of "

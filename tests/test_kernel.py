@@ -355,22 +355,28 @@ class TestDegradationChain:
         assert event["job"] == "job-a"
 
     def test_equivalence_failure_falls_back_per_call(self, monkeypatch):
-        # Outside a scope each failing call falls back on its own.
+        # Outside a scope each failing call falls back on its own, and a
+        # failed sweep stores no exhaustive table (so the second call
+        # sweeps, and fails, again).
         from repro.resilience import events
 
         mig = self._mig()
+        twin = mig.clone()
         flipped = mig.clone()
         flipped._pos[0] = complement(flipped._pos[0])
         monkeypatch.setattr(
-            kernel, "_windows_equal",
+            kernel, "_window_rows",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         with events.capture() as log:
-            assert equivalent(mig, mig.clone())
+            assert equivalent(mig, twin)
             assert not equivalent(mig, flipped)
         assert [e["backend"] for e in log if e["kind"] == "kernel_degraded"] == [
             "numpy", "numpy",
         ]
+        for graph in (mig, twin, flipped):
+            for engine in ("numpy", "bigint"):
+                assert ("exhaustive", engine) not in graph._derived
 
     def test_demotion_is_sticky_within_scope_only(self, monkeypatch):
         mig = self._mig()
@@ -510,6 +516,152 @@ class TestSimulationMemo:
         monkeypatch.undo()
         assert kernel._NUMPY.simulate(mig, words, mask) == fallback
         assert ("simulate", "numpy") in mig._derived
+
+
+class TestExhaustiveMemo:
+    """Exhaustive equivalence remembers each graph's output table per
+    engine: a graph is swept at most once while it is unchanged."""
+
+    #: Inputs of the test graphs: four 2^13-pattern windows per sweep.
+    NUM_PIS = 15
+    WINDOWS = 1 << (NUM_PIS - 13)
+
+    @pytest.fixture
+    def windows(self, engine, monkeypatch):
+        """Engine windows run per graph (and in total, for ``None``)."""
+        # Shrink the numpy chunks to the bigint kernel's 2^13 patterns.
+        monkeypatch.setattr(kernel, "_NUMPY_MEM_BUDGET", 0)
+        tally = {}
+        if engine.name == "numpy":
+            run = kernel._BatchExec.run
+
+            def counted(self, plan):
+                tally[id(plan)] = tally.get(id(plan), 0) + 1
+                return run(self, plan)
+
+            monkeypatch.setattr(kernel._BatchExec, "run", counted)
+
+            def key(mig):
+                return id(mig._derived.get("numpy_plan"))
+        else:
+            simulate_ = kernel._bigint_simulate
+
+            def counted(mig, *args):
+                tally[id(mig)] = tally.get(id(mig), 0) + 1
+                return simulate_(mig, *args)
+
+            monkeypatch.setattr(kernel, "_bigint_simulate", counted)
+            key = id
+        return lambda mig=None: (
+            sum(tally.values()) if mig is None else tally.get(key(mig), 0)
+        )
+
+    def _graph(self, seed):
+        return make_random_mig(self.NUM_PIS, 80, seed=seed)
+
+    def test_source_is_swept_once(self, engine, windows):
+        source = self._graph(21)
+        variants = [source.clone() for _ in range(5)]
+        for variant in variants:
+            assert equivalent(source, variant)
+        assert windows(source) == self.WINDOWS  # not 5 * WINDOWS
+        assert [windows(v) for v in variants] == [self.WINDOWS] * 5
+
+    def test_mutation_sweeps_again(self, engine, windows):
+        a = self._graph(22)
+        b = a.clone()
+        assert equivalent(a, b)
+        assert windows() == 2 * self.WINDOWS
+        x, y, z = (2 * node for node in a.pis()[:3])
+        b.add_maj(x, y, complement(z))  # a dead gate: same function
+        assert ("exhaustive", engine.name) not in b._derived
+        assert equivalent(a, b)
+        assert windows() == 3 * self.WINDOWS  # b swept against a's table
+        a.add_po(a.add_maj(x, y, z))
+        b.add_po(b.add_maj(x, y, complement(z)))
+        assert not equivalent(a, b)
+        assert windows() == 3 * self.WINDOWS + 2  # both differ at window 0
+
+    def test_inequivalent_pair_stops_and_stores_nothing(self, engine, windows):
+        a = self._graph(23)
+        flipped = a.clone()
+        flipped._pos[0] = complement(flipped._pos[0])
+        slot = ("exhaustive", engine.name)
+        assert not equivalent(a, flipped)
+        assert (windows(a), windows(flipped)) == (1, 1)
+        assert slot not in a._derived and slot not in flipped._derived
+        # Fresh graphs: a bigint re-sweep would hit the simulate memo.
+        known, flipped = a.clone(), flipped.clone()
+        assert equivalent(known, a.clone())
+        table = known._derived[slot]
+        assert not equivalent(flipped, known)  # swept against the table
+        assert (windows(known), windows(flipped)) == (self.WINDOWS, 1)
+        assert slot not in flipped._derived
+        assert known._derived[slot] is table
+
+    def test_equivalent_pair_shares_one_table(self, engine, windows):
+        a = self._graph(24)
+        b = a.clone()
+        assert equivalent(a, b)
+        slot = ("exhaustive", engine.name)
+        table = a._derived[slot]
+        assert b._derived[slot] is table
+        if engine.name == "numpy":
+            assert not table.flags.writeable
+        else:
+            assert isinstance(table, tuple)
+        assert equivalent(b, a)
+        assert windows() == 2 * self.WINDOWS  # both known: no sweep
+
+    def test_pickling_drops_the_memo(self, engine, windows):
+        import pickle
+
+        a = self._graph(25)
+        b = a.clone()
+        assert equivalent(a, b)
+        copy = pickle.loads(pickle.dumps(a))
+        assert ("exhaustive", engine.name) not in copy._derived
+        assert equivalent(copy, b)
+        assert windows(copy) == self.WINDOWS
+
+    @needs_numpy
+    def test_memo_hit_never_reaches_the_guard(self, monkeypatch):
+        from repro.resilience import events
+
+        use_engine(monkeypatch, "numpy")
+        a = make_random_mig(8, 60, seed=26)
+        b = a.clone()
+        assert equivalent(a, b)
+        monkeypatch.setattr(
+            kernel._res_faults, "kernel_fault",
+            lambda job: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        with events.capture() as log:
+            assert equivalent(b, a)
+        assert not [e for e in log if e["kind"] == "kernel_degraded"]
+
+    @pytest.mark.parametrize("chunk_bits", [None, 7])
+    def test_verdicts_match_truth_tables(self, engine, monkeypatch, chunk_bits):
+        """Every ordered pair of a pool (a graph, its clone, two
+        complemented-output mutants), memo state carried across calls,
+        answers as the bigint truth tables do."""
+        if chunk_bits is not None:  # several windows below 13 inputs
+            monkeypatch.setattr(
+                type(engine), "chunk_bits_for", lambda self, mig: chunk_bits
+            )
+        for seed in range(12):
+            a = make_random_mig(1 + seed, 10 + 8 * seed, seed=40 + seed)
+            pool = [a, a.clone()]
+            for po in (0, a.num_pos - 1):
+                mutant = a.clone()
+                mutant._pos[po] = complement(mutant._pos[po])
+                pool.append(mutant)
+            tables = [truth_tables(g, kernel=kernel._BIGINT) for g in pool]
+            for i, x in enumerate(pool):
+                for j, y in enumerate(pool):
+                    assert equivalent(x, y) == (tables[i] == tables[j]), (
+                        seed, i, j,
+                    )
 
 
 class TestRandomizedRounds:

@@ -840,6 +840,35 @@ class TestServeHTTP:
             server.close()
             thread.join(timeout=5)
 
+    def test_shutdown_waits_for_the_requesting_handler(self, tmp_path):
+        """The serve loop outlives the handler that asked it to stop, so
+        a process exiting with the loop cannot cut that reply short."""
+        server = create_server(
+            "127.0.0.1", 0, session=tiny_session(tmp_path),
+            isolate=False, allow_shutdown=True,
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        replied = threading.Event()
+
+        def handler():
+            server.request_shutdown()
+            replied.wait(timeout=10)  # still writing its response
+
+        requester = threading.Thread(target=handler)
+        try:
+            requester.start()
+            thread.join(timeout=0.5)
+            assert thread.is_alive()
+            replied.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            replied.set()
+            requester.join(timeout=5)
+            server.close()
+            thread.join(timeout=5)
+
 
 @pytest.mark.slow
 class TestServeIsolated:
