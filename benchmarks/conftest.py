@@ -16,19 +16,17 @@ fans the suite evaluation out over N worker processes (results are
 identical to the serial run).  With ``REPRO_CACHE_DIR=<dir>`` the
 session reads through / writes back to the persistent on-disk cache, so
 a warm rerun of the harness deserialises instead of recompiling.  All
-of these resolve through ``Session.from_env()``.  The simulation kernel
-is numpy when it is importable, bigint otherwise.
+of these resolve through ``Session.from_env()``.
 
 Every benchmark session additionally emits a timing artefact,
 ``benchmarks/output/BENCH_suite.json``: suite wall-clock per evaluation
 stage, per-stage flow timings from the session's observer hooks,
 the experiment cache's counters (memory, disk and remote tiers, in the
-schema of ``ExperimentCache.counters``), the simulation kernel in
-use, and the kernel micro-benchmark numbers recorded by
-``test_simbackend.py`` — the perf trajectory of the harness is tracked
-from these files.  Every ``BENCH_*.json`` carries a ``provenance``
-block (:func:`provenance`) saying which commit, how many CPUs and which
-Python and numpy versions produced its numbers.
+schema of ``ExperimentCache.counters``) and the simulation kernel in
+use — the perf trajectory of the harness is tracked from these files.
+Every ``BENCH_*.json`` carries a ``provenance`` block
+(:func:`provenance`) saying which commit, how many CPUs and which
+Python version produced its numbers.
 """
 
 from __future__ import annotations
@@ -97,8 +95,8 @@ SESSION = Session.from_env(preset=PRESET, parallel=PARALLEL)
 #: ablation modules that drive it directly.
 SESSION_CACHE = SESSION.cache
 
-#: Accumulated BENCH_suite.json content (stage timings, kernel
-#: micro-benchmarks); written out at session finish.
+#: Accumulated BENCH_suite.json content (stage timings); written out at
+#: session finish.
 BENCH_REPORT: dict = {"suite_seconds": {}, "stages": {}}
 
 
@@ -143,8 +141,7 @@ def suite_with_caps():
 
 def provenance() -> dict:
     """The ``provenance`` block of every ``BENCH_*.json``: git commit
-    (``None`` outside a checkout), CPU count, Python version and numpy
-    version (``None`` without numpy)."""
+    (``None`` outside a checkout), CPU count and Python version."""
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=_BENCH_DIR,
@@ -152,17 +149,10 @@ def provenance() -> dict:
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         commit = None
-    try:
-        import numpy
-    except ImportError:
-        numpy_version = None
-    else:
-        numpy_version = numpy.__version__
     return {
         "commit": commit,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy_version,
     }
 
 
@@ -175,30 +165,9 @@ def write_artifact(name: str, text: str) -> pathlib.Path:
 
 
 def pytest_sessionfinish(session):
-    """Emit the benchmark JSON artefacts for whatever actually ran.
-
-    ``BENCH_suite.json`` carries the suite/stage story;
-    ``BENCH_kernel.json`` carries the simulation-kernel comparison
-    (bigint vs numpy timings from ``test_simbackend.py``) plus the
-    same stage timings, so the kernel perf trajectory is
-    recorded even when only the kernel lane ran.
-    """
-    if "kernel" in BENCH_REPORT:
-        write_artifact(
-            "BENCH_kernel.json",
-            json.dumps(
-                {
-                    "provenance": provenance(),
-                    "preset": PRESET,
-                    "backend": get_kernel().name,
-                    "kernel": BENCH_REPORT["kernel"],
-                    "stages": BENCH_REPORT["stages"],
-                    "suite_seconds": BENCH_REPORT["suite_seconds"],
-                },
-                indent=2,
-            ),
-        )
-    if not BENCH_REPORT["suite_seconds"] and "kernel" not in BENCH_REPORT:
+    """Emit ``BENCH_suite.json`` (the suite/stage story) for whatever
+    actually ran."""
+    if not BENCH_REPORT["suite_seconds"]:
         return
     root = getattr(SESSION.disk, "root", None)
     report = {

@@ -15,11 +15,10 @@ artefact:
   other values (the ``root``) keep the first shard's;
 * scalar fields (preset, backend, parallel) must agree across shards —
   a mismatch aborts loudly rather than averaging apples and oranges;
-* each shard's ``provenance`` block (commit, CPUs, Python and numpy
-  versions) is kept, in shard order, as the ``provenance`` list
-  (``None`` for a shard without one);
-* every other top-level key (e.g. the ``kernel`` micro-benchmark
-  block) is taken from whichever shard produced it.
+* each shard's ``provenance`` block (commit, CPUs, Python version) is
+  kept, in shard order, as the ``provenance`` list (``None`` for a
+  shard without one);
+* every other top-level key is taken from whichever shard produced it.
 
 Usage::
 

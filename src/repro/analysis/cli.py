@@ -40,9 +40,8 @@ helper and one handler (:func:`cmd_sweep`).  The knob flags (``--arch``, ``--opt
 ``--retries``) come from one table, :data:`repro.flow.options.KNOBS`:
 each beats its ``$REPRO_*`` variable and is validated at startup.
 ``--parallel`` fans benchmarks out over worker processes and
-``--preset`` picks the benchmark widths.  The simulation engine is not
-a flag: numpy when it is importable, bigint otherwise
-(:mod:`repro.mig.kernel`).
+``--preset`` picks the benchmark widths.  There is one simulation
+engine (:mod:`repro.mig.kernel`), so no flag picks it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ compilations *shared work*:
   :meth:`repro.flow.Flow.run` and every evaluation cell run.
 * :func:`walk_source` is the one per-source cell loop: a source's
   (machine x optimizer x configuration) cells, each a gap the machine
-  refuses or one :func:`run_stages` call, under one degradation scope.
+  refuses or one :func:`run_stages` call.
   :func:`run_job` runs it as one serial job — the session's ``job``
   budget, the serial fault-injection site, retries — for
   :meth:`repro.flow.Session.grid`,
@@ -113,7 +113,6 @@ from ..core.manager import (
 from ..core.stats import WriteTrafficStats, improvement_percent
 from ..opt import DEFAULT_EFFORT, OptLike, Optimizer, OptimizerSpec
 from ..mig.graph import Mig
-from ..mig.kernel import degradation_scope
 from ..plim.isa import Program
 from ..plim.verify import verify_program
 from ..resilience import (
@@ -1047,26 +1046,19 @@ def walk_source(
     A cell the machine refuses
     (:meth:`~repro.arch.Architecture.supports_config`) is a gap point
     carrying the refusal reason and runs no stage; every other cell is
-    one :func:`run_stages` call, its stage events sent to *hooks*.  The
-    cells share one degradation scope:
-    a numpy-kernel failure demotes the rest of *this* source's cells to
-    the (bit-identical) bigint engine and is recorded in their
-    manifests; the next source tries the numpy engine again.
+    one :func:`run_stages` call, its stage events sent to *hooks*.
     """
     points: List[GridPoint] = []
-    with degradation_scope(source.name):
-        for (machine, optimizer), config in product(targets, configs):
-            reason = _refusal(machine, config)
-            result = None if reason else run_stages(
-                session, source, config, preset=preset, arch=machine,
-                optimizer=optimizer, verify=verify,
-                keep_rewritten=keep_rewritten, hooks=hooks,
-            )
-            points.append(
-                GridPoint(
-                    source, config, machine, optimizer.spec, result, reason
-                )
-            )
+    for (machine, optimizer), config in product(targets, configs):
+        reason = _refusal(machine, config)
+        result = None if reason else run_stages(
+            session, source, config, preset=preset, arch=machine,
+            optimizer=optimizer, verify=verify,
+            keep_rewritten=keep_rewritten, hooks=hooks,
+        )
+        points.append(
+            GridPoint(source, config, machine, optimizer.spec, result, reason)
+        )
     return points
 
 

@@ -5,23 +5,15 @@ every value is one independent simulation pattern, so a single sweep over
 the graph evaluates arbitrarily many input patterns at once.  This is the
 reference model against which compiled PLiM programs are verified
 (:mod:`repro.plim.verify`) and the engine behind equivalence checking of
-rewriting passes.
+rewriting passes.  Every sweep runs through the one kernel
+(:mod:`repro.mig.kernel`).
 
-The gate-evaluation engine is pluggable (:mod:`repro.mig.kernel`): the
-pure-Python bigint kernel is always available, and the optional numpy
-kernel evaluates the same flat gate records (complement attributes
-pre-folded into XOR masks) as whole-array ``uint64`` operations, one MIG
-level at a time.  Every function here speaks Python-int words regardless
-of the active kernel, and both kernels are bit-identical (asserted by
-the parity tests).
-
-Exhaustive runs past the kernel's chunk width are evaluated in
-fixed-width chunks: the cost of a chunked sweep grows linearly with the
+Exhaustive runs past :data:`CHUNK_BITS` inputs are evaluated in
+2^13-pattern chunks: the cost of a chunked sweep grows linearly with the
 pattern count instead of the quadratic blow-up of building multi-megabit
 input words incrementally.  Randomized checks draw one word per input
-per round; the round count and word width come from one shared helper
-(:func:`randomized_rounds`), so the numpy kernel's wider sweeps apply to
-``equivalent`` and ``find_counterexample`` alike.
+per round; the round count and word width (:data:`RANDOM_WIDTH`
+patterns) come from one shared helper (:func:`randomized_rounds`).
 """
 
 from __future__ import annotations
@@ -34,6 +26,14 @@ from .kernel import get_kernel
 
 #: Refuse exhaustive truth tables beyond this many inputs (2^20 patterns).
 MAX_EXHAUSTIVE_PIS = 20
+
+#: log2 of the widest exhaustive simulation word.  2^13-bit words keep
+#: every node value L1/L2-resident, where CPython's bigint boolean loops
+#: run near memory speed; wider words were measured slower.
+CHUNK_BITS = 13
+
+#: Patterns per round of a randomized check: one 64-bit word.
+RANDOM_WIDTH = 64
 
 
 def check_exhaustive_limit(limit: int) -> None:
@@ -79,9 +79,7 @@ def exhaustive_words(
     return [input_word(i, num_patterns, base) for i in range(num_inputs)]
 
 
-def simulate(
-    mig: Mig, pi_values: Sequence[int], mask: int = 1, *, kernel=None
-) -> List[int]:
+def simulate(mig: Mig, pi_values: Sequence[int], mask: int = 1) -> List[int]:
     """Evaluate *mig* on bit-parallel input words.
 
     Parameters
@@ -92,9 +90,6 @@ def simulate(
     mask:
         All-ones mask covering the pattern width (e.g. ``(1 << 64) - 1``
         for 64 parallel patterns).
-    kernel:
-        Simulation kernel override; defaults to the process-wide engine
-        (:func:`repro.mig.kernel.get_kernel`).
 
     Returns
     -------
@@ -104,7 +99,7 @@ def simulate(
         raise ValueError(
             f"expected {mig.num_pis} input words, got {len(pi_values)}"
         )
-    return (kernel or get_kernel()).simulate(mig, pi_values, mask)
+    return get_kernel().simulate(mig, pi_values, mask)
 
 
 def simulate_one(mig: Mig, assignment: Dict[str, int]) -> Dict[str, int]:
@@ -127,7 +122,7 @@ def simulate_one(mig: Mig, assignment: Dict[str, int]) -> Dict[str, int]:
 
 
 def exhaustive_chunks(
-    mig: Mig, chunk_bits: Optional[int] = None, *, kernel=None
+    mig: Mig, chunk_bits: Optional[int] = None
 ) -> Iterator[Tuple[int, int, List[int]]]:
     """Exhaustively simulate *mig* in chunks of ``2**chunk_bits`` patterns.
 
@@ -136,55 +131,37 @@ def exhaustive_chunks(
     fixed word width makes the total exhaustive cost linear in the number
     of patterns, where one monolithic ``2**num_pis``-bit sweep pays
     bigint arithmetic proportional to the full table per gate.  The
-    default chunk width is the active kernel's preference (13 bits for
-    bigint, wider for numpy); pass *chunk_bits* to pin it.
+    default chunk width is :data:`CHUNK_BITS`; pass *chunk_bits* to pin
+    it.
     """
     n = mig.num_pis
     if n > MAX_EXHAUSTIVE_PIS:
         raise ValueError(f"too many inputs for exhaustive simulation: {n}")
-    kernel = kernel or get_kernel()
-    if chunk_bits is None:
-        chunk_bits = kernel.chunk_bits_for(mig)
+    kernel = get_kernel()
     num_patterns = 1 << n
-    width = min(num_patterns, 1 << chunk_bits)
+    width = min(
+        num_patterns, 1 << (CHUNK_BITS if chunk_bits is None else chunk_bits)
+    )
     mask = (1 << width) - 1
-    # Kernels may synthesise the structured exhaustive stimulus
-    # natively (numpy fills lane rows without building bigint words);
-    # a declined window (None) falls back to the generic path below.
-    fast_window = getattr(kernel, "exhaustive_window", None)
-    # Low variables (period <= chunk width) repeat identically per
-    # chunk; built lazily since the fast path never needs them.
-    shared: Optional[List[int]] = None
+    # Low variables (period <= chunk width) repeat identically per chunk.
+    shared = [input_word(i, width) for i in range(n) if (1 << (i + 1)) <= width]
     for base in range(0, num_patterns, width):
-        outputs = None
-        if fast_window is not None:
-            outputs = fast_window(mig, base, width)
-        if outputs is None:
-            if shared is None:
-                shared = [
-                    input_word(i, width)
-                    for i in range(n)
-                    if (1 << (i + 1)) <= width
-                ]
-            words = list(shared)
-            for i in range(len(shared), n):
-                words.append(mask if (base >> i) & 1 else 0)
-            outputs = kernel.simulate(mig, words, mask)
-        yield base, width, outputs
+        words = list(shared)
+        for i in range(len(shared), n):
+            words.append(mask if (base >> i) & 1 else 0)
+        yield base, width, kernel.simulate(mig, words, mask)
 
 
-def truth_tables(
-    mig: Mig, chunk_bits: Optional[int] = None, *, kernel=None
-) -> List[int]:
+def truth_tables(mig: Mig, chunk_bits: Optional[int] = None) -> List[int]:
     """Exhaustive truth table per output, as ``2**num_pis``-bit integers.
 
     Bit ``m`` of each table is the output value under minterm ``m`` (input
     ``i`` takes bit ``i`` of ``m``).  Only feasible for input counts up to
     :data:`MAX_EXHAUSTIVE_PIS`; wide tables are swept chunk by chunk.
-    The result is independent of the chunking and of the active kernel.
+    The result is independent of the chunking.
     """
     windows = []
-    for _, width, outputs in exhaustive_chunks(mig, chunk_bits, kernel=kernel):
+    for _, width, outputs in exhaustive_chunks(mig, chunk_bits):
         windows.append(outputs)
     return list(_join_windows(windows, width))
 
@@ -195,67 +172,65 @@ def random_words(num_inputs: int, width: int, rng: random.Random) -> List[int]:
 
 
 def randomized_rounds(
-    samples: int, width: Optional[int] = None, *, kernel=None
+    samples: int, width: Optional[int] = None
 ) -> Tuple[int, int, int]:
     """Round count, word width, and mask for a randomized sweep.
 
     At least *samples* patterns are covered in rounds of *width*
-    patterns each; the default width is the active kernel's preference
-    (64 for bigint, wider for numpy), capped at *samples* so narrow
-    requests are not silently over-simulated.  Shared by
-    :func:`equivalent`, :func:`find_counterexample`, and
+    patterns each; the default width is :data:`RANDOM_WIDTH`, capped at
+    *samples* so narrow requests are not silently over-simulated.  Both
+    must be at least 1.  Shared by :func:`equivalent`,
+    :func:`find_counterexample`, and
     :func:`repro.plim.verify.verify_program`.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if width is None:
-        width = min((kernel or get_kernel()).random_width, max(1, samples))
-    rounds = max(1, (samples + width - 1) // width)
+        width = min(RANDOM_WIDTH, samples)
+    elif width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
+    rounds = (samples + width - 1) // width
     return rounds, width, (1 << width) - 1
 
 
-def _chunks_equal(
-    a: Mig, b: Mig, chunk_bits: int, kernel, *, remember: bool
-) -> bool:
-    """Generic exhaustive comparison: zip both graphs' chunk sweeps.
+def _chunks_equal(a: Mig, b: Mig) -> bool:
+    """Exhaustive comparison: zip both graphs' chunk sweeps.
 
-    With *remember*, a graph whose exhaustive table is known (the
-    ``("exhaustive", kernel.name)`` entry of its ``_derived`` memo: one
-    ``2**num_pis``-bit int per output) is not swept, and a sweep that
-    reaches the end stores its table on both graphs as one tuple.
+    A graph whose exhaustive table is known (the ``"exhaustive"`` entry
+    of its ``_derived`` memo: one ``2**num_pis``-bit int per output) is
+    not swept, and a sweep that reaches the end stores its table on both
+    graphs as one tuple.
     """
-    slot = ("exhaustive", kernel.name)
-    known = a._derived.get(slot) if remember else None
-    other = b._derived.get(slot) if remember else None
+    known, other = a._derived.get("exhaustive"), b._derived.get("exhaustive")
     if known is not None and other is not None:
         return known == other
     if known is None:  # sweep a against b's table, if b has one
         a, b, known = b, a, other
     if known is not None:
-        reference = _table_windows(known, b.num_pis, chunk_bits)
+        reference = _table_windows(known, b.num_pis)
     elif a is not b:
-        reference = (out for _, _, out in exhaustive_chunks(a, chunk_bits, kernel=kernel))
+        reference = (out for _, _, out in exhaustive_chunks(a))
     else:
         reference = None
     windows: List[List[int]] = []
-    for _, width, out_b in exhaustive_chunks(b, chunk_bits, kernel=kernel):
+    for _, width, out_b in exhaustive_chunks(b):
         if reference is not None and next(reference) != out_b:
             return False
-        if remember and known is None:
+        if known is None:
             windows.append(out_b)
-    if remember:
-        table = known if known is not None else _join_windows(windows, width)
-        a._derived[slot] = b._derived[slot] = table
+    table = known if known is not None else _join_windows(windows, width)
+    a._derived["exhaustive"] = b._derived["exhaustive"] = table
     return True
 
 
-def _table_windows(table, num_pis: int, chunk_bits: int) -> Iterator[List[int]]:
+def _table_windows(table, num_pis: int) -> Iterator[List[int]]:
     """A remembered table's chunk outputs, in sweep order.
 
-    A table split into several chunks is split on byte boundaries:
-    equivalence sweeps chunks of the kernel's width (at least 2^13
-    patterns).
+    A table split into several chunks is split on byte boundaries
+    (:data:`CHUNK_BITS` is at least 3).
     """
     num_patterns = 1 << num_pis
-    width = min(num_patterns, 1 << chunk_bits)
+    width = min(num_patterns, 1 << CHUNK_BITS)
     if width == num_patterns:
         yield list(table)
         return
@@ -303,45 +278,28 @@ def equivalent(
     the same ceiling :func:`truth_tables` enforces) the check is exhaustive
     and therefore exact, evaluated chunk-wise with early exit on the first
     differing window.  Each graph remembers its exhaustive output table
-    per engine in its ``_derived`` memo (see "Memo" in
-    :mod:`repro.mig.kernel`), so a graph checked again is not swept
-    again: two known tables are compared directly, and one known table
-    against the other graph's sweep.  A sweep stores its table only when
-    it reaches the end (equivalent graphs then share one table object);
-    one that stops early, fails or is demoted stores nothing, and any
-    mutation or pickling drops the table.  A memo hit never reaches the
-    numpy engine's guard or its chaos hook.  Under the numpy kernel the
-    generic chunk path stores nothing: it runs there only for windows
-    of at most 64 patterns (one simulate request, which the simulate
-    memo answers) or as the fallback of a failed or demoted sweep.
+    in its ``_derived`` memo (see "Memo" in :mod:`repro.mig.kernel`), so
+    a graph checked again is not swept again: two known tables are
+    compared directly, and one known table against the other graph's
+    sweep.  A sweep stores its table only when it reaches the end
+    (equivalent graphs then share one table object); one that stops
+    early stores nothing, and any mutation or pickling drops the table.
 
     Beyond the limit an exhaustive check is infeasible, and the function
     *refuses* rather than silently degrading: randomized bit-parallel
     checking (sound for inequivalence, probabilistic for equivalence) must
     be requested explicitly by passing ``exhaustive_limit`` — callers that
     opt in acknowledge the random fallback above their chosen cutoff.
-    The randomized path draws rounds of *width* patterns (default: the
-    active kernel's preferred word width) until *samples* are covered.
+    The randomized path draws rounds of *width* patterns (default
+    :data:`RANDOM_WIDTH`) until *samples* are covered.
     """
     if a.num_pis != b.num_pis or a.num_pos != b.num_pos:
         return False
     explicit = exhaustive_limit is not None
     limit = exhaustive_limit if explicit else MAX_EXHAUSTIVE_PIS
     check_exhaustive_limit(limit)
-    kernel = get_kernel()
     if a.num_pis <= limit:
-        # Both graphs must be swept with identical chunking or the
-        # zipped windows would not line up (the kernel may size chunks
-        # per graph); take the smaller of the two preferences.
-        chunk_bits = min(kernel.chunk_bits_for(a), kernel.chunk_bits_for(b))
-        # Kernels may compare whole windows natively (numpy compares
-        # output lane rows, skipping the int-conversion boundary).
-        fast = getattr(kernel, "exhaustive_equivalent", None)
-        if fast is not None:
-            verdict = fast(a, b, chunk_bits)
-            if verdict is not None:
-                return verdict
-        return _chunks_equal(a, b, chunk_bits, kernel, remember=fast is None)
+        return _chunks_equal(a, b)
     if not explicit:
         raise ValueError(
             f"{a.num_pis} inputs exceed the exhaustive-check ceiling of "
@@ -349,8 +307,9 @@ def equivalent(
             "opt in to randomized (probabilistic) equivalence checking, "
             "or use find_counterexample() for a refutation-only search"
         )
+    kernel = get_kernel()
     rng = random.Random(seed)
-    rounds, width, mask = randomized_rounds(samples, width, kernel=kernel)
+    rounds, width, mask = randomized_rounds(samples, width)
     for _ in range(rounds):
         words = random_words(a.num_pis, width, rng)
         if kernel.simulate(a, words, mask) != kernel.simulate(b, words, mask):
@@ -369,14 +328,14 @@ def find_counterexample(
     """Return an input assignment on which the two MIGs differ, if found.
 
     Draws the same randomized rounds as :func:`equivalent`'s fallback
-    path (*samples* patterns in rounds of *width*, default the kernel's
-    preferred word width).
+    path (*samples* patterns in rounds of *width*, default
+    :data:`RANDOM_WIDTH`).
     """
     if a.num_pis != b.num_pis or a.num_pos != b.num_pos:
         raise ValueError("interface mismatch")
     kernel = get_kernel()
     rng = random.Random(seed)
-    rounds, width, mask = randomized_rounds(samples, width, kernel=kernel)
+    rounds, width, mask = randomized_rounds(samples, width)
     for _ in range(rounds):
         words = random_words(a.num_pis, width, rng)
         out_a = kernel.simulate(a, words, mask)

@@ -12,15 +12,13 @@ fault-injection harness (:mod:`repro.resilience.faults`,
 
 The supervised job runners live where the jobs do
 (:func:`repro.analysis.runner.run_job` and
-:func:`~repro.analysis.runner.dispatch_jobs`); kernel degradation lives
-with the kernels (:mod:`repro.mig.kernel`).  This package holds the
+:func:`~repro.analysis.runner.dispatch_jobs`).  This package holds the
 policies and mechanisms they share.
 """
 
 from . import events
 from .errors import (
     FaultInjected,
-    KernelDegradedError,
     PermanentFault,
     ReproError,
     RetriesExhaustedError,
@@ -67,7 +65,6 @@ __all__ = [
     "FaultDirective",
     "FaultInjected",
     "FaultPlan",
-    "KernelDegradedError",
     "MANIFEST_SCHEMA",
     "PermanentFault",
     "RETRY_ENV_VAR",

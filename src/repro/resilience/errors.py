@@ -108,16 +108,6 @@ class RetriesExhaustedError(PermanentFault):
         return type(self), (self.job, self.attempts, self.__cause__)
 
 
-class KernelDegradedError(TransientFault):
-    """A simulation-kernel backend failed on a job.
-
-    Normally never surfaces: :mod:`repro.mig.kernel` catches the backend
-    failure itself and demotes the job to the bigint reference kernel,
-    recording a degradation event.  The class exists so injected kernel
-    faults have a typed identity in event logs and tests.
-    """
-
-
 class FaultInjected(TransientFault):
     """Raised (or acted on) by the deterministic fault-injection harness.
 

@@ -2,8 +2,8 @@
 
 Recovery actions must leave a trace: the run manifest's audit log, the
 worker counters in ``BENCH_suite.json``, and the fault-injection tests
-all need to observe *that* a retry happened, *which* job degraded its
-kernel, and *why*.  This module is that trace: a tiny, thread-safe,
+all need to observe *that* a retry happened, *which* job fell back to
+its local cache, and *why*.  This module is that trace: a tiny, thread-safe,
 process-global recorder.
 
 Events are plain dicts — ``{"kind": ..., "job": ..., **detail}`` — so
@@ -35,9 +35,8 @@ def record(kind: str, *, job: Optional[str] = None, **detail) -> Dict:
     """Record one resilience event; returns the event dict.
 
     *kind* is a short verb phrase (``"retry"``, ``"pool_respawn"``,
-    ``"job_timeout"``, ``"kernel_degraded"``, ``"cache_fallback"``,
-    ``"fault_injected"``); *job* names the benchmark/source the event
-    pertains to, when known.
+    ``"job_timeout"``, ``"cache_fallback"``, ``"fault_injected"``); *job*
+    names the benchmark/source the event pertains to, when known.
     """
     event: Dict = {"kind": kind, "time": time.time()}
     if job is not None:

@@ -2,7 +2,7 @@
 
 Recovery code that is only exercised by mocks is recovery code that does
 not work.  This module plants *real* faults — a worker process calling
-``os._exit`` mid-job, a torn cache entry, a numpy kernel blowing up — at
+``os._exit`` mid-job, a torn cache entry, a dead cache server — at
 fixed injection points, driven by a declarative spec:
 
     REPRO_FAULTS="worker_crash:job=mult4:count=1,cache_corrupt:count=1"
@@ -26,11 +26,6 @@ Grammar
                           (the entry must simply not persist) or in a
                           remote-cache request (the client must degrade
                           to direct disk access)
-``kernel_fail``           numpy-kernel dispatch: raise inside ``simulate`` —
-                          must demote the rest of the job to the bigint
-                          reference engine (one fire per job: a demoted
-                          job and a simulation memo hit skip the hook,
-                          so ``count=2`` demotes a second job)
 ========================  =====================================================
 
 Keys: ``job=NAME`` restricts a directive to one benchmark/source;
@@ -75,7 +70,6 @@ POINTS: Tuple[str, ...] = (
     "job_fail",
     "cache_corrupt",
     "cache_io",
-    "kernel_fail",
 )
 
 #: Exit status of an injected worker crash (visible in supervisor logs).
@@ -358,9 +352,3 @@ def remote_io_fault(job: Optional[str]) -> None:
     """
     if inject("cache_io", job) is not None:
         raise OSError("injected remote-cache I/O fault")
-
-
-def kernel_fault(job: Optional[str] = None) -> None:
-    """The kernel-dispatch injection site: maybe raise inside simulate."""
-    if inject("kernel_fail", job) is not None:
-        raise FaultInjected("kernel_fail", job or "")

@@ -8,8 +8,8 @@ and the shared :mod:`repro._http` handler writes the returned
 terminated by connection close).
 
 Concurrent jobs simulating the same warm graph do not serialize in the
-kernel: the numpy kernel binds executable buffers per thread (see
-:mod:`repro.mig.kernel`), so each handler thread sweeps lock-free.
+kernel: it holds no lock and no shared buffer, and its memo entries
+(see :mod:`repro.mig.kernel`) are whole values swapped in one store.
 
 ::
 

@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-import contextlib
 import random
 import socket
-from unittest import mock
+import sys
 
 import pytest
 
-from repro.mig import kernel
 from repro.mig.graph import Mig
+from repro.mig.kernel import get_kernel
 from repro.mig.signal import complement
-
-#: The numpy engine as installed (``None`` without numpy); tests that
-#: hide it from the kernel module put it back through :func:`use_engine`.
-_NUMPY_ENGINE = kernel._NUMPY
-
-#: The engines this interpreter runs: bigint always, numpy if installed.
-ENGINES = ("bigint", "numpy") if _NUMPY_ENGINE is not None else ("bigint",)
 
 
 def make_random_mig(
@@ -84,45 +76,22 @@ def raw_status(server, method: str, path: str, content_length: str) -> int:
     return int(response.split(b" ", 2)[1])
 
 
-def use_engine(monkeypatch, name: str):
-    """Point :func:`repro.mig.kernel.get_kernel` at the *name* engine for
-    the rest of the test and return that kernel.
-
-    ``bigint`` hides numpy from :mod:`repro.mig.kernel`, as on a
-    CPython-only platform; ``numpy`` skips the test where numpy is not
-    installed.
-    """
-    if name == "numpy" and _NUMPY_ENGINE is None:
-        pytest.skip("numpy not installed")
-    monkeypatch.setattr(
-        kernel, "_NUMPY", _NUMPY_ENGINE if name == "numpy" else None
-    )
-    return kernel.get_kernel()
-
-
-@contextlib.contextmanager
-def numpy_runs():
-    """Count the numpy engine's batch-program replays inside the block.
-
-    Yields a list that gets one entry per replay; every window the numpy
-    engine simulates replays once, and a window narrower than
-    ``kernel._NUMPY_MIN_WIDTH`` goes to bigint without one.
-    """
-    runs = []
-    replay = kernel._BatchExec.run
-
-    def counted(self, plan):
-        runs.append(plan)
-        return replay(self, plan)
-
-    with mock.patch.object(kernel._BatchExec, "run", counted):
-        yield runs
-
-
 @pytest.fixture(params=["bigint", "numpy"])
 def engine(request, monkeypatch):
-    """Run the test once per simulation engine; yields its kernel."""
-    return use_engine(monkeypatch, request.param)
+    """Run the test once per platform and yield the simulation kernel.
+
+    ``bigint`` hides numpy from the interpreter, as on a CPython-only
+    platform; ``numpy`` loads it where it is installed.  The kernel is
+    the same pure-Python engine on both, and so must be every result.
+    """
+    if request.param == "bigint":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    else:
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            pass
+    return get_kernel()
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pathlib
 import pytest
 
 from repro.analysis.cli import build_parser, main
-from .conftest import use_engine
 
 
 class TestParser:
@@ -189,20 +188,6 @@ class TestEmptyAxis:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "w_max below 3" in captured.err
-
-
-class TestBackendOption:
-    """The simulation engine never changes an artefact."""
-
-    def test_backend_does_not_change_artifacts(self, capsys, monkeypatch):
-        """bigint is the reference engine; running on it must not change
-        any table (verification runs through the process's kernel)."""
-        argv = ["table1", "--preset", "tiny", "--benchmarks", "dec"]
-        assert main(argv) == 0
-        ambient = capsys.readouterr().out
-        use_engine(monkeypatch, "bigint")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == ambient
 
 
 class TestArchOption:

@@ -135,7 +135,7 @@ class TestSingleWriterLock:
 
         cache = DiskCache(tmp_path)
         first = {"kind": "retry", "job": "k", "attempt": 1}
-        late = {"kind": "kernel_degraded", "job": "k"}
+        late = {"kind": "cache_fallback", "job": "k"}
         cache.store(("k",), 1, certificate=64, manifest={"events": [first]})
         cache.store(("k",), 1, certificate=8, manifest={"events": [late]})
         manifest = load_manifest(cache.entry_path(("k",)))

@@ -1,8 +1,7 @@
 """Tests for the Python-AST frontend (:mod:`repro.synth.frontend`).
 
 The central property: for every decorated function, the compiled MIG
-agrees with the plain Python call on *every* input combination, on both
-simulation engines.
+agrees with the plain Python call on *every* input combination.
 """
 
 import itertools
@@ -11,28 +10,21 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mig.kernel import get_kernel
 from repro.mig.simulate import simulate
 from repro.synth.frontend import (
     FrontendError,
     FrontendFunction,
     mig_function,
 )
-from .conftest import numpy_runs
-
-
-#: Patterns per simulation: wider than one 64-bit lane, so the numpy
-#: engine simulates the window itself instead of handing it to bigint.
-WINDOW = 128
 
 
 def circuit_outputs(ff: FrontendFunction, combos):
     """Simulate the compiled circuit on every argument tuple of *combos*
-    in one window of at least :data:`WINDOW` patterns (tuples repeat to
-    fill it) and return the output value, or tuple of values, per tuple.
-    Inputs and outputs are LSB-first words."""
+    in one window, one pattern per tuple, and return the output value,
+    or tuple of values, per tuple.  Inputs and outputs are LSB-first
+    words."""
     mig = ff.build()
-    width = max(WINDOW, len(combos))
+    width = len(combos)
     bit_of = {
         f"{param}{i}": (arg, i)
         for arg, (param, bits) in enumerate(ff.input_widths.items())
@@ -42,11 +34,9 @@ def circuit_outputs(ff: FrontendFunction, combos):
     for j in range(mig.num_pis):
         arg, i = bit_of[mig.pi_name(j)]
         words.append(sum(
-            ((combos[p % len(combos)][arg] >> i) & 1) << p for p in range(width)
+            ((combos[p][arg] >> i) & 1) << p for p in range(width)
         ))
-    with numpy_runs() as runs:
-        out = simulate(mig, words, (1 << width) - 1)
-    assert bool(runs) == (get_kernel().name == "numpy")
+    out = simulate(mig, words, (1 << width) - 1)
     results = []
     for p in range(len(combos)):
         values = []

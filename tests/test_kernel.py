@@ -1,5 +1,7 @@
-"""Tests for the pluggable simulation kernels (repro.mig.kernel)."""
+"""Tests for the simulation kernel (repro.mig.kernel) and the exhaustive
+and randomized sweeps built on it (repro.mig.simulate)."""
 
+import importlib
 import random
 
 import pytest
@@ -9,34 +11,61 @@ from repro.mig.graph import Mig
 from repro.mig.signal import complement
 from repro.mig.simulate import (
     equivalent,
+    exhaustive_chunks,
     exhaustive_words,
     find_counterexample,
     randomized_rounds,
     simulate,
     truth_tables,
 )
-from .conftest import ENGINES, make_random_mig, use_engine
+from .conftest import make_random_mig
 
-needs_numpy = pytest.mark.skipif(
-    not kernel.numpy_available(), reason="numpy not installed"
-)
+# repro.mig re-exports a function named simulate over the module name.
+sim = importlib.import_module("repro.mig.simulate")
+
+
+def reference_outputs(mig, words, mask):
+    """Test-local reference evaluator: walks ``Mig.fanins`` in node
+    order with the textbook majority and explicit complements, sharing
+    neither the kernel's flat gate records nor its 4-op majority."""
+    value = {0: 0}
+    for node, word in zip(mig.pis(), words):
+        value[node] = word & mask
+
+    def read(signal):
+        word = value[signal >> 1]
+        return word ^ mask if signal & 1 else word
+
+    for node in mig.gates():
+        a, b, c = (read(s) for s in mig.fanins(node))
+        value[node] = (a & b) | (a & c) | (b & c)
+    return [read(s) for s in mig.pos()]
+
+
+def reference_tables(mig):
+    """Exhaustive truth tables from :func:`reference_outputs`, one
+    ``2**num_pis``-wide window."""
+    width = 1 << mig.num_pis
+    words = exhaustive_words(mig.num_pis, width)
+    return reference_outputs(mig, words, (1 << width) - 1)
 
 
 class TestSelection:
-    """The engine is chosen by one rule: numpy when importable."""
+    """There is one engine."""
 
-    def test_bigint_always_available(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_NUMPY", None)
-        assert not kernel.numpy_available()
+    def test_bigint_always_available(self):
         assert kernel.get_kernel() is kernel._BIGINT
+        assert kernel.get_kernel().name == "bigint"
 
-    @needs_numpy
-    def test_auto_prefers_numpy(self):
-        assert kernel.get_kernel() is kernel._NUMPY
-
-    def test_engine_fixture_pins_the_kernel(self, engine, request):
-        assert engine.name == request.node.callspec.params["engine"]
+    def test_engine_fixture_pins_the_kernel(self, engine):
+        # Hiding numpy or loading it leaves the one engine in place.
         assert kernel.get_kernel() is engine
+        assert engine.name == "bigint"
+
+    def test_numpy_names_are_empty_stubs(self):
+        for stub in (kernel.NumpyKernel, kernel.NumpyBatchKernel):
+            assert "simulate" not in vars(stub)
+            assert "exhaustive_window" not in vars(stub)
 
     @pytest.mark.parametrize(
         "name", ["numpy-batch", "batch", "python", "auto", "bigint", "numpy"]
@@ -76,23 +105,19 @@ def _randomized_parity_test():
     )
     def test_property_randomized_parity(self, num_pis, num_gates, seed):
         mig = make_random_mig(num_pis, num_gates, seed=seed)
-        assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-            mig, kernel=kernel._BIGINT
-        )
+        assert truth_tables(mig) == reference_tables(mig)
 
     return test_property_randomized_parity
 
 
-@needs_numpy
 class TestBackendParity:
-    """The numpy kernel must be bit-identical to the bigint reference."""
+    """The kernel must be bit-identical to the test-local reference
+    evaluator (:func:`reference_outputs`)."""
 
     def test_truth_tables_parity_random_migs(self):
         for seed in range(10):
             mig = make_random_mig(4 + seed, 20 + 15 * seed, seed=seed)
-            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-                mig, kernel=kernel._BIGINT
-            ), f"seed {seed}"
+            assert truth_tables(mig) == reference_tables(mig), f"seed {seed}"
 
     def test_registry_benchmark_sweep(self):
         # Every registry benchmark narrow enough for exhaustive sweeps.
@@ -104,46 +129,30 @@ class TestBackendParity:
             mig = build_benchmark(name, preset="tiny")
             if mig.num_pis > MAX_EXHAUSTIVE_PIS:
                 continue
-            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-                mig, kernel=kernel._BIGINT
-            ), name
+            assert truth_tables(mig) == reference_tables(mig), name
             swept += 1
         assert swept >= 10  # the tiny preset keeps most benchmarks narrow
 
     def test_truth_tables_parity_is_chunking_invariant(self):
         mig = make_random_mig(10, 120, seed=3)
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
+        reference = reference_tables(mig)
         for chunk_bits in (4, 7, 8, 9, 13):
-            assert (
-                truth_tables(mig, chunk_bits=chunk_bits, kernel=kernel._NUMPY)
-                == reference
-            ), f"chunk_bits {chunk_bits}"
+            assert truth_tables(mig, chunk_bits=chunk_bits) == reference, (
+                f"chunk_bits {chunk_bits}"
+            )
 
-    @pytest.mark.parametrize("width", [65, 100, 128, 129, 1000, 1024])
+    @pytest.mark.parametrize(
+        "width", [1, 7, 64, 65, 100, 128, 129, 1000, 1024]
+    )
     def test_simulate_parity_at_odd_widths(self, width):
         mig = make_random_mig(7, 60, seed=11)
         rng = random.Random(width)
         mask = (1 << width) - 1
         words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-        assert simulate(mig, words, mask, kernel=kernel._NUMPY) == simulate(
-            mig, words, mask, kernel=kernel._BIGINT
-        )
-
-    def test_narrow_windows_fall_back_to_bigint_results(self):
-        # Below one uint64 lane the numpy kernel delegates; outputs are
-        # trivially identical, which this asserts end to end.
-        mig = make_random_mig(4, 20, seed=5)
-        for width in (1, 7, 64):
-            rng = random.Random(width)
-            mask = (1 << width) - 1
-            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
+        assert simulate(mig, words, mask) == reference_outputs(mig, words, mask)
 
     def test_two_input_gates_match_reference(self):
-        # Gates with a constant fanin run as AND/OR groups, some with a
-        # complemented operand; odd widths exercise the tail lane.
+        # Gates with a constant fanin, some with a complemented operand.
         mig = Mig()
         x = [mig.add_pi(f"x{i}") for i in range(8)]
         ands = [mig.add_and(x[i], complement(x[i + 1])) for i in range(7)]
@@ -152,44 +161,35 @@ class TestBackendParity:
         for sig in ands[:2] + ors[:2] + majs:
             mig.add_po(sig)
         mig.add_po(complement(mig.add_and(complement(majs[0]), majs[1])))
-        groups = kernel._batch_plan(mig).groups
-        joins = {grp.join for grp in groups}
-        assert {None, kernel._np.bitwise_and, kernel._np.bitwise_or} <= joins
-        assert any(grp.nflip for grp in groups)
-        assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-            mig, kernel=kernel._BIGINT
-        )
+        assert truth_tables(mig) == reference_tables(mig)
         rng = random.Random(7)
         for width in (65, 100, 129, 1000):
             mask = (1 << width) - 1
             words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT), width
+            assert simulate(mig, words, mask) == reference_outputs(
+                mig, words, mask
+            ), width
 
     def test_exhaustive_window_agreement(self):
-        # The natively synthesised stimulus must match the generic
-        # exhaustive words at every window base.
+        # Each chunk's shared low-variable words plus constant high
+        # variables must match the generic exhaustive words at its base.
         mig = make_random_mig(10, 200, seed=19)
         mask = (1 << 256) - 1
-        for base in (0, 256, 768):
+        for base, width, outputs in exhaustive_chunks(mig, chunk_bits=8):
+            assert width == 256
             words = exhaustive_words(mig.num_pis, 256, base)
-            assert kernel._NUMPY.exhaustive_window(
-                mig, base, 256
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
+            assert outputs == reference_outputs(mig, words, mask), base
 
-    def test_equivalent_verdicts_match(self, monkeypatch):
+    def test_equivalent_verdicts_match(self):
         m1 = make_random_mig(9, 70, seed=21)
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        for name in ENGINES:
-            use_engine(monkeypatch, name)
-            assert equivalent(m1, m1.clone()), name
-            assert not equivalent(m1, flipped), name
+        assert equivalent(m1, m1.clone())
+        assert not equivalent(m1, flipped)
 
     def test_equivalent_after_interleaved_simulate(self):
-        # The exhaustive stimulus fast path caches filled PI rows; a
-        # generic simulate() in between must invalidate them.
+        # A generic simulate() between two sweeps replaces the graph's
+        # remembered simulation; the second sweep must not see it.
         mig = make_random_mig(8, 60, seed=23)
         reference = truth_tables(mig)
         rng = random.Random(0)
@@ -207,8 +207,7 @@ class TestBackendParity:
 
     def test_equivalent_is_thread_safe_on_shared_graphs(self):
         # Concurrent equivalence checks on one pair of warm graphs (the
-        # ``repro serve`` pattern) each sweep their own per-thread
-        # executables.
+        # ``repro serve`` pattern) share the graphs' memo entries.
         import threading
 
         mig = make_random_mig(9, 120, seed=31)
@@ -230,198 +229,67 @@ class TestBackendParity:
 
     def test_equivalent_same_object_both_sides(self):
         mig = make_random_mig(8, 60, seed=33)
-        assert equivalent(mig, mig)  # one executable serves both sides
+        assert equivalent(mig, mig)  # one sweep serves both sides
 
-    def test_counterexample_parity(self, monkeypatch):
+    def test_counterexample_parity(self):
         m1 = Mig()
         a, b = m1.add_pi("a"), m1.add_pi("b")
         m1.add_po(m1.add_and(a, b), "f")
         m2 = Mig()
         a, b = m2.add_pi("a"), m2.add_pi("b")
         m2.add_po(m2.add_or(a, b), "f")
-        for name in ENGINES:
-            use_engine(monkeypatch, name)
-            cex = find_counterexample(m1, m2)
-            assert cex is not None
-            assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
-
-    def test_per_thread_executables_are_isolated(self):
-        import threading
-
-        mig = make_random_mig(10, 150, seed=43)
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-        failures = []
-
-        def worker():
-            for _ in range(15):
-                if truth_tables(mig, kernel=kernel._NUMPY) != reference:
-                    failures.append("parity broke under concurrency")
-                    return
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-
-    def test_executable_lru_rebinds_interleaved_widths(self):
-        # Interleaved widths on one warm plan must reuse cached
-        # executables instead of rebuilding per call (a single-width
-        # cache would thrash here).
-        plan = kernel._batch_plan(make_random_mig(8, 60, seed=45))
-        a = plan.executable(4, 256)
-        b = plan.executable(8, 512)
-        assert plan.executable(4, 256) is a
-        assert plan.executable(8, 512) is b
-
-    def test_executable_lru_is_bounded(self):
-        plan = kernel._batch_plan(make_random_mig(8, 60, seed=45))
-        first = plan.executable(2, 128)
-        for lanes in range(3, 4 + kernel._EXEC_LRU_SIZE):
-            plan.executable(lanes, lanes * 64)
-        assert plan.executable(2, 128) is not first  # evicted
+        cex = find_counterexample(m1, m2)
+        assert cex is not None
+        assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"])
 
     if given is not None:
         test_property_randomized_parity = _randomized_parity_test()
 
 
-@needs_numpy
 class TestBatchParity(TestBackendParity):
-    """The same checks with every exhaustive sweep in 4-lane windows.
+    """The same checks with every default-width exhaustive sweep in
+    256-pattern windows.
 
-    At its default chunk width the level-batched engine covers most test
-    graphs in one window.  At 256 patterns per window, the window bases,
-    the native stimulus refill and the per-window equivalence exit run
-    many times per graph.
+    At the default 2^13-pattern chunks most test graphs fit one window.
+    At 256 patterns per window, the window bases, the shared
+    low-variable stimulus and the per-window equivalence exit run many
+    times per graph.
     """
 
     @pytest.fixture(autouse=True)
     def _narrow_windows(self, monkeypatch):
-        monkeypatch.setattr(
-            kernel.NumpyKernel, "chunk_bits_for", lambda self, mig: 8
-        )
+        monkeypatch.setattr(sim, "CHUNK_BITS", 8)
 
     if given is not None:
         test_property_randomized_parity = _randomized_parity_test()
 
 
 class TestChunkSizing:
-    def test_budget_shrinks_with_node_count(self):
-        # Small graphs get the widest window; huge ones shrink toward
-        # the bigint floor so the value matrix stays bounded.
-        assert kernel._budget_chunk_bits(100) == 18
-        huge = (kernel._NUMPY_MEM_BUDGET >> (18 - 6 + 3)) + 1
-        assert kernel._budget_chunk_bits(huge) == 17
-        assert kernel._budget_chunk_bits(1 << 30) == 13
-
     def test_kernel_chunk_widths(self):
-        mig = make_random_mig(6, 30, seed=1)
-        assert kernel._BIGINT.chunk_bits_for(mig) == 13
-        if kernel.numpy_available():
-            assert kernel._NUMPY.chunk_bits_for(mig) == (
-                kernel._budget_chunk_bits(mig.num_nodes)
-            )
-
-
-@needs_numpy
-class TestDegradationChain:
-    """Runtime failures demote numpy -> bigint, sticky per scope, with
-    one kernel_degraded event per demotion."""
-
-    def _mig(self):
-        return make_random_mig(8, 60, seed=51)
-
-    def test_numpy_failure_demotes_to_bigint(self, monkeypatch):
-        from repro.resilience import events
-
-        mig = self._mig()
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-
-        def boom(*a, **k):
-            raise RuntimeError("boom")
-
-        # Every numpy path (simulate, windows, equivalence) compiles or
-        # fetches the plan inside its guard.
-        monkeypatch.setattr(kernel, "_batch_plan", boom)
-        with events.capture() as log:
-            with kernel.degradation_scope("job-a") as frame:
-                assert truth_tables(mig) == reference
-                assert equivalent(mig, mig.clone())
-                assert frame["demoted"] == {"numpy"}
-        (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
-        assert event["backend"] == "numpy"
-        assert event["fallback"] == "bigint"
-        assert event["job"] == "job-a"
-
-    def test_equivalence_failure_falls_back_per_call(self, monkeypatch):
-        # Outside a scope each failing call falls back on its own, and a
-        # failed sweep stores no exhaustive table (so the second call
-        # sweeps, and fails, again).
-        from repro.resilience import events
-
-        mig = self._mig()
-        twin = mig.clone()
-        flipped = mig.clone()
-        flipped._pos[0] = complement(flipped._pos[0])
-        monkeypatch.setattr(
-            kernel, "_window_rows",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        with events.capture() as log:
-            assert equivalent(mig, twin)
-            assert not equivalent(mig, flipped)
-        assert [e["backend"] for e in log if e["kind"] == "kernel_degraded"] == [
-            "numpy", "numpy",
-        ]
-        for graph in (mig, twin, flipped):
-            for engine in ("numpy", "bigint"):
-                assert ("exhaustive", engine) not in graph._derived
-
-    def test_demotion_is_sticky_within_scope_only(self, monkeypatch):
-        mig = self._mig()
-        calls = {"n": 0}
-
-        def boom(*a, **k):
-            calls["n"] += 1
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(kernel._NUMPY, "_numpy_simulate", boom)
-        mask = (1 << 256) - 1
-        words = [0] * mig.num_pis
-        with kernel.degradation_scope("job-c"):
-            kernel._NUMPY.simulate(mig, words, mask)
-            kernel._NUMPY.simulate(mig, words, mask)
-            assert calls["n"] == 1  # second call skipped the dead engine
-        kernel._NUMPY.simulate(mig, words, mask)
-        assert calls["n"] == 2  # fresh scope retries the full engine
+        # 2^13-pattern chunks; a graph with fewer patterns is one chunk.
+        wide = make_random_mig(15, 40, seed=1)
+        assert [w for _, w, _ in exhaustive_chunks(wide)] == [1 << 13] * 4
+        narrow = make_random_mig(6, 30, seed=1)
+        assert [w for _, w, _ in exhaustive_chunks(narrow)] == [64]
 
 
 def _count_engine_runs(monkeypatch):
-    """Count every run of each engine; returns the live tally."""
-    runs = {"bigint": 0, "numpy": 0}
-    bigint = kernel._bigint_simulate
+    """Count every engine run (a memo hit runs none); returns the live
+    tally."""
+    runs = []
+    engine = kernel._bigint_simulate
 
-    def counted_bigint(*args):
-        runs["bigint"] += 1
-        return bigint(*args)
+    def counted(*args):
+        runs.append(args[0])
+        return engine(*args)
 
-    monkeypatch.setattr(kernel, "_bigint_simulate", counted_bigint)
-    if kernel.numpy_available():
-        numpy = kernel._NUMPY._numpy_simulate
-
-        def counted_numpy(*args):
-            runs["numpy"] += 1
-            return numpy(*args)
-
-        monkeypatch.setattr(kernel._NUMPY, "_numpy_simulate", counted_numpy)
+    monkeypatch.setattr(kernel, "_bigint_simulate", counted)
     return runs
 
 
 class TestSimulationMemo:
-    """Each kernel remembers a graph's last simulation per engine."""
+    """The kernel remembers a graph's last simulation."""
 
-    #: Wide enough for the numpy engine proper (not its bigint path).
     WIDTH = 128
 
     def _stimulus(self, mig, seed=7):
@@ -454,10 +322,7 @@ class TestSimulationMemo:
         source = session.cache.benchmark_mig(name, "tiny")
         assert len(requested) == 9
         assert all(mig is source for mig in requested)
-        # ctrl's 7 inputs are checked on all 128 patterns: wide enough
-        # for the numpy engine; adder's 64 random patterns are not.
-        ran = "numpy" if engine.name == "numpy" and name == "ctrl" else "bigint"
-        assert runs == {"bigint": 0, "numpy": 0, ran: 1}
+        assert runs == [source]
 
     def test_mutation_simulates_again(self, engine, monkeypatch):
         runs = _count_engine_runs(monkeypatch)
@@ -465,14 +330,14 @@ class TestSimulationMemo:
         words, mask = self._stimulus(mig)
         before = simulate(mig, words, mask)
         assert simulate(mig, words, mask) == before
-        assert sum(runs.values()) == 1
+        assert len(runs) == 1
         a, b, c = (2 * node for node in mig.pis()[:3])
         gate = mig.add_maj(a, b, complement(c))
         assert simulate(mig, words, mask) == before
-        assert sum(runs.values()) == 2
+        assert len(runs) == 2
         mig.add_po(gate, "new")
         after = simulate(mig, words, mask)
-        assert sum(runs.values()) == 3
+        assert len(runs) == 3
         wa, wb, wc = words[:3]
         assert after == before + [(wa & wb) | ((wa | wb) & ~wc & mask)]
 
@@ -487,73 +352,25 @@ class TestSimulationMemo:
     def test_chunked_sweep_misses_every_chunk(self, monkeypatch):
         runs = _count_engine_runs(monkeypatch)
         mig = make_random_mig(8, 60, seed=8)
-        truth_tables(mig, chunk_bits=4, kernel=kernel._BIGINT)
-        truth_tables(mig, chunk_bits=4, kernel=kernel._BIGINT)
-        assert runs["bigint"] == 2 * (1 << 8) // (1 << 4)
-
-    @needs_numpy
-    def test_engine_is_part_of_the_key(self, monkeypatch):
-        runs = _count_engine_runs(monkeypatch)
-        mig = make_random_mig(6, 40, seed=9)
-        words, mask = self._stimulus(mig)
-        reference = simulate(mig, words, mask, kernel=kernel._BIGINT)
-        assert simulate(mig, words, mask, kernel=kernel._NUMPY) == reference
-        assert runs == {"bigint": 1, "numpy": 1}
-        simulate(mig, words, mask, kernel=kernel._BIGINT)
-        simulate(mig, words, mask, kernel=kernel._NUMPY)
-        assert runs == {"bigint": 1, "numpy": 1}
-
-    @needs_numpy
-    def test_fallback_is_not_remembered(self, monkeypatch):
-        mig = make_random_mig(6, 40, seed=10)
-        words, mask = self._stimulus(mig)
-        monkeypatch.setattr(
-            kernel._NUMPY, "_numpy_simulate",
-            lambda *a: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        fallback = kernel._NUMPY.simulate(mig, words, mask)
-        assert ("simulate", "numpy") not in mig._derived
-        monkeypatch.undo()
-        assert kernel._NUMPY.simulate(mig, words, mask) == fallback
-        assert ("simulate", "numpy") in mig._derived
+        truth_tables(mig, chunk_bits=4)
+        truth_tables(mig, chunk_bits=4)
+        assert len(runs) == 2 * (1 << 8) // (1 << 4)
 
 
 class TestExhaustiveMemo:
-    """Exhaustive equivalence remembers each graph's output table per
-    engine: a graph is swept at most once while it is unchanged."""
+    """Exhaustive equivalence remembers each graph's output table: a
+    graph is swept at most once while it is unchanged."""
 
     #: Inputs of the test graphs: four 2^13-pattern windows per sweep.
     NUM_PIS = 15
     WINDOWS = 1 << (NUM_PIS - 13)
 
     @pytest.fixture
-    def windows(self, engine, monkeypatch):
+    def windows(self, monkeypatch):
         """Engine windows run per graph (and in total, for ``None``)."""
-        # Shrink the numpy chunks to the bigint kernel's 2^13 patterns.
-        monkeypatch.setattr(kernel, "_NUMPY_MEM_BUDGET", 0)
-        tally = {}
-        if engine.name == "numpy":
-            run = kernel._BatchExec.run
-
-            def counted(self, plan):
-                tally[id(plan)] = tally.get(id(plan), 0) + 1
-                return run(self, plan)
-
-            monkeypatch.setattr(kernel._BatchExec, "run", counted)
-
-            def key(mig):
-                return id(mig._derived.get("numpy_plan"))
-        else:
-            simulate_ = kernel._bigint_simulate
-
-            def counted(mig, *args):
-                tally[id(mig)] = tally.get(id(mig), 0) + 1
-                return simulate_(mig, *args)
-
-            monkeypatch.setattr(kernel, "_bigint_simulate", counted)
-            key = id
+        runs = _count_engine_runs(monkeypatch)
         return lambda mig=None: (
-            sum(tally.values()) if mig is None else tally.get(key(mig), 0)
+            len(runs) if mig is None else sum(g is mig for g in runs)
         )
 
     def _graph(self, seed):
@@ -574,7 +391,7 @@ class TestExhaustiveMemo:
         assert windows() == 2 * self.WINDOWS
         x, y, z = (2 * node for node in a.pis()[:3])
         b.add_maj(x, y, complement(z))  # a dead gate: same function
-        assert ("exhaustive", engine.name) not in b._derived
+        assert "exhaustive" not in b._derived
         assert equivalent(a, b)
         assert windows() == 3 * self.WINDOWS  # b swept against a's table
         a.add_po(a.add_maj(x, y, z))
@@ -586,30 +403,26 @@ class TestExhaustiveMemo:
         a = self._graph(23)
         flipped = a.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        slot = ("exhaustive", engine.name)
         assert not equivalent(a, flipped)
         assert (windows(a), windows(flipped)) == (1, 1)
-        assert slot not in a._derived and slot not in flipped._derived
-        # Fresh graphs: a bigint re-sweep would hit the simulate memo.
+        assert "exhaustive" not in a._derived
+        assert "exhaustive" not in flipped._derived
+        # Fresh graphs: a re-sweep would hit the simulate memo.
         known, flipped = a.clone(), flipped.clone()
         assert equivalent(known, a.clone())
-        table = known._derived[slot]
+        table = known._derived["exhaustive"]
         assert not equivalent(flipped, known)  # swept against the table
         assert (windows(known), windows(flipped)) == (self.WINDOWS, 1)
-        assert slot not in flipped._derived
-        assert known._derived[slot] is table
+        assert "exhaustive" not in flipped._derived
+        assert known._derived["exhaustive"] is table
 
     def test_equivalent_pair_shares_one_table(self, engine, windows):
         a = self._graph(24)
         b = a.clone()
         assert equivalent(a, b)
-        slot = ("exhaustive", engine.name)
-        table = a._derived[slot]
-        assert b._derived[slot] is table
-        if engine.name == "numpy":
-            assert not table.flags.writeable
-        else:
-            assert isinstance(table, tuple)
+        table = a._derived["exhaustive"]
+        assert b._derived["exhaustive"] is table
+        assert isinstance(table, tuple)
         assert equivalent(b, a)
         assert windows() == 2 * self.WINDOWS  # both known: no sweep
 
@@ -620,35 +433,17 @@ class TestExhaustiveMemo:
         b = a.clone()
         assert equivalent(a, b)
         copy = pickle.loads(pickle.dumps(a))
-        assert ("exhaustive", engine.name) not in copy._derived
+        assert "exhaustive" not in copy._derived
         assert equivalent(copy, b)
         assert windows(copy) == self.WINDOWS
-
-    @needs_numpy
-    def test_memo_hit_never_reaches_the_guard(self, monkeypatch):
-        from repro.resilience import events
-
-        use_engine(monkeypatch, "numpy")
-        a = make_random_mig(8, 60, seed=26)
-        b = a.clone()
-        assert equivalent(a, b)
-        monkeypatch.setattr(
-            kernel._res_faults, "kernel_fault",
-            lambda job: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        with events.capture() as log:
-            assert equivalent(b, a)
-        assert not [e for e in log if e["kind"] == "kernel_degraded"]
 
     @pytest.mark.parametrize("chunk_bits", [None, 7])
     def test_verdicts_match_truth_tables(self, engine, monkeypatch, chunk_bits):
         """Every ordered pair of a pool (a graph, its clone, two
         complemented-output mutants), memo state carried across calls,
-        answers as the bigint truth tables do."""
+        answers as the reference truth tables do."""
         if chunk_bits is not None:  # several windows below 13 inputs
-            monkeypatch.setattr(
-                type(engine), "chunk_bits_for", lambda self, mig: chunk_bits
-            )
+            monkeypatch.setattr(sim, "CHUNK_BITS", chunk_bits)
         for seed in range(12):
             a = make_random_mig(1 + seed, 10 + 8 * seed, seed=40 + seed)
             pool = [a, a.clone()]
@@ -656,7 +451,7 @@ class TestExhaustiveMemo:
                 mutant = a.clone()
                 mutant._pos[po] = complement(mutant._pos[po])
                 pool.append(mutant)
-            tables = [truth_tables(g, kernel=kernel._BIGINT) for g in pool]
+            tables = [reference_tables(g) for g in pool]
             for i, x in enumerate(pool):
                 for j, y in enumerate(pool):
                     assert equivalent(x, y) == (tables[i] == tables[j]), (
@@ -666,26 +461,17 @@ class TestExhaustiveMemo:
 
 class TestRandomizedRounds:
     def test_bigint_defaults(self):
-        k = kernel._BIGINT
-        rounds, width, mask = randomized_rounds(1024, kernel=k)
+        rounds, width, mask = randomized_rounds(1024)
         assert (rounds, width) == (16, 64)
         assert mask == (1 << 64) - 1
 
     def test_width_capped_at_samples(self):
-        rounds, width, _ = randomized_rounds(16, kernel=kernel._BIGINT)
+        rounds, width, _ = randomized_rounds(16)
         assert (rounds, width) == (1, 16)
 
     def test_explicit_width_wins(self):
-        rounds, width, _ = randomized_rounds(
-            1024, 256, kernel=kernel._BIGINT
-        )
+        rounds, width, _ = randomized_rounds(1024, 256)
         assert (rounds, width) == (4, 256)
-
-    @needs_numpy
-    def test_numpy_prefers_wider_sweeps(self):
-        rounds, width, _ = randomized_rounds(4096, kernel=kernel._NUMPY)
-        assert width == kernel._NUMPY.random_width
-        assert rounds == 4096 // width
 
     def test_equivalent_accepts_width(self):
         m = make_random_mig(22, 30, seed=13)
@@ -694,6 +480,35 @@ class TestRandomizedRounds:
     def test_find_counterexample_accepts_width(self):
         m = make_random_mig(6, 30, seed=13)
         assert find_counterexample(m, m.clone(), width=128) is None
+
+    @pytest.mark.parametrize(
+        "samples, width, name",
+        [(0, None, "samples"), (-5, None, "samples"), (-5, 8, "samples"),
+         (64, 0, "width"), (64, -3, "width")],
+    )
+    def test_refuses_nonpositive_arguments(self, samples, width, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            randomized_rounds(samples, width)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"width": 0}, "width"), ({"width": -3}, "width"),
+        ({"samples": 0}, "samples"),
+    ])
+    def test_randomized_checks_refuse_nonpositive_arguments(self, kwargs, name):
+        m = make_random_mig(22, 30, seed=13)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            equivalent(m, m.clone(), exhaustive_limit=4, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            find_counterexample(m, m.clone(), **kwargs)
+
+    def test_verify_program_refuses_negative_patterns(self):
+        from repro.plim.compiler import PlimCompiler
+        from repro.plim.verify import verify_program
+
+        m = make_random_mig(12, 40, seed=13)
+        program = PlimCompiler().compile(m)
+        with pytest.raises(ValueError, match="^samples must be at least 1"):
+            verify_program(program, m, patterns=-5)
 
 
 class TestFlatGateMasks:

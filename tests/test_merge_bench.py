@@ -9,7 +9,7 @@ def shard(commit, cpus, seconds):
     return {
         "provenance": {
             "commit": commit, "cpu_count": cpus,
-            "python": "3.11.7", "numpy": None,
+            "python": "3.11.7",
         },
         "preset": "default",
         "parallel": None,

@@ -43,7 +43,7 @@ from repro.opt import (
 from repro.opt.engine import OPT_ENV_VAR
 from repro.plim.compiler import _CLASS_ROLES, _role_table
 from repro.synth.registry import BENCHMARK_ORDER, build_benchmark
-from .conftest import ENGINES, make_random_mig, numpy_runs, use_engine
+from .conftest import make_random_mig
 
 ENDURANCE = get_architecture("endurance")
 
@@ -83,9 +83,7 @@ class TestPassRegistry:
 class TestPassEquivalence:
     """Every registered pass preserves the function at every output —
     the metadata's `preserves_equivalence` claim, sweep-tested on
-    randomized MIGs on every installed simulation engine.  The graphs
-    have 7 inputs: a 128-pattern window is wide enough for the numpy
-    engine to run numpy rather than hand the window to bigint."""
+    randomized MIGs with 7 inputs."""
 
     SEEDS = (3, 11, 29)
 
@@ -93,29 +91,21 @@ class TestPassEquivalence:
         "M", "D_rl", "A", "Psi_C", "I_rl_1_3", "I_rl", "P",
         "cycle:dac16", "cycle:endurance",
     ])
-    def test_pass_preserves_truth_tables(self, name, monkeypatch):
+    def test_pass_preserves_truth_tables(self, name):
         rewrite_pass = get_pass(name)
-        for engine in ENGINES:
-            use_engine(monkeypatch, engine)
-            with numpy_runs() as runs:
-                for seed in self.SEEDS:
-                    mig = make_random_mig(num_pis=7, num_gates=45, seed=seed)
-                    result = rewrite_pass.apply(mig)
-                    assert truth_tables(result) == truth_tables(mig), (
-                        f"pass {name} broke seed {seed} on {engine}"
-                    )
-            assert bool(runs) == (engine == "numpy"), engine
+        for seed in self.SEEDS:
+            mig = make_random_mig(num_pis=7, num_gates=45, seed=seed)
+            result = rewrite_pass.apply(mig)
+            assert truth_tables(result) == truth_tables(mig), (
+                f"pass {name} broke seed {seed}"
+            )
 
     @pytest.mark.parametrize("spec", ["greedy", "budget", "greedy:depth"])
-    def test_strategies_preserve_equivalence(self, spec, monkeypatch):
+    def test_strategies_preserve_equivalence(self, spec):
         optimizer = Optimizer(spec, ENDURANCE)
-        for engine in ENGINES:
-            use_engine(monkeypatch, engine)
-            mig = make_random_mig(num_pis=7, num_gates=40, seed=17)
-            result = optimizer.run(mig, "endurance", effort=2)
-            with numpy_runs() as runs:
-                assert equivalent(mig, result), engine
-            assert bool(runs) == (engine == "numpy"), engine
+        mig = make_random_mig(num_pis=7, num_gates=40, seed=17)
+        result = optimizer.run(mig, "endurance", effort=2)
+        assert equivalent(mig, result)
 
 
 class TestObjectives:

@@ -140,7 +140,6 @@ RESILIENCE_API = [
     "FaultDirective",
     "FaultInjected",
     "FaultPlan",
-    "KernelDegradedError",
     "MANIFEST_SCHEMA",
     "PermanentFault",
     "RETRY_ENV_VAR",
@@ -335,7 +334,6 @@ class TestResilienceNamespace:
             "job_fail",
             "cache_corrupt",
             "cache_io",
-            "kernel_fail",
         )
 
     def test_error_taxonomy(self):
@@ -430,3 +428,48 @@ class TestBenchmarkTracePoints:
             tracer.restore()
         assert runner.compile_pipeline is compile_pipeline
         assert dict(vars(runner.ExperimentCache)) == before
+
+    def test_one_simulate_call_counts_once(self):
+        """The kernel's ``simulate`` is wrapped exactly once and
+        ``simulate()`` reaches it: a wrapped name stub would count the
+        call twice, a bypass would count it zero times."""
+        from perfbench import layers
+        from perfbench.tracer import Tracer
+
+        from repro.mig.simulate import simulate
+
+        from .conftest import make_random_mig
+
+        mig = make_random_mig(5, 20, seed=3)
+        tracer = Tracer()
+        try:
+            layers.install(tracer)
+            simulate(mig, [0b1010] * mig.num_pis, 0b1111)
+        finally:
+            tracer.restore()
+        assert tracer.counts["kernel.simulate.calls"] == 1
+
+
+class TestDependencies:
+    def test_repro_never_imports_numpy(self):
+        """The package needs nothing beyond CPython: importing it and
+        every module under it (in a fresh interpreter, so no other test
+        has loaded numpy) leaves numpy unloaded."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not info.name.endswith('__main__'):\n"
+            "        __import__(info.name)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        ).stdout
+        assert out.strip() == "False"

@@ -1,9 +1,9 @@
 """Tests for the resilience layer (repro.resilience + its integration).
 
 The fault-injection harness plants *real* faults — a worker calling
-``os._exit`` mid-job, a torn cache blob, a numpy kernel blowing up — so
-these tests exercise the actual recovery paths: supervised retries, pool
-respawns, kernel degradation, manifest provenance, and the acceptance
+``os._exit`` mid-job, a torn cache blob, a failing job — so these tests
+exercise the actual recovery paths: supervised retries, pool respawns,
+cache fallbacks, manifest provenance, and the acceptance
 criterion that a faulted parallel run produces artefacts byte-identical
 to a fault-free serial run.
 """
@@ -444,7 +444,7 @@ class TestStageCheckpoints:
         assert 10 < len(translated) <= 10 + compiler.CHECKPOINT_GATES
 
     def test_verify_stops_at_the_next_pattern_batch(self, clock, monkeypatch):
-        from repro.mig.kernel import get_kernel
+        from repro.mig.simulate import RANDOM_WIDTH
         from repro.plim import verify
         from repro.plim.compiler import PlimCompiler
         from repro.synth.registry import build_benchmark
@@ -464,7 +464,7 @@ class TestStageCheckpoints:
         def body():
             with time_limit(self.BUDGET, stage="verify", job="multiplier"):
                 verify.verify_program(
-                    program, mig, patterns=4 * get_kernel().random_width
+                    program, mig, patterns=4 * RANDOM_WIDTH
                 )
 
         error = _raised_on_a_thread(body)
@@ -638,13 +638,13 @@ class TestEvents:
 
     def test_snapshot_filters(self):
         events.record("retry", job="adder", attempt=1)
-        events.record("kernel_degraded", job="dec", backend="numpy")
+        events.record("cache_fallback", job="dec", url="http://x")
         assert [
             e["job"] for e in events.snapshot(kind="retry")
         ] == ["adder"]
         assert [
             e["kind"] for e in events.snapshot(job="dec")
-        ] == ["kernel_degraded"]
+        ] == ["cache_fallback"]
 
     def test_log_keeps_the_newest_events_and_sinks_see_all(self):
         extra = 5
@@ -715,13 +715,13 @@ class TestManifest:
             entry,
             key_repr=repr(key),
             meta={"verified_patterns": 256},
-            events=[{"kind": "kernel_degraded", "job": "adder"}],
+            events=[{"kind": "cache_fallback", "job": "adder"}],
         )
         write_manifest(entry, fresh)
         manifest = load_manifest(entry)
         assert manifest["verified_patterns"] == 256
         assert [e["kind"] for e in manifest["events"]] == [
-            "retry", "kernel_degraded",
+            "retry", "cache_fallback",
         ]
 
     def test_iter_manifests_scopes_by_fingerprint(self, tmp_path):
@@ -772,58 +772,6 @@ class TestDiskCacheChaos:
         disk.store(key, {"v": 1})
         lock = disk.entry_path(key).with_suffix(".lock")
         assert not lock.exists()  # a failed write never wedges siblings
-
-
-class TestKernelDegradation:
-    def test_injected_kernel_fault_demotes_to_bigint(
-        self, tmp_path, monkeypatch
-    ):
-        """A numpy-kernel failure mid-verification must demote the job to
-        the bigint reference kernel — same results, plus a recorded
-        ``kernel_degraded`` event."""
-        pytest.importorskip("numpy")  # numpy installed: the numpy engine runs
-        baseline = Session(preset="tiny").run_matrix(
-            ["adder"], ["naive"], verify=256
-        )
-        # width 256 >= the numpy dispatch threshold, so the fault fires
-        _arm(monkeypatch, tmp_path, "kernel_fail:job=adder:count=1")
-        with events.capture() as log:
-            degraded = Session(preset="tiny").run_matrix(
-                ["adder"], ["naive"], verify=256
-            )
-        kinds = {e["kind"] for e in log}
-        assert "fault_injected" in kinds and "kernel_degraded" in kinds
-        (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
-        assert event["job"] == "adder"
-        assert event["fallback"] == "bigint"
-        assert _result_signature(degraded[0]) == _result_signature(
-            baseline[0]
-        )
-
-    def test_flow_run_tags_demotion_with_its_job(self, tmp_path, monkeypatch):
-        """A numpy failure inside one Flow run (an inline ``repro serve``
-        job, a sweep point) is recorded under the run's source name, so
-        it reaches that job's run manifest."""
-        pytest.importorskip("numpy")
-        from repro.flow import Flow
-        from repro.mig import kernel
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(kernel, "_batch_plan", boom)
-        session = Session(cache_dir=tmp_path / "cache", preset="tiny")
-        with events.capture() as log:
-            Flow.for_job("ctrl", "naive", verify=256, session=session).run()
-        assert ("kernel_degraded", "ctrl") in {
-            (e["kind"], e.get("job")) for e in log
-        }
-        manifests = [m for _, m in iter_manifests(tmp_path / "cache")]
-        assert manifests
-        assert all(
-            "kernel_degraded" in {e["kind"] for e in m["events"]}
-            for m in manifests
-        )
 
 
 class TestSupervisedRunner:
@@ -910,10 +858,10 @@ class TestSupervisedRunner:
         self, tmp_path, monkeypatch
     ):
         """ISSUE acceptance: a parallel run surviving an injected worker
-        crash, an injected kernel fault, and a corrupted cache entry must
-        produce artefacts byte-identical to a fault-free serial run, with
-        every run manifest validating and the recovery events on record."""
-        pytest.importorskip("numpy")
+        crash, an injected transient job fault, and a corrupted cache entry
+        must produce artefacts byte-identical to a fault-free serial run,
+        with every run manifest validating and the recovery events on
+        record."""
         benchmarks = ["adder", "dec", "ctrl", "bar"]
         configs = ["naive", "ea-full"]
 
@@ -922,14 +870,14 @@ class TestSupervisedRunner:
             benchmarks, configs, verify=256
         )
 
-        # The kernel fault targets 'bar', which is only scheduled after
+        # The job fault targets 'bar', which is only scheduled after
         # the pool respawn: a directive aimed at a job in flight beside
         # the crashing one can have its single ledger slot claimed by a
         # worker that is then SIGTERM'd before recording the event —
-        # the budget is spent, and no degradation is ever observed.
+        # the budget is spent, and no retry is ever observed.
         _arm(
             monkeypatch, tmp_path,
-            "worker_crash:job=dec:count=1,kernel_fail:job=bar:count=1",
+            "worker_crash:job=dec:count=1,job_fail:job=bar:count=1",
         )
         faulted_root = tmp_path / "faulted-cache"
         with events.capture() as log:
@@ -968,10 +916,10 @@ class TestSupervisedRunner:
         assert manifests
         for path, manifest in manifests:
             assert verify_manifest(path, manifest) == []
-        event_kinds = {
-            e["kind"]
+        recorded = {
+            (e["kind"], e.get("job"))
             for _, manifest in manifests
             for e in manifest.get("events", [])
         }
-        assert "retry" in event_kinds  # the crashed job's retries
-        assert "kernel_degraded" in event_kinds  # the demoted kernel
+        assert ("retry", "dec") in recorded  # the crashed job's retries
+        assert ("retry", "bar") in recorded  # the failed job's retry
