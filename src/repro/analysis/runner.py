@@ -63,10 +63,14 @@ copy) stay in memory.  Every rewrite runs through a bound
 ``Optimizer("script", arch)``.
 
 **Certificates.**  A compiled result carries a verification
-certificate: the number of patterns it was co-simulated against.  The
-compile stage stores a result at certificate 0; a verify-stage request
-(:meth:`ExperimentCache.verify`) for a wider certificate co-simulates
-the stored program once and writes the widened certificate back.
+certificate: the number of patterns it was co-simulated against.  A
+verified cell's compile stage co-simulates a result it computes before
+the single-flight window's one write-back, so the result reaches every
+tier once, already at its certificate, and a program that fails
+co-simulation reaches none.  The verify stage
+(:meth:`ExperimentCache.verify`) then only ensures the certificate: it
+co-simulates a stored result only when it is narrower (stored by an
+unverified run) and writes the widened certificate back.
 Certificates never narrow, in memory or on disk, whatever the writer
 interleaving: the write-back carries the certificate in the entry
 header, and every disk tier — a local root, a cache server, a client's
@@ -686,10 +690,12 @@ class ExperimentCache:
         patterns: int,
         arch: ArchLike,
         optimizer: "OptLike | Optimizer",
-        count_hit: bool,
+        verify_stage: bool,
     ) -> CompilationResult:
-        """The compiled result of *mig* under *config*, certified for at
-        least *patterns* (0: no verification); see :meth:`compile`."""
+        """The compiled result of *mig* under *config*, a computed one
+        certified for *patterns* (0: none) before it is stored; the
+        verify stage also widens a narrower stored one and counts no
+        hit."""
         graph_id = key or mig_key(mig)
         arch, optimizer = resolve_target(arch, optimizer)
         mem_key, disk_key = self._result_keys(
@@ -718,9 +724,9 @@ class ExperimentCache:
         with self._lock:
             if self.computes() != computes:
                 self.misses += 1
-            elif count_hit:
+            elif not verify_stage:
                 self.hits += 1
-        if patterns > verified:
+        if verify_stage and patterns > verified:
             self._local.computes = self.computes() + 1
             verify_program(result.program, mig, patterns=patterns)
             entry = self._keep(self._results, mem_key, (result, patterns))
@@ -735,19 +741,22 @@ class ExperimentCache:
         config: EnduranceConfig,
         *,
         key: Optional[Tuple] = None,
+        patterns: int = 0,
         arch: ArchLike = None,
         optimizer: "OptLike | Optimizer" = None,
     ) -> CompilationResult:
         """Compile *mig* under *config* for *arch* through *optimizer*.
 
-        A computed result is stored at certificate 0; :meth:`verify`
-        certifies it.  Entries are keyed by the target machine and
-        optimizer (:func:`experiment_key`), so one cache serves every
-        machine model and optimizer spec without cross-talk.  Counts a
-        miss when it compiles and a hit otherwise.
+        A computed result is co-simulated against *patterns* patterns
+        (0: none) before its one store, so it reaches every tier already
+        at that certificate; a stored result is returned as it is, and
+        :meth:`verify` widens a narrower one.  Entries are keyed by the
+        target machine and optimizer (:func:`experiment_key`), so one
+        cache serves every machine model and optimizer spec without
+        cross-talk.  Counts a miss when it compiles and a hit otherwise.
         """
         return self._compile(
-            mig, config, key, 0, arch, optimizer, count_hit=True
+            mig, config, key, patterns, arch, optimizer, verify_stage=False
         )
 
     def verify(
@@ -762,13 +771,14 @@ class ExperimentCache:
     ) -> CompilationResult:
         """Ensure the stored result carries a certificate >= *patterns*.
 
-        The verify stage of :func:`run_stages`: co-simulates the stored
-        program (compiling it first on a miss) and writes the widened
-        certificate back.  It counts no hit: the compile stage before it
-        counted the request.
+        The verify stage of :func:`run_stages`.  Its compile stage
+        already certified a result it computed, so this is a memory hit
+        then; it co-simulates only a result stored narrower (compiling
+        it first on a miss) and writes the widened certificate back.  It
+        counts no hit: the compile stage before it counted the request.
         """
         return self._compile(
-            mig, config, key, patterns, arch, optimizer, count_hit=False
+            mig, config, key, patterns, arch, optimizer, verify_stage=True
         )
 
     def has(
@@ -914,10 +924,11 @@ def run_stages(
     (start, end) and the session's observers; it is ``cached`` when it
     ran no compute.  *source* is a :class:`~repro.source.Source` built
     at *preset* (a built graph enters as a
-    :class:`~repro.source.MigSource`).  The compile stage stores the
-    result at certificate 0; the verify stage, run when *verify* asks
-    for patterns (see :func:`verify_width`), co-simulates and certifies
-    it.
+    :class:`~repro.source.MigSource`).  When *verify* asks for patterns
+    (see :func:`verify_width`), the compile stage co-simulates a result
+    it computes, under its own budget, and stores it once at that
+    certificate; the verify stage that follows only ensures the
+    certificate (cached unless a narrower entry was stored before).
     ``keep_rewritten=False`` skips the rewrite when the result is already
     held (the probe adopts a disk hit), leaving ``rewritten`` ``None``.
     """
@@ -973,12 +984,15 @@ def run_stages(
     # the same optimizer
     rewritten = stage("rewrite", mig.name, rewrite)
     # compile: selection + allocation + RM3 emission + stats, targeting
-    # the resolved machine model; stored at certificate 0
+    # the resolved machine model; a computed result is co-simulated and
+    # stored once, at the verify stage's certificate
     compilation = stage(
         "compile", mig.name,
-        lambda: cache.compile(mig, config, key=graph_id, **target),
+        lambda: cache.compile(
+            mig, config, key=graph_id, patterns=patterns, **target
+        ),
     )
-    # verify: co-simulate program vs MIG and certify the stored result
+    # verify: ensure the stored result's certificate
     if patterns:
         stage(
             "verify", mig.name,

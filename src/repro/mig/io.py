@@ -761,7 +761,12 @@ def write_program(program: Program, target: PathOrFile) -> None:
 
 
 def dumps_program(program: Program) -> str:
-    """:func:`write_program` into a string."""
+    """:func:`write_program` into a string, rendered once per sealed
+    program (see :meth:`~repro.plim.isa.Program.listing`)."""
+    return program.listing(_render_program)
+
+
+def _render_program(program: Program) -> str:
     buffer = _io.StringIO()
     write_program(program, buffer)
     return buffer.getvalue()

@@ -29,7 +29,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: Operand encoding for the constant 0 applied directly to a bit line.
 OP_CONST0 = -1
@@ -119,15 +119,34 @@ class Program:
         return counts
 
     def memoize_write_counts(self) -> None:
-        """Count the writes once for every later :meth:`write_counts`.
+        """Count the writes once for every later :meth:`write_counts`,
+        sealing the program.
 
         For programs that are no longer changed: the compiler calls it
         on every program it emits (compiled programs are shared by its
         memo and the experiment caches).  The count is not a dataclass
-        field, so equality and ``repr`` ignore it.
+        field, so equality and ``repr`` ignore it.  A sealed program
+        also keeps its rendered listing (:meth:`listing`).
         """
         self.__dict__.pop("_write_counts", None)
+        self.__dict__.pop("_listing", None)
         self._write_counts = self.write_counts()
+
+    def listing(self, render: Callable[["Program"], str]) -> str:
+        """``render(self)``, kept once :meth:`memoize_write_counts` has
+        sealed the program (an unsealed one may still change).  It is
+        never pickled: stored bytes do not depend on a render."""
+        text = self.__dict__.get("_listing")
+        if text is None:
+            text = render(self)
+            if "_write_counts" in self.__dict__:
+                self._listing = text
+        return text
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_listing", None)
+        return state
 
     def value_lifetimes(self) -> List[List[Tuple[int, int]]]:
         """Per-cell value lifetimes: ``(written_at, last_read_at)`` spans.

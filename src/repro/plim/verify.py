@@ -40,9 +40,9 @@ def verify_program(
 
     Small functions (``num_pis <= exhaustive_limit``) are checked
     exhaustively; larger ones with *patterns* random bit-parallel
-    patterns drawn in rounds sized by the active simulation kernel
+    patterns drawn in 64-pattern rounds
     (:func:`repro.mig.simulate.randomized_rounds`).  The MIG side runs
-    through that kernel; the program side always executes on the
+    through the simulation kernel; the program side executes on the
     behavioural array.  Returns ``True`` on success; raises
     :class:`VerificationError` on mismatch, and ``ValueError`` for an
     *exhaustive_limit* above :data:`~repro.mig.simulate.MAX_EXHAUSTIVE_PIS`.

@@ -11,6 +11,7 @@ from repro.mig.io import (
     dumps_aiger,
     dumps_aiger_binary,
     dumps_mig,
+    dumps_program,
     loads_aiger,
     loads_aiger_binary,
     loads_blif,
@@ -428,6 +429,42 @@ class TestProgramRoundTrip:
         assert back.pi_cells == program.pi_cells
         assert back.po_cells == program.po_cells
         verify_program(back, tiny_adder)
+
+    def test_sealed_program_renders_once(self, tiny_adder, monkeypatch):
+        import io
+        import pickle
+
+        import repro.mig.io as mig_io
+
+        program = PlimCompiler(allocation="min_write").compile(tiny_adder)
+        renders = []
+        write = mig_io.write_program
+        monkeypatch.setattr(
+            mig_io, "write_program",
+            lambda *args: renders.append(1) or write(*args),
+        )
+        text = dumps_program(program)
+        assert dumps_program(program) is text
+        assert len(renders) == 1
+        back = read_program(io.StringIO(text))
+        assert back.instructions == program.instructions
+        # the listing stays out of the pickle, so a stored program's
+        # bytes do not depend on whether it was rendered
+        blob = pickle.dumps(program)
+        assert b"RM3" not in blob
+        assert dumps_program(pickle.loads(blob)) == text
+        assert len(renders) == 2
+
+    def test_hand_built_program_renders_every_time(self):
+        from repro.plim.isa import Program
+
+        program = Program(
+            instructions=[(-1, -2, 0)], num_cells=1, po_cells=[0], name="x"
+        )
+        before = dumps_program(program)
+        program.instructions.append((-2, -1, 0))
+        after = dumps_program(program)
+        assert after == before + "RM3 1 0 @0\n"
 
     def test_bad_operand(self, tmp_path):
         path = tmp_path / "bad.rm3"

@@ -854,3 +854,97 @@ class TestTierContract:
         disk.calls.clear()
         run()
         assert disk.calls == then
+
+
+class TestStoreOnce:
+    """A verified cell stores its result once: the compile stage
+    co-simulates what it computes before the single-flight window's one
+    write-back, and the verify stage only widens an entry stored
+    narrower."""
+
+    CONFIG = PRESETS["ea-full"]
+    PATTERNS = 16
+
+    @staticmethod
+    def _session(tmp_path):
+        disk = RecordingDisk(tmp_path / "root")
+        return Session(cache=ExperimentCache(disk=disk), preset="tiny"), disk
+
+    def _run(self, session, verify):
+        from repro.analysis.runner import run_stages
+
+        arch, optimizer = resolve_target()
+        return run_stages(
+            session, resolve_source("adder"), self.CONFIG, preset="tiny",
+            arch=arch, optimizer=optimizer, verify=verify,
+        )
+
+    @staticmethod
+    def _result_stores(disk):
+        return [
+            written for key, written in disk.certificates
+            if key[0] == "result"
+        ]
+
+    @staticmethod
+    def _cached(flow):
+        return {name: stage.cached for name, stage in flow.stages.items()}
+
+    def test_cold_verified_run_stores_once_at_its_certificate(self, tmp_path):
+        session, disk = self._session(tmp_path)
+        flow = self._run(session, self.PATTERNS)
+        assert self._result_stores(disk) == [self.PATTERNS]
+        assert self._cached(flow) == {
+            "source": False, "rewrite": False, "compile": False,
+            "verify": True,
+        }
+        assert session.cache.has(
+            flow.mig, self.CONFIG, verified_patterns=self.PATTERNS
+        )
+
+    def test_failed_cosimulation_stores_nothing(self, tmp_path, monkeypatch):
+        import repro.analysis.runner as runner
+        from repro.plim.verify import VerificationError
+
+        session, disk = self._session(tmp_path)
+        started = []
+
+        class Observer:
+            def on_stage_start(self, event):
+                started.append(event.stage)
+
+        session.add_observer(Observer())
+
+        def failing(*args, **kwargs):
+            raise VerificationError("injected mismatch")
+
+        monkeypatch.setattr(runner, "verify_program", failing)
+        with pytest.raises(VerificationError):
+            self._run(session, self.PATTERNS)
+        # the compile stage raised: no tier holds the result
+        assert started == ["source", "rewrite", "compile"]
+        assert self._result_stores(disk) == []
+        mig = session.cache.cached_mig("adder", "tiny")
+        assert not session.cache.has(mig, self.CONFIG)
+        assert not session.cache._results
+        fresh = ExperimentCache(disk=DiskCache(disk.root))
+        assert not fresh.has(fresh.cached_mig("adder", "tiny"), self.CONFIG)
+        # the next run compiles (and co-simulates) again
+        monkeypatch.undo()
+        flow = self._run(session, self.PATTERNS)
+        assert not flow.stages["compile"].cached
+        assert self._result_stores(disk) == [self.PATTERNS]
+
+    def test_unverified_then_verified_widens_once(self, tmp_path):
+        session, disk = self._session(tmp_path)
+        first = self._run(session, False)
+        assert "verify" not in first.stages
+        assert self._result_stores(disk) == [0]
+        second = self._run(session, self.PATTERNS)
+        # the verify stage widens 0 -> N with one more store
+        assert self._result_stores(disk) == [0, self.PATTERNS]
+        assert self._cached(second) == {
+            "source": True, "rewrite": True, "compile": True,
+            "verify": False,
+        }
+        assert second.compilation is first.compilation

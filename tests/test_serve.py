@@ -104,8 +104,9 @@ def wait_done(server, job_id, timeout=120):
     return job
 
 
-def serial_artifact(spec, cache_dir):
-    """The batch-path artefact for *spec*, from a fresh session."""
+def serial_program(spec, cache_dir):
+    """The batch-path compiled program for *spec*, from a fresh
+    session."""
     session = Session(preset=spec.preset, cache_dir=cache_dir)
     result = Flow.for_job(
         spec.source,
@@ -116,7 +117,12 @@ def serial_artifact(spec, cache_dir):
         verify=spec.verify or None,
         session=session,
     ).run()
-    return dumps_program(result.compilation.program)
+    return result.compilation.program
+
+
+def serial_artifact(spec, cache_dir):
+    """The batch-path artefact for *spec*, from a fresh session."""
+    return dumps_program(serial_program(spec, cache_dir))
 
 
 class TestParseJob:
@@ -537,6 +543,51 @@ class TestJobQueue:
             )
         finally:
             queue.stop()
+
+    def test_one_key_renders_its_artifact_once(self, tmp_path, monkeypatch):
+        """Repeated and coalesced jobs for one key render the compiled
+        program once, and serve the listing a fresh render gives."""
+        import io
+        import pickle
+        from dataclasses import replace
+
+        import repro.mig.io as mig_io
+
+        renders = []
+        write = mig_io.write_program
+        monkeypatch.setattr(
+            mig_io, "write_program",
+            lambda *args: renders.append(1) or write(*args),
+        )
+        session = tiny_session(tmp_path)
+        queue = JobQueue(session, workers=1, isolate=False)
+        body = {"source": "ctrl", "verify": 16}
+        primary = queue.submit(parse_job(dict(body), session))
+        follower = queue.submit(parse_job(dict(body), session))
+        assert follower.coalesced_with == primary.id
+        queue.start()
+        try:
+            assert queue.store.wait_terminal(follower.id, 120)
+            repeat = queue.submit(parse_job(dict(body), session))
+            assert queue.store.wait_terminal(repeat.id, 120)
+            jobs = [
+                queue.store.get(job.id) for job in (primary, follower, repeat)
+            ]
+        finally:
+            queue.stop()
+        assert [job.status for job in jobs] == ["done"] * 3
+        assert len(renders) == 1
+        artifact = jobs[0].artifact
+        assert all(job.artifact == artifact for job in jobs)
+        # byte-identical to rendering an unsealed copy of the program
+        program = serial_program(
+            parse_job(dict(body), session), tmp_path / "cache"
+        )
+        buffer = io.StringIO()
+        write(replace(program), buffer)
+        assert artifact == buffer.getvalue()
+        # a pickled compiled program carries no listing
+        assert b"RM3" not in pickle.dumps(program)
 
     def test_executor_failure_marks_job_failed(self, tmp_path, monkeypatch):
         session = tiny_session(tmp_path)
