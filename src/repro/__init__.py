@@ -32,8 +32,9 @@ The package provides:
   ``$REPRO_OPT``;
 * :mod:`repro.source` — the circuit-source layer: one
   :class:`~repro.source.Source` abstraction spanning registry
-  benchmarks, imported netlists (``.mig``/``.blif``/``.aag``), Python
-  functions compiled by :func:`~repro.synth.mig_function`, and bare
+  benchmarks, imported netlists
+  (``.mig``/``.blif``/``.aag``/``.aiger``/``.aig``), Python functions
+  compiled by :func:`~repro.synth.mig_function`, and bare
   graphs — each with a stable content fingerprint keying the caches,
   selected per run via ``--source`` / ``$REPRO_SOURCE``;
 * :mod:`repro.analysis` — table/figure harnesses regenerating the paper's

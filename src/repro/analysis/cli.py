@@ -71,11 +71,14 @@ from ..cachesvc import DEFAULT_PORT as CACHESVC_DEFAULT_PORT
 from ..cachesvc import resolve_cache_url
 from ..flow import Session, resolve_cache_dir
 from ..flow.options import KNOBS
+from ..mig.io import NETLIST_READERS
 from ..resilience import iter_manifests, verify_manifest
 from ..source import available_sources, get_source, resolve_source
 from ..synth.registry import BENCHMARKS, BENCHMARK_ORDER
 from . import report, scenarios
 from .diskcache import DEFAULT_ROOT, DiskCache
+
+_NETLIST_FORMATS = "/".join(NETLIST_READERS)
 
 
 def _add_suite_options(parser: argparse.ArgumentParser) -> None:
@@ -87,7 +90,7 @@ def _add_suite_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME_OR_PATH",
         help=(
-            "subset of benchmarks, or netlist paths (.mig/.blif/.aag) "
+            f"subset of benchmarks, or netlist paths ({_NETLIST_FORMATS}) "
             "(default: all 18)"
         ),
     )
@@ -256,10 +259,10 @@ def cmd_source_list(args) -> int:
     for name in available_sources():
         source = get_source(name)
         print(f"   {name:14s} [{source.kind}]")
-    print("\nnetlist paths (.mig/.blif/.aag) work everywhere a name "
-          "does; register custom\nsources via "
-          "repro.source.register_source, or compile Python functions "
-          "with\n@repro.synth.frontend.mig_function")
+    print(f"\nnetlist paths ({_NETLIST_FORMATS}) work everywhere a "
+          "name\ndoes; register custom sources via "
+          "repro.source.register_source, or\ncompile Python functions "
+          "with @repro.synth.frontend.mig_function")
     return 0
 
 
@@ -582,7 +585,7 @@ def cmd_list(args) -> int:
     print("optimizers    :", ", ".join(available_strategies()),
           "(see 'repro opt list')")
     print("sources       : registry names above, or netlist paths "
-          "(.mig/.blif/.aag; see 'repro source list')")
+          f"({_NETLIST_FORMATS}; see 'repro source list')")
     return 0
 
 
@@ -621,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME_OR_PATH",
         help=(
-            "registry benchmark or netlist path (.mig/.blif/.aag); "
+            f"registry benchmark or netlist path ({_NETLIST_FORMATS}); "
             "default: --source / $REPRO_SOURCE"
         ),
     )

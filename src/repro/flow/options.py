@@ -17,6 +17,7 @@ from .._env import env_value
 from ..analysis.diskcache import CACHE_ENV_VAR
 from ..arch import ARCH_ENV_VAR, available_architectures, get_architecture
 from ..cachesvc.client import CACHE_URL_ENV_VAR
+from ..mig.io import NETLIST_READERS
 from ..opt import OPT_ENV_VAR, OptimizerSpec
 from ..resilience import DEFAULT_POLICY, RETRY_ENV_VAR, TIMEOUT_ENV_VAR
 from ..resilience import Timeouts, resolve_retry
@@ -86,7 +87,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
         "source", "--source", SOURCE_ENV_VAR, _validated(resolve_source),
         "source",
         "circuit source: a registry benchmark name or a netlist path "
-        "(.mig/.blif/.aag); see 'repro source list'",
+        f"({'/'.join(NETLIST_READERS)}); see 'repro source list'",
         "none", metavar="NAME_OR_PATH",
     ),
     Knob(

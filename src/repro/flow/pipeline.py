@@ -126,7 +126,7 @@ class Flow:
         *source* is anything :func:`repro.source.resolve_source`
         accepts: a registry benchmark name (today's path, built through
         the session cache exactly as before), a netlist path
-        (``.mig``/``.blif``/``.aag``), an explicit
+        (``.mig``/``.blif``/``.aag``/``.aiger``/``.aig``), an explicit
         :class:`~repro.source.Source`, a built
         :class:`~repro.mig.graph.Mig`, or a
         :func:`~repro.synth.frontend.mig_function` decorated function.

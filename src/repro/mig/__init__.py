@@ -39,6 +39,7 @@ from .io import (
     loads_aiger_binary,
     loads_blif,
     loads_mig,
+    loads_netlist,
     read_aiger,
     read_aiger_binary,
     read_blif,
@@ -67,6 +68,7 @@ __all__ = [
     "loads_aiger_binary",
     "loads_blif",
     "loads_mig",
+    "loads_netlist",
     "read_aiger",
     "read_aiger_binary",
     "read_blif",

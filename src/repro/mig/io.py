@@ -17,12 +17,14 @@ without writing Python:
 Signals are referenced by *name*: declared input names, previously
 declared node names, or the constants ``0``/``1``.  Programs use an
 equally simple listing of ``RM3 p q z`` lines with ``@addr`` operands.
+BLIF and AIGER netlists import too; :data:`NETLIST_READERS` maps each
+netlist extension to its parser.
 """
 
 from __future__ import annotations
 
-import io as _io
-from typing import BinaryIO, Dict, List, TextIO, Tuple, Union
+import os
+from typing import BinaryIO, Dict, List, Optional, TextIO, Tuple, Union
 
 from ..plim.isa import OP_CONST0, OP_CONST1, Program
 from .graph import Mig
@@ -32,10 +34,26 @@ PathOrFile = Union[str, TextIO]
 PathOrBytes = Union[str, BinaryIO]
 
 
-def _open(target: PathOrFile, mode: str):
-    if isinstance(target, str):
-        return open(target, mode, encoding="utf-8"), True
-    return target, False
+def _read(source: Union[PathOrFile, PathOrBytes]) -> Union[str, bytes]:
+    """A path's bytes, or what an open file object reads."""
+    if not isinstance(source, str):
+        return source.read()
+    with open(source, "rb") as handle:
+        return handle.read()
+
+
+def _write(target: Union[PathOrFile, PathOrBytes], data) -> None:
+    """Write text (as UTF-8) or bytes to a path or open file object."""
+    if not isinstance(target, str):
+        target.write(data)
+        return
+    with open(target, "wb") as handle:
+        handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def _text(data: Union[str, bytes]) -> str:
+    """Text parsers take a string or its UTF-8 bytes (a file's)."""
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 # ----------------------------------------------------------------------
@@ -44,30 +62,26 @@ def _open(target: PathOrFile, mode: str):
 
 def write_mig(mig: Mig, target: PathOrFile) -> None:
     """Serialise *mig* in the textual exchange format."""
-    handle, owned = _open(target, "w")
-    try:
-        handle.write(f"mig {mig.name or 'unnamed'}\n")
-        for i in range(mig.num_pis):
-            handle.write(f"input {mig.pi_name(i)}\n")
-        names: Dict[int, str] = {0: "0"}
-        for i, node in enumerate(mig.pis()):
-            names[node] = mig.pi_name(i)
-        live = mig.live_mask()
-        for node in mig.gates():
-            if not live[node]:
-                continue
-            names[node] = f"n{node}"
-            ops = " ".join(
-                _format_ref(s, names) for s in mig.fanins(node)
-            )
-            handle.write(f"node n{node} = <{ops}>\n")
-        for i, s in enumerate(mig.pos()):
-            handle.write(
-                f"output {mig.po_name(i)} = {_format_ref(s, names)}\n"
-            )
-    finally:
-        if owned:
-            handle.close()
+    _write(target, dumps_mig(mig))
+
+
+def dumps_mig(mig: Mig) -> str:
+    """*mig* in the textual exchange format."""
+    lines = [f"mig {mig.name or 'unnamed'}"]
+    lines.extend(f"input {mig.pi_name(i)}" for i in range(mig.num_pis))
+    names: Dict[int, str] = {0: "0"}
+    for i, node in enumerate(mig.pis()):
+        names[node] = mig.pi_name(i)
+    live = mig.live_mask()
+    for node in mig.gates():
+        if not live[node]:
+            continue
+        names[node] = f"n{node}"
+        ops = " ".join(_format_ref(s, names) for s in mig.fanins(node))
+        lines.append(f"node n{node} = <{ops}>")
+    for i, s in enumerate(mig.pos()):
+        lines.append(f"output {mig.po_name(i)} = {_format_ref(s, names)}")
+    return "\n".join(lines) + "\n"
 
 
 def _format_ref(signal: int, names: Dict[int, str]) -> str:
@@ -79,30 +93,18 @@ def _format_ref(signal: int, names: Dict[int, str]) -> str:
     return prefix + names[node_of(signal)]
 
 
-def dumps_mig(mig: Mig) -> str:
-    """:func:`write_mig` into a string."""
-    buffer = _io.StringIO()
-    write_mig(mig, buffer)
-    return buffer.getvalue()
-
-
 class MigParseError(ValueError):
     """Malformed MIG text."""
 
 
 def read_mig(source: PathOrFile) -> Mig:
     """Parse the textual exchange format back into a :class:`Mig`."""
-    handle, owned = _open(source, "r")
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    return loads_mig(text)
+    return loads_mig(_read(source))
 
 
-def loads_mig(text: str) -> Mig:
-    """Parse MIG text from a string."""
+def loads_mig(text: Union[str, bytes]) -> Mig:
+    """Parse MIG text from a string (or its UTF-8 bytes)."""
+    text = _text(text)
     mig: Mig = Mig()
     names: Dict[str, int] = {"0": CONST0, "1": CONST1}
     seen_header = False
@@ -174,17 +176,11 @@ def loads_mig(text: str) -> Mig:
 
 def read_blif(source: PathOrFile) -> Mig:
     """Parse a (combinational, single-clause) BLIF netlist into a MIG."""
-    handle, owned = _open(source, "r")
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    return loads_blif(text)
+    return loads_blif(_read(source))
 
 
-def loads_blif(text: str) -> Mig:
-    """Parse BLIF text from a string.
+def loads_blif(text: Union[str, bytes]) -> Mig:
+    """Parse BLIF text from a string (or its UTF-8 bytes).
 
     Supports ``.model``/``.inputs``/``.outputs``/``.names`` with PLA
     cover rows (on-set or off-set planes) and ``\\`` line continuations.
@@ -192,6 +188,7 @@ def loads_blif(text: str) -> Mig:
     builders.  Latches, subcircuits, and multi-model files raise
     :class:`MigParseError`; tables may appear in any order.
     """
+    text = _text(text)
     # Fold continuations, strip comments, keep original line numbers.
     lines = []
     pending, pending_no = "", 0
@@ -318,43 +315,69 @@ def loads_blif(text: str) -> Mig:
 
 
 # ----------------------------------------------------------------------
-# ASCII AIGER netlists
+# AIGER netlists: ASCII (``aag``) and binary (``aig``)
 # ----------------------------------------------------------------------
 
 def read_aiger(source: PathOrFile) -> Mig:
     """Parse an ASCII AIGER (``aag``) netlist into a MIG."""
-    handle, owned = _open(source, "r")
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
-    return loads_aiger(text)
+    return loads_aiger(_read(source))
 
 
-def loads_aiger(text: str, name: str = "") -> Mig:
-    """Parse ASCII AIGER text from a string.
+def read_aiger_binary(source: PathOrBytes) -> Mig:
+    """Parse a binary AIGER (``aig``) netlist file into a MIG."""
+    return loads_aiger_binary(_read(source))
+
+
+def loads_aiger(text: Union[str, bytes], name: str = "") -> Mig:
+    """Parse ASCII AIGER text from a string (or its UTF-8 bytes).
 
     Combinational circuits only — a non-zero latch count raises
     :class:`MigParseError`.  The optional symbol table supplies PI/PO
     names; the comment section (after ``c``) is ignored.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("aag "):
-        raise MigParseError("missing 'aag M I L O A' header")
-    try:
-        m, i, latches, o, a = (int(t) for t in lines[0].split()[1:6])
-    except (ValueError, IndexError):
-        raise MigParseError("malformed 'aag M I L O A' header") from None
-    if latches:
-        raise MigParseError(
-            f"sequential AIGER not supported ({latches} latches)"
-        )
-    body = lines[1:]
-    if len(body) < i + o + a:
-        raise MigParseError("truncated AIGER body")
+    return _loads_aiger(_text(text), False, name)
 
-    def literal(token: str, line_no: int) -> int:
+
+def loads_aiger_binary(data: bytes, name: str = "") -> Mig:
+    """Parse binary AIGER (``aig``) bytes into a MIG.
+
+    Combinational circuits only, mirroring :func:`loads_aiger`.  Inputs
+    are the implicit literals ``2..2I``; gate definitions are the binary
+    delta pairs, so operands always precede their gate.
+    """
+    if isinstance(data, str):
+        raise MigParseError("binary AIGER input must be bytes, not str")
+    return _loads_aiger(bytes(data), True, name)
+
+
+def _loads_aiger(data: Union[str, bytes], binary: bool, name: str) -> Mig:
+    """Parse ``aag`` text or ``aig`` bytes.  The encodings differ in
+    their inputs (ASCII lines; implicit ``2..2I`` in binary) and gates
+    (ASCII lines in any order; binary delta pairs in ascending order).
+    ASCII symbol names pass through verbatim, binary ones decode as
+    ASCII."""
+    magic = "aig" if binary else "aag"
+    lines = None if binary else data.splitlines()
+    # next line index (ASCII) or byte offset (binary); 1-based line number
+    pos = line_no = 0
+
+    def line(what: str) -> str:
+        nonlocal pos, line_no
+        line_no += 1
+        if binary:
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise MigParseError(f"truncated AIGER {what}")
+            text = data[pos:end].decode("ascii", errors="replace")
+            pos = end + 1
+            return text
+        if pos == len(lines):
+            raise MigParseError(f"truncated AIGER {what}")
+        pos += 1
+        return lines[pos - 1]
+
+    def literal(text: str) -> int:
+        token = (text.split() or [""])[0]
         try:
             lit = int(token)
         except ValueError:
@@ -367,43 +390,76 @@ def loads_aiger(text: str, name: str = "") -> Mig:
             )
         return lit
 
+    def delta() -> int:
+        nonlocal pos
+        value, shift = 0, 0
+        while True:
+            if pos >= len(data):
+                raise MigParseError("truncated AIGER gate section")
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+
+    header = line("header")
+    if not header.startswith(magic + " "):
+        raise MigParseError(f"missing '{magic} M I L O A' header")
+    try:
+        m, i, latches, o, a = (int(t) for t in header.split()[1:6])
+    except ValueError:
+        raise MigParseError(f"malformed '{magic} M I L O A' header") from None
+    if latches:
+        raise MigParseError(
+            f"sequential AIGER not supported ({latches} latches)"
+        )
+    if m < i + a:
+        raise MigParseError(f"maxvar {m} below {i} inputs + {a} gates")
+
     mig = Mig(name)
     # aiger variable index -> mig signal of the positive literal
-    var_sig: Dict[int, int] = {0: CONST0}
-    pi_vars = []
+    var_sig: Dict[int, Optional[int]] = {0: CONST0}
     for idx in range(i):
-        lit = literal(body[idx].split()[0], idx + 2)
+        lit = 2 * (idx + 1) if binary else literal(line("inputs"))
         if lit & 1 or lit == 0 or lit // 2 in var_sig:
-            raise MigParseError(f"line {idx + 2}: bad input literal {lit}")
+            raise MigParseError(f"line {line_no}: bad input literal {lit}")
         var_sig[lit // 2] = mig.add_pi(f"i{idx}")
-        pi_vars.append(lit // 2)
 
-    out_lits = []
-    for idx in range(o):
-        out_lits.append(literal(body[i + idx].split()[0], i + idx + 2))
+    out_lits = [literal(line("outputs")) for _ in range(o)]
 
-    # And-gate definitions may reference later gates in non-reindexed
-    # files; iterate until the worklist stops shrinking.
     gates = []
-    for idx in range(a):
-        line_no = i + o + idx + 2
-        parts = body[i + o + idx].split()
-        if len(parts) != 3:
-            raise MigParseError(f"line {line_no}: bad and-gate line")
-        lhs, rhs0, rhs1 = (literal(t, line_no) for t in parts)
-        if lhs & 1 or lhs // 2 in var_sig:
-            raise MigParseError(
-                f"line {line_no}: bad and-gate output literal {lhs}"
-            )
+    for k in range(a):
+        if binary:
+            lhs = 2 * (i + k + 1)
+            delta0, delta1 = delta(), delta()
+            rhs0 = lhs - delta0
+            rhs1 = rhs0 - delta1
+            if delta0 == 0 or rhs1 < 0:
+                raise MigParseError(
+                    f"gate {lhs}: invalid deltas ({delta0}, {delta1})"
+                )
+        else:
+            parts = line("gate section").split()
+            if len(parts) != 3:
+                raise MigParseError(f"line {line_no}: bad and-gate line")
+            lhs, rhs0, rhs1 = (literal(t) for t in parts)
+            if lhs & 1 or lhs // 2 in var_sig:
+                raise MigParseError(
+                    f"line {line_no}: bad and-gate output literal {lhs}"
+                )
         var_sig[lhs // 2] = None
         gates.append((lhs // 2, rhs0, rhs1))
 
-    def resolve(lit: int) -> int:
+    def resolve(lit: int) -> Optional[int]:
         sig = var_sig.get(lit // 2)
         if sig is None:
             return None
         return complement(sig) if lit & 1 else sig
 
+    # ASCII gates may reference later ones in non-reindexed files;
+    # iterate until the worklist stops shrinking.  Binary gates resolve
+    # in one pass.
     remaining = gates
     while remaining:
         deferred = []
@@ -420,32 +476,34 @@ def loads_aiger(text: str, name: str = "") -> Mig:
             )
         remaining = deferred
 
+    if binary:
+        symbols = data[pos:].decode("ascii", errors="replace").splitlines()
+    else:
+        symbols = lines[pos:]
     po_names = {}
-    for line in body[i + o + a:]:
-        parts = line.split()
+    for text in symbols:
+        parts = text.split()
         if not parts:
             continue
         tag = parts[0]
         if tag == "c":
             break
         if len(parts) == 2 and tag[0] in "io" and tag[1:].isdigit():
-            pos = int(tag[1:])
-            if tag[0] == "i" and pos < len(pi_vars):
-                mig._pi_names[pos] = parts[1]
-            elif tag[0] == "o" and pos < o:
-                po_names[pos] = parts[1]
+            idx = int(tag[1:])
+            if tag[0] == "i" and idx < i:
+                mig._pi_names[idx] = parts[1]
+            elif tag[0] == "o" and idx < o:
+                po_names[idx] = parts[1]
 
     for idx, lit in enumerate(out_lits):
         sig = resolve(lit)
         if sig is None:
-            raise MigParseError(f"output {idx} references undefined literal")
+            raise MigParseError(
+                f"output {idx} references undefined literal {lit}"
+            )
         mig.add_po(sig, po_names.get(idx, f"o{idx}"))
     return mig
 
-
-# ----------------------------------------------------------------------
-# AIGER export (ASCII and binary) and binary import
-# ----------------------------------------------------------------------
 
 def _mig_to_aig(mig: Mig) -> Tuple[int, List[Tuple[int, int]], List[int]]:
     """Decompose *mig* into an and-inverter gate list.
@@ -534,12 +592,7 @@ def dumps_aiger(mig: Mig) -> str:
 
 def write_aiger(mig: Mig, target: PathOrFile) -> None:
     """:func:`dumps_aiger` to a path or text file object."""
-    handle, owned = _open(target, "w")
-    try:
-        handle.write(dumps_aiger(mig))
-    finally:
-        if owned:
-            handle.close()
+    _write(target, dumps_aiger(mig))
 
 
 def _encode_delta(value: int) -> bytes:
@@ -579,157 +632,45 @@ def dumps_aiger_binary(mig: Mig) -> bytes:
 
 def write_aiger_binary(mig: Mig, target: PathOrBytes) -> None:
     """:func:`dumps_aiger_binary` to a path or binary file object."""
-    if isinstance(target, str):
-        with open(target, "wb") as handle:
-            handle.write(dumps_aiger_binary(mig))
-    else:
-        target.write(dumps_aiger_binary(mig))
-
-
-def loads_aiger_binary(data: bytes, name: str = "") -> Mig:
-    """Parse binary AIGER (``aig``) bytes into a MIG.
-
-    Combinational circuits only, mirroring :func:`loads_aiger`.  Inputs
-    are the implicit literals ``2..2I``; gate definitions are the binary
-    delta pairs, so operands always precede their gate.
-    """
-    if isinstance(data, str):
-        raise MigParseError("binary AIGER input must be bytes, not str")
-    data = bytes(data)
-
-    def ascii_line(pos: int, what: str) -> Tuple[str, int]:
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise MigParseError(f"truncated AIGER {what}")
-        return data[pos:end].decode("ascii", errors="replace"), end + 1
-
-    header, pos = ascii_line(0, "header")
-    if not header.startswith("aig "):
-        raise MigParseError("missing 'aig M I L O A' header")
-    try:
-        m, i, latches, o, a = (int(t) for t in header.split()[1:6])
-    except (ValueError, IndexError):
-        raise MigParseError("malformed 'aig M I L O A' header") from None
-    if latches:
-        raise MigParseError(
-            f"sequential AIGER not supported ({latches} latches)"
-        )
-    if m < i + a:
-        raise MigParseError(f"maxvar {m} below {i} inputs + {a} gates")
-
-    out_lits = []
-    for idx in range(o):
-        token, pos = ascii_line(pos, "outputs")
-        try:
-            lit = int(token)
-        except ValueError:
-            raise MigParseError(f"bad output literal {token!r}") from None
-        if lit < 0 or lit // 2 > m:
-            raise MigParseError(f"output literal {lit} exceeds maxvar {m}")
-        out_lits.append(lit)
-
-    def decode_delta() -> int:
-        nonlocal pos
-        value, shift = 0, 0
-        while True:
-            if pos >= len(data):
-                raise MigParseError("truncated AIGER gate section")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-
-    mig = Mig(name)
-    # aiger variable index -> mig signal of the positive literal
-    var_sig: Dict[int, int] = {0: CONST0}
-    for idx in range(i):
-        var_sig[idx + 1] = mig.add_pi(f"i{idx}")
-
-    def resolve(lit: int, what: str) -> int:
-        sig = var_sig.get(lit // 2)
-        if sig is None:
-            raise MigParseError(f"{what} references undefined literal {lit}")
-        return complement(sig) if lit & 1 else sig
-
-    for k in range(a):
-        lhs = 2 * (i + k + 1)
-        delta0 = decode_delta()
-        delta1 = decode_delta()
-        rhs0 = lhs - delta0
-        rhs1 = rhs0 - delta1
-        if delta0 == 0 or rhs0 < 0 or rhs1 < 0:
-            raise MigParseError(
-                f"gate {lhs}: invalid deltas ({delta0}, {delta1})"
-            )
-        var_sig[lhs // 2] = mig.add_and(
-            resolve(rhs0, f"gate {lhs}"), resolve(rhs1, f"gate {lhs}")
-        )
-
-    po_names = {}
-    if pos < len(data):
-        for line in data[pos:].decode("ascii", errors="replace").splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "c":
-                break
-            if len(parts) == 2 and tag[0] in "io" and tag[1:].isdigit():
-                idx = int(tag[1:])
-                if tag[0] == "i" and idx < i:
-                    mig._pi_names[idx] = parts[1]
-                elif tag[0] == "o" and idx < o:
-                    po_names[idx] = parts[1]
-
-    for idx, lit in enumerate(out_lits):
-        mig.add_po(resolve(lit, f"output {idx}"), po_names.get(idx, f"o{idx}"))
-    return mig
-
-
-def read_aiger_binary(source: PathOrBytes) -> Mig:
-    """Parse a binary AIGER (``aig``) netlist file into a MIG."""
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            data = handle.read()
-    else:
-        data = source.read()
-    return loads_aiger_binary(data)
+    _write(target, dumps_aiger_binary(mig))
 
 
 # ----------------------------------------------------------------------
 # Format dispatch
 # ----------------------------------------------------------------------
 
+#: Netlist file extension -> parser of the file's bytes: the native
+#: exchange format, BLIF, ASCII AIGER and binary AIGER.
 NETLIST_READERS = {
-    ".mig": read_mig,
-    ".blif": read_blif,
-    ".aag": read_aiger,
-    ".aiger": read_aiger,
-    ".aig": read_aiger_binary,
+    ".mig": loads_mig,
+    ".blif": loads_blif,
+    ".aag": loads_aiger,
+    ".aiger": loads_aiger,
+    ".aig": loads_aiger_binary,
 }
 
 
 def read_netlist(path: str) -> Mig:
-    """Read a circuit file, dispatching on its extension.
+    """Read a circuit file, dispatching on its extension."""
+    return loads_netlist(_read(path), path)
 
-    Recognises the native exchange format (``.mig``), BLIF (``.blif``),
-    ASCII AIGER (``.aag``/``.aiger``), and binary AIGER (``.aig``).  The
-    parsed graph's name defaults to the file stem when the format
-    carries none.
-    """
-    import os
 
+def netlist_extension(path: str) -> str:
+    """*path*'s extension, lower-cased, refused unless
+    :data:`NETLIST_READERS` has a parser for it."""
     ext = os.path.splitext(path)[1].lower()
-    reader = NETLIST_READERS.get(ext)
-    if reader is None:
-        known = ", ".join(sorted(NETLIST_READERS))
+    if ext not in NETLIST_READERS:
         raise MigParseError(
             f"unrecognised netlist extension {ext!r} for {path!r}"
-            f" (expected one of: {known})"
+            f" (expected one of: {', '.join(sorted(NETLIST_READERS))})"
         )
-    mig = reader(path)
+    return ext
+
+
+def loads_netlist(data: Union[str, bytes], path: str) -> Mig:
+    """Parse the bytes of netlist file *path* (text for a text format)
+    by its extension; the graph's name defaults to the file stem."""
+    mig = NETLIST_READERS[netlist_extension(path)](data)
     if not mig.name:
         mig.name = os.path.splitext(os.path.basename(path))[0]
     return mig
@@ -741,35 +682,29 @@ def read_netlist(path: str) -> Mig:
 
 def write_program(program: Program, target: PathOrFile) -> None:
     """Serialise a PLiM program as a readable instruction listing."""
-    handle, owned = _open(target, "w")
-    try:
-        handle.write(f"program {program.name or 'unnamed'}\n")
-        handle.write(f"cells {program.num_cells}\n")
-        if program.pi_cells:
-            handle.write(
-                "inputs " + " ".join(str(c) for c in program.pi_cells) + "\n"
-            )
-        if program.po_cells:
-            handle.write(
-                "outputs " + " ".join(str(c) for c in program.po_cells) + "\n"
-            )
-        for p, q, z in program.instructions:
-            handle.write(f"RM3 {_op_str(p)} {_op_str(q)} @{z}\n")
-    finally:
-        if owned:
-            handle.close()
+    _write(target, dumps_program(program))
 
 
 def dumps_program(program: Program) -> str:
-    """:func:`write_program` into a string, rendered once per sealed
+    """The instruction listing of *program*, rendered once per sealed
     program (see :meth:`~repro.plim.isa.Program.listing`)."""
     return program.listing(_render_program)
 
 
 def _render_program(program: Program) -> str:
-    buffer = _io.StringIO()
-    write_program(program, buffer)
-    return buffer.getvalue()
+    lines = [
+        f"program {program.name or 'unnamed'}",
+        f"cells {program.num_cells}",
+    ]
+    if program.pi_cells:
+        lines.append("inputs " + " ".join(map(str, program.pi_cells)))
+    if program.po_cells:
+        lines.append("outputs " + " ".join(map(str, program.po_cells)))
+    lines.extend(
+        f"RM3 {_op_str(p)} {_op_str(q)} @{z}"
+        for p, q, z in program.instructions
+    )
+    return "\n".join(lines) + "\n"
 
 
 def _op_str(op: int) -> str:
@@ -782,12 +717,7 @@ def _op_str(op: int) -> str:
 
 def read_program(source: PathOrFile) -> Program:
     """Parse a program listing back into a :class:`Program`."""
-    handle, owned = _open(source, "r")
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
+    text = _text(_read(source))
     program = Program()
 
     def parse_op(token: str, line_no: int) -> int:

@@ -11,10 +11,11 @@ endurance configuration, and the machine/optimizer pair to compile for:
 Sources come in three shapes, mirroring :mod:`repro.source`:
 
 * ``"source"`` — a registry benchmark name or a netlist path readable
-  by the server (``.mig``/``.blif``/``.aag``/``.aig``);
+  by the server (``.mig``/``.blif``/``.aag``/``.aiger``/``.aig``);
 * ``"netlist"`` — an inline text netlist,
-  ``{"format": ".aag", "text": "aag 0 0 0 0 0\\n"}``, parsed on submit
-  and keyed by its content fingerprint;
+  ``{"format": ".aag", "text": "aag 0 0 0 0 0\\n"}`` (any netlist
+  format but binary ``.aig``), parsed on submit and keyed by its
+  content fingerprint;
 * ``"frontend"`` — inline Python source using
   :func:`~repro.synth.frontend.mig_function`, only honoured when the
   server was started with ``--allow-frontend`` (it executes submitted
@@ -38,19 +39,11 @@ from ..arch import (
     resolve_architecture,
 )
 from ..core.manager import EnduranceConfig, PRESETS, full_management
-from ..mig.io import MigParseError, loads_aiger, loads_blif, loads_mig
+from ..mig.io import NETLIST_READERS, MigParseError, loads_netlist
 from ..opt import OptimizerSpec, resolve_optimizer
 from ..source import MigSource, Source, resolve_source
 from ..synth.frontend import FrontendFunction, mig_function
 from ..analysis.runner import TABLE1_PRESETS, VERIFY_PATTERNS, experiment_key
-
-#: Inline netlist formats accepted by ``POST /jobs`` (text flavours
-#: only — binary ``.aig`` payloads travel as files, not JSON strings).
-INLINE_NETLIST_FORMATS = {
-    ".mig": loads_mig,
-    ".blif": loads_blif,
-    ".aag": loads_aiger,
-}
 
 #: Benchmark width presets a job may select (mirrors the CLI choices).
 PRESET_CHOICES = ("tiny", "default", "paper")
@@ -116,11 +109,12 @@ def _parse_inline_netlist(body: object) -> Source:
     _require(isinstance(fmt, str), "'netlist.format' must be a string")
     if not fmt.startswith("."):
         fmt = "." + fmt
-    loader = INLINE_NETLIST_FORMATS.get(fmt.lower())
+    # JSON carries text, so binary AIGER payloads travel as paths.
+    inline = sorted(ext for ext in NETLIST_READERS if ext != ".aig")
     _require(
-        loader is not None,
+        fmt.lower() in inline,
         f"unsupported inline netlist format {fmt!r} "
-        f"(expected one of: {', '.join(sorted(INLINE_NETLIST_FORMATS))})",
+        f"(expected one of: {', '.join(inline)})",
     )
     text = body.get("text")
     _require(
@@ -128,15 +122,13 @@ def _parse_inline_netlist(body: object) -> Source:
         "'netlist.text' must be a non-empty string",
     )
     try:
-        mig = loader(text)
+        mig = loads_netlist(text, "netlist" + fmt.lower())
     except MigParseError as error:
         raise SchemaError(f"netlist does not parse: {error}") from None
     name = body.get("name")
     if name is not None:
         _require(isinstance(name, str), "'netlist.name' must be a string")
         mig.name = name
-    elif not mig.name:
-        mig.name = "netlist"
     return MigSource(mig)
 
 

@@ -17,10 +17,10 @@ Four kinds ship built in:
     ``(name, preset)`` pair, so cache entries are byte-identical to the
     pre-source-layer layout.
 ``file``  (:class:`FileSource`)
-    A netlist on disk — the native exchange format, BLIF, or ASCII
-    AIGER (see :func:`repro.mig.io.read_netlist`).  Identity hashes the
-    file *bytes*, so editing the file changes the identity and a moved
-    or copied file keeps its cached artefacts.
+    A netlist on disk (see :data:`repro.mig.io.NETLIST_READERS`).
+    Identity hashes the file *bytes*, which the graph is built from, so
+    editing the file changes the identity and a moved or copied file
+    keeps its cached artefacts.
 ``frontend``  (:class:`FrontendSource`)
     A Python function decorated with
     :func:`repro.synth.frontend.mig_function`.  Identity hashes the
@@ -43,7 +43,7 @@ from abc import ABC, abstractmethod
 from typing import Tuple
 
 from ..mig.graph import Mig
-from ..mig.io import NETLIST_READERS, read_netlist
+from ..mig.io import loads_netlist, netlist_extension
 from ..synth.frontend import FrontendFunction
 from ..synth.registry import BENCHMARKS, build_benchmark
 
@@ -110,33 +110,28 @@ class RegistrySource(Source):
 
 
 class FileSource(Source):
-    """A netlist file: exchange format, BLIF, or ASCII AIGER."""
+    """A netlist file (``.mig``/``.blif``/``.aag``/``.aiger``/``.aig``)."""
 
     kind = "file"
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = os.fspath(path)
-        extension = os.path.splitext(self.path)[1].lower()
-        if extension not in NETLIST_READERS:
-            raise ValueError(
-                f"unrecognised netlist extension {extension!r} for "
-                f"{self.path!r} (expected one of: "
-                f"{', '.join(sorted(NETLIST_READERS))})"
-            )
+        extension = netlist_extension(self.path)
         self.name = os.path.splitext(os.path.basename(self.path))[0]
-        # Hash the bytes eagerly: the identity must pin the content the
-        # run actually read, even if the file is edited mid-session.
-        digest = hashlib.sha256()
-        digest.update(extension.encode())
+        # Read the bytes once, eagerly: the identity pins the content
+        # the run builds from, even if the file is edited mid-session
+        # (a pickled source carries them to run_matrix workers).
         with open(self.path, "rb") as handle:
-            digest.update(handle.read())
+            self._data = handle.read()
+        digest = hashlib.sha256(extension.encode())
+        digest.update(self._data)
         self._fingerprint = digest.hexdigest()
 
     def fingerprint(self) -> str:
         return self._fingerprint
 
     def build(self, preset: str) -> Mig:
-        return read_netlist(self.path)
+        return loads_netlist(self._data, self.path)
 
 
 class FrontendSource(Source):

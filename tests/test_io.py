@@ -1,9 +1,11 @@
 """Tests for MIG / program text serialisation and netlist importers."""
 
+import hashlib
 import os
 
 import pytest
 
+from repro.core.manager import PRESETS, compile_pipeline
 from repro.mig.graph import Mig
 from repro.mig.io import (
     MigParseError,
@@ -288,6 +290,61 @@ class TestAigerImport:
             loads_aiger("aig 3 1 0 1 1\n")
 
 
+class TestAigerEncodings:
+    """One parser serves ``aag`` and ``aig``: a circuit broken the same
+    way in both encodings is refused with the same message."""
+
+    # i0 & i1: ``aag 3 2 0 1 1`` / ``aig 3 2 0 1 1`` (deltas 2, 2)
+    DEFECTS = [
+        ("latches", "aag 3 2 1 1 1\n2\n4\n6\n6 2 4\n",
+         b"aig 3 2 1 1 1\n6\n\x02\x02", "sequential AIGER not supported"),
+        ("undefined output", "aag 4 2 0 1 1\n2\n4\n8\n6 2 4\n",
+         b"aig 4 2 0 1 1\n8\n\x02\x02",
+         "output 0 references undefined literal 8"),
+        ("header counts", "aag 2 2 0 1 1\n2\n4\n6\n6 2 4\n",
+         b"aig 2 2 0 1 1\n6\n\x02\x02", "maxvar 2 below 2 inputs"),
+        ("truncated gates", "aag 3 2 0 1 1\n2\n4\n6\n",
+         b"aig 3 2 0 1 1\n6\n\x02", "truncated AIGER gate section"),
+    ]
+
+    def test_intact_circuit_decodes_identically(self):
+        from_ascii = loads_aiger("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
+        from_binary = loads_aiger_binary(b"aig 3 2 0 1 1\n6\n\x02\x02")
+        assert dumps_mig(from_ascii) == dumps_mig(from_binary)
+        assert simulate_one(from_binary, {"i0": 1, "i1": 1})["o0"] == 1
+
+    @pytest.mark.parametrize(
+        "text, blob, stem", [d[1:] for d in DEFECTS],
+        ids=[d[0] for d in DEFECTS],
+    )
+    def test_defect_parity(self, text, blob, stem):
+        with pytest.raises(MigParseError, match=stem) as ascii_error:
+            loads_aiger(text)
+        with pytest.raises(MigParseError, match=stem) as binary_error:
+            loads_aiger_binary(blob)
+        assert str(ascii_error.value) == str(binary_error.value)
+
+    def test_ascii_errors_name_their_line(self):
+        with pytest.raises(MigParseError, match=r"^line 3: bad literal 'x'"):
+            loads_aiger("aag 2 1 0 1 0\n2\nx\n")
+        with pytest.raises(MigParseError, match="line 2: bad input literal 3"):
+            loads_aiger("aag 2 1 0 1 0\n3\n2\n")
+        # a blank line is a bad literal, not an IndexError
+        with pytest.raises(MigParseError, match="line 2: bad literal ''"):
+            loads_aiger("aag 2 1 0 1 0\n\n2\n")
+
+    def test_non_ascii_symbol_names_kept(self, tmp_path):
+        text = "aag 1 1 0 1 0\n2\n3\ni0 café\no0 ¬λ\n"
+        mig = loads_aiger(text)
+        assert (mig.pi_name(0), mig.po_name(0)) == ("café", "¬λ")
+        path = tmp_path / "named.aag"
+        path.write_bytes(text.encode("utf-8"))
+        from_file = read_netlist(str(path))
+        names = (from_file.pi_name(0), from_file.po_name(0))
+        assert names == ("café", "¬λ")
+        assert from_file.name == "named"
+
+
 class TestAigerExport:
     """MIG → ``aag`` text, round-tripped through the importer."""
 
@@ -395,6 +452,50 @@ class TestAigerBinary:
             loads_aiger_binary(b"aig 2 1 0 0 1\n\x00\x00")
 
 
+class TestPinnedBytes:
+    """The writers' bytes over the 18 tiny benchmarks: a change to the
+    codec's code paths must not change one of them."""
+
+    DIGESTS = {
+        "mig":
+            "c1c92738e92b0ec08a56757444e0728428c876731edc82c4ba3dd19d5616b140",
+        "aag":
+            "d63a5cbcf9526d2f21b40cb58e1dda54ac3fcb0802afdc666ba5109148bd53a7",
+        "aig":
+            "86c59c081d0789b588070bd892e9f00f0955046f23028f719e744eeca22f3e3a",
+        "rm3":
+            "7c5e3783c4cb8812df0f3c43a83cd579eb786aafeb9bf3ad96f73ff6089b6116",
+    }
+    #: ``dumps_mig`` of each benchmark read back from ``aag`` and ``aig``
+    DECODED = (
+        "c68e6e16e7362e5805f4f8945530c488a33dfe864f3c7942ed657882f5ed5b77"
+    )
+
+    def test_writers_are_pinned(self):
+        digests = {name: hashlib.sha256() for name in self.DIGESTS}
+        for name in BENCHMARK_ORDER:
+            mig = build_benchmark(name, "tiny")
+            program = compile_pipeline(
+                mig, PRESETS["ea-full"], arch="endurance"
+            ).program
+            digests["mig"].update(dumps_mig(mig).encode())
+            digests["aag"].update(dumps_aiger(mig).encode())
+            digests["aig"].update(dumps_aiger_binary(mig))
+            digests["rm3"].update(dumps_program(program).encode())
+        assert {k: d.hexdigest() for k, d in digests.items()} == self.DIGESTS
+
+    def test_aiger_readers_are_pinned(self):
+        from_ascii, from_binary = hashlib.sha256(), hashlib.sha256()
+        for name in BENCHMARK_ORDER:
+            mig = build_benchmark(name, "tiny")
+            text = dumps_mig(loads_aiger(dumps_aiger(mig)))
+            from_ascii.update(text.encode())
+            text = dumps_mig(loads_aiger_binary(dumps_aiger_binary(mig)))
+            from_binary.update(text.encode())
+        assert from_ascii.hexdigest() == self.DECODED
+        assert from_binary.hexdigest() == self.DECODED
+
+
 class TestReadNetlist:
     def test_dispatch_table_covers_formats(self):
         assert {".mig", ".blif", ".aag", ".aiger", ".aig"} <= set(
@@ -438,10 +539,10 @@ class TestProgramRoundTrip:
 
         program = PlimCompiler(allocation="min_write").compile(tiny_adder)
         renders = []
-        write = mig_io.write_program
+        render = mig_io._render_program
         monkeypatch.setattr(
-            mig_io, "write_program",
-            lambda *args: renders.append(1) or write(*args),
+            mig_io, "_render_program",
+            lambda *args: renders.append(1) or render(*args),
         )
         text = dumps_program(program)
         assert dumps_program(program) is text

@@ -249,6 +249,16 @@ class TestParseJob:
         with pytest.raises(SchemaError, match="unsupported inline"):
             self.parse({"netlist": {"format": ".aig", "text": "x"}})
 
+    def test_inline_formats_follow_the_netlist_table(self):
+        text = small_aag()
+        aag = self.parse({"netlist": {"format": ".aag", "text": text}})
+        spec = self.parse({"netlist": {"format": "AIGER", "text": text}})
+        assert spec.source.name == "netlist"
+        assert spec.signature == aag.signature
+        expected = r"expected one of: \.aag, \.aiger, \.blif, \.mig\)"
+        with pytest.raises(SchemaError, match=expected):
+            self.parse({"netlist": {"format": ".v", "text": "x"}})
+
     def test_identical_requests_share_a_signature(self):
         body = {"source": "adder", "config": "naive"}
         assert self.parse(dict(body)).signature == \
@@ -555,9 +565,10 @@ class TestJobQueue:
 
         renders = []
         write = mig_io.write_program
+        render = mig_io._render_program
         monkeypatch.setattr(
-            mig_io, "write_program",
-            lambda *args: renders.append(1) or write(*args),
+            mig_io, "_render_program",
+            lambda *args: renders.append(1) or render(*args),
         )
         session = tiny_session(tmp_path)
         queue = JobQueue(session, workers=1, isolate=False)

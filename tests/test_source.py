@@ -116,6 +116,30 @@ class TestIdentity:
         copy_path.write_text(copy_path.read_text() + "# touched\n")
         assert FileSource(copy_path).fingerprint() != original.fingerprint()
 
+    def test_file_builds_the_bytes_it_hashed(self, tmp_path):
+        """Editing a resolved file changes neither its identity nor its
+        graph, in the source or in a pickled copy sent to a worker."""
+        from repro.mig.simulate import simulate_one
+
+        path = tmp_path / "c.mig"
+        gate = "mig c\ninput a\ninput b\nnode n3 = <a b {}>\noutput f = n3\n"
+        path.write_text(gate.format(0))  # a AND b
+        source = resolve_source(str(path))
+        fingerprint = source.fingerprint()
+        shipped = pickle.dumps(source)
+        path.write_text(gate.format(1))  # a OR b
+        assert FileSource(path).fingerprint() != fingerprint
+
+        def assert_and_gate(copy):
+            assert copy.fingerprint() == fingerprint
+            mig = copy.build("tiny")
+            assert mig.name == "c"
+            assert simulate_one(mig, {"a": 1, "b": 0})["f"] == 0
+
+        assert_and_gate(source)
+        os.remove(path)  # the worker's copy reads no file either
+        assert_and_gate(pickle.loads(shipped))
+
     def test_file_rejects_unknown_extension(self, tmp_path):
         path = tmp_path / "x.v"
         path.write_text("")
